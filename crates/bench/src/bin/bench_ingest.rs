@@ -262,7 +262,7 @@ fn main() {
     // *shifted* redundancy — small inserts/deletes between versions —
     // which is the workload CDC exists for. Measure both chunkers on a
     // versioned-backup corpus and check the gear ratio against the
-    // arXiv 1701.04451 closed form (DESIGN.md §18).
+    // arXiv 1701.04451 closed form (DESIGN.md §16).
     let vb_cfg = if quick_mode() {
         ef_datagen::VersionedBackupConfig {
             base_len: 128 * 1024,

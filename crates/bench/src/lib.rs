@@ -29,8 +29,9 @@
 //! | `recovery_latency` | crash-stop recovery latency vs anti-entropy interval |
 //!
 //! The Criterion benches in `benches/` cover the substrate hot paths
-//! (chunking, hashing, ring lookup, key-value store, model evaluation,
-//! partitioning).
+//! (chunking, hashing, ingest, ring lookup, model evaluation,
+//! partitioning); the key-value store and the erasure code are timed per
+//! layer by `bench_e2e`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

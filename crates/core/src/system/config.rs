@@ -54,7 +54,7 @@ pub struct SystemConfig {
     /// Container capacity in bytes for the restore-path layout model:
     /// unique chunks append into fixed-capacity containers in arrival
     /// order, and `SystemMetrics::restore` measures how many containers
-    /// a per-node restore touches (DESIGN.md §18).
+    /// a per-node restore touches (DESIGN.md §16).
     #[serde(default = "default_container_bytes")]
     pub container_bytes: usize,
     /// Duplicate-rewrite policy of the restore-path layout model:

@@ -25,7 +25,7 @@
 //! The [`workload`] module adds seed-deterministic shift-redundant
 //! generators (versioned backups, layered images, rotated logs) behind
 //! [`WorkloadKind`], with closed-form expected dedup ratios for
-//! validation; see `DESIGN.md` §18.
+//! validation; see `DESIGN.md` §16.
 //!
 //! # Example
 //!

@@ -12,12 +12,10 @@
 //! reconciliation is set union per differing range.
 
 use crate::key_token;
-use crate::msg::{Message, Outbound};
 use crate::node::NodeState;
 use crate::ring::HashRing;
 use bytes::Bytes;
 use ef_netsim::NodeId;
-use ef_simcore::SimTime;
 use std::collections::BTreeMap;
 
 /// A Merkle tree over the token space `0..=u64::MAX`, with `2^depth`
@@ -134,50 +132,17 @@ impl crate::cluster::LocalCluster {
     pub fn anti_entropy(&mut self, depth: u32) -> usize {
         let members = self.members();
         let rf = self.config().replication_factor;
-        let ring: HashRing = self.ring().clone();
         let mut copied = 0usize;
-
-        for x in 0..members.len() {
-            for y in (x + 1)..members.len() {
-                let (a, b) = (members[x], members[y]);
-                // Entries each node holds that the *pair* co-replicates.
-                let shared = |cluster: &Self, me: NodeId| -> BTreeMap<Bytes, Bytes> {
-                    cluster
-                        .node(me)
-                        // simlint::allow(D003): `me` ranges over the cluster's own member list
-                        .expect("member exists")
-                        .storage()
-                        .iter_live()
-                        .filter(|(k, _)| {
-                            let reps = ring.replicas(k, rf);
-                            reps.contains(&a) && reps.contains(&b)
-                        })
-                        .collect()
-                };
-                let entries_a = shared(self, a);
-                let entries_b = shared(self, b);
-                let tree_a = MerkleTree::build(
-                    entries_a.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let tree_b = MerkleTree::build(
-                    entries_b.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                for bucket in tree_a.diff(&tree_b) {
-                    // Union the bucket's entries in both directions.
-                    for (src, dst_id) in [(&entries_a, b), (&entries_b, a)] {
-                        for (k, v) in src.iter() {
-                            if MerkleTree::bucket_of(key_token(k), depth) != bucket {
-                                continue;
-                            }
-                            // simlint::allow(D003): `dst_id` ranges over the cluster's own member list
-                            let dst = self.node_mut(dst_id).expect("member exists");
-                            if !dst.storage_mut().contains(k) {
-                                dst.storage_mut().put(k.clone(), v.clone());
-                                copied += 1;
-                            }
-                        }
+        for (x, &a) in members.iter().enumerate() {
+            for &b in &members[x + 1..] {
+                let pair = pair_diff(&self.nodes, self.ring(), rf, a, b, depth);
+                for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
+                    let Some(dst) = self.node_mut(dst) else {
+                        continue;
+                    };
+                    copied += entries.len();
+                    for (k, v) in entries {
+                        dst.storage_mut().put(k, v);
                     }
                 }
             }
@@ -191,208 +156,65 @@ impl crate::cluster::LocalCluster {
 /// implementations ship only unequal subtrees; charging the full leaf
 /// layer is a deliberate upper bound so repair traffic is never
 /// undercosted.)
-fn tree_wire_size(depth: u32) -> u64 {
+pub(crate) fn tree_wire_size(depth: u32) -> u64 {
     48 + 8 * (1u64 << depth)
 }
 
-/// Entries `me` holds that the pair `(a, b)` co-replicates under `ring`.
-fn co_replicated(
+/// What one replica pair `(a, b)` must exchange to converge: how many
+/// Merkle buckets of their co-replicated entries differ, and the entries
+/// in those buckets each side lacks (bucket-major, then key order).
+#[derive(Debug)]
+pub(crate) struct PairDiff {
+    /// Divergent leaf buckets.
+    pub(crate) buckets: usize,
+    /// Entries `a` holds that `b` lacks.
+    pub(crate) to_b: Vec<(Bytes, Bytes)>,
+    /// Entries `b` holds that `a` lacks.
+    pub(crate) to_a: Vec<(Bytes, Bytes)>,
+}
+
+/// Builds depth-`depth` Merkle trees over the entries `a` and `b` each
+/// hold of the keys `ring` has them *both* replicate, and diffs them —
+/// the comparison every driver's anti-entropy and the read-only
+/// divergence oracle share. A node missing from `nodes` holds nothing.
+pub(crate) fn pair_diff(
     nodes: &BTreeMap<NodeId, NodeState>,
     ring: &HashRing,
     rf: usize,
-    me: NodeId,
     a: NodeId,
     b: NodeId,
-) -> BTreeMap<Bytes, Bytes> {
-    nodes
-        .get(&me)
-        // simlint::allow(D003): `me` ranges over the cluster's own live-node list
-        .expect("live node exists")
-        .storage()
-        .iter_live()
-        .filter(|(k, _)| {
-            let reps = ring.replicas(k, rf);
-            reps.contains(&a) && reps.contains(&b)
-        })
-        .collect()
-}
-
-impl crate::sim::SimCluster {
-    /// Runs one scheduled anti-entropy round over the simulated network.
-    ///
-    /// Every live pair of replicas exchanges Merkle-tree summaries of the
-    /// keys they co-replicate, charged to the network at
-    /// [`tree_wire_size`] bytes each way — a lost or partitioned-away
-    /// summary aborts the pair for this round (it will retry at the next
-    /// tick). Divergent buckets are repaired by streaming the missing
-    /// entries as [`Message::HintReplay`] messages through the normal
-    /// delivery path, so repair traffic pays real transfer costs and can
-    /// itself be lost; convergence is only declared for a restarted node
-    /// once a round finds *all* its replica pairs clean.
-    pub(crate) fn anti_entropy_round(&mut self, now: SimTime, depth: u32) {
-        self.recovery.antientropy_rounds += 1;
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        let rf = self.config.replication_factor;
-        let ring = self.ring.clone();
-        let mut clean: BTreeMap<NodeId, bool> = live.iter().map(|&n| (n, true)).collect();
-
-        for x in 0..live.len() {
-            for y in (x + 1)..live.len() {
-                let (a, b) = (live[x], live[y]);
-                // Tree exchange, both directions, over the faulty
-                // network. A summary corrupted by wire rot fails its
-                // frame checksum at the receiver and counts as rejected;
-                // either way the pair aborts for this round and retries
-                // at the next tick.
-                let summary = tree_wire_size(depth);
-                let ab = self.network.send_framed(now, a, b, summary);
-                let ba = self.network.send_framed(now, b, a, summary);
-                let mut intact = true;
-                for leg in [&ab, &ba] {
-                    match leg {
-                        Ok(Some(delivery)) if delivery.corrupt => {
-                            self.integrity_acc.frames_rejected += 1;
-                            intact = false;
-                        }
-                        Ok(Some(_)) => {}
-                        _ => intact = false,
-                    }
+    depth: u32,
+) -> PairDiff {
+    let held = |me: NodeId| -> BTreeMap<Bytes, Bytes> {
+        let state = nodes.get(&me).into_iter();
+        state
+            .flat_map(|s| s.storage().iter_live())
+            .filter(|(k, _)| {
+                let reps = ring.replicas(k, rf);
+                reps.contains(&a) && reps.contains(&b)
+            })
+            .collect()
+    };
+    let (entries_a, entries_b) = (held(a), held(b));
+    let tree = |entries: &BTreeMap<Bytes, Bytes>| {
+        MerkleTree::build(entries.iter().map(|(k, v)| (k.as_ref(), v.as_ref())), depth)
+    };
+    let diff = tree(&entries_a).diff(&tree(&entries_b));
+    let missing = |src: &BTreeMap<Bytes, Bytes>, dst: &BTreeMap<Bytes, Bytes>| {
+        let mut out = Vec::new();
+        for &bucket in &diff {
+            for (k, v) in src {
+                if MerkleTree::bucket_of(key_token(k), depth) == bucket && !dst.contains_key(k) {
+                    out.push((k.clone(), v.clone()));
                 }
-                if !intact {
-                    clean.insert(a, false);
-                    clean.insert(b, false);
-                    continue;
-                }
-                // An equivocating peer sends a summary that disagrees
-                // with the per-bucket digests it later answers with, so
-                // the exchange is internally inconsistent: the pair
-                // cannot converge this round either way. With the trust
-                // ledger armed the inconsistency is also *attributable*
-                // — the signed summary names its author — and charged as
-                // a provable lie.
-                let equivocators: Vec<NodeId> = [a, b]
-                    .into_iter()
-                    .filter(|&n| {
-                        self.network
-                            .fault_plan()
-                            .is_some_and(|plan| plan.equivocates_at(n, now))
-                    })
-                    .collect();
-                if !equivocators.is_empty() {
-                    clean.insert(a, false);
-                    clean.insert(b, false);
-                    if self.pop_armed() {
-                        for e in equivocators {
-                            self.byz_acc.equivocations_detected += 1;
-                            self.strike_peer(e);
-                        }
-                    }
-                    continue;
-                }
-                // A completed two-way exchange is proof of mutual
-                // reachability: un-suspect the pair and flush any hints
-                // still parked between them (e.g. hinted-on-timeout for a
-                // peer the failure detector never formally suspected).
-                for (me, peer) in [(a, b), (b, a)] {
-                    let replays = self
-                        .nodes
-                        .get_mut(&me)
-                        .map(|s| s.mark_up(peer))
-                        .unwrap_or_default();
-                    self.dispatch(now, me, replays);
-                }
-                let entries_a = co_replicated(&self.nodes, &ring, rf, a, a, b);
-                let entries_b = co_replicated(&self.nodes, &ring, rf, b, a, b);
-                let tree_a = MerkleTree::build(
-                    entries_a.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let tree_b = MerkleTree::build(
-                    entries_b.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let diff = tree_a.diff(&tree_b);
-                if diff.is_empty() {
-                    continue;
-                }
-                clean.insert(a, false);
-                clean.insert(b, false);
-                self.recovery.buckets_repaired += diff.len() as u64;
-                let missing = |src: &BTreeMap<Bytes, Bytes>,
-                               dst: &BTreeMap<Bytes, Bytes>,
-                               to: NodeId|
-                 -> Vec<Outbound> {
-                    let mut out = Vec::new();
-                    for bucket in &diff {
-                        for (k, v) in src {
-                            if MerkleTree::bucket_of(key_token(k), depth) != *bucket
-                                || dst.contains_key(k)
-                            {
-                                continue;
-                            }
-                            out.push(Outbound {
-                                to,
-                                msg: Message::HintReplay {
-                                    key: k.clone(),
-                                    value: Some(v.clone()),
-                                },
-                            });
-                        }
-                    }
-                    out
-                };
-                let to_b = missing(&entries_a, &entries_b, b);
-                let to_a = missing(&entries_b, &entries_a, a);
-                self.recovery.entries_repaired += (to_b.len() + to_a.len()) as u64;
-                self.dispatch(now, a, to_b);
-                self.dispatch(now, b, to_a);
             }
         }
-
-        // A restarted node whose every replica pair came up clean this
-        // round has fully caught up.
-        for (&n, &is_clean) in &clean {
-            if is_clean && self.restarted_at.contains_key(&n) {
-                self.recovered_at.entry(n).or_insert(now);
-            }
-        }
-    }
-
-    /// Read-only convergence oracle: the number of divergent Merkle
-    /// buckets summed over all live replica pairs, with no network
-    /// charges or repairs. `0` means every pair of live replicas agrees
-    /// on their co-replicated entries.
-    pub fn replica_divergence(&self, depth: u32) -> u64 {
-        let live: Vec<NodeId> = self
-            .nodes
-            .keys()
-            .copied()
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        let rf = self.config.replication_factor;
-        let mut buckets = 0u64;
-        for x in 0..live.len() {
-            for y in (x + 1)..live.len() {
-                let (a, b) = (live[x], live[y]);
-                let entries_a = co_replicated(&self.nodes, &self.ring, rf, a, a, b);
-                let entries_b = co_replicated(&self.nodes, &self.ring, rf, b, a, b);
-                let tree_a = MerkleTree::build(
-                    entries_a.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                let tree_b = MerkleTree::build(
-                    entries_b.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
-                    depth,
-                );
-                buckets += tree_a.diff(&tree_b).len() as u64;
-            }
-        }
-        buckets
+        out
+    };
+    PairDiff {
+        buckets: diff.len(),
+        to_b: missing(&entries_a, &entries_b),
+        to_a: missing(&entries_b, &entries_a),
     }
 }
 

@@ -6,7 +6,7 @@
 //! same operations in simulated time and `ThreadedCluster` runs them with
 //! real concurrency.
 
-use crate::msg::{ClientOp, OpResult, Outbound};
+use crate::msg::{ClientOp, OpId, OpResult, Outbound};
 use crate::node::{Consistency, NodeState};
 use crate::ring::HashRing;
 use bytes::Bytes;
@@ -84,12 +84,65 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+impl OpResult {
+    /// Splits off the two failure outcomes every client call reports the
+    /// same way; any other outcome passes through for the per-shape
+    /// conversions below.
+    fn ok(self) -> Result<OpResult, ClusterError> {
+        match self {
+            OpResult::Unavailable { acks, required } => {
+                Err(ClusterError::Unavailable { acks, required })
+            }
+            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
+            resolved => Ok(resolved),
+        }
+    }
+
+    /// A read's outcome as the blocking drivers report it.
+    pub(crate) fn into_value(self) -> Result<Option<Bytes>, ClusterError> {
+        match self.ok()? {
+            OpResult::Value(v) => Ok(v),
+            other => unreachable!("read resolved as {other:?}"),
+        }
+    }
+
+    /// A put's or delete's outcome as the blocking drivers report it.
+    pub(crate) fn into_written(self) -> Result<(), ClusterError> {
+        match self.ok()? {
+            OpResult::Written => Ok(()),
+            other => unreachable!("write resolved as {other:?}"),
+        }
+    }
+
+    /// A check-and-insert's verdict (`true` = unique) as the blocking
+    /// drivers report it.
+    pub(crate) fn into_unique(self) -> Result<bool, ClusterError> {
+        match self.ok()? {
+            OpResult::Dedup { unique, .. } => Ok(unique),
+            other => unreachable!("check-and-insert resolved as {other:?}"),
+        }
+    }
+}
+
+/// Validates a driver's member list and builds its ring — the one
+/// constructor prologue all three drivers share.
+///
+/// # Panics
+///
+/// Panics when `members` is empty or contains duplicates.
+pub(crate) fn member_ring(members: &[NodeId], vnodes: usize) -> HashRing {
+    assert!(!members.is_empty(), "cluster needs at least one node");
+    let ring = HashRing::with_nodes(members.iter().copied(), vnodes);
+    assert_eq!(ring.len(), members.len(), "duplicate member node");
+    ring
+}
+
 /// An in-process store cluster with instant message delivery.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct LocalCluster {
-    nodes: BTreeMap<NodeId, NodeState>,
+    pub(crate) nodes: BTreeMap<NodeId, NodeState>,
     config: ClusterConfig,
     ring: HashRing,
     down: HashSet<NodeId>,
@@ -104,10 +157,7 @@ impl LocalCluster {
     ///
     /// Panics when `members` is empty or contains duplicates.
     pub fn new(members: Vec<NodeId>, config: ClusterConfig) -> Self {
-        assert!(!members.is_empty(), "cluster needs at least one node");
-        let unique: HashSet<_> = members.iter().collect();
-        assert_eq!(unique.len(), members.len(), "duplicate member node");
-        let ring = HashRing::with_nodes(members.iter().copied(), config.vnodes);
+        let ring = member_ring(&members, config.vnodes);
         let nodes = members
             .into_iter()
             .map(|id| (id, NodeState::new(id, ring.clone(), &config)))
@@ -159,16 +209,8 @@ impl LocalCluster {
     /// or down; [`ClusterError::Unavailable`] when too few replicas
     /// answered.
     pub fn get(&mut self, coordinator: NodeId, key: &[u8]) -> Result<Option<Bytes>, ClusterError> {
-        match self.run_op(coordinator, ClientOp::Get(Bytes::copy_from_slice(key)))? {
-            OpResult::Value(v) => Ok(v),
-            OpResult::Written | OpResult::Dedup { .. } => {
-                unreachable!("read returned write result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        self.run_op(coordinator, ClientOp::Get(Bytes::copy_from_slice(key)))?
+            .into_value()
     }
 
     /// Writes `key = value` through `coordinator`.
@@ -182,19 +224,11 @@ impl LocalCluster {
         key: &[u8],
         value: Bytes,
     ) -> Result<(), ClusterError> {
-        match self.run_op(
+        self.run_op(
             coordinator,
             ClientOp::Put(Bytes::copy_from_slice(key), value),
-        )? {
-            OpResult::Written => Ok(()),
-            OpResult::Value(_) | OpResult::Dedup { .. } => {
-                unreachable!("write returned read result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        )?
+        .into_written()
     }
 
     /// Deletes `key` through `coordinator`.
@@ -203,16 +237,8 @@ impl LocalCluster {
     ///
     /// See [`LocalCluster::get`].
     pub fn delete(&mut self, coordinator: NodeId, key: &[u8]) -> Result<(), ClusterError> {
-        match self.run_op(coordinator, ClientOp::Delete(Bytes::copy_from_slice(key)))? {
-            OpResult::Written => Ok(()),
-            OpResult::Value(_) | OpResult::Dedup { .. } => {
-                unreachable!("delete returned read result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        self.run_op(coordinator, ClientOp::Delete(Bytes::copy_from_slice(key)))?
+            .into_written()
     }
 
     /// The dedup primitive as one coordinated operation: returns `true`
@@ -231,19 +257,11 @@ impl LocalCluster {
         key: &[u8],
         value: Bytes,
     ) -> Result<bool, ClusterError> {
-        match self.run_op(
+        self.run_op(
             coordinator,
             ClientOp::CheckAndInsert(Bytes::copy_from_slice(key), value),
-        )? {
-            OpResult::Dedup { unique, .. } => Ok(unique),
-            OpResult::Value(_) | OpResult::Written => {
-                unreachable!("check-and-insert returned a plain result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        )?
+        .into_unique()
     }
 
     fn run_op(&mut self, coordinator: NodeId, op: ClientOp) -> Result<OpResult, ClusterError> {
@@ -254,34 +272,44 @@ impl LocalCluster {
             return Err(ClusterError::NoSuchCoordinator(coordinator));
         };
         let (op_id, outbound, completion) = node.begin(op);
-        let mut result = completion.map(|c| c.result);
-        let mut queue: VecDeque<(NodeId, Outbound)> =
-            outbound.into_iter().map(|ob| (coordinator, ob)).collect();
-        // Pump until quiescent so replication completes even after the
-        // client-visible completion (Cassandra's async replica writes).
+        let queue = outbound.into_iter().map(|ob| (coordinator, ob)).collect();
+        // Pump even when the op completed at once, so replication finishes
+        // after the client-visible completion (Cassandra's async replica
+        // writes).
+        let pumped = self.pump(queue, Some(op_id));
+        let result = completion.map(|c| c.result).or(pumped);
+        // simlint::allow(D003): the queue is pumped to quiescence, so the coordinator's own op must have completed
+        Ok(result.expect("instant delivery always resolves the op"))
+    }
+
+    /// Delivers `queue` to quiescence — receiving a message can emit more
+    /// — and returns the first completion of `watch` seen on the way.
+    /// Messages to a down node drop on the floor; the failure detector
+    /// already resolved pending ops when it was marked down.
+    fn pump(
+        &mut self,
+        mut queue: VecDeque<(NodeId, Outbound)>,
+        watch: Option<OpId>,
+    ) -> Option<OpResult> {
+        let mut result = None;
         while let Some((from, ob)) = queue.pop_front() {
             if self.down.contains(&ob.to) {
-                // Dropped on the floor; the failure detector already
-                // resolved pending ops when the node was marked down.
                 continue;
             }
             let Some(dest) = self.nodes.get_mut(&ob.to) else {
                 continue;
             };
             self.messages_delivered += 1;
-            let to = ob.to;
             let (outs, comps) = dest.on_message(from, ob.msg);
-            for o in outs {
-                queue.push_back((to, o));
-            }
-            for c in comps {
-                if c.op_id == op_id && result.is_none() {
-                    result = Some(c.result);
-                }
+            queue.extend(outs.into_iter().map(|o| (ob.to, o)));
+            if result.is_none() {
+                result = comps
+                    .into_iter()
+                    .find(|c| Some(c.op_id) == watch)
+                    .map(|c| c.result);
             }
         }
-        // simlint::allow(D003): the queue is pumped to quiescence, so the coordinator's own op must have completed
-        Ok(result.expect("instant delivery always resolves the op"))
+        result
     }
 
     /// Marks a node down cluster-wide: every peer's failure detector fires
@@ -302,38 +330,13 @@ impl LocalCluster {
         if !self.down.remove(&node) {
             return;
         }
-        let peer_ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        let mut replays: Vec<(NodeId, Vec<Outbound>)> = Vec::new();
-        for id in peer_ids {
-            if id != node {
-                if let Some(state) = self.nodes.get_mut(&id) {
-                    let out = state.mark_up(node);
-                    if !out.is_empty() {
-                        replays.push((id, out));
-                    }
-                }
-            }
-        }
-        // Pump to quiescence: receiving a replay can itself trigger
-        // opportunistic hint drains at the recipient.
-        let mut queue: VecDeque<(NodeId, Outbound)> = replays
-            .into_iter()
-            .flat_map(|(from, outs)| outs.into_iter().map(move |ob| (from, ob)))
+        let queue = self
+            .nodes
+            .iter_mut()
+            .filter(|(id, _)| **id != node)
+            .flat_map(|(&id, state)| state.mark_up(node).into_iter().map(move |ob| (id, ob)))
             .collect();
-        while let Some((from, ob)) = queue.pop_front() {
-            if self.down.contains(&ob.to) {
-                continue;
-            }
-            let Some(dest) = self.nodes.get_mut(&ob.to) else {
-                continue;
-            };
-            self.messages_delivered += 1;
-            let to = ob.to;
-            let (extra, _) = dest.on_message(from, ob.msg);
-            for o in extra {
-                queue.push_back((to, o));
-            }
-        }
+        self.pump(queue, None);
     }
 
     /// True when the node is currently marked down.

@@ -328,6 +328,16 @@ pub struct Outbound {
     pub msg: Message,
 }
 
+impl Outbound {
+    /// A [`Message::HintReplay`] of `key` addressed to `to` — the one
+    /// frame every repair path (hint drain, re-replication, anti-entropy,
+    /// read-repair, mesh and cloud repair) speaks.
+    pub(crate) fn hint_replay(to: NodeId, key: Bytes, value: Option<Bytes>) -> Self {
+        let msg = Message::HintReplay { key, value };
+        Outbound { to, msg }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -484,13 +484,7 @@ impl NodeState {
         let mut out = Vec::new();
         self.hints.retain(|(to, key, value)| {
             if *to == peer {
-                out.push(Outbound {
-                    to: peer,
-                    msg: Message::HintReplay {
-                        key: key.clone(),
-                        value: value.clone(),
-                    },
-                });
+                out.push(Outbound::hint_replay(peer, key.clone(), value.clone()));
                 false
             } else {
                 true
@@ -558,13 +552,11 @@ impl NodeState {
                 if old_reps.contains(&target) {
                     continue;
                 }
-                out.push(Outbound {
-                    to: target,
-                    msg: Message::HintReplay {
-                        key: key.clone(),
-                        value: Some(value.clone()),
-                    },
-                });
+                out.push(Outbound::hint_replay(
+                    target,
+                    key.clone(),
+                    Some(value.clone()),
+                ));
             }
         }
         let count = out.len();
@@ -1274,13 +1266,7 @@ impl NodeState {
                 // requester falls back to the cloud catalog or
                 // anti-entropy).
                 let out = match self.verified_get(&key) {
-                    Some(v) => vec![Outbound {
-                        to: from,
-                        msg: Message::HintReplay {
-                            key,
-                            value: Some(v),
-                        },
-                    }],
+                    Some(v) => vec![Outbound::hint_replay(from, key, Some(v))],
                     None => Vec::new(),
                 };
                 (out, Vec::new())

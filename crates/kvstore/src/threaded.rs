@@ -7,12 +7,11 @@
 //! check that dedup correctness does not depend on the serialized delivery
 //! the other drivers happen to provide.
 
-use crate::cluster::{ClusterConfig, ClusterError};
-use crate::msg::{ClientOp, Message, OpId, OpResult};
+use crate::cluster::{member_ring, ClusterConfig, ClusterError};
+use crate::msg::{ClientOp, Message, OpId, OpResult, Outbound};
 use crate::node::NodeState;
-use crate::ring::HashRing;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use ef_netsim::NodeId;
 use std::collections::BTreeMap;
 use std::thread::JoinHandle;
@@ -64,22 +63,18 @@ impl ThreadedCluster {
     ///
     /// Panics when `members` is empty or contains duplicates.
     pub fn start(members: Vec<NodeId>, config: ClusterConfig) -> Self {
-        assert!(!members.is_empty(), "cluster needs at least one node");
-        let ring = HashRing::with_nodes(members.iter().copied(), config.vnodes);
-        assert_eq!(ring.len(), members.len(), "duplicate member node");
+        let ring = member_ring(&members, config.vnodes);
 
-        let mut inputs: BTreeMap<NodeId, Sender<Input>> = BTreeMap::new();
-        let mut receivers: BTreeMap<NodeId, Receiver<Input>> = BTreeMap::new();
-        for &m in &members {
-            let (tx, rx) = unbounded();
-            inputs.insert(m, tx);
-            receivers.insert(m, rx);
-        }
+        let (inputs, receivers): (BTreeMap<NodeId, Sender<Input>>, Vec<_>) = members
+            .iter()
+            .map(|&m| {
+                let (tx, rx) = unbounded();
+                ((m, tx), (m, rx))
+            })
+            .unzip();
 
         let mut handles = Vec::new();
-        for &m in &members {
-            // simlint::allow(D003): the loop above created a channel pair for every member
-            let rx = receivers.remove(&m).expect("receiver exists");
+        for (m, rx) in receivers {
             let peers = inputs.clone();
             let mut state = NodeState::new(m, ring.clone(), &config);
             let handle = std::thread::Builder::new()
@@ -87,6 +82,16 @@ impl ThreadedCluster {
                 .spawn(move || {
                     // In-flight client ops awaiting completion.
                     let mut waiting: BTreeMap<OpId, Sender<OpResult>> = BTreeMap::new();
+                    let forward = |outbound: Vec<Outbound>| {
+                        for ob in outbound {
+                            if let Some(tx) = peers.get(&ob.to) {
+                                let _ = tx.send(Input::Peer {
+                                    from: m,
+                                    msg: ob.msg,
+                                });
+                            }
+                        }
+                    };
                     while let Ok(input) = rx.recv() {
                         match input {
                             Input::Shutdown => break,
@@ -97,25 +102,11 @@ impl ThreadedCluster {
                                 } else {
                                     waiting.insert(op_id, reply);
                                 }
-                                for ob in outbound {
-                                    if let Some(tx) = peers.get(&ob.to) {
-                                        let _ = tx.send(Input::Peer {
-                                            from: m,
-                                            msg: ob.msg,
-                                        });
-                                    }
-                                }
+                                forward(outbound);
                             }
                             Input::Peer { from, msg } => {
                                 let (outbound, completions) = state.on_message(from, msg);
-                                for ob in outbound {
-                                    if let Some(tx) = peers.get(&ob.to) {
-                                        let _ = tx.send(Input::Peer {
-                                            from: m,
-                                            msg: ob.msg,
-                                        });
-                                    }
-                                }
+                                forward(outbound);
                                 for c in completions {
                                     if let Some(reply) = waiting.remove(&c.op_id) {
                                         let _ = reply.send(c.result);
@@ -155,16 +146,8 @@ impl ThreadedCluster {
     /// [`ClusterError::Unavailable`] when too few replicas answered;
     /// [`ClusterError::NoSuchCoordinator`] for an unknown coordinator.
     pub fn get(&self, coordinator: NodeId, key: &[u8]) -> Result<Option<Bytes>, ClusterError> {
-        match self.request(coordinator, ClientOp::Get(Bytes::copy_from_slice(key)))? {
-            OpResult::Value(v) => Ok(v),
-            OpResult::Written | OpResult::Dedup { .. } => {
-                unreachable!("read returned write result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        self.request(coordinator, ClientOp::Get(Bytes::copy_from_slice(key)))?
+            .into_value()
     }
 
     /// Writes `key = value` through `coordinator`, blocking.
@@ -173,19 +156,11 @@ impl ThreadedCluster {
     ///
     /// See [`ThreadedCluster::get`].
     pub fn put(&self, coordinator: NodeId, key: &[u8], value: Bytes) -> Result<(), ClusterError> {
-        match self.request(
+        self.request(
             coordinator,
             ClientOp::Put(Bytes::copy_from_slice(key), value),
-        )? {
-            OpResult::Written => Ok(()),
-            OpResult::Value(_) | OpResult::Dedup { .. } => {
-                unreachable!("write returned read result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        )?
+        .into_written()
     }
 
     /// The dedup primitive: `true` when `key` was absent and is now
@@ -207,19 +182,11 @@ impl ThreadedCluster {
         key: &[u8],
         value: Bytes,
     ) -> Result<bool, ClusterError> {
-        match self.request(
+        self.request(
             coordinator,
             ClientOp::CheckAndInsert(Bytes::copy_from_slice(key), value),
-        )? {
-            OpResult::Dedup { unique, .. } => Ok(unique),
-            OpResult::Value(_) | OpResult::Written => {
-                unreachable!("check-and-insert returned a plain result")
-            }
-            OpResult::Unavailable { acks, required } => {
-                Err(ClusterError::Unavailable { acks, required })
-            }
-            OpResult::TimedOut { acks, required } => Err(ClusterError::TimedOut { acks, required }),
-        }
+        )?
+        .into_unique()
     }
 
     /// Member node ids.
@@ -247,20 +214,6 @@ impl ThreadedCluster {
 impl Drop for ThreadedCluster {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-impl std::fmt::Debug for Input {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Input::Client { op, .. } => f.debug_struct("Client").field("op", op).finish(),
-            Input::Peer { from, msg } => f
-                .debug_struct("Peer")
-                .field("from", from)
-                .field("msg", msg)
-                .finish(),
-            Input::Shutdown => write!(f, "Shutdown"),
-        }
     }
 }
 

@@ -70,7 +70,7 @@ fn cdc_beats_fixed_size_on_the_versioned_corpus() {
 fn versioned_ratio_tracks_the_closed_form() {
     // The measured gear ratio must sit within the documented tolerance
     // of the arXiv 1701.04451 closed form (20% — the form is a
-    // first-order coverage model; see DESIGN.md §18).
+    // first-order coverage model; see DESIGN.md §16).
     let json = record();
     let expected = metric(&json, "dedup_ratio_versioned_expected");
     let err = metric(&json, "versioned_model_err_pct");
