@@ -37,7 +37,12 @@ use std::time::Instant;
 /// (`restore_fragmentation_mean`, `restore_locality`,
 /// `restore_fragmentation_defrag`, `restore_locality_defrag`,
 /// `restore_rewrite_overhead_pct`).
-const SCHEMA: &str = "efdedup-bench-ingest/v5";
+/// v6: adds `checksum_mbps` — the integrity checksum every WAL record,
+/// stored value, wire frame and anti-entropy entry is digested with,
+/// over the corpus's chunk payloads — recorded with the word-parallel
+/// kernel, alongside a re-recorded `spool_drain_mbps` (frames written
+/// straight into the WAL tail, compaction copying frames verbatim).
+const SCHEMA: &str = "efdedup-bench-ingest/v6";
 
 fn main() {
     let (files_per_source, chunks_per_file, reps) = if quick_mode() {
@@ -125,6 +130,17 @@ fn main() {
         "batch/scalar speedup",
         fmt(batch_mbps / scalar_mbps)
     );
+
+    // --- Integrity checksum: what every layer digests a payload with ---
+    // One call per chunk payload, as the WAL, the storage engine, the
+    // wire framing and anti-entropy make it.
+    let payload_mb = payloads.iter().map(|p| p.len()).sum::<usize>() as f64 / 1e6;
+    let checksum_secs = best_secs(reps, || {
+        let digests = payloads.iter().map(|p| ef_kvstore::checksum64(p));
+        digests.fold(0u64, |acc, d| acc ^ d)
+    });
+    let checksum_mbps = payload_mb / checksum_secs;
+    println!("{:<26} {}", "checksum64", fmt(checksum_mbps));
 
     // --- Dedup-check ingest: the agent's ring-index leg ----------------
     // Chunking is measured above; here pre-computed fingerprints are
@@ -367,6 +383,7 @@ fn main() {
          \"gear_chunk_speedup\": {speedup:.3},\n  \
          \"fingerprint_scalar_mbps\": {scalar_mbps:.2},\n  \
          \"fingerprint_batch_mbps\": {batch_mbps:.2},\n  \
+         \"checksum_mbps\": {checksum_mbps:.2},\n  \
          \"ingest_epochs\": {EPOCHS},\n  \
          \"ingest_cache_off_ops_per_sec\": {off_ops:.1},\n  \
          \"ingest_cache_on_ops_per_sec\": {on_ops:.1},\n  \

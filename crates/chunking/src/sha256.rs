@@ -146,17 +146,13 @@ impl Sha256 {
             self.buffer_len = self.buffer_len.saturating_add(take);
             input = &input[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_block(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        // Whole blocks straight from the input, viewed in place.
+        while let Some((block, rest)) = input.split_first_chunk::<64>() {
+            compress_block(&mut self.state, block);
             input = rest;
         }
         // Stash the tail.
@@ -171,36 +167,19 @@ impl Sha256 {
         // simlint::allow(P003): a 2^61-byte message cannot occur; the
         // checked_mul makes the overflow policy explicit and loud
         let bit_len = self.total_len.checked_mul(8).expect("message too long");
-        // Append 0x80, pad with zeros, append 64-bit big-endian length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
-        let pad_len = if self.buffer_len < 56 {
-            56 - self.buffer_len
-        } else {
-            120 - self.buffer_len
-        };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-        // `update` would change total_len; feed the padding through the
-        // block machinery directly.
-        let mut input = tail.as_slice();
-        if self.buffer_len > 0 {
-            let take = 64 - self.buffer_len;
-            let mut block = [0u8; 64];
-            block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
-            block[self.buffer_len..].copy_from_slice(&input[..take]);
-            self.compress(&block);
-            input = &input[take..];
+        // Append 0x80, pad with zeros, append the 64-bit big-endian
+        // length — in the block buffer itself (`update` would change
+        // total_len, and the padding never needs more than the buffer
+        // plus one extra block).
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress_block(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
-        debug_assert!(input.is_empty());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_block(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -296,10 +275,6 @@ impl Sha256 {
             }
         }
         out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
     }
 }
 

@@ -11,6 +11,7 @@
 //! Values here are immutable (chunk-hash index entries), so
 //! reconciliation is set union per differing range.
 
+use crate::integrity::checksum64;
 use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
@@ -33,10 +34,13 @@ pub struct MerkleTree {
 }
 
 /// Mixes one key/value pair into a bucket digest (commutative across
-/// entries: XOR of per-entry avalanche hashes).
-fn entry_digest(key: &[u8], value: &[u8]) -> u64 {
-    let mut h = key_token(key) ^ 0x9e37_79b9_7f4a_7c15;
-    h = h.wrapping_add(key_token(value).rotate_left(32));
+/// entries: XOR of per-entry avalanche hashes). The key half is the
+/// key's ring token, which every caller already has; the value half is
+/// the word-parallel [`checksum64`] — values are whole payloads, and
+/// this is the only place anti-entropy touches their bytes.
+fn entry_digest(token: u64, value: &[u8]) -> u64 {
+    let mut h = token ^ 0x9e37_79b9_7f4a_7c15;
+    h = h.wrapping_add(checksum64(value).rotate_left(32));
     // Final avalanche.
     let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -62,13 +66,22 @@ impl MerkleTree {
     where
         I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
     {
+        let hashed = entries.into_iter().map(|(key, value)| {
+            let token = key_token(key);
+            (Self::bucket_of(token, depth), entry_digest(token, value))
+        });
+        Self::from_digests(hashed, depth)
+    }
+
+    /// Builds the tree from already-hashed `(bucket, entry digest)`
+    /// pairs.
+    fn from_digests(entries: impl Iterator<Item = (usize, u64)>, depth: u32) -> Self {
         assert!(depth <= 20, "tree depth too large");
         let leaves = 1usize << depth;
         let mut nodes = vec![0u64; 2 * leaves];
-        for (key, value) in entries {
-            let bucket = Self::bucket_of(key_token(key), depth);
+        for (bucket, digest) in entries {
             // XOR keeps the leaf digest order-independent.
-            nodes[leaves + bucket] ^= entry_digest(key, value);
+            nodes[leaves + bucket] ^= digest;
         }
         for i in (1..leaves).rev() {
             nodes[i] = combine(nodes[2 * i], nodes[2 * i + 1]);
@@ -132,18 +145,28 @@ impl crate::cluster::LocalCluster {
     pub fn anti_entropy(&mut self, depth: u32) -> usize {
         let members = self.members();
         let rf = self.config().replication_factor;
+        let summarize = |cluster: &Self, node| {
+            NodeSummary::build(&cluster.nodes, cluster.ring(), rf, node, depth)
+        };
+        let mut summaries: BTreeMap<NodeId, NodeSummary> =
+            members.iter().map(|&n| (n, summarize(self, n))).collect();
         let mut copied = 0usize;
         for (x, &a) in members.iter().enumerate() {
             for &b in &members[x + 1..] {
-                let pair = pair_diff(&self.nodes, self.ring(), rf, a, b, depth);
+                let pair = pair_diff(&summaries[&a], &summaries[&b]);
                 for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
-                    let Some(dst) = self.node_mut(dst) else {
+                    if entries.is_empty() {
+                        continue;
+                    }
+                    let Some(state) = self.node_mut(dst) else {
                         continue;
                     };
                     copied += entries.len();
                     for (k, v) in entries {
-                        dst.storage_mut().put(k, v);
+                        state.storage_mut().put(k, v);
                     }
+                    // Later pairs must see what this one just wrote.
+                    summaries.insert(dst, summarize(self, dst));
                 }
             }
         }
@@ -163,7 +186,7 @@ pub(crate) fn tree_wire_size(depth: u32) -> u64 {
 /// What one replica pair `(a, b)` must exchange to converge: how many
 /// Merkle buckets of their co-replicated entries differ, and the entries
 /// in those buckets each side lacks (bucket-major, then key order).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PairDiff {
     /// Divergent leaf buckets.
     pub(crate) buckets: usize,
@@ -173,48 +196,113 @@ pub(crate) struct PairDiff {
     pub(crate) to_a: Vec<(Bytes, Bytes)>,
 }
 
-/// Builds depth-`depth` Merkle trees over the entries `a` and `b` each
-/// hold of the keys `ring` has them *both* replicate, and diffs them —
-/// the comparison every driver's anti-entropy and the read-only
-/// divergence oracle share. A node missing from `nodes` holds nothing.
-pub(crate) fn pair_diff(
-    nodes: &BTreeMap<NodeId, NodeState>,
-    ring: &HashRing,
-    rf: usize,
-    a: NodeId,
-    b: NodeId,
+/// One entry of a [`NodeSummary`]: everything a pairwise comparison
+/// needs, hashed once.
+#[derive(Debug)]
+struct SummaryEntry {
+    key: Bytes,
+    value: Bytes,
+    /// The key's whole replica set under the summary's ring.
+    replicas: Vec<NodeId>,
+    /// Leaf bucket of the key's token.
+    bucket: usize,
+    digest: u64,
+}
+
+/// Everything anti-entropy needs to know about one node for one round,
+/// built in a single pass over its store: per live entry the replica
+/// set, Merkle leaf bucket and entry digest. Each of the node's pairwise
+/// comparisons ([`pair_diff`]) is derived from it without touching the
+/// store, the ring or a payload byte again. A summary describes the
+/// store as of when it was built: rebuild it after writing to the node.
+#[derive(Debug)]
+pub(crate) struct NodeSummary {
+    /// The node summarized.
+    pub(crate) node: NodeId,
+    /// Depth of the trees the buckets were computed for.
     depth: u32,
-) -> PairDiff {
-    let held = |me: NodeId| -> BTreeMap<Bytes, Bytes> {
-        let state = nodes.get(&me).into_iter();
-        state
-            .flat_map(|s| s.storage().iter_live())
-            .filter(|(k, _)| {
-                let reps = ring.replicas(k, rf);
-                reps.contains(&a) && reps.contains(&b)
+    /// Live entries `node` holds *and* replicates under the ring, in key
+    /// order.
+    entries: Vec<SummaryEntry>,
+}
+
+impl NodeSummary {
+    /// Summarizes what `node` holds under `ring` at replication factor
+    /// `rf`, for depth-`depth` trees. A node missing from `nodes` holds
+    /// nothing.
+    pub(crate) fn build(
+        nodes: &BTreeMap<NodeId, NodeState>,
+        ring: &HashRing,
+        rf: usize,
+        node: NodeId,
+        depth: u32,
+    ) -> Self {
+        let held = nodes.get(&node).into_iter();
+        let entries = held
+            .flat_map(|state| state.storage().iter_live())
+            .filter_map(|(key, value)| {
+                let token = key_token(&key);
+                let replicas = ring.replicas_for_token(token, rf);
+                replicas.contains(&node).then(|| SummaryEntry {
+                    bucket: MerkleTree::bucket_of(token, depth),
+                    digest: entry_digest(token, &value),
+                    key,
+                    value,
+                    replicas,
+                })
             })
-            .collect()
-    };
-    let (entries_a, entries_b) = (held(a), held(b));
-    let tree = |entries: &BTreeMap<Bytes, Bytes>| {
-        MerkleTree::build(entries.iter().map(|(k, v)| (k.as_ref(), v.as_ref())), depth)
-    };
-    let diff = tree(&entries_a).diff(&tree(&entries_b));
-    let missing = |src: &BTreeMap<Bytes, Bytes>, dst: &BTreeMap<Bytes, Bytes>| {
-        let mut out = Vec::new();
-        for &bucket in &diff {
-            for (k, v) in src {
-                if MerkleTree::bucket_of(key_token(k), depth) == bucket && !dst.contains_key(k) {
-                    out.push((k.clone(), v.clone()));
-                }
-            }
+            .collect();
+        NodeSummary {
+            node,
+            depth,
+            entries,
         }
-        out
+    }
+
+    /// The entries this node co-replicates with `peer`, in key order.
+    fn shared_with(&self, peer: NodeId) -> impl Iterator<Item = &SummaryEntry> {
+        self.entries
+            .iter()
+            .filter(move |e| e.replicas.contains(&peer))
+    }
+
+    fn holds(&self, key: &Bytes) -> bool {
+        self.entries.binary_search_by(|e| e.key.cmp(key)).is_ok()
+    }
+}
+
+/// Builds Merkle trees over the entries `a` and `b` each hold of the
+/// keys they *both* replicate, and diffs them — the comparison every
+/// driver's anti-entropy and the read-only divergence oracle share.
+///
+/// # Panics
+///
+/// Panics when the summaries were built at different depths.
+pub(crate) fn pair_diff(a: &NodeSummary, b: &NodeSummary) -> PairDiff {
+    assert_eq!(a.depth, b.depth, "summary depth mismatch");
+    let tree = |me: &NodeSummary, peer: &NodeSummary| {
+        let shared = me.shared_with(peer.node);
+        MerkleTree::from_digests(shared.map(|e| (e.bucket, e.digest)), me.depth)
+    };
+    let diff = tree(a, b).diff(&tree(b, a));
+    let missing = |src: &NodeSummary, dst: &NodeSummary| -> Vec<(Bytes, Bytes)> {
+        if diff.is_empty() {
+            return Vec::new();
+        }
+        let mut out: Vec<&SummaryEntry> = src
+            .shared_with(dst.node)
+            .filter(|e| diff.binary_search(&e.bucket).is_ok() && !dst.holds(&e.key))
+            .collect();
+        // Stable: key order survives within each bucket.
+        out.sort_by_key(|e| e.bucket);
+        out.into_iter()
+            .map(|e| (e.key.clone(), e.value.clone()))
+            .collect()
     };
     PairDiff {
         buckets: diff.len(),
-        to_b: missing(&entries_a, &entries_b),
-        to_a: missing(&entries_b, &entries_a),
+        to_b: missing(a, b),
+        to_a: missing(b, a),
     }
 }
 
@@ -222,6 +310,7 @@ pub(crate) fn pair_diff(
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, LocalCluster};
+    use ef_netsim::NodeId;
 
     fn entries(keys: &[&[u8]]) -> Vec<(Vec<u8>, Vec<u8>)> {
         keys.iter().map(|k| (k.to_vec(), vec![1u8])).collect()
@@ -319,7 +408,181 @@ mod tests {
         assert_eq!(cluster.anti_entropy(8), 0);
     }
 
+    /// The per-pair comparison every driver used before summaries: both
+    /// stores re-walked, the ring asked per key, two maps collected and
+    /// every value hashed, for each pair. Kept as the reference
+    /// [`pair_diff`] over [`NodeSummary`] is held to.
+    fn pair_diff_reference(
+        nodes: &BTreeMap<NodeId, NodeState>,
+        ring: &HashRing,
+        rf: usize,
+        a: NodeId,
+        b: NodeId,
+        depth: u32,
+    ) -> PairDiff {
+        let held = |me: NodeId| -> BTreeMap<Bytes, Bytes> {
+            let state = nodes.get(&me).into_iter();
+            state
+                .flat_map(|s| s.storage().iter_live())
+                .filter(|(k, _)| {
+                    let reps = ring.replicas(k, rf);
+                    reps.contains(&a) && reps.contains(&b)
+                })
+                .collect()
+        };
+        let (entries_a, entries_b) = (held(a), held(b));
+        let tree = |entries: &BTreeMap<Bytes, Bytes>| {
+            MerkleTree::build(entries.iter().map(|(k, v)| (k.as_ref(), v.as_ref())), depth)
+        };
+        let diff = tree(&entries_a).diff(&tree(&entries_b));
+        let missing = |src: &BTreeMap<Bytes, Bytes>, dst: &BTreeMap<Bytes, Bytes>| {
+            let mut out = Vec::new();
+            for &bucket in &diff {
+                for (k, v) in src {
+                    if MerkleTree::bucket_of(key_token(k), depth) == bucket && !dst.contains_key(k)
+                    {
+                        out.push((k.clone(), v.clone()));
+                    }
+                }
+            }
+            out
+        };
+        PairDiff {
+            buckets: diff.len(),
+            to_b: missing(&entries_a, &entries_b),
+            to_a: missing(&entries_b, &entries_a),
+        }
+    }
+
+    /// The pre-summary `LocalCluster::anti_entropy`, over the reference
+    /// comparison.
+    fn anti_entropy_reference(cluster: &mut LocalCluster, depth: u32) -> usize {
+        let members = cluster.members();
+        let rf = cluster.config().replication_factor;
+        let mut copied = 0usize;
+        for (x, &a) in members.iter().enumerate() {
+            for &b in &members[x + 1..] {
+                let pair = pair_diff_reference(&cluster.nodes, cluster.ring(), rf, a, b, depth);
+                for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
+                    let dst = cluster.node_mut(dst).unwrap();
+                    copied += entries.len();
+                    for (k, v) in entries {
+                        dst.storage_mut().put(k, v);
+                    }
+                }
+            }
+        }
+        copied
+    }
+
+    /// A six-member rf=3 cluster whose replicas have drifted: a seeded
+    /// third of the entries are wiped from one or two of their holders.
+    fn drifted_cluster(seed: u64) -> LocalCluster {
+        let config = ClusterConfig {
+            replication_factor: 3,
+            ..ClusterConfig::default()
+        };
+        let mut cluster = LocalCluster::new((0..6).map(NodeId).collect(), config);
+        for i in 0..300u32 {
+            let value = Bytes::from(vec![i as u8; 1 + (i % 90) as usize]);
+            cluster.put(NodeId(i % 6), &i.to_be_bytes(), value).unwrap();
+        }
+        let mut rng = ef_simcore::DetRng::new(seed).substream("drift");
+        for i in 0..300u32 {
+            let key = Bytes::copy_from_slice(&i.to_be_bytes());
+            let holders = cluster.ring().replicas(&key, 3);
+            if rng.unit() < 0.33 {
+                let wipe = 1 + (rng.unit() * 2.0) as usize;
+                for &victim in holders.iter().skip((rng.unit() * 3.0) as usize).take(wipe) {
+                    let state = cluster.node_mut(victim).unwrap();
+                    state.storage_mut().delete(key.clone());
+                }
+            }
+        }
+        cluster
+    }
+
+    #[test]
+    fn anti_entropy_at_rf3_copies_what_the_reference_copies() {
+        for seed in 0..4 {
+            let (mut cluster, mut reference) = (drifted_cluster(seed), drifted_cluster(seed));
+            let live = |c: &LocalCluster| -> Vec<Vec<(Bytes, Bytes)>> {
+                let nodes = c.nodes.values();
+                nodes.map(|s| s.storage().iter_live().collect()).collect()
+            };
+            assert_eq!(live(&cluster), live(&reference));
+            assert_ne!(cluster.total_replica_entries(), 3 * cluster.distinct_keys());
+            let copied = cluster.anti_entropy(8);
+            assert!(copied > 0);
+            assert_eq!(copied, anti_entropy_reference(&mut reference, 8));
+            // Same entries landed on the same nodes, and a pair later in
+            // the round saw what an earlier pair wrote (else rf=3 would
+            // copy an entry to the same node twice and over-count).
+            assert_eq!(live(&cluster), live(&reference));
+            assert_eq!(cluster.total_replica_entries(), 3 * cluster.distinct_keys());
+            assert_eq!(cluster.anti_entropy(8), 0, "second round must be clean");
+        }
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Summaries answer exactly what the per-pair reference answers —
+        /// divergent bucket count and both repair lists in the same
+        /// order — on random drifted stores, including entries a node
+        /// holds but does not replicate, a ring member with no state at
+        /// all, and a value bit-rotted in place on one replica (same
+        /// key, different bytes: its bucket differs, nothing is "missing").
+        #[test]
+        fn summaries_match_the_per_pair_reference(
+            seed in any::<u64>(),
+            members in 3u32..7,
+            rf in 1usize..4,
+            depth_pick in 0usize..3,
+            keys in 1u32..120,
+        ) {
+            let depth = [0, 4, 8][depth_pick];
+            let config = ClusterConfig { replication_factor: rf, ..ClusterConfig::default() };
+            let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
+            let ring = crate::cluster::member_ring(&ids, config.vnodes);
+            let mut nodes: BTreeMap<NodeId, NodeState> = ids
+                .iter()
+                .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))
+                .collect();
+            let mut rng = ef_simcore::DetRng::new(seed).substream("stores");
+            for i in 0..keys {
+                let key = Bytes::copy_from_slice(&i.to_be_bytes());
+                let value = Bytes::from(vec![i as u8; 1 + (rng.unit() * 200.0) as usize]);
+                for (&id, state) in nodes.iter_mut() {
+                    // Replicas usually hold the entry; anyone may hold a
+                    // stray copy of a key it does not replicate.
+                    let p = if ring.replicas(&key, rf).contains(&id) { 0.8 } else { 0.05 };
+                    if rng.unit() < p {
+                        state.storage_mut().put(key.clone(), value.clone());
+                    }
+                }
+            }
+            let rotted = ids[(rng.unit() * members as f64) as usize];
+            let nth = (rng.unit() * 1_000.0) as usize;
+            nodes.get_mut(&rotted).unwrap().storage_mut().corrupt_nth_value(nth, nth);
+            let absent = ids[(rng.unit() * members as f64) as usize];
+            nodes.remove(&absent);
+
+            let summaries: Vec<NodeSummary> = ids
+                .iter()
+                .map(|&id| NodeSummary::build(&nodes, &ring, rf, id, depth))
+                .collect();
+            for (x, &a) in ids.iter().enumerate() {
+                for (y, &b) in ids.iter().enumerate().skip(x + 1) {
+                    let got = pair_diff(&summaries[x], &summaries[y]);
+                    let want = pair_diff_reference(&nodes, &ring, rf, a, b, depth);
+                    prop_assert_eq!(got, want, "pair ({}, {})", a, b);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

@@ -12,13 +12,29 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Streaming 64-bit checksum: FNV-1a over the input with a splitmix64
-/// avalanche finisher (the same construction as the ring's `key_token`,
-/// under a different offset basis so index tokens and checksums never
-/// collide structurally).
+/// Streaming 64-bit checksum: a word-parallel multiply-rotate kernel in
+/// the XXH64 style with a splitmix64 avalanche finisher.
+///
+/// One [`Checksum64::update`] call digests its slice as 32-byte stripes
+/// over four independent `u64` lanes (so the four multiplies of a stripe
+/// overlap in the pipeline instead of waiting on each other), folds the
+/// lanes back into the single state word, then takes the remaining
+/// 8-byte words and finally single bytes. Words are read with
+/// `from_le_bytes` only, so values are the same on every host.
+///
+/// **The digest depends on `update` boundaries**: the lanes are folded at
+/// the end of every call, so `update(b"ab"); update(b"c")` and
+/// `update(b"abc")` differ. Nothing relies on the streaming form being
+/// split-invariant — every caller either hashes one slice
+/// ([`checksum64`]) or length-prefixes each field with
+/// [`Checksum64::update_u64`] before hashing it whole
+/// (`Message::frame_checksum`) — and `update(&[])` is a no-op.
 ///
 /// Not cryptographic — it detects the random bit flips the fault model
-/// injects, like the CRCs real storage engines use.
+/// injects, like the CRCs real storage engines use. It shares nothing
+/// with the ring's placement hash ([`key_token`](crate::key_token)),
+/// which stays byte-serial FNV-1a because its values decide where keys
+/// live.
 #[derive(Debug, Clone, Copy)]
 pub struct Checksum64 {
     state: u64,
@@ -30,28 +46,94 @@ impl Default for Checksum64 {
     }
 }
 
+const PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One lane step: a bijection in `lane` for a fixed `word` and in `word`
+/// for a fixed `lane`, so a changed word always changes its lane.
+#[inline(always)]
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME_1)
+}
+
+/// Mixes one 8-byte word into the folded state (a bijection either way).
+#[inline(always)]
+fn mix_word(state: u64, word: u64) -> u64 {
+    (state ^ lane_round(0, word))
+        .rotate_left(27)
+        .wrapping_mul(PRIME_1)
+        .wrapping_add(PRIME_4)
+}
+
+/// `bytes` (exactly `N` of them) as an array, for `from_le_bytes`.
+#[inline(always)]
+pub(crate) fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(le_array(bytes))
+}
+
 impl Checksum64 {
     /// A fresh checksum state.
     pub fn new() -> Self {
-        // FNV offset basis, perturbed so a checksum of a key never equals
-        // the ring's `key_token` of the same bytes.
         Checksum64 {
             state: 0xcbf2_9ce4_8422_2325 ^ 0x5bd1_e995,
         }
     }
 
-    /// Mixes `bytes` into the state.
+    /// Mixes `bytes` into the state: 32-byte stripes over four lanes,
+    /// then 8-byte words, then single bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x1000_0000_01b3);
+        let mut state = self.state;
+        let mut stripes = bytes.chunks_exact(32);
+        if stripes.len() > 0 {
+            let mut lanes = [
+                state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
+                state.wrapping_add(PRIME_2),
+                state,
+                state.wrapping_sub(PRIME_1),
+            ];
+            for stripe in &mut stripes {
+                for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                    *lane = lane_round(*lane, le_word(word));
+                }
+            }
+            state = lanes[0]
+                .rotate_left(1)
+                .wrapping_add(lanes[1].rotate_left(7))
+                .wrapping_add(lanes[2].rotate_left(12))
+                .wrapping_add(lanes[3].rotate_left(18));
+            for lane in lanes {
+                state = mix_word(state, lane);
+            }
         }
+        let mut words = stripes.remainder().chunks_exact(8);
+        for word in &mut words {
+            state = mix_word(state, le_word(word));
+        }
+        for &byte in words.remainder() {
+            state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME_3);
+        }
+        self.state = state;
     }
 
     /// Mixes a length-prefixed field boundary into the state, so
-    /// `("ab", "c")` and `("a", "bc")` digest differently.
+    /// `("ab", "c")` and `("a", "bc")` digest differently. Equal to
+    /// `update(&v.to_le_bytes())`.
     pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
+        self.state = mix_word(self.state, v);
     }
 
     /// Finalizes with a splitmix64 avalanche.
@@ -181,17 +263,98 @@ mod tests {
         assert_ne!(checksum64(b""), checksum64(b"\0"));
     }
 
+    /// Deterministic filler with no repeated 8-byte word.
+    fn filler(len: usize) -> Vec<u8> {
+        let words = (0..len.div_ceil(8) as u64).flat_map(|i| {
+            i.wrapping_add(1)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .to_le_bytes()
+        });
+        words.take(len).collect()
+    }
+
     #[test]
     fn single_bit_flips_change_the_checksum() {
-        let base = b"the quick brown fox jumps over the lazy dog".to_vec();
-        let clean = checksum64(&base);
-        for byte in 0..base.len() {
-            for bit in 0..8 {
-                let mut rotted = base.clone();
-                rotted[byte] ^= 1 << bit;
-                assert_ne!(checksum64(&rotted), clean, "flip {byte}:{bit} undetected");
+        // Every path through the kernel: empty, byte tail only, word
+        // tail, one short of a stripe, exact stripes, stripes plus each
+        // kind of tail, and whole payload-sized buffers.
+        for len in [0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 4_096, 16_384] {
+            let mut buf = filler(len);
+            let clean = checksum64(&buf);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    buf[byte] ^= 1 << bit;
+                    assert_ne!(
+                        checksum64(&buf),
+                        clean,
+                        "len {len}: flip {byte}:{bit} undetected"
+                    );
+                    buf[byte] ^= 1 << bit;
+                }
             }
+            assert_eq!(checksum64(&buf), clean);
         }
+    }
+
+    #[test]
+    fn reordered_words_and_stripes_change_the_checksum() {
+        let base = filler(4 * 32 + 8 + 3);
+        let clean = checksum64(&base);
+        // Words 1 and 5 feed the same lane in consecutive stripes.
+        let mut same_lane = base.clone();
+        same_lane.copy_within(40..48, 8);
+        same_lane[40..48].copy_from_slice(&base[8..16]);
+        assert_ne!(checksum64(&same_lane), clean);
+        // Neighbouring words of one stripe feed different lanes.
+        let mut cross_lane = base.clone();
+        cross_lane.copy_within(8..16, 0);
+        cross_lane[8..16].copy_from_slice(&base[0..8]);
+        assert_ne!(checksum64(&cross_lane), clean);
+        // Whole stripes 0 and 2 swapped.
+        let mut stripes = base.clone();
+        stripes.copy_within(64..96, 0);
+        stripes[64..96].copy_from_slice(&base[0..32]);
+        assert_ne!(checksum64(&stripes), clean);
+    }
+
+    #[test]
+    fn streaming_form_matches_the_one_shot_and_empty_updates_are_noops() {
+        for len in [0, 5, 8, 32, 100, 4_096] {
+            let data = filler(len);
+            let mut c = Checksum64::new();
+            c.update(&[]);
+            c.update(&data);
+            c.update(&[]);
+            assert_eq!(c.finish(), checksum64(&data), "len {len}");
+        }
+        let mut c = Checksum64::new();
+        c.update(b"prefix");
+        let before = c.finish();
+        c.update(&[]);
+        assert_eq!(c.finish(), before);
+    }
+
+    #[test]
+    fn update_u64_is_the_eight_byte_update() {
+        for v in [0, 1, 0xdead_beef, u64::MAX] {
+            let (mut a, mut b) = (Checksum64::new(), Checksum64::new());
+            a.update(b"field");
+            b.update(b"field");
+            a.update_u64(v);
+            b.update(&v.to_le_bytes());
+            assert_eq!(a.finish(), b.finish());
+        }
+    }
+
+    #[test]
+    fn digest_depends_on_update_boundaries() {
+        // Documented, not accidental: lanes fold at the end of each
+        // call. Callers hash whole slices or length-prefix their fields.
+        let data = filler(96);
+        let mut split = Checksum64::new();
+        split.update(&data[..40]);
+        split.update(&data[40..]);
+        assert_ne!(split.finish(), checksum64(&data));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! read-repair answers as `HintReplay`s through the normal delivery path.
 
 use super::{Event, Round, SimCluster};
-use crate::antientropy::{pair_diff, tree_wire_size};
+use crate::antientropy::{pair_diff, tree_wire_size, NodeSummary};
 use crate::integrity::IntegrityStats;
 use crate::msg::Outbound;
 use bytes::Bytes;
@@ -148,15 +148,24 @@ impl SimCluster {
     /// charges or repairs. `0` means every pair of live replicas agrees
     /// on their co-replicated entries.
     pub fn replica_divergence(&self, depth: u32) -> u64 {
-        let live = self.live_nodes();
-        let rf = self.config.replication_factor;
+        let summaries = self.summarize_live(depth);
         let mut buckets = 0;
-        for (x, &a) in live.iter().enumerate() {
-            for &b in &live[x + 1..] {
-                buckets += pair_diff(&self.nodes, &self.ring, rf, a, b, depth).buckets as u64;
+        for (x, a) in summaries.iter().enumerate() {
+            for b in &summaries[x + 1..] {
+                buckets += pair_diff(a, b).buckets as u64;
             }
         }
         buckets
+    }
+
+    /// One anti-entropy summary per live node, in id order: each store
+    /// is walked (and each value digested) once, however many replica
+    /// pairs the node is part of.
+    fn summarize_live(&self, depth: u32) -> Vec<NodeSummary> {
+        let rf = self.config.replication_factor;
+        let live = self.live_nodes().into_iter();
+        live.map(|n| NodeSummary::build(&self.nodes, &self.ring, rf, n, depth))
+            .collect()
     }
 
     /// One `Round(AntiEntropy)` over the simulated network.
@@ -176,12 +185,15 @@ impl SimCluster {
         };
         self.membership.recovery.antientropy_rounds += 1;
         let live = self.live_nodes();
-        let rf = self.config.replication_factor;
-        let ring = self.ring.clone();
+        // Nothing below writes to a store before the round ends (repairs
+        // travel as `Deliver` events), so one summary per node serves
+        // all of its pairs.
+        let summaries = self.summarize_live(depth);
         let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
 
-        for (x, &a) in live.iter().enumerate() {
-            for &b in &live[x + 1..] {
+        for (x, summary_a) in summaries.iter().enumerate() {
+            for summary_b in &summaries[x + 1..] {
+                let (a, b) = (summary_a.node, summary_b.node);
                 // Tree exchange, both directions, over the faulty
                 // network. A summary corrupted by wire rot fails its
                 // frame checksum at the receiver and counts as rejected;
@@ -210,7 +222,7 @@ impl SimCluster {
                         .unwrap_or_default();
                     self.dispatch(now, me, replays);
                 }
-                let pair = pair_diff(&self.nodes, &ring, rf, a, b, depth);
+                let pair = pair_diff(summary_a, summary_b);
                 if pair.buckets == 0 {
                     continue;
                 }

@@ -26,7 +26,7 @@ use crate::storage::{WalRecord, WriteAheadLog};
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Drain priority of a spooled transfer.
 ///
@@ -193,11 +193,15 @@ impl DisasterStats {
 #[derive(Debug, Clone, Default)]
 pub struct UploadSpool {
     wal: WriteAheadLog,
-    entries: VecDeque<SpoolEntry>,
-    /// Pending `(class, dest, key)` triples, mirroring `entries`: makes
-    /// the idempotent-enqueue check O(log n) instead of a full-queue
-    /// scan (the enqueue hot loop during an outage).
-    index: BTreeSet<(SpoolClass, SpoolDest, Bytes)>,
+    /// The pending queue, keyed by enqueue sequence number: iteration is
+    /// FIFO order and an entry leaves from anywhere in O(log n).
+    entries: BTreeMap<u64, SpoolEntry>,
+    /// Pending `(class, dest, key)` triples → their sequence number,
+    /// mirroring `entries`: the idempotent-enqueue check and the
+    /// ack-to-entry lookup are O(log n) instead of full-queue scans (the
+    /// hot loops during and right after an outage).
+    index: BTreeMap<(SpoolClass, SpoolDest, Bytes), u64>,
+    next_seq: u64,
     enqueued: u64,
     drained: u64,
     bytes_enqueued: u64,
@@ -206,64 +210,45 @@ pub struct UploadSpool {
     high_water: u64,
 }
 
-/// Durable record-key prefix: class byte, dest tag, optional node id.
-fn encode_meta(class: SpoolClass, dest: SpoolDest, key: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 6);
-    out.push(match class {
+/// Durable record key: a class byte, a dest tag and (for a node) its id,
+/// then the fingerprint key. Returns the prefix and how much of it is
+/// used; the WAL writes prefix and key back to back.
+fn meta_prefix(class: SpoolClass, dest: SpoolDest) -> ([u8; 6], usize) {
+    let class = match class {
         SpoolClass::Critical => 0,
         SpoolClass::Background => 1,
-    });
+    };
     match dest {
-        SpoolDest::Cloud => out.push(0),
+        SpoolDest::Cloud => ([class, 0, 0, 0, 0, 0], 2),
         SpoolDest::Node(n) => {
-            out.push(1);
-            out.extend_from_slice(&n.0.to_be_bytes());
+            let id = n.0.to_be_bytes();
+            ([class, 1, id[0], id[1], id[2], id[3]], 6)
         }
     }
-    out.extend_from_slice(key);
-    out
 }
 
-fn decode_meta(encoded: &[u8]) -> Option<(SpoolClass, SpoolDest, Bytes)> {
-    let (&class_byte, rest) = encoded.split_first()?;
-    let class = match class_byte {
+fn decode_meta(encoded: &Bytes) -> Option<(SpoolClass, SpoolDest, Bytes)> {
+    let class = match encoded.first()? {
         0 => SpoolClass::Critical,
         1 => SpoolClass::Background,
         _ => return None,
     };
-    let (&dest_tag, rest) = rest.split_first()?;
-    match dest_tag {
-        0 => Some((class, SpoolDest::Cloud, Bytes::copy_from_slice(rest))),
+    match encoded.get(1)? {
+        0 => Some((class, SpoolDest::Cloud, encoded.slice(2..))),
         1 => {
-            if rest.len() < 4 {
-                return None;
-            }
-            let (id, key) = rest.split_at(4);
-            let node = NodeId(u32::from_be_bytes([id[0], id[1], id[2], id[3]]));
-            Some((class, SpoolDest::Node(node), Bytes::copy_from_slice(key)))
+            let id: [u8; 4] = encoded.get(2..6)?.try_into().ok()?;
+            let node = NodeId(u32::from_be_bytes(id));
+            Some((class, SpoolDest::Node(node), encoded.slice(6..)))
         }
         _ => None,
     }
 }
 
-/// Durable record value: presence byte then the payload.
-fn encode_value(value: &Option<Bytes>) -> Vec<u8> {
-    match value {
-        Some(v) => {
-            let mut out = Vec::with_capacity(v.len() + 1);
-            out.push(1);
-            out.extend_from_slice(v);
-            out
-        }
-        None => vec![0],
-    }
-}
-
-fn decode_value(encoded: &[u8]) -> Option<Option<Bytes>> {
-    let (&tag, rest) = encoded.split_first()?;
-    match tag {
+/// Durable record value: a presence byte, then the payload.
+fn decode_value(encoded: &Bytes) -> Option<Option<Bytes>> {
+    match encoded.first()? {
         0 => Some(None),
-        1 => Some(Some(Bytes::copy_from_slice(rest))),
+        1 => Some(Some(encoded.slice(1..))),
         _ => None,
     }
 }
@@ -290,11 +275,16 @@ impl UploadSpool {
         key: Bytes,
         value: Option<Bytes>,
     ) -> bool {
-        if !self.index.insert((class, dest, key.clone())) {
+        if self.index.contains_key(&(class, dest, key.clone())) {
             return false;
         }
-        let meta = encode_meta(class, dest, &key);
-        self.wal.append_put(&meta, &encode_value(&value));
+        let (prefix, used) = meta_prefix(class, dest);
+        let value_parts: [&[u8]; 2] = match &value {
+            Some(v) => [&[1], v],
+            None => [&[0], &[]],
+        };
+        self.wal
+            .append(&[&prefix[..used], &key], Some(&value_parts));
         let entry = SpoolEntry {
             class,
             dest,
@@ -304,51 +294,70 @@ impl UploadSpool {
         };
         self.enqueued += 1;
         self.bytes_enqueued += entry.payload_len();
-        self.entries.push_back(entry);
+        self.push(entry);
         self.high_water = self.high_water.max(self.entries.len() as u64);
         true
     }
 
+    /// Appends `entry` to the queue and the index (nothing durable).
+    fn push(&mut self, entry: SpoolEntry) {
+        let triple = (entry.class, entry.dest, entry.key.clone());
+        self.index.insert(triple, self.next_seq);
+        self.entries.insert(self.next_seq, entry);
+        self.next_seq += 1;
+    }
+
+    /// Removes the entry with sequence number `seq` from queue and
+    /// index, durably (a WAL delete), and counts it drained.
+    fn retire(&mut self, seq: u64) -> Option<SpoolEntry> {
+        let entry = self.entries.remove(&seq)?;
+        let (prefix, used) = meta_prefix(entry.class, entry.dest);
+        self.wal.append(&[&prefix[..used], &entry.key], None);
+        self.index
+            .remove(&(entry.class, entry.dest, entry.key.clone()));
+        self.drained += 1;
+        self.bytes_drained += entry.payload_len();
+        Some(entry)
+    }
+
     /// Rebuilds a spool from a recovered WAL (crash-stop restart path).
     pub fn recover(wal: WriteAheadLog) -> Self {
-        let mut spool = UploadSpool {
-            wal,
-            ..UploadSpool::default()
-        };
         // The strict replay is safe here: the spool WAL is only ever
         // handed over intact in the simulation (torn-tail injection
         // targets storage WALs); an unreadable log yields an empty
         // spool, which anti-entropy and re-upload absorb.
-        let records = spool.wal.replay().unwrap_or_default();
-        for record in records {
+        let records = wal.replay().unwrap_or_default();
+        // One backward pass: a put is still pending exactly when no
+        // later record retires its `(class, dest, key)`.
+        let mut retired = BTreeSet::new();
+        let mut pending = Vec::new();
+        for record in records.iter().rev() {
             match record {
                 WalRecord::Put(meta, value) => {
                     if let (Some((class, dest, key)), Some(value)) =
-                        (decode_meta(&meta), decode_value(&value))
+                        (decode_meta(meta), decode_value(value))
                     {
-                        spool.entries.push_back(SpoolEntry {
-                            class,
-                            dest,
-                            key,
-                            value,
-                            attempts: 0,
-                        });
+                        if !retired.contains(&(class, dest, key.clone())) {
+                            pending.push(SpoolEntry {
+                                class,
+                                dest,
+                                key,
+                                value,
+                                attempts: 0,
+                            });
+                        }
                     }
                 }
-                WalRecord::Delete(meta) => {
-                    if let Some((class, dest, key)) = decode_meta(&meta) {
-                        spool
-                            .entries
-                            .retain(|e| !(e.class == class && e.dest == dest && e.key == key));
-                    }
-                }
+                WalRecord::Delete(meta) => retired.extend(decode_meta(meta)),
             }
         }
-        spool.index = spool
-            .entries
-            .iter()
-            .map(|e| (e.class, e.dest, e.key.clone()))
-            .collect();
+        let mut spool = UploadSpool {
+            wal,
+            ..UploadSpool::default()
+        };
+        for entry in pending.into_iter().rev() {
+            spool.push(entry);
+        }
         spool.high_water = spool.entries.len() as u64;
         spool
     }
@@ -368,25 +377,23 @@ impl UploadSpool {
     pub fn plan_cloud_batch(&mut self, byte_cap: u64) -> Vec<(Bytes, Bytes)> {
         let mut batch = Vec::new();
         let mut budget = 0u64;
-        let mut order: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| self.entries[i].dest == SpoolDest::Cloud)
-            .collect();
-        order.sort_by_key(|&i| (self.entries[i].class, i));
-        for i in order {
-            let len = self.entries[i].payload_len();
-            if !batch.is_empty() && budget + len > byte_cap {
-                break;
-            }
-            let entry = &mut self.entries[i];
-            if entry.attempts > 0 {
-                self.retransmits += 1;
-            }
-            entry.attempts += 1;
-            budget += len;
-            let value = entry.value.clone().unwrap_or_default();
-            batch.push((entry.key.clone(), value));
-            if budget >= byte_cap {
-                break;
+        'plan: for class in [SpoolClass::Critical, SpoolClass::Background] {
+            let fifo = self.entries.values_mut();
+            for entry in fifo.filter(|e| e.class == class && e.dest == SpoolDest::Cloud) {
+                let len = entry.payload_len();
+                if !batch.is_empty() && budget + len > byte_cap {
+                    break 'plan;
+                }
+                if entry.attempts > 0 {
+                    self.retransmits += 1;
+                }
+                entry.attempts += 1;
+                budget += len;
+                let value = entry.value.clone().unwrap_or_default();
+                batch.push((entry.key.clone(), value));
+                if budget >= byte_cap {
+                    break 'plan;
+                }
             }
         }
         batch
@@ -396,23 +403,15 @@ impl UploadSpool {
     /// landed, durably (a WAL delete). Returns the payload length, or
     /// `None` for an unknown/already-retired key (stale ack).
     pub fn retire_cloud(&mut self, key: &[u8]) -> Option<u64> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.dest == SpoolDest::Cloud && e.key.as_ref() == key)?;
-        // VecDeque shifts the shorter side: retirement follows plan
-        // order (front-first), so acking a drained batch is O(1) per
-        // entry instead of a whole-queue memmove. `position` just
-        // returned `idx`, so the remove cannot miss.
-        let entry = self.entries.remove(idx)?;
-        self.index
-            .remove(&(entry.class, entry.dest, entry.key.clone()));
-        self.wal
-            .append_delete(&encode_meta(entry.class, entry.dest, &entry.key));
-        let len = entry.payload_len();
-        self.drained += 1;
-        self.bytes_drained += len;
-        Some(len)
+        // The same key may be pending under both classes: the ack
+        // retires whichever was enqueued first.
+        let key = Bytes::copy_from_slice(key);
+        let seq = [SpoolClass::Critical, SpoolClass::Background]
+            .into_iter()
+            .filter_map(|class| self.index.get(&(class, SpoolDest::Cloud, key.clone())))
+            .min()
+            .copied()?;
+        self.retire(seq).map(|entry| entry.payload_len())
     }
 
     /// Takes (and durably retires) every entry parked for `node`, in
@@ -420,31 +419,22 @@ impl UploadSpool {
     /// rides the ordinary hint-replay path, whose losses anti-entropy
     /// backfills — matching volatile hint semantics.
     pub fn take_for_node(&mut self, node: NodeId) -> Vec<SpoolEntry> {
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].dest == SpoolDest::Node(node) {
-                let Some(entry) = self.entries.remove(i) else {
-                    break; // unreachable: i < len by the loop guard
-                };
-                self.index
-                    .remove(&(entry.class, entry.dest, entry.key.clone()));
-                self.wal
-                    .append_delete(&encode_meta(entry.class, entry.dest, &entry.key));
-                self.drained += 1;
-                self.bytes_drained += entry.payload_len();
-                taken.push(entry);
-            } else {
-                i += 1;
-            }
-        }
-        taken
+        let parked: Vec<u64> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.dest == SpoolDest::Node(node))
+            .map(|(&seq, _)| seq)
+            .collect();
+        parked
+            .into_iter()
+            .filter_map(|seq| self.retire(seq))
+            .collect()
     }
 
     /// The pending entries in queue order (tests and audits; the drain
     /// planner uses [`UploadSpool::plan_cloud_batch`]).
     pub fn pending(&self) -> impl Iterator<Item = &SpoolEntry> {
-        self.entries.iter()
+        self.entries.values()
     }
 
     /// The distinct node destinations with pending entries, in id order
@@ -452,7 +442,7 @@ impl UploadSpool {
     pub fn node_dests(&self) -> Vec<NodeId> {
         let mut dests: Vec<NodeId> = self
             .entries
-            .iter()
+            .values()
             .filter_map(|e| match e.dest {
                 SpoolDest::Node(node) => Some(node),
                 SpoolDest::Cloud => None,
@@ -619,11 +609,111 @@ mod tests {
             Some(bytes("payload")),
         );
         spool.retire_cloud(b"acked");
-        let before: Vec<SpoolEntry> = spool.entries.iter().cloned().collect();
+        let before: Vec<SpoolEntry> = spool.pending().cloned().collect();
         let recovered = UploadSpool::recover(spool.into_wal());
-        let after: Vec<SpoolEntry> = recovered.entries.iter().cloned().collect();
+        let after: Vec<SpoolEntry> = recovered.pending().cloned().collect();
         assert_eq!(before, after);
         assert_eq!(recovered.depth(), 2);
+    }
+
+    #[test]
+    fn recovery_of_a_long_log_is_one_pass_and_exact() {
+        // An outage's worth of enqueues with retirements interleaved in
+        // both ack order and out of order, across both classes and a
+        // parked hint destination. Compaction is off so the log is the
+        // full history (a snapshot re-orders by record key).
+        const N: usize = 10_000;
+        let mut spool = UploadSpool::new(0);
+        for i in 0..N {
+            let key = bytes(&format!("chunk-{i:05}"));
+            let (class, dest, value) = match i % 7 {
+                0 => (SpoolClass::Background, SpoolDest::Node(NodeId(3)), None),
+                1 => (SpoolClass::Background, SpoolDest::Cloud, Some(bytes("bg"))),
+                _ => (
+                    SpoolClass::Critical,
+                    SpoolDest::Cloud,
+                    Some(Bytes::from(vec![i as u8; 16 + i % 48])),
+                ),
+            };
+            assert!(spool.enqueue(class, dest, key, value));
+            if i % 3 == 2 {
+                // Ack an entry from well behind the head.
+                spool.retire_cloud(format!("chunk-{:05}", i / 2).as_bytes());
+            }
+            if i % 1_000 == 999 {
+                spool.take_for_node(NodeId(3));
+            }
+            if i % 500 == 250 {
+                // A retired key is spooled again: the later put survives
+                // the earlier delete.
+                let again = bytes(&format!("chunk-{:05}", i / 2));
+                spool.enqueue(SpoolClass::Critical, SpoolDest::Cloud, again, None);
+            }
+        }
+        let before: Vec<SpoolEntry> = spool.pending().cloned().collect();
+        assert!(before.len() > N / 3 && before.len() < N, "{}", before.len());
+        let mut recovered = UploadSpool::recover(spool.clone().into_wal());
+        let after: Vec<SpoolEntry> = recovered.pending().cloned().collect();
+        assert_eq!(before, after);
+        assert_eq!(recovered.high_water(), before.len() as u64);
+        // The rebuilt index answers like the original: enqueue stays
+        // idempotent, acks find their entry, plans agree.
+        let probe = before[before.len() / 2].clone();
+        assert!(!recovered.enqueue(probe.class, probe.dest, probe.key.clone(), probe.value));
+        assert_eq!(
+            recovered.plan_cloud_batch(64 * 1024),
+            spool.plan_cloud_batch(64 * 1024)
+        );
+        let cloud = before.iter().rfind(|e| e.dest == SpoolDest::Cloud).unwrap();
+        assert_eq!(
+            recovered.retire_cloud(&cloud.key),
+            Some(cloud.payload_len())
+        );
+        assert_eq!(recovered.depth(), before.len() as u64 - 1);
+    }
+
+    #[test]
+    fn plan_order_is_criticals_then_backgrounds_fifo_under_a_byte_cap() {
+        let mut spool = UploadSpool::new(0);
+        let payload = |n: usize| Some(Bytes::from(vec![7u8; n]));
+        // Queue order: b1, hint, c1, b2, c2, hint, c3 (key 2 bytes each).
+        for (class, dest, key, len) in [
+            (SpoolClass::Background, SpoolDest::Cloud, "b1", 10),
+            (SpoolClass::Background, SpoolDest::Node(NodeId(9)), "h1", 10),
+            (SpoolClass::Critical, SpoolDest::Cloud, "c1", 30),
+            (SpoolClass::Background, SpoolDest::Cloud, "b2", 10),
+            (SpoolClass::Critical, SpoolDest::Cloud, "c2", 30),
+            (SpoolClass::Critical, SpoolDest::Node(NodeId(9)), "h2", 10),
+            (SpoolClass::Critical, SpoolDest::Cloud, "c3", 30),
+        ] {
+            assert!(spool.enqueue(class, dest, bytes(key), payload(len)));
+        }
+        let keys = |batch: Vec<(Bytes, Bytes)>| -> Vec<String> {
+            let keys = batch.into_iter();
+            keys.map(|(k, _)| String::from_utf8_lossy(&k).into_owned())
+                .collect()
+        };
+        // Uncapped: every critical in FIFO order, then every background;
+        // parked hints never ride a cloud batch.
+        assert_eq!(
+            keys(spool.plan_cloud_batch(u64::MAX)),
+            ["c1", "c2", "c3", "b1", "b2"]
+        );
+        // 32 B per critical: a 70-byte cap admits two and stops — it
+        // does not skip ahead to a background entry that would fit.
+        assert_eq!(keys(spool.plan_cloud_batch(70)), ["c1", "c2"]);
+        // The cap landing exactly on an entry boundary closes the batch.
+        assert_eq!(keys(spool.plan_cloud_batch(64)), ["c1", "c2"]);
+        // Once the criticals are acked the backgrounds get the cap.
+        for key in [b"c1", b"c2", b"c3"] {
+            spool.retire_cloud(key);
+        }
+        assert_eq!(keys(spool.plan_cloud_batch(13)), ["b1"]);
+        assert_eq!(keys(spool.plan_cloud_batch(24)), ["b1", "b2"]);
+        let mut stats = DisasterStats::default();
+        spool.fold_into(&mut stats);
+        // c1 ×3, c2 ×3, c3 ×1, b1 ×3, b2 ×2 plans: 12 sends, 5 firsts.
+        assert_eq!(stats.spool_retransmits, 7);
     }
 
     #[test]

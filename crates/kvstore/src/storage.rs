@@ -8,7 +8,7 @@
 //! newest to oldest. Deletes write tombstones. Compaction merges all
 //! segments, dropping shadowed values and tombstones.
 
-use crate::integrity::{checksum64, IntegrityError};
+use crate::integrity::{checksum64, le_array, IntegrityError};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
@@ -397,62 +397,91 @@ const WAL_TAG_DELETE: u8 = 2;
 /// Encodes one record into `buf`:
 /// `tag(u8) · key_len(u32 LE) · key [· val_len(u32 LE) · val] · crc(u64 LE)`,
 /// where the trailing checksum covers every preceding byte of the record.
-fn encode_record(buf: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
+/// Key and value arrive as parts that are written back to back, so a
+/// caller that prefixes a header to a payload (the upload spool) never
+/// has to join them in a buffer of its own first.
+fn encode_record(buf: &mut Vec<u8>, key: &[&[u8]], value: Option<&[&[u8]]>) {
+    fn field(buf: &mut Vec<u8>, parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        buf.extend_from_slice(&(len as u32).to_le_bytes());
+        for part in parts {
+            buf.extend_from_slice(part);
+        }
+    }
     let start = buf.len();
-    match value {
-        Some(v) => {
-            buf.push(WAL_TAG_PUT);
-            buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            buf.extend_from_slice(key);
-            buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            buf.extend_from_slice(v);
-        }
-        None => {
-            buf.push(WAL_TAG_DELETE);
-            buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            buf.extend_from_slice(key);
-        }
+    buf.push(if value.is_some() {
+        WAL_TAG_PUT
+    } else {
+        WAL_TAG_DELETE
+    });
+    field(buf, key);
+    if let Some(value) = value {
+        field(buf, value);
     }
     let crc = checksum64(&buf[start..]);
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes the record starting at `offset`, verifying its trailing
-/// checksum; `Ok(None)` at end of input.
-fn decode_record(bytes: &[u8], offset: usize) -> Result<Option<(WalRecord, usize)>, WalError> {
+/// One record located in place: byte ranges into the section it was
+/// read from. `end` is the offset of the next frame; the bytes
+/// `start..end` are exactly what [`encode_record`] emitted.
+struct Frame {
+    key: std::ops::Range<usize>,
+    /// `None` for a delete.
+    value: Option<std::ops::Range<usize>>,
+    end: usize,
+}
+
+/// Locates the frame starting at `offset` and verifies its trailing
+/// checksum, without copying anything out; `Ok(None)` at end of input.
+/// The one framing parser: [`decode_record`] copies out of the frame it
+/// returns, compaction walks frames in place.
+fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
     if offset == bytes.len() {
         return Ok(None);
     }
-    let take = |at: usize, n: usize| -> Result<&[u8], WalError> {
-        bytes.get(at..at + n).ok_or(WalError::Truncated { offset })
+    let take = |at: usize, n: usize| -> Result<std::ops::Range<usize>, WalError> {
+        if at + n <= bytes.len() {
+            Ok(at..at + n)
+        } else {
+            Err(WalError::Truncated { offset })
+        }
+    };
+    let len_at = |at: usize| -> Result<usize, WalError> {
+        let field = take(at, 4)?;
+        Ok(u32::from_le_bytes(le_array(&bytes[field])) as usize)
     };
     let tag = bytes[offset];
-    let key_len_bytes: [u8; 4] = take(offset + 1, 4)?
-        .try_into()
-        .map_err(|_| WalError::Truncated { offset })?;
-    let key_len = u32::from_le_bytes(key_len_bytes) as usize;
-    let key = Bytes::copy_from_slice(take(offset + 5, key_len)?);
-    let mut next = offset + 5 + key_len;
-    let record = match tag {
+    let key = take(offset + 5, len_at(offset + 1)?)?;
+    let (value, body_end) = match tag {
         WAL_TAG_PUT => {
-            let val_len_bytes: [u8; 4] = take(next, 4)?
-                .try_into()
-                .map_err(|_| WalError::Truncated { offset })?;
-            let val_len = u32::from_le_bytes(val_len_bytes) as usize;
-            let value = Bytes::copy_from_slice(take(next + 4, val_len)?);
-            next += 4 + val_len;
-            WalRecord::Put(key, value)
+            let value = take(key.end + 4, len_at(key.end)?)?;
+            let body_end = value.end;
+            (Some(value), body_end)
         }
-        WAL_TAG_DELETE => WalRecord::Delete(key),
+        WAL_TAG_DELETE => (None, key.end),
         tag => return Err(WalError::BadTag { offset, tag }),
     };
-    let crc_bytes: [u8; 8] = take(next, 8)?
-        .try_into()
-        .map_err(|_| WalError::Truncated { offset })?;
-    if checksum64(&bytes[offset..next]) != u64::from_le_bytes(crc_bytes) {
+    let crc = take(body_end, 8)?;
+    if checksum64(&bytes[offset..body_end]) != u64::from_le_bytes(le_array(&bytes[crc.clone()])) {
         return Err(WalError::BadChecksum { offset });
     }
-    Ok(Some((record, next + 8)))
+    let end = crc.end;
+    Ok(Some(Frame { key, value, end }))
+}
+
+/// Decodes the record starting at `offset`, verifying its trailing
+/// checksum; `Ok(None)` at end of input.
+fn decode_record(bytes: &[u8], offset: usize) -> Result<Option<(WalRecord, usize)>, WalError> {
+    let Some(frame) = frame_at(bytes, offset)? else {
+        return Ok(None);
+    };
+    let key = Bytes::copy_from_slice(&bytes[frame.key]);
+    let record = match frame.value {
+        Some(value) => WalRecord::Put(key, Bytes::copy_from_slice(&bytes[value])),
+        None => WalRecord::Delete(key),
+    };
+    Ok(Some((record, frame.end)))
 }
 
 /// Decodes every record in one log section (snapshot or tail).
@@ -478,8 +507,13 @@ fn decode_section(bytes: &[u8]) -> Result<Vec<WalRecord>, WalError> {
 ///
 /// Snapshotting is self-compacting: once the tail accumulates
 /// `snapshot_every` records — or as many records as the snapshot itself
-/// holds, whichever is larger — the full log is folded into its live key
-/// set and re-encoded as the new snapshot. The ratio trigger spaces
+/// holds, whichever is larger — the full log is compacted into its live
+/// key set as the new snapshot. Compaction never decodes a record: it
+/// walks the frames in place, verifies each against its trailing
+/// checksum once, and copies the newest put frame of every live key
+/// verbatim — no per-record allocation, no re-encoding, and the only
+/// other digests are the two snapshot block checksums (old block
+/// verified, new block stamped). The ratio trigger spaces
 /// compactions geometrically on growing states, so append cost stays
 /// amortized O(1) while disk growth stays within ~2x the live set for
 /// workloads that overwrite or delete.
@@ -497,7 +531,7 @@ fn decode_section(bytes: &[u8]) -> Result<Vec<WalRecord>, WalError> {
 /// assert_eq!(records[0], WalRecord::Put(Bytes::from_static(b"k"), Bytes::from_static(b"v")));
 /// assert_eq!(records[1], WalRecord::Delete(Bytes::from_static(b"gone")));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteAheadLog {
     /// Compacted prefix: the live state as encoded put records.
     snapshot: Vec<u8>,
@@ -550,15 +584,19 @@ impl WriteAheadLog {
 
     /// Appends a put record.
     pub fn append_put(&mut self, key: &[u8], value: &[u8]) {
-        encode_record(&mut self.tail, key, Some(value));
-        self.tail_records += 1;
-        self.appended += 1;
-        self.maybe_snapshot();
+        self.append(&[key], Some(&[value]));
     }
 
     /// Appends a delete (tombstone) record.
     pub fn append_delete(&mut self, key: &[u8]) {
-        encode_record(&mut self.tail, key, None);
+        self.append(&[key], None);
+    }
+
+    /// Appends one record whose key and value are the concatenations of
+    /// the given parts (`None` value: a delete), written straight into
+    /// the tail.
+    pub(crate) fn append(&mut self, key: &[&[u8]], value: Option<&[&[u8]]>) {
+        encode_record(&mut self.tail, key, value);
         self.tail_records += 1;
         self.appended += 1;
         self.maybe_snapshot();
@@ -670,58 +708,52 @@ impl WriteAheadLog {
         Ok((records, notes))
     }
 
-    /// Folds the full log into its live key set and re-encodes it as the
-    /// snapshot, emptying the tail. The pre-compaction log is stashed so
-    /// a later rotted snapshot can fall back to it. When the log body is
-    /// corrupt, compaction stops (it would bake the damage in) and the
-    /// error is held for [`WriteAheadLog::integrity_error`] — never
-    /// swallowed.
+    /// True once the tail has grown enough to be worth compacting.
+    ///
+    /// Ratio trigger: compact once the tail has grown to the size of the
+    /// snapshot itself (but never before `snapshot_every` records). A
+    /// fixed cadence rewrites the whole live set every `snapshot_every`
+    /// appends — O(state) work at O(1) intervals, quadratic on a
+    /// monotonically growing state like an upload spool absorbing a long
+    /// outage. The ratio spaces compactions geometrically, so each
+    /// record is rewritten O(1) amortized times while the footprint
+    /// stays within ~2x the live set. A known-corrupt log never
+    /// compacts: it is kept as-is for recovery and diagnosis.
+    fn snapshot_due(&self) -> bool {
+        self.snapshot_every != 0
+            && self.tail_records >= self.snapshot_every.max(self.snapshot_entries)
+            && self.integrity_error.is_none()
+    }
+
+    /// Compacts the full log into a snapshot of its live key set,
+    /// emptying the tail. The pre-compaction log is stashed so a later
+    /// rotted snapshot can fall back to it.
+    ///
+    /// Frames are walked in place ([`WriteAheadLog::live_frames`]): each
+    /// is verified once and the newest put per key is copied verbatim —
+    /// a frame already is its own encoding, trailing checksum included,
+    /// so no record is decoded, re-encoded or checksummed again. A log that
+    /// fails verification first takes the restart path's recovery
+    /// lattice ([`WriteAheadLog::recover_replay`]: snapshot fallback,
+    /// torn-tail truncation) and is compacted only if that heals it;
+    /// when the body is corrupt, compaction stops (it would bake the
+    /// damage in) and the error is held for
+    /// [`WriteAheadLog::integrity_error`] — never swallowed.
     fn maybe_snapshot(&mut self) {
-        // Ratio trigger: compact once the tail has grown to the size of
-        // the snapshot itself (but never before `snapshot_every`
-        // records). A fixed cadence re-encodes the whole live set every
-        // `snapshot_every` appends — O(state) work at O(1) intervals,
-        // quadratic on a monotonically growing state like an upload
-        // spool absorbing a long outage. The ratio spaces compactions
-        // geometrically, so each record is re-encoded O(1) amortized
-        // times while the footprint stays within ~2x the live set.
-        if self.snapshot_every == 0
-            || self.tail_records < self.snapshot_every.max(self.snapshot_entries)
-        {
+        if !self.snapshot_due() {
             return;
         }
-        if self.integrity_error.is_some() {
-            // Known-corrupt: keep the log as-is for recovery/diagnosis.
-            return;
-        }
-        let records = match self.recover_replay() {
-            Ok((records, _)) => records,
+        let compacted = self.live_frames().or_else(|_| {
+            self.recover_replay()?;
+            self.live_frames()
+        });
+        let (snapshot, entries) = match compacted {
+            Ok(compacted) => compacted,
             Err(e) => {
                 self.integrity_error = Some(e);
                 return;
             }
         };
-        let mut live: BTreeMap<Bytes, Option<Bytes>> = BTreeMap::new();
-        for record in records {
-            match record {
-                WalRecord::Put(k, v) => {
-                    live.insert(k, Some(v));
-                }
-                WalRecord::Delete(k) => {
-                    live.insert(k, None);
-                }
-            }
-        }
-        let mut snapshot = Vec::new();
-        let mut entries = 0u64;
-        for (k, v) in &live {
-            // A snapshot is the complete state: absent keys are absent,
-            // so tombstones need not be carried forward.
-            if let Some(v) = v {
-                encode_record(&mut snapshot, k, Some(v));
-                entries += 1;
-            }
-        }
         self.prev_snapshot = std::mem::take(&mut self.snapshot);
         self.prev_snapshot_crc = self.snapshot_crc;
         self.prev_tail = std::mem::take(&mut self.tail);
@@ -730,6 +762,41 @@ impl WriteAheadLog {
         self.snapshot_crc = checksum64(&self.snapshot);
         self.tail_records = 0;
         self.snapshots_taken += 1;
+    }
+
+    /// The log's live state as snapshot bytes: the snapshot block is
+    /// checked against its checksum, every frame of snapshot and tail is
+    /// verified, and the newest put frame of each key that no later
+    /// delete shadows is copied out in key order, with the entry count.
+    /// A snapshot is the complete state — absent keys are absent — so
+    /// tombstones are not carried forward.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError`] on any damage (rotted snapshot block, torn, mistagged
+    /// or rotted frame); nothing is modified.
+    fn live_frames(&self) -> Result<(Vec<u8>, u64), WalError> {
+        if !self.snapshot.is_empty() && checksum64(&self.snapshot) != self.snapshot_crc {
+            return Err(WalError::BadChecksum { offset: 0 });
+        }
+        // Newest frame per key: a put's whole frame, `None` for a delete.
+        let mut newest: BTreeMap<&[u8], Option<&[u8]>> = BTreeMap::new();
+        for section in [&self.snapshot, &self.tail] {
+            let mut offset = 0;
+            while let Some(frame) = frame_at(section, offset)? {
+                let put = frame.value.map(|_| &section[offset..frame.end]);
+                newest.insert(&section[frame.key], put);
+                offset = frame.end;
+            }
+        }
+        let live = || newest.values().flatten();
+        let mut snapshot = Vec::with_capacity(live().map(|frame| frame.len()).sum());
+        let mut entries = 0u64;
+        for frame in live() {
+            snapshot.extend_from_slice(frame);
+            entries += 1;
+        }
+        Ok((snapshot, entries))
     }
 
     /// Chaos hook: flips one bit in the on-disk byte space (snapshot
@@ -1218,7 +1285,112 @@ mod tests {
         assert!(wal.replay().is_ok());
     }
 
+    impl WriteAheadLog {
+        /// The compaction this log shipped with before frames were
+        /// walked in place — decode every record into fresh buffers, fold
+        /// into a map, re-encode, re-checksum — kept as the reference
+        /// `maybe_snapshot` is held to, byte for byte.
+        fn maybe_snapshot_reference(&mut self) {
+            if !self.snapshot_due() {
+                return;
+            }
+            let records = match self.recover_replay() {
+                Ok((records, _)) => records,
+                Err(e) => {
+                    self.integrity_error = Some(e);
+                    return;
+                }
+            };
+            let mut live: BTreeMap<Bytes, Option<Bytes>> = BTreeMap::new();
+            for record in records {
+                match record {
+                    WalRecord::Put(k, v) => live.insert(k, Some(v)),
+                    WalRecord::Delete(k) => live.insert(k, None),
+                };
+            }
+            let mut snapshot = Vec::new();
+            let mut entries = 0u64;
+            for (k, v) in &live {
+                if let Some(v) = v {
+                    encode_record(&mut snapshot, &[k], Some(&[v]));
+                    entries += 1;
+                }
+            }
+            self.prev_snapshot = std::mem::take(&mut self.snapshot);
+            self.prev_snapshot_crc = self.snapshot_crc;
+            self.prev_tail = std::mem::take(&mut self.tail);
+            self.snapshot = snapshot;
+            self.snapshot_entries = entries;
+            self.snapshot_crc = checksum64(&self.snapshot);
+            self.tail_records = 0;
+            self.snapshots_taken += 1;
+        }
+
+        /// `append` with the reference compaction.
+        fn append_reference(&mut self, key: &[u8], value: Option<&[u8]>) {
+            encode_record(
+                &mut self.tail,
+                &[key],
+                value.as_ref().map(std::slice::from_ref),
+            );
+            self.tail_records += 1;
+            self.appended += 1;
+            self.maybe_snapshot_reference();
+        }
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// In-place compaction is the reference compaction: driven by the
+        /// same put/overwrite/delete log and struck by the same damage (a
+        /// flipped snapshot bit, a flipped tail bit, a torn tail), the
+        /// two logs stay equal in every field — snapshot and tail bytes,
+        /// the stashed pre-compaction log, checksums, counters and the
+        /// sticky integrity error — after every append.
+        #[test]
+        fn in_place_compaction_matches_decode_fold_re_encode(
+            snapshot_every in 2u64..9,
+            ops in proptest::collection::vec((0u8..4, 0u8..12, 0usize..70), 1..160),
+            damage in (0u8..4, 0usize..160, 0usize..10_000, 0usize..8),
+        ) {
+            let mut log = WriteAheadLog::new(snapshot_every);
+            let mut reference = WriteAheadLog::new(snapshot_every);
+            let (kind, at, byte, bit) = damage;
+            for (step, (op, key, len)) in ops.into_iter().enumerate() {
+                if step == at {
+                    for wal in [&mut log, &mut reference] {
+                        match kind {
+                            // No damage: the clean-path equivalence.
+                            0 => {}
+                            1 if !wal.snapshot.is_empty() => {
+                                let i = byte % wal.snapshot.len();
+                                wal.snapshot[i] ^= 1 << bit;
+                            }
+                            2 if !wal.tail.is_empty() => {
+                                let i = byte % wal.tail.len();
+                                wal.tail[i] ^= 1 << bit;
+                            }
+                            3 => {
+                                let keep = wal.tail.len().saturating_sub(1 + byte % 12);
+                                wal.tail.truncate(keep);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                let key = [b'k', key];
+                let value = vec![key[1] ^ step as u8; len];
+                let value = (op != 0).then_some(value.as_slice());
+                log.append(&[&key], value.as_ref().map(std::slice::from_ref));
+                reference.append_reference(&key, value);
+                prop_assert_eq!(&log, &reference, "diverged at step {}", step);
+            }
+            prop_assert!(kind != 0 || log.snapshots_taken() > 0 || log.appended() < snapshot_every);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
