@@ -29,9 +29,9 @@
 //! | `recovery_latency` | crash-stop recovery latency vs anti-entropy interval |
 //!
 //! The Criterion benches in `benches/` cover the substrate hot paths
-//! (chunking, hashing, ingest, ring lookup, model evaluation,
-//! partitioning); the key-value store and the erasure code are timed per
-//! layer by `bench_e2e`.
+//! (chunking, ingest, ring lookup, model evaluation, partitioning);
+//! SHA-256 is a recorded key of `bench_ingest`, and it, the key-value
+//! store and the erasure code are timed per layer by `bench_e2e`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

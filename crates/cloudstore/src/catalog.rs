@@ -7,7 +7,7 @@
 //! exactly the chunks no other file references.
 
 use crate::store::{ChunkStore, IntegrityError};
-use ef_chunking::{ChunkHash, Chunker};
+use ef_chunking::{fingerprint_batch, ChunkHash, Chunker};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -112,24 +112,27 @@ impl FileCatalog {
         &mut self,
         chunks: Vec<(ChunkHash, bytes::Bytes)>,
     ) -> Result<FileId, IntegrityError> {
-        // Validate the whole batch before referencing anything.
-        for (hash, data) in &chunks {
-            let actual = ChunkHash::of(data);
-            if actual != *hash {
-                return Err(IntegrityError {
-                    claimed: *hash,
-                    actual,
-                });
-            }
+        // Validate the whole batch before referencing anything — one
+        // batched digest per payload, the only one this call computes.
+        let payloads: Vec<&[u8]> = chunks.iter().map(|(_, data)| &data[..]).collect();
+        let actuals = fingerprint_batch(&payloads);
+        if let Some(((claimed, _), actual)) = chunks
+            .iter()
+            .zip(actuals)
+            .find(|((claimed, _), actual)| claimed != actual)
+        {
+            return Err(IntegrityError {
+                claimed: *claimed,
+                actual,
+            });
         }
         let mut manifest = Manifest {
-            chunks: Vec::new(),
+            chunks: Vec::with_capacity(chunks.len()),
             total_len: chunks.iter().map(|(_, b)| b.len() as u64).sum(),
         };
         for (hash, data) in chunks {
             manifest.chunks.push((hash, data.len() as u32));
-            // simlint::allow(D003): every pair was verified in the loop above
-            self.store.put(hash, data).expect("pair verified above");
+            self.store.put_verified(hash, data);
         }
         let id = FileId(self.next_id);
         self.next_id += 1;
@@ -287,6 +290,41 @@ mod tests {
         // Atomic: the good chunk was not referenced either.
         assert_eq!(catalog.file_count(), 0);
         assert_eq!(catalog.store().stats().unique_chunks, 0);
+    }
+
+    #[test]
+    fn store_manifest_names_a_tampered_middle_element_and_references_nothing() {
+        // A batch long enough to take the batched-digest path, with the
+        // damage in the middle: the error carries that element's claimed
+        // and actual addresses, and neither the clean elements before it
+        // nor the ones after it were referenced.
+        let mut catalog = FileCatalog::new();
+        let mut chunks: Vec<(ChunkHash, bytes::Bytes)> = (0..21u8)
+            .map(|i| {
+                let data = bytes::Bytes::from(vec![i; 100 + usize::from(i) * 37]);
+                (ChunkHash::of(&data), data)
+            })
+            .collect();
+        let claimed = chunks[10].0;
+        let tampered = bytes::Bytes::from(vec![0xee; 470]);
+        chunks[10].1 = tampered.clone();
+        let err = catalog.store_manifest(chunks.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            IntegrityError {
+                claimed,
+                actual: ChunkHash::of(&tampered),
+            }
+        );
+        assert_eq!(catalog.file_count(), 0);
+        assert_eq!(catalog.store().stats(), Default::default());
+        // The same batch with the element restored goes in whole, every
+        // chunk referenced exactly once.
+        chunks[10].1 = bytes::Bytes::from(vec![10u8; 470]);
+        let id = catalog.store_manifest(chunks.clone()).unwrap();
+        assert_eq!(catalog.store().stats().references, 21);
+        let expected: Vec<u8> = chunks.iter().flat_map(|(_, b)| b.to_vec()).collect();
+        assert_eq!(catalog.restore_file(id).unwrap(), expected);
     }
 
     #[test]

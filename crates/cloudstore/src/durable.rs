@@ -250,15 +250,26 @@ impl DurableStore {
                 }
             }
             Some(rs) => {
-                let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(fragments);
-                for f in 0..fragments {
+                let fragment = |f: usize| -> Option<&[u8]> {
                     let node = (meta.base + f) % self.nodes.len();
                     if self.failed[node] {
-                        shards.push(None);
+                        None
                     } else {
-                        shards.push(self.nodes[node].get(hash).map(|b| b.to_vec()));
+                        self.nodes[node].get(hash).map(|b| &b[..])
                     }
-                }
+                };
+                // Borrowed from the nodes: the decoder's output is the only
+                // copy a read makes. Parity is looked up only once it is
+                // needed — here to stand in for a missing data shard,
+                // below to rebuild a rotted one: a healthy read is k map
+                // lookups, not k + m (worth +3 % / +6 % `restore_mbps` on
+                // `versioned-backup` / `fresh-images`, EXPERIMENTS.md PR 14).
+                let k = rs.data_shards();
+                let mut shards: Vec<Option<&[u8]>> = (0..k).map(fragment).collect();
+                let parity_deferred = shards.iter().all(Option::is_some);
+                shards.extend(
+                    (k..fragments).map(|f| if parity_deferred { None } else { fragment(f) }),
+                );
                 let data = rs
                     .reconstruct(&shards, meta.len)
                     .map(Bytes::from)
@@ -269,6 +280,10 @@ impl DurableStore {
                 // A present shard rotted in place. Parity absorbs that
                 // too: drop each readable shard in turn and let the
                 // decoder rebuild it from the survivors.
+                if parity_deferred {
+                    shards.truncate(k);
+                    shards.extend((k..fragments).map(fragment));
+                }
                 for f in 0..fragments {
                     let Some(suspect) = shards[f].take() else {
                         continue;
@@ -498,6 +513,104 @@ mod tests {
         // A second rotted shard exhausts the parity budget.
         s.corrupt_fragment(&h, 0, 4);
         assert!(matches!(s.get(&h).unwrap_err(), DurableError::Corrupt(_)));
+    }
+
+    /// What happens to one fragment position in the lattice below.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        NodeFailed,
+        BitRotted,
+    }
+
+    /// A fresh RS(4,2) store over six nodes holding one chunk, so fragment
+    /// `f` lives on node `f`, with `faults` applied.
+    fn rs42_with_faults(faults: &[(usize, Fault)]) -> (DurableStore, ChunkHash, Bytes) {
+        let mut s = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
+        let b = Bytes::from(
+            (0..4099u32)
+                .map(|i| (i * 7 % 251) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let h = ChunkHash::of(&b);
+        s.put(h, b.clone()).unwrap();
+        for &(position, fault) in faults {
+            match fault {
+                Fault::NodeFailed => s.fail_node(position),
+                Fault::BitRotted => assert!(s.corrupt_fragment(&h, position, 8 * 100 + 3)),
+            }
+        }
+        (s, h, b)
+    }
+
+    #[test]
+    fn rs42_read_lattice_over_every_fault_set_within_tolerance() {
+        use Fault::{BitRotted, NodeFailed};
+        // No fault, and every single fault: byte-exact.
+        let (s, h, b) = rs42_with_faults(&[]);
+        assert_eq!(s.get(&h).unwrap(), b);
+        for a in 0..6 {
+            for fault in [NodeFailed, BitRotted] {
+                let (s, h, b) = rs42_with_faults(&[(a, fault)]);
+                assert_eq!(s.get(&h).unwrap(), b, "{fault:?} at {a}");
+            }
+        }
+        // Every pair of positions under every mix of the two faults.
+        for a in 0..6 {
+            for b_pos in a + 1..6 {
+                for faults in [
+                    [(a, NodeFailed), (b_pos, NodeFailed)],
+                    [(a, NodeFailed), (b_pos, BitRotted)],
+                    [(a, BitRotted), (b_pos, NodeFailed)],
+                ] {
+                    let (s, h, b) = rs42_with_faults(&faults);
+                    assert_eq!(s.get(&h).unwrap(), b, "{faults:?}");
+                }
+                // Two rotted shards are two errors at unknown positions,
+                // beyond what two parity shards can locate: the read is
+                // byte-exact when excluding one suspect happens to leave
+                // four clean shards in front (the last position is the
+                // only one the decoder does not reach for), and a typed
+                // error otherwise — never wrong bytes.
+                let (s, h, b) = rs42_with_faults(&[(a, BitRotted), (b_pos, BitRotted)]);
+                match s.get(&h) {
+                    Ok(read) => {
+                        assert_eq!(read, b);
+                        assert_eq!(b_pos, 5, "rot at {a} and {b_pos} read clean");
+                    }
+                    Err(e) => {
+                        assert_eq!(e, DurableError::Corrupt(h));
+                        assert_ne!(b_pos, 5, "rot at {a} and {b_pos}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rotted_data_shard_with_every_node_up_is_caught_and_repaired() {
+        // All four data shards present is the path that decodes nothing:
+        // it must still never hand back bytes it has not hashed.
+        for data_shard in 0..4 {
+            let (s, h, b) = rs42_with_faults(&[(data_shard, Fault::BitRotted)]);
+            assert_eq!(s.get(&h).unwrap(), b, "rotted data shard {data_shard}");
+        }
+    }
+
+    #[test]
+    fn three_lost_fragments_keep_their_typed_errors() {
+        use Fault::{BitRotted, NodeFailed};
+        for a in 0..6 {
+            for b_pos in a + 1..6 {
+                for c in b_pos + 1..6 {
+                    let (s, h, _) =
+                        rs42_with_faults(&[(a, NodeFailed), (b_pos, NodeFailed), (c, NodeFailed)]);
+                    assert_eq!(s.get(&h).unwrap_err(), DurableError::Unrecoverable(h));
+                    let (s, h, _) =
+                        rs42_with_faults(&[(a, NodeFailed), (b_pos, NodeFailed), (c, BitRotted)]);
+                    assert_eq!(s.get(&h).unwrap_err(), DurableError::Corrupt(h));
+                }
+            }
+        }
     }
 
     #[test]

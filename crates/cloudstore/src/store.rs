@@ -114,8 +114,16 @@ impl ChunkStore {
                 actual,
             });
         }
+        Ok(self.put_verified(hash, data))
+    }
+
+    /// [`ChunkStore::put`] for a pair the caller has already verified:
+    /// `hash` must be `ChunkHash::of(&data)`. The catalog checks a whole
+    /// manifest in one batch before referencing any of it, and enters
+    /// here so that no payload is hashed a second time.
+    pub(crate) fn put_verified(&mut self, hash: ChunkHash, data: Bytes) -> bool {
         self.logical_bytes += data.len() as u64;
-        Ok(match self.entries.get_mut(&hash) {
+        match self.entries.get_mut(&hash) {
             Some(entry) => {
                 entry.refs += 1;
                 false
@@ -125,7 +133,7 @@ impl ChunkStore {
                 self.entries.insert(hash, Entry { data, refs: 1 });
                 true
             }
-        })
+        }
     }
 
     /// Flips one bit of a stored payload in place — fault injection for

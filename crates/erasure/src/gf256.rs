@@ -1,7 +1,10 @@
 //! Arithmetic in GF(2⁸) with the AES polynomial `x⁸+x⁴+x³+x+1` (0x11b).
 //!
-//! Multiplication and division go through log/antilog tables built once
-//! at first use from the generator element 3.
+//! Scalar multiplication and division go through log/antilog tables built
+//! once at first use from the generator element 3. Bulk work — a whole
+//! shard times one coefficient — goes through `mul_acc`, which walks the
+//! coefficient's 256-byte row of the full product table: one lookup per
+//! byte and no zero tests.
 
 use std::sync::OnceLock;
 
@@ -13,6 +16,8 @@ struct Tables {
     exp: [u8; 512],
     /// log[x] = i such that g^i = x, for x in 1..=255.
     log: [u8; 256],
+    /// products[c][x] = c · x.
+    products: Box<[[u8; 256]; 256]>,
 }
 
 fn tables() -> &'static Tables {
@@ -33,7 +38,13 @@ fn tables() -> &'static Tables {
         for i in 255..512 {
             exp[i] = exp[i - 255];
         }
-        Tables { exp, log }
+        let mut products = Box::new([[0u8; 256]; 256]);
+        for (c, row) in products.iter_mut().enumerate().skip(1) {
+            for (x, product) in row.iter_mut().enumerate().skip(1) {
+                *product = exp[log[c] as usize + log[x] as usize];
+            }
+        }
+        Tables { exp, log, products }
     })
 }
 
@@ -61,6 +72,36 @@ pub fn mul(a: u8, b: u8) -> u8 {
     }
     let t = tables();
     t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
+}
+
+/// The product row of `c`: `mul_row(c)[x] == mul(c, x)` for every `x`.
+#[inline]
+fn mul_row(c: u8) -> &'static [u8; 256] {
+    &tables().products[c as usize]
+}
+
+/// Multiply-accumulate over a shard: `dst[i] ^= c · src[i]`, stopping at
+/// the shorter of the two. This is the one inner loop of Reed–Solomon
+/// encoding and decoding.
+pub(crate) fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
+    if c == 0 {
+        return;
+    }
+    let row = mul_row(c);
+    let n = dst.len().min(src.len());
+    let (dst_words, dst_tail) = dst[..n].as_chunks_mut::<8>();
+    let (src_words, src_tail) = src[..n].as_chunks::<8>();
+    // Eight products gathered into one word and folded in with one xor:
+    // a third of the loads and stores of the bytewise loop. Against
+    // `*d ^= row[*s]` it is worth +7 % `ingest_mbps` on `fresh-images`
+    // and +4.5 % on `versioned-backup` (EXPERIMENTS.md, PR 14).
+    for (d, s) in dst_words.iter_mut().zip(src_words) {
+        let products = s.map(|x| row[x as usize]);
+        *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(products)).to_ne_bytes();
+    }
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
+        *d ^= row[*s as usize];
+    }
 }
 
 /// Multiplicative inverse.
@@ -140,6 +181,29 @@ mod tests {
                 for c in (0..=255u8).step_by(23) {
                     assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn product_rows_match_scalar_multiplication_everywhere() {
+        for c in 0..=255u8 {
+            let row = mul_row(c);
+            for x in 0..=255u8 {
+                assert_eq!(row[x as usize], mul(c, x), "{c} * {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_accumulates_and_stops_at_the_shorter_slice() {
+        let src: Vec<u8> = (0..=255).collect();
+        for c in [0u8, 1, 2, 0x53, 0xff] {
+            let mut dst = vec![0xa5u8; 300];
+            mul_acc(&mut dst, &src, c);
+            for (i, d) in dst.iter().enumerate() {
+                let expected = src.get(i).map_or(0xa5, |s| 0xa5 ^ mul(c, *s));
+                assert_eq!(*d, expected, "c = {c}, i = {i}");
             }
         }
     }

@@ -127,14 +127,9 @@ impl ReedSolomon {
             shards.push(shard);
         }
         for p in 0..self.m {
-            let row = self.encode.row(self.k + p).to_vec();
             let mut parity = vec![0u8; shard_len];
-            for (c, coeff) in row.iter().enumerate() {
-                if *coeff != 0 {
-                    for (byte, src) in parity.iter_mut().zip(&shards[c]) {
-                        *byte = gf256::add(*byte, gf256::mul(*coeff, *src));
-                    }
-                }
+            for (coeff, shard) in self.encode.row(self.k + p).iter().zip(&shards) {
+                gf256::mul_acc(&mut parity, shard, *coeff);
             }
             shards.push(parity);
         }
@@ -142,62 +137,114 @@ impl ReedSolomon {
     }
 
     /// Reconstructs the original `data_len` bytes from any `k` surviving
-    /// shards (missing slots are `None`).
+    /// shards (missing slots are `None`). Shards are only borrowed: pass
+    /// owned buffers, slices or anything else that is `AsRef<[u8]>`.
+    ///
+    /// The code is systematic, so a data shard that is present *is* its
+    /// stretch of the output and is copied; only missing data shards are
+    /// decoded, from the first `k` present shards. With every data shard
+    /// present nothing is inverted or multiplied at all.
     ///
     /// # Errors
     ///
     /// [`CodeError::WrongShardCount`], [`CodeError::NotEnoughShards`],
     /// [`CodeError::ShardSizeMismatch`], or [`CodeError::BadDataLength`].
-    pub fn reconstruct(
+    pub fn reconstruct<S: AsRef<[u8]>>(
         &self,
-        shards: &[Option<Vec<u8>>],
+        shards: &[Option<S>],
         data_len: usize,
     ) -> Result<Vec<u8>, CodeError> {
+        let shard_len = self.check_shards(shards, data_len)?;
+        // Built at the first missing data shard, if there is one.
+        let mut decoder: Option<(Vec<usize>, Matrix)> = None;
+        let mut out = Vec::with_capacity(shard_len * self.k);
+        for (r, data_shard) in shards.iter().take(self.k).enumerate() {
+            if let Some(shard) = data_shard {
+                out.extend_from_slice(shard.as_ref());
+                continue;
+            }
+            let (use_rows, decode) = decoder.get_or_insert_with(|| self.decoder(shards));
+            // data_shard[r] = Σ_c decode[r][c] * received[use_rows[c]]
+            let start = out.len();
+            out.resize(start + shard_len, 0);
+            for (coeff, &row) in decode.row(r).iter().zip(use_rows.iter()) {
+                let received = shards[row].as_ref().expect("row in use is present");
+                gf256::mul_acc(&mut out[start..], received.as_ref(), *coeff);
+            }
+        }
+        out.truncate(data_len);
+        Ok(out)
+    }
+
+    /// Validates a shard set; returns the common shard length.
+    fn check_shards<S: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<S>],
+        data_len: usize,
+    ) -> Result<usize, CodeError> {
         if shards.len() != self.total_shards() {
             return Err(CodeError::WrongShardCount {
                 got: shards.len(),
                 expected: self.total_shards(),
             });
         }
-        let present: Vec<usize> = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect();
-        if present.len() < self.k {
+        let mut lens = shards.iter().flatten().map(|s| s.as_ref().len());
+        let present = lens.clone().count();
+        if present < self.k {
             return Err(CodeError::NotEnoughShards {
-                present: present.len(),
+                present,
                 required: self.k,
             });
         }
-        let shard_len = shards[present[0]].as_ref().expect("present").len();
-        for &i in &present {
-            if shards[i].as_ref().expect("present").len() != shard_len {
-                return Err(CodeError::ShardSizeMismatch);
-            }
+        let shard_len = lens.next().expect("k >= 1 shards are present");
+        if lens.any(|len| len != shard_len) {
+            return Err(CodeError::ShardSizeMismatch);
         }
         if data_len > shard_len * self.k {
             return Err(CodeError::BadDataLength);
         }
+        Ok(shard_len)
+    }
 
-        // Use the first k present shards; invert their encoding rows.
-        let use_rows: Vec<usize> = present[..self.k].to_vec();
-        let sub = self.encode.select_rows(&use_rows);
-        let decode = sub
+    /// The rows decoding uses — the first `k` present shards of a checked
+    /// set — and the inverse of their encoding rows.
+    fn decoder<S>(&self, shards: &[Option<S>]) -> (Vec<usize>, Matrix) {
+        let use_rows: Vec<usize> = shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|_| i))
+            .take(self.k)
+            .collect();
+        let decode = self
+            .encode
+            .select_rows(&use_rows)
             .inverted()
             .expect("any k rows of the systematic matrix are invertible");
+        (use_rows, decode)
+    }
 
-        // data_shard[r] = Σ_c decode[r][c] * received[use_rows[c]]
+    /// The decode this crate shipped before the systematic shortcut:
+    /// invert the rows in use and multiply every data shard out through
+    /// scalar `gf256::mul`, present or not. Kept as the reference the
+    /// tests hold [`ReedSolomon::reconstruct`] to.
+    #[cfg(test)]
+    fn reconstruct_reference<S: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<S>],
+        data_len: usize,
+    ) -> Result<Vec<u8>, CodeError> {
+        let shard_len = self.check_shards(shards, data_len)?;
+        let (use_rows, decode) = self.decoder(shards);
         let mut out = Vec::with_capacity(shard_len * self.k);
         for r in 0..self.k {
             let mut shard = vec![0u8; shard_len];
-            for c in 0..self.k {
-                let coeff = decode.get(r, c);
-                if coeff != 0 {
-                    let src = shards[use_rows[c]].as_ref().expect("present");
-                    for (byte, s) in shard.iter_mut().zip(src) {
-                        *byte = gf256::add(*byte, gf256::mul(coeff, *s));
-                    }
+            for (c, &row) in use_rows.iter().enumerate() {
+                let src = shards[row]
+                    .as_ref()
+                    .expect("row in use is present")
+                    .as_ref();
+                for (byte, s) in shard.iter_mut().zip(src) {
+                    *byte = gf256::add(*byte, gf256::mul(decode.get(r, c), *s));
                 }
             }
             out.extend_from_slice(&shard);
@@ -338,6 +385,73 @@ mod tests {
         received[1] = None; // all data shards gone
         let restored = rs.reconstruct(&received, 64).unwrap();
         assert_eq!(restored, data);
+    }
+
+    /// Every subset of `0..n` with at most `max` members.
+    fn subsets_up_to(n: usize, max: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize <= max)
+            .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+            .collect()
+    }
+
+    /// `shards` as borrowed slots, the `lost` ones empty.
+    fn borrow_without<'a>(shards: &'a [Vec<u8>], lost: &[usize]) -> Vec<Option<&'a [u8]>> {
+        shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (!lost.contains(&i)).then_some(s.as_slice()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Over borrowed shards, every loss pattern the code tolerates
+        /// gives back the input — and the same bytes as the full matrix
+        /// decode, including the no-data-shard-lost patterns where
+        /// `reconstruct` only concatenates.
+        #[test]
+        fn borrowed_reconstruct_matches_the_matrix_reference_under_every_loss_pattern(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20_000),
+            k in 1usize..7,
+            m in 1usize..4,
+        ) {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let shards = rs.encode(&data).unwrap();
+            for lost in subsets_up_to(k + m, m) {
+                let received = borrow_without(&shards, &lost);
+                let restored = rs.reconstruct(&received, data.len()).unwrap();
+                proptest::prop_assert_eq!(&restored, &data, "lost {:?}", &lost);
+                let reference = rs.reconstruct_reference(&received, data.len()).unwrap();
+                proptest::prop_assert_eq!(&reference, &data, "reference, lost {:?}", &lost);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rotted_present_shard_decodes_as_the_reference_does() {
+        // Wrong bytes in, the same wrong bytes out on both paths: the
+        // caller's content check sees exactly what it saw before the
+        // shortcut, whichever shard rotted and whichever is missing.
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let data = sample_data(1000);
+        let shards = rs.encode(&data).unwrap();
+        for rotted in 0..6 {
+            for lost in subsets_up_to(6, 2) {
+                if lost.contains(&rotted) {
+                    continue;
+                }
+                let mut damaged = shards.clone();
+                damaged[rotted][7] ^= 0x10;
+                let received = borrow_without(&damaged, &lost);
+                assert_eq!(
+                    rs.reconstruct(&received, 1000).unwrap(),
+                    rs.reconstruct_reference(&received, 1000).unwrap(),
+                    "rotted {rotted}, lost {lost:?}"
+                );
+            }
+        }
     }
 
     #[test]
