@@ -22,16 +22,16 @@
 //!
 //! | Binary | Question |
 //! |---|---|
-//! | `ablation_chunking` | fixed-size vs content-defined chunking |
+//! | `ablation_chunking` | fixed-size vs content-defined chunking; restore layout, defrag off/on |
 //! | `ablation_gamma` | replication factor γ sweep |
 //! | `ablation_partitioners` | all partitioners head-to-head + runtime |
 //! | `ablation_minhash` | exact vs MinHash/LSH ground truth |
 //! | `recovery_latency` | crash-stop recovery latency vs anti-entropy interval |
 //!
-//! The Criterion benches in `benches/` cover the substrate hot paths
-//! (chunking, ingest, ring lookup, model evaluation, partitioning);
-//! SHA-256 is a recorded key of `bench_ingest`, and it, the key-value
-//! store and the erasure code are timed per layer by `bench_e2e`.
+//! Host wall-clock cost per layer (chunking, SHA-256, key-value store,
+//! erasure code, simulator) is measured by `bench_e2e`, not here; the
+//! only host-time columns in this crate are the solver runtimes of
+//! `ablation_partitioners` and `ablation_minhash`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -206,11 +206,13 @@ impl GearChunker {
         self.max_size
     }
 
-    /// Finds the length of the next chunk starting at `data[0]`.
+    /// Finds the length of the next chunk starting at `data[0]`: nothing
+    /// before `min_size`, the strict mask up to `target_size`, the loose
+    /// mask up to `max_size`, then a forced cut.
     ///
-    /// The hot-path implementation: a 4-byte-stride gear scan (see
-    /// [`scan_region`]) over the strict and loose mask regions. Boundaries
-    /// are provably identical to [`GearChunker::next_boundary_reference`].
+    /// One byte per step on purpose: with hashing excluded this loop
+    /// out-scans a four-bytes-per-step unrolling of the same recurrence
+    /// (DESIGN.md §11), so it is the only scan.
     fn next_boundary(&self, data: &[u8]) -> usize {
         let len = data.len();
         if len <= self.min_size {
@@ -219,40 +221,10 @@ impl GearChunker {
         let normal_point = self.target_size.min(len);
         let cap = self.max_size.min(len);
         let mut fp: u64 = 0;
+        let mut i = self.min_size;
         // Warm the fingerprint over the skipped prefix's tail (one gear
         // window ≈ 64 bytes) so the boundary decision still depends on
         // content just before `min_size`.
-        let warm_start = self.min_size.saturating_sub(64);
-        for &b in &data[warm_start..self.min_size] {
-            fp = (fp << 1).wrapping_add(self.gear[b as usize]);
-        }
-        match scan_region(
-            &self.gear,
-            &data[self.min_size..normal_point],
-            fp,
-            self.mask_strict,
-        ) {
-            Scan::Boundary(advanced) => return self.min_size.saturating_add(advanced),
-            Scan::Through(carried) => fp = carried,
-        }
-        match scan_region(&self.gear, &data[normal_point..cap], fp, self.mask_loose) {
-            Scan::Boundary(advanced) => normal_point.saturating_add(advanced),
-            Scan::Through(_) => cap,
-        }
-    }
-
-    /// The seed byte-at-a-time boundary scan, kept verbatim as the pinned
-    /// baseline: equivalence tests assert the fast path reproduces these
-    /// boundaries exactly, and the perf harness measures speedup against it.
-    fn next_boundary_reference(&self, data: &[u8]) -> usize {
-        let len = data.len();
-        if len <= self.min_size {
-            return len;
-        }
-        let normal_point = self.target_size.min(len);
-        let cap = self.max_size.min(len);
-        let mut fp: u64 = 0;
-        let mut i = self.min_size;
         let warm_start = self.min_size.saturating_sub(64);
         for &b in &data[warm_start..self.min_size] {
             fp = (fp << 1).wrapping_add(self.gear[b as usize]);
@@ -289,95 +261,6 @@ impl GearChunker {
         }
         cuts
     }
-
-    /// The seed (pre-overhaul) chunking pipeline: byte-at-a-time boundary
-    /// scan plus one scalar SHA-256 pass per chunk. Kept as the measured
-    /// baseline for `BENCH_ingest.json`'s speedup gate; produces chunks
-    /// identical to [`Chunker::chunk`].
-    pub fn chunk_reference(&self, data: &[u8]) -> Vec<Chunk> {
-        let src = Bytes::copy_from_slice(data);
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        while offset < src.len() {
-            let len = self.next_boundary_reference(&src[offset..]);
-            debug_assert!(len > 0);
-            let end = offset.saturating_add(len);
-            out.push(Chunk::new(offset as u64, src.slice(offset..end)));
-            offset = end;
-        }
-        out
-    }
-}
-
-/// Outcome of scanning one mask region: either a boundary after `advanced`
-/// bytes (1-based, i.e. the boundary byte is included), or the region was
-/// exhausted and the rolling fingerprint carries into the next region.
-enum Scan {
-    Boundary(usize),
-    Through(u64),
-}
-
-/// Scans `region` for a gear boundary under `mask`, four bytes per step.
-///
-/// The gear update `fp' = (fp << 1) + gear[b]` is linear over wrapping
-/// u64 arithmetic, so four steps compose into shift-and-add forms of the
-/// *same* intermediate fingerprints the byte loop would produce:
-///
-/// ```text
-/// f1 = (fp << 1) + g0
-/// f2 = (fp << 2) + (g0 << 1) + g1
-/// f3 = (fp << 3) + (g0 << 2) + (g1 << 1) + g2
-/// f4 = (fp << 4) + (g0 << 3) + (g1 << 2) + (g2 << 1) + g3
-/// ```
-///
-/// All four are tested against the mask, so boundaries are bit-identical
-/// to the byte-at-a-time scan — but the loop-carried dependency is one
-/// shift+add per *four* bytes, and the four table loads are independent.
-#[inline]
-fn scan_region(gear: &[u64; 256], region: &[u8], mut fp: u64, mask: u64) -> Scan {
-    let mut consumed = 0usize;
-    let mut quads = region.chunks_exact(4);
-    for q in quads.by_ref() {
-        let g0 = gear[q[0] as usize];
-        let g1 = gear[q[1] as usize];
-        let g2 = gear[q[2] as usize];
-        let g3 = gear[q[3] as usize];
-        // Each fingerprint is expressed directly off `fp`, so the
-        // loop-carried dependency is only `fp << 4` plus one add; the gear
-        // combination terms are independent of `fp` and overlap across
-        // iterations.
-        let c1 = g0;
-        let c2 = (g0 << 1).wrapping_add(g1);
-        let c3 = (g0 << 2).wrapping_add((g1 << 1).wrapping_add(g2));
-        let c4 = (g0 << 3).wrapping_add((g1 << 2).wrapping_add((g2 << 1).wrapping_add(g3)));
-        let f1 = (fp << 1).wrapping_add(c1);
-        let f2 = (fp << 2).wrapping_add(c2);
-        let f3 = (fp << 3).wrapping_add(c3);
-        let f4 = (fp << 4).wrapping_add(c4);
-        if (f1 & mask) == 0 || (f2 & mask) == 0 || (f3 & mask) == 0 || (f4 & mask) == 0 {
-            // Rare path: resolve which step hit, in order.
-            if f1 & mask == 0 {
-                return Scan::Boundary(consumed + 1);
-            }
-            if f2 & mask == 0 {
-                return Scan::Boundary(consumed + 2);
-            }
-            if f3 & mask == 0 {
-                return Scan::Boundary(consumed + 3);
-            }
-            return Scan::Boundary(consumed + 4);
-        }
-        fp = f4;
-        consumed += 4;
-    }
-    for &b in quads.remainder() {
-        fp = (fp << 1).wrapping_add(gear[b as usize]);
-        consumed += 1;
-        if fp & mask == 0 {
-            return Scan::Boundary(consumed);
-        }
-    }
-    Scan::Through(fp)
 }
 
 impl Chunker for GearChunker {
@@ -538,56 +421,6 @@ mod tests {
     fn mask_bit_counts() {
         assert_eq!(mask_with_bits(13).count_ones(), 13);
         assert_eq!(mask_with_bits(1).count_ones(), 1);
-    }
-
-    #[test]
-    fn fast_path_matches_reference_exactly() {
-        // The overhaul's correctness contract: the 4-byte-stride scan plus
-        // batched fingerprinting must reproduce the seed pipeline's chunks
-        // bit for bit — offsets, payloads, and hashes.
-        let chunker = GearChunker::default();
-        for seed in [1u64, 42, 99, 1234] {
-            for len in [0usize, 1, 100, 2048, 2049, 8192, 65_537, 300_000] {
-                let data = pseudo_random(len, seed);
-                assert_eq!(
-                    chunker.chunk(&data),
-                    chunker.chunk_reference(&data),
-                    "seed {seed} len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_path_matches_reference_on_low_entropy_data() {
-        // Constant and short-period data stress the loose-mask region and
-        // forced max-size cuts, where the quad scan's remainder handling
-        // and region carry-over must still agree with the byte loop.
-        let chunker = GearChunker::default();
-        let constant = vec![0xA5u8; 400_000];
-        assert_eq!(chunker.chunk(&constant), chunker.chunk_reference(&constant));
-        let periodic: Vec<u8> = (0..400_000usize).map(|i| (i % 7) as u8).collect();
-        assert_eq!(chunker.chunk(&periodic), chunker.chunk_reference(&periodic));
-    }
-
-    #[test]
-    fn fast_path_matches_reference_on_odd_region_widths() {
-        // Non-multiple-of-4 strict/loose region widths exercise
-        // chunks_exact remainder handling at every alignment.
-        let chunker = GearChunkerBuilder::new()
-            .min_size(61)
-            .target_size(128)
-            .max_size(1023)
-            .build()
-            .unwrap();
-        for seed in [5u64, 77] {
-            let data = pseudo_random(50_000, seed);
-            assert_eq!(
-                chunker.chunk(&data),
-                chunker.chunk_reference(&data),
-                "seed {seed}"
-            );
-        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! A fixed seeded corpus is chunked by each [`ChunkerKind`] and the exact
 //! boundaries and SHA-256 digests are pinned. Any change to the gear
-//! table, the mask ladder, the quad scanner, the batched fingerprint
-//! path, or the fixed splitter shows up here as a hard diff — the fast
-//! paths are not allowed to move a single boundary or bit. The
+//! table, the mask ladder, the boundary scan, the batched fingerprint
+//! path, or the fixed splitter shows up here as a hard diff — none of
+//! them is allowed to move a single boundary or bit. The
 //! digest-of-digests compresses "every chunk hash, in order" into one
 //! pinnable value.
 
-use ef_chunking::{Chunker, ChunkerKind, GearChunkerBuilder, Sha256};
+use ef_chunking::{Chunker, ChunkerKind, Sha256};
 
 /// 100 kB of deterministic LCG bytes (seed pinned with the vectors).
 fn corpus() -> Vec<u8> {
@@ -109,21 +109,6 @@ fn both_chunker_kinds_match_their_golden_vectors() {
         assert_eq!(kind.label(), golden.label, "vector order");
         check(&kind.chunk(&data), golden);
     }
-}
-
-#[test]
-fn seed_reference_pipeline_matches_the_gear_golden() {
-    // The pins above go through the fast paths (quad scan + batched
-    // fingerprints); the seed byte-loop pipeline must land on the exact
-    // same vectors, proving the overhaul changed no observable output.
-    let data = corpus();
-    let gear = GearChunkerBuilder::new()
-        .min_size(1024)
-        .target_size(4096)
-        .max_size(32 * 1024)
-        .build()
-        .unwrap();
-    check(&gear.chunk_reference(&data), &GOLDEN[1]);
 }
 
 #[test]

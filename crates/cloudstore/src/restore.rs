@@ -18,8 +18,8 @@
 //!   distinct containers (fragmentation) and container switches
 //!   (locality),
 //! * [`RestoreAccountant`] / [`RestoreStats`] — aggregation across many
-//!   restores, surfaced as `SystemMetrics::restore` and in
-//!   `BENCH_ingest.json` (schema v5).
+//!   restores, surfaced as `SystemMetrics::restore` and tabulated by
+//!   `ablation_chunking`.
 //!
 //! All state lives in ordered maps and integer counters; the float
 //! summaries are computed once at [`RestoreAccountant::finish`] from
@@ -178,7 +178,7 @@ pub fn restore_profile(layout: &ContainerLayout, chunks: &[ChunkHash]) -> Restor
 }
 
 /// Aggregated restore-path metrics across a run, carried in
-/// `SystemMetrics` and summarized into `BENCH_ingest.json`.
+/// `SystemMetrics`.
 ///
 /// `fragmentation_mean` is the mean distinct-container count per
 /// restore; `locality` is the fraction of consecutive chunk reads that

@@ -184,8 +184,8 @@ fn bitrot_scrub_run_replays_byte_for_byte() {
     );
 }
 
-/// A cached gear-CDC ingest: dataset bytes are chunked by the gear-CDC
-/// fast path (quad scan + batched fingerprints), every chunk hash is
+/// A cached gear-CDC ingest: dataset bytes are chunked by gear-CDC
+/// (boundary scan + batched fingerprints), every chunk hash is
 /// checked-and-inserted through a chaos-rigged cluster running the
 /// per-node fingerprint cache, and the analytic half runs with the cache
 /// enabled too. Exercises every piece of the hot-path overhaul at once.

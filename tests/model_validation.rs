@@ -149,23 +149,6 @@ proptest! {
     }
 }
 
-/// Joint dedup ratio through the seed (byte-at-a-time reference) gear
-/// pipeline — the fast path is validated separately against it.
-fn seed_gear_ratio(gear: &ef_chunking::GearChunker, views: &[&[u8]]) -> f64 {
-    use std::collections::BTreeSet;
-    let total: usize = views.iter().map(|v| v.len()).sum();
-    let mut seen: BTreeSet<[u8; 32]> = BTreeSet::new();
-    let mut unique_bytes = 0usize;
-    for v in views {
-        for chunk in gear.chunk_reference(v) {
-            if seen.insert(*chunk.hash.as_bytes()) {
-                unique_bytes += chunk.len();
-            }
-        }
-    }
-    total as f64 / unique_bytes.max(1) as f64
-}
-
 fn small_gear() -> ef_chunking::GearChunker {
     GearChunkerBuilder::new()
         .min_size(512)
@@ -180,9 +163,9 @@ proptest! {
 
     /// The mechanism behind the chunking choice, pinned as a property:
     /// on every shift-redundant workload family at nonzero edit rate,
-    /// gear-CDC (both the seed and the fast path) finds strictly more
-    /// redundancy than equal-size chunking — while the byte-aligned
-    /// pool corpus still favors equal-size chunking. Edit rates start
+    /// gear-CDC finds strictly more redundancy than equal-size chunking
+    /// — while the byte-aligned pool corpus still favors equal-size
+    /// chunking. Edit rates start
     /// at 4 so at least one shifting (insert/delete) edit separates
     /// consecutive versions with overwhelming probability; a run of
     /// all-in-place-edit transitions would leave fixed-size alignment
@@ -221,17 +204,11 @@ proptest! {
             let streams = kind.streams(seed);
             let views: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
             let r_fixed = joint_dedup_ratio(&fixed, &views);
-            let r_fast = joint_dedup_ratio(&gear, &views);
-            let r_seed = seed_gear_ratio(&gear, &views);
+            let r_gear = joint_dedup_ratio(&gear, &views);
             prop_assert!(
-                r_fast > r_fixed,
-                "{}: fast gear {} <= fixed {} (seed {})",
-                kind.label(), r_fast, r_fixed, seed
-            );
-            prop_assert!(
-                r_seed > r_fixed,
-                "{}: seed gear {} <= fixed {} (seed {})",
-                kind.label(), r_seed, r_fixed, seed
+                r_gear > r_fixed,
+                "{}: gear {} <= fixed {} (seed {})",
+                kind.label(), r_gear, r_fixed, seed
             );
         }
     }
@@ -252,17 +229,11 @@ proptest! {
         let fixed = FixedChunker::new(2048).unwrap();
         let gear = small_gear();
         let r_fixed = joint_dedup_ratio(&fixed, &views);
-        let r_fast = joint_dedup_ratio(&gear, &views);
-        let r_seed = seed_gear_ratio(&gear, &views);
+        let r_gear = joint_dedup_ratio(&gear, &views);
         prop_assert!(
-            r_fixed > r_fast,
-            "control inverted: fixed {} <= fast gear {} (seed {})",
-            r_fixed, r_fast, seed
-        );
-        prop_assert!(
-            r_fixed > r_seed,
-            "control inverted: fixed {} <= seed gear {} (seed {})",
-            r_fixed, r_seed, seed
+            r_fixed > r_gear,
+            "control inverted: fixed {} <= gear {} (seed {})",
+            r_fixed, r_gear, seed
         );
     }
 }
