@@ -60,8 +60,6 @@ pub enum DurableError {
     UnknownChunk(ChunkHash),
     /// Too many fragments are on failed nodes to reconstruct.
     Unrecoverable(ChunkHash),
-    /// The erasure coder rejected the payload.
-    Encode(String),
     /// The payload failed checksum verification: a corrupted upload was
     /// refused, or every readable copy has rotted beyond repair.
     Corrupt(ChunkHash),
@@ -75,7 +73,6 @@ impl fmt::Display for DurableError {
             DurableError::Unrecoverable(h) => {
                 write!(f, "chunk {h} unrecoverable: too many fragments lost")
             }
-            DurableError::Encode(msg) => write!(f, "erasure encode failed: {msg}"),
             DurableError::Corrupt(h) => write!(f, "chunk {h} failed checksum verification"),
         }
     }
@@ -107,20 +104,25 @@ impl std::error::Error for DurableError {}
 pub struct DurableStore {
     durability: Durability,
     rs: Option<ReedSolomon>,
-    /// Per storage node: fragment index → bytes.
-    nodes: Vec<BTreeMap<ChunkHash, Bytes>>,
+    node_count: usize,
     failed: Vec<bool>,
-    /// Chunk metadata: original length + home node offset.
-    chunks: BTreeMap<ChunkHash, ChunkMeta>,
+    /// Every stored chunk with all of its fragments.
+    chunks: BTreeMap<ChunkHash, StoredChunk>,
     next_spread: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ChunkMeta {
+#[derive(Debug, Clone)]
+struct StoredChunk {
+    /// Original payload length.
     len: usize,
     /// First node holding a fragment; fragment `f` lives on node
     /// `(base + f) % nodes`.
     base: usize,
+    /// The fragments back to back, equally long: fragment `f` is the
+    /// `f`-th `fragments.len() / n`-byte stretch. Under erasure coding
+    /// this is the coder's flat output (payload, padding, parity); under
+    /// replication, the payload once per copy.
+    fragments: Bytes,
 }
 
 impl DurableStore {
@@ -154,7 +156,7 @@ impl DurableStore {
         Ok(DurableStore {
             durability,
             rs,
-            nodes: vec![BTreeMap::new(); node_count],
+            node_count,
             failed: vec![false; node_count],
             chunks: BTreeMap::new(),
             next_spread: 0,
@@ -172,9 +174,7 @@ impl DurableStore {
     /// # Errors
     ///
     /// [`DurableError::Corrupt`] when `data` does not hash to `hash`
-    /// (the upload was damaged in flight; nothing is stored), or
-    /// [`DurableError::Encode`] when the erasure coder rejects the
-    /// payload.
+    /// (the upload was damaged in flight; nothing is stored).
     pub fn put(&mut self, hash: ChunkHash, data: Bytes) -> Result<(), DurableError> {
         if ChunkHash::of(&data) != hash {
             return Err(DurableError::Corrupt(hash));
@@ -183,28 +183,17 @@ impl DurableStore {
             return Ok(());
         }
         let base = self.next_spread;
-        self.next_spread = (self.next_spread + 1) % self.nodes.len();
-        let fragments: Vec<Bytes> = match &self.rs {
-            None => {
-                let copies = self.durability.fragments();
-                std::iter::repeat_n(data.clone(), copies).collect()
-            }
-            Some(rs) => rs
-                .encode(&data)
-                .map_err(|e| DurableError::Encode(e.to_string()))?
-                .into_iter()
-                .map(Bytes::from)
-                .collect(),
+        self.next_spread = (self.next_spread + 1) % self.node_count;
+        let fragments = match &self.rs {
+            None => data.repeat(self.durability.fragments()),
+            Some(rs) => rs.encode_flat(&data),
         };
-        for (f, frag) in fragments.into_iter().enumerate() {
-            let node = (base + f) % self.nodes.len();
-            self.nodes[node].insert(hash, frag);
-        }
         self.chunks.insert(
             hash,
-            ChunkMeta {
+            StoredChunk {
                 len: data.len(),
                 base,
+                fragments: Bytes::from(fragments),
             },
         );
         Ok(())
@@ -221,74 +210,58 @@ impl DurableStore {
     /// or [`DurableError::Corrupt`] when fragments are readable but no
     /// combination of them yields bytes that hash to the address.
     pub fn get(&self, hash: &ChunkHash) -> Result<Bytes, DurableError> {
-        let meta = self
+        let chunk = self
             .chunks
             .get(hash)
             .ok_or(DurableError::UnknownChunk(*hash))?;
         let fragments = self.durability.fragments();
+        let fragment_len = chunk.fragments.len() / fragments;
+        // Fragment `f`'s stretch of the buffer, unless its node is down.
+        let readable = |f: usize| -> Option<std::ops::Range<usize>> {
+            let up = !self.failed[(chunk.base + f) % self.node_count];
+            up.then_some(f * fragment_len..(f + 1) * fragment_len)
+        };
         match &self.rs {
             None => {
                 // Any surviving replica serves — but only after its bytes
                 // re-hash to the chunk's address. A rotted replica is as
                 // bad as a failed node; the scan moves on past it.
-                let mut saw_fragment = false;
-                for f in 0..fragments {
-                    let node = (meta.base + f) % self.nodes.len();
-                    if !self.failed[node] {
-                        if let Some(data) = self.nodes[node].get(hash) {
-                            saw_fragment = true;
-                            if ChunkHash::of(data) == *hash {
-                                return Ok(data.clone());
-                            }
-                        }
-                    }
+                let mut replicas = (0..fragments).filter_map(readable).peekable();
+                if replicas.peek().is_none() {
+                    return Err(DurableError::Unrecoverable(*hash));
                 }
-                if saw_fragment {
-                    Err(DurableError::Corrupt(*hash))
-                } else {
-                    Err(DurableError::Unrecoverable(*hash))
-                }
+                replicas
+                    .find(|replica| ChunkHash::of(&chunk.fragments[replica.clone()]) == *hash)
+                    .map(|replica| chunk.fragments.slice(replica))
+                    .ok_or(DurableError::Corrupt(*hash))
             }
             Some(rs) => {
-                let fragment = |f: usize| -> Option<&[u8]> {
-                    let node = (meta.base + f) % self.nodes.len();
-                    if self.failed[node] {
-                        None
-                    } else {
-                        self.nodes[node].get(hash).map(|b| &b[..])
-                    }
-                };
-                // Borrowed from the nodes: the decoder's output is the only
-                // copy a read makes. Parity is looked up only once it is
-                // needed — here to stand in for a missing data shard,
-                // below to rebuild a rotted one: a healthy read is k map
-                // lookups, not k + m (worth +3 % / +6 % `restore_mbps` on
-                // `versioned-backup` / `fresh-images`, EXPERIMENTS.md PR 14).
                 let k = rs.data_shards();
-                let mut shards: Vec<Option<&[u8]>> = (0..k).map(fragment).collect();
-                let parity_deferred = shards.iter().all(Option::is_some);
-                shards.extend(
-                    (k..fragments).map(|f| if parity_deferred { None } else { fragment(f) }),
-                );
-                let data = rs
-                    .reconstruct(&shards, meta.len)
-                    .map(Bytes::from)
-                    .map_err(|_| DurableError::Unrecoverable(*hash))?;
+                let mut shards: Vec<Option<&[u8]>> = (0..fragments)
+                    .map(|f| readable(f).map(|stretch| &chunk.fragments[stretch]))
+                    .collect();
+                // The code is systematic and the data shards lead the
+                // buffer: with all of them readable the payload is the
+                // buffer's head, and a healthy read copies and decodes
+                // nothing. Otherwise the decoder's output is the one copy.
+                let data = if shards[..k].iter().all(Option::is_some) {
+                    chunk.fragments.slice(..chunk.len)
+                } else {
+                    rs.reconstruct(&shards, chunk.len)
+                        .map(Bytes::from)
+                        .map_err(|_| DurableError::Unrecoverable(*hash))?
+                };
                 if ChunkHash::of(&data) == *hash {
                     return Ok(data);
                 }
                 // A present shard rotted in place. Parity absorbs that
                 // too: drop each readable shard in turn and let the
                 // decoder rebuild it from the survivors.
-                if parity_deferred {
-                    shards.truncate(k);
-                    shards.extend((k..fragments).map(fragment));
-                }
                 for f in 0..fragments {
                     let Some(suspect) = shards[f].take() else {
                         continue;
                     };
-                    if let Ok(rebuilt) = rs.reconstruct(&shards, meta.len) {
+                    if let Ok(rebuilt) = rs.reconstruct(&shards, chunk.len) {
                         let rebuilt = Bytes::from(rebuilt);
                         if ChunkHash::of(&rebuilt) == *hash {
                             return Ok(rebuilt);
@@ -305,20 +278,18 @@ impl DurableStore {
     /// injection for integrity tests. Returns `false` when the chunk is
     /// unknown or that fragment holds no bytes.
     pub fn corrupt_fragment(&mut self, hash: &ChunkHash, fragment: usize, bit: usize) -> bool {
-        let Some(meta) = self.chunks.get(hash) else {
+        let fragments = self.durability.fragments();
+        let Some(chunk) = self.chunks.get_mut(hash) else {
             return false;
         };
-        let node = (meta.base + (fragment % self.durability.fragments())) % self.nodes.len();
-        let Some(frag) = self.nodes[node].get_mut(hash) else {
-            return false;
-        };
-        if frag.is_empty() {
+        let fragment_len = chunk.fragments.len() / fragments;
+        if fragment_len == 0 {
             return false;
         }
-        let mut raw = frag.to_vec();
-        let b = bit % (raw.len() * 8);
+        let mut raw = chunk.fragments.to_vec();
+        let b = (fragment % fragments) * fragment_len * 8 + bit % (fragment_len * 8);
         raw[b / 8] ^= 1 << (b % 8);
-        *frag = Bytes::from(raw);
+        chunk.fragments = Bytes::from(raw);
         true
     }
 
@@ -343,10 +314,9 @@ impl DurableStore {
 
     /// Total physical bytes across all storage nodes.
     pub fn physical_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.values())
-            .map(|b| b.len() as u64)
+        self.chunks
+            .values()
+            .map(|chunk| chunk.fragments.len() as u64)
             .sum()
     }
 
@@ -610,6 +580,78 @@ mod tests {
                     assert_eq!(s.get(&h).unwrap_err(), DurableError::Corrupt(h));
                 }
             }
+        }
+    }
+
+    /// 1 000 distinct payloads of 0..=2 002 bytes (every residue mod 4 of
+    /// the shard split, the empty and the one-byte payload among them).
+    fn corpus() -> Vec<(ChunkHash, Bytes)> {
+        (0..1000usize)
+            .map(|i| {
+                let len = if i == 3 { 1 } else { i * 7919 % 2003 };
+                let b = Bytes::from(
+                    (0..len)
+                        .map(|j| (i * 31 + j * 7) as u8)
+                        .collect::<Vec<u8>>(),
+                );
+                (ChunkHash::of(&b), b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn physical_bytes_are_what_per_fragment_storage_held() {
+        // Eight nodes for six fragments, so `base` walks the ring.
+        let mut ec = DurableStore::new(8, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
+        let mut rep = DurableStore::new(8, Durability::Replicated { copies: 3 }).unwrap();
+        let corpus = corpus();
+        for (h, b) in &corpus {
+            ec.put(*h, b.clone()).unwrap();
+            rep.put(*h, b.clone()).unwrap();
+        }
+        assert_eq!(ec.chunk_count(), 1000);
+        // Six shards of ⌈len / 4⌉ bytes (never zero), three whole copies:
+        // the sums the one-`Bytes`-per-fragment layout reported, recorded
+        // from it on this corpus before the layout changed.
+        let shards = |len: usize| 6 * len.div_ceil(4).max(1) as u64;
+        let ec_expected: u64 = corpus.iter().map(|(_, b)| shards(b.len())).sum();
+        assert_eq!(ec.physical_bytes(), ec_expected);
+        assert_eq!(ec.physical_bytes(), 1_508_046);
+        assert_eq!(rep.physical_bytes(), 3 * rep.logical_bytes());
+        assert_eq!(rep.physical_bytes(), 3_011_577);
+    }
+
+    #[test]
+    fn a_thousand_chunks_survive_any_two_nodes_and_a_rotted_fragment_each() {
+        let mut s = DurableStore::new(8, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
+        let corpus = corpus();
+        for (h, b) in &corpus {
+            s.put(*h, b.clone()).unwrap();
+        }
+        for a in 0..8 {
+            for b_node in a + 1..8 {
+                s.fail_node(a);
+                s.fail_node(b_node);
+                for (h, b) in &corpus {
+                    assert_eq!(&s.get(h).unwrap(), b, "nodes {a} and {b_node} down");
+                }
+                s.recover_node(a);
+                s.recover_node(b_node);
+            }
+        }
+        for (i, (h, b)) in corpus.iter().enumerate() {
+            assert!(s.corrupt_fragment(h, i % 6, i * 13));
+            assert_eq!(
+                &s.get(h).unwrap(),
+                b,
+                "fragment {} of chunk {i} rotted",
+                i % 6
+            );
+        }
+        // One node down on top of the rot is still within m = 2.
+        s.fail_node(7);
+        for (h, b) in &corpus {
+            assert_eq!(&s.get(h).unwrap(), b);
         }
     }
 

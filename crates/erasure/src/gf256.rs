@@ -2,9 +2,11 @@
 //!
 //! Scalar multiplication and division go through log/antilog tables built
 //! once at first use from the generator element 3. Bulk work — a whole
-//! shard times one coefficient — goes through `mul_acc`, which walks the
-//! coefficient's 256-byte row of the full product table: one lookup per
-//! byte and no zero tests.
+//! shard times one coefficient — goes through `mul_acc`, which uses no
+//! table at all: eight field elements ride in one `u64`, the coefficient
+//! is applied by shift-and-add over its bits, and the loop is plain
+//! integer code the compiler is free to widen to whatever vectors the
+//! target has.
 
 use std::sync::OnceLock;
 
@@ -16,8 +18,6 @@ struct Tables {
     exp: [u8; 512],
     /// log[x] = i such that g^i = x, for x in 1..=255.
     log: [u8; 256],
-    /// products[c][x] = c · x.
-    products: Box<[[u8; 256]; 256]>,
 }
 
 fn tables() -> &'static Tables {
@@ -38,13 +38,7 @@ fn tables() -> &'static Tables {
         for i in 255..512 {
             exp[i] = exp[i - 255];
         }
-        let mut products = Box::new([[0u8; 256]; 256]);
-        for (c, row) in products.iter_mut().enumerate().skip(1) {
-            for (x, product) in row.iter_mut().enumerate().skip(1) {
-                *product = exp[log[c] as usize + log[x] as usize];
-            }
-        }
-        Tables { exp, log, products }
+        Tables { exp, log }
     })
 }
 
@@ -74,33 +68,61 @@ pub fn mul(a: u8, b: u8) -> u8 {
     t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
 }
 
-/// The product row of `c`: `mul_row(c)[x] == mul(c, x)` for every `x`.
-#[inline]
-fn mul_row(c: u8) -> &'static [u8; 256] {
-    &tables().products[c as usize]
+/// Multiplies eight packed field elements by `x` (the element 2): each
+/// byte shifts left one bit, and a byte whose top bit fell off is reduced
+/// by the polynomial's low byte 0x1b. `(hi << 8) - hi` spreads each
+/// overflow flag to a full-byte mask without a multiply — a 64-bit
+/// multiply has no vector form below AVX-512DQ and would keep the loop
+/// scalar.
+#[inline(always)]
+fn xtime8(word: u64) -> u64 {
+    const TOP: u64 = 0x8080_8080_8080_8080;
+    let hi = (word & TOP) >> 7;
+    ((word & !TOP) << 1) ^ ((hi << 8).wrapping_sub(hi) & 0x1b1b_1b1b_1b1b_1b1b)
 }
 
 /// Multiply-accumulate over a shard: `dst[i] ^= c · src[i]`, stopping at
-/// the shorter of the two. This is the one inner loop of Reed–Solomon
-/// encoding and decoding.
+/// the shorter of the two. This is the inner loop of Reed–Solomon
+/// decoding, and of encoding when a parity row is left over.
 pub(crate) fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
-    if c == 0 {
+    mul_acc_rows([dst], src, [c]);
+}
+
+/// Multiply-accumulate one source into `M` rows at once:
+/// `dsts[r][i] ^= coeffs[r] · src[i]`, stopping at the shortest slice.
+///
+/// `c · s = Σ_{bit b of c} s · xᵇ`: a source word walks up through its
+/// eight `xtime8` multiples once, and each row folds in the multiples
+/// whose bit is set in its coefficient — so the walk, most of the work,
+/// is shared by the rows. The bit tests are hoisted into masks: the loop
+/// body is branch-free and the same for every word.
+pub(crate) fn mul_acc_rows<const M: usize>(dsts: [&mut [u8]; M], src: &[u8], coeffs: [u8; M]) {
+    if coeffs == [0; M] {
         return;
     }
-    let row = mul_row(c);
-    let n = dst.len().min(src.len());
-    let (dst_words, dst_tail) = dst[..n].as_chunks_mut::<8>();
+    let n = dsts.iter().fold(src.len(), |n, dst| n.min(dst.len()));
     let (src_words, src_tail) = src[..n].as_chunks::<8>();
-    // Eight products gathered into one word and folded in with one xor:
-    // a third of the loads and stores of the bytewise loop. Against
-    // `*d ^= row[*s]` it is worth +7 % `ingest_mbps` on `fresh-images`
-    // and +4.5 % on `versioned-backup` (EXPERIMENTS.md, PR 14).
-    for (d, s) in dst_words.iter_mut().zip(src_words) {
-        let products = s.map(|x| row[x as usize]);
-        *d = (u64::from_ne_bytes(*d) ^ u64::from_ne_bytes(products)).to_ne_bytes();
+    let mut dsts = dsts.map(|dst| dst[..n].as_chunks_mut::<8>());
+    let masks = coeffs
+        .map(|c| -> [u64; 8] { std::array::from_fn(|bit| u64::from(c >> bit & 1).wrapping_neg()) });
+    for (w, s) in src_words.iter().enumerate() {
+        let mut multiple = u64::from_ne_bytes(*s);
+        let mut products = [0u64; M];
+        for bit in 0..8 {
+            for (product, row_masks) in products.iter_mut().zip(&masks) {
+                *product ^= multiple & row_masks[bit];
+            }
+            multiple = xtime8(multiple);
+        }
+        for ((dst_words, _), product) in dsts.iter_mut().zip(products) {
+            let d = &mut dst_words[w];
+            *d = (u64::from_ne_bytes(*d) ^ product).to_ne_bytes();
+        }
     }
-    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
-        *d ^= row[*s as usize];
+    for ((_, dst_tail), c) in dsts.iter_mut().zip(coeffs) {
+        for (d, s) in dst_tail.iter_mut().zip(src_tail) {
+            *d ^= mul(c, *s);
+        }
     }
 }
 
@@ -186,16 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn product_rows_match_scalar_multiplication_everywhere() {
-        for c in 0..=255u8 {
-            let row = mul_row(c);
-            for x in 0..=255u8 {
-                assert_eq!(row[x as usize], mul(c, x), "{c} * {x}");
-            }
-        }
-    }
-
-    #[test]
     fn mul_acc_accumulates_and_stops_at_the_shorter_slice() {
         let src: Vec<u8> = (0..=255).collect();
         for c in [0u8, 1, 2, 0x53, 0xff] {
@@ -205,6 +217,60 @@ mod tests {
                 let expected = src.get(i).map_or(0xa5, |s| 0xa5 ^ mul(c, *s));
                 assert_eq!(*d, expected, "c = {c}, i = {i}");
             }
+        }
+    }
+
+    #[test]
+    fn mul_acc_matches_scalar_multiplication_for_every_coefficient_and_length() {
+        // Lengths 0..=67 cover the empty slice, a tail with no word, whole
+        // words with no tail, and several vector widths' worth of words
+        // plus every tail length after them.
+        let src: Vec<u8> = (0..67u32).map(|i| (i * 151 + 13) as u8).collect();
+        let fill = |len: usize, salt: u32| -> Vec<u8> {
+            (0..len as u32).map(|i| (i * 29 + salt) as u8).collect()
+        };
+        let expect = |dst: &[u8], c: u8| -> Vec<u8> {
+            let products = src.iter().map(|s| mul(c, *s));
+            dst.iter().zip(products).map(|(d, p)| d ^ p).collect()
+        };
+        for c in 1..=255u8 {
+            for len in 0..=src.len() {
+                let mut dst = fill(len, 5);
+                let expected = expect(&dst, c);
+                mul_acc(&mut dst, &src[..len], c);
+                assert_eq!(dst, expected, "c = {c}, len = {len}");
+                // The same source into two rows at once, under a second
+                // coefficient (zero among them) — identical to two passes.
+                let (mut row0, mut row1) = (fill(len, 5), fill(len, 77));
+                let expected1 = expect(&row1, !c);
+                mul_acc_rows([&mut row0, &mut row1], &src[..len], [c, !c]);
+                assert_eq!(row0, expected, "row 0, c = {c}, len = {len}");
+                assert_eq!(row1, expected1, "row 1, c = {}, len = {len}", !c);
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_rows_stops_at_the_shortest_slice() {
+        let src: Vec<u8> = (0..=255).collect();
+        let (mut long, mut short) = (vec![0xa5u8; 300], vec![0x5au8; 41]);
+        mul_acc_rows([&mut long, &mut short], &src, [0x53, 0xca]);
+        for i in 0..300 {
+            let touched = i < 41;
+            assert_eq!(long[i], 0xa5 ^ if touched { mul(0x53, src[i]) } else { 0 });
+        }
+        for i in 0..41 {
+            assert_eq!(short[i], 0x5a ^ mul(0xca, src[i]));
+        }
+    }
+
+    #[test]
+    fn xtime8_is_multiplication_by_two_in_every_lane() {
+        for x in 0..=255u8 {
+            // The neighbours differ so a carry or borrow across lanes shows.
+            let word = [x, !x, x, 0xff, 0x80, x, 0, x];
+            let doubled = xtime8(u64::from_ne_bytes(word)).to_ne_bytes();
+            assert_eq!(doubled, word.map(|b| mul(2, b)), "x = {x}");
         }
     }
 

@@ -109,6 +109,11 @@ impl ReedSolomon {
         1.0 + self.m as f64 / self.k as f64
     }
 
+    /// Length of each of the `k + m` shards of a `data_len`-byte payload.
+    fn shard_len(&self, data_len: usize) -> usize {
+        data_len.div_ceil(self.k).max(1)
+    }
+
     /// Encodes `data` into `k + m` equal-size shards (the first `k` carry
     /// the data itself, zero-padded).
     ///
@@ -117,23 +122,55 @@ impl ReedSolomon {
     /// Never fails for valid codes; the `Result` keeps the signature
     /// uniform with [`ReedSolomon::reconstruct`].
     pub fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let shard_len = data.len().div_ceil(self.k).max(1);
+        let shard_len = self.shard_len(data.len());
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.k + self.m);
-        for i in 0..self.k {
-            let start = (i * shard_len).min(data.len());
-            let end = ((i + 1) * shard_len).min(data.len());
-            let mut shard = data[start..end].to_vec();
+        let mut stretches = data.chunks(shard_len);
+        for _ in 0..self.k {
+            let mut shard = Vec::with_capacity(shard_len);
+            shard.extend_from_slice(stretches.next().unwrap_or_default());
             shard.resize(shard_len, 0);
             shards.push(shard);
         }
-        for p in 0..self.m {
-            let mut parity = vec![0u8; shard_len];
-            for (coeff, shard) in self.encode.row(self.k + p).iter().zip(&shards) {
-                gf256::mul_acc(&mut parity, shard, *coeff);
-            }
-            shards.push(parity);
-        }
+        let mut parity = vec![vec![0u8; shard_len]; self.m];
+        self.add_parity(data, parity.iter_mut().map(Vec::as_mut_slice).collect());
+        shards.extend(parity);
         Ok(shards)
+    }
+
+    /// [`ReedSolomon::encode`] into one buffer: the `k + m` equal-size
+    /// shards back to back, so shard `i` is the `i`-th
+    /// `len / (k + m)`-byte stretch. The payload is copied once and the
+    /// parity is computed in place behind it.
+    pub fn encode_flat(&self, data: &[u8]) -> Vec<u8> {
+        let shard_len = self.shard_len(data.len());
+        let mut flat = Vec::with_capacity((self.k + self.m) * shard_len);
+        flat.extend_from_slice(data);
+        flat.resize((self.k + self.m) * shard_len, 0);
+        let parity = flat[self.k * shard_len..].chunks_exact_mut(shard_len);
+        self.add_parity(data, parity.collect());
+        flat
+    }
+
+    /// Adds the parity rows of `data` into `parity` (`m` zeroed rows of
+    /// one shard each), two rows to a pass over the data. Reads the
+    /// unpadded payload: the padding is zeros, which contribute nothing,
+    /// and the kernel stops at the shorter slice.
+    fn add_parity(&self, data: &[u8], mut parity: Vec<&mut [u8]>) {
+        let shard_len = parity[0].len();
+        for (pair, rows) in parity.chunks_mut(2).enumerate() {
+            let first = self.k + 2 * pair;
+            for (i, stretch) in data.chunks(shard_len).enumerate() {
+                let c0 = self.encode.get(first, i);
+                match rows {
+                    [row0, row1] => {
+                        let c1 = self.encode.get(first + 1, i);
+                        gf256::mul_acc_rows([row0, row1], stretch, [c0, c1]);
+                    }
+                    [row0] => gf256::mul_acc(row0, stretch, c0),
+                    _ => {}
+                }
+            }
+        }
     }
 
     /// Reconstructs the original `data_len` bytes from any `k` surviving
@@ -452,6 +489,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// FNV-1a over every shard of every length, each shard length-prefixed.
+    fn encode_digest(k: usize, m: usize) -> u64 {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut absorb = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for len in [0usize, 1, 7, 64, 333, 4099, 5 * 1024, 20_001] {
+            for shard in rs.encode(&sample_data(len)).unwrap() {
+                absorb(&(shard.len() as u64).to_le_bytes());
+                absorb(&shard);
+            }
+        }
+        digest
+    }
+
+    #[test]
+    fn encode_output_is_pinned_across_kernels() {
+        // Recorded from the table-lookup `mul_acc` this crate shipped
+        // before the word-parallel kernel: parity bytes are stored and
+        // must decode under any later build.
+        assert_eq!(encode_digest(4, 2), 0xda26_7563_4d0e_fdc3);
+        assert_eq!(encode_digest(6, 3), 0xcd99_bed2_ca67_172e);
+        assert_eq!(encode_digest(10, 4), 0x0899_3c77_d0d1_07e0);
     }
 
     #[test]

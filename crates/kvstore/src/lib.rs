@@ -70,7 +70,7 @@ pub use node::{Consistency, NodeState};
 pub use retry::RetryPolicy;
 pub use ring::HashRing;
 pub use sim::{CloudUplink, OpLatency, RecoveryStats, SimCluster};
-pub use spool::{DisasterStats, SpoolClass, SpoolDest, SpoolEntry, UploadSpool};
+pub use spool::{DisasterStats, SpoolClass, SpoolDest, SpoolEntry, SpoolLog, UploadSpool};
 pub use storage::{
     ReplayNotes, ScrubChunk, StorageEngine, StorageStats, WalError, WalRecord, WriteAheadLog,
 };

@@ -2,7 +2,7 @@
 //! spools, the cloud catalog, outage windows, ring wipe/heal and mesh
 //! repair.
 //!
-//! **State:** uplink config, one WAL-backed [`UploadSpool`] per member,
+//! **State:** uplink config, one log-backed [`UploadSpool`] per member,
 //! payloads of in-flight check-and-inserts, the cloud catalog, cloud- and
 //! ring-outage windows, heal times, mesh-repair fetches awaiting verified
 //! bytes, [`DisasterStats`]. **Events:** `Round(SpoolDrain)`, `RingWipe`,
@@ -19,9 +19,9 @@ use ef_netsim::{NodeId, SiteId};
 use ef_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Spool-WAL snapshot cadence: fold retired entries away every this many
-/// records so a long outage's spool footprint stays bounded by the
-/// *pending* entries, not the full enqueue/retire history.
+/// Records per spool-log segment: space comes back a segment at a time,
+/// so a long outage's spool footprint stays bounded by the *pending*
+/// entries, not the full enqueue/retire history.
 const SPOOL_SNAPSHOT_EVERY: u64 = 64;
 
 /// Configuration of the durable-spool cloud uplink.
@@ -43,7 +43,7 @@ pub struct CloudUplink {
 pub(super) struct Uplink {
     /// Cloud uplink drain configuration (None until enabled).
     pub(super) config: Option<CloudUplink>,
-    /// Durable WAL-backed upload spools, one per member (populated when
+    /// Durable log-backed upload spools, one per member (populated when
     /// a cloud uplink is enabled). A spool survives its node's
     /// crash-stop — it lives on the disk — but a ring wipe burns it.
     spools: BTreeMap<NodeId, UploadSpool>,
@@ -117,7 +117,7 @@ impl Uplink {
 impl SimCluster {
     /// Enables the durable upload spool and its cloud uplink: every
     /// unique check-and-insert verdict appends the chunk payload to the
-    /// coordinator's WAL-backed spool (the client ack never waits on the
+    /// coordinator's log-backed spool (the client ack never waits on the
     /// cloud), and every `tick` each live node drains up to `byte_cap`
     /// payload bytes of spooled uploads to `cloud`, highest priority
     /// class first. An entry retires only when its `CloudUploadAck`

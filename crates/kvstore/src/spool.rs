@@ -1,10 +1,10 @@
-//! Durable, WAL-backed upload spool: the cloud-outage survival kit.
+//! Durable, log-backed upload spool: the cloud-outage survival kit.
 //!
 //! The paper's topology funnels every unique chunk over one uplink to
 //! the central cloud, so an uplink cut would either stall ingest or
 //! silently drop durability. The [`UploadSpool`] breaks that coupling:
-//! a unique accepted during an outage is appended to a local
-//! write-ahead log *first* (the client's ack never waits on the cloud),
+//! a unique accepted during an outage is appended to a local durable
+//! log *first* (the client's ack never waits on the cloud),
 //! then drained under a bandwidth cap when the uplink heals. Transfers
 //! are resumable — an entry is retired only when the matching
 //! [`Message::CloudUploadAck`](crate::msg::Message) lands, so dropped
@@ -19,14 +19,20 @@
 //! crash of the hint holder cannot lose them (see
 //! `SimCluster::ring_outage_at`).
 //!
+//! The log ([`SpoolLog`]) is shaped by that workload — a queue, not a
+//! key-value state: payloads enter at the tail and leave, mostly in
+//! order, from the head. It is a run of segments that are dropped whole
+//! once everything in them is retired, so a payload byte is written once
+//! and never rewritten on its way through (DESIGN.md §14).
+//!
 //! Determinism: the spool draws no randomness and iterates only ordered
 //! structures; identical enqueue/ack sequences yield identical batches.
 
-use crate::storage::{WalRecord, WriteAheadLog};
+use crate::storage::{encode_record, frame_at, Frame};
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Drain priority of a spooled transfer.
 ///
@@ -181,26 +187,238 @@ impl DisasterStats {
     }
 }
 
+/// One stretch of a [`SpoolLog`]: whole frames, back to back.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    frames: Vec<u8>,
+    /// Frames in `frames` (puts, tombstones and copies alike).
+    records: u64,
+    /// Put frames in `frames` whose entry is still pending.
+    live: u64,
+}
+
+/// The spool's durable log: checksummed frames (the write-ahead log's
+/// framing, one `checksum64` per record) in an append-only run of
+/// segments, oldest first. The last segment is open and takes every
+/// append; once it holds `seal_every` records it is sealed and a new one
+/// opens.
+///
+/// A put frame carries its entry's sequence number, class, destination,
+/// key and payload; a tombstone carries the sequence number it retires.
+/// Space comes back a segment at a time: the head segment is dropped
+/// whole as soon as none of its puts is pending. Tombstones need no
+/// accounting of their own — a put never outlives the segment its
+/// tombstone sits in, because the tombstone was appended later.
+#[derive(Debug, Clone, Default)]
+pub struct SpoolLog {
+    /// Sealed segments, oldest first.
+    sealed: VecDeque<Segment>,
+    /// The segment taking appends, behind the sealed ones.
+    open: Segment,
+    /// Id of the head (oldest) segment; ids count up along the run and
+    /// are never reused.
+    head_id: u64,
+    /// Records per segment (0: the open segment never seals).
+    seal_every: u64,
+    /// Bytes in all segments.
+    bytes: usize,
+    /// Bytes in put frames whose entry is still pending.
+    live_bytes: usize,
+    /// Bytes ever appended, frames copied forward included.
+    written: u64,
+}
+
+/// The variable-width head of a put frame's key field: sequence number,
+/// class, destination tag and (for a node) its id; the fingerprint key
+/// follows. Returns the buffer and how much of it is used.
+fn put_header(seq: u64, class: SpoolClass, dest: SpoolDest) -> ([u8; 14], usize) {
+    let mut header = [0u8; 14];
+    header[..8].copy_from_slice(&seq.to_le_bytes());
+    header[8] = match class {
+        SpoolClass::Critical => 0,
+        SpoolClass::Background => 1,
+    };
+    match dest {
+        SpoolDest::Cloud => (header, 10),
+        SpoolDest::Node(node) => {
+            header[9] = 1;
+            header[10..].copy_from_slice(&node.0.to_be_bytes());
+            (header, 14)
+        }
+    }
+}
+
+/// The inverse of [`put_header`] plus the key behind it.
+fn decode_put_key(field: &[u8]) -> Option<(SpoolClass, SpoolDest, Bytes)> {
+    let class = match field.get(8)? {
+        0 => SpoolClass::Critical,
+        1 => SpoolClass::Background,
+        _ => return None,
+    };
+    match field.get(9)? {
+        0 => Some((
+            class,
+            SpoolDest::Cloud,
+            Bytes::copy_from_slice(&field[10..]),
+        )),
+        1 => {
+            let id: [u8; 4] = field.get(10..14)?.try_into().ok()?;
+            let node = NodeId(u32::from_be_bytes(id));
+            let key = Bytes::copy_from_slice(&field[14..]);
+            Some((class, SpoolDest::Node(node), key))
+        }
+        _ => None,
+    }
+}
+
+/// A put frame's value field: a presence byte, then the payload.
+fn decode_put_value(field: &[u8]) -> Option<Option<Bytes>> {
+    match field.split_first()? {
+        (0, _) => Some(None),
+        (1, payload) => Some(Some(Bytes::copy_from_slice(payload))),
+        _ => None,
+    }
+}
+
+impl SpoolLog {
+    /// Appends one frame to the open segment, sealing it and opening a
+    /// new one first if it is full. Returns that segment's id and the
+    /// frame's length.
+    fn append(&mut self, key: &[&[u8]], value: Option<&[&[u8]]>) -> (u64, usize) {
+        if self.seal_every != 0 && self.open.records >= self.seal_every {
+            // Segments of one spool come out alike: sizing the buffer like
+            // its predecessor spares it the grow-and-copy steps.
+            let next = Segment {
+                frames: Vec::with_capacity(self.open.frames.len()),
+                ..Segment::default()
+            };
+            self.sealed
+                .push_back(std::mem::replace(&mut self.open, next));
+        }
+        let start = self.open.frames.len();
+        encode_record(&mut self.open.frames, key, value);
+        self.open.records += 1;
+        let len = self.open.frames.len() - start;
+        self.bytes += len;
+        self.written += len as u64;
+        (self.head_id + self.sealed.len() as u64, len)
+    }
+
+    /// Appends `entry`'s put frame and counts it live in its segment.
+    fn append_put(&mut self, seq: u64, entry: &SpoolEntry) -> (u64, usize) {
+        let (header, used) = put_header(seq, entry.class, entry.dest);
+        let value: [&[u8]; 2] = match &entry.value {
+            Some(payload) => [&[1], payload],
+            None => [&[0], &[]],
+        };
+        let at = self.append(&[&header[..used], &entry.key], Some(&value));
+        self.open.live += 1;
+        at
+    }
+
+    fn segment_mut(&mut self, id: u64) -> &mut Segment {
+        let at = (id - self.head_id) as usize;
+        if at < self.sealed.len() {
+            &mut self.sealed[at]
+        } else {
+            &mut self.open
+        }
+    }
+
+    /// The oldest segment (the open one when nothing is sealed).
+    fn head(&self) -> &Segment {
+        self.sealed.front().unwrap_or(&self.open)
+    }
+
+    fn drop_head(&mut self) {
+        let head = match self.sealed.pop_front() {
+            Some(head) => head,
+            None => std::mem::take(&mut self.open),
+        };
+        self.bytes -= head.frames.len();
+        self.head_id += 1;
+    }
+
+    /// What the log says is pending: one backward pass over every frame,
+    /// newest first, each verified against its checksum. A tombstone
+    /// settles its sequence number; a put whose number nothing newer has
+    /// settled is pending, and is returned with where its frame sits.
+    /// `None` when a frame is torn, rotted or malformed.
+    fn pending(&self) -> Option<Vec<(u64, Slot)>> {
+        let mut settled = BTreeSet::new();
+        let mut pending = Vec::new();
+        let newest_first = std::iter::once(&self.open).chain(self.sealed.iter().rev());
+        for (back, segment) in newest_first.enumerate() {
+            let id = self.head_id + (self.sealed.len() - back) as u64;
+            let bytes = &segment.frames[..];
+            let mut frames = Vec::with_capacity(segment.records as usize);
+            let mut offset = 0;
+            while let Some(frame) = frame_at(bytes, offset).ok()? {
+                let next = frame.end;
+                frames.push((offset, frame));
+                offset = next;
+            }
+            for (start, Frame { key, value, end }) in frames.into_iter().rev() {
+                let seq: [u8; 8] = bytes[key.clone()].get(..8)?.try_into().ok()?;
+                let seq = u64::from_le_bytes(seq);
+                // Settled by a newer frame: a tombstone, or (had a crash
+                // cut a copy-forward short of dropping the head) a copy.
+                let settled = !settled.insert(seq);
+                let Some(value) = value.filter(|_| !settled) else {
+                    continue;
+                };
+                let (class, dest, key) = decode_put_key(&bytes[key])?;
+                let entry = SpoolEntry {
+                    class,
+                    dest,
+                    key,
+                    value: decode_put_value(&bytes[value])?,
+                    attempts: 0,
+                };
+                let slot = Slot {
+                    entry,
+                    segment: id,
+                    frame_len: end - start,
+                };
+                pending.push((seq, slot));
+            }
+        }
+        Some(pending)
+    }
+}
+
+/// A pending entry and where its put frame sits in the log.
+#[derive(Debug, Clone)]
+struct Slot {
+    entry: SpoolEntry,
+    segment: u64,
+    frame_len: usize,
+}
+
 /// A durable spool of pending outbound transfers.
 ///
-/// Every mutation is written through an embedded [`WriteAheadLog`]
-/// before the in-memory queue changes: an enqueue appends a put, a
-/// retirement appends a delete, and the WAL's self-compacting snapshot
-/// keeps the on-disk footprint proportional to the *pending* set, not
-/// the total ever enqueued. [`UploadSpool::recover`] rebuilds the exact
-/// pending queue (priority order included) from the log alone, so a
-/// crash-stopped node resumes its drain where it left off.
+/// Every mutation is written through an embedded [`SpoolLog`] before the
+/// in-memory queue changes: an enqueue appends a put frame, a retirement
+/// appends a tombstone. The head segment is dropped the moment nothing
+/// in it is pending, so a drain in arrival order rewrites nothing; a
+/// straggler that pins the head (a parked hint, an ack lost for good) is
+/// copied forward to the tail once the log outgrows twice its pending
+/// bytes plus the head, which keeps the footprint proportional to the
+/// *pending* set, not the total ever enqueued.
+/// [`UploadSpool::recover`] rebuilds the exact pending queue (order
+/// included) from the log alone, so a crash-stopped node resumes its
+/// drain where it left off.
 #[derive(Debug, Clone, Default)]
 pub struct UploadSpool {
-    wal: WriteAheadLog,
+    log: SpoolLog,
     /// The pending queue, keyed by enqueue sequence number: iteration is
     /// FIFO order and an entry leaves from anywhere in O(log n).
-    entries: BTreeMap<u64, SpoolEntry>,
-    /// Pending `(class, dest, key)` triples → their sequence number,
+    entries: BTreeMap<u64, Slot>,
+    /// Pending keys → their sequence number, per `(class, dest)`,
     /// mirroring `entries`: the idempotent-enqueue check and the
-    /// ack-to-entry lookup are O(log n) instead of full-queue scans (the
-    /// hot loops during and right after an outage).
-    index: BTreeMap<(SpoolClass, SpoolDest, Bytes), u64>,
+    /// ack-to-entry lookup are O(log n) probes by borrowed key instead of
+    /// full-queue scans (the hot loops during and right after an outage).
+    index: BTreeMap<(SpoolClass, SpoolDest), BTreeMap<Bytes, u64>>,
     next_seq: u64,
     enqueued: u64,
     drained: u64,
@@ -210,60 +428,20 @@ pub struct UploadSpool {
     high_water: u64,
 }
 
-/// Durable record key: a class byte, a dest tag and (for a node) its id,
-/// then the fingerprint key. Returns the prefix and how much of it is
-/// used; the WAL writes prefix and key back to back.
-fn meta_prefix(class: SpoolClass, dest: SpoolDest) -> ([u8; 6], usize) {
-    let class = match class {
-        SpoolClass::Critical => 0,
-        SpoolClass::Background => 1,
-    };
-    match dest {
-        SpoolDest::Cloud => ([class, 0, 0, 0, 0, 0], 2),
-        SpoolDest::Node(n) => {
-            let id = n.0.to_be_bytes();
-            ([class, 1, id[0], id[1], id[2], id[3]], 6)
-        }
-    }
-}
-
-fn decode_meta(encoded: &Bytes) -> Option<(SpoolClass, SpoolDest, Bytes)> {
-    let class = match encoded.first()? {
-        0 => SpoolClass::Critical,
-        1 => SpoolClass::Background,
-        _ => return None,
-    };
-    match encoded.get(1)? {
-        0 => Some((class, SpoolDest::Cloud, encoded.slice(2..))),
-        1 => {
-            let id: [u8; 4] = encoded.get(2..6)?.try_into().ok()?;
-            let node = NodeId(u32::from_be_bytes(id));
-            Some((class, SpoolDest::Node(node), encoded.slice(6..)))
-        }
-        _ => None,
-    }
-}
-
-/// Durable record value: a presence byte, then the payload.
-fn decode_value(encoded: &Bytes) -> Option<Option<Bytes>> {
-    match encoded.first()? {
-        0 => Some(None),
-        1 => Some(Some(encoded.slice(1..))),
-        _ => None,
-    }
-}
-
 impl UploadSpool {
-    /// An empty spool whose WAL self-compacts every `snapshot_every`
-    /// appends (0 disables compaction).
+    /// An empty spool whose log seals a segment every `snapshot_every`
+    /// records (0: one segment, reclaimed only when nothing is pending).
     pub fn new(snapshot_every: u64) -> Self {
         UploadSpool {
-            wal: WriteAheadLog::new(snapshot_every),
+            log: SpoolLog {
+                seal_every: snapshot_every,
+                ..SpoolLog::default()
+            },
             ..UploadSpool::default()
         }
     }
 
-    /// Accepts a transfer, writing it to the WAL before the queue.
+    /// Accepts a transfer, writing it to the log before the queue.
     ///
     /// Idempotent per `(class, dest, key)`: a transfer already pending
     /// is not duplicated (its payload is the same chunk) and `false` is
@@ -275,16 +453,9 @@ impl UploadSpool {
         key: Bytes,
         value: Option<Bytes>,
     ) -> bool {
-        if self.index.contains_key(&(class, dest, key.clone())) {
+        if self.seq_of(class, dest, &key).is_some() {
             return false;
         }
-        let (prefix, used) = meta_prefix(class, dest);
-        let value_parts: [&[u8]; 2] = match &value {
-            Some(v) => [&[1], v],
-            None => [&[0], &[]],
-        };
-        self.wal
-            .append(&[&prefix[..used], &key], Some(&value_parts));
         let entry = SpoolEntry {
             class,
             dest,
@@ -292,80 +463,118 @@ impl UploadSpool {
             value,
             attempts: 0,
         };
+        let seq = self.next_seq;
+        let (segment, frame_len) = self.log.append_put(seq, &entry);
+        self.log.live_bytes += frame_len;
         self.enqueued += 1;
         self.bytes_enqueued += entry.payload_len();
-        self.push(entry);
+        self.insert(
+            seq,
+            Slot {
+                entry,
+                segment,
+                frame_len,
+            },
+        );
         self.high_water = self.high_water.max(self.entries.len() as u64);
         true
     }
 
-    /// Appends `entry` to the queue and the index (nothing durable).
-    fn push(&mut self, entry: SpoolEntry) {
-        let triple = (entry.class, entry.dest, entry.key.clone());
-        self.index.insert(triple, self.next_seq);
-        self.entries.insert(self.next_seq, entry);
-        self.next_seq += 1;
+    /// The sequence number of the pending `(class, dest, key)` transfer.
+    fn seq_of(&self, class: SpoolClass, dest: SpoolDest, key: &[u8]) -> Option<u64> {
+        self.index.get(&(class, dest))?.get(key).copied()
+    }
+
+    /// Puts `slot` into queue and index under `seq` (nothing durable).
+    fn insert(&mut self, seq: u64, slot: Slot) {
+        let SpoolEntry {
+            class, dest, key, ..
+        } = &slot.entry;
+        let keys = self.index.entry((*class, *dest)).or_default();
+        keys.insert(key.clone(), seq);
+        self.entries.insert(seq, slot);
+        self.next_seq = self.next_seq.max(seq + 1);
     }
 
     /// Removes the entry with sequence number `seq` from queue and
-    /// index, durably (a WAL delete), and counts it drained.
+    /// index, durably (a tombstone), and counts it drained.
     fn retire(&mut self, seq: u64) -> Option<SpoolEntry> {
-        let entry = self.entries.remove(&seq)?;
-        let (prefix, used) = meta_prefix(entry.class, entry.dest);
-        self.wal.append(&[&prefix[..used], &entry.key], None);
-        self.index
-            .remove(&(entry.class, entry.dest, entry.key.clone()));
+        let Slot {
+            entry,
+            segment,
+            frame_len,
+        } = self.entries.remove(&seq)?;
+        if let Some(keys) = self.index.get_mut(&(entry.class, entry.dest)) {
+            keys.remove(&entry.key[..]);
+        }
+        self.log.append(&[&seq.to_le_bytes()], None);
+        self.log.segment_mut(segment).live -= 1;
+        self.log.live_bytes -= frame_len;
+        self.reclaim();
         self.drained += 1;
         self.bytes_drained += entry.payload_len();
         Some(entry)
     }
 
-    /// Rebuilds a spool from a recovered WAL (crash-stop restart path).
-    pub fn recover(wal: WriteAheadLog) -> Self {
-        // The strict replay is safe here: the spool WAL is only ever
-        // handed over intact in the simulation (torn-tail injection
-        // targets storage WALs); an unreadable log yields an empty
-        // spool, which anti-entropy and re-upload absorb.
-        let records = wal.replay().unwrap_or_default();
-        // One backward pass: a put is still pending exactly when no
-        // later record retires its `(class, dest, key)`.
-        let mut retired = BTreeSet::new();
-        let mut pending = Vec::new();
-        for record in records.iter().rev() {
-            match record {
-                WalRecord::Put(meta, value) => {
-                    if let (Some((class, dest, key)), Some(value)) =
-                        (decode_meta(meta), decode_value(value))
-                    {
-                        if !retired.contains(&(class, dest, key.clone())) {
-                            pending.push(SpoolEntry {
-                                class,
-                                dest,
-                                key,
-                                value,
-                                attempts: 0,
-                            });
-                        }
-                    }
-                }
-                WalRecord::Delete(meta) => retired.extend(decode_meta(meta)),
+    /// Gives log space back after a retirement. Head segments with
+    /// nothing pending are dropped whole. If what is left still exceeds
+    /// twice the pending bytes plus the head segment — dead frames held
+    /// in place by a few pending ones at the head — the head's pending
+    /// entries are appended again at the tail and the head is dropped,
+    /// until the log is back inside that bound.
+    fn reclaim(&mut self) {
+        loop {
+            while self.log.head().live == 0 && self.log.bytes > 0 {
+                self.log.drop_head();
             }
+            let budget = 2 * self.log.live_bytes + self.log.head().frames.len();
+            if self.log.sealed.is_empty() || self.log.bytes <= budget {
+                return;
+            }
+            // Copy first, drop second: at no point is a pending entry
+            // without a frame in the log.
+            let head_id = self.log.head_id;
+            for (&seq, slot) in &mut self.entries {
+                if slot.segment == head_id {
+                    slot.segment = self.log.append_put(seq, &slot.entry).0;
+                }
+            }
+            self.log.drop_head();
+        }
+    }
+
+    /// Rebuilds a spool from a recovered log (crash-stop restart path).
+    ///
+    /// One backward pass: every frame is verified against its checksum,
+    /// a tombstone marks its sequence number retired, and a put is
+    /// pending exactly when no later frame retired it. A log that does
+    /// not parse yields an empty spool, which anti-entropy and re-upload
+    /// absorb (torn-tail injection targets storage WALs, not spools).
+    pub fn recover(mut log: SpoolLog) -> Self {
+        let Some(pending) = log.pending() else {
+            return UploadSpool::new(log.seal_every);
+        };
+        log.live_bytes = 0;
+        for segment in log.sealed.iter_mut().chain([&mut log.open]) {
+            segment.live = 0;
         }
         let mut spool = UploadSpool {
-            wal,
+            log,
             ..UploadSpool::default()
         };
-        for entry in pending.into_iter().rev() {
-            spool.push(entry);
+        for (seq, slot) in pending {
+            spool.log.segment_mut(slot.segment).live += 1;
+            spool.log.live_bytes += slot.frame_len;
+            spool.insert(seq, slot);
         }
         spool.high_water = spool.entries.len() as u64;
         spool
     }
 
-    /// Consumes the spool, yielding its WAL for durable parking (the
+    /// Consumes the spool, yielding its log for durable parking (the
     /// inverse of [`UploadSpool::recover`]).
-    pub fn into_wal(self) -> WriteAheadLog {
-        self.wal
+    pub fn into_wal(self) -> SpoolLog {
+        self.log
     }
 
     /// Plans one drain tick: pending cloud-bound entries in priority
@@ -377,40 +586,57 @@ impl UploadSpool {
     pub fn plan_cloud_batch(&mut self, byte_cap: u64) -> Vec<(Bytes, Bytes)> {
         let mut batch = Vec::new();
         let mut budget = 0u64;
-        'plan: for class in [SpoolClass::Critical, SpoolClass::Background] {
-            let fifo = self.entries.values_mut();
-            for entry in fifo.filter(|e| e.class == class && e.dest == SpoolDest::Cloud) {
-                let len = entry.payload_len();
-                if !batch.is_empty() && budget + len > byte_cap {
-                    break 'plan;
+        let mut retransmits = 0u64;
+        // Admits `entry` if the batch has room; false once it is closed.
+        let mut admit = |entry: &mut SpoolEntry| {
+            let len = entry.payload_len();
+            if !batch.is_empty() && budget + len > byte_cap {
+                return false;
+            }
+            retransmits += u64::from(entry.attempts > 0);
+            entry.attempts += 1;
+            budget += len;
+            let value = entry.value.clone().unwrap_or_default();
+            batch.push((entry.key.clone(), value));
+            budget < byte_cap
+        };
+        // One walk of the queue: criticals are admitted as they are met,
+        // backgrounds line up behind the last of them.
+        let mut backgrounds = Vec::new();
+        let mut open = true;
+        let cloud_bound = self.entries.values_mut().map(|slot| &mut slot.entry);
+        for entry in cloud_bound.filter(|e| e.dest == SpoolDest::Cloud) {
+            match entry.class {
+                SpoolClass::Critical => {
+                    open = admit(entry);
+                    if !open {
+                        break;
+                    }
                 }
-                if entry.attempts > 0 {
-                    self.retransmits += 1;
-                }
-                entry.attempts += 1;
-                budget += len;
-                let value = entry.value.clone().unwrap_or_default();
-                batch.push((entry.key.clone(), value));
-                if budget >= byte_cap {
-                    break 'plan;
+                SpoolClass::Background => backgrounds.push(entry),
+            }
+        }
+        if open {
+            for entry in backgrounds {
+                if !admit(entry) {
+                    break;
                 }
             }
         }
+        self.retransmits += retransmits;
         batch
     }
 
     /// Retires the pending cloud transfer for `key` after its ack
-    /// landed, durably (a WAL delete). Returns the payload length, or
+    /// landed, durably (a tombstone). Returns the payload length, or
     /// `None` for an unknown/already-retired key (stale ack).
     pub fn retire_cloud(&mut self, key: &[u8]) -> Option<u64> {
         // The same key may be pending under both classes: the ack
         // retires whichever was enqueued first.
-        let key = Bytes::copy_from_slice(key);
         let seq = [SpoolClass::Critical, SpoolClass::Background]
             .into_iter()
-            .filter_map(|class| self.index.get(&(class, SpoolDest::Cloud, key.clone())))
-            .min()
-            .copied()?;
+            .filter_map(|class| self.seq_of(class, SpoolDest::Cloud, key))
+            .min()?;
         self.retire(seq).map(|entry| entry.payload_len())
     }
 
@@ -422,7 +648,7 @@ impl UploadSpool {
         let parked: Vec<u64> = self
             .entries
             .iter()
-            .filter(|(_, e)| e.dest == SpoolDest::Node(node))
+            .filter(|(_, slot)| slot.entry.dest == SpoolDest::Node(node))
             .map(|(&seq, _)| seq)
             .collect();
         parked
@@ -434,15 +660,14 @@ impl UploadSpool {
     /// The pending entries in queue order (tests and audits; the drain
     /// planner uses [`UploadSpool::plan_cloud_batch`]).
     pub fn pending(&self) -> impl Iterator<Item = &SpoolEntry> {
-        self.entries.values()
+        self.entries.values().map(|slot| &slot.entry)
     }
 
     /// The distinct node destinations with pending entries, in id order
     /// (the drain loop probes each for reachability).
     pub fn node_dests(&self) -> Vec<NodeId> {
         let mut dests: Vec<NodeId> = self
-            .entries
-            .values()
+            .pending()
             .filter_map(|e| match e.dest {
                 SpoolDest::Node(node) => Some(node),
                 SpoolDest::Cloud => None,
@@ -468,10 +693,17 @@ impl UploadSpool {
         self.high_water
     }
 
-    /// Current durable footprint in bytes (snapshot + tail); bounded by
-    /// the pending set thanks to WAL self-compaction.
+    /// Current durable footprint in bytes (every segment of the log);
+    /// bounded by the pending set: at most twice its frames plus the head
+    /// segment.
     pub fn wal_bytes(&self) -> usize {
-        self.wal.len_bytes()
+        self.log.bytes
+    }
+
+    /// Bytes ever appended to the log, copied-forward frames included:
+    /// over the bytes enqueued, the spool's write amplification.
+    pub fn wal_bytes_written(&self) -> u64 {
+        self.log.written
     }
 
     /// Folds this spool's counters into `stats`.
@@ -620,10 +852,9 @@ mod tests {
     fn recovery_of_a_long_log_is_one_pass_and_exact() {
         // An outage's worth of enqueues with retirements interleaved in
         // both ack order and out of order, across both classes and a
-        // parked hint destination. Compaction is off so the log is the
-        // full history (a snapshot re-orders by record key).
+        // parked hint destination that pins segment after segment.
         const N: usize = 10_000;
-        let mut spool = UploadSpool::new(0);
+        let mut spool = UploadSpool::new(64);
         for i in 0..N {
             let key = bytes(&format!("chunk-{i:05}"));
             let (class, dest, value) = match i % 7 {
@@ -656,6 +887,7 @@ mod tests {
         let after: Vec<SpoolEntry> = recovered.pending().cloned().collect();
         assert_eq!(before, after);
         assert_eq!(recovered.high_water(), before.len() as u64);
+        assert_eq!(recovered.wal_bytes(), spool.wal_bytes());
         // The rebuilt index answers like the original: enqueue stays
         // idempotent, acks find their entry, plans agree.
         let probe = before[before.len() / 2].clone();
@@ -760,19 +992,228 @@ mod tests {
             spool.retire_cloud(&key);
         }
         assert!(spool.is_empty());
-        // 200 puts + 200 deletes flowed through, but compaction folds
-        // retired entries away: the footprint stays near-empty instead
-        // of growing with history.
-        assert!(
-            spool.wal_bytes() < 1024,
-            "spool WAL grew unbounded: {} bytes",
-            spool.wal_bytes()
-        );
+        // 200 puts + 200 tombstones flowed through, but a segment with
+        // nothing pending is dropped: the footprint is empty instead of
+        // growing with history.
+        assert_eq!(spool.wal_bytes(), 0);
         let mut stats = DisasterStats::default();
         spool.fold_into(&mut stats);
         assert_eq!(stats.spool_enqueued, 200);
         assert_eq!(stats.spool_drained, 200);
         assert_eq!(stats.spool_depth, 0);
+    }
+
+    /// Bytes of the put frame `entry` occupies in the log.
+    fn frame_bytes(entry: &SpoolEntry) -> usize {
+        let header = match entry.dest {
+            SpoolDest::Cloud => 10,
+            SpoolDest::Node(_) => 14,
+        };
+        let payload = entry.value.as_ref().map_or(0, Bytes::len);
+        1 + 4 + header + entry.key.len() + 4 + 1 + payload + 8
+    }
+
+    #[test]
+    fn a_fifo_drain_writes_each_payload_byte_once() {
+        let mut spool = UploadSpool::new(64);
+        for i in 0..1_000u32 {
+            let key = Bytes::copy_from_slice(&i.to_be_bytes());
+            let payload = Bytes::from(vec![i as u8; 5 * 1024]);
+            assert!(spool.enqueue(SpoolClass::Critical, SpoolDest::Cloud, key, Some(payload)));
+        }
+        let enqueued = spool.wal_bytes_written();
+        assert_eq!(enqueued as usize, spool.wal_bytes());
+        assert_eq!(
+            enqueued as usize,
+            spool.pending().map(frame_bytes).sum::<usize>()
+        );
+        let mut peak = spool.wal_bytes();
+        while !spool.is_empty() {
+            for (key, _) in spool.plan_cloud_batch(256 * 1024) {
+                assert!(spool.retire_cloud(&key).is_some());
+                peak = peak.max(spool.wal_bytes());
+            }
+        }
+        // Heads are dropped as the drain passes them, so the log never
+        // outgrows what was enqueued by more than the tombstones, and all
+        // that is ever written on top of the put frames is 1 000 21-byte
+        // tombstones plus the last pending entry, copied forward once
+        // when the tombstones behind it outweigh it.
+        assert_eq!(spool.wal_bytes(), 0);
+        assert!(peak <= enqueued as usize + 1_000 * 21);
+        let written = spool.wal_bytes_written();
+        assert!(written - enqueued <= 1_000 * 21 + 5 * 1024 + 64);
+        assert!(written as f64 <= 1.02 * enqueued as f64, "{written}");
+    }
+
+    #[test]
+    fn a_straggler_at_the_head_is_copied_forward_not_left_to_pin_the_log() {
+        let mut spool = UploadSpool::new(8);
+        let hint = bytes("parked");
+        spool.enqueue(
+            SpoolClass::Background,
+            SpoolDest::Node(NodeId(9)),
+            hint.clone(),
+            Some(bytes("hint payload")),
+        );
+        let pinned: Vec<SpoolEntry> = spool.pending().cloned().collect();
+        let live = frame_bytes(&pinned[0]);
+        for i in 0..500u32 {
+            let key = Bytes::copy_from_slice(&i.to_be_bytes());
+            spool.enqueue(
+                SpoolClass::Critical,
+                SpoolDest::Cloud,
+                key.clone(),
+                Some(Bytes::from(vec![7u8; 300])),
+            );
+            spool.retire_cloud(&key);
+            // Never more than twice the hint plus the eight-record
+            // segment it sits in, however much flows past it.
+            assert!(
+                spool.wal_bytes() <= 2 * live + 8 * 400,
+                "{}",
+                spool.wal_bytes()
+            );
+        }
+        let recovered = UploadSpool::recover(spool.clone().into_wal());
+        assert_eq!(recovered.pending().cloned().collect::<Vec<_>>(), pinned);
+        assert_eq!(spool.take_for_node(NodeId(9)), pinned);
+        assert_eq!(spool.wal_bytes(), 0);
+    }
+
+    #[test]
+    fn a_copy_forward_cut_short_by_a_crash_recovers_each_entry_once() {
+        let mut spool = UploadSpool::new(2);
+        for key in ["a", "b", "c", "d", "e"] {
+            let value = Some(bytes("payload"));
+            spool.enqueue(SpoolClass::Critical, SpoolDest::Cloud, bytes(key), value);
+        }
+        spool.retire_cloud(b"b");
+        let before: Vec<SpoolEntry> = spool.pending().cloned().collect();
+        // The head's pending entry has been appended again at the tail,
+        // and the crash came before the head was dropped.
+        let mut log = spool.clone().into_wal();
+        log.append_put(0, &before[0]);
+        let recovered = UploadSpool::recover(log);
+        assert_eq!(recovered.pending().cloned().collect::<Vec<_>>(), before);
+        // The newer copy is the one the entry now answers to.
+        assert_eq!(recovered.entries[&0].segment, 3);
+    }
+
+    #[test]
+    fn a_damaged_log_recovers_to_an_empty_spool() {
+        let mut spool = UploadSpool::new(4);
+        for i in 0..10u8 {
+            spool.enqueue(
+                SpoolClass::Critical,
+                SpoolDest::Cloud,
+                bytes(&format!("k{i}")),
+                Some(Bytes::from(vec![i; 40])),
+            );
+        }
+        let clean = spool.into_wal();
+        assert_eq!(UploadSpool::recover(clean.clone()).depth(), 10);
+        // Every frame answers to its own checksum on replay: one flipped
+        // payload bit anywhere and the log is refused whole.
+        assert_eq!(clean.sealed.len(), 2);
+        for segment in 0..3 {
+            let mut rotted = clean.clone();
+            rotted.segment_mut(segment).frames[30] ^= 0x04;
+            let recovered = UploadSpool::recover(rotted);
+            assert!(recovered.is_empty());
+            assert_eq!(recovered.wal_bytes(), 0);
+        }
+        let mut torn = clean;
+        torn.open.frames.truncate(torn.open.frames.len() - 3);
+        assert!(UploadSpool::recover(torn).is_empty());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const MAX_PAYLOAD: usize = 90;
+        /// Tag, two length fields, node header, one-byte key, presence
+        /// byte, payload, checksum.
+        const MAX_FRAME: usize = 1 + 4 + 14 + 1 + 4 + 1 + MAX_PAYLOAD + 8;
+
+        fn pending(spool: &UploadSpool) -> Vec<SpoolEntry> {
+            spool.pending().cloned().collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Whatever the interleaving of enqueues, acks in and out of
+            /// order, hint deliveries and re-enqueues of retired keys, at
+            /// every step the log alone reproduces the pending queue and
+            /// stays within twice its pending frames plus one segment.
+            #[test]
+            fn the_log_is_the_queue_and_stays_within_its_bound(
+                seal_every in 1u64..9,
+                ops in proptest::collection::vec((0u8..7, any::<u8>(), 0usize..MAX_PAYLOAD), 1..250),
+            ) {
+                let mut spool = UploadSpool::new(seal_every);
+                let mut last_retired: Option<SpoolEntry> = None;
+                for (op, pick, len) in ops {
+                    let cloud: Vec<SpoolEntry> = pending(&spool)
+                        .into_iter()
+                        .filter(|e| e.dest == SpoolDest::Cloud)
+                        .collect();
+                    match op {
+                        // Enqueue: 24 keys, so pending keys collide (refused)
+                        // and retired ones come back.
+                        0..=2 => {
+                            let (class, dest) = match pick % 5 {
+                                0 => (SpoolClass::Background, SpoolDest::Node(NodeId(u32::from(pick % 2)))),
+                                1 => (SpoolClass::Background, SpoolDest::Cloud),
+                                _ => (SpoolClass::Critical, SpoolDest::Cloud),
+                            };
+                            let value = (len > 0).then(|| Bytes::from(vec![pick; len]));
+                            spool.enqueue(class, dest, Bytes::from(vec![pick % 24]), value);
+                        }
+                        // An ack: for the oldest cloud entry, or for one
+                        // anywhere in the queue.
+                        3 | 4 if !cloud.is_empty() => {
+                            let at = if op == 3 { 0 } else { usize::from(pick) % cloud.len() };
+                            prop_assert!(spool.retire_cloud(&cloud[at].key).is_some());
+                            last_retired = Some(cloud[at].clone());
+                        }
+                        // A node comes back and takes its hints.
+                        5 => {
+                            spool.take_for_node(NodeId(u32::from(pick % 2)));
+                        }
+                        // The entry retired last is spooled again.
+                        6 => {
+                            if let Some(e) = &last_retired {
+                                spool.enqueue(e.class, e.dest, e.key.clone(), e.value.clone());
+                            }
+                        }
+                        _ => {}
+                    }
+                    let live: usize = spool.pending().map(frame_bytes).sum();
+                    prop_assert!(
+                        spool.wal_bytes() <= 2 * live + seal_every as usize * MAX_FRAME,
+                        "{} bytes for {live} live", spool.wal_bytes()
+                    );
+                    let recovered = UploadSpool::recover(spool.clone().into_wal());
+                    prop_assert_eq!(pending(&recovered), pending(&spool));
+                    prop_assert_eq!(recovered.wal_bytes(), spool.wal_bytes());
+                }
+                // The recovered spool is a working spool: drained dry, its
+                // log is gone.
+                let mut recovered = UploadSpool::recover(spool.into_wal());
+                for node in recovered.node_dests() {
+                    recovered.take_for_node(node);
+                }
+                while !recovered.is_empty() {
+                    for (key, _) in recovered.plan_cloud_batch(u64::MAX) {
+                        recovered.retire_cloud(&key);
+                    }
+                }
+                prop_assert_eq!(recovered.wal_bytes(), 0);
+            }
+        }
     }
 
     #[test]

@@ -398,9 +398,10 @@ const WAL_TAG_DELETE: u8 = 2;
 /// `tag(u8) · key_len(u32 LE) · key [· val_len(u32 LE) · val] · crc(u64 LE)`,
 /// where the trailing checksum covers every preceding byte of the record.
 /// Key and value arrive as parts that are written back to back, so a
-/// caller that prefixes a header to a payload (the upload spool) never
-/// has to join them in a buffer of its own first.
-fn encode_record(buf: &mut Vec<u8>, key: &[&[u8]], value: Option<&[&[u8]]>) {
+/// caller that prefixes a header to a payload (the upload spool's own
+/// log, which shares this framing) never has to join them in a buffer
+/// of its own first.
+pub(crate) fn encode_record(buf: &mut Vec<u8>, key: &[&[u8]], value: Option<&[&[u8]]>) {
     fn field(buf: &mut Vec<u8>, parts: &[&[u8]]) {
         let len: usize = parts.iter().map(|part| part.len()).sum();
         buf.extend_from_slice(&(len as u32).to_le_bytes());
@@ -425,18 +426,18 @@ fn encode_record(buf: &mut Vec<u8>, key: &[&[u8]], value: Option<&[&[u8]]>) {
 /// One record located in place: byte ranges into the section it was
 /// read from. `end` is the offset of the next frame; the bytes
 /// `start..end` are exactly what [`encode_record`] emitted.
-struct Frame {
-    key: std::ops::Range<usize>,
+pub(crate) struct Frame {
+    pub(crate) key: std::ops::Range<usize>,
     /// `None` for a delete.
-    value: Option<std::ops::Range<usize>>,
-    end: usize,
+    pub(crate) value: Option<std::ops::Range<usize>>,
+    pub(crate) end: usize,
 }
 
 /// Locates the frame starting at `offset` and verifies its trailing
 /// checksum, without copying anything out; `Ok(None)` at end of input.
 /// The one framing parser: [`decode_record`] copies out of the frame it
 /// returns, compaction walks frames in place.
-fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
+pub(crate) fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
     if offset == bytes.len() {
         return Ok(None);
     }
@@ -518,6 +519,12 @@ fn decode_section(bytes: &[u8]) -> Result<Vec<WalRecord>, WalError> {
 /// amortized O(1) while disk growth stays within ~2x the live set for
 /// workloads that overwrite or delete.
 ///
+/// That shape fits a key-value *state* — an index shard, where a key is
+/// overwritten in place and the live set is what matters. A queue whose
+/// records are written once and retired in arrival order (the upload
+/// spool) keeps its own log, [`SpoolLog`](crate::SpoolLog), with this
+/// log's framing and none of its snapshots.
+///
 /// # Example
 ///
 /// ```
@@ -584,19 +591,18 @@ impl WriteAheadLog {
 
     /// Appends a put record.
     pub fn append_put(&mut self, key: &[u8], value: &[u8]) {
-        self.append(&[key], Some(&[value]));
+        encode_record(&mut self.tail, &[key], Some(&[value]));
+        self.record_appended();
     }
 
     /// Appends a delete (tombstone) record.
     pub fn append_delete(&mut self, key: &[u8]) {
-        self.append(&[key], None);
+        encode_record(&mut self.tail, &[key], None);
+        self.record_appended();
     }
 
-    /// Appends one record whose key and value are the concatenations of
-    /// the given parts (`None` value: a delete), written straight into
-    /// the tail.
-    pub(crate) fn append(&mut self, key: &[&[u8]], value: Option<&[&[u8]]>) {
-        encode_record(&mut self.tail, key, value);
+    /// Counts the record just written to the tail; compacts if due.
+    fn record_appended(&mut self) {
         self.tail_records += 1;
         self.appended += 1;
         self.maybe_snapshot();
@@ -714,8 +720,8 @@ impl WriteAheadLog {
     /// snapshot itself (but never before `snapshot_every` records). A
     /// fixed cadence rewrites the whole live set every `snapshot_every`
     /// appends — O(state) work at O(1) intervals, quadratic on a
-    /// monotonically growing state like an upload spool absorbing a long
-    /// outage. The ratio spaces compactions geometrically, so each
+    /// monotonically growing state like an index shard taking in fresh
+    /// fingerprints. The ratio spaces compactions geometrically, so each
     /// record is rewritten O(1) amortized times while the footprint
     /// stays within ~2x the live set. A known-corrupt log never
     /// compacts: it is kept as-is for recovery and diagnosis.
@@ -1326,7 +1332,7 @@ mod tests {
             self.snapshots_taken += 1;
         }
 
-        /// `append` with the reference compaction.
+        /// `append_put` / `append_delete` with the reference compaction.
         fn append_reference(&mut self, key: &[u8], value: Option<&[u8]>) {
             encode_record(
                 &mut self.tail,
@@ -1384,7 +1390,10 @@ mod tests {
                 let key = [b'k', key];
                 let value = vec![key[1] ^ step as u8; len];
                 let value = (op != 0).then_some(value.as_slice());
-                log.append(&[&key], value.as_ref().map(std::slice::from_ref));
+                match value {
+                    Some(value) => log.append_put(&key, value),
+                    None => log.append_delete(&key),
+                }
                 reference.append_reference(&key, value);
                 prop_assert_eq!(&log, &reference, "diverged at step {}", step);
             }

@@ -8,10 +8,12 @@
 //!   chunk wrongly judged already-stored would be dropped: data loss),
 //! * **zero lost chunks** — every chunk acked unique is durable
 //!   somewhere at the horizon: the cloud catalog, a live ring replica,
-//!   or a WAL-backed spool entry still awaiting drain,
-//! * **bounded spool memory** — snapshot compaction keeps each spool's
-//!   durable footprint proportional to its *pending* entries, not the
-//!   full enqueue/retire history of the run,
+//!   or a log-backed spool entry still awaiting drain,
+//! * **bounded spool memory** — the spool log drops a segment once
+//!   nothing in it is pending (and copies a straggler at its head
+//!   forward), which keeps each spool's durable footprint proportional
+//!   to its *pending* entries, not the full enqueue/retire history of
+//!   the run,
 //! * **determinism** — every disaster run replays bit-identically from
 //!   its seed, cloud catalog included.
 //!
@@ -92,8 +94,8 @@ fn run_disaster(seed: u64) -> (Vec<OpLatency>, HashMap<OpId, u32>, SimCluster) {
 }
 
 /// 20 seeds of composed disasters: zero false duplicates, every
-/// unique-acked chunk still durable at the horizon, spool WALs bounded
-/// by compaction, and the sweep actually drives the disaster machinery
+/// unique-acked chunk still durable at the horizon, spool logs bounded
+/// by segment drop, and the sweep actually drives the disaster machinery
 /// (outage windows suspended drains, rings were wiped and mesh-repaired,
 /// hints crossed into the durable spool).
 #[test]
@@ -144,7 +146,7 @@ fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
 
         // Zero lost chunks: every key acked unique is durable somewhere
         // at the horizon — drained to the cloud catalog, held by a live
-        // ring replica, or still pending in a WAL-backed spool.
+        // ring replica, or still pending in a log-backed spool.
         let members = cluster.network().topology().edge_nodes();
         for &key in uniques.keys() {
             let kb = Bytes::from(key.to_be_bytes().to_vec());
@@ -166,14 +168,15 @@ fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
             );
         }
 
-        // Bounded spool memory: snapshot compaction keeps each durable
-        // spool WAL small even after a whole run of enqueue/retire
-        // churn (an uncompacted log would grow with history).
+        // Bounded spool memory: dropping drained segments (and copying
+        // a pinned head forward) keeps each durable spool log small
+        // even after a whole run of enqueue/retire churn (a log that
+        // only grew would grow with history).
         for &m in &members {
             if let Some(spool) = cluster.spool(m) {
                 assert!(
                     spool.wal_bytes() < 64 * 1024,
-                    "seed {seed}: node {m} spool WAL grew to {} bytes",
+                    "seed {seed}: node {m} spool log grew to {} bytes",
                     spool.wal_bytes()
                 );
             }
