@@ -4,15 +4,12 @@
 //! K = 3 pools (sizes searched to 200 000, probabilities in steps of
 //! 0.01) and reports MSE < 0.3 with average estimation error < 4 %.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{estimation_experiment, DatasetKind};
 
 fn main() {
     let chunks = if quick_mode() { 300 } else { 800 };
     let slots = estimation_experiment(DatasetKind::Accelerometer, 1, chunks, 42);
-    if maybe_json(&slots) {
-        return;
-    }
     let slot = &slots[0];
     header("Fig. 2 — real vs estimated dedup ratio (accelerometer, slot 0)");
     println!(

@@ -5,15 +5,12 @@
 //! seconds with even smaller errors", and the error generally decreases
 //! across time.
 
-use ef_bench::{header, maybe_json, quick_mode};
+use ef_bench::{header, quick_mode};
 use efdedup::experiments::{estimation_experiment, DatasetKind};
 
 fn main() {
     let (slots_n, chunks) = if quick_mode() { (2, 300) } else { (4, 800) };
     let slots = estimation_experiment(DatasetKind::Accelerometer, slots_n, chunks, 42);
-    if maybe_json(&slots) {
-        return;
-    }
     header("Fig. 3 — estimation error across time slots (warm-started)");
     println!(
         "{:<6} {:>10} {:>14} {:>12} {:>8}",

@@ -5,7 +5,7 @@
 //! 38.3 % / 59.8 % on dataset 1 and 67.4 % / 118.5 % on dataset 2 (on
 //! average), and SMART's throughput grows with the node count.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{throughput_vs_nodes, DatasetKind, SweepConfig};
 
 fn main() {
@@ -18,40 +18,33 @@ fn main() {
         chunks_per_node: if quick_mode() { 400 } else { 2_000 },
         ..SweepConfig::default()
     };
-    let mut all = Vec::new();
     for kind in [DatasetKind::Accelerometer, DatasetKind::TrafficVideo] {
         let pts = throughput_vs_nodes(kind, counts, &sweep);
-        if !ef_bench::json_mode() {
-            header(&format!(
-                "Fig. 5(a) — aggregate dedup throughput (MB/s), dataset: {}",
-                kind.label()
-            ));
+        header(&format!(
+            "Fig. 5(a) — aggregate dedup throughput (MB/s), dataset: {}",
+            kind.label()
+        ));
+        println!(
+            "{:>6} {:>12} {:>16} {:>12} {:>14} {:>14}",
+            "nodes", "SMART", "Cloud-Assisted", "Cloud-Only", "vs CA", "vs CO"
+        );
+        for &n in counts {
+            let get = |s: &str| {
+                pts.iter()
+                    .find(|p| p.x == n as f64 && p.strategy == s)
+                    .map(|p| p.throughput_mbps)
+                    .unwrap_or(f64::NAN)
+            };
+            let (sm, ca, co) = (get("SMART"), get("Cloud-Assisted"), get("Cloud-Only"));
             println!(
-                "{:>6} {:>12} {:>16} {:>12} {:>14} {:>14}",
-                "nodes", "SMART", "Cloud-Assisted", "Cloud-Only", "vs CA", "vs CO"
+                "{n:>6} {} {} {} {:>+13.1}% {:>+13.1}%",
+                fmt(sm),
+                fmt(ca),
+                fmt(co),
+                (sm / ca - 1.0) * 100.0,
+                (sm / co - 1.0) * 100.0
             );
-            for &n in counts {
-                let get = |s: &str| {
-                    pts.iter()
-                        .find(|p| p.x == n as f64 && p.strategy == s)
-                        .map(|p| p.throughput_mbps)
-                        .unwrap_or(f64::NAN)
-                };
-                let (sm, ca, co) = (get("SMART"), get("Cloud-Assisted"), get("Cloud-Only"));
-                println!(
-                    "{n:>6} {} {} {} {:>+13.1}% {:>+13.1}%",
-                    fmt(sm),
-                    fmt(ca),
-                    fmt(co),
-                    (sm / ca - 1.0) * 100.0,
-                    (sm / co - 1.0) * 100.0
-                );
-            }
         }
-        all.extend(pts);
     }
-    maybe_json(&all);
-    if !ef_bench::json_mode() {
-        println!("\npaper: SMART +38.3%/+59.8% (ds1), +67.4%/+118.5% (ds2) vs CA/CO");
-    }
+    println!("\npaper: SMART +38.3%/+59.8% (ds1), +67.4%/+118.5% (ds2) vs CA/CO");
 }

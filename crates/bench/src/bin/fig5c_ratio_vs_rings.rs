@@ -4,7 +4,7 @@
 //! cloud-based (global) ratio, and approaches it quickly as rings get
 //! fewer/larger.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{ratio_vs_rings, DatasetKind, SweepConfig};
 
 fn main() {
@@ -17,34 +17,27 @@ fn main() {
         chunks_per_node: if quick_mode() { 400 } else { 2_000 },
         ..SweepConfig::default()
     };
-    let mut all = Vec::new();
     for kind in [DatasetKind::Accelerometer, DatasetKind::TrafficVideo] {
         let pts = ratio_vs_rings(kind, rings, 20, &sweep);
-        if !ef_bench::json_mode() {
-            header(&format!(
-                "Fig. 5(c) — dedup ratio vs number of D2-rings, dataset: {}",
-                kind.label()
-            ));
-            println!("{:>8} {:>12}", "rings", "ratio");
-            for p in &pts {
-                if p.strategy == "SMART" {
-                    println!("{:>8} {}", p.x as usize, fmt(p.dedup_ratio));
-                }
+        header(&format!(
+            "Fig. 5(c) — dedup ratio vs number of D2-rings, dataset: {}",
+            kind.label()
+        ));
+        println!("{:>8} {:>12}", "rings", "ratio");
+        for p in &pts {
+            if p.strategy == "SMART" {
+                println!("{:>8} {}", p.x as usize, fmt(p.dedup_ratio));
             }
-            let cloud = pts
-                .iter()
-                .find(|p| p.strategy == "Cloud (global)")
-                .expect("cloud bound present");
-            println!(
-                "{:>8} {}   <- cloud-based upper bound",
-                "global",
-                fmt(cloud.dedup_ratio)
-            );
         }
-        all.extend(pts);
+        let cloud = pts
+            .iter()
+            .find(|p| p.strategy == "Cloud (global)")
+            .expect("cloud bound present");
+        println!(
+            "{:>8} {}   <- cloud-based upper bound",
+            "global",
+            fmt(cloud.dedup_ratio)
+        );
     }
-    maybe_json(&all);
-    if !ef_bench::json_mode() {
-        println!("\npaper: fewer rings -> ratio approaches the cloud bound");
-    }
+    println!("\npaper: fewer rings -> ratio approaches the cloud bound");
 }

@@ -5,7 +5,7 @@
 //! Paper result: storage cost increases with more rings (less dedup);
 //! network cost increases with larger rings (more cross-cloud lookups).
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{tradeoff_sweep, DatasetKind, SweepConfig};
 
 fn main() {
@@ -19,9 +19,6 @@ fn main() {
         ..SweepConfig::default()
     };
     let pts = tradeoff_sweep(DatasetKind::Accelerometer, rings, &[5.0], &sweep);
-    if maybe_json(&pts) {
-        return;
-    }
     header("Fig. 6(a) — storage & network cost vs number of rings (ds1, inter-cloud 5ms)");
     println!(
         "{:>8} {:>14} {:>16} {:>12}",

@@ -5,7 +5,7 @@
 //! them) win — the dedup gain outweighs the lookup cost; above 15 ms the
 //! trend flips.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{tradeoff_sweep, DatasetKind, SweepConfig};
 
 fn main() {
@@ -24,9 +24,6 @@ fn main() {
         ..SweepConfig::default()
     };
     let pts = tradeoff_sweep(DatasetKind::Accelerometer, rings, lats, &sweep);
-    if maybe_json(&pts) {
-        return;
-    }
     header("Fig. 6(b) — aggregate throughput (MB/s) vs ring count × inter-cloud latency (ds1)");
     print!("{:>14}", "rings \\ lat");
     for &l in lats {

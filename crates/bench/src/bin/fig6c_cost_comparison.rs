@@ -4,7 +4,7 @@
 //! Paper result: Network-Only and Dedup-Only incur 1.26× and 1.31× the
 //! aggregate cost of SMART.
 
-use ef_bench::{fmt, header, maybe_json};
+use ef_bench::{fmt, header};
 use efdedup::experiments::{cost_comparison, DatasetKind};
 
 fn main() {
@@ -18,9 +18,6 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(0.02);
     let rows = cost_comparison(DatasetKind::Accelerometer, alpha, 5, 42);
-    if maybe_json(&rows) {
-        return;
-    }
     header(&format!(
         "Fig. 6(c) — aggregate cost comparison (ds1, alpha = {alpha})"
     ));

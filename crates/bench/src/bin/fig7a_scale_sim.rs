@@ -6,7 +6,7 @@
 //! Network-Only / Dedup-Only at 500 nodes, with the margin growing with
 //! scale.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{scale_sweep, DatasetKind};
 
 fn main() {
@@ -16,9 +16,6 @@ fn main() {
         &[50, 100, 200, 300, 400, 500]
     };
     let rows = scale_sweep(DatasetKind::TrafficVideo, counts, 0.001, 20, 42);
-    if maybe_json(&rows) {
-        return;
-    }
     header("Fig. 7(a) — simulated costs vs node count (ds2, alpha = 0.001, 20 rings)");
     println!(
         "{:>7} {:<14} {:>14} {:>14} {:>14} {:>10}",

@@ -4,7 +4,7 @@
 //! storage cost rises — α tunes the network-storage trade-off; at
 //! α = 0.001 SMART beats Network-Only/Dedup-Only by 60.2 %/45.1 %.
 
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use efdedup::experiments::{alpha_sweep, DatasetKind};
 
 fn main() {
@@ -15,9 +15,6 @@ fn main() {
     };
     let nodes = if quick_mode() { 60 } else { 200 };
     let rows = alpha_sweep(DatasetKind::TrafficVideo, alphas, nodes, 20, 42);
-    if maybe_json(&rows) {
-        return;
-    }
     header(&format!(
         "Fig. 7(b) — simulated costs vs alpha (ds2, {nodes} nodes, 20 rings)"
     ));

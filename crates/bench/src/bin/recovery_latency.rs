@@ -10,19 +10,18 @@
 //! of more tree exchanges on the wire.
 
 use bytes::Bytes;
-use ef_bench::{fmt, header, maybe_json, quick_mode};
+use ef_bench::{fmt, header, quick_mode};
 use ef_chunking::ChunkHash;
 use ef_kvstore::{
     ChaosEvent, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, SimCluster,
 };
 use ef_netsim::{Network, NetworkConfig, NodeId, TopologyBuilder};
 use ef_simcore::{SimDuration, SimTime};
-use serde::Serialize;
 
 const MERKLE_DEPTH: u32 = 6;
 
 /// One measured point: a seed × anti-entropy-interval cell.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct Point {
     interval_ms: u64,
     seed: u64,
@@ -130,62 +129,53 @@ fn main() {
             }
         }
     }
-    if !ef_bench::json_mode() {
-        header("Recovery latency vs anti-entropy interval (crash-stop + departure)");
-        println!(
-            "{:>14} {:>12} {:>12} {:>12} {:>14} {:>10} {:>6}",
-            "interval (ms)",
-            "median (ms)",
-            "max (ms)",
-            "rounds/run",
-            "repaired/run",
-            "wal/run",
-            "runs"
-        );
-        for &ms in &intervals {
-            let mut lat: Vec<f64> = all
-                .iter()
-                .filter(|p| p.interval_ms == ms)
-                .map(|p| p.recovery_ms)
-                .collect();
-            if lat.is_empty() {
-                continue;
-            }
-            lat.sort_by(|a, b| a.total_cmp(b));
-            let median = lat[lat.len() / 2];
-            let max = lat[lat.len() - 1];
-            let n = lat.len();
-            let rounds: u64 = all
-                .iter()
-                .filter(|p| p.interval_ms == ms)
-                .map(|p| p.antientropy_rounds)
-                .sum();
-            let repaired: u64 = all
-                .iter()
-                .filter(|p| p.interval_ms == ms)
-                .map(|p| p.entries_repaired)
-                .sum();
-            let wal: u64 = all
-                .iter()
-                .filter(|p| p.interval_ms == ms)
-                .map(|p| p.wal_records_replayed)
-                .sum();
-            let max_seed = all
-                .iter()
-                .filter(|p| p.interval_ms == ms)
-                .max_by(|a, b| a.recovery_ms.total_cmp(&b.recovery_ms))
-                .map(|p| p.seed)
-                .unwrap_or(0);
-            println!(
-                "{ms:>14} {} {} {:>12.1} {:>14.1} {:>10.1} {n:>6}  (slowest: seed {max_seed})",
-                fmt(median),
-                fmt(max),
-                rounds as f64 / n as f64,
-                repaired as f64 / n as f64,
-                wal as f64 / n as f64,
-            );
+    header("Recovery latency vs anti-entropy interval (crash-stop + departure)");
+    println!(
+        "{:>14} {:>12} {:>12} {:>12} {:>14} {:>10} {:>6}",
+        "interval (ms)", "median (ms)", "max (ms)", "rounds/run", "repaired/run", "wal/run", "runs"
+    );
+    for &ms in &intervals {
+        let mut lat: Vec<f64> = all
+            .iter()
+            .filter(|p| p.interval_ms == ms)
+            .map(|p| p.recovery_ms)
+            .collect();
+        if lat.is_empty() {
+            continue;
         }
-        println!("\nrecovery = restart event -> first clean anti-entropy round for the node");
+        lat.sort_by(|a, b| a.total_cmp(b));
+        let median = lat[lat.len() / 2];
+        let max = lat[lat.len() - 1];
+        let n = lat.len();
+        let rounds: u64 = all
+            .iter()
+            .filter(|p| p.interval_ms == ms)
+            .map(|p| p.antientropy_rounds)
+            .sum();
+        let repaired: u64 = all
+            .iter()
+            .filter(|p| p.interval_ms == ms)
+            .map(|p| p.entries_repaired)
+            .sum();
+        let wal: u64 = all
+            .iter()
+            .filter(|p| p.interval_ms == ms)
+            .map(|p| p.wal_records_replayed)
+            .sum();
+        let max_seed = all
+            .iter()
+            .filter(|p| p.interval_ms == ms)
+            .max_by(|a, b| a.recovery_ms.total_cmp(&b.recovery_ms))
+            .map(|p| p.seed)
+            .unwrap_or(0);
+        println!(
+            "{ms:>14} {} {} {:>12.1} {:>14.1} {:>10.1} {n:>6}  (slowest: seed {max_seed})",
+            fmt(median),
+            fmt(max),
+            rounds as f64 / n as f64,
+            repaired as f64 / n as f64,
+            wal as f64 / n as f64,
+        );
     }
-    maybe_json(&all);
+    println!("\nrecovery = restart event -> first clean anti-entropy round for the node");
 }

@@ -1,9 +1,8 @@
 //! # ef-bench — the experiment harness
 //!
 //! One binary per figure of the paper's evaluation (Sec. V); each prints
-//! the figure's rows/series to stdout (and JSON with `--json`). See
-//! `EXPERIMENTS.md` for paper-vs-measured records and DESIGN.md §3 for
-//! the experiment index.
+//! the figure's rows/series to stdout. See `EXPERIMENTS.md` for
+//! paper-vs-measured records and DESIGN.md §3 for the experiment index.
 //!
 //! | Binary | Paper figure |
 //! |---|---|
@@ -36,31 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::Serialize;
-
-/// True when `--json` was passed on the command line.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
 /// True when `--quick` was passed: binaries shrink their sweeps for smoke
 /// runs (used by the integration tests).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Prints a serializable result set as JSON when `--json` is active.
-/// Returns whether it printed.
-pub fn maybe_json<T: Serialize>(value: &T) -> bool {
-    if json_mode() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(value).expect("results serialize")
-        );
-        true
-    } else {
-        false
-    }
 }
 
 /// Prints a section header.

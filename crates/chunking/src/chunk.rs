@@ -2,7 +2,6 @@
 
 use crate::sha256::Sha256;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,7 +23,7 @@ use std::str::FromStr;
 /// let parsed: ChunkHash = h.to_string().parse().unwrap();
 /// assert_eq!(parsed, h);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkHash([u8; 32]);
 
 impl ChunkHash {

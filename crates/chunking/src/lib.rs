@@ -11,7 +11,7 @@
 //!   lists variable-size chunking as future work; we provide it as an
 //!   extension),
 //! * [`Sha256`] / [`sha256`] — FIPS 180-4 SHA-256 implemented in-repo (the
-//!   offline dependency allow-list has no crypto crate),
+//!   workspace takes no third-party crate),
 //! * [`ChunkHash`] — a 32-byte content fingerprint with a cheap 64-bit
 //!   prefix for sharding,
 //! * [`ChunkIndex`] / [`InMemoryChunkIndex`] — the dedup index abstraction

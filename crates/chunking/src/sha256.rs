@@ -1,8 +1,8 @@
 //! SHA-256 (FIPS 180-4) implemented from scratch.
 //!
-//! The offline dependency allow-list for this reproduction contains no
-//! cryptographic crate, so the chunk-content hash the paper's Dedup Agent
-//! relies on is implemented here and validated against the official NIST
+//! This reproduction builds from its own tree alone, so the chunk-content
+//! hash the paper's Dedup Agent relies on is implemented here and
+//! validated against the official NIST
 //! test vectors. Every content-address check in the system — ingest
 //! fingerprints, the cloud tier's verify-on-put and verify-on-get, PoP
 //! digests — ends in one function, `compress_blocks`, so this module is
@@ -662,7 +662,7 @@ fn padded_block(msg: &[u8], index: usize) -> [u8; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ef_simcore::prop::{any, check, vec};
 
     type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
 
@@ -870,53 +870,60 @@ mod tests {
         assert_eq!(h.finalize(), h2.finalize());
     }
 
-    proptest! {
-        /// The selected kernel (the hardware one where the build has it)
-        /// and the portable kernel agree on random messages fed through
-        /// random `update` split points.
-        #[test]
-        fn kernels_agree_on_random_messages_and_splits(
-            data in proptest::collection::vec(any::<u8>(), 0..20_000),
-            cuts in proptest::collection::vec(0usize..20_000, 0..8),
-        ) {
-            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
-            cuts.sort_unstable();
-            let mut pieces: Vec<&[u8]> = Vec::new();
-            let mut start = 0;
-            for cut in cuts {
-                pieces.push(&data[start..cut]);
-                start = cut;
-            }
-            pieces.push(&data[start..]);
-            let [(_, portable), (_, selected)] = KERNELS;
-            let expected = digest_on(portable, &[&data]);
-            prop_assert_eq!(digest_on(portable, &pieces), expected);
-            prop_assert_eq!(digest_on(selected, &pieces), expected);
-            prop_assert_eq!(Sha256::digest(&data), expected);
-        }
-
-        /// One call over a run of blocks is the same chain of compressions
-        /// as one call per block, from any chaining value.
-        #[test]
-        fn a_run_of_blocks_equals_single_block_calls(
-            state in proptest::array::uniform8(any::<u32>()),
-            bytes in proptest::collection::vec(any::<u8>(), 192..193),
-        ) {
-            let blocks = bytes.as_chunks::<64>().0;
-            let mut expected = state;
-            for block in blocks {
-                compress_blocks_portable(&mut expected, std::slice::from_ref(block));
-            }
-            for (_, kernel) in KERNELS {
-                let mut run = state;
-                kernel(&mut run, blocks);
-                prop_assert_eq!(run, expected);
-                let mut single = state;
-                for block in blocks {
-                    kernel(&mut single, std::slice::from_ref(block));
+    /// The selected kernel (the hardware one where the build has it)
+    /// and the portable kernel agree on random messages fed through
+    /// random `update` split points.
+    #[test]
+    fn kernels_agree_on_random_messages_and_splits() {
+        check(
+            "kernels_agree_on_random_messages_and_splits",
+            256,
+            (vec(any::<u8>(), 0..20_000), vec(0usize..20_000, 0..8)),
+            |(data, cuts)| {
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+                cuts.sort_unstable();
+                let mut pieces: Vec<&[u8]> = Vec::new();
+                let mut start = 0;
+                for cut in cuts {
+                    pieces.push(&data[start..cut]);
+                    start = cut;
                 }
-                prop_assert_eq!(single, expected);
-            }
-        }
+                pieces.push(&data[start..]);
+                let [(_, portable), (_, selected)] = KERNELS;
+                let expected = digest_on(portable, &[&data]);
+                assert_eq!(digest_on(portable, &pieces), expected);
+                assert_eq!(digest_on(selected, &pieces), expected);
+                assert_eq!(Sha256::digest(&data), expected);
+            },
+        );
+    }
+
+    /// One call over a run of blocks is the same chain of compressions
+    /// as one call per block, from any chaining value.
+    #[test]
+    fn a_run_of_blocks_equals_single_block_calls() {
+        check(
+            "a_run_of_blocks_equals_single_block_calls",
+            256,
+            (vec(any::<u32>(), 8..9), vec(any::<u8>(), 192..193)),
+            |(state, bytes)| {
+                let state: [u32; 8] = state.try_into().unwrap();
+                let blocks = bytes.as_chunks::<64>().0;
+                let mut expected = state;
+                for block in blocks {
+                    compress_blocks_portable(&mut expected, std::slice::from_ref(block));
+                }
+                for (_, kernel) in KERNELS {
+                    let mut run = state;
+                    kernel(&mut run, blocks);
+                    assert_eq!(run, expected);
+                    let mut single = state;
+                    for block in blocks {
+                        kernel(&mut single, std::slice::from_ref(block));
+                    }
+                    assert_eq!(single, expected);
+                }
+            },
+        );
     }
 }

@@ -8,12 +8,11 @@
 
 use crate::store::{ChunkStore, IntegrityError};
 use ef_chunking::{fingerprint_batch, ChunkHash, Chunker};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a stored file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
 impl fmt::Display for FileId {
@@ -23,7 +22,7 @@ impl fmt::Display for FileId {
 }
 
 /// A file recipe: ordered chunk references and the original length.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Ordered chunk hashes with their lengths.
     pub chunks: Vec<(ChunkHash, u32)>,

@@ -27,11 +27,10 @@
 //! sequence.
 
 use ef_chunking::ChunkHash;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What to do when an incoming chunk turns out to be a duplicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DefragPolicy {
     /// Never rewrite: duplicates always reference their original
     /// container (maximum dedup, worst long-horizon restore locality).
@@ -185,7 +184,7 @@ pub fn restore_profile(layout: &ContainerLayout, chunks: &[ChunkHash]) -> Restor
 /// stayed in the same container (1.0 = perfectly sequential);
 /// `node_fragmentation_mean` is the mean distinct *serving nodes* per
 /// restore (1.0 when a single endpoint serves everything).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RestoreStats {
     /// Logical restores profiled.
     pub restores: u64,

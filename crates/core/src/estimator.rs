@@ -25,11 +25,10 @@ use ef_chunking::{joint_dedup_ratio, Chunker};
 use ef_datagen::CharacteristicVector;
 use ef_simcore::stats::{mean_relative_error, mse};
 use ef_simcore::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Measured dedup ratios of probe subsets of sampled files — the ground
 /// truth Algorithm 1 fits against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     /// Probe subsets (indices into the sampled sources).
     pub subsets: Vec<Vec<usize>>,
@@ -85,7 +84,7 @@ impl GroundTruth {
 }
 
 /// The fitted chunk-pool model returned by the estimator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FittedModel {
     /// Fitted pool sizes `s_k`.
     pub pool_sizes: Vec<u64>,
@@ -126,7 +125,7 @@ impl FittedModel {
 }
 
 /// Configuration for the Algorithm 1 search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
     /// Number of chunk pools `K` to fit (the paper's validation uses 3).
     pub pools: usize,

@@ -12,10 +12,9 @@ use ef_datagen::datasets::Dataset;
 use ef_datagen::{datasets, CharacteristicVector, GenerativeModel, SourceSpec};
 use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
 use ef_simcore::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two IoT datasets an experiment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// Dataset 1: accelerometer traces.
     Accelerometer,
@@ -84,7 +83,7 @@ pub fn instance_for(
 // ---------------------------------------------------------------------------
 
 /// One (real, estimated) dedup-ratio pair of the Fig. 2 validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EstimationRow {
     /// Probe subset (source indices).
     pub subset: Vec<usize>,
@@ -95,7 +94,7 @@ pub struct EstimationRow {
 }
 
 /// Result of one estimation time slot (Figs. 2 and 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EstimationSlot {
     /// The time slot index.
     pub slot: u32,
@@ -190,7 +189,7 @@ fn estimation_slots(
 // ---------------------------------------------------------------------------
 
 /// One strategy's result at one sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyPoint {
     /// Sweep coordinate (node count, latency ms, ring count, …).
     pub x: f64,
@@ -349,7 +348,7 @@ pub fn ratio_vs_rings(
 // ---------------------------------------------------------------------------
 
 /// One Fig. 6(a)/(b) sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffPoint {
     /// Number of rings (6a) or ring-size sweep coordinate (6b).
     pub rings: usize,
@@ -400,7 +399,7 @@ pub fn tradeoff_sweep(
 }
 
 /// One Fig. 6(c)/Fig. 7 cost-comparison row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostRow {
     /// Algorithm label.
     pub algorithm: String,

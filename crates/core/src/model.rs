@@ -8,7 +8,6 @@
 
 use crate::partition::Partition;
 use ef_datagen::{CharacteristicVector, GenerativeModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing a [`Snod2Instance`].
@@ -55,7 +54,7 @@ impl fmt::Display for InstanceError {
 impl std::error::Error for InstanceError {}
 
 /// The costs of a partition under the SNOD2 objective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PartitionCost {
     /// Total storage cost `Σ U(P_s)` in expected unique chunks.
     pub storage: f64,
@@ -69,7 +68,7 @@ pub struct PartitionCost {
 ///
 /// Nodes are indexed `0..n`; index `i` corresponds to row/column `i` of
 /// the cost matrix and entry `i` of the rates/vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snod2Instance {
     pool_sizes: Vec<u64>,
     rates: Vec<f64>,

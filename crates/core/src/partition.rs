@@ -15,7 +15,6 @@
 
 use crate::model::Snod2Instance;
 use ef_simcore::DetRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by [`Partition::validate`] / [`Partition::new`].
@@ -48,7 +47,7 @@ impl std::error::Error for PartitionError {}
 ///
 /// Rings are kept sorted internally (both within a ring and by first
 /// element across rings) so structurally equal partitions compare equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     rings: Vec<Vec<usize>>,
 }

@@ -14,7 +14,6 @@
 
 use crate::estimator::GroundTruth;
 use ef_chunking::ChunkHash;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A MinHash signature: for each of `h` hash permutations, the minimum
@@ -31,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// let sig_a2 = MinHashSignature::from_hashes(a.iter().copied(), 128);
 /// assert_eq!(sig_a.jaccard(&sig_a2), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHashSignature {
     mins: Vec<u64>,
     /// Number of distinct chunks summarized (exact, tracked alongside).

@@ -1,14 +1,12 @@
 //! System configuration and calibration constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated parameters of the Dedup Agent pipeline and its substrate.
 ///
 /// Defaults approximate the paper's testbed (4-VCPU/8 GB edge VMs,
 /// 8-VCPU/15 GB cloud VMs) at the granularity the steady-state model
 /// needs. Absolute throughput differs from the authors' hardware; the
 /// experiments reproduce relative behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Bytes per chunk (the equal-size chunk of the paper's model).
     pub chunk_size: usize,
@@ -39,29 +37,24 @@ pub struct SystemConfig {
     /// cache-free and directly comparable to earlier runs). A cache hit
     /// confirms a duplicate locally, skipping the ring lookup; see the
     /// DESIGN.md hot-path section for the one-sided soundness argument.
-    #[serde(default)]
     pub cache_capacity: usize,
     /// LRU shards per node's fingerprint cache (bounds eviction scan
     /// domains and mirrors the concurrent layout a real agent would use).
-    #[serde(default = "default_cache_shards")]
     pub cache_shards: usize,
     /// Second-sight cache admission: fingerprints enter the cache only on
     /// their second sighting, shielding warm entries from one-hit-wonder
     /// churn. Ignored when the cache is disabled; off by default so
     /// earlier cached runs stay comparable.
-    #[serde(default)]
     pub cache_second_sight: bool,
     /// Container capacity in bytes for the restore-path layout model:
     /// unique chunks append into fixed-capacity containers in arrival
     /// order, and `SystemMetrics::restore` measures how many containers
     /// a per-node restore touches (DESIGN.md §16).
-    #[serde(default = "default_container_bytes")]
     pub container_bytes: usize,
     /// Duplicate-rewrite policy of the restore-path layout model:
     /// [`ef_cloudstore::DefragPolicy::Off`] (default) keeps maximum
     /// dedup; `CapRewrite { window }` rewrites stale duplicates to the
     /// write frontier, trading stored bytes for restore locality.
-    #[serde(default)]
     pub defrag: ef_cloudstore::DefragPolicy,
 }
 

@@ -1,9 +1,7 @@
 //! Metrics produced by a system run.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-node pipeline metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeMetrics {
     /// Chunks this node processed.
     pub chunks: u64,
@@ -25,7 +23,7 @@ pub struct NodeMetrics {
 ///
 /// Populate from a chaos-rigged cluster with
 /// [`RobustnessMetrics::from_sim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessMetrics {
     /// Per-op timeouts the index coordinators recorded.
     pub index_timeouts: u64,
@@ -37,61 +35,46 @@ pub struct RobustnessMetrics {
     /// Messages the simulated network dropped (loss + partitions).
     pub messages_dropped: u64,
     /// WAL records replayed by restarting index nodes.
-    #[serde(default)]
     pub wal_records_replayed: u64,
     /// WAL snapshot compactions taken across all index nodes.
-    #[serde(default)]
     pub wal_snapshots: u64,
     /// Index nodes that crash-stopped and restarted from their WAL.
-    #[serde(default)]
     pub node_restarts: u64,
     /// Scheduled anti-entropy rounds the cluster ran.
-    #[serde(default)]
     pub antientropy_rounds: u64,
     /// Divergent Merkle buckets anti-entropy repaired.
-    #[serde(default)]
     pub buckets_repaired: u64,
     /// Index entries streamed to close those divergences.
-    #[serde(default)]
     pub entries_repaired: u64,
     /// Entries re-replicated to new owners after permanent departures.
-    #[serde(default)]
     pub rereplicated_entries: u64,
     /// Hints dropped because their target permanently departed.
-    #[serde(default)]
     pub hints_dropped: u64,
     /// Dead-timeout escalations peers recorded (observer × dead node).
-    #[serde(default)]
     pub dead_declared: u64,
     /// Worst restart-to-convergence latency (ns; 0 when no node
     /// restarted or none has converged yet).
-    #[serde(default)]
     pub recovery_latency_ns_max: u64,
     /// End-to-end integrity counters: frames rejected by wire checksums,
     /// scrub progress, mismatches detected, and how each one was
     /// resolved (read-repair, cloud decode, or declared lost).
-    #[serde(default)]
     pub integrity: ef_kvstore::IntegrityStats,
     /// Fingerprint-cache counters aggregated over the index coordinators
     /// (all zero when the cache was not enabled).
-    #[serde(default)]
     pub cache: ef_kvstore::CacheStats,
     /// Gray-failure mitigation counters: hedged lookups, load shedding,
     /// queue pressure and adaptive-timeout activity (all zero when the
     /// mitigations were not enabled).
-    #[serde(default)]
     pub gray: ef_kvstore::GrayFailureStats,
     /// Disaster-tolerance counters: durable upload-spool depth and drain
     /// totals, mesh-vs-cloud repair counts, bytes and wire costs, outage
     /// windows and time-to-recovery (all zero when no cloud uplink was
     /// enabled and no disaster was injected).
-    #[serde(default)]
     pub disaster: ef_kvstore::DisasterStats,
     /// Byzantine-tolerance counters: proof-of-possession challenges,
     /// rejected false claims and poisoned bytes, trust-ledger strikes
     /// and liar quarantines (all zero when PoP was not armed and no
     /// peer misbehaved).
-    #[serde(default)]
     pub byzantine: ef_kvstore::ByzantineStats,
 }
 
@@ -171,7 +154,7 @@ impl RobustnessMetrics {
 }
 
 /// System-level metrics of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemMetrics {
     /// Strategy label ("SMART", "Cloud-Assisted", "Cloud-Only", …).
     pub strategy: String,
@@ -200,17 +183,14 @@ pub struct SystemMetrics {
     pub mean_node_throughput_mbps: f64,
     /// Fault-handling counters (all zero for a fault-free run; absent
     /// fields in serialized input default to zero).
-    #[serde(default)]
     pub robustness: RobustnessMetrics,
     /// Fingerprint-cache counters of the analytic ingest pass (all zero
     /// when `SystemConfig::cache_capacity` is 0, the default).
-    #[serde(default)]
     pub cache: ef_kvstore::CacheStats,
     /// Restore-path accounting over the container layout the run built:
     /// per-node fragmentation (distinct containers per restore), read
     /// locality, serving-node spread, and defrag rewrite costs (absent
     /// fields in serialized input default to zero).
-    #[serde(default)]
     pub restore: ef_cloudstore::RestoreStats,
     /// Per-node details.
     pub nodes: Vec<NodeMetrics>,

@@ -2,11 +2,10 @@
 
 use crate::vector::CharacteristicVector;
 use ef_simcore::DetRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to one chunk of the universe: `(pool, index within pool)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkRef {
     /// The chunk pool (`C_k` in the paper).
     pub pool: u32,
@@ -16,7 +15,7 @@ pub struct ChunkRef {
 
 /// A data source: its chunk rate `R_i` (chunks per second) and its
 /// characteristic vector `P_i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceSpec {
     /// Chunks generated per second.
     pub rate: f64,
@@ -79,7 +78,7 @@ impl std::error::Error for ModelError {}
 /// chunk size, and `N` sources with rates and characteristic vectors.
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerativeModel {
     pool_sizes: Vec<u64>,
     chunk_size: usize,

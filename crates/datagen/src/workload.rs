@@ -42,7 +42,6 @@
 
 use crate::model::{materialize_chunk, ChunkRef};
 use ef_simcore::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// Calibration constant of the CDC closed form: the expected *extra*
 /// chunk bytes an edit dirties beyond its own span, in units of the mean
@@ -70,7 +69,7 @@ pub const FIXED_MODEL_TOLERANCE: f64 = 0.35;
 /// Versioned-backup stream knobs: one logical file, `versions` snapshots,
 /// `edits_per_version` random insert/delete/replace edits between
 /// consecutive snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionedBackupConfig {
     /// Bytes in the initial version.
     pub base_len: usize,
@@ -144,7 +143,7 @@ impl VersionedBackupConfig {
 /// `base_layers` common layers; each image perturbs the shared content
 /// with small insertions (per-image patches) and appends a unique delta
 /// layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayeredImagesConfig {
     /// Number of shared base layers.
     pub base_layers: usize,
@@ -178,7 +177,7 @@ impl Default for LayeredImagesConfig {
 /// snapshot and is rotated by trimming about `mean_trim_len` bytes off
 /// the head. A nonzero trim shifts the entire surviving tail; zero trim
 /// is the pure-append regime where equal-size chunking keeps alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogAppendConfig {
     /// Bytes in the initial log.
     pub initial_len: usize,
@@ -206,7 +205,7 @@ impl Default for LogAppendConfig {
 /// uniformly from one shared pool and concatenates their materialized
 /// bytes at chunk-size alignment — the regime where equal-size chunking
 /// finds every duplicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ByteAlignedConfig {
     /// Bytes per pool chunk (and per fixed chunk: duplication is
     /// aligned at exactly this size).
@@ -234,7 +233,7 @@ impl Default for ByteAlignedConfig {
 /// `ef_chunking::ChunkerKind`. Each variant generates a family of byte
 /// streams deterministically from a seed; see the [module docs](self)
 /// for the redundancy structure each one carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Versioned-backup stream: small shifted edits between snapshots.
     VersionedBackup(VersionedBackupConfig),

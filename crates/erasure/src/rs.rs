@@ -294,6 +294,7 @@ impl ReedSolomon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ef_simcore::prop::{any, check, vec};
 
     fn sample_data(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
@@ -441,29 +442,28 @@ mod tests {
             .collect()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// Over borrowed shards, every loss pattern the code tolerates
-        /// gives back the input — and the same bytes as the full matrix
-        /// decode, including the no-data-shard-lost patterns where
-        /// `reconstruct` only concatenates.
-        #[test]
-        fn borrowed_reconstruct_matches_the_matrix_reference_under_every_loss_pattern(
-            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20_000),
-            k in 1usize..7,
-            m in 1usize..4,
-        ) {
-            let rs = ReedSolomon::new(k, m).unwrap();
-            let shards = rs.encode(&data).unwrap();
-            for lost in subsets_up_to(k + m, m) {
-                let received = borrow_without(&shards, &lost);
-                let restored = rs.reconstruct(&received, data.len()).unwrap();
-                proptest::prop_assert_eq!(&restored, &data, "lost {:?}", &lost);
-                let reference = rs.reconstruct_reference(&received, data.len()).unwrap();
-                proptest::prop_assert_eq!(&reference, &data, "reference, lost {:?}", &lost);
-            }
-        }
+    /// Over borrowed shards, every loss pattern the code tolerates
+    /// gives back the input — and the same bytes as the full matrix
+    /// decode, including the no-data-shard-lost patterns where
+    /// `reconstruct` only concatenates.
+    #[test]
+    fn borrowed_reconstruct_matches_the_matrix_reference_under_every_loss_pattern() {
+        check(
+            "borrowed_reconstruct_matches_the_matrix_reference_under_every_loss_pattern",
+            24,
+            (vec(any::<u8>(), 0..20_000), 1usize..7, 1usize..4),
+            |(data, k, m)| {
+                let rs = ReedSolomon::new(k, m).unwrap();
+                let shards = rs.encode(&data).unwrap();
+                for lost in subsets_up_to(k + m, m) {
+                    let received = borrow_without(&shards, &lost);
+                    let restored = rs.reconstruct(&received, data.len()).unwrap();
+                    assert_eq!(&restored, &data, "lost {:?}", &lost);
+                    let reference = rs.reconstruct_reference(&received, data.len()).unwrap();
+                    assert_eq!(&reference, &data, "reference, lost {:?}", &lost);
+                }
+            },
+        );
     }
 
     #[test]

@@ -524,131 +524,137 @@ mod tests {
         }
     }
 
-    use proptest::prelude::*;
+    use ef_simcore::prop::{any, check, vec};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Summaries answer exactly what the per-pair reference answers —
-        /// divergent bucket count and both repair lists in the same
-        /// order — on random drifted stores, including entries a node
-        /// holds but does not replicate, a ring member with no state at
-        /// all, and a value bit-rotted in place on one replica (same
-        /// key, different bytes: its bucket differs, nothing is "missing").
-        #[test]
-        fn summaries_match_the_per_pair_reference(
-            seed in any::<u64>(),
-            members in 3u32..7,
-            rf in 1usize..4,
-            depth_pick in 0usize..3,
-            keys in 1u32..120,
-        ) {
-            let depth = [0, 4, 8][depth_pick];
-            let config = ClusterConfig { replication_factor: rf, ..ClusterConfig::default() };
-            let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
-            let ring = crate::cluster::member_ring(&ids, config.vnodes);
-            let mut nodes: BTreeMap<NodeId, NodeState> = ids
-                .iter()
-                .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))
-                .collect();
-            let mut rng = ef_simcore::DetRng::new(seed).substream("stores");
-            for i in 0..keys {
-                let key = Bytes::copy_from_slice(&i.to_be_bytes());
-                let value = Bytes::from(vec![i as u8; 1 + (rng.unit() * 200.0) as usize]);
-                for (&id, state) in nodes.iter_mut() {
-                    // Replicas usually hold the entry; anyone may hold a
-                    // stray copy of a key it does not replicate.
-                    let p = if ring.replicas(&key, rf).contains(&id) { 0.8 } else { 0.05 };
-                    if rng.unit() < p {
-                        state.storage_mut().put(key.clone(), value.clone());
+    /// Summaries answer exactly what the per-pair reference answers —
+    /// divergent bucket count and both repair lists in the same
+    /// order — on random drifted stores, including entries a node
+    /// holds but does not replicate, a ring member with no state at
+    /// all, and a value bit-rotted in place on one replica (same
+    /// key, different bytes: its bucket differs, nothing is "missing").
+    #[test]
+    fn summaries_match_the_per_pair_reference() {
+        check(
+            "summaries_match_the_per_pair_reference",
+            48,
+            (any::<u64>(), 3u32..7, 1usize..4, 0usize..3, 1u32..120),
+            |(seed, members, rf, depth_pick, keys)| {
+                let depth = [0, 4, 8][depth_pick];
+                let config = ClusterConfig {
+                    replication_factor: rf,
+                    ..ClusterConfig::default()
+                };
+                let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
+                let ring = crate::cluster::member_ring(&ids, config.vnodes);
+                let mut nodes: BTreeMap<NodeId, NodeState> = ids
+                    .iter()
+                    .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))
+                    .collect();
+                let mut rng = ef_simcore::DetRng::new(seed).substream("stores");
+                for i in 0..keys {
+                    let key = Bytes::copy_from_slice(&i.to_be_bytes());
+                    let value = Bytes::from(vec![i as u8; 1 + (rng.unit() * 200.0) as usize]);
+                    for (&id, state) in nodes.iter_mut() {
+                        // Replicas usually hold the entry; anyone may hold a
+                        // stray copy of a key it does not replicate.
+                        let p = if ring.replicas(&key, rf).contains(&id) {
+                            0.8
+                        } else {
+                            0.05
+                        };
+                        if rng.unit() < p {
+                            state.storage_mut().put(key.clone(), value.clone());
+                        }
                     }
                 }
-            }
-            let rotted = ids[(rng.unit() * members as f64) as usize];
-            let nth = (rng.unit() * 1_000.0) as usize;
-            nodes.get_mut(&rotted).unwrap().storage_mut().corrupt_nth_value(nth, nth);
-            let absent = ids[(rng.unit() * members as f64) as usize];
-            nodes.remove(&absent);
+                let rotted = ids[(rng.unit() * members as f64) as usize];
+                let nth = (rng.unit() * 1_000.0) as usize;
+                nodes
+                    .get_mut(&rotted)
+                    .unwrap()
+                    .storage_mut()
+                    .corrupt_nth_value(nth, nth);
+                let absent = ids[(rng.unit() * members as f64) as usize];
+                nodes.remove(&absent);
 
-            let summaries: Vec<NodeSummary> = ids
-                .iter()
-                .map(|&id| NodeSummary::build(&nodes, &ring, rf, id, depth))
-                .collect();
-            for (x, &a) in ids.iter().enumerate() {
-                for (y, &b) in ids.iter().enumerate().skip(x + 1) {
-                    let got = pair_diff(&summaries[x], &summaries[y]);
-                    let want = pair_diff_reference(&nodes, &ring, rf, a, b, depth);
-                    prop_assert_eq!(got, want, "pair ({}, {})", a, b);
+                let summaries: Vec<NodeSummary> = ids
+                    .iter()
+                    .map(|&id| NodeSummary::build(&nodes, &ring, rf, id, depth))
+                    .collect();
+                for (x, &a) in ids.iter().enumerate() {
+                    for (y, &b) in ids.iter().enumerate().skip(x + 1) {
+                        let got = pair_diff(&summaries[x], &summaries[y]);
+                        let want = pair_diff_reference(&nodes, &ring, rf, a, b, depth);
+                        assert_eq!(got, want, "pair ({}, {})", a, b);
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Two replicas holding arbitrary overlapping key sets: `diff`
-        /// flags exactly the buckets containing symmetric-difference
-        /// entries (the `O(diff)` guarantee — no healthy range is ever
-        /// re-scanned), and unioning just those buckets converges both
-        /// replicas to the set union in one round.
-        #[test]
-        fn diff_is_exact_and_union_converges(
-            shared in proptest::collection::vec(0u32..10_000, 0..40),
-            only_a in proptest::collection::vec(10_000u32..20_000, 0..20),
-            only_b in proptest::collection::vec(20_000u32..30_000, 0..20),
-        ) {
-            const DEPTH: u32 = 6;
-            let to_map = |keys: &[&[u32]]| -> BTreeMap<Vec<u8>, Vec<u8>> {
-                keys.iter()
-                    .flat_map(|ks| ks.iter())
-                    .map(|k| (k.to_be_bytes().to_vec(), b"v".to_vec()))
-                    .collect()
-            };
-            let mut set_a = to_map(&[&shared, &only_a]);
-            let mut set_b = to_map(&[&shared, &only_b]);
-            let build = |m: &BTreeMap<Vec<u8>, Vec<u8>>| {
-                MerkleTree::build(
-                    m.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
-                    DEPTH,
-                )
-            };
-
-            // The generator ranges are disjoint, so the symmetric
-            // difference is exactly only_a ∪ only_b (deduplicated).
-            let mut expected: Vec<usize> = only_a
-                .iter()
-                .chain(only_b.iter())
-                .map(|k| MerkleTree::bucket_of(key_token(&k.to_be_bytes()), DEPTH))
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            expected.sort_unstable();
-
-            let diff = build(&set_a).diff(&build(&set_b));
-            prop_assert_eq!(&diff, &expected);
-
-            // Union only the flagged buckets, both directions.
-            for &bucket in &diff {
-                let in_bucket = |k: &[u8]| {
-                    MerkleTree::bucket_of(key_token(k), DEPTH) == bucket
+    /// Two replicas holding arbitrary overlapping key sets: `diff`
+    /// flags exactly the buckets containing symmetric-difference
+    /// entries (the `O(diff)` guarantee — no healthy range is ever
+    /// re-scanned), and unioning just those buckets converges both
+    /// replicas to the set union in one round.
+    #[test]
+    fn diff_is_exact_and_union_converges() {
+        check(
+            "diff_is_exact_and_union_converges",
+            64,
+            (
+                vec(0u32..10_000, 0..40),
+                vec(10_000u32..20_000, 0..20),
+                vec(20_000u32..30_000, 0..20),
+            ),
+            |(shared, only_a, only_b)| {
+                const DEPTH: u32 = 6;
+                let to_map = |keys: &[&[u32]]| -> BTreeMap<Vec<u8>, Vec<u8>> {
+                    keys.iter()
+                        .flat_map(|ks| ks.iter())
+                        .map(|k| (k.to_be_bytes().to_vec(), b"v".to_vec()))
+                        .collect()
                 };
-                for (k, v) in set_a.clone() {
-                    if in_bucket(&k) {
-                        set_b.entry(k).or_insert(v);
+                let mut set_a = to_map(&[&shared, &only_a]);
+                let mut set_b = to_map(&[&shared, &only_b]);
+                let build = |m: &BTreeMap<Vec<u8>, Vec<u8>>| {
+                    MerkleTree::build(m.iter().map(|(k, v)| (k.as_slice(), v.as_slice())), DEPTH)
+                };
+
+                // The generator ranges are disjoint, so the symmetric
+                // difference is exactly only_a ∪ only_b (deduplicated).
+                let mut expected: Vec<usize> = only_a
+                    .iter()
+                    .chain(only_b.iter())
+                    .map(|k| MerkleTree::bucket_of(key_token(&k.to_be_bytes()), DEPTH))
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                expected.sort_unstable();
+
+                let diff = build(&set_a).diff(&build(&set_b));
+                assert_eq!(&diff, &expected);
+
+                // Union only the flagged buckets, both directions.
+                for &bucket in &diff {
+                    let in_bucket = |k: &[u8]| MerkleTree::bucket_of(key_token(k), DEPTH) == bucket;
+                    for (k, v) in set_a.clone() {
+                        if in_bucket(&k) {
+                            set_b.entry(k).or_insert(v);
+                        }
+                    }
+                    for (k, v) in set_b.clone() {
+                        if in_bucket(&k) {
+                            set_a.entry(k).or_insert(v);
+                        }
                     }
                 }
-                for (k, v) in set_b.clone() {
-                    if in_bucket(&k) {
-                        set_a.entry(k).or_insert(v);
-                    }
-                }
-            }
-            let union = to_map(&[&shared, &only_a, &only_b]);
-            prop_assert_eq!(&set_a, &union);
-            prop_assert_eq!(&set_b, &union);
-            prop_assert!(build(&set_a).diff(&build(&set_b)).is_empty());
-        }
+                let union = to_map(&[&shared, &only_a, &only_b]);
+                assert_eq!(&set_a, &union);
+                assert_eq!(&set_b, &union);
+                assert!(build(&set_a).diff(&build(&set_b)).is_empty());
+            },
+        );
     }
 
     #[test]

@@ -25,32 +25,25 @@
 
 use crate::key_token;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Hit/miss/eviction counters for a [`FingerprintCache`], reported up
 /// through `SystemMetrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered locally (duplicate confirmed without a ring trip).
-    #[serde(default)]
     pub hits: u64,
     /// Lookups that fell through to the ring.
-    #[serde(default)]
     pub misses: u64,
     /// Entries evicted by the per-shard capacity bound.
-    #[serde(default)]
     pub evictions: u64,
     /// Entries inserted (first sight of a fingerprint on this node).
-    #[serde(default)]
     pub insertions: u64,
     /// Insertions deferred by the second-sight admission policy (always
     /// zero when the policy is off).
-    #[serde(default)]
     pub deferred: u64,
     /// Entries invalidated by [`FingerprintCache::remove`] — e.g. when
     /// the peer whose possession claim admitted them was quarantined.
-    #[serde(default)]
     pub invalidations: u64,
 }
 

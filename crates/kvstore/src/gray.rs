@@ -24,7 +24,6 @@
 
 use ef_netsim::NodeId;
 use ef_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Jacobson/Karels smoothed round-trip estimator in integer nanoseconds.
@@ -181,35 +180,27 @@ impl AdaptiveTimeouts {
 /// priority-classed load shedding, queue pressure and timeout
 /// adaptation. All counters are cumulative over the run and fully
 /// deterministic for a fixed seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GrayFailureStats {
     /// Speculative hedge requests dispatched to a backup replica.
-    #[serde(default)]
     pub hedges_fired: u64,
     /// Hedges whose response soundly completed the op before the
     /// primaries answered.
-    #[serde(default)]
     pub hedges_won: u64,
     /// Background rounds (anti-entropy, scrub) that yielded to uplink
     /// backpressure instead of running.
-    #[serde(default)]
     pub sheds_background: u64,
     /// Client operations refused at admission because the coordinator's
     /// pending queue was at its bound.
-    #[serde(default)]
     pub sheds_critical: u64,
     /// High-water mark of any coordinator's pending-op queue depth.
-    #[serde(default)]
     pub queue_peak: u64,
     /// Round-trip samples folded into the adaptive estimators.
-    #[serde(default)]
     pub rtt_samples: u64,
     /// RTO timers armed from a measured (adapted) estimate rather than
     /// the static policy base.
-    #[serde(default)]
     pub rto_adaptations: u64,
     /// Peers newly marked slow (gray) by the RTT-driven detector.
-    #[serde(default)]
     pub slow_marks: u64,
 }
 

@@ -10,8 +10,6 @@
 //! [`IntegrityStats`] — detected corruption is a typed event, never a
 //! panic and never silently-accepted data.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming 64-bit checksum: a word-parallel multiply-rotate kernel in
 /// the XXH64 style with a splitmix64 avalanche finisher.
 ///
@@ -187,45 +185,34 @@ impl std::error::Error for IntegrityError {}
 
 /// Counters of everything the integrity layer detected, repaired, or
 /// declared lost. Zero across the board for a clean run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntegrityStats {
     /// Wire frames whose checksum failed on delivery (dropped; the
     /// sender's retry machinery re-sends).
-    #[serde(default)]
     pub frames_rejected: u64,
     /// Stored entries the background scrub verified.
-    #[serde(default)]
     pub entries_scrubbed: u64,
     /// Bytes of key+value payload the scrub verified.
-    #[serde(default)]
     pub scrub_bytes: u64,
     /// Checksum mismatches found at any storage read boundary (scrub,
     /// local read, replica read).
-    #[serde(default)]
     pub mismatches_found: u64,
     /// Corrupt entries restored from a clean ring replica.
-    #[serde(default)]
     pub read_repairs: u64,
     /// Corrupt entries restored by decoding the cloud catalog.
-    #[serde(default)]
     pub cloud_decodes: u64,
     /// Replicas quarantined after repeated verification failures.
-    #[serde(default)]
     pub quarantines: u64,
     /// Corrupt entries no surviving replica or catalog could restore —
     /// explicitly declared lost, never silently accepted.
-    #[serde(default)]
     pub lost_records: u64,
     /// WAL tails truncated to their last valid record at recovery.
-    #[serde(default)]
     pub torn_tails_truncated: u64,
     /// Recoveries that fell back to the prior snapshot after the current
     /// snapshot failed its checksum.
-    #[serde(default)]
     pub snapshot_fallbacks: u64,
     /// Restarts abandoned because the WAL body (not just the tail) was
     /// corrupt beyond the snapshot fallback.
-    #[serde(default)]
     pub wal_corrupt_bodies: u64,
 }
 

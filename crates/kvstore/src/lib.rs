@@ -16,7 +16,8 @@
 //!   delivery for functional use (the D2-ring index) and tests,
 //! * [`SimCluster`] — the same state machines driven through
 //!   `ef-simcore`/`ef-netsim`, yielding per-operation latencies,
-//! * [`ThreadedCluster`] — one OS thread per node over crossbeam channels,
+//! * [`ThreadedCluster`] — one OS thread per node over `std::sync::mpsc`
+//!   channels,
 //! * hinted handoff and node up/down handling,
 //! * [`StorageEngine`] — a memtable + immutable-segment storage engine
 //!   with tombstones and compaction.

@@ -126,9 +126,7 @@ mod tests {
             .map(|attempt| p.jittered_delay(attempt, &mut rng).as_nanos())
             .collect();
 
-        // Structural invariants hold regardless of the RNG backend: each
-        // delay sits in [base, base * (1 + jitter_frac)] and the schedule
-        // replays bit-identically for the same seed.
+        // Each delay sits in [base, base * (1 + jitter_frac)].
         for (attempt, &ns) in schedule.iter().enumerate() {
             let base = p.delay(attempt as u32).as_nanos();
             let ceil = (base as f64 * (1.0 + p.jitter_frac)).ceil() as u64;
@@ -137,29 +135,15 @@ mod tests {
                 "attempt {attempt}: {ns} outside [{base}, {ceil}]"
             );
         }
-        let mut rng2 = DetRng::new(p.seed).substream("rto-jitter");
-        let replay: Vec<u64> = (0..4)
-            .map(|attempt| p.jittered_delay(attempt, &mut rng2).as_nanos())
-            .collect();
-        assert_eq!(schedule, replay, "same seed must replay bit-identically");
-
-        // The exact values below are produced by the real `rand_chacha`
-        // ChaCha8 stream. Offline builds may substitute a different (but
-        // still deterministic) generator; probe for the genuine keystream
-        // and only pin the golden schedule when it is present.
-        let chacha8 =
-            DetRng::new(p.seed).substream("rto-jitter").next_u64() == 8_971_498_650_846_764_737;
-        if chacha8 {
-            assert_eq!(
-                schedule,
-                vec![
-                    109_726_918, // attempt 0: 100 ms + 9.7 ms jitter
-                    209_174_386, // attempt 1: 200 ms + 9.2 ms jitter
-                    447_345_651, // attempt 2: 400 ms + 47.3 ms jitter
-                    887_512_372, // attempt 3: 800 ms + 87.5 ms jitter
-                ],
-            );
-        }
+        assert_eq!(
+            schedule,
+            vec![
+                109_726_918, // attempt 0: 100 ms + 9.7 ms jitter
+                209_174_386, // attempt 1: 200 ms + 9.2 ms jitter
+                447_345_651, // attempt 2: 400 ms + 47.3 ms jitter
+                887_512_372, // attempt 3: 800 ms + 87.5 ms jitter
+            ],
+        );
     }
 
     #[test]

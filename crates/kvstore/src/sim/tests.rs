@@ -623,9 +623,8 @@ fn adaptive_rto_golden_schedule_is_pinned() {
     // integer trajectory: srtt locks to the first sample and rttvar
     // decays by a quarter per round until the floor clamp catches
     // the RTO. Nothing on this path consumes randomness (retry
-    // jitter only shifts stale timers), so the schedule is pinned
-    // unconditionally — no keystream probe needed, unlike the
-    // jittered golden test in `retry.rs`.
+    // jitter only shifts stale timers), so the schedule pins the
+    // estimator alone; the jittered schedule is pinned in `retry.rs`.
     let net = edge_network(1, 3);
     let members = net.topology().edge_nodes();
     let mut cluster = SimCluster::new(

@@ -31,14 +31,13 @@
 use crate::storage::{encode_record, frame_at, Frame};
 use bytes::Bytes;
 use ef_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Drain priority of a spooled transfer.
 ///
 /// Mirrors PR 6's shedding classes: client dedup payloads are the last
 /// thing shed and the first thing drained; repair/hint traffic yields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpoolClass {
     /// A client `CheckAndInsert` payload: drains before everything else.
     Critical,
@@ -47,7 +46,7 @@ pub enum SpoolClass {
 }
 
 /// Where a spooled transfer is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpoolDest {
     /// The central cloud catalog, over the bandwidth-capped uplink.
     Cloud,
@@ -83,64 +82,47 @@ impl SpoolEntry {
 ///
 /// All-zero unless a cloud uplink was enabled or a disaster was
 /// injected, so clean-run quietness checks hold unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DisasterStats {
     /// Entries accepted into upload spools.
-    #[serde(default)]
     pub spool_enqueued: u64,
     /// Entries fully drained (cloud-acked or hint-delivered).
-    #[serde(default)]
     pub spool_drained: u64,
     /// Re-sent entries: a transfer whose earlier frame was lost,
     /// blacked out, or corrupted (resumability in action).
-    #[serde(default)]
     pub spool_retransmits: u64,
     /// Entries still pending at observation time.
-    #[serde(default)]
     pub spool_depth: u64,
     /// Highest pending-entry count any spool ever reached.
-    #[serde(default)]
     pub spool_high_water: u64,
     /// Payload bytes accepted into spools.
-    #[serde(default)]
     pub spool_bytes_enqueued: u64,
     /// Payload bytes fully drained.
-    #[serde(default)]
     pub spool_bytes_drained: u64,
     /// Hints moved off a volatile heap into a durable spool because
     /// their target sat inside a ring-outage window.
-    #[serde(default)]
     pub hints_spooled: u64,
     /// Chunks rebuilt from a neighbor ring during mesh repair.
-    #[serde(default)]
     pub mesh_repairs: u64,
     /// Chunks no neighbor held, rebuilt from the cloud catalog.
-    #[serde(default)]
     pub cloud_repairs: u64,
     /// Payload bytes fetched from neighbor rings.
-    #[serde(default)]
     pub repair_bytes_mesh: u64,
     /// Payload bytes fetched from the cloud catalog.
-    #[serde(default)]
     pub repair_bytes_cloud: u64,
     /// Accumulated SNOD2 wire cost (milliseconds, rounded) of mesh
     /// repair round-trips; with [`DisasterStats::repair_cost_cloud_ms`]
     /// this prices a neighbor-ring hit below a cloud round-trip.
-    #[serde(default)]
     pub repair_cost_mesh_ms: u64,
     /// Accumulated wire cost (milliseconds, rounded) of cloud-fallback
     /// repair round-trips.
-    #[serde(default)]
     pub repair_cost_cloud_ms: u64,
     /// Edge sites wiped by ring outages.
-    #[serde(default)]
     pub ring_wipes: u64,
     /// Cloud-outage windows registered with the cluster.
-    #[serde(default)]
     pub outage_windows: u64,
     /// Worst observed heal-to-repair-delivery latency in nanoseconds
     /// (time-to-recovery for a wiped ring).
-    #[serde(default)]
     pub recovery_ns_max: u64,
 }
 
@@ -1130,7 +1112,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use ef_simcore::prop::{any, check, vec};
 
         const MAX_PAYLOAD: usize = 90;
         /// Tag, two length fields, node header, one-byte key, presence
@@ -1141,78 +1123,89 @@ mod tests {
             spool.pending().cloned().collect()
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Whatever the interleaving of enqueues, acks in and out of
-            /// order, hint deliveries and re-enqueues of retired keys, at
-            /// every step the log alone reproduces the pending queue and
-            /// stays within twice its pending frames plus one segment.
-            #[test]
-            fn the_log_is_the_queue_and_stays_within_its_bound(
-                seal_every in 1u64..9,
-                ops in proptest::collection::vec((0u8..7, any::<u8>(), 0usize..MAX_PAYLOAD), 1..250),
-            ) {
-                let mut spool = UploadSpool::new(seal_every);
-                let mut last_retired: Option<SpoolEntry> = None;
-                for (op, pick, len) in ops {
-                    let cloud: Vec<SpoolEntry> = pending(&spool)
-                        .into_iter()
-                        .filter(|e| e.dest == SpoolDest::Cloud)
-                        .collect();
-                    match op {
-                        // Enqueue: 24 keys, so pending keys collide (refused)
-                        // and retired ones come back.
-                        0..=2 => {
-                            let (class, dest) = match pick % 5 {
-                                0 => (SpoolClass::Background, SpoolDest::Node(NodeId(u32::from(pick % 2)))),
-                                1 => (SpoolClass::Background, SpoolDest::Cloud),
-                                _ => (SpoolClass::Critical, SpoolDest::Cloud),
-                            };
-                            let value = (len > 0).then(|| Bytes::from(vec![pick; len]));
-                            spool.enqueue(class, dest, Bytes::from(vec![pick % 24]), value);
-                        }
-                        // An ack: for the oldest cloud entry, or for one
-                        // anywhere in the queue.
-                        3 | 4 if !cloud.is_empty() => {
-                            let at = if op == 3 { 0 } else { usize::from(pick) % cloud.len() };
-                            prop_assert!(spool.retire_cloud(&cloud[at].key).is_some());
-                            last_retired = Some(cloud[at].clone());
-                        }
-                        // A node comes back and takes its hints.
-                        5 => {
-                            spool.take_for_node(NodeId(u32::from(pick % 2)));
-                        }
-                        // The entry retired last is spooled again.
-                        6 => {
-                            if let Some(e) = &last_retired {
-                                spool.enqueue(e.class, e.dest, e.key.clone(), e.value.clone());
+        /// Whatever the interleaving of enqueues, acks in and out of
+        /// order, hint deliveries and re-enqueues of retired keys, at
+        /// every step the log alone reproduces the pending queue and
+        /// stays within twice its pending frames plus one segment.
+        #[test]
+        fn the_log_is_the_queue_and_stays_within_its_bound() {
+            check(
+                "the_log_is_the_queue_and_stays_within_its_bound",
+                64,
+                (
+                    1u64..9,
+                    vec((0u8..7, any::<u8>(), 0usize..MAX_PAYLOAD), 1..250),
+                ),
+                |(seal_every, ops)| {
+                    let mut spool = UploadSpool::new(seal_every);
+                    let mut last_retired: Option<SpoolEntry> = None;
+                    for (op, pick, len) in ops {
+                        let cloud: Vec<SpoolEntry> = pending(&spool)
+                            .into_iter()
+                            .filter(|e| e.dest == SpoolDest::Cloud)
+                            .collect();
+                        match op {
+                            // Enqueue: 24 keys, so pending keys collide (refused)
+                            // and retired ones come back.
+                            0..=2 => {
+                                let (class, dest) = match pick % 5 {
+                                    0 => (
+                                        SpoolClass::Background,
+                                        SpoolDest::Node(NodeId(u32::from(pick % 2))),
+                                    ),
+                                    1 => (SpoolClass::Background, SpoolDest::Cloud),
+                                    _ => (SpoolClass::Critical, SpoolDest::Cloud),
+                                };
+                                let value = (len > 0).then(|| Bytes::from(vec![pick; len]));
+                                spool.enqueue(class, dest, Bytes::from(vec![pick % 24]), value);
                             }
+                            // An ack: for the oldest cloud entry, or for one
+                            // anywhere in the queue.
+                            3 | 4 if !cloud.is_empty() => {
+                                let at = if op == 3 {
+                                    0
+                                } else {
+                                    usize::from(pick) % cloud.len()
+                                };
+                                assert!(spool.retire_cloud(&cloud[at].key).is_some());
+                                last_retired = Some(cloud[at].clone());
+                            }
+                            // A node comes back and takes its hints.
+                            5 => {
+                                spool.take_for_node(NodeId(u32::from(pick % 2)));
+                            }
+                            // The entry retired last is spooled again.
+                            6 => {
+                                if let Some(e) = &last_retired {
+                                    spool.enqueue(e.class, e.dest, e.key.clone(), e.value.clone());
+                                }
+                            }
+                            _ => {}
                         }
-                        _ => {}
+                        let live: usize = spool.pending().map(frame_bytes).sum();
+                        assert!(
+                            spool.wal_bytes() <= 2 * live + seal_every as usize * MAX_FRAME,
+                            "{} bytes for {live} live",
+                            spool.wal_bytes()
+                        );
+                        let recovered = UploadSpool::recover(spool.clone().into_wal());
+                        assert_eq!(pending(&recovered), pending(&spool));
+                        assert_eq!(recovered.wal_bytes(), spool.wal_bytes());
                     }
-                    let live: usize = spool.pending().map(frame_bytes).sum();
-                    prop_assert!(
-                        spool.wal_bytes() <= 2 * live + seal_every as usize * MAX_FRAME,
-                        "{} bytes for {live} live", spool.wal_bytes()
-                    );
-                    let recovered = UploadSpool::recover(spool.clone().into_wal());
-                    prop_assert_eq!(pending(&recovered), pending(&spool));
-                    prop_assert_eq!(recovered.wal_bytes(), spool.wal_bytes());
-                }
-                // The recovered spool is a working spool: drained dry, its
-                // log is gone.
-                let mut recovered = UploadSpool::recover(spool.into_wal());
-                for node in recovered.node_dests() {
-                    recovered.take_for_node(node);
-                }
-                while !recovered.is_empty() {
-                    for (key, _) in recovered.plan_cloud_batch(u64::MAX) {
-                        recovered.retire_cloud(&key);
+                    // The recovered spool is a working spool: drained dry, its
+                    // log is gone.
+                    let mut recovered = UploadSpool::recover(spool.into_wal());
+                    for node in recovered.node_dests() {
+                        recovered.take_for_node(node);
                     }
-                }
-                prop_assert_eq!(recovered.wal_bytes(), 0);
-            }
+                    while !recovered.is_empty() {
+                        for (key, _) in recovered.plan_cloud_batch(u64::MAX) {
+                            recovered.retire_cloud(&key);
+                        }
+                    }
+                    assert_eq!(recovered.wal_bytes(), 0);
+                },
+            );
         }
     }
 

@@ -1259,7 +1259,7 @@ mod tests {
 
     #[test]
     fn every_snapshot_bit_flip_falls_back_and_recovers() {
-        // Deterministic companion to the proptest below: exhaustive over
+        // Deterministic companion to the property below: exhaustive over
         // every bit of the snapshot block.
         let (wal, clean) = snapshot_wal_fixture(2);
         let snap_len = wal.snapshot.len();
@@ -1345,86 +1345,88 @@ mod tests {
         }
     }
 
-    use proptest::prelude::*;
+    use ef_simcore::prop::{check, vec};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// In-place compaction is the reference compaction: driven by the
-        /// same put/overwrite/delete log and struck by the same damage (a
-        /// flipped snapshot bit, a flipped tail bit, a torn tail), the
-        /// two logs stay equal in every field — snapshot and tail bytes,
-        /// the stashed pre-compaction log, checksums, counters and the
-        /// sticky integrity error — after every append.
-        #[test]
-        fn in_place_compaction_matches_decode_fold_re_encode(
-            snapshot_every in 2u64..9,
-            ops in proptest::collection::vec((0u8..4, 0u8..12, 0usize..70), 1..160),
-            damage in (0u8..4, 0usize..160, 0usize..10_000, 0usize..8),
-        ) {
-            let mut log = WriteAheadLog::new(snapshot_every);
-            let mut reference = WriteAheadLog::new(snapshot_every);
-            let (kind, at, byte, bit) = damage;
-            for (step, (op, key, len)) in ops.into_iter().enumerate() {
-                if step == at {
-                    for wal in [&mut log, &mut reference] {
-                        match kind {
-                            // No damage: the clean-path equivalence.
-                            0 => {}
-                            1 if !wal.snapshot.is_empty() => {
-                                let i = byte % wal.snapshot.len();
-                                wal.snapshot[i] ^= 1 << bit;
+    /// In-place compaction is the reference compaction: driven by the
+    /// same put/overwrite/delete log and struck by the same damage (a
+    /// flipped snapshot bit, a flipped tail bit, a torn tail), the
+    /// two logs stay equal in every field — snapshot and tail bytes,
+    /// the stashed pre-compaction log, checksums, counters and the
+    /// sticky integrity error — after every append.
+    #[test]
+    fn in_place_compaction_matches_decode_fold_re_encode() {
+        check(
+            "in_place_compaction_matches_decode_fold_re_encode",
+            64,
+            (
+                2u64..9,
+                vec((0u8..4, 0u8..12, 0usize..70), 1..160),
+                (0u8..4, 0usize..160, 0usize..10_000, 0usize..8),
+            ),
+            |(snapshot_every, ops, damage)| {
+                let mut log = WriteAheadLog::new(snapshot_every);
+                let mut reference = WriteAheadLog::new(snapshot_every);
+                let (kind, at, byte, bit) = damage;
+                for (step, (op, key, len)) in ops.into_iter().enumerate() {
+                    if step == at {
+                        for wal in [&mut log, &mut reference] {
+                            match kind {
+                                // No damage: the clean-path equivalence.
+                                0 => {}
+                                1 if !wal.snapshot.is_empty() => {
+                                    let i = byte % wal.snapshot.len();
+                                    wal.snapshot[i] ^= 1 << bit;
+                                }
+                                2 if !wal.tail.is_empty() => {
+                                    let i = byte % wal.tail.len();
+                                    wal.tail[i] ^= 1 << bit;
+                                }
+                                3 => {
+                                    let keep = wal.tail.len().saturating_sub(1 + byte % 12);
+                                    wal.tail.truncate(keep);
+                                }
+                                _ => {}
                             }
-                            2 if !wal.tail.is_empty() => {
-                                let i = byte % wal.tail.len();
-                                wal.tail[i] ^= 1 << bit;
-                            }
-                            3 => {
-                                let keep = wal.tail.len().saturating_sub(1 + byte % 12);
-                                wal.tail.truncate(keep);
-                            }
-                            _ => {}
                         }
                     }
+                    let key = [b'k', key];
+                    let value = vec![key[1] ^ step as u8; len];
+                    let value = (op != 0).then_some(value.as_slice());
+                    match value {
+                        Some(value) => log.append_put(&key, value),
+                        None => log.append_delete(&key),
+                    }
+                    reference.append_reference(&key, value);
+                    assert_eq!(&log, &reference, "diverged at step {}", step);
                 }
-                let key = [b'k', key];
-                let value = vec![key[1] ^ step as u8; len];
-                let value = (op != 0).then_some(value.as_slice());
-                match value {
-                    Some(value) => log.append_put(&key, value),
-                    None => log.append_delete(&key),
-                }
-                reference.append_reference(&key, value);
-                prop_assert_eq!(&log, &reference, "diverged at step {}", step);
-            }
-            prop_assert!(kind != 0 || log.snapshots_taken() > 0 || log.appended() < snapshot_every);
-        }
+                assert!(kind != 0 || log.snapshots_taken() > 0 || log.appended() < snapshot_every);
+            },
+        );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// A snapshot with flipped bits is rejected by its block checksum
-        /// and recovery falls back to the prior snapshot + full WAL
-        /// replay, reaching a final state identical to the undamaged log.
-        #[test]
-        fn rotted_snapshot_recovery_matches_clean_state(
-            byte in 0usize..10_000,
-            bit in 0usize..8,
-            extra in 0usize..4,
-        ) {
-            let (wal, clean) = snapshot_wal_fixture(extra);
-            let mut rotted = wal.clone();
-            let snap_len = rotted.snapshot.len();
-            prop_assert!(snap_len > 0);
-            prop_assert!(rotted.flip_bit(byte % snap_len, bit));
-            let (records, notes) = rotted
-                .recover_replay()
-                .expect("snapshot fallback must recover");
-            prop_assert!(notes.snapshot_fallback);
-            prop_assert_eq!(fold_live(&records), clean);
-            prop_assert_eq!(rotted.snapshot_fallbacks(), 1);
-            prop_assert!(rotted.replay().is_ok());
-        }
+    /// A snapshot with flipped bits is rejected by its block checksum
+    /// and recovery falls back to the prior snapshot + full WAL
+    /// replay, reaching a final state identical to the undamaged log.
+    #[test]
+    fn rotted_snapshot_recovery_matches_clean_state() {
+        check(
+            "rotted_snapshot_recovery_matches_clean_state",
+            64,
+            (0usize..10_000, 0usize..8, 0usize..4),
+            |(byte, bit, extra)| {
+                let (wal, clean) = snapshot_wal_fixture(extra);
+                let mut rotted = wal.clone();
+                let snap_len = rotted.snapshot.len();
+                assert!(snap_len > 0);
+                assert!(rotted.flip_bit(byte % snap_len, bit));
+                let (records, notes) = rotted
+                    .recover_replay()
+                    .expect("snapshot fallback must recover");
+                assert!(notes.snapshot_fallback);
+                assert_eq!(fold_live(&records), clean);
+                assert_eq!(rotted.snapshot_fallbacks(), 1);
+                assert!(rotted.replay().is_ok());
+            },
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! `ThreadedCluster`: one OS thread per store node, crossbeam channels as
-//! the transport.
+//! `ThreadedCluster`: one OS thread per store node, `std::sync::mpsc`
+//! channels as the transport.
 //!
 //! This driver exercises the same state machines under real concurrency —
 //! interleaved coordinators, out-of-order delivery between pairs — which
@@ -11,9 +11,9 @@ use crate::cluster::{member_ring, ClusterConfig, ClusterError};
 use crate::msg::{ClientOp, Message, OpId, OpResult, Outbound};
 use crate::node::NodeState;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use ef_netsim::NodeId;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
 enum Input {
@@ -68,7 +68,7 @@ impl ThreadedCluster {
         let (inputs, receivers): (BTreeMap<NodeId, Sender<Input>>, Vec<_>) = members
             .iter()
             .map(|&m| {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 ((m, tx), (m, rx))
             })
             .unzip();
@@ -128,7 +128,7 @@ impl ThreadedCluster {
             .inputs
             .get(&coordinator)
             .ok_or(ClusterError::NoSuchCoordinator(coordinator))?;
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         tx.send(Input::Client {
             op,
             reply: reply_tx,

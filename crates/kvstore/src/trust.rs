@@ -28,7 +28,6 @@
 
 use ef_chunking::Sha256;
 use ef_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::msg::OpId;
@@ -174,50 +173,38 @@ impl TrustLedger {
 ///
 /// All-zero unless proof-of-possession was enabled, so clean-run
 /// quietness checks hold unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ByzantineStats {
     /// Possession challenges sent to claiming replicas.
-    #[serde(default)]
     pub challenges_issued: u64,
     /// Challenges answered with a verifying digest.
-    #[serde(default)]
     pub challenges_passed: u64,
     /// Challenges answered with a wrong digest or a held=false
     /// retraction — the sighting was reverted, never trusted.
-    #[serde(default)]
     pub challenges_failed: u64,
     /// Positive sightings completed from the proven-possession cache
     /// without a fresh challenge round-trip.
-    #[serde(default)]
     pub pop_cache_hits: u64,
     /// Duplicate verdicts that would have been false: a positive
     /// sighting rejected by proof of possession with no honest replica
     /// confirming the claim.
-    #[serde(default)]
     pub false_claims_rejected: u64,
     /// Peer-served repair/restore bytes rejected by content-address
     /// verification before reaching a store.
-    #[serde(default)]
     pub poisoned_bytes_rejected: u64,
     /// Bogus hint-replay frames suppressed at delivery.
-    #[serde(default)]
     pub hint_floods_suppressed: u64,
     /// Anti-entropy summaries contradicted by their own stream.
-    #[serde(default)]
     pub equivocations_detected: u64,
     /// Strikes charged to peers for provable lies.
-    #[serde(default)]
     pub liar_strikes: u64,
     /// Peers quarantined after crossing the strike threshold.
-    #[serde(default)]
     pub liars_quarantined: u64,
     /// Fingerprint-cache entries invalidated because their source peer
     /// was later quarantined for lying.
-    #[serde(default)]
     pub cache_invalidations: u64,
     /// Repair fetches re-issued to the next-rarest holder (or the
     /// cloud catalog) after a poisoned response.
-    #[serde(default)]
     pub refetches: u64,
 }
 
@@ -242,7 +229,7 @@ impl ByzantineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ef_simcore::prop::{any, check, vec};
 
     fn op(coordinator: u32, seq: u64) -> OpId {
         OpId {
@@ -341,60 +328,79 @@ mod tests {
         );
     }
 
-    proptest! {
-        /// An honest prover — one that actually stores the chunk —
-        /// always passes its own challenge.
-        #[test]
-        fn honest_prover_always_passes(
-            seed in any::<u64>(),
-            seq in any::<u64>(),
-            token in any::<u64>(),
-            value in proptest::collection::vec(any::<u8>(), 0..2048),
-        ) {
-            let c = derive_challenge(seed, op(0, seq), token, NodeId(1));
-            prop_assert_eq!(pop_digest(c, &value), pop_digest(c, &value));
-        }
+    /// An honest prover — one that actually stores the chunk —
+    /// always passes its own challenge.
+    #[test]
+    fn honest_prover_always_passes() {
+        check(
+            "honest_prover_always_passes",
+            256,
+            (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                vec(any::<u8>(), 0..2048),
+            ),
+            |(seed, seq, token, value)| {
+                let c = derive_challenge(seed, op(0, seq), token, NodeId(1));
+                assert_eq!(pop_digest(c, &value), pop_digest(c, &value));
+            },
+        );
+    }
 
-        /// Garbage or truncated bytes never produce the stored chunk's
-        /// digest: a liar fabricating or partially holding data fails.
-        #[test]
-        fn garbage_and_partial_data_never_pass(
-            seed in any::<u64>(),
-            seq in any::<u64>(),
-            value in proptest::collection::vec(any::<u8>(), 1..1024),
-            flip in any::<u8>(),
-        ) {
-            let c = derive_challenge(seed, op(0, seq), 7, NodeId(1));
-            let expected = pop_digest(c, &value);
-            // Any single flipped byte inside the challenged span moves
-            // the digest (SHA-256 second-preimage resistance stands in
-            // for "garbage never passes").
-            let mut garbled = value.clone();
-            let start = (c.offset as usize) % garbled.len();
-            garbled[start] ^= flip | 1;
-            prop_assert_ne!(pop_digest(c, &garbled), expected);
-            // Truncating the chunk (a partial holder) also fails
-            // whenever the byte it lacks was challenged.
-            if value.len() > 1 && span_covers_last_byte(c, value.len()) {
-                let partial = &value[..value.len() - 1];
-                prop_assert_ne!(pop_digest(c, partial), expected);
-            }
-        }
+    /// Garbage or truncated bytes never produce the stored chunk's
+    /// digest: a liar fabricating or partially holding data fails.
+    #[test]
+    fn garbage_and_partial_data_never_pass() {
+        check(
+            "garbage_and_partial_data_never_pass",
+            256,
+            (
+                any::<u64>(),
+                any::<u64>(),
+                vec(any::<u8>(), 1..1024),
+                any::<u8>(),
+            ),
+            |(seed, seq, value, flip)| {
+                let c = derive_challenge(seed, op(0, seq), 7, NodeId(1));
+                let expected = pop_digest(c, &value);
+                // Any single flipped byte inside the challenged span moves
+                // the digest (SHA-256 second-preimage resistance stands in
+                // for "garbage never passes").
+                let mut garbled = value.clone();
+                let start = (c.offset as usize) % garbled.len();
+                garbled[start] ^= flip | 1;
+                assert_ne!(pop_digest(c, &garbled), expected);
+                // Truncating the chunk (a partial holder) also fails
+                // whenever the byte it lacks was challenged.
+                if value.len() > 1 && span_covers_last_byte(c, value.len()) {
+                    let partial = &value[..value.len() - 1];
+                    assert_ne!(pop_digest(c, partial), expected);
+                }
+            },
+        );
+    }
 
-        /// Derivation is a pure function: re-deriving from the same
-        /// scenario inputs yields the identical challenge, so the
-        /// service path needs no RNG draws.
-        #[test]
-        fn derivation_is_pure(
-            seed in any::<u64>(),
-            coordinator in any::<u32>(),
-            seq in any::<u64>(),
-            token in any::<u64>(),
-            prover in any::<u32>(),
-        ) {
-            let a = derive_challenge(seed, op(coordinator, seq), token, NodeId(prover));
-            let b = derive_challenge(seed, op(coordinator, seq), token, NodeId(prover));
-            prop_assert_eq!(a, b);
-        }
+    /// Derivation is a pure function: re-deriving from the same
+    /// scenario inputs yields the identical challenge, so the
+    /// service path needs no RNG draws.
+    #[test]
+    fn derivation_is_pure() {
+        check(
+            "derivation_is_pure",
+            256,
+            (
+                any::<u64>(),
+                any::<u32>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u32>(),
+            ),
+            |(seed, coordinator, seq, token, prover)| {
+                let a = derive_challenge(seed, op(coordinator, seq), token, NodeId(prover));
+                let b = derive_challenge(seed, op(coordinator, seq), token, NodeId(prover));
+                assert_eq!(a, b);
+            },
+        );
     }
 }

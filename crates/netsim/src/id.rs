@@ -1,6 +1,5 @@
 //! Identifier newtypes for nodes and sites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (an edge VM or a cloud VM) in the topology.
@@ -9,9 +8,7 @@ use std::fmt;
 /// order, so they can index arrays and matrices directly.
 ///
 /// [`TopologyBuilder`]: crate::TopologyBuilder
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -34,9 +31,7 @@ impl From<u32> for NodeId {
 }
 
 /// Identifies a site: an edge cloud or the central cloud.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u32);
 
 impl SiteId {

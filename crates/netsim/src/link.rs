@@ -1,12 +1,11 @@
 //! Link parameters and NetEm-style network configuration.
 
 use ef_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a (directed) network path: propagation latency and
 /// bandwidth. Mirrors what the paper controls with NetEm plus the measured
 /// testbed bandwidths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// One-way propagation latency.
     pub latency: SimDuration,
@@ -58,7 +57,7 @@ impl LinkParams {
 /// * between an edge cloud and the central cloud (`wan`).
 ///
 /// Paths inside the central cloud also use `intra_site`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Path between two nodes in the same site.
     pub intra_site: LinkParams,

@@ -1,10 +1,9 @@
 //! Topology: nodes grouped into edge-cloud and central-cloud sites.
 
 use crate::id::{NodeId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Classifies a site as an edge cloud or the central cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteKind {
     /// A resource-constrained edge cloud (e.g. a half rack in a central
     /// office).
@@ -13,7 +12,7 @@ pub enum SiteKind {
     Cloud,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Site {
     kind: SiteKind,
     nodes: Vec<NodeId>,
@@ -23,7 +22,7 @@ struct Site {
 /// belongs to.
 ///
 /// Build one with [`TopologyBuilder`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     sites: Vec<Site>,
     node_site: Vec<SiteId>,

@@ -15,6 +15,8 @@
 //! * [`FifoServer`] — a FIFO resource for modelling CPU and link occupancy,
 //! * [`DetRng`] — a seedable, portable random-number generator with named
 //!   substreams,
+//! * [`prop`] — a deterministic property-test harness whose cases are
+//!   drawn from a [`DetRng`] and whose failures shrink,
 //! * [`stats`] — small online-statistics helpers used by the experiment
 //!   harness.
 //!
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+pub mod prop;
 mod queue;
 mod resource;
 mod rng;

@@ -1,7 +1,5 @@
 //! Online statistics helpers used throughout the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.5);
 /// assert_eq!(s.count(), 4);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -172,7 +170,7 @@ pub fn mean_relative_error(reference: &[f64], estimate: &[f64]) -> f64 {
 }
 
 /// A fixed-bucket histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -6,7 +6,6 @@
 //! to model sub-microsecond service times; a `u64` covers ~584 years of
 //! simulated time, far beyond any experiment in this repository.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -23,9 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::ZERO + SimDuration::from_micros(3);
 /// assert_eq!(t.as_nanos(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (nanoseconds).
@@ -37,9 +34,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(2) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_secs_f64(), 0.0025);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

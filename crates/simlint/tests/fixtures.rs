@@ -462,6 +462,20 @@ fn the_real_workload_generators_lint_clean() {
 }
 
 #[test]
+fn the_property_harness_lints_clean_with_no_suppression() {
+    // The harness decides which cases every property in the workspace
+    // sees, so it is held to the sim-critical rules with nothing excused:
+    // no wall clock, no entropy, no unordered iteration, no panic other
+    // than the assertion that reports a falsified property.
+    let findings = lint_real("simcore/src/prop.rs", &SIM_CTX);
+    assert!(
+        findings.is_empty(),
+        "{:?}",
+        findings.iter().map(Finding::render).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn wal_recovery_shapes_fire_every_rule() {
     // The crash-recovery subsystem's tempting mistakes, in its own
     // shape: hash-ordered WAL replay, wall-clock snapshot stamps,

@@ -3,8 +3,8 @@
 //!
 //! Each run regenerates the full pipeline from scratch (topology, chaos
 //! schedule, workload, index cluster) so nothing can leak between runs,
-//! then the resulting [`SystemMetrics`] are compared both as serialized
-//! JSON and as their `Debug` rendering. Any hidden HashMap iteration,
+//! then the resulting [`SystemMetrics`] are compared both field by field
+//! (`PartialEq`) and as their `Debug` rendering. Any hidden HashMap iteration,
 //! wall-clock read, or unseeded RNG anywhere in the stack shows up here
 //! as a diff.
 
@@ -74,12 +74,12 @@ fn same_seed_reproduces_metrics_byte_for_byte() {
     let a = chaos_metrics(42);
     let b = chaos_metrics(42);
 
-    let json_a = serde_json::to_string(&a).expect("metrics serialize");
-    let json_b = serde_json::to_string(&b).expect("metrics serialize");
-    assert_eq!(json_a, json_b, "serialized metrics diverged across runs");
+    assert_eq!(a, b, "metrics diverged across runs");
+    // A comparison that cannot fail proves nothing: another seed differs.
+    assert_ne!(chaos_metrics(42), chaos_metrics(43));
 
-    // Debug formatting covers every field bit-exactly (floats included)
-    // independent of the serde layer.
+    // Debug formatting covers every field bit-exactly (floats included),
+    // where `==` would let a 0.0 pass for a -0.0.
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -161,9 +161,7 @@ fn bitrot_scrub_run_replays_byte_for_byte() {
     let a = bitrot_metrics(42);
     let b = bitrot_metrics(42);
 
-    let json_a = serde_json::to_string(&a).expect("metrics serialize");
-    let json_b = serde_json::to_string(&b).expect("metrics serialize");
-    assert_eq!(json_a, json_b, "serialized bit-rot metrics diverged");
+    assert_eq!(a, b, "bit-rot metrics diverged");
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),
@@ -255,9 +253,7 @@ fn cached_gear_cdc_run_replays_byte_for_byte() {
     let a = cached_gear_metrics(42);
     let b = cached_gear_metrics(42);
 
-    let json_a = serde_json::to_string(&a).expect("metrics serialize");
-    let json_b = serde_json::to_string(&b).expect("metrics serialize");
-    assert_eq!(json_a, json_b, "serialized cached-gear metrics diverged");
+    assert_eq!(a, b, "cached-gear metrics diverged");
     assert_eq!(
         format!("{a:?}"),
         format!("{b:?}"),

@@ -7,91 +7,109 @@ use ef_datagen::{
     ByteAlignedConfig, CharacteristicVector, GenerativeModel, LayeredImagesConfig, LogAppendConfig,
     SourceSpec, VersionedBackupConfig, WorkloadKind,
 };
+use ef_simcore::prop::{check, vec, Strategy};
 use ef_simcore::DetRng;
 use efdedup::model::Snod2Instance;
 use efdedup::partition::{
     DedupOnly, EqualSizeGreedy, MatchingPartitioner, NetworkOnly, Partitioner, RandomPartitioner,
     SmartGreedy,
 };
-use proptest::prelude::*;
 
-/// Strategy generating a small random SNOD2 instance.
-fn arb_instance() -> impl Strategy<Value = Snod2Instance> {
+/// What a small random SNOD2 instance is built from: node count, pool
+/// count, pool sizes (resized to the pool count), seed, alpha.
+type InstanceParts = (usize, usize, Vec<u64>, u64, f64);
+
+fn arb_instance_parts() -> impl Strategy<Value = InstanceParts> {
     (
-        2usize..6,                                     // nodes
-        2usize..4,                                     // pools
-        proptest::collection::vec(10u64..5_000, 2..4), // pool sizes (resized below)
-        0u64..u64::MAX,                                // seed
-        0.0f64..0.1,                                   // alpha
+        2usize..6,
+        2usize..4,
+        vec(10u64..5_000, 2..4),
+        0u64..u64::MAX,
+        0.0f64..0.1,
     )
-        .prop_map(|(n, k, mut sizes, seed, alpha)| {
-            sizes.resize(k, 100);
-            let mut rng = DetRng::new(seed).substream("arb-instance");
-            let probs: Vec<CharacteristicVector> = (0..n)
-                .map(|_| {
-                    let w: Vec<f64> = (0..k).map(|_| rng.range_f64(0.05, 1.0)).collect();
-                    CharacteristicVector::from_weights(w).unwrap()
-                })
-                .collect();
-            let mut costs = vec![vec![0.0; n]; n];
-            // Symmetric fill: each draw writes (i, j) and (j, i).
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let c = rng.range_f64(0.1, 50.0);
-                    costs[i][j] = c;
-                    costs[j][i] = c;
-                }
-            }
-            let rates: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 200.0)).collect();
-            Snod2Instance::new(sizes, rates, probs, costs, alpha, 2, 5.0).unwrap()
-        })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Theorem 1's ratio is ≥ 1 and merging node sets never increases
-    /// total storage (subadditivity of unique-chunk counts).
-    #[test]
-    fn theorem1_bounds_and_subadditivity(inst in arb_instance()) {
-        let n = inst.node_count();
-        let all: Vec<usize> = (0..n).collect();
-        prop_assert!(inst.dedup_ratio(&all) >= 1.0 - 1e-12);
-        let joint = inst.storage_cost(&all);
-        let separate: f64 = (0..n).map(|i| inst.storage_cost(&[i])).sum();
-        prop_assert!(joint <= separate + 1e-9);
-    }
-
-    /// All partitioners return valid exact-m covers and SMART never loses
-    /// to either ablation.
-    #[test]
-    fn partitioners_valid_and_smart_dominant(inst in arb_instance(), m in 1usize..5) {
-        let n = inst.node_count();
-        let algos: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(SmartGreedy),
-            Box::new(EqualSizeGreedy),
-            Box::new(MatchingPartitioner::default()),
-            Box::new(NetworkOnly),
-            Box::new(DedupOnly),
-            Box::new(RandomPartitioner { seed: 5 }),
-        ];
-        for algo in &algos {
-            let p = algo.partition(&inst, m);
-            prop_assert!(p.validate(n).is_ok(), "{} invalid", algo.name());
-            prop_assert!(p.ring_count() <= m.min(n).max(1));
+fn instance((n, k, mut sizes, seed, alpha): InstanceParts) -> Snod2Instance {
+    sizes.resize(k, 100);
+    let mut rng = DetRng::new(seed).substream("arb-instance");
+    let probs: Vec<CharacteristicVector> = (0..n)
+        .map(|_| {
+            let w: Vec<f64> = (0..k).map(|_| rng.range_f64(0.05, 1.0)).collect();
+            CharacteristicVector::from_weights(w).unwrap()
+        })
+        .collect();
+    let mut costs = vec![vec![0.0; n]; n];
+    // Symmetric fill: each draw writes (i, j) and (j, i).
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let c = rng.range_f64(0.1, 50.0);
+            costs[i][j] = c;
+            costs[j][i] = c;
         }
-        let smart = inst.total_cost(&SmartGreedy.partition(&inst, m)).aggregate;
-        let net = inst.total_cost(&NetworkOnly.partition(&inst, m)).aggregate;
-        let ded = inst.total_cost(&DedupOnly.partition(&inst, m)).aggregate;
-        prop_assert!(smart <= net + 1e-9, "smart {smart} > network-only {net}");
-        prop_assert!(smart <= ded + 1e-9, "smart {smart} > dedup-only {ded}");
     }
+    let rates: Vec<f64> = (0..n).map(|_| rng.range_f64(10.0, 200.0)).collect();
+    Snod2Instance::new(sizes, rates, probs, costs, alpha, 2, 5.0).unwrap()
+}
 
-    /// Theorem 1 against the real generative process *and* byte-level
-    /// chunk measurement, on random two-source models.
-    #[test]
-    fn theorem1_matches_measured_bytes(seed in 0u64..1_000) {
+/// Theorem 1's ratio is ≥ 1 and merging node sets never increases
+/// total storage (subadditivity of unique-chunk counts).
+#[test]
+fn theorem1_bounds_and_subadditivity() {
+    check(
+        "theorem1_bounds_and_subadditivity",
+        48,
+        arb_instance_parts(),
+        |parts| {
+            let inst = instance(parts);
+            let n = inst.node_count();
+            let all: Vec<usize> = (0..n).collect();
+            assert!(inst.dedup_ratio(&all) >= 1.0 - 1e-12);
+            let joint = inst.storage_cost(&all);
+            let separate: f64 = (0..n).map(|i| inst.storage_cost(&[i])).sum();
+            assert!(joint <= separate + 1e-9);
+        },
+    );
+}
+
+/// All partitioners return valid exact-m covers and SMART never loses
+/// to either ablation.
+#[test]
+fn partitioners_valid_and_smart_dominant() {
+    check(
+        "partitioners_valid_and_smart_dominant",
+        48,
+        (arb_instance_parts(), 1usize..5),
+        |(parts, m)| {
+            let inst = instance(parts);
+            let n = inst.node_count();
+            let algos: Vec<Box<dyn Partitioner>> = vec![
+                Box::new(SmartGreedy),
+                Box::new(EqualSizeGreedy),
+                Box::new(MatchingPartitioner::default()),
+                Box::new(NetworkOnly),
+                Box::new(DedupOnly),
+                Box::new(RandomPartitioner { seed: 5 }),
+            ];
+            for algo in &algos {
+                let p = algo.partition(&inst, m);
+                assert!(p.validate(n).is_ok(), "{} invalid", algo.name());
+                assert!(p.ring_count() <= m.min(n).max(1));
+            }
+            let smart = inst.total_cost(&SmartGreedy.partition(&inst, m)).aggregate;
+            let net = inst.total_cost(&NetworkOnly.partition(&inst, m)).aggregate;
+            let ded = inst.total_cost(&DedupOnly.partition(&inst, m)).aggregate;
+            assert!(smart <= net + 1e-9, "smart {smart} > network-only {net}");
+            assert!(smart <= ded + 1e-9, "smart {smart} > dedup-only {ded}");
+        },
+    );
+}
+
+/// Theorem 1 against the real generative process *and* byte-level
+/// chunk measurement, on random two-source models.
+#[test]
+fn theorem1_matches_measured_bytes() {
+    check("theorem1_matches_measured_bytes", 48, 0u64..1_000, |seed| {
         let mut rng = DetRng::new(seed).substream("t1-bytes");
         let k = 3usize;
         let sizes = vec![
@@ -142,11 +160,11 @@ proptest! {
         }
         let measured = measured_sum / trials as f64;
         let rel = ((predicted - measured) / measured).abs();
-        prop_assert!(
+        assert!(
             rel < 0.15,
             "predicted {predicted} vs measured {measured} (rel {rel})"
         );
-    }
+    });
 }
 
 fn small_gear() -> ef_chunking::GearChunker {
@@ -158,84 +176,96 @@ fn small_gear() -> ef_chunking::GearChunker {
         .unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The mechanism behind the chunking choice, pinned as a property:
+/// on every shift-redundant workload family at nonzero edit rate,
+/// gear-CDC finds strictly more redundancy than equal-size chunking
+/// — while the byte-aligned pool corpus still favors equal-size
+/// chunking. Edit rates start
+/// at 4 so at least one shifting (insert/delete) edit separates
+/// consecutive versions with overwhelming probability; a run of
+/// all-in-place-edit transitions would leave fixed-size alignment
+/// intact and the margin near zero.
+#[test]
+fn cdc_strictly_beats_fixed_on_shift_redundant_corpora() {
+    check(
+        "cdc_strictly_beats_fixed_on_shift_redundant_corpora",
+        8,
+        (0u64..10_000, 4usize..10),
+        |(seed, edits)| {
+            let kinds = [
+                WorkloadKind::VersionedBackup(VersionedBackupConfig {
+                    base_len: 48 * 1024,
+                    versions: 4,
+                    edits_per_version: edits,
+                    mean_edit_len: 48,
+                }),
+                WorkloadKind::LayeredImages(LayeredImagesConfig {
+                    base_layers: 2,
+                    layer_len: 24 * 1024,
+                    images: 3,
+                    delta_len: 8 * 1024,
+                    edits_per_image: edits,
+                    mean_edit_len: 32,
+                }),
+                WorkloadKind::LogAppend(LogAppendConfig {
+                    initial_len: 48 * 1024,
+                    snapshots: 4,
+                    append_len: 8 * 1024,
+                    mean_trim_len: 512 * edits,
+                }),
+            ];
+            let fixed = FixedChunker::new(2048).unwrap();
+            let gear = small_gear();
+            for kind in kinds {
+                assert!(kind.is_shift_redundant());
+                let streams = kind.streams(seed);
+                let views: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+                let r_fixed = joint_dedup_ratio(&fixed, &views);
+                let r_gear = joint_dedup_ratio(&gear, &views);
+                assert!(
+                    r_gear > r_fixed,
+                    "{}: gear {} <= fixed {} (seed {})",
+                    kind.label(),
+                    r_gear,
+                    r_fixed,
+                    seed
+                );
+            }
+        },
+    );
+}
 
-    /// The mechanism behind the chunking choice, pinned as a property:
-    /// on every shift-redundant workload family at nonzero edit rate,
-    /// gear-CDC finds strictly more redundancy than equal-size chunking
-    /// — while the byte-aligned pool corpus still favors equal-size
-    /// chunking. Edit rates start
-    /// at 4 so at least one shifting (insert/delete) edit separates
-    /// consecutive versions with overwhelming probability; a run of
-    /// all-in-place-edit transitions would leave fixed-size alignment
-    /// intact and the margin near zero.
-    #[test]
-    fn cdc_strictly_beats_fixed_on_shift_redundant_corpora(
-        seed in 0u64..10_000,
-        edits in 4usize..10,
-    ) {
-        let kinds = [
-            WorkloadKind::VersionedBackup(VersionedBackupConfig {
-                base_len: 48 * 1024,
-                versions: 4,
-                edits_per_version: edits,
-                mean_edit_len: 48,
-            }),
-            WorkloadKind::LayeredImages(LayeredImagesConfig {
-                base_layers: 2,
-                layer_len: 24 * 1024,
-                images: 3,
-                delta_len: 8 * 1024,
-                edits_per_image: edits,
-                mean_edit_len: 32,
-            }),
-            WorkloadKind::LogAppend(LogAppendConfig {
-                initial_len: 48 * 1024,
-                snapshots: 4,
-                append_len: 8 * 1024,
-                mean_trim_len: 512 * edits,
-            }),
-        ];
-        let fixed = FixedChunker::new(2048).unwrap();
-        let gear = small_gear();
-        for kind in kinds {
-            prop_assert!(kind.is_shift_redundant());
+/// The control: on the legacy byte-aligned pool corpus, equal-size
+/// chunking at the pool's chunk size finds every duplicate and wins.
+#[test]
+fn fixed_still_wins_on_the_byte_aligned_corpus() {
+    check(
+        "fixed_still_wins_on_the_byte_aligned_corpus",
+        8,
+        0u64..10_000,
+        |seed| {
+            let kind = WorkloadKind::ByteAligned(ByteAlignedConfig {
+                chunk_size: 2048,
+                pool_chunks: 100,
+                sources: 2,
+                chunks_per_source: 200,
+            });
+            assert!(!kind.is_shift_redundant());
             let streams = kind.streams(seed);
             let views: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+            let fixed = FixedChunker::new(2048).unwrap();
+            let gear = small_gear();
             let r_fixed = joint_dedup_ratio(&fixed, &views);
             let r_gear = joint_dedup_ratio(&gear, &views);
-            prop_assert!(
-                r_gear > r_fixed,
-                "{}: gear {} <= fixed {} (seed {})",
-                kind.label(), r_gear, r_fixed, seed
+            assert!(
+                r_fixed > r_gear,
+                "control inverted: fixed {} <= gear {} (seed {})",
+                r_fixed,
+                r_gear,
+                seed
             );
-        }
-    }
-
-    /// The control: on the legacy byte-aligned pool corpus, equal-size
-    /// chunking at the pool's chunk size finds every duplicate and wins.
-    #[test]
-    fn fixed_still_wins_on_the_byte_aligned_corpus(seed in 0u64..10_000) {
-        let kind = WorkloadKind::ByteAligned(ByteAlignedConfig {
-            chunk_size: 2048,
-            pool_chunks: 100,
-            sources: 2,
-            chunks_per_source: 200,
-        });
-        prop_assert!(!kind.is_shift_redundant());
-        let streams = kind.streams(seed);
-        let views: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-        let fixed = FixedChunker::new(2048).unwrap();
-        let gear = small_gear();
-        let r_fixed = joint_dedup_ratio(&fixed, &views);
-        let r_gear = joint_dedup_ratio(&gear, &views);
-        prop_assert!(
-            r_fixed > r_gear,
-            "control inverted: fixed {} <= gear {} (seed {})",
-            r_fixed, r_gear, seed
-        );
-    }
+        },
+    );
 }
 
 /// Measured dedup ratios on the versioned-backup corpus against the
@@ -287,59 +317,69 @@ fn versioned_backup_ratios_match_the_closed_forms() {
     assert!(expected_cdc > expected_fixed);
 }
 
-proptest! {
-    /// The fingerprint cache is invisible to the dedup answer: for
-    /// arbitrary cache geometry (capacity and shard count) every measured
-    /// dedup quantity is bit-identical to the cache-off run, and lookup
-    /// network cost can only shrink.
-    #[test]
-    fn cache_geometry_never_changes_dedup(
-        capacity_pow in 1u32..18,
-        shards in 1usize..17,
-        nodes in 2usize..5,
-    ) {
-        use ef_datagen::datasets;
-        use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
-        use efdedup::partition::Partition;
-        use efdedup::system::{run_system, Strategy, SystemConfig, Workload};
+/// The fingerprint cache is invisible to the dedup answer: for
+/// arbitrary cache geometry (capacity and shard count) every measured
+/// dedup quantity is bit-identical to the cache-off run, and lookup
+/// network cost can only shrink.
+#[test]
+fn cache_geometry_never_changes_dedup() {
+    check(
+        "cache_geometry_never_changes_dedup",
+        256,
+        (1u32..18, 1usize..17, 2usize..5),
+        |(capacity_pow, shards, nodes)| {
+            use ef_datagen::datasets;
+            use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
+            use efdedup::partition::Partition;
+            use efdedup::system::{run_system, Strategy, SystemConfig, Workload};
 
-        let topo = TopologyBuilder::new().edge_sites(10, 2).cloud_site(4).build();
-        let net = Network::new(topo, NetworkConfig::paper_testbed());
-        let ds = datasets::accelerometer(nodes, 42);
-        let w = Workload::from_dataset(&ds, nodes, 200, 0);
-        let per = nodes.div_ceil(2);
-        let mut rings = Vec::new();
-        for r in 0..2 {
-            let lo = r * per;
-            if lo >= nodes { break; }
-            rings.push((lo..(lo + per).min(nodes)).collect());
-        }
-        let partition = Partition::new(rings).unwrap();
-        let off = run_system(
-            &net, &w, &Strategy::Smart(partition.clone()), &SystemConfig::paper_testbed(),
-        );
-        let cfg = SystemConfig {
-            cache_capacity: 1 << capacity_pow,
-            cache_shards: shards,
-            ..SystemConfig::paper_testbed()
-        };
-        let on = run_system(&net, &w, &Strategy::Smart(partition), &cfg);
-        prop_assert_eq!(off.unique_chunks, on.unique_chunks);
-        prop_assert_eq!(off.dedup_ratio, on.dedup_ratio);
-        prop_assert_eq!(off.storage_bytes, on.storage_bytes);
-        prop_assert_eq!(off.total_chunks, on.total_chunks);
-        for (a, b) in off.nodes.iter().zip(&on.nodes) {
-            prop_assert_eq!(a.unique_chunks, b.unique_chunks);
-        }
-        prop_assert!(
-            on.network_cost_ms <= off.network_cost_ms,
-            "cache increased network cost: {} -> {}",
-            off.network_cost_ms,
-            on.network_cost_ms
-        );
-        prop_assert_eq!(
-            on.cache.hits + on.cache.misses, on.total_chunks,
-            "every chunk is exactly one lookup"
-        );
-    }
+            let topo = TopologyBuilder::new()
+                .edge_sites(10, 2)
+                .cloud_site(4)
+                .build();
+            let net = Network::new(topo, NetworkConfig::paper_testbed());
+            let ds = datasets::accelerometer(nodes, 42);
+            let w = Workload::from_dataset(&ds, nodes, 200, 0);
+            let per = nodes.div_ceil(2);
+            let mut rings = Vec::new();
+            for r in 0..2 {
+                let lo = r * per;
+                if lo >= nodes {
+                    break;
+                }
+                rings.push((lo..(lo + per).min(nodes)).collect());
+            }
+            let partition = Partition::new(rings).unwrap();
+            let off = run_system(
+                &net,
+                &w,
+                &Strategy::Smart(partition.clone()),
+                &SystemConfig::paper_testbed(),
+            );
+            let cfg = SystemConfig {
+                cache_capacity: 1 << capacity_pow,
+                cache_shards: shards,
+                ..SystemConfig::paper_testbed()
+            };
+            let on = run_system(&net, &w, &Strategy::Smart(partition), &cfg);
+            assert_eq!(off.unique_chunks, on.unique_chunks);
+            assert_eq!(off.dedup_ratio, on.dedup_ratio);
+            assert_eq!(off.storage_bytes, on.storage_bytes);
+            assert_eq!(off.total_chunks, on.total_chunks);
+            for (a, b) in off.nodes.iter().zip(&on.nodes) {
+                assert_eq!(a.unique_chunks, b.unique_chunks);
+            }
+            assert!(
+                on.network_cost_ms <= off.network_cost_ms,
+                "cache increased network cost: {} -> {}",
+                off.network_cost_ms,
+                on.network_cost_ms
+            );
+            assert_eq!(
+                on.cache.hits + on.cache.misses,
+                on.total_chunks,
+                "every chunk is exactly one lookup"
+            );
+        },
+    );
 }
