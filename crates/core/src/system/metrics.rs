@@ -1,5 +1,7 @@
 //! Metrics produced by a system run.
 
+use ef_simcore::stats::Counter;
+
 /// Per-node pipeline metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeMetrics {
@@ -19,42 +21,28 @@ pub struct NodeMetrics {
 }
 
 /// Fault-handling counters aggregated from the dedup index cluster and
-/// the simulated network (all zero for a fault-free run).
+/// the simulated network (all zero for a fault-free run): the seven
+/// counter families `ef-kvstore` declares, whole, plus three readings
+/// that are not counters of a family.
 ///
 /// Populate from a chaos-rigged cluster with
 /// [`RobustnessMetrics::from_sim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessMetrics {
-    /// Per-op timeouts the index coordinators recorded.
-    pub index_timeouts: u64,
-    /// Retry rounds the index coordinators issued.
-    pub index_retries: u64,
-    /// Check-and-inserts resolved in degraded "assume unique" mode
-    /// (each one is at worst a redundant upload, never data loss).
-    pub degraded_lookups: u64,
     /// Messages the simulated network dropped (loss + partitions).
     pub messages_dropped: u64,
-    /// WAL records replayed by restarting index nodes.
-    pub wal_records_replayed: u64,
-    /// WAL snapshot compactions taken across all index nodes.
+    /// WAL snapshot compactions taken across all index nodes (routine:
+    /// a long enough healthy run compacts too).
     pub wal_snapshots: u64,
-    /// Index nodes that crash-stopped and restarted from their WAL.
-    pub node_restarts: u64,
-    /// Scheduled anti-entropy rounds the cluster ran.
-    pub antientropy_rounds: u64,
-    /// Divergent Merkle buckets anti-entropy repaired.
-    pub buckets_repaired: u64,
-    /// Index entries streamed to close those divergences.
-    pub entries_repaired: u64,
-    /// Entries re-replicated to new owners after permanent departures.
-    pub rereplicated_entries: u64,
-    /// Hints dropped because their target permanently departed.
-    pub hints_dropped: u64,
-    /// Dead-timeout escalations peers recorded (observer × dead node).
-    pub dead_declared: u64,
     /// Worst restart-to-convergence latency (ns; 0 when no node
     /// restarted or none has converged yet).
     pub recovery_latency_ns_max: u64,
+    /// Per-op timeouts, retry rounds, degraded "assume unique" verdicts
+    /// and read repairs of the index coordinators.
+    pub coordinator: ef_kvstore::CoordinatorStats,
+    /// Crash-recovery pipeline: WAL replay, restarts, anti-entropy
+    /// repair, re-replication, dropped hints, dead declarations.
+    pub recovery: ef_kvstore::RecoveryStats,
     /// End-to-end integrity counters: frames rejected by wire checksums,
     /// scrub progress, mismatches detected, and how each one was
     /// resolved (read-repair, cloud decode, or declared lost).
@@ -81,27 +69,13 @@ pub struct RobustnessMetrics {
 impl RobustnessMetrics {
     /// Snapshots the fault counters of a simulated index cluster.
     pub fn from_sim(cluster: &ef_kvstore::SimCluster) -> Self {
-        let recovery = cluster.recovery_stats();
+        let latencies = cluster.recovery_latencies().into_iter();
         RobustnessMetrics {
-            index_timeouts: cluster.timeouts(),
-            index_retries: cluster.retries(),
-            degraded_lookups: cluster.degraded_ops(),
             messages_dropped: cluster.network().messages_dropped(),
-            wal_records_replayed: recovery.wal_records_replayed,
             wal_snapshots: cluster.wal_snapshots(),
-            node_restarts: recovery.restarts,
-            antientropy_rounds: recovery.antientropy_rounds,
-            buckets_repaired: recovery.buckets_repaired,
-            entries_repaired: recovery.entries_repaired,
-            rereplicated_entries: recovery.rereplicated_entries,
-            hints_dropped: recovery.hints_dropped,
-            dead_declared: recovery.dead_declared,
-            recovery_latency_ns_max: cluster
-                .recovery_latencies()
-                .into_iter()
-                .map(|(_, d)| d.as_nanos())
-                .max()
-                .unwrap_or(0),
+            recovery_latency_ns_max: latencies.map(|(_, d)| d.as_nanos()).max().unwrap_or(0),
+            coordinator: cluster.coordinator_stats(),
+            recovery: cluster.recovery_stats(),
             integrity: cluster.integrity(),
             cache: cluster.cache_stats(),
             gray: cluster.gray_stats(),
@@ -110,46 +84,39 @@ impl RobustnessMetrics {
         }
     }
 
-    /// True when the run saw no fault-handling activity at all. Cache
-    /// traffic is not fault activity, so it is ignored here; likewise
-    /// the passive gray-failure observation counters (RTT samples,
-    /// adapted timers, queue high-water mark), which accrue on every op
-    /// once the mitigations are enabled even when nothing is wrong.
-    /// Active mitigation — hedges, sheds, gray marks — is not quiet.
-    /// The same split applies to the disaster layer: routine spool
-    /// enqueue/drain traffic accrues on every unique once the uplink is
-    /// enabled and is ignored, while outage windows, ring wipes,
-    /// retransmits, spooled hints and repairs mean something went wrong.
-    /// And to the trust layer: challenges issued, passed, or answered
-    /// from the proven-possession cache are the routine price of armed
-    /// proof-of-possession, while failed challenges, rejected claims,
-    /// strikes and quarantines mean a peer actually lied.
+    /// Every counter of every family, in declaration order. The pattern
+    /// is exhaustive: a family added to the struct does not compile until
+    /// it is chained here, so quietness and reports cannot miss it.
+    pub fn fields(&self) -> impl Iterator<Item = Counter> {
+        let RobustnessMetrics {
+            messages_dropped: _,
+            wal_snapshots: _,
+            recovery_latency_ns_max: _,
+            coordinator,
+            recovery,
+            integrity,
+            cache,
+            gray,
+            disaster,
+            byzantine,
+        } = self;
+        coordinator
+            .fields()
+            .chain(recovery.fields())
+            .chain(integrity.fields())
+            .chain(cache.fields())
+            .chain(gray.fields())
+            .chain(disaster.fields())
+            .chain(byzantine.fields())
+    }
+
+    /// True when the run saw no fault-handling activity at all: no
+    /// message dropped and no fault-class counter of any family
+    /// non-zero. What is routine — cache traffic, passive RTT
+    /// observation, spool enqueue/drain, passed possession challenges —
+    /// is each counter's declared class, not a list kept here.
     pub fn is_quiet(&self) -> bool {
-        RobustnessMetrics {
-            cache: ef_kvstore::CacheStats::default(),
-            gray: ef_kvstore::GrayFailureStats {
-                rtt_samples: 0,
-                rto_adaptations: 0,
-                queue_peak: 0,
-                ..self.gray
-            },
-            disaster: ef_kvstore::DisasterStats {
-                spool_enqueued: 0,
-                spool_drained: 0,
-                spool_depth: 0,
-                spool_high_water: 0,
-                spool_bytes_enqueued: 0,
-                spool_bytes_drained: 0,
-                ..self.disaster
-            },
-            byzantine: ef_kvstore::ByzantineStats {
-                challenges_issued: 0,
-                challenges_passed: 0,
-                pop_cache_hits: 0,
-                ..self.byzantine
-            },
-            ..*self
-        } == RobustnessMetrics::default()
+        self.messages_dropped == 0 && self.fields().all(|c| c.is_quiet())
     }
 }
 
@@ -237,57 +204,54 @@ mod tests {
     }
 
     #[test]
-    fn quietness_ignores_cache_traffic() {
-        // Cache hits are not fault activity: a fault-free cached run must
-        // still read as quiet, while any real fault counter flips it.
-        let mut r = RobustnessMetrics {
-            cache: ef_kvstore::CacheStats {
-                hits: 10,
-                misses: 5,
-                evictions: 1,
-                insertions: 5,
-                ..ef_kvstore::CacheStats::default()
-            },
-            ..RobustnessMetrics::default()
+    fn quietness_is_each_counters_declared_class() {
+        // Every family reaches `fields()` and is consulted by `is_quiet`,
+        // which breaks exactly when a `fault` counter is set: routine
+        // traffic — all of the cache's, part of the gray, disaster and
+        // trust layers' — never does.
+        use ef_simcore::stats::Class;
+        let quiet = RobustnessMetrics::default();
+        assert!(quiet.is_quiet());
+        macro_rules! only {
+            ($field:ident: $family:ident, $class:ident) => {{
+                let family = ef_kvstore::$family::default();
+                let ones: Vec<u64> = family
+                    .fields()
+                    .map(|c| u64::from(c.class == Class::$class))
+                    .collect();
+                let $field = ef_kvstore::$family::from_values(&ones);
+                (Class::$class, RobustnessMetrics { $field, ..quiet })
+            }};
+        }
+        let runs = [
+            only!(coordinator: CoordinatorStats, Fault),
+            only!(recovery: RecoveryStats, Fault),
+            only!(integrity: IntegrityStats, Fault),
+            only!(cache: CacheStats, Routine),
+            only!(gray: GrayFailureStats, Routine),
+            only!(gray: GrayFailureStats, Fault),
+            only!(disaster: DisasterStats, Routine),
+            only!(disaster: DisasterStats, Fault),
+            only!(byzantine: ByzantineStats, Routine),
+            only!(byzantine: ByzantineStats, Fault),
+        ];
+        for (class, r) in runs {
+            let set: Vec<Counter> = r.fields().filter(|c| c.value != 0).collect();
+            assert!(!set.is_empty() && set.iter().all(|c| c.class == class));
+            assert_eq!(r.is_quiet(), class == Class::Routine, "{set:?}");
+        }
+        // Of the three readings outside the families only drops are
+        // fault activity.
+        let dropped = RobustnessMetrics {
+            messages_dropped: 1,
+            ..quiet
         };
-        assert!(r.is_quiet());
-        // Passive gray observation is not fault activity either...
-        r.gray.rtt_samples = 40;
-        r.gray.rto_adaptations = 12;
-        r.gray.queue_peak = 3;
-        assert!(r.is_quiet());
-        // ...but active mitigation is.
-        r.gray.hedges_fired = 1;
-        assert!(!r.is_quiet());
-        r.gray.hedges_fired = 0;
-        r.index_timeouts = 1;
-        assert!(!r.is_quiet());
-        r.index_timeouts = 0;
-        // Routine spool drain traffic is not fault activity...
-        r.disaster.spool_enqueued = 8;
-        r.disaster.spool_drained = 8;
-        r.disaster.spool_high_water = 3;
-        r.disaster.spool_bytes_enqueued = 1024;
-        r.disaster.spool_bytes_drained = 1024;
-        assert!(r.is_quiet());
-        // ...but a disaster window, a retransmit or a repair is.
-        r.disaster.outage_windows = 1;
-        assert!(!r.is_quiet());
-        r.disaster.outage_windows = 0;
-        r.disaster.mesh_repairs = 1;
-        assert!(!r.is_quiet());
-        r.disaster.mesh_repairs = 0;
-        // Routine proof-of-possession traffic is not fault activity...
-        r.byzantine.challenges_issued = 20;
-        r.byzantine.challenges_passed = 18;
-        r.byzantine.pop_cache_hits = 7;
-        assert!(r.is_quiet());
-        // ...but a failed challenge or a quarantined liar is.
-        r.byzantine.challenges_failed = 1;
-        assert!(!r.is_quiet());
-        r.byzantine.challenges_failed = 0;
-        r.byzantine.liars_quarantined = 1;
-        assert!(!r.is_quiet());
+        assert!(!dropped.is_quiet());
+        let compacted = RobustnessMetrics {
+            wal_snapshots: 3,
+            ..quiet
+        };
+        assert!(compacted.is_quiet());
     }
 
     #[test]
@@ -325,7 +289,7 @@ mod tests {
         // 30% background loss over remote replica traffic must trip the
         // retry machinery and drop messages.
         assert!(r.messages_dropped > 0, "no drops under 30% loss");
-        assert!(r.index_retries > 0, "no retries under 30% loss");
+        assert!(r.coordinator.retries > 0, "no retries under 30% loss");
         assert!(!r.is_quiet());
     }
 }

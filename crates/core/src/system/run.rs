@@ -189,7 +189,7 @@ pub fn run_system(
                 }
             }
             for cache in &caches {
-                cache_stats.absorb(&cache.stats());
+                cache_stats.merge(&cache.stats());
             }
 
             // Restore pass: replay each node's stream as one logical

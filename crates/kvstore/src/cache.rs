@@ -23,51 +23,10 @@
 //! shard selection (via [`key_token`]) are all independent of allocation
 //! or hash-seed nondeterminism, so cached runs replay bit-identically.
 
+use crate::counters::CacheStats;
 use crate::key_token;
 use bytes::Bytes;
 use std::collections::BTreeMap;
-
-/// Hit/miss/eviction counters for a [`FingerprintCache`], reported up
-/// through `SystemMetrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered locally (duplicate confirmed without a ring trip).
-    pub hits: u64,
-    /// Lookups that fell through to the ring.
-    pub misses: u64,
-    /// Entries evicted by the per-shard capacity bound.
-    pub evictions: u64,
-    /// Entries inserted (first sight of a fingerprint on this node).
-    pub insertions: u64,
-    /// Insertions deferred by the second-sight admission policy (always
-    /// zero when the policy is off).
-    pub deferred: u64,
-    /// Entries invalidated by [`FingerprintCache::remove`] — e.g. when
-    /// the peer whose possession claim admitted them was quarantined.
-    pub invalidations: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups, 0.0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.saturating_add(self.misses);
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Folds another counter set into this one (per-node → system totals).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.evictions = self.evictions.saturating_add(other.evictions);
-        self.insertions = self.insertions.saturating_add(other.insertions);
-        self.deferred = self.deferred.saturating_add(other.deferred);
-        self.invalidations = self.invalidations.saturating_add(other.invalidations);
-    }
-}
 
 /// The second-sight admission filter: two deterministic bitmaps over
 /// [`key_token`] values.
@@ -532,8 +491,8 @@ mod tests {
         cache.contains(&key(8));
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
         let mut total = CacheStats::default();
-        total.absorb(&cache.stats());
-        total.absorb(&cache.stats());
+        total.merge(&cache.stats());
+        total.merge(&cache.stats());
         assert_eq!(total.hits, 2);
         assert_eq!(total.misses, 2);
     }

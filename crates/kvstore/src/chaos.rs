@@ -746,7 +746,7 @@ mod tests {
         let mut total_timeouts = 0;
         let mut total_degraded = 0;
         let mut total_dropped = 0;
-        let mut cache = crate::cache::CacheStats::default();
+        let mut cache = crate::CacheStats::default();
         for seed in 0..25u64 {
             let (done, key_of, cluster) = run_chaos(seed);
             // (b) Every submitted op resolved: completed, timed out, or
@@ -783,7 +783,7 @@ mod tests {
             total_timeouts += cluster.timeouts();
             total_degraded += cluster.degraded_ops();
             total_dropped += cluster.network().messages_dropped();
-            cache.absorb(&cluster.cache_stats());
+            cache.merge(&cluster.cache_stats());
         }
         // The sweep must actually exercise the chaos paths, or the
         // properties above are vacuous.

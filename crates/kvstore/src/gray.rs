@@ -14,7 +14,7 @@
 //!   arithmetic, so adapted timeouts replay bit-identically;
 //! * [`AdaptiveTimeouts`] — per-(observer, peer) estimators with
 //!   floor/ceiling clamps, feeding the simulated cluster's RTO timers;
-//! * [`GrayFailureStats`] — counters for hedged lookups, shed requests,
+//! * [`GrayFailureStats`](crate::GrayFailureStats) — counters for hedged lookups, shed requests,
 //!   queue high-water marks and timeout adaptations, reported up through
 //!   the system metrics like the integrity and cache counters.
 //!
@@ -176,54 +176,6 @@ impl AdaptiveTimeouts {
     }
 }
 
-/// Counters from the gray-failure mitigation layer: hedged lookups,
-/// priority-classed load shedding, queue pressure and timeout
-/// adaptation. All counters are cumulative over the run and fully
-/// deterministic for a fixed seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GrayFailureStats {
-    /// Speculative hedge requests dispatched to a backup replica.
-    pub hedges_fired: u64,
-    /// Hedges whose response soundly completed the op before the
-    /// primaries answered.
-    pub hedges_won: u64,
-    /// Background rounds (anti-entropy, scrub) that yielded to uplink
-    /// backpressure instead of running.
-    pub sheds_background: u64,
-    /// Client operations refused at admission because the coordinator's
-    /// pending queue was at its bound.
-    pub sheds_critical: u64,
-    /// High-water mark of any coordinator's pending-op queue depth.
-    pub queue_peak: u64,
-    /// Round-trip samples folded into the adaptive estimators.
-    pub rtt_samples: u64,
-    /// RTO timers armed from a measured (adapted) estimate rather than
-    /// the static policy base.
-    pub rto_adaptations: u64,
-    /// Peers newly marked slow (gray) by the RTT-driven detector.
-    pub slow_marks: u64,
-}
-
-impl GrayFailureStats {
-    /// Folds another counter set into this one. Counters add;
-    /// `queue_peak` takes the maximum.
-    pub fn merge(&mut self, other: &GrayFailureStats) {
-        self.hedges_fired = self.hedges_fired.saturating_add(other.hedges_fired);
-        self.hedges_won = self.hedges_won.saturating_add(other.hedges_won);
-        self.sheds_background = self.sheds_background.saturating_add(other.sheds_background);
-        self.sheds_critical = self.sheds_critical.saturating_add(other.sheds_critical);
-        self.queue_peak = self.queue_peak.max(other.queue_peak);
-        self.rtt_samples = self.rtt_samples.saturating_add(other.rtt_samples);
-        self.rto_adaptations = self.rto_adaptations.saturating_add(other.rto_adaptations);
-        self.slow_marks = self.slow_marks.saturating_add(other.slow_marks);
-    }
-
-    /// True when the mitigation layer saw no activity at all.
-    pub fn is_quiet(&self) -> bool {
-        *self == GrayFailureStats::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,29 +264,5 @@ mod tests {
     #[should_panic(expected = "ceiling must exceed")]
     fn ceiling_must_exceed_floor() {
         AdaptiveTimeouts::new(ms(10), ms(10));
-    }
-
-    #[test]
-    fn stats_merge_adds_and_maxes() {
-        let mut a = GrayFailureStats {
-            hedges_fired: 2,
-            hedges_won: 1,
-            sheds_background: 3,
-            sheds_critical: 1,
-            queue_peak: 7,
-            rtt_samples: 10,
-            rto_adaptations: 4,
-            slow_marks: 1,
-        };
-        let b = GrayFailureStats {
-            queue_peak: 5,
-            hedges_fired: 1,
-            ..GrayFailureStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.hedges_fired, 3);
-        assert_eq!(a.queue_peak, 7, "peak takes the max, not the sum");
-        assert!(!a.is_quiet());
-        assert!(GrayFailureStats::default().is_quiet());
     }
 }

@@ -7,8 +7,8 @@
 //! wire-crossing byte in this crate therefore carries a checksum
 //! ([`checksum64`]), every read boundary verifies it, and every verdict
 //! (rejected frame, scrubbed entry, repaired or lost record) lands in
-//! [`IntegrityStats`] — detected corruption is a typed event, never a
-//! panic and never silently-accepted data.
+//! [`IntegrityStats`](crate::IntegrityStats) — detected corruption is a
+//! typed event, never a panic and never silently-accepted data.
 
 /// Streaming 64-bit checksum: a word-parallel multiply-rotate kernel in
 /// the XXH64 style with a splitmix64 avalanche finisher.
@@ -183,62 +183,6 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
-/// Counters of everything the integrity layer detected, repaired, or
-/// declared lost. Zero across the board for a clean run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntegrityStats {
-    /// Wire frames whose checksum failed on delivery (dropped; the
-    /// sender's retry machinery re-sends).
-    pub frames_rejected: u64,
-    /// Stored entries the background scrub verified.
-    pub entries_scrubbed: u64,
-    /// Bytes of key+value payload the scrub verified.
-    pub scrub_bytes: u64,
-    /// Checksum mismatches found at any storage read boundary (scrub,
-    /// local read, replica read).
-    pub mismatches_found: u64,
-    /// Corrupt entries restored from a clean ring replica.
-    pub read_repairs: u64,
-    /// Corrupt entries restored by decoding the cloud catalog.
-    pub cloud_decodes: u64,
-    /// Replicas quarantined after repeated verification failures.
-    pub quarantines: u64,
-    /// Corrupt entries no surviving replica or catalog could restore —
-    /// explicitly declared lost, never silently accepted.
-    pub lost_records: u64,
-    /// WAL tails truncated to their last valid record at recovery.
-    pub torn_tails_truncated: u64,
-    /// Recoveries that fell back to the prior snapshot after the current
-    /// snapshot failed its checksum.
-    pub snapshot_fallbacks: u64,
-    /// Restarts abandoned because the WAL body (not just the tail) was
-    /// corrupt beyond the snapshot fallback.
-    pub wal_corrupt_bodies: u64,
-}
-
-impl IntegrityStats {
-    /// Accumulates another stats block into this one (used to carry a
-    /// node's counters across crash-stop/restart cycles).
-    pub fn merge(&mut self, other: &IntegrityStats) {
-        self.frames_rejected += other.frames_rejected;
-        self.entries_scrubbed += other.entries_scrubbed;
-        self.scrub_bytes += other.scrub_bytes;
-        self.mismatches_found += other.mismatches_found;
-        self.read_repairs += other.read_repairs;
-        self.cloud_decodes += other.cloud_decodes;
-        self.quarantines += other.quarantines;
-        self.lost_records += other.lost_records;
-        self.torn_tails_truncated += other.torn_tails_truncated;
-        self.snapshot_fallbacks += other.snapshot_fallbacks;
-        self.wal_corrupt_bodies += other.wal_corrupt_bodies;
-    }
-
-    /// True when nothing was detected, repaired, or lost.
-    pub fn is_quiet(&self) -> bool {
-        *self == IntegrityStats::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,26 +307,6 @@ mod tests {
     fn checksum_differs_from_key_token() {
         // Structural independence from the ring's placement hash.
         assert_ne!(checksum64(b"chunk"), crate::key_token(b"chunk"));
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = IntegrityStats {
-            frames_rejected: 1,
-            mismatches_found: 2,
-            ..IntegrityStats::default()
-        };
-        let b = IntegrityStats {
-            frames_rejected: 3,
-            read_repairs: 4,
-            ..IntegrityStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.frames_rejected, 4);
-        assert_eq!(a.mismatches_found, 2);
-        assert_eq!(a.read_repairs, 4);
-        assert!(!a.is_quiet());
-        assert!(IntegrityStats::default().is_quiet());
     }
 
     #[test]

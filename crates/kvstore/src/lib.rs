@@ -46,6 +46,7 @@ mod antientropy;
 mod cache;
 mod chaos;
 mod cluster;
+mod counters;
 mod failure;
 mod gray;
 mod integrity;
@@ -60,23 +61,27 @@ mod threaded;
 mod trust;
 
 pub use antientropy::MerkleTree;
-pub use cache::{CacheStats, FingerprintCache};
+pub use cache::FingerprintCache;
 pub use chaos::{nth_op_id, ChaosEvent, ChaosScenario, ChaosScenarioConfig};
 pub use cluster::{ClusterConfig, ClusterError, LocalCluster};
+pub use counters::{
+    ByzantineStats, CacheStats, CoordinatorStats, DisasterStats, GrayFailureStats, IntegrityStats,
+    NodeStats, RecoveryStats,
+};
 pub use failure::{HeartbeatDetector, Liveness, Sweep};
-pub use gray::{AdaptiveTimeouts, GrayFailureStats, RttEstimator};
-pub use integrity::{checksum64, Checksum64, IntegrityError, IntegrityStats};
+pub use gray::{AdaptiveTimeouts, RttEstimator};
+pub use integrity::{checksum64, Checksum64, IntegrityError};
 pub use msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 pub use node::{Consistency, NodeState};
 pub use retry::RetryPolicy;
 pub use ring::HashRing;
-pub use sim::{CloudUplink, OpLatency, RecoveryStats, SimCluster};
-pub use spool::{DisasterStats, SpoolClass, SpoolDest, SpoolEntry, SpoolLog, UploadSpool};
+pub use sim::{CloudUplink, OpLatency, SimCluster};
+pub use spool::{SpoolClass, SpoolDest, SpoolEntry, SpoolLog, UploadSpool};
 pub use storage::{
     ReplayNotes, ScrubChunk, StorageEngine, StorageStats, WalError, WalRecord, WriteAheadLog,
 };
 pub use threaded::ThreadedCluster;
-pub use trust::{derive_challenge, pop_digest, ByzantineStats, PopChallenge, TrustLedger};
+pub use trust::{derive_challenge, pop_digest, PopChallenge, TrustLedger};
 
 /// Hashes a key to its position ("token") on the ring.
 ///

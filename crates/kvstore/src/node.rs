@@ -14,11 +14,11 @@
 //! back the hints are replayed (`HintReplay`), restoring replication.
 
 use crate::cluster::ClusterConfig;
-use crate::integrity::IntegrityStats;
+use crate::counters::{IntegrityStats, NodeStats};
 use crate::msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 use crate::ring::HashRing;
 use crate::storage::{StorageEngine, WalError, WalRecord, WriteAheadLog};
-use crate::trust::{derive_challenge, pop_digest, ByzantineStats, PopChallenge};
+use crate::trust::{derive_challenge, pop_digest, PopChallenge};
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,37 +137,17 @@ pub struct NodeState {
     down: BTreeSet<NodeId>,
     /// Hints parked for down peers: (peer, key, value).
     hints: Vec<(NodeId, Bytes, Option<Bytes>)>,
-    /// Read-repair writes issued (diagnostics).
-    repairs_sent: u64,
-    /// Ops resolved by [`NodeState::timeout_op`] (diagnostics).
-    timeouts: u64,
-    /// Retransmission rounds issued by [`NodeState::retry_outstanding`]
-    /// (diagnostics).
-    retries: u64,
-    /// Check-and-inserts that completed degraded (diagnostics).
-    degraded_ops: u64,
-    /// Hedged reads whose backup response completed the op first
-    /// (diagnostics).
-    hedges_won: u64,
+    /// Everything this node counts, in one place: whoever tears the node
+    /// down takes the lot.
+    stats: NodeStats,
     /// The node's durable write-ahead log (survives crash-stops).
     wal: WriteAheadLog,
-    /// WAL records replayed at the last [`NodeState::recover`].
-    wal_records_replayed: u64,
-    /// Re-replication copies streamed after permanent departures.
-    rereplicated: u64,
-    /// Hints dropped because their target permanently departed.
-    hints_dropped: u64,
-    /// Integrity counters: checksum mismatches caught serving reads, and
-    /// scrub/repair work attributed to this node by the driver.
-    integrity: IntegrityStats,
     /// Proof-of-possession seed; `None` keeps every legacy code path
     /// bit-identical (no challenges, no gating).
     pop_seed: Option<u64>,
     /// Proven-possession cache: (prover, key) pairs whose possession
     /// proof verified, amortizing repeat challenges for hot chunks.
     pop_proven: BTreeSet<(NodeId, Bytes)>,
-    /// Byzantine-defense counters accumulated at this coordinator.
-    byz: ByzantineStats,
     /// Peers that answered a challenge with a provably wrong digest or
     /// retracted a claim, awaiting driver-side trust-ledger strikes.
     pop_strikes: Vec<NodeId>,
@@ -201,19 +181,10 @@ impl NodeState {
             repairing: BTreeMap::new(),
             down: BTreeSet::new(),
             hints: Vec::new(),
-            repairs_sent: 0,
-            timeouts: 0,
-            retries: 0,
-            degraded_ops: 0,
-            hedges_won: 0,
+            stats: NodeStats::default(),
             wal: WriteAheadLog::new(config.wal_snapshot_every),
-            wal_records_replayed: 0,
-            rereplicated: 0,
-            hints_dropped: 0,
-            integrity: IntegrityStats::default(),
             pop_seed: None,
             pop_proven: BTreeSet::new(),
-            byz: ByzantineStats::default(),
             pop_strikes: Vec::new(),
             dedup_sources: Vec::new(),
         }
@@ -242,7 +213,7 @@ impl NodeState {
     ) -> Result<Self, WalError> {
         let records = wal.replay()?;
         let mut node = NodeState::new(id, ring, config);
-        node.wal_records_replayed = records.len() as u64;
+        node.stats.recovery.wal_records_replayed = records.len() as u64;
         for record in records {
             match record {
                 WalRecord::Put(k, v) => {
@@ -279,30 +250,9 @@ impl NodeState {
         (self.wal, completions)
     }
 
-    /// Read-repair writes issued so far (diagnostics).
-    pub fn repairs_sent(&self) -> u64 {
-        self.repairs_sent
-    }
-
-    /// Ops this coordinator resolved by timeout (diagnostics).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Retransmission rounds this coordinator issued (diagnostics).
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Check-and-inserts that completed degraded (diagnostics).
-    pub fn degraded_ops(&self) -> u64 {
-        self.degraded_ops
-    }
-
-    /// Hedged reads whose backup response completed the op first
-    /// (diagnostics).
-    pub fn hedges_won(&self) -> u64 {
-        self.hedges_won
+    /// Everything this node has counted so far (diagnostics).
+    pub fn stats(&self) -> &NodeStats {
+        &self.stats
     }
 
     /// The peers a pending op is still waiting on, in id order. Empty
@@ -319,29 +269,6 @@ impl NodeState {
         &self.wal
     }
 
-    /// WAL records replayed at the last [`NodeState::recover`]
-    /// (diagnostics).
-    pub fn wal_records_replayed(&self) -> u64 {
-        self.wal_records_replayed
-    }
-
-    /// Re-replication copies streamed after permanent departures
-    /// (diagnostics).
-    pub fn rereplicated(&self) -> u64 {
-        self.rereplicated
-    }
-
-    /// Hints dropped because their target permanently departed
-    /// (diagnostics).
-    pub fn hints_dropped(&self) -> u64 {
-        self.hints_dropped
-    }
-
-    /// Integrity counters accumulated at this node (diagnostics).
-    pub fn integrity(&self) -> IntegrityStats {
-        self.integrity
-    }
-
     /// Arms proof-of-possession: from now on a remote positive dedup
     /// sighting only completes after the claiming replica proves it
     /// holds the chunk. Challenge parameters derive purely from
@@ -354,12 +281,6 @@ impl NodeState {
     /// True when proof-of-possession gating is armed.
     pub fn pop_armed(&self) -> bool {
         self.pop_seed.is_some()
-    }
-
-    /// Byzantine-defense counters accumulated at this coordinator
-    /// (diagnostics).
-    pub fn byz_stats(&self) -> ByzantineStats {
-        self.byz
     }
 
     /// Drains the peers that provably lied on a possession challenge
@@ -385,7 +306,7 @@ impl NodeState {
     /// Mutable access to the node's integrity counters, for the driver
     /// to attribute scrub and read-repair work.
     pub(crate) fn integrity_mut(&mut self) -> &mut IntegrityStats {
-        &mut self.integrity
+        &mut self.stats.integrity
     }
 
     /// Mutable access to the durable WAL, for the chaos layer's
@@ -403,7 +324,7 @@ impl NodeState {
         match self.storage.get_verified(key) {
             Ok(v) => v,
             Err(_) => {
-                self.integrity.mismatches_found += 1;
+                self.stats.integrity.mismatches_found += 1;
                 self.storage.delete(key.clone());
                 None
             }
@@ -518,7 +439,7 @@ impl NodeState {
         let before = self.hints.len();
         self.hints.retain(|(to, _, _)| *to != peer);
         let dropped = before - self.hints.len();
-        self.hints_dropped += dropped as u64;
+        self.stats.recovery.hints_dropped += dropped as u64;
         dropped
     }
 
@@ -528,13 +449,13 @@ impl NodeState {
     /// exactly one surviving replica — the lowest surviving id in the
     /// old replica set — streams the copy to each new owner, so the
     /// cluster sends one copy per (key, new owner) pair. Returns the
-    /// re-replication messages and their count. Idempotent: a ring view
-    /// already lacking `dead` re-replicates nothing.
-    pub fn handle_departure(&mut self, dead: NodeId) -> (Vec<Outbound>, usize) {
+    /// re-replication messages. Idempotent: a ring view already lacking
+    /// `dead` re-replicates nothing.
+    pub fn handle_departure(&mut self, dead: NodeId) -> Vec<Outbound> {
         self.drop_hints_for(dead);
         self.down.remove(&dead);
         if !self.ring.contains(dead) {
-            return (Vec::new(), 0);
+            return Vec::new();
         }
         let mut new_ring = self.ring.clone();
         new_ring.remove_node(dead);
@@ -559,10 +480,9 @@ impl NodeState {
                 ));
             }
         }
-        let count = out.len();
-        self.rereplicated += count as u64;
+        self.stats.recovery.rereplicated_entries += out.len() as u64;
         self.ring = new_ring;
-        (out, count)
+        out
     }
 
     /// Replaces this node's ring view (membership change). The caller is
@@ -718,7 +638,7 @@ impl NodeState {
                             // Already proven for this (peer, chunk):
                             // complete below without a fresh round-trip.
                             if pending.pop_peer.is_none() {
-                                self.byz.pop_cache_hits += 1;
+                                self.stats.byzantine.pop_cache_hits += 1;
                             }
                             self.dedup_sources.push((op_id, prover));
                         } else {
@@ -743,7 +663,7 @@ impl NodeState {
                 ),
                 OpKind::CaiWrite => {
                     if pending.degraded {
-                        self.degraded_ops += 1;
+                        self.stats.coordinator.degraded_ops += 1;
                     }
                     (
                         Vec::new(),
@@ -806,7 +726,7 @@ impl NodeState {
                     self.start_cai_write(op_id, p)
                 }
                 OpKind::CaiWrite => {
-                    self.degraded_ops += 1;
+                    self.stats.coordinator.degraded_ops += 1;
                     (
                         Vec::new(),
                         Some(Completion {
@@ -897,7 +817,7 @@ impl NodeState {
         };
         let mut out = Vec::new();
         for peer in repairing.answered_none.drain(..) {
-            self.repairs_sent += 1;
+            self.stats.coordinator.repairs_sent += 1;
             if peer == self.id {
                 self.durable_put(repairing.key.clone(), value.clone());
             } else if !self.down.contains(&peer) {
@@ -926,7 +846,7 @@ impl NodeState {
         // simlint::allow(D003): the gate only fires when proofs are armed
         let seed = self.pop_seed.expect("gated ops require an armed pop seed");
         let challenge = derive_challenge(seed, op_id, crate::key_token(&pending.key), prover);
-        self.byz.challenges_issued += 1;
+        self.stats.byzantine.challenges_issued += 1;
         pending.kind = OpKind::PopWait;
         pending.pop_peer = Some(prover);
         let out = vec![Outbound {
@@ -974,7 +894,7 @@ impl NodeState {
             // simlint::allow(D003): CAI ops always carry a concrete value
             .expect("check-and-insert keeps its payload");
         if held && digest == pop_digest(challenge, &own) {
-            self.byz.challenges_passed += 1;
+            self.stats.byzantine.challenges_passed += 1;
             self.pop_proven.insert((prover, pending.key.clone()));
             if pending.acks >= pending.required {
                 // Quorum path: re-enter check_done, whose gate now sees
@@ -1002,9 +922,9 @@ impl NodeState {
         // of fabrication and a retraction is self-contradiction. Both
         // strike — timeouts and drops never reach this path, so lossy
         // links cannot frame an honest peer.
-        self.byz.challenges_failed += 1;
+        self.stats.byzantine.challenges_failed += 1;
         if held {
-            self.byz.false_claims_rejected += 1;
+            self.stats.byzantine.false_claims_rejected += 1;
         }
         self.pop_strikes.push(prover);
         pending.kind = OpKind::CaiRead;
@@ -1043,7 +963,7 @@ impl NodeState {
             // simlint::allow(D003): checked is_none() just above
             let seed = self.pop_seed.expect("checked above");
             let challenge = derive_challenge(seed, op_id, crate::key_token(&p.key), prover);
-            self.retries += 1;
+            self.stats.coordinator.retries += 1;
             return vec![Outbound {
                 to: prover,
                 msg: Message::PopChallenge {
@@ -1077,7 +997,7 @@ impl NodeState {
             out.push(Outbound { to: peer, msg });
         }
         if !out.is_empty() {
-            self.retries += 1;
+            self.stats.coordinator.retries += 1;
         }
         out
     }
@@ -1146,7 +1066,7 @@ impl NodeState {
         let Some(mut p) = self.pending.remove(&op_id) else {
             return (Vec::new(), None);
         };
-        self.timeouts += 1;
+        self.stats.coordinator.timeouts += 1;
         if p.kind.is_write() {
             // simlint::allow(D003): begin() stores a payload for every write kind
             let payload = p.payload.clone().expect("writes keep a payload");
@@ -1165,7 +1085,7 @@ impl NodeState {
                 self.start_cai_write(op_id, p)
             }
             OpKind::CaiWrite => {
-                self.degraded_ops += 1;
+                self.stats.coordinator.degraded_ops += 1;
                 (
                     Vec::new(),
                     Some(Completion {
@@ -1333,7 +1253,7 @@ impl NodeState {
                 // backup may simply never have been written).
                 if matches!(pending.kind, OpKind::Read | OpKind::CaiRead) {
                     if let Some(Some(value)) = read_value {
-                        self.hedges_won += 1;
+                        self.stats.gray.hedges_won += 1;
                         if pending.kind == OpKind::CaiRead
                             && self.pop_seed.is_some()
                             && from != self.id
@@ -1345,7 +1265,7 @@ impl NodeState {
                             pending.value = Some(value.clone());
                             pending.value_from = Some(from);
                             if self.pop_proven.contains(&(from, pending.key.clone())) {
-                                self.byz.pop_cache_hits += 1;
+                                self.stats.byzantine.pop_cache_hits += 1;
                                 self.dedup_sources.push((op_id, from));
                             } else {
                                 return self.start_pop(op_id, pending, from);
@@ -1731,7 +1651,7 @@ mod tests {
             &repairs[0].msg,
             Message::ReplicaWrite { value: Some(_), .. }
         ));
-        assert_eq!(coord.repairs_sent(), 1);
+        assert_eq!(coord.stats().coordinator.repairs_sent, 1);
     }
 
     #[test]
@@ -1781,7 +1701,7 @@ mod tests {
             .expect("wal replays");
         let live_after: Vec<_> = recovered.storage().iter_live().collect();
         assert_eq!(live_before, live_after, "recovered shard differs");
-        assert!(recovered.wal_records_replayed() > 0);
+        assert!(recovered.stats().recovery.wal_records_replayed > 0);
         // The next op id must not collide with any pre-crash id.
         let mut fresh = recovered;
         let (op_id, _, _) = fresh.begin(ClientOp::Get(Bytes::from_static(b"x")));
@@ -1831,7 +1751,7 @@ mod tests {
                 .count();
         let dropped = coord.drop_hints_for(NodeId(1));
         assert_eq!(dropped, for_1);
-        assert_eq!(coord.hints_dropped(), for_1 as u64);
+        assert_eq!(coord.stats().recovery.hints_dropped, for_1 as u64);
         assert_eq!(coord.drop_hints_for(NodeId(1)), 0, "double drop");
         // Replaying node 1 now yields nothing.
         assert!(coord.mark_up(NodeId(1)).is_empty());
@@ -1859,8 +1779,8 @@ mod tests {
         let mut transfers: Vec<(NodeId, Outbound)> = Vec::new();
         for id in [NodeId(0), NodeId(1)] {
             let n = nodes.get_mut(&id).expect("member");
-            let (out, count) = n.handle_departure(dead);
-            assert_eq!(out.len(), count);
+            let out = n.handle_departure(dead);
+            assert_eq!(out.len() as u64, n.stats().recovery.rereplicated_entries);
             assert!(!n.ring().contains(dead));
             transfers.extend(out.into_iter().map(|ob| (id, ob)));
         }

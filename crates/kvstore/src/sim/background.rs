@@ -9,7 +9,7 @@
 
 use super::{Event, Round, SimCluster};
 use crate::antientropy::{pair_diff, tree_wire_size, NodeSummary};
-use crate::integrity::IntegrityStats;
+use crate::counters::IntegrityStats;
 use crate::msg::Outbound;
 use bytes::Bytes;
 use ef_netsim::NodeId;
@@ -38,8 +38,7 @@ pub(super) struct Background {
     /// suspect → dead machinery takes them out of service.
     pub(super) quarantined: BTreeSet<NodeId>,
     /// Driver-level integrity counters: frame rejections, scrub and
-    /// repair work, recovery-lattice outcomes, plus counters folded in
-    /// from nodes that were torn down.
+    /// repair work, recovery-lattice outcomes.
     pub(super) integrity: IntegrityStats,
 }
 
@@ -120,12 +119,13 @@ impl SimCluster {
             .schedule_at(at, Event::StorageRot { node, rot_seed });
     }
 
-    /// Integrity counters accumulated so far: the driver's accumulator
-    /// (frame rejections, scrub and repair work, recovery-lattice
-    /// outcomes, plus counters folded in from crash-stopped and departed
-    /// nodes) merged with every live node's own counters.
+    /// Integrity counters accumulated so far: the driver's own (frame
+    /// rejections, scrub and repair work, recovery-lattice outcomes)
+    /// merged with what every node, live or torn down, counted itself.
     pub fn integrity(&self) -> IntegrityStats {
-        self.run_totals().0
+        let mut total = self.background.integrity;
+        total.merge(&self.node_stats().integrity);
+        total
     }
 
     /// Reclassifies `n` lost records as recovered by the cloud's erasure

@@ -4,44 +4,19 @@
 //! **State:** heartbeat config, one [`HeartbeatDetector`] per live
 //! member, the departed set, parked disks of crash-stopped members, the
 //! op-id watermarks of wiped members, restart/convergence stamps, and
-//! [`RecoveryStats`]. **Events:** `Round(Heartbeat)`, `HeartbeatArrive`,
-//! `Crash`, `Revive`, `CrashStop`, `Restart`, `Depart`. **Emits:** 64-byte
-//! heartbeat control frames, hint replays on revival, re-replication
-//! streams on confirmed departures.
+//! the driver's own [`RecoveryStats`]. **Events:** `Round(Heartbeat)`,
+//! `HeartbeatArrive`, `Crash`, `Revive`, `CrashStop`, `Restart`,
+//! `Depart`. **Emits:** 64-byte heartbeat control frames, hint replays on
+//! revival, re-replication streams on confirmed departures.
 
 use super::{Disk, Event, Round, SimCluster};
+use crate::counters::RecoveryStats;
 use crate::failure::HeartbeatDetector;
 use crate::node::NodeState;
 use crate::storage::WriteAheadLog;
 use ef_netsim::NodeId;
 use ef_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Counters from the crash-recovery pipeline: WAL replay, anti-entropy
-/// repair, re-replication and dead-peer handling. All counters are
-/// cumulative over the run and fully deterministic for a fixed seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// WAL records replayed across all node restarts.
-    pub wal_records_replayed: u64,
-    /// Node restarts completed (WAL recovered, rejoined the ring).
-    pub restarts: u64,
-    /// Anti-entropy rounds executed.
-    pub antientropy_rounds: u64,
-    /// Divergent Merkle buckets repaired.
-    pub buckets_repaired: u64,
-    /// Entries streamed by anti-entropy repair.
-    pub entries_repaired: u64,
-    /// Entries re-replicated to new owners after permanent departures.
-    pub rereplicated_entries: u64,
-    /// Hints dropped because their target permanently departed.
-    pub hints_dropped: u64,
-    /// Dead declarations across all observers (suspect → dead edges).
-    pub dead_declared: u64,
-    /// Torn WAL tails truncated during restarts (a partial final record
-    /// — a mid-write crash — cut back to the last whole record).
-    pub torn_tails_truncated: u64,
-}
 
 /// Gossip failure-detection settings, kept to build a rejoining node's
 /// detector.
@@ -70,6 +45,9 @@ pub(super) struct Membership {
     /// it was first observed fully converged since (its replica pairs all
     /// clean in an anti-entropy round).
     pub(super) rejoined: BTreeMap<NodeId, (SimTime, Option<SimTime>)>,
+    /// Driver-level recovery counters (restarts, anti-entropy work, dead
+    /// declarations); what a node replays, drops or re-replicates it
+    /// counts itself.
     pub(super) recovery: RecoveryStats,
 }
 
@@ -242,7 +220,9 @@ impl SimCluster {
 
     /// Recovery-pipeline counters accumulated so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.membership.recovery
+        let mut total = self.membership.recovery;
+        total.merge(&self.node_stats().recovery);
+        total
     }
 
     /// True when the driver confirmed `node`'s permanent departure.
@@ -370,10 +350,7 @@ impl SimCluster {
         let Some(state) = self.nodes.get_mut(&observer) else {
             return;
         };
-        let recovery = &mut self.membership.recovery;
-        recovery.hints_dropped += state.drop_hints_for(dead) as u64;
-        let (outbound, rereplicated) = state.handle_departure(dead);
-        recovery.rereplicated_entries += rereplicated as u64;
+        let outbound = state.handle_departure(dead);
         if let Some(fd) = self.membership.detectors.get_mut(&observer) {
             fd.unwatch(dead);
         }
@@ -402,7 +379,6 @@ impl SimCluster {
         match wal.recover_replay() {
             Ok((_, notes)) => {
                 if notes.torn_tail {
-                    self.membership.recovery.torn_tails_truncated += 1;
                     self.background.integrity.torn_tails_truncated += 1;
                 }
                 if notes.snapshot_fallback {
@@ -425,7 +401,6 @@ impl SimCluster {
             return; // unreachable: the lattice above already vetted the log
         };
         self.membership.recovery.restarts += 1;
-        self.membership.recovery.wal_records_replayed += recovered.wal_records_replayed();
         self.bring_up(now, vec![(node, recovered)]);
     }
 

@@ -25,8 +25,8 @@
 //!
 //! | Machine | Owns | Events |
 //! |---|---|---|
-//! | core (this file) | event queue, [`Network`], node map, master ring, op bookkeeping; `dispatch` / `deliver` / `record`; the one node teardown and bring-up; the one periodic re-arm path | `Start`, `Deliver`, `Round` |
-//! | `membership` | heartbeat config, detectors, departed set, parked disks, [`RecoveryStats`] | `Round(Heartbeat)`, `HeartbeatArrive`, `Crash`, `Revive`, `CrashStop`, `Restart`, `Depart` |
+//! | core (this file) | event queue, [`Network`], node map, master ring, op bookkeeping; `dispatch` / `deliver` / `record`; the one node teardown and bring-up; the one periodic re-arm path; `retired`, the [`NodeStats`] of torn-down nodes | `Start`, `Deliver`, `Round` |
+//! | `membership` | heartbeat config, detectors, departed set, parked disks, driver-level [`RecoveryStats`](crate::RecoveryStats) | `Round(Heartbeat)`, `HeartbeatArrive`, `Crash`, `Revive`, `CrashStop`, `Restart`, `Depart` |
 //! | `timers` | retry policy + jitter RNG, adaptive RTT, hedge budget, admission and backpressure bounds, slow marks, storage stalls, gray counters | `Rto`, `Hedge`, `Flush` |
 //! | `background` | anti-entropy and scrub schedules, scrub cursors, verify-failure strikes, quarantine set, integrity counters | `Round(AntiEntropy)`, `Round(Scrub)`, `StorageRot` |
 //! | `uplink` | spools, cloud catalog, outage windows, heal times, pending mesh repairs, disaster counters | `Round(SpoolDrain)`, `RingWipe`, `RingHeal` |
@@ -42,17 +42,14 @@ mod timers;
 mod trust;
 mod uplink;
 
-pub use membership::RecoveryStats;
 pub use uplink::CloudUplink;
 
 use crate::cluster::{member_ring, ClusterConfig};
-use crate::gray::GrayFailureStats;
-use crate::integrity::IntegrityStats;
+use crate::counters::{CoordinatorStats, NodeStats};
 use crate::msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 use crate::node::NodeState;
 use crate::retry::RetryPolicy;
 use crate::ring::HashRing;
-use crate::trust::ByzantineStats;
 use background::Background;
 use bytes::Bytes;
 use ef_netsim::{Network, NodeId, SiteId};
@@ -200,19 +197,6 @@ enum Disk {
     Destroyed,
 }
 
-/// The node-held counters that outlive a node, as one tuple: summed over
-/// live nodes by the stats accessors, folded into the machines'
-/// accumulators when a node is torn down.
-type RunTotals = (IntegrityStats, ByzantineStats, GrayFailureStats);
-
-/// Adds `state`'s node-held counters to `totals` — the fold the stats
-/// accessors and the teardown share.
-fn absorb_node(state: &NodeState, (integrity, byzantine, gray): &mut RunTotals) {
-    integrity.merge(&state.integrity());
-    byzantine.absorb(&state.byz_stats());
-    gray.hedges_won += state.hedges_won();
-}
-
 /// A store cluster whose messages travel over a simulated network.
 ///
 /// # Example
@@ -256,6 +240,8 @@ pub struct SimCluster {
     inflight: usize,
     /// Synthetic op ids issued for submissions to dead coordinators.
     dead_submissions: u64,
+    /// What torn-down nodes had counted, folded whole at teardown.
+    retired: NodeStats,
     // -- the five machines --
     membership: Membership,
     timers: Timers,
@@ -301,6 +287,7 @@ impl SimCluster {
             completed: Vec::new(),
             inflight: 0,
             dead_submissions: 0,
+            retired: NodeStats::default(),
             membership: Membership::default(),
             timers,
             background: Background::default(),
@@ -667,8 +654,8 @@ impl SimCluster {
 
     /// The one node teardown, shared by crash-stop (`Disk::Parked`), ring
     /// wipe and departure (`Disk::Destroyed`): the volatile state dies —
-    /// fingerprint cache and detector with it — the node's counters fold
-    /// into the run totals, its in-flight coordinated ops resolve as
+    /// fingerprint cache and detector with it — everything the node counted
+    /// folds into `retired`, its in-flight coordinated ops resolve as
     /// timed out, and the disk is parked or destroyed. A node that is
     /// already down only has its parked disk and spool dealt with.
     fn teardown(&mut self, now: SimTime, node: NodeId, disk: Disk) {
@@ -684,9 +671,7 @@ impl SimCluster {
             // The cache dies with the node, so a rejoined node re-learns
             // from the ring instead of trusting pre-crash answers.
             self.trust.clear_cache(node);
-            let mut folded = (self.background.integrity, self.trust.byz, self.timers.gray);
-            absorb_node(&state, &mut folded);
-            (self.background.integrity, self.trust.byz, self.timers.gray) = folded;
+            self.retired.merge(state.stats());
             let (wal, completions) = state.crash();
             for c in completions {
                 self.record(c.op_id, c.result, now);
@@ -743,17 +728,15 @@ impl SimCluster {
         }
     }
 
-    /// Run totals as of now: the machines' accumulators (their own
-    /// driver-level counters plus what torn-down nodes folded in) plus
-    /// every live node's counters — the single fold behind
-    /// [`SimCluster::integrity`], [`SimCluster::byzantine_stats`] and
-    /// [`SimCluster::gray_stats`].
-    fn run_totals(&self) -> RunTotals {
-        let mut totals = (self.background.integrity, self.trust.byz, self.timers.gray);
+    /// What the nodes have counted for themselves over the whole run: the
+    /// live ones plus everything torn-down ones left in `retired`. The
+    /// machines add their own driver-level counters on top.
+    fn node_stats(&self) -> NodeStats {
+        let mut total = self.retired;
         for state in self.nodes.values() {
-            absorb_node(state, &mut totals);
+            total.merge(state.stats());
         }
-        totals
+        total
     }
 
     /// Live members that are not transiently crashed, in id order.
@@ -780,20 +763,26 @@ impl SimCluster {
         self.sim.now()
     }
 
+    /// Timeout, retry, degraded-verdict and read-repair counters across
+    /// all coordinators, torn-down ones included.
+    pub fn coordinator_stats(&self) -> CoordinatorStats {
+        self.node_stats().coordinator
+    }
+
     /// Total per-op timeouts recorded across all coordinators.
     pub fn timeouts(&self) -> u64 {
-        self.nodes.values().map(NodeState::timeouts).sum()
+        self.coordinator_stats().timeouts
     }
 
     /// Total retry rounds issued across all coordinators.
     pub fn retries(&self) -> u64 {
-        self.nodes.values().map(NodeState::retries).sum()
+        self.coordinator_stats().retries
     }
 
     /// Total check-and-inserts resolved in degraded ("assume unique")
     /// mode across all coordinators.
     pub fn degraded_ops(&self) -> u64 {
-        self.nodes.values().map(NodeState::degraded_ops).sum()
+        self.coordinator_stats().degraded_ops
     }
 
     /// A member node's state (counters, storage), for inspection.

@@ -10,8 +10,9 @@
 //! hedge probe per op, delayed acks.
 
 use super::{Event, SimCluster, Windows};
+use crate::counters::GrayFailureStats;
 use crate::failure::HeartbeatDetector;
-use crate::gray::{AdaptiveTimeouts, GrayFailureStats};
+use crate::gray::AdaptiveTimeouts;
 use crate::msg::{Message, OpId, Outbound};
 use crate::node::NodeState;
 use crate::retry::RetryPolicy;
@@ -56,8 +57,8 @@ pub(super) struct Timers {
     /// First-transmission stamps for in-flight (op, peer) request edges.
     /// Keyed lookups only — never iterated, so the HashMap is safe.
     sent_at: HashMap<(OpId, NodeId), SimTime>,
-    /// Driver-level gray-failure counters (node-held hedge wins are
-    /// folded in when a node is torn down).
+    /// Driver-level gray-failure counters (hedge wins are counted by the
+    /// coordinators themselves).
     pub(super) gray: GrayFailureStats,
 }
 
@@ -348,7 +349,9 @@ impl SimCluster {
     /// class, queue high-water mark, RTT samples and timer adaptations.
     /// All zeros unless a mitigation was enabled.
     pub fn gray_stats(&self) -> GrayFailureStats {
-        self.run_totals().2
+        let mut total = self.timers.gray;
+        total.merge(&self.node_stats().gray);
+        total
     }
 
     /// The clamped adaptive RTO `observer` currently holds for `peer`

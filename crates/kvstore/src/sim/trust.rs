@@ -12,11 +12,12 @@
 //! background machine.
 
 use super::SimCluster;
-use crate::cache::{CacheStats, FingerprintCache};
+use crate::cache::FingerprintCache;
+use crate::counters::{ByzantineStats, CacheStats};
 use crate::integrity::checksum64;
 use crate::msg::{ClientOp, Message, OpResult, Outbound};
 use crate::node::NodeState;
-use crate::trust::{splitmix, ByzantineStats, TrustLedger};
+use crate::trust::{splitmix, TrustLedger};
 use bytes::Bytes;
 use ef_netsim::{FaultPlan, NodeId};
 use ef_simcore::SimTime;
@@ -46,8 +47,8 @@ pub(super) struct Trust {
     /// Sequence number for fabricated hint-flood keys (deterministic,
     /// never collides with client fingerprints).
     flood_seq: u64,
-    /// Driver-level Byzantine counters (node-held counters are folded in
-    /// when a node is torn down).
+    /// Driver-level Byzantine counters (challenge traffic and verdicts
+    /// are counted by the coordinators themselves).
     pub(super) byz: ByzantineStats,
 }
 
@@ -205,7 +206,7 @@ impl SimCluster {
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for cache in self.trust.caches.values() {
-            total.absorb(&cache.stats());
+            total.merge(&cache.stats());
         }
         total
     }
@@ -249,7 +250,9 @@ impl SimCluster {
     /// invalidations and re-fetches. All zeros unless
     /// [`SimCluster::enable_pop`] armed the defenses.
     pub fn byzantine_stats(&self) -> ByzantineStats {
-        self.run_totals().1
+        let mut total = self.trust.byz;
+        total.merge(&self.node_stats().byzantine);
+        total
     }
 
     /// Strikes the trust ledger currently holds against `peer`.

@@ -11,9 +11,10 @@
 //! and cloud-decoded `HintReplay`s.
 
 use super::{Disk, Event, Round, SimCluster, Windows};
+use crate::counters::DisasterStats;
 use crate::msg::{Message, OpResult, Outbound};
 use crate::node::NodeState;
-use crate::spool::{DisasterStats, SpoolClass, SpoolDest, UploadSpool};
+use crate::spool::{SpoolClass, SpoolDest, UploadSpool};
 use bytes::Bytes;
 use ef_netsim::{NodeId, SiteId};
 use ef_simcore::{SimDuration, SimTime};
@@ -62,8 +63,8 @@ pub(super) struct Uplink {
     /// → surviving holders not yet tried. A poisoned response re-fetches
     /// from the next candidate (then the cloud catalog).
     pub(super) pending_repairs: BTreeMap<(Bytes, NodeId), Vec<NodeId>>,
-    /// Driver-level disaster counters (spool counters live in the spools
-    /// themselves and are folded in by `disaster_stats`).
+    /// Driver-level disaster counters (the `spool_*` ones live in the
+    /// spools themselves and are merged in by `disaster_stats`).
     stats: DisasterStats,
 }
 
@@ -195,7 +196,7 @@ impl SimCluster {
     pub fn disaster_stats(&self) -> DisasterStats {
         let mut total = self.uplink.stats;
         for spool in self.uplink.spools.values() {
-            spool.fold_into(&mut total);
+            total.merge(&spool.stats());
         }
         total
     }
@@ -305,8 +306,8 @@ impl SimCluster {
     /// `RingWipe`: opens a ring-outage window. Every member in `site`
     /// loses its volatile state, its disk (parked or live) *and* its
     /// durable spool — the total-site-loss disaster mesh repair exists
-    /// for. In-flight ops resolve and the nodes' counters fold into the
-    /// run totals on the way down.
+    /// for. In-flight ops resolve and the nodes' counters are kept
+    /// (`teardown`) on the way down.
     pub(super) fn ring_wipe(&mut self, now: SimTime, site: SiteId) {
         self.uplink.stats.ring_wipes += 1;
         for node in self.site_members(site) {

@@ -28,6 +28,7 @@
 //! Determinism: the spool draws no randomness and iterates only ordered
 //! structures; identical enqueue/ack sequences yield identical batches.
 
+use crate::counters::DisasterStats;
 use crate::storage::{encode_record, frame_at, Frame};
 use bytes::Bytes;
 use ef_netsim::NodeId;
@@ -74,98 +75,6 @@ impl SpoolEntry {
     /// Payload bytes this entry charges against a drain tick's cap.
     pub fn payload_len(&self) -> u64 {
         (self.key.len() + self.value.as_ref().map_or(0, Bytes::len)) as u64
-    }
-}
-
-/// Disaster-tolerance counters, merged into
-/// `RobustnessMetrics::disaster`.
-///
-/// All-zero unless a cloud uplink was enabled or a disaster was
-/// injected, so clean-run quietness checks hold unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DisasterStats {
-    /// Entries accepted into upload spools.
-    pub spool_enqueued: u64,
-    /// Entries fully drained (cloud-acked or hint-delivered).
-    pub spool_drained: u64,
-    /// Re-sent entries: a transfer whose earlier frame was lost,
-    /// blacked out, or corrupted (resumability in action).
-    pub spool_retransmits: u64,
-    /// Entries still pending at observation time.
-    pub spool_depth: u64,
-    /// Highest pending-entry count any spool ever reached.
-    pub spool_high_water: u64,
-    /// Payload bytes accepted into spools.
-    pub spool_bytes_enqueued: u64,
-    /// Payload bytes fully drained.
-    pub spool_bytes_drained: u64,
-    /// Hints moved off a volatile heap into a durable spool because
-    /// their target sat inside a ring-outage window.
-    pub hints_spooled: u64,
-    /// Chunks rebuilt from a neighbor ring during mesh repair.
-    pub mesh_repairs: u64,
-    /// Chunks no neighbor held, rebuilt from the cloud catalog.
-    pub cloud_repairs: u64,
-    /// Payload bytes fetched from neighbor rings.
-    pub repair_bytes_mesh: u64,
-    /// Payload bytes fetched from the cloud catalog.
-    pub repair_bytes_cloud: u64,
-    /// Accumulated SNOD2 wire cost (milliseconds, rounded) of mesh
-    /// repair round-trips; with [`DisasterStats::repair_cost_cloud_ms`]
-    /// this prices a neighbor-ring hit below a cloud round-trip.
-    pub repair_cost_mesh_ms: u64,
-    /// Accumulated wire cost (milliseconds, rounded) of cloud-fallback
-    /// repair round-trips.
-    pub repair_cost_cloud_ms: u64,
-    /// Edge sites wiped by ring outages.
-    pub ring_wipes: u64,
-    /// Cloud-outage windows registered with the cluster.
-    pub outage_windows: u64,
-    /// Worst observed heal-to-repair-delivery latency in nanoseconds
-    /// (time-to-recovery for a wiped ring).
-    pub recovery_ns_max: u64,
-}
-
-impl DisasterStats {
-    /// Folds `other` into `self`: counters add (saturating), peaks and
-    /// worst-case latencies take the max.
-    pub fn merge(&mut self, other: &DisasterStats) {
-        self.spool_enqueued = self.spool_enqueued.saturating_add(other.spool_enqueued);
-        self.spool_drained = self.spool_drained.saturating_add(other.spool_drained);
-        self.spool_retransmits = self
-            .spool_retransmits
-            .saturating_add(other.spool_retransmits);
-        self.spool_depth = self.spool_depth.saturating_add(other.spool_depth);
-        self.spool_high_water = self.spool_high_water.max(other.spool_high_water);
-        self.spool_bytes_enqueued = self
-            .spool_bytes_enqueued
-            .saturating_add(other.spool_bytes_enqueued);
-        self.spool_bytes_drained = self
-            .spool_bytes_drained
-            .saturating_add(other.spool_bytes_drained);
-        self.hints_spooled = self.hints_spooled.saturating_add(other.hints_spooled);
-        self.mesh_repairs = self.mesh_repairs.saturating_add(other.mesh_repairs);
-        self.cloud_repairs = self.cloud_repairs.saturating_add(other.cloud_repairs);
-        self.repair_bytes_mesh = self
-            .repair_bytes_mesh
-            .saturating_add(other.repair_bytes_mesh);
-        self.repair_bytes_cloud = self
-            .repair_bytes_cloud
-            .saturating_add(other.repair_bytes_cloud);
-        self.repair_cost_mesh_ms = self
-            .repair_cost_mesh_ms
-            .saturating_add(other.repair_cost_mesh_ms);
-        self.repair_cost_cloud_ms = self
-            .repair_cost_cloud_ms
-            .saturating_add(other.repair_cost_cloud_ms);
-        self.ring_wipes = self.ring_wipes.saturating_add(other.ring_wipes);
-        self.outage_windows = self.outage_windows.saturating_add(other.outage_windows);
-        self.recovery_ns_max = self.recovery_ns_max.max(other.recovery_ns_max);
-    }
-
-    /// True when no disaster machinery ever engaged.
-    pub fn is_quiet(&self) -> bool {
-        *self == DisasterStats::default()
     }
 }
 
@@ -402,12 +311,9 @@ pub struct UploadSpool {
     /// full-queue scans (the hot loops during and right after an outage).
     index: BTreeMap<(SpoolClass, SpoolDest), BTreeMap<Bytes, u64>>,
     next_seq: u64,
-    enqueued: u64,
-    drained: u64,
-    bytes_enqueued: u64,
-    bytes_drained: u64,
-    retransmits: u64,
-    high_water: u64,
+    /// The `spool_*` counters this spool keeps for itself; `spool_depth`
+    /// is read off the queue by [`UploadSpool::stats`].
+    stats: DisasterStats,
 }
 
 impl UploadSpool {
@@ -448,8 +354,8 @@ impl UploadSpool {
         let seq = self.next_seq;
         let (segment, frame_len) = self.log.append_put(seq, &entry);
         self.log.live_bytes += frame_len;
-        self.enqueued += 1;
-        self.bytes_enqueued += entry.payload_len();
+        self.stats.spool_enqueued += 1;
+        self.stats.spool_bytes_enqueued += entry.payload_len();
         self.insert(
             seq,
             Slot {
@@ -458,7 +364,7 @@ impl UploadSpool {
                 frame_len,
             },
         );
-        self.high_water = self.high_water.max(self.entries.len() as u64);
+        self.stats.spool_high_water = self.stats.spool_high_water.max(self.depth());
         true
     }
 
@@ -493,8 +399,8 @@ impl UploadSpool {
         self.log.segment_mut(segment).live -= 1;
         self.log.live_bytes -= frame_len;
         self.reclaim();
-        self.drained += 1;
-        self.bytes_drained += entry.payload_len();
+        self.stats.spool_drained += 1;
+        self.stats.spool_bytes_drained += entry.payload_len();
         Some(entry)
     }
 
@@ -549,7 +455,7 @@ impl UploadSpool {
             spool.log.live_bytes += slot.frame_len;
             spool.insert(seq, slot);
         }
-        spool.high_water = spool.entries.len() as u64;
+        spool.stats.spool_high_water = spool.depth();
         spool
     }
 
@@ -605,7 +511,7 @@ impl UploadSpool {
                 }
             }
         }
-        self.retransmits += retransmits;
+        self.stats.spool_retransmits += retransmits;
         batch
     }
 
@@ -672,7 +578,7 @@ impl UploadSpool {
 
     /// Highest pending count this spool ever reached.
     pub fn high_water(&self) -> u64 {
-        self.high_water
+        self.stats.spool_high_water
     }
 
     /// Current durable footprint in bytes (every segment of the log);
@@ -688,18 +594,12 @@ impl UploadSpool {
         self.log.written
     }
 
-    /// Folds this spool's counters into `stats`.
-    pub fn fold_into(&self, stats: &mut DisasterStats) {
-        stats.merge(&DisasterStats {
-            spool_enqueued: self.enqueued,
-            spool_drained: self.drained,
-            spool_retransmits: self.retransmits,
+    /// This spool's counters: the `spool_*` fields, every other zero.
+    pub fn stats(&self) -> DisasterStats {
+        DisasterStats {
             spool_depth: self.depth(),
-            spool_high_water: self.high_water,
-            spool_bytes_enqueued: self.bytes_enqueued,
-            spool_bytes_drained: self.bytes_drained,
-            ..DisasterStats::default()
-        });
+            ..self.stats
+        }
     }
 }
 
@@ -765,8 +665,7 @@ mod tests {
         );
         assert_eq!(spool.plan_cloud_batch(u64::MAX).len(), 1);
         assert_eq!(spool.plan_cloud_batch(u64::MAX).len(), 1);
-        let mut stats = DisasterStats::default();
-        spool.fold_into(&mut stats);
+        let stats = spool.stats();
         assert_eq!(stats.spool_retransmits, 1);
         // The ack retires it durably; a duplicate ack is a no-op.
         assert_eq!(spool.retire_cloud(b"k"), Some(2));
@@ -924,8 +823,7 @@ mod tests {
         }
         assert_eq!(keys(spool.plan_cloud_batch(13)), ["b1"]);
         assert_eq!(keys(spool.plan_cloud_batch(24)), ["b1", "b2"]);
-        let mut stats = DisasterStats::default();
-        spool.fold_into(&mut stats);
+        let stats = spool.stats();
         // c1 ×3, c2 ×3, c3 ×1, b1 ×3, b2 ×2 plans: 12 sends, 5 firsts.
         assert_eq!(stats.spool_retransmits, 7);
     }
@@ -978,8 +876,7 @@ mod tests {
         // nothing pending is dropped: the footprint is empty instead of
         // growing with history.
         assert_eq!(spool.wal_bytes(), 0);
-        let mut stats = DisasterStats::default();
-        spool.fold_into(&mut stats);
+        let stats = spool.stats();
         assert_eq!(stats.spool_enqueued, 200);
         assert_eq!(stats.spool_drained, 200);
         assert_eq!(stats.spool_depth, 0);
@@ -1207,31 +1104,5 @@ mod tests {
                 },
             );
         }
-    }
-
-    #[test]
-    fn stats_merge_adds_counters_and_maxes_peaks() {
-        let a = DisasterStats {
-            spool_enqueued: 3,
-            spool_high_water: 5,
-            recovery_ns_max: 100,
-            mesh_repairs: 2,
-            ..DisasterStats::default()
-        };
-        let mut b = DisasterStats {
-            spool_enqueued: 4,
-            spool_high_water: 2,
-            recovery_ns_max: 900,
-            cloud_repairs: 1,
-            ..DisasterStats::default()
-        };
-        b.merge(&a);
-        assert_eq!(b.spool_enqueued, 7);
-        assert_eq!(b.spool_high_water, 5);
-        assert_eq!(b.recovery_ns_max, 900);
-        assert_eq!(b.mesh_repairs, 2);
-        assert_eq!(b.cloud_repairs, 1);
-        assert!(!b.is_quiet());
-        assert!(DisasterStats::default().is_quiet());
     }
 }

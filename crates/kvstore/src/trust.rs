@@ -168,64 +168,6 @@ impl TrustLedger {
     }
 }
 
-/// Byzantine-defense counters, merged into
-/// `RobustnessMetrics::byzantine`.
-///
-/// All-zero unless proof-of-possession was enabled, so clean-run
-/// quietness checks hold unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ByzantineStats {
-    /// Possession challenges sent to claiming replicas.
-    pub challenges_issued: u64,
-    /// Challenges answered with a verifying digest.
-    pub challenges_passed: u64,
-    /// Challenges answered with a wrong digest or a held=false
-    /// retraction — the sighting was reverted, never trusted.
-    pub challenges_failed: u64,
-    /// Positive sightings completed from the proven-possession cache
-    /// without a fresh challenge round-trip.
-    pub pop_cache_hits: u64,
-    /// Duplicate verdicts that would have been false: a positive
-    /// sighting rejected by proof of possession with no honest replica
-    /// confirming the claim.
-    pub false_claims_rejected: u64,
-    /// Peer-served repair/restore bytes rejected by content-address
-    /// verification before reaching a store.
-    pub poisoned_bytes_rejected: u64,
-    /// Bogus hint-replay frames suppressed at delivery.
-    pub hint_floods_suppressed: u64,
-    /// Anti-entropy summaries contradicted by their own stream.
-    pub equivocations_detected: u64,
-    /// Strikes charged to peers for provable lies.
-    pub liar_strikes: u64,
-    /// Peers quarantined after crossing the strike threshold.
-    pub liars_quarantined: u64,
-    /// Fingerprint-cache entries invalidated because their source peer
-    /// was later quarantined for lying.
-    pub cache_invalidations: u64,
-    /// Repair fetches re-issued to the next-rarest holder (or the
-    /// cloud catalog) after a poisoned response.
-    pub refetches: u64,
-}
-
-impl ByzantineStats {
-    /// Folds `other` into `self`, field by field.
-    pub fn absorb(&mut self, other: &ByzantineStats) {
-        self.challenges_issued += other.challenges_issued;
-        self.challenges_passed += other.challenges_passed;
-        self.challenges_failed += other.challenges_failed;
-        self.pop_cache_hits += other.pop_cache_hits;
-        self.false_claims_rejected += other.false_claims_rejected;
-        self.poisoned_bytes_rejected += other.poisoned_bytes_rejected;
-        self.hint_floods_suppressed += other.hint_floods_suppressed;
-        self.equivocations_detected += other.equivocations_detected;
-        self.liar_strikes += other.liar_strikes;
-        self.liars_quarantined += other.liars_quarantined;
-        self.cache_invalidations += other.cache_invalidations;
-        self.refetches += other.refetches;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,24 +222,6 @@ mod tests {
         assert_eq!(ledger.strikes_of(liar), TrustLedger::STRIKE_THRESHOLD + 1);
         assert_eq!(ledger.striking_peers(), vec![liar]);
         assert_eq!(ledger.strikes_of(NodeId(0)), 0);
-    }
-
-    #[test]
-    fn stats_absorb_is_fieldwise() {
-        let mut a = ByzantineStats {
-            challenges_issued: 1,
-            liar_strikes: 2,
-            ..ByzantineStats::default()
-        };
-        let b = ByzantineStats {
-            challenges_issued: 3,
-            refetches: 5,
-            ..ByzantineStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.challenges_issued, 4);
-        assert_eq!(a.liar_strikes, 2);
-        assert_eq!(a.refetches, 5);
     }
 
     /// Whether `challenge`'s span over an `n`-byte chunk includes its

@@ -252,6 +252,144 @@ impl Histogram {
     }
 }
 
+/// How two readings of one counter combine in a family's `merge`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Event counts and byte totals add, saturating at `u64::MAX`.
+    Sum,
+    /// High-water marks and worst cases keep the larger reading.
+    Max,
+}
+
+impl Fold {
+    /// Combines two readings.
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Fold::Sum => a.saturating_add(b),
+            Fold::Max => a.max(b),
+        }
+    }
+}
+
+/// What a non-zero counter says about the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// Accrues on healthy traffic once its feature is armed.
+    Routine,
+    /// Something went wrong, or a mitigation acted on it.
+    Fault,
+}
+
+/// One counter of a [`counters!`](crate::counters) family as `fields()`
+/// reports it: the declaration next to the current reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The family (struct) name.
+    pub family: &'static str,
+    /// The field name.
+    pub name: &'static str,
+    /// The field's doc comment, lines concatenated.
+    pub doc: &'static str,
+    /// How `merge` combines it.
+    pub fold: Fold,
+    /// Whether a non-zero reading breaks quietness.
+    pub class: Class,
+    /// The reading.
+    pub value: u64,
+}
+
+impl Counter {
+    /// False only for a non-zero [`Class::Fault`] counter.
+    pub fn is_quiet(&self) -> bool {
+        self.class == Class::Routine || self.value == 0
+    }
+}
+
+/// Declares families of end-of-run `u64` counters. Each field is written
+/// once, as `/// doc` then `name: fold class,` with fold `sum` | `max`
+/// ([`Fold`](crate::stats::Fold)) and class `routine` | `fault`
+/// ([`Class`](crate::stats::Class)); everything that has to agree with
+/// the declaration is generated from it: the `Copy + Default + Eq` struct
+/// with one public `u64` per counter, `merge`, `is_quiet` and `fields()`.
+///
+/// ```
+/// ef_simcore::counters! {
+///     /// Door counters.
+///     pub struct DoorStats {
+///         /// Most people inside at once.
+///         peak: max routine,
+///         /// Times it jammed.
+///         jams: sum fault,
+///     }
+/// }
+/// let mut a = DoorStats { peak: 5, jams: 0 };
+/// a.merge(&DoorStats { peak: 3, jams: 1 });
+/// assert_eq!((a.peak, a.jams, a.is_quiet()), (5, 1, false));
+/// assert_eq!(a.fields().map(|c| c.name).collect::<Vec<_>>(), ["peak", "jams"]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (@fold sum) => { $crate::stats::Fold::Sum };
+    (@fold max) => { $crate::stats::Fold::Max };
+    (@class routine) => { $crate::stats::Class::Routine };
+    (@class fault) => { $crate::stats::Class::Fault };
+    ($(
+        $(#[doc = $family_doc:literal])+
+        pub struct $family:ident {
+            $(
+                $(#[doc = $doc:literal])+
+                $field:ident: $fold:ident $class:ident,
+            )+
+        }
+    )+) => {$(
+        $(#[doc = $family_doc])+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $family {
+            $(
+                $(#[doc = $doc])+
+                pub $field: u64,
+            )+
+        }
+
+        impl $family {
+            /// Folds `other` into `self`, each counter by its declared
+            /// fold: sums saturate, maxima keep the larger reading.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field = $crate::counters!(@fold $fold).apply(self.$field, other.$field);)+
+            }
+
+            /// True when no fault-class counter is non-zero.
+            pub fn is_quiet(&self) -> bool {
+                self.fields().all(|c| c.is_quiet())
+            }
+
+            /// Every counter in declaration order, declaration and
+            /// reading together.
+            pub fn fields(&self) -> impl Iterator<Item = $crate::stats::Counter> {
+                [$($crate::stats::Counter {
+                    family: stringify!($family),
+                    name: stringify!($field),
+                    doc: concat!($($doc),+),
+                    fold: $crate::counters!(@fold $fold),
+                    class: $crate::counters!(@class $class),
+                    value: self.$field,
+                }),+]
+                .into_iter()
+            }
+
+            /// Test support, the inverse of `fields()`: the family that
+            /// reads `values`, exactly one per counter.
+            #[doc(hidden)]
+            pub fn from_values(values: &[u64]) -> Self {
+                let n = [$(stringify!($field)),+].len();
+                assert_eq!(values.len(), n, "a value per counter");
+                let mut values = values.iter().copied();
+                $family { $($field: values.next().unwrap_or(0),)+ }
+            }
+        }
+    )+};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

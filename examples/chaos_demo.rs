@@ -101,8 +101,10 @@ fn main() {
 
     let r = RobustnessMetrics::from_sim(&cluster);
     println!("\n== robustness counters ==\n");
-    println!("  index retries      {}", r.index_retries);
-    println!("  index timeouts     {}", r.index_timeouts);
-    println!("  degraded lookups   {}", r.degraded_lookups);
-    println!("  messages dropped   {}", r.messages_dropped);
+    println!("  {:<40} {}", "messages_dropped", r.messages_dropped);
+    for c in r.fields().filter(|c| c.value != 0) {
+        let name = format!("{}::{}", c.family, c.name);
+        println!("  {name:<40} {:<8} {:?}", c.value, c.class);
+    }
+    println!("\n  quiet: {}", r.is_quiet());
 }

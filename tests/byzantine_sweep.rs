@@ -228,7 +228,7 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
             liars.len() as u64,
             "seed {seed}: {stats:?}"
         );
-        total.absorb(&stats);
+        total.merge(&stats);
     }
     // Nonvacuity: the sweep must drive every defense layer it claims
     // to test.

@@ -123,7 +123,7 @@ fn corruption_sweep_no_false_duplicates() {
             "seed {seed}: resolved more corruptions than were detected: {integ:?}"
         );
         total.merge(&integ);
-        cache.absorb(&cluster.cache_stats());
+        cache.merge(&cluster.cache_stats());
     }
     // The sweep must exercise every detection boundary, or the
     // invariants above are vacuous.

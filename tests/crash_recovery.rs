@@ -255,13 +255,7 @@ fn crash_recovery_sweep_soundness_and_convergence() {
         );
         let _ = out.departed;
 
-        totals.wal_records_replayed += out.recovery.wal_records_replayed;
-        totals.antientropy_rounds += out.recovery.antientropy_rounds;
-        totals.buckets_repaired += out.recovery.buckets_repaired;
-        totals.entries_repaired += out.recovery.entries_repaired;
-        totals.rereplicated_entries += out.recovery.rereplicated_entries;
-        totals.hints_dropped += out.recovery.hints_dropped;
-        totals.restarts += out.recovery.restarts;
+        totals.merge(&out.recovery);
         latencies += out.recovery_latencies;
     }
 
