@@ -1522,136 +1522,9 @@ mod tests {
     }
 
     #[test]
-    fn peer_failure_mid_op_resolves_unavailable() {
-        let mut coord = node(0, Consistency::All);
-        // Find a key with both replicas remote so nothing completes locally.
-        let mut key = None;
-        for i in 0..2000u32 {
-            let k = Bytes::from(i.to_be_bytes().to_vec());
-            if !coord.ring().replicas(&k, 2).contains(&NodeId(0)) {
-                key = Some(k);
-                break;
-            }
-        }
-        let key = key.expect("some key avoids node 0");
-        let replicas = coord.ring().replicas(&key, 2);
-        let (_, _, completion) = coord.begin(ClientOp::Put(key, Bytes::from_static(b"v")));
-        assert!(completion.is_none());
-        let mut comps = Vec::new();
-        for r in replicas {
-            comps.extend(coord.on_peer_failure(r));
-        }
-        assert_eq!(comps.len(), 1);
-        assert!(matches!(
-            comps[0].result,
-            OpResult::Unavailable {
-                acks: 0,
-                required: 2
-            }
-        ));
-    }
-
-    #[test]
-    fn duplicate_ack_is_ignored() {
-        let mut coord = node(0, Consistency::All);
-        let mut key = None;
-        for i in 0..2000u32 {
-            let k = Bytes::from(i.to_be_bytes().to_vec());
-            if !coord.ring().replicas(&k, 2).contains(&NodeId(0)) {
-                key = Some(k);
-                break;
-            }
-        }
-        let key = key.expect("remote-only key");
-        let replicas = coord.ring().replicas(&key, 2);
-        let (op_id, _, _) = coord.begin(ClientOp::Put(key, Bytes::from_static(b"v")));
-        let (_, c1) = coord.on_message(
-            replicas[0],
-            Message::WriteAck {
-                op_id,
-                from: replicas[0],
-            },
-        );
-        assert!(c1.is_empty());
-        // Same replica acks twice — must not count as the second ack.
-        let (_, c2) = coord.on_message(
-            replicas[0],
-            Message::WriteAck {
-                op_id,
-                from: replicas[0],
-            },
-        );
-        assert!(c2.is_empty(), "duplicate ack completed the op");
-        let (_, c3) = coord.on_message(
-            replicas[1],
-            Message::WriteAck {
-                op_id,
-                from: replicas[1],
-            },
-        );
-        assert_eq!(c3.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "ring member")]
     fn node_must_be_member() {
         NodeState::new(NodeId(9), ring(), &ClusterConfig::default());
-    }
-
-    #[test]
-    fn read_repair_backfills_stale_replica() {
-        // Coordinator = node 0 (not necessarily a replica). Replica A
-        // holds the value, replica B missed the write. A ONE read that A
-        // answers triggers a repair write to B.
-        let mut coord = node(0, Consistency::One);
-        // Find a key whose both replicas are remote (1 and 2).
-        let mut key = None;
-        for i in 0..5000u32 {
-            let k = Bytes::from(i.to_be_bytes().to_vec());
-            let reps = coord.ring().replicas(&k, 2);
-            if !reps.contains(&NodeId(0)) {
-                key = Some((k, reps));
-                break;
-            }
-        }
-        let (key, reps) = key.expect("remote-only key exists");
-        let holder = reps[0];
-        let stale = reps[1];
-
-        let (op_id, outbound, completion) = coord.begin(ClientOp::Get(key.clone()));
-        assert!(completion.is_none());
-        assert_eq!(outbound.len(), 2);
-
-        // The stale replica answers None first...
-        let (out_none, comps_none) = coord.on_message(
-            stale,
-            Message::ReadResp {
-                op_id,
-                from: stale,
-                value: None,
-            },
-        );
-        assert!(out_none.is_empty());
-        // ...ONE is satisfied by the first response (value = None), so
-        // the read completed as not-found...
-        assert_eq!(comps_none.len(), 1);
-        // ...then the holder's straggler response arrives with the value:
-        let (repairs, comps_late) = coord.on_message(
-            holder,
-            Message::ReadResp {
-                op_id,
-                from: holder,
-                value: Some(Bytes::from_static(b"v")),
-            },
-        );
-        assert!(comps_late.is_empty());
-        assert_eq!(repairs.len(), 1, "expected one repair write");
-        assert_eq!(repairs[0].to, stale);
-        assert!(matches!(
-            &repairs[0].msg,
-            Message::ReplicaWrite { value: Some(_), .. }
-        ));
-        assert_eq!(coord.stats().coordinator.repairs_sent, 1);
     }
 
     #[test]
