@@ -1,9 +1,7 @@
 //! Adversarial schedules against bare [`NodeState`]s — no driver, no
 //! clock: the test is the network. A schedule interleaves client ops with
-//! every event a coordinator can meet (frames delivered, duplicated,
-//! dropped, acked by the wrong peer, forged proofs, RTO retries, hedges,
-//! timeouts, peer failures and revivals) and checks, after every step,
-//! what no interleaving may break:
+//! every event a coordinator can meet (see [`Kind`]) and checks, after
+//! every step, what no interleaving may break:
 //!
 //! * an op completes at most once, with the result shape of its kind
 //!   (`degraded` exists only on check-and-insert verdicts);
@@ -20,61 +18,51 @@ use ef_kvstore::{
 };
 use ef_netsim::NodeId;
 use ef_simcore::prop::{any, check, vec};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 const KEYS: usize = 6;
 const GET: usize = 0;
 const PUT: usize = 1;
 const CAI: usize = 2;
 
-/// One schedule step; indices wrap to whatever exists when it runs.
+/// One schedule step: what happens, and two indices that wrap to
+/// whatever exists when it runs.
 #[derive(Debug, Clone, Copy)]
-enum Step {
-    Begin {
-        at: usize,
-        kind: usize,
-        key: usize,
-    },
-    Deliver(usize),
-    Duplicate(usize),
-    Drop(usize),
-    /// Re-deliver an ack with its `from` rewritten to the next node.
-    WrongPeer(usize),
-    /// Deliver a `PopResponse` with its digest replaced.
-    Forge(usize),
-    Retry(usize),
-    Hedge(usize),
-    Timeout(usize),
-    MarkDown(usize, usize),
-    PeerFailure(usize, usize),
-    MarkUp(usize, usize),
-    /// A node holds a key's bytes from before the schedule began (an
-    /// earlier ownership): what a hedged read to a backup can find.
-    Plant(usize, usize),
-}
+struct Step(Kind, usize, usize);
 
-impl Step {
-    fn from_draw((tag, a, b): (u8, usize, usize)) -> Step {
-        match tag {
-            0..=3 => Step::Begin {
-                at: a,
-                kind: (b % 4).min(CAI),
-                key: b / 4,
-            },
-            4..=11 => Step::Deliver(a),
-            12 => Step::Duplicate(a),
-            13 => Step::Drop(a),
-            14 => Step::WrongPeer(a),
-            15 => Step::Forge(a),
-            16 => Step::Retry(a),
-            17 | 18 => Step::Hedge(a),
-            19 => Step::Timeout(a),
-            20 => Step::MarkDown(a, b),
-            21 => Step::PeerFailure(a, b),
-            22 => Step::MarkUp(a, b),
-            _ => Step::Plant(a, b),
-        }
-    }
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Node `a` begins an op of kind `b % 4` (two in four are
+    /// check-and-inserts) on key `b / 4`.
+    Begin,
+    Deliver,
+    Duplicate,
+    Drop,
+    /// Re-deliver an answer with its `from` rewritten to the next node.
+    WrongPeer,
+    /// Deliver a `PopResponse` with its digest replaced.
+    Forge,
+    Retry,
+    Hedge,
+    Timeout,
+    MarkDown,
+    PeerFailed,
+    MarkUp,
+    /// Node `a` holds key `b`'s bytes from before the schedule began (an
+    /// earlier ownership): what a hedged read to a backup can find.
+    Plant,
+}
+use Kind::*;
+
+/// How often each kind is drawn.
+const MIX: [Kind; 24] = [
+    Begin, Begin, Begin, Begin, Deliver, Deliver, Deliver, Deliver, Deliver, Deliver, Deliver,
+    Deliver, Duplicate, Drop, WrongPeer, Forge, Retry, Hedge, Hedge, Timeout, MarkDown, PeerFailed,
+    MarkUp, Plant,
+];
+
+fn begin(kind: usize, key: usize) -> Step {
+    Step(Begin, 0, key * 4 + kind)
 }
 
 fn key(i: usize) -> Bytes {
@@ -90,10 +78,7 @@ struct World {
     nodes: Vec<NodeState>,
     /// Frames in flight, oldest first: (sender, frame).
     wire: Vec<(NodeId, Outbound)>,
-    /// (destination, frame checksum) of every frame handed to the wire.
-    handed: BTreeSet<(NodeId, u64)>,
     ops: Vec<(OpId, usize, Bytes)>,
-    done: BTreeMap<OpId, OpResult>,
     /// The oracle: keys some op has started inserting.
     inserting: BTreeSet<Bytes>,
     /// (step index, completion) in emission order.
@@ -108,19 +93,16 @@ impl World {
             consistency,
             ..ClusterConfig::default()
         };
-        let nodes = (0..n as u32).map(|i| {
-            let mut node = NodeState::new(NodeId(i), ring.clone(), &config);
-            if pop {
-                node.arm_pop(0x5eed);
-            }
-            node
-        });
+        let mut nodes: Vec<_> = (0..n as u32)
+            .map(|i| NodeState::new(NodeId(i), ring.clone(), &config))
+            .collect();
+        if pop {
+            nodes.iter_mut().for_each(|node| node.arm_pop(0x5eed));
+        }
         World {
-            nodes: nodes.collect(),
+            nodes,
             wire: Vec::new(),
-            handed: BTreeSet::new(),
             ops: Vec::new(),
-            done: BTreeMap::new(),
             inserting: BTreeSet::new(),
             log: Vec::new(),
             step: 0,
@@ -145,39 +127,28 @@ impl World {
                     self.inserting.insert(key.clone());
                 }
             }
-            self.handed.insert((ob.to, ob.msg.frame_checksum()));
             self.wire.push((from, ob));
         }
     }
 
-    fn settle(&mut self, completions: Vec<Completion>, forged: bool) {
+    fn settle(&mut self, completions: impl IntoIterator<Item = Completion>, forged: bool) {
         for c in completions {
-            let (_, kind, key) = self.ops.iter().find(|(id, ..)| *id == c.op_id).unwrap();
-            let failed = matches!(
-                c.result,
-                OpResult::Unavailable { .. } | OpResult::TimedOut { .. }
-            );
+            let id = c.op_id;
+            let (_, kind, key) = self.ops.iter().find(|op| op.0 == id).unwrap();
             match (&c.result, *kind) {
                 (OpResult::Value(_), GET) | (OpResult::Written, PUT) => {}
+                (OpResult::Unavailable { .. } | OpResult::TimedOut { .. }, GET | PUT) => {}
                 (OpResult::Dedup { unique: true, .. }, CAI) => {
                     self.inserting.insert(key.clone());
                 }
                 (OpResult::Dedup { unique: false, .. }, CAI) => {
-                    assert!(
-                        !forged,
-                        "{:?}: duplicate verdict on a forged proof",
-                        c.op_id
-                    );
-                    assert!(
-                        self.inserting.contains(key),
-                        "{:?}: false duplicate",
-                        c.op_id
-                    );
+                    assert!(!forged, "{id:?}: duplicate verdict on a forged proof");
+                    assert!(self.inserting.contains(key), "{id:?}: false duplicate");
                 }
-                _ => assert!(failed && *kind != CAI, "{c:?} for an op of kind {kind}"),
+                _ => panic!("{c:?} for an op of kind {kind}"),
             }
-            let again = self.done.insert(c.op_id, c.result.clone());
-            assert!(again.is_none(), "{:?} completed twice", c.op_id);
+            let again = self.log.iter().any(|(_, earlier)| earlier.op_id == id);
+            assert!(!again, "{id:?} completed twice");
             self.log.push((self.step, c));
         }
     }
@@ -192,17 +163,15 @@ impl World {
     /// that `want` accepts.
     fn pick(&self, i: usize, want: impl Fn(&Message) -> bool) -> Option<usize> {
         let len = self.wire.len();
-        (0..len)
-            .map(|d| (i + d) % len)
-            .find(|&j| want(&self.wire[j].1.msg))
+        let mut from_i = (0..len).map(|d| (i + d) % len);
+        from_i.find(|&j| want(&self.wire[j].1.msg))
     }
 
-    fn apply(&mut self, step: Step) {
+    fn apply(&mut self, Step(kind, a, b): Step) {
         let n = self.nodes.len();
-        let op = |i: usize| self.ops.get(i % self.ops.len().max(1)).map(|o| o.0);
-        match step {
-            Step::Begin { at, kind, key: k } => {
-                let (key, at) = (key(k), at % n);
+        match kind {
+            Begin => {
+                let (at, kind, key) = (a % n, (b % 4).min(CAI), key(b / 4));
                 let client_op = match kind {
                     GET => ClientOp::Get(key.clone()),
                     PUT => {
@@ -214,45 +183,32 @@ impl World {
                 let (op_id, out, completion) = self.nodes[at].begin(client_op);
                 self.ops.push((op_id, kind, key));
                 self.send(NodeId(at as u32), out);
-                self.settle(completion.into_iter().collect(), false);
+                self.settle(completion, false);
             }
-            Step::Deliver(i) | Step::Duplicate(i) | Step::Drop(i) => {
-                let Some(j) = self.pick(i, |_| true) else {
+            Deliver | Duplicate | Drop => {
+                let Some(j) = self.pick(a, |_| true) else {
                     return;
                 };
-                let (from, ob) = match step {
-                    Step::Duplicate(_) => self.wire[j].clone(),
+                let (from, ob) = match kind {
+                    Duplicate => self.wire[j].clone(),
                     _ => self.wire.remove(j),
                 };
-                if !matches!(step, Step::Drop(_)) {
+                if !matches!(kind, Drop) {
                     self.deliver(from, ob, false);
                 }
             }
-            Step::WrongPeer(i) => {
-                let is_ack = |m: &Message| {
-                    matches!(
-                        m,
-                        Message::WriteAck { .. }
-                            | Message::ReadResp { .. }
-                            | Message::PopResponse { .. }
-                    )
-                };
-                let Some(j) = self.pick(i, is_ack) else {
+            WrongPeer => {
+                let Some(j) = self.pick(a, |m| claimed_sender(&mut m.clone()).is_some()) else {
                     return;
                 };
                 let (_, mut ob) = self.wire[j].clone();
-                let (Message::WriteAck { from, .. }
-                | Message::ReadResp { from, .. }
-                | Message::PopResponse { from, .. }) = &mut ob.msg
-                else {
-                    return;
-                };
+                let from = claimed_sender(&mut ob.msg).expect("picked an answer");
                 *from = NodeId((from.0 + 1) % n as u32);
                 let from = *from;
                 self.deliver(from, ob, false);
             }
-            Step::Forge(i) => {
-                let Some(j) = self.pick(i, |m| matches!(m, Message::PopResponse { .. })) else {
+            Forge => {
+                let Some(j) = self.pick(a, |m| matches!(m, Message::PopResponse { .. })) else {
                     return;
                 };
                 let (from, mut ob) = self.wire.remove(j);
@@ -261,40 +217,31 @@ impl World {
                 }
                 self.deliver(from, ob, true);
             }
-            Step::Retry(i) => {
-                if let Some(id) = op(i) {
-                    let out = self.nodes[id.coordinator.0 as usize].retry_outstanding(id);
-                    self.send(id.coordinator, out);
-                }
-            }
-            Step::Hedge(i) => {
-                if let Some(id) = op(i) {
-                    let out = self.nodes[id.coordinator.0 as usize].hedge(id, &BTreeSet::new());
-                    self.send(id.coordinator, out.into_iter().collect());
-                }
-            }
-            Step::Timeout(i) => {
-                if let Some(id) = op(i) {
-                    let (out, c) = self.nodes[id.coordinator.0 as usize].timeout_op(id);
-                    self.send(id.coordinator, out);
-                    self.settle(c.into_iter().collect(), false);
-                }
-            }
-            Step::Plant(a, k) => {
-                let key = key(k);
-                self.inserting.insert(key.clone());
-                self.nodes[a % n]
-                    .storage_mut()
-                    .put(key.clone(), payload(&key));
-            }
-            Step::MarkDown(a, b) | Step::PeerFailure(a, b) | Step::MarkUp(a, b) => {
-                let (a, peer) = (a % n, NodeId((b % n) as u32));
-                if peer == NodeId(a as u32) {
+            Retry | Hedge | Timeout => {
+                let Some(&(id, ..)) = self.ops.get(a % self.ops.len().max(1)) else {
                     return;
-                }
-                match step {
-                    Step::MarkDown(..) => self.nodes[a].mark_down(peer),
-                    Step::MarkUp(..) => {
+                };
+                let node = &mut self.nodes[id.coordinator.0 as usize];
+                let (out, completion) = match kind {
+                    Retry => (node.retry_outstanding(id), None),
+                    Hedge => (Vec::from_iter(node.hedge(id, &BTreeSet::new())), None),
+                    _ => node.timeout_op(id),
+                };
+                self.send(id.coordinator, out);
+                self.settle(completion, false);
+            }
+            Plant => {
+                let key = key(b);
+                self.inserting.insert(key.clone());
+                let storage = self.nodes[a % n].storage_mut();
+                storage.put(key.clone(), payload(&key));
+            }
+            MarkDown | PeerFailed | MarkUp => {
+                let (a, peer) = (a % n, NodeId((b % n) as u32));
+                match kind {
+                    _ if peer.0 as usize == a => {}
+                    MarkDown => self.nodes[a].mark_down(peer),
+                    MarkUp => {
                         let out = self.nodes[a].mark_up(peer);
                         self.send(NodeId(a as u32), out);
                     }
@@ -319,28 +266,38 @@ impl World {
     fn drain(&mut self) {
         for _ in 0..8 {
             while !self.wire.is_empty() {
-                self.apply(Step::Deliver(0));
+                self.apply(Step(Deliver, 0, 0));
             }
             for i in 0..self.ops.len() {
-                self.apply(Step::Timeout(i));
+                self.apply(Step(Timeout, i, 0));
             }
         }
         assert!(self.wire.is_empty(), "the wire never ran dry");
         for node in &self.nodes {
             assert_eq!(node.pending_count(), 0, "{} kept a pending op", node.id());
         }
-        assert_eq!(self.done.len(), self.ops.len(), "an op never completed");
+        assert_eq!(self.log.len(), self.ops.len(), "an op never completed");
     }
 
-    fn completions_at(&self, step: usize) -> Vec<&OpResult> {
-        let at = self.log.iter().filter(|(s, _)| *s == step);
-        at.map(|(_, c)| &c.result).collect()
+    /// (step index, result) of every completion so far.
+    fn results(&self) -> Vec<(usize, &OpResult)> {
+        self.log.iter().map(|(at, c)| (*at, &c.result)).collect()
+    }
+}
+
+/// The `from` an answer frame claims.
+fn claimed_sender(msg: &mut Message) -> Option<&mut NodeId> {
+    match msg {
+        Message::WriteAck { from, .. }
+        | Message::ReadResp { from, .. }
+        | Message::PopResponse { from, .. } => Some(from),
+        _ => None,
     }
 }
 
 #[test]
 fn no_schedule_breaks_the_coordinator() {
-    let step = (0u8..24, any::<u8>(), any::<u8>());
+    let step = (0usize..MIX.len(), any::<u8>(), any::<u8>());
     check(
         "no_schedule_breaks_the_coordinator",
         384,
@@ -348,9 +305,8 @@ fn no_schedule_breaks_the_coordinator() {
         |(n, level, pop, draws)| {
             let consistency = [Consistency::One, Consistency::Quorum, Consistency::All];
             let mut world = World::new(n, consistency[level as usize], pop);
-            let steps = draws
-                .into_iter()
-                .map(|(tag, a, b)| Step::from_draw((tag, a as usize, b as usize)));
+            let steps = draws.into_iter();
+            let steps = steps.map(|(kind, a, b)| Step(MIX[kind], a as usize, b as usize));
             world.play(&steps.collect::<Vec<_>>());
             world.drain();
         },
@@ -364,19 +320,15 @@ fn duplicate_ack_is_ignored() {
     let mut w = World::new(3, Consistency::All, false);
     let (k, _) = w.key_avoiding(0);
     w.play(&[
-        Step::Begin {
-            at: 0,
-            kind: PUT,
-            key: k,
-        }, // wire: W→a, W→b
-        Step::Deliver(0),   // W→b, ack(a)
-        Step::Duplicate(1), // ack(a) counts once...
-        Step::Deliver(1),   // ...however often it arrives
-        Step::Deliver(0),   // ack(b)
+        begin(PUT, k),         // wire: W→a, W→b
+        Step(Deliver, 0, 0),   // W→b, ack(a)
+        Step(Duplicate, 1, 0), // ack(a) counts once...
+        Step(Deliver, 1, 0),   // ...however often it arrives
+        Step(Deliver, 0, 0),   // ack(b)
     ]);
     assert!(w.log.is_empty(), "duplicate ack completed the op");
-    w.play(&[Step::Deliver(0)]);
-    assert_eq!(w.completions_at(5), [&OpResult::Written]);
+    w.play(&[Step(Deliver, 0, 0)]);
+    assert_eq!(w.results(), [(5, &OpResult::Written)]);
     w.drain();
 }
 
@@ -384,21 +336,11 @@ fn duplicate_ack_is_ignored() {
 fn peer_failure_mid_op_resolves_unavailable() {
     let mut w = World::new(3, Consistency::All, false);
     let (k, reps) = w.key_avoiding(0);
-    w.play(&[
-        Step::Begin {
-            at: 0,
-            kind: PUT,
-            key: k,
-        },
-        Step::PeerFailure(0, reps[0].0 as usize),
-        Step::PeerFailure(0, reps[1].0 as usize),
-    ]);
-    let unavailable = OpResult::Unavailable {
-        acks: 0,
-        required: 2,
-    };
-    assert_eq!(w.completions_at(2), [&unavailable]);
-    assert_eq!(w.log.len(), 1);
+    let fail = |peer: NodeId| Step(PeerFailed, 0, peer.0 as usize);
+    w.play(&[begin(PUT, k), fail(reps[0]), fail(reps[1])]);
+    let (acks, required) = (0, 2);
+    let unavailable = OpResult::Unavailable { acks, required };
+    assert_eq!(w.results(), [(2, &unavailable)]);
     w.drain();
 }
 
@@ -406,34 +348,24 @@ fn peer_failure_mid_op_resolves_unavailable() {
 fn read_repair_backfills_stale_replica() {
     let mut w = World::new(3, Consistency::One, false);
     let (k, reps) = w.key_avoiding(0);
-    let stale = reps[1];
-    let begin = |kind| Step::Begin {
-        at: 0,
-        kind,
-        key: k,
-    };
     w.play(&[
-        begin(PUT),       // W→holder, W→stale
-        Step::Drop(1),    // the stale replica misses the write
-        Step::Deliver(0), // ack(holder)
-        Step::Deliver(0), // Written
-        begin(GET),       // R→holder, R→stale
-        Step::Deliver(1), // R→holder, resp(stale: None)
-        Step::Deliver(1), // ONE is met: the read resolves not-found...
-        Step::Deliver(0), // resp(holder: Some)
-        Step::Deliver(0), // ...and the straggler's value repairs `stale`
+        begin(PUT, k),       // W→holder, W→stale
+        Step(Drop, 1, 0),    // the stale replica misses the write
+        Step(Deliver, 0, 0), // ack(holder)
+        Step(Deliver, 0, 0), // Written
+        begin(GET, k),       // R→holder, R→stale
+        Step(Deliver, 1, 0), // R→holder, resp(stale: None)
+        Step(Deliver, 1, 0), // ONE is met: the read resolves not-found...
+        Step(Deliver, 0, 0), // resp(holder: Some)
+        Step(Deliver, 0, 0), // ...and the straggler's value repairs `stale`
     ]);
-    assert_eq!(w.completions_at(3), [&OpResult::Written]);
-    assert_eq!(w.completions_at(6), [&OpResult::Value(None)]);
-    assert_eq!(w.log.len(), 2);
+    let resolved = [(3, &OpResult::Written), (6, &OpResult::Value(None))];
+    assert_eq!(w.results(), resolved);
     assert_eq!(w.nodes[0].stats().coordinator.repairs_sent, 1);
     let [(_, repair)] = &w.wire[..] else {
         panic!("expected one repair write, found {:?}", w.wire);
     };
-    assert_eq!(repair.to, stale);
-    assert!(matches!(
-        &repair.msg,
-        Message::ReplicaWrite { value: Some(_), .. }
-    ));
+    let repaired = matches!(&repair.msg, Message::ReplicaWrite { value: Some(_), .. });
+    assert!(repaired && repair.to == reps[1], "{repair:?}");
     w.drain();
 }
