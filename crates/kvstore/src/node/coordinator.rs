@@ -279,15 +279,17 @@ impl NodeState {
     }
 
     /// Fails a peer mid-operation: drops it from every pending op's
-    /// outstanding set (as a timeout would) and returns the completions
-    /// (possibly `Unavailable`) that this resolves.
-    pub fn on_peer_failure(&mut self, peer: NodeId) -> Vec<Completion> {
+    /// outstanding set (as a timeout would). Returns the frames this
+    /// makes due — a check-and-insert that lost its read quorum or its
+    /// prover starts writing to the replicas still alive — and the
+    /// completions (possibly `Unavailable`) it resolves.
+    pub fn on_peer_failure(&mut self, peer: NodeId) -> (Vec<Outbound>, Vec<Completion>) {
         self.mark_down(peer);
         let op_ids: Vec<OpId> = self.pending.keys().copied().collect();
-        let mut completions = Vec::new();
+        let (mut outbound, mut completions) = (Vec::new(), Vec::new());
         for op_id in op_ids {
-            // Repairs to a just-failed peer would be dropped anyway.
-            let (_, completion) = self.step(op_id, Event::PeerFailed(peer));
+            let (out, completion) = self.step(op_id, Event::PeerFailed(peer));
+            outbound.extend(out);
             completions.extend(completion);
         }
         // Stop waiting for straggler reads from the failed peer.
@@ -295,7 +297,7 @@ impl NodeState {
             quorum.outstanding.remove(&peer);
             !quorum.outstanding.is_empty()
         });
-        completions
+        (outbound, completions)
     }
 
     /// Starts coordinating a client operation. Returns the assigned op id,

@@ -333,12 +333,14 @@ impl SimCluster {
         }
     }
 
-    /// `observer` stops waiting on `peer`: mark it down (hinting writes)
-    /// and resolve the pending ops that were waiting for it.
+    /// `observer` stops waiting on `peer`: mark it down (hinting writes),
+    /// resolve the pending ops that were waiting for it, and send what
+    /// the ones that moved on now owe the live replicas.
     fn peer_failed(&mut self, now: SimTime, observer: NodeId, peer: NodeId) {
         if let Some(state) = self.nodes.get_mut(&observer) {
-            let completions = state.on_peer_failure(peer);
+            let (outbound, completions) = state.on_peer_failure(peer);
             self.settle(now, observer, completions);
+            self.dispatch(now, observer, outbound);
         }
     }
 

@@ -8,6 +8,8 @@
 //! * `Dedup { unique: false }` only for a key in the oracle set — keys
 //!   some op has started inserting (a write frame left a coordinator, or
 //!   a verdict said unique) — and never as the answer to a forged proof;
+//! * nothing is thrown away: whatever an op would retransmit, it has
+//!   transmitted (every frame a transition produced reached the caller);
 //! * once the wire is drained and every pending op timed out, no node
 //!   holds a pending op and every op has its completion.
 
@@ -78,6 +80,8 @@ struct World {
     nodes: Vec<NodeState>,
     /// Frames in flight, oldest first: (sender, frame).
     wire: Vec<(NodeId, Outbound)>,
+    /// (destination, frame checksum) of every frame ever put on the wire.
+    handed: BTreeSet<(NodeId, u64)>,
     ops: Vec<(OpId, usize, Bytes)>,
     /// The oracle: keys some op has started inserting.
     inserting: BTreeSet<Bytes>,
@@ -102,6 +106,7 @@ impl World {
         World {
             nodes,
             wire: Vec::new(),
+            handed: BTreeSet::new(),
             ops: Vec::new(),
             inserting: BTreeSet::new(),
             log: Vec::new(),
@@ -127,6 +132,7 @@ impl World {
                     self.inserting.insert(key.clone());
                 }
             }
+            self.handed.insert((ob.to, ob.msg.frame_checksum()));
             self.wire.push((from, ob));
         }
     }
@@ -246,7 +252,8 @@ impl World {
                         self.send(NodeId(a as u32), out);
                     }
                     _ => {
-                        let completions = self.nodes[a].on_peer_failure(peer);
+                        let (out, completions) = self.nodes[a].on_peer_failure(peer);
+                        self.send(NodeId(a as u32), out);
                         self.settle(completions, false);
                     }
                 }
@@ -254,9 +261,23 @@ impl World {
         }
     }
 
+    /// Whatever a pending op would retransmit, it has transmitted.
+    fn nothing_thrown_away(&mut self) {
+        for (id, ..) in &self.ops {
+            for ob in self.nodes[id.coordinator.0 as usize].retry_outstanding(*id) {
+                let handed = self.handed.contains(&(ob.to, ob.msg.frame_checksum()));
+                assert!(
+                    handed,
+                    "{id:?} awaits an answer to a frame never sent: {ob:?}"
+                );
+            }
+        }
+    }
+
     fn play(&mut self, steps: &[Step]) {
         for &step in steps {
             self.apply(step);
+            self.nothing_thrown_away();
             self.step += 1;
         }
     }
@@ -367,5 +388,33 @@ fn read_repair_backfills_stale_replica() {
     };
     let repaired = matches!(&repair.msg, Message::ReplicaWrite { value: Some(_), .. });
     assert!(repaired && repair.to == reps[1], "{repair:?}");
+    w.drain();
+}
+
+/// A check-and-insert under ALL loses its read quorum to a peer failure
+/// after the other replica answered "not found": the write phase it
+/// flips into owes that live replica a `ReplicaWrite`, and the frame
+/// must come back from `on_peer_failure` (it used to be thrown away,
+/// leaving the op waiting on an answer to a request nobody sent).
+#[test]
+fn peer_failure_hands_back_the_write_fan_out() {
+    let mut w = World::new(3, Consistency::All, false);
+    let (k, reps) = w.key_avoiding(0);
+    w.play(&[
+        begin(CAI, k),       // R→a, R→b
+        Step(Deliver, 0, 0), // R→b, resp(a: None)
+        Step(Deliver, 1, 0), // a's "not found" is in; b is still owed
+        Step(PeerFailed, 0, reps[1].0 as usize),
+    ]);
+    let [(_, to_b), (_, to_a)] = &w.wire[..] else {
+        panic!("expected the stale read and one write, found {:?}", w.wire);
+    };
+    assert!(matches!(to_b.msg, Message::ReplicaRead { .. }) && to_b.to == reps[1]);
+    assert!(matches!(to_a.msg, Message::ReplicaWrite { .. }) && to_a.to == reps[0]);
+    let op_id = w.ops[0].0;
+    assert_eq!(w.nodes[0].outstanding_peers(op_id), [reps[0]]);
+    w.play(&[Step(Deliver, 1, 0), Step(Deliver, 1, 0)]); // W→a, then its ack
+    let (unique, degraded) = (true, true);
+    assert_eq!(w.results(), [(5, &OpResult::Dedup { unique, degraded })]);
     w.drain();
 }

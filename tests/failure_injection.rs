@@ -355,3 +355,42 @@ fn hints_for_a_wiped_ring_survive_a_coordinator_crash() {
         "no key routed to the wiped site — widen the key set"
     );
 }
+
+/// Regression: a replica suspected *mid-operation* flips a
+/// check-and-insert that lost its read quorum (consistency ALL) into its
+/// write phase, and the `ReplicaWrite` that phase owes the replica still
+/// alive has to reach the wire. It used to be discarded at the suspect
+/// edge, so with heartbeats on and no retry policy the op stayed in
+/// flight forever.
+#[test]
+fn replica_suspected_mid_check_and_insert_still_resolves() {
+    use efdedup_repro::kvstore::{ClientOp, HashRing, OpResult, SimCluster};
+
+    let topo = TopologyBuilder::new().edge_site(3).build();
+    let net = Network::new(topo, NetworkConfig::paper_testbed());
+    let members = net.topology().edge_nodes();
+    let config = ClusterConfig {
+        consistency: Consistency::All,
+        ..ClusterConfig::default()
+    };
+    // Both replicas remote, so the write phase has a live peer to reach.
+    let coordinator = members[0];
+    let ring = HashRing::with_nodes(members.iter().copied(), config.vnodes);
+    let mut keys = (0..).map(|i| Bytes::from(format!("chunk-{i}")));
+    let key = keys
+        .find(|k| !ring.replicas(k, 2).contains(&coordinator))
+        .expect("some key avoids the coordinator");
+    let victim = ring.replicas(&key, 2)[1];
+
+    let mut cluster = SimCluster::new(members, net, config);
+    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
+    cluster.crash_at(SimTime::ZERO + SimDuration::from_millis(900), victim);
+    let op = ClientOp::CheckAndInsert(key.clone(), key);
+    cluster.submit(SimTime::ZERO + SimDuration::from_secs(1), coordinator, op);
+    let done = cluster.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+
+    assert_eq!(cluster.inflight(), 0, "the op is still in flight");
+    let (unique, degraded) = (true, true);
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].result, OpResult::Dedup { unique, degraded });
+}
