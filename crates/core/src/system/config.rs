@@ -41,11 +41,6 @@ pub struct SystemConfig {
     /// LRU shards per node's fingerprint cache (bounds eviction scan
     /// domains and mirrors the concurrent layout a real agent would use).
     pub cache_shards: usize,
-    /// Second-sight cache admission: fingerprints enter the cache only on
-    /// their second sighting, shielding warm entries from one-hit-wonder
-    /// churn. Ignored when the cache is disabled; off by default so
-    /// earlier cached runs stay comparable.
-    pub cache_second_sight: bool,
     /// Container capacity in bytes for the restore-path layout model:
     /// unique chunks append into fixed-capacity containers in arrival
     /// order, and `SystemMetrics::restore` measures how many containers
@@ -56,16 +51,6 @@ pub struct SystemConfig {
     /// dedup; `CapRewrite { window }` rewrites stale duplicates to the
     /// write frontier, trading stored bytes for restore locality.
     pub defrag: ef_cloudstore::DefragPolicy,
-}
-
-fn default_cache_shards() -> usize {
-    8
-}
-
-fn default_container_bytes() -> usize {
-    // 64 chunks of the default 4 KiB — small enough that fragmentation
-    // is visible at test scale, large enough to amortize a seek.
-    256 * 1024
 }
 
 impl SystemConfig {
@@ -82,9 +67,11 @@ impl SystemConfig {
             tcp_window_bytes: 512.0 * 1024.0,
             upload_streams: 4,
             cache_capacity: 0,
-            cache_shards: default_cache_shards(),
-            cache_second_sight: false,
-            container_bytes: default_container_bytes(),
+            cache_shards: 8,
+            // 64 chunks of the default 4 KiB — small enough that
+            // fragmentation is visible at test scale, large enough to
+            // amortize a seek.
+            container_bytes: 256 * 1024,
             defrag: ef_cloudstore::DefragPolicy::Off,
         }
     }

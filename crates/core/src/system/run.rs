@@ -126,14 +126,7 @@ pub fn run_system(
                 .div_ceil(config.cache_shards.max(1))
                 .max(1);
             let mut caches: Vec<FingerprintCache> = (0..n)
-                .map(|_| {
-                    let cache = FingerprintCache::new(config.cache_shards, per_shard);
-                    if config.cache_second_sight {
-                        cache.with_second_sight()
-                    } else {
-                        cache
-                    }
-                })
+                .map(|_| FingerprintCache::new(config.cache_shards, per_shard))
                 .collect();
 
             // Round-robin across nodes: parallel agents make progress

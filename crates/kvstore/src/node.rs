@@ -369,21 +369,20 @@ impl NodeState {
     /// network was partitioned) are replayed opportunistically, ahead of
     /// the handler's own frames.
     pub fn on_message(&mut self, from: NodeId, msg: Message) -> (Vec<Outbound>, Vec<Completion>) {
-        let mut outbound = if self.down.contains(&from) {
+        let replays = if self.hints.is_empty() || self.down.contains(&from) {
             Vec::new()
         } else {
             self.drain_hints_for(from)
         };
         let reply = |msg| vec![Outbound { to: from, msg }];
         let id = self.id;
-        let (more, completion) = match msg {
+        let (mut outbound, completion) = match msg {
             Message::ReplicaWrite { op_id, key, value } => {
                 self.apply(key, value);
                 (reply(Message::WriteAck { op_id, from: id }), None)
             }
             Message::ReplicaRead { op_id, key } => {
-                let value = self.verified_get(&key);
-                let from = id;
+                let (from, value) = (id, self.verified_get(&key));
                 (reply(Message::ReadResp { op_id, from, value }), None)
             }
             Message::HintReplay { key, value } => {
@@ -435,7 +434,9 @@ impl NodeState {
             // ignored.
             Message::CloudUpload { .. } | Message::CloudUploadAck { .. } => (Vec::new(), None),
         };
-        outbound.extend(more);
+        if !replays.is_empty() {
+            outbound = replays.into_iter().chain(outbound).collect();
+        }
         (outbound, completion.into_iter().collect())
     }
 }

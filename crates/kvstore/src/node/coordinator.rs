@@ -197,6 +197,13 @@ impl Phase {
     }
 }
 
+/// The verdict "already stored": a replica (or a proven backup) truly
+/// holds the key, so it is sound.
+const DUPLICATE: OpResult = OpResult::Dedup {
+    unique: false,
+    degraded: false,
+};
+
 fn done(op_id: OpId, result: OpResult) -> Step {
     (Vec::new(), Some(Completion { op_id, result }))
 }
@@ -384,13 +391,6 @@ impl NodeState {
         done(op_id, OpResult::Dedup { unique, degraded })
     }
 
-    /// The verdict "already stored": a replica (or a proven backup)
-    /// truly holds the key, so it is sound.
-    fn duplicate(&mut self, op_id: OpId, quorum: Quorum, seen: Seen) -> Step {
-        let (unique, degraded) = (false, false);
-        self.finish_read(op_id, quorum, seen, OpResult::Dedup { unique, degraded })
-    }
-
     /// Applies `event` to a pending op: the one step every transition
     /// takes. Unknown and completed ops are a no-op.
     pub(super) fn step(&mut self, op_id: OpId, event: Event) -> Step {
@@ -444,7 +444,7 @@ impl NodeState {
                     self.stats.byzantine.challenges_passed += 1;
                     self.pop_proven.insert((from, quorum.key.clone()));
                     self.dedup_sources.push((op_id, from));
-                    return self.duplicate(op_id, quorum, seen);
+                    return self.finish_read(op_id, quorum, seen, DUPLICATE);
                 }
                 // The claim was positive moments ago: a wrong digest is
                 // fabrication, a retraction self-contradiction. Both
@@ -568,12 +568,12 @@ impl NodeState {
         let source = seen.sighting.as_ref().map(|(_, from)| *from);
         let gate = source.filter(|from| *from != self.id).zip(self.pop_seed);
         let Some((prover, seed)) = gate else {
-            return self.duplicate(op_id, quorum, seen);
+            return self.finish_read(op_id, quorum, seen, DUPLICATE);
         };
         if self.pop_proven.contains(&(prover, quorum.key.clone())) {
             self.stats.byzantine.pop_cache_hits += 1;
             self.dedup_sources.push((op_id, prover));
-            return self.duplicate(op_id, quorum, seen);
+            return self.finish_read(op_id, quorum, seen, DUPLICATE);
         }
         self.stats.byzantine.challenges_issued += 1;
         let token = crate::key_token(&quorum.key);
@@ -589,10 +589,9 @@ impl NodeState {
         (vec![frame], None)
     }
 
-    /// Completes a read phase with `result`. With the quorum in, it
-    /// enters read-repair mode: back-fill the replicas that answered "not
-    /// found" and keep listening for stragglers. A hedged sighting that
-    /// beat the quorum completes on its own.
+    /// Completes a read phase with `result`. With the quorum in, it enters
+    /// read-repair mode: back-fill the replicas that answered "not found"
+    /// and listen for stragglers. A hedge win completes on its own.
     fn finish_read(&mut self, op_id: OpId, quorum: Quorum, seen: Seen, result: OpResult) -> Step {
         let repairs = quorum.met().then(|| self.repair(op_id, quorum, seen));
         (
@@ -607,7 +606,7 @@ impl NodeState {
     /// and keeps the repair state while stragglers remain.
     fn repair(&mut self, op_id: OpId, quorum: Quorum, mut seen: Seen) -> Vec<Outbound> {
         let mut outbound = Vec::new();
-        if let Some((value, _)) = &seen.sighting {
+        if let (Some((value, _)), false) = (&seen.sighting, seen.answered_none.is_empty()) {
             let stale = std::mem::take(&mut seen.answered_none);
             self.stats.coordinator.repairs_sent += stale.len() as u64;
             let request = Request::Write(Some(value.clone()));
