@@ -11,13 +11,12 @@
 //! Values here are immutable (chunk-hash index entries), so
 //! reconciliation is set union per differing range.
 
-use crate::integrity::checksum64;
 use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
 use bytes::Bytes;
 use ef_netsim::NodeId;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A Merkle tree over the token space `0..=u64::MAX`, with `2^depth`
 /// leaf buckets.
@@ -36,11 +35,14 @@ pub struct MerkleTree {
 /// Mixes one key/value pair into a bucket digest (commutative across
 /// entries: XOR of per-entry avalanche hashes). The key half is the
 /// key's ring token, which every caller already has; the value half is
-/// the word-parallel [`checksum64`] — values are whole payloads, and
-/// this is the only place anti-entropy touches their bytes.
-fn entry_digest(token: u64, value: &[u8]) -> u64 {
+/// `sum`, the store's remembered checksum of the value's bytes as they
+/// stand ([`StorageEngine::iter_summed`](crate::StorageEngine)) — values
+/// are whole payloads, and anti-entropy never touches their bytes: a
+/// rotted value digests as what it rotted to, and finding the rot is
+/// left to verify-on-read and scrub.
+fn entry_digest(token: u64, sum: u64) -> u64 {
     let mut h = token ^ 0x9e37_79b9_7f4a_7c15;
-    h = h.wrapping_add(checksum64(value).rotate_left(32));
+    h = h.wrapping_add(sum.rotate_left(32));
     // Final avalanche.
     let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -56,25 +58,13 @@ fn combine(a: u64, b: u64) -> u64 {
 }
 
 impl MerkleTree {
-    /// Builds a tree of `2^depth` buckets over the given entries.
+    /// Builds the tree of `2^depth` buckets from already-hashed
+    /// `(bucket, entry digest)` pairs.
     ///
     /// # Panics
     ///
     /// Panics when `depth` exceeds 20 (a million buckets is already far
     /// beyond any test or ring size here).
-    pub fn build<'a, I>(entries: I, depth: u32) -> Self
-    where
-        I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
-    {
-        let hashed = entries.into_iter().map(|(key, value)| {
-            let token = key_token(key);
-            (Self::bucket_of(token, depth), entry_digest(token, value))
-        });
-        Self::from_digests(hashed, depth)
-    }
-
-    /// Builds the tree from already-hashed `(bucket, entry digest)`
-    /// pairs.
     fn from_digests(entries: impl Iterator<Item = (usize, u64)>, depth: u32) -> Self {
         assert!(depth <= 20, "tree depth too large");
         let leaves = 1usize << depth;
@@ -144,29 +134,25 @@ impl crate::cluster::LocalCluster {
     /// after returns 0 (convergence).
     pub fn anti_entropy(&mut self, depth: u32) -> usize {
         let members = self.members();
-        let rf = self.config().replication_factor;
-        let summarize = |cluster: &Self, node| {
-            NodeSummary::build(&cluster.nodes, cluster.ring(), rf, node, depth)
-        };
-        let mut summaries: BTreeMap<NodeId, NodeSummary> =
-            members.iter().map(|&n| (n, summarize(self, n))).collect();
+        let (ring, rf) = (&self.ring, self.config().replication_factor);
         let mut copied = 0usize;
         for (x, &a) in members.iter().enumerate() {
             for &b in &members[x + 1..] {
-                let pair = pair_diff(&summaries[&a], &summaries[&b]);
+                // Asked for per pair: a summary is rebuilt once its store
+                // has changed, so this pair sees what earlier ones wrote.
+                let mut of = |n| Some(NodeSummary::of(self.nodes.get_mut(&n)?, ring, rf, depth));
+                let (Some(of_a), Some(of_b)) = (of(a), of(b)) else {
+                    continue;
+                };
+                let pair = pair_diff(&of_a, &of_b);
                 for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    let Some(state) = self.node_mut(dst) else {
+                    let Some(state) = self.nodes.get_mut(&dst) else {
                         continue;
                     };
                     copied += entries.len();
                     for (k, v) in entries {
                         state.storage_mut().put(k, v);
                     }
-                    // Later pairs must see what this one just wrote.
-                    summaries.insert(dst, summarize(self, dst));
                 }
             }
         }
@@ -198,7 +184,7 @@ pub(crate) struct PairDiff {
 
 /// One entry of a [`NodeSummary`]: everything a pairwise comparison
 /// needs, hashed once.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct SummaryEntry {
     key: Bytes,
     value: Bytes,
@@ -209,54 +195,86 @@ struct SummaryEntry {
     digest: u64,
 }
 
-/// Everything anti-entropy needs to know about one node for one round,
-/// built in a single pass over its store: per live entry the replica
-/// set, Merkle leaf bucket and entry digest. Each of the node's pairwise
-/// comparisons ([`pair_diff`]) is derived from it without touching the
-/// store, the ring or a payload byte again. A summary describes the
-/// store as of when it was built: rebuild it after writing to the node.
+/// What a summary was computed from. A kept summary stands for its node
+/// until one of these moves.
+#[derive(Debug, PartialEq, Eq)]
+struct Basis {
+    /// [`StorageEngine::generation`](crate::StorageEngine) of the store.
+    generation: u64,
+    /// Ring membership and tokens per member: every token, and so every
+    /// replica set, follows from the two.
+    members: Vec<NodeId>,
+    vnodes: usize,
+    rf: usize,
+    /// Depth of the trees the buckets were computed for.
+    depth: u32,
+}
+
+impl Basis {
+    fn new(generation: u64, ring: &HashRing, rf: usize, depth: u32) -> Self {
+        let (members, vnodes) = (ring.members().collect(), ring.vnodes());
+        Basis {
+            generation,
+            members,
+            vnodes,
+            rf,
+            depth,
+        }
+    }
+}
+
+/// Everything anti-entropy needs to know about one node, built in a
+/// single pass over its store: per live entry the replica set, Merkle
+/// leaf bucket and entry digest. Each of the node's pairwise comparisons
+/// ([`pair_diff`]) is derived from it without touching the store, the
+/// ring or a payload byte again. Values are refcounted handles, never
+/// copies.
 #[derive(Debug)]
 pub(crate) struct NodeSummary {
     /// The node summarized.
     pub(crate) node: NodeId,
-    /// Depth of the trees the buckets were computed for.
-    depth: u32,
+    basis: Basis,
     /// Live entries `node` holds *and* replicates under the ring, in key
     /// order.
     entries: Vec<SummaryEntry>,
 }
 
 impl NodeSummary {
-    /// Summarizes what `node` holds under `ring` at replication factor
-    /// `rf`, for depth-`depth` trees. A node missing from `nodes` holds
-    /// nothing.
-    pub(crate) fn build(
-        nodes: &BTreeMap<NodeId, NodeState>,
-        ring: &HashRing,
-        rf: usize,
-        node: NodeId,
-        depth: u32,
-    ) -> Self {
-        let held = nodes.get(&node).into_iter();
-        let entries = held
-            .flat_map(|state| state.storage().iter_live())
-            .filter_map(|(key, value)| {
-                let token = key_token(&key);
+    /// Summarizes what `state` holds under `ring` at replication factor
+    /// `rf`, for depth-`depth` trees. The summary is remembered on the
+    /// node — it dies with the `NodeState`: crash, departure, ring wipe,
+    /// WAL recovery — and handed out again until its [`Basis`] moves, so
+    /// a quiescent store is never re-walked, and no store's payload
+    /// bytes are ever read.
+    pub(crate) fn of(state: &mut NodeState, ring: &HashRing, rf: usize, depth: u32) -> Arc<Self> {
+        let basis = Basis::new(state.storage().generation(), ring, rf, depth);
+        match state.summary_memo() {
+            Some(kept) if kept.basis == basis => return Arc::clone(kept),
+            // Freed before its successor is built: never two at once.
+            stale => *stale = None,
+        }
+        let node = state.id();
+        let live = state.storage().iter_summed();
+        let entries = live
+            .filter_map(|(key, value, sum)| {
+                let token = key_token(key);
                 let replicas = ring.replicas_for_token(token, rf);
                 replicas.contains(&node).then(|| SummaryEntry {
                     bucket: MerkleTree::bucket_of(token, depth),
-                    digest: entry_digest(token, &value),
-                    key,
-                    value,
+                    digest: entry_digest(token, sum),
+                    key: key.clone(),
+                    value: value.clone(),
                     replicas,
                 })
             })
             .collect();
-        NodeSummary {
+        let summary = Arc::new(NodeSummary {
             node,
-            depth,
+            basis,
             entries,
-        }
+        });
+        *state.summary_memo() = Some(Arc::clone(&summary));
+        summary
     }
 
     /// The entries this node co-replicates with `peer`, in key order.
@@ -279,10 +297,10 @@ impl NodeSummary {
 ///
 /// Panics when the summaries were built at different depths.
 pub(crate) fn pair_diff(a: &NodeSummary, b: &NodeSummary) -> PairDiff {
-    assert_eq!(a.depth, b.depth, "summary depth mismatch");
+    assert_eq!(a.basis.depth, b.basis.depth, "summary depth mismatch");
     let tree = |me: &NodeSummary, peer: &NodeSummary| {
         let shared = me.shared_with(peer.node);
-        MerkleTree::from_digests(shared.map(|e| (e.bucket, e.digest)), me.depth)
+        MerkleTree::from_digests(shared.map(|e| (e.bucket, e.digest)), me.basis.depth)
     };
     let diff = tree(a, b).diff(&tree(b, a));
     let missing = |src: &NodeSummary, dst: &NodeSummary| -> Vec<(Bytes, Bytes)> {
@@ -310,7 +328,56 @@ pub(crate) fn pair_diff(a: &NodeSummary, b: &NodeSummary) -> PairDiff {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, LocalCluster};
+    use crate::integrity::checksum64;
     use ef_netsim::NodeId;
+    use std::collections::BTreeMap;
+
+    impl MerkleTree {
+        /// A tree of `2^depth` buckets over `(key, value)` entries,
+        /// every value's bytes summed here and now.
+        fn build<'a, I>(entries: I, depth: u32) -> Self
+        where
+            I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
+        {
+            let hashed = entries.into_iter().map(|(key, value)| {
+                let token = key_token(key);
+                let digest = entry_digest(token, checksum64(value));
+                (Self::bucket_of(token, depth), digest)
+            });
+            Self::from_digests(hashed, depth)
+        }
+    }
+
+    impl NodeSummary {
+        /// The from-scratch summary [`NodeSummary::of`] is held to:
+        /// nothing remembered, the store walked and every payload byte
+        /// re-read. A node missing from `nodes` holds nothing.
+        fn build(
+            nodes: &BTreeMap<NodeId, NodeState>,
+            ring: &HashRing,
+            rf: usize,
+            node: NodeId,
+            depth: u32,
+        ) -> Self {
+            let held = nodes.get(&node).into_iter();
+            let entries = held
+                .flat_map(|state| state.storage().iter_live())
+                .filter(|(key, _)| ring.replicas(key, rf).contains(&node))
+                .map(|(key, value)| SummaryEntry {
+                    replicas: ring.replicas(&key, rf),
+                    bucket: MerkleTree::bucket_of(key_token(&key), depth),
+                    digest: entry_digest(key_token(&key), checksum64(&value)),
+                    key,
+                    value,
+                })
+                .collect();
+            NodeSummary {
+                node,
+                basis: Basis::new(0, ring, rf, depth),
+                entries,
+            }
+        }
+    }
 
     fn entries(keys: &[&[u8]]) -> Vec<(Vec<u8>, Vec<u8>)> {
         keys.iter().map(|k| (k.to_vec(), vec![1u8])).collect()
@@ -586,6 +653,106 @@ mod tests {
                         let got = pair_diff(&summaries[x], &summaries[y]);
                         let want = pair_diff_reference(&nodes, &ring, rf, a, b, depth);
                         assert_eq!(got, want, "pair ({}, {})", a, b);
+                    }
+                }
+            },
+        );
+    }
+
+    /// Remembered equals recomputed: after every step of a random
+    /// put / overwrite / delete / flush / compact / rot / crash + WAL
+    /// recovery / ring-member removal sequence, the summary the product
+    /// path hands out for each node — kept where nothing moved, rebuilt
+    /// from remembered sums where something did — has the entries of a
+    /// rebuild that re-reads every byte, and every pair diffs alike.
+    /// Rot is found, not masked: the flipped key is digested as its
+    /// flipped bytes, reported by `scrub` and refused by `get_verified`.
+    #[test]
+    fn remembered_summaries_equal_a_byte_reading_rebuild() {
+        check(
+            "remembered_summaries_equal_a_byte_reading_rebuild",
+            64,
+            (
+                3u32..6,
+                1usize..4,
+                0usize..3,
+                vec((0u8..10, 0u32..5, 0u8..16, 0usize..64), 1..48),
+            ),
+            |(members, rf, depth_pick, ops)| {
+                let depth = [0, 4, 8][depth_pick];
+                let config = ClusterConfig {
+                    replication_factor: rf,
+                    memtable_flush_bytes: 256,
+                    ..ClusterConfig::default()
+                };
+                let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
+                let mut ring = crate::cluster::member_ring(&ids, config.vnodes);
+                let mut nodes: BTreeMap<NodeId, NodeState> = ids
+                    .iter()
+                    .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))
+                    .collect();
+                for (step, (op, pick, key, arg)) in ops.into_iter().enumerate() {
+                    let live: Vec<NodeId> = nodes.keys().copied().collect();
+                    let id = live[pick as usize % live.len()];
+                    let state = nodes.get_mut(&id).unwrap();
+                    let key = Bytes::copy_from_slice(&[b'k', key]);
+                    match op {
+                        0..=3 => {
+                            let value = Bytes::from(vec![key[1] ^ step as u8; 1 + arg]);
+                            state.wal_mut().append_put(&key, &value);
+                            state.storage_mut().put(key, value);
+                        }
+                        4 => {
+                            state.wal_mut().append_delete(&key);
+                            state.storage_mut().delete(key);
+                        }
+                        5 | 6 => {
+                            let kept = NodeSummary::of(state, &ring, rf, depth);
+                            if op == 5 {
+                                state.storage_mut().flush();
+                            } else {
+                                state.storage_mut().compact();
+                            }
+                            let again = NodeSummary::of(state, &ring, rf, depth);
+                            assert!(
+                                Arc::ptr_eq(&kept, &again),
+                                "a quiescent store was re-walked"
+                            );
+                        }
+                        7 => {
+                            if let Some(rotted) =
+                                state.storage_mut().corrupt_nth_value(arg, arg * 7)
+                            {
+                                let scrubbed = state.storage().scrub(None, u64::MAX);
+                                assert!(scrubbed.corrupt.contains(&rotted), "scrub missed the rot");
+                                assert!(state.storage_mut().get_verified(&rotted).is_err());
+                            }
+                        }
+                        8 => {
+                            let (wal, _) = nodes.remove(&id).unwrap().crash();
+                            let recovered = NodeState::recover(id, ring.clone(), &config, wal);
+                            nodes.insert(id, recovered.expect("an unrotted log replays"));
+                        }
+                        _ if live.len() > 2 => {
+                            ring.remove_node(id);
+                            nodes.remove(&id);
+                        }
+                        _ => {}
+                    }
+                    let got: Vec<Arc<NodeSummary>> = nodes
+                        .values_mut()
+                        .map(|state| NodeSummary::of(state, &ring, rf, depth))
+                        .collect();
+                    let want: Vec<NodeSummary> = nodes
+                        .keys()
+                        .map(|&id| NodeSummary::build(&nodes, &ring, rf, id, depth))
+                        .collect();
+                    for x in 0..got.len() {
+                        assert_eq!(got[x].entries, want[x].entries, "step {}", step);
+                        for y in x + 1..got.len() {
+                            let pair = pair_diff(&got[x], &got[y]);
+                            assert_eq!(pair, pair_diff(&want[x], &want[y]), "step {}", step);
+                        }
                     }
                 }
             },

@@ -144,7 +144,7 @@ pub(crate) fn member_ring(members: &[NodeId], vnodes: usize) -> HashRing {
 pub struct LocalCluster {
     pub(crate) nodes: BTreeMap<NodeId, NodeState>,
     config: ClusterConfig,
-    ring: HashRing,
+    pub(crate) ring: HashRing,
     down: HashSet<NodeId>,
     /// Messages delivered (diagnostics; remote hops only).
     messages_delivered: u64,

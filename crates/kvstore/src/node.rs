@@ -19,6 +19,7 @@
 mod coordinator;
 mod handoff;
 
+use crate::antientropy::NodeSummary;
 use crate::cluster::ClusterConfig;
 use crate::counters::{IntegrityStats, NodeStats};
 use crate::msg::{Completion, Message, OpId, OpResult, Outbound};
@@ -29,6 +30,7 @@ use bytes::Bytes;
 use coordinator::{Answer, Event, Op, Quorum, Seen};
 use ef_netsim::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How many replica acknowledgements a coordinator waits for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,6 +49,9 @@ pub struct NodeState {
     id: NodeId,
     ring: HashRing,
     storage: StorageEngine,
+    /// Anti-entropy's last summary of `storage`, kept here so that it
+    /// cannot outlive the store it describes ([`NodeSummary::of`]).
+    summary: Option<Arc<NodeSummary>>,
     replication_factor: usize,
     consistency: Consistency,
     next_seq: u64,
@@ -96,6 +101,7 @@ impl NodeState {
             id,
             ring,
             storage: StorageEngine::new(config.memtable_flush_bytes),
+            summary: None,
             replication_factor: config.replication_factor,
             consistency: config.consistency,
             next_seq: 0,
@@ -235,6 +241,11 @@ impl NodeState {
     /// Mutable access to the local storage engine (tests, rebalancing).
     pub fn storage_mut(&mut self) -> &mut StorageEngine {
         &mut self.storage
+    }
+
+    /// Where [`NodeSummary::of`] keeps its last answer for this node.
+    pub(crate) fn summary_memo(&mut self) -> &mut Option<Arc<NodeSummary>> {
+        &mut self.summary
     }
 
     /// The ring view this node uses for placement.

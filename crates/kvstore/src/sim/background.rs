@@ -15,6 +15,7 @@ use bytes::Bytes;
 use ef_netsim::NodeId;
 use ef_simcore::{DetRng, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Verification-failure strikes before a node is quarantined. High
 /// enough that one storage-rot strike (a handful of flips) does not
@@ -143,11 +144,11 @@ impl SimCluster {
         self.background.quarantined.iter().copied().collect()
     }
 
-    /// Read-only convergence oracle: the number of divergent Merkle
-    /// buckets summed over all live replica pairs, with no network
-    /// charges or repairs. `0` means every pair of live replicas agrees
-    /// on their co-replicated entries.
-    pub fn replica_divergence(&self, depth: u32) -> u64 {
+    /// Convergence oracle: the number of divergent Merkle buckets summed
+    /// over all live replica pairs, with no network charges or repairs
+    /// (`&mut` only for the summaries each node remembers). `0` means
+    /// every pair of live replicas agrees on their co-replicated entries.
+    pub fn replica_divergence(&mut self, depth: u32) -> u64 {
         let summaries = self.summarize_live(depth);
         let mut buckets = 0;
         for (x, a) in summaries.iter().enumerate() {
@@ -158,13 +159,16 @@ impl SimCluster {
         buckets
     }
 
-    /// One anti-entropy summary per live node, in id order: each store
-    /// is walked (and each value digested) once, however many replica
-    /// pairs the node is part of.
-    fn summarize_live(&self, depth: u32) -> Vec<NodeSummary> {
-        let rf = self.config.replication_factor;
-        let live = self.live_nodes().into_iter();
-        live.map(|n| NodeSummary::build(&self.nodes, &self.ring, rf, n, depth))
+    /// One anti-entropy summary per live node, in id order: a store is
+    /// walked at most once, however many replica pairs the node is part
+    /// of, and not at all while the node's last summary still stands.
+    fn summarize_live(&mut self, depth: u32) -> Vec<Arc<NodeSummary>> {
+        let (ring, rf) = (&self.ring, self.config.replication_factor);
+        let live = self.live_nodes();
+        let states = self.nodes.values_mut();
+        let states = states.filter(|state| live.contains(&state.id()));
+        states
+            .map(|state| NodeSummary::of(state, ring, rf, depth))
             .collect()
     }
 

@@ -1483,6 +1483,132 @@ fn equivocating_summary_detected_in_antientropy() {
     assert_eq!(stats.liars_quarantined, 1, "{stats:?}");
 }
 
+// ---- ISSUE 21: storage rot composed with anti-entropy ----
+
+const ROT_DEPTH: u32 = 4;
+
+/// Four members at rf = 2 under `Consistency::All`, anti-entropy every
+/// 200 ms: `victim` crash-stops at 1.0 s, restarts from its WAL at
+/// 1.25 s holding everything its peers hold, and takes a seeded
+/// `StorageRot` strike at 1.3 s — before the first round that could
+/// have declared its rejoin converged.
+fn rot_under_anti_entropy(seed: u64, scrub: bool) -> (SimCluster, NodeId) {
+    let net = edge_network(1, 4);
+    let members = net.topology().edge_nodes();
+    let config = ClusterConfig {
+        replication_factor: 2,
+        consistency: Consistency::All,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = SimCluster::new(members.clone(), net, config);
+    cluster.enable_anti_entropy(SimDuration::from_millis(200), ROT_DEPTH);
+    if scrub {
+        cluster.enable_scrub(SimDuration::from_millis(100), 1 << 20);
+    }
+    let mut t = SimTime::ZERO;
+    for i in 0..40 + seed as u32 {
+        let key = Bytes::from((i ^ (seed as u32) << 8).to_be_bytes().to_vec());
+        let value = Bytes::from(vec![i as u8 ^ seed as u8; 48 + i as usize % 17]);
+        let coordinator = members[i as usize % members.len()];
+        cluster.submit(t, coordinator, ClientOp::Put(key, value));
+        t += SimDuration::from_millis(10);
+    }
+    let victim = members[seed as usize % members.len()];
+    cluster.crash_stop_at(SimTime::from_secs_f64(1.0), victim);
+    cluster.restart_at(SimTime::from_secs_f64(1.25), victim);
+    cluster.storage_rot_at(SimTime::from_secs_f64(1.3), victim, seed);
+    (cluster, victim)
+}
+
+/// The non-zero counters of one family, `name=value` in declaration
+/// order.
+fn nonzero(fields: impl Iterator<Item = ef_simcore::stats::Counter>) -> String {
+    let set = fields.filter(|c| c.value != 0);
+    let set: Vec<String> = set.map(|c| format!("{}={}", c.name, c.value)).collect();
+    set.join(" ")
+}
+
+/// Anti-entropy digests a rotted entry as its rotted bytes: the bucket
+/// diverges round after round, nothing is streamed (both replicas hold
+/// the key) and the rejoin is never declared converged — until scrub,
+/// the detector that owns at-rest rot, drops the entry and read-repairs
+/// it. Counters are the parent commit's (PR 20), captured before
+/// anti-entropy stopped reading payload bytes.
+#[test]
+fn rot_diverges_under_anti_entropy_until_scrub_repairs_it() {
+    // (seed, recovery / integrity with scrub off, then with scrub on)
+    const PINNED: [(u64, [&str; 4]); 4] = [
+        (
+            2,
+            [
+                "wal_records_replayed=31 restarts=1 antientropy_rounds=30 buckets_repaired=25 entries_repaired=1",
+                "",
+                "wal_records_replayed=31 restarts=1 antientropy_rounds=30 buckets_repaired=1 entries_repaired=1",
+                "entries_scrubbed=4816 scrub_bytes=284800 mismatches_found=2 read_repairs=2",
+            ],
+        ),
+        (
+            4,
+            [
+                "wal_records_replayed=18 restarts=1 antientropy_rounds=30 buckets_repaired=49 entries_repaired=1",
+                "",
+                "wal_records_replayed=18 restarts=1 antientropy_rounds=30 buckets_repaired=1 entries_repaired=1",
+                "entries_scrubbed=5077 scrub_bytes=300564 mismatches_found=2 read_repairs=2",
+            ],
+        ),
+        (
+            7,
+            [
+                "wal_records_replayed=22 restarts=1 antientropy_rounds=30 buckets_repaired=48",
+                "",
+                "wal_records_replayed=22 restarts=1 antientropy_rounds=30",
+                "entries_scrubbed=5400 scrub_bytes=320873 mismatches_found=2 read_repairs=2",
+            ],
+        ),
+        (
+            8,
+            [
+                "wal_records_replayed=19 restarts=1 antientropy_rounds=30 buckets_repaired=72",
+                "",
+                "wal_records_replayed=19 restarts=1 antientropy_rounds=30",
+                "entries_scrubbed=5520 scrub_bytes=328677 mismatches_found=3 read_repairs=3",
+            ],
+        ),
+    ];
+    for (seed, [recovery_off, integrity_off, recovery_on, integrity_on]) in PINNED {
+        let (mut cluster, victim) = rot_under_anti_entropy(seed, false);
+        cluster.run_until(SimTime::from_secs_f64(1.29));
+        let before = cluster.recovery_stats();
+        assert_eq!(cluster.replica_divergence(ROT_DEPTH), 0, "seed {seed}");
+        cluster.run_until(SimTime::from_secs_f64(4.0));
+        let diverged = cluster.replica_divergence(ROT_DEPTH);
+        assert!(diverged > 0, "seed {seed}: the strike missed every value");
+        cluster.run_until(SimTime::from_secs_f64(6.0));
+        assert_eq!(cluster.replica_divergence(ROT_DEPTH), diverged);
+        let recovery = cluster.recovery_stats();
+        assert_eq!(recovery.entries_repaired, before.entries_repaired);
+        assert!(recovery.buckets_repaired > before.buckets_repaired);
+        assert_eq!(cluster.recovery_latencies(), vec![], "seed {seed}");
+        assert_eq!(nonzero(recovery.fields()), recovery_off, "seed {seed}");
+        assert_eq!(nonzero(cluster.integrity().fields()), integrity_off);
+
+        let (mut cluster, _) = rot_under_anti_entropy(seed, true);
+        cluster.run_until(SimTime::from_secs_f64(6.0));
+        assert_eq!(cluster.replica_divergence(ROT_DEPTH), 0, "seed {seed}");
+        let converged: Vec<NodeId> = cluster
+            .recovery_latencies()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(converged, vec![victim], "seed {seed}");
+        let integrity = cluster.integrity();
+        assert!(integrity.mismatches_found > 0);
+        assert_eq!(integrity.read_repairs, integrity.mismatches_found);
+        assert_eq!(nonzero(cluster.recovery_stats().fields()), recovery_on);
+        assert_eq!(nonzero(integrity.fields()), integrity_on, "seed {seed}");
+    }
+}
+
 // ---- ISSUE 12: input validation and the unified node lifecycle ----
 
 #[test]

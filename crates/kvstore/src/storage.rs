@@ -11,12 +11,25 @@
 use crate::integrity::{checksum64, le_array, IntegrityError};
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
-/// A write-side entry: a value (with the checksum recorded at write
-/// time) or a tombstone.
+/// A stored value and the two sums kept beside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Stored {
+    data: Bytes,
+    /// `checksum64(data)` recorded at write time: what verify-on-read
+    /// and scrub — the only readers of `data`'s bytes — hold them to.
+    crc: u64,
+    /// `checksum64(data)` of the bytes as they stand: set with `crc` by
+    /// `put` and re-summed by the rot hook, the only other writer of a
+    /// byte. Anti-entropy digests this instead of reading `data`.
+    sum: u64,
+}
+
+/// A write-side entry: a value or a tombstone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Slot {
-    Value(Bytes, u64),
+    Value(Stored),
     Tombstone,
 }
 
@@ -57,6 +70,9 @@ pub struct StorageEngine {
     flush_threshold_bytes: usize,
     writes: u64,
     reads: u64,
+    /// Bumped by everything that changes a live entry: `put`, `delete`
+    /// and the rot hook.
+    generation: u64,
 }
 
 impl StorageEngine {
@@ -78,6 +94,7 @@ impl StorageEngine {
             flush_threshold_bytes,
             writes: 0,
             reads: 0,
+            generation: 0,
         }
     }
 
@@ -85,10 +102,16 @@ impl StorageEngine {
     /// before (useful for dedup's unique-chunk decision).
     pub fn put(&mut self, key: Bytes, value: Bytes) -> bool {
         self.writes += 1;
+        self.generation += 1;
         let existed = self.get_slot(&key).is_some();
         self.memtable_bytes += key.len() + value.len();
         let crc = checksum64(&value);
-        self.memtable.insert(key, Slot::Value(value, crc));
+        let stored = Stored {
+            data: value,
+            crc,
+            sum: crc,
+        };
+        self.memtable.insert(key, Slot::Value(stored));
         self.maybe_flush();
         !existed
     }
@@ -112,14 +135,14 @@ impl StorageEngine {
     pub fn get_verified(&mut self, key: &[u8]) -> Result<Option<Bytes>, IntegrityError> {
         self.reads += 1;
         match self.newest_slot(key) {
-            Some(Slot::Value(v, crc)) => {
-                let actual = checksum64(v);
-                if actual == *crc {
-                    Ok(Some(v.clone()))
+            Some(Slot::Value(v)) => {
+                let actual = checksum64(&v.data);
+                if actual == v.crc {
+                    Ok(Some(v.data.clone()))
                 } else {
                     Err(IntegrityError::CorruptValue {
                         key: Bytes::copy_from_slice(key),
-                        expected: *crc,
+                        expected: v.crc,
                         actual,
                     })
                 }
@@ -131,7 +154,7 @@ impl StorageEngine {
     /// Read without bumping counters (internal + put's existence check).
     fn get_slot(&self, key: &[u8]) -> Option<Bytes> {
         match self.newest_slot(key) {
-            Some(Slot::Value(v, _)) => Some(v.clone()),
+            Some(Slot::Value(v)) => Some(v.data.clone()),
             Some(Slot::Tombstone) | None => None,
         }
     }
@@ -164,25 +187,25 @@ impl StorageEngine {
 
     /// Chaos hook: flips one bit in the `nth` live value (values counted
     /// in key order, newest version per key) *without* updating its
-    /// checksum — simulated at-rest bit rot. Returns the corrupted key,
+    /// write-time checksum — simulated at-rest bit rot. The sum of the
+    /// bytes as they stand follows the flip. Returns the corrupted key,
     /// or `None` when no such value exists or it is empty.
     pub fn corrupt_nth_value(&mut self, nth: usize, bit: usize) -> Option<Bytes> {
-        let keys: Vec<Bytes> = self.iter_live().map(|(k, _)| k).collect();
-        if keys.is_empty() {
+        let live = self.live(None).count();
+        let key = self.live(None).nth(nth.checked_rem(live)?)?.0.clone();
+        let Some(Slot::Value(v)) = self.newest_slot_mut(&key) else {
+            return None;
+        };
+        if v.data.is_empty() {
             return None;
         }
-        let key = keys[nth % keys.len()].clone();
-        if let Some(Slot::Value(data, _)) = self.newest_slot_mut(&key) {
-            if data.is_empty() {
-                return None;
-            }
-            let mut v = data.to_vec();
-            let i = (bit / 8) % v.len();
-            v[i] ^= 1 << (bit % 8);
-            *data = Bytes::from(v);
-            return Some(key);
-        }
-        None
+        let mut bytes = v.data.to_vec();
+        let i = (bit / 8) % bytes.len();
+        bytes[i] ^= 1 << (bit % 8);
+        v.sum = checksum64(&bytes);
+        v.data = Bytes::from(bytes);
+        self.generation += 1;
+        Some(key)
     }
 
     /// True when `key` has a live value.
@@ -193,6 +216,7 @@ impl StorageEngine {
     /// Deletes `key` by writing a tombstone.
     pub fn delete(&mut self, key: Bytes) {
         self.writes += 1;
+        self.generation += 1;
         self.memtable_bytes += key.len();
         self.memtable.insert(key, Slot::Tombstone);
         self.maybe_flush();
@@ -231,25 +255,45 @@ impl StorageEngine {
         }
     }
 
+    /// The one "newest slot wins" walk: live entries in key order from
+    /// just past `after` (the start when `None`), memtable and segments
+    /// merged, each key answered by its newest slot, tombstones hidden.
+    fn live(&self, after: Option<&Bytes>) -> impl Iterator<Item = (&Bytes, &Stored)> + '_ {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        // Newest first: of the heads at one key, the first is its slot.
+        let trees = std::iter::once(&self.memtable).chain(self.segments.iter().rev());
+        let mut heads: Vec<_> = trees
+            .map(|tree| tree.range::<Bytes, _>((from, Bound::Unbounded)).peekable())
+            .collect();
+        std::iter::from_fn(move || loop {
+            let key = heads.iter_mut().filter_map(|h| Some(h.peek()?.0)).min()?;
+            let mut at_key = heads
+                .iter_mut()
+                .filter_map(|h| h.next_if(|(k, _)| *k == key));
+            let newest = at_key.next();
+            at_key.for_each(drop);
+            if let Some((key, Slot::Value(stored))) = newest {
+                return Some((key, stored));
+            }
+        })
+    }
+
     /// Iterates over all live key-value pairs (newest version wins).
     pub fn iter_live(&self) -> impl Iterator<Item = (Bytes, Bytes)> + '_ {
-        // Collect shadowing info: newest first, first slot wins.
-        let mut seen: BTreeMap<Bytes, Option<Bytes>> = BTreeMap::new();
-        for (k, v) in &self.memtable {
-            seen.entry(k.clone()).or_insert(match v {
-                Slot::Value(val, _) => Some(val.clone()),
-                Slot::Tombstone => None,
-            });
-        }
-        for seg in self.segments.iter().rev() {
-            for (k, v) in seg {
-                seen.entry(k.clone()).or_insert(match v {
-                    Slot::Value(val, _) => Some(val.clone()),
-                    Slot::Tombstone => None,
-                });
-            }
-        }
-        seen.into_iter().filter_map(|(k, v)| v.map(|val| (k, val)))
+        self.live(None).map(|(k, v)| (k.clone(), v.data.clone()))
+    }
+
+    /// Live `(key, value, sum)` triples in key order, `sum` being the
+    /// remembered checksum of the value's bytes as they stand: what
+    /// anti-entropy summarizes a store from without reading a payload.
+    pub(crate) fn iter_summed(&self) -> impl Iterator<Item = (&Bytes, &Bytes, u64)> + '_ {
+        self.live(None).map(|(k, v)| (k, &v.data, v.sum))
+    }
+
+    /// Changes whenever a live entry does (`put`, `delete`, rot); equal
+    /// generations of one engine mean equal [`StorageEngine::iter_summed`].
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Verifies live entries in key order starting after `cursor`,
@@ -259,43 +303,18 @@ impl StorageEngine {
     /// driver charges the returned byte count as CPU/IO work and repairs
     /// the keys reported corrupt.
     pub fn scrub(&self, cursor: Option<&Bytes>, byte_budget: u64) -> ScrubChunk {
-        let mut live: BTreeMap<Bytes, Option<(Bytes, u64)>> = BTreeMap::new();
-        for (k, v) in &self.memtable {
-            live.entry(k.clone()).or_insert(match v {
-                Slot::Value(data, crc) => Some((data.clone(), *crc)),
-                Slot::Tombstone => None,
-            });
-        }
-        for seg in self.segments.iter().rev() {
-            for (k, v) in seg {
-                live.entry(k.clone()).or_insert(match v {
-                    Slot::Value(data, crc) => Some((data.clone(), *crc)),
-                    Slot::Tombstone => None,
-                });
-            }
-        }
         let mut out = ScrubChunk::default();
-        let mut last = None;
-        let mut exhausted = true;
-        for (k, slot) in live {
-            if let Some(c) = cursor {
-                if k <= *c {
-                    continue;
-                }
-            }
-            let Some((data, crc)) = slot else { continue };
+        for (key, stored) in self.live(cursor) {
             out.entries += 1;
-            out.bytes += (k.len() + data.len()) as u64;
-            if checksum64(&data) != crc {
-                out.corrupt.push(k.clone());
+            out.bytes += (key.len() + stored.data.len()) as u64;
+            if checksum64(&stored.data) != stored.crc {
+                out.corrupt.push(key.clone());
             }
-            last = Some(k);
             if out.bytes >= byte_budget {
-                exhausted = false;
+                out.next_cursor = Some(key.clone());
                 break;
             }
         }
-        out.next_cursor = if exhausted { None } else { last };
         out
     }
 
@@ -303,9 +322,9 @@ impl StorageEngine {
     pub fn stats(&self) -> StorageStats {
         let mut live_keys = 0;
         let mut live_bytes = 0;
-        for (k, v) in self.iter_live() {
+        for (k, v) in self.live(None) {
             live_keys += 1;
-            live_bytes += k.len() + v.len();
+            live_bytes += k.len() + v.data.len();
         }
         StorageStats {
             live_keys,
