@@ -148,17 +148,6 @@ pub struct SystemMetrics {
     pub aggregate_throughput_mbps: f64,
     /// Mean per-node throughput (MB/s).
     pub mean_node_throughput_mbps: f64,
-    /// Fault-handling counters (all zero for a fault-free run; absent
-    /// fields in serialized input default to zero).
-    pub robustness: RobustnessMetrics,
-    /// Fingerprint-cache counters of the analytic ingest pass (all zero
-    /// when `SystemConfig::cache_capacity` is 0, the default).
-    pub cache: ef_kvstore::CacheStats,
-    /// Restore-path accounting over the container layout the run built:
-    /// per-node fragmentation (distinct containers per restore), read
-    /// locality, serving-node spread, and defrag rewrite costs (absent
-    /// fields in serialized input default to zero).
-    pub restore: ef_cloudstore::RestoreStats,
     /// Per-node details.
     pub nodes: Vec<NodeMetrics>,
 }
@@ -192,15 +181,10 @@ mod tests {
             makespan_secs: 1.0,
             aggregate_throughput_mbps: 0.0,
             mean_node_throughput_mbps: 0.0,
-            robustness: RobustnessMetrics::default(),
-            cache: ef_kvstore::CacheStats::default(),
-            restore: ef_cloudstore::RestoreStats::default(),
             nodes: Vec::new(),
         };
         assert_eq!(m.aggregate_cost(0.0), 1_000.0);
         assert_eq!(m.aggregate_cost(2.0), 1_100.0);
-        assert!(m.robustness.is_quiet());
-        assert!(m.restore.is_quiet());
     }
 
     #[test]

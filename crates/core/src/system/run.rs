@@ -3,11 +3,10 @@
 
 use crate::partition::Partition;
 use crate::system::config::SystemConfig;
-use crate::system::metrics::{NodeMetrics, RobustnessMetrics, SystemMetrics};
+use crate::system::metrics::{NodeMetrics, SystemMetrics};
 use crate::system::workload::Workload;
 use bytes::Bytes;
-use ef_cloudstore::{restore_profile, ContainerLayout, RestoreAccountant, RestoreStats};
-use ef_kvstore::{CacheStats, ClusterConfig, Consistency, FingerprintCache, LocalCluster};
+use ef_kvstore::{ClusterConfig, Consistency, LocalCluster};
 use ef_netsim::{Network, NodeId};
 use std::collections::BTreeSet;
 
@@ -75,9 +74,7 @@ pub fn run_system(
     let mut lookup_ms_total = vec![0.0f64; n];
     let mut local_lookups = vec![0u64; n];
     let mut remote_served = vec![0u64; n]; // lookups this node served for peers
-    let mut cache_stats = CacheStats::default();
-    let chunk_bytes = workload.chunk_size();
-    let (scope_unique_total, restore): (u64, RestoreStats) = match strategy {
+    let scope_unique_total: u64 = match strategy {
         Strategy::Smart(partition) => {
             partition
                 .validate(n)
@@ -103,32 +100,6 @@ pub fn run_system(
                 .map(|i| partition.ring_of(i).expect("covered"))
                 .collect();
 
-            // One container layout per ring: unique chunks append at
-            // the ring's write frontier, duplicates go through the
-            // configured defrag policy (a no-op under the default
-            // `DefragPolicy::Off`).
-            let mut layouts: Vec<ContainerLayout> = partition
-                .rings()
-                .iter()
-                .map(|_| ContainerLayout::new(config.container_bytes))
-                .collect();
-
-            // Per-agent fingerprint caches in front of the ring index
-            // (capacity 0 = disabled). A hit means this agent has already
-            // seen the ring confirm the fingerprint durably indexed, so
-            // the chunk is a duplicate — answered locally, no ring RTT,
-            // no index-service CPU on any peer. Misses fall through to
-            // the ring unchanged, so dedup verdicts are identical with
-            // the cache on or off.
-            let cache_on = config.cache_capacity > 0;
-            let per_shard = config
-                .cache_capacity
-                .div_ceil(config.cache_shards.max(1))
-                .max(1);
-            let mut caches: Vec<FingerprintCache> = (0..n)
-                .map(|_| FingerprintCache::new(config.cache_shards, per_shard))
-                .collect();
-
             // Round-robin across nodes: parallel agents make progress
             // together, so cross-node duplicates are detected fairly.
             let max_len = chunks.iter().copied().max().unwrap_or(0) as usize;
@@ -141,13 +112,6 @@ pub fn run_system(
                     let me = edge_ids[node];
                     let cluster = &mut clusters[ring_of[node]];
                     let key = hash.as_bytes();
-                    if cache_on && caches[node].contains(key) {
-                        // Duplicate confirmed locally: still a defrag
-                        // opportunity for the layout model.
-                        layouts[ring_of[node]].on_duplicate(hash, chunk_bytes, config.defrag);
-                        local_lookups[node] += 1;
-                        continue;
-                    }
                     let replicas = cluster.ring().replicas(key, config.replication_factor);
                     if replicas.contains(&me) {
                         local_lookups[node] += 1;
@@ -170,64 +134,13 @@ pub fn run_system(
                         .expect("local cluster always available");
                     if is_new {
                         unique[node] += 1;
-                        layouts[ring_of[node]].place(*hash, chunk_bytes);
-                    } else {
-                        layouts[ring_of[node]].on_duplicate(hash, chunk_bytes, config.defrag);
-                    }
-                    if cache_on {
-                        // Either verdict proves the fingerprint is now
-                        // durably present in the ring index.
-                        caches[node].insert(Bytes::copy_from_slice(key));
                     }
                 }
             }
-            for cache in &caches {
-                cache_stats.merge(&cache.stats());
-            }
-
-            // Restore pass: replay each node's stream as one logical
-            // restore against its ring's layout. The serving node per
-            // chunk mirrors the lookup path — a local replica when the
-            // reader holds one, otherwise the RTT-nearest replica.
-            let mut accountant = RestoreAccountant::new();
-            for node in 0..n {
-                let stream = workload.stream(node);
-                if stream.is_empty() {
-                    continue;
-                }
-                let layout = &layouts[ring_of[node]];
-                let cluster = &clusters[ring_of[node]];
-                let me = edge_ids[node];
-                let mut servers: BTreeSet<NodeId> = BTreeSet::new();
-                for hash in stream {
-                    let replicas = cluster
-                        .ring()
-                        .replicas(hash.as_bytes(), config.replication_factor);
-                    let server = if replicas.contains(&me) {
-                        me
-                    } else {
-                        replicas
-                            .iter()
-                            .copied()
-                            .min_by(|a, b| network.rtt(me, *a).cmp(&network.rtt(me, *b)))
-                            // simlint::allow(D003): replicas() returns at least the key's home node
-                            .expect("replica set non-empty")
-                    };
-                    servers.insert(server);
-                }
-                accountant.record(&restore_profile(layout, stream), servers.len() as u64);
-            }
-            for layout in &layouts {
-                accountant.absorb_layout(layout);
-            }
-            (
-                clusters.iter().map(|c| c.distinct_keys() as u64).sum(),
-                accountant.finish(),
-            )
+            clusters.iter().map(|c| c.distinct_keys() as u64).sum()
         }
         Strategy::CloudAssisted => {
             let mut index: BTreeSet<[u8; 32]> = BTreeSet::new();
-            let mut layout = ContainerLayout::new(config.container_bytes);
             let max_len = chunks.iter().copied().max().unwrap_or(0) as usize;
             for pos in 0..max_len {
                 for node in 0..n {
@@ -239,35 +152,22 @@ pub fn run_system(
                     lookup_ms_total[node] += network.rtt(me, cloud).as_millis_f64();
                     if index.insert(*hash.as_bytes()) {
                         unique[node] += 1;
-                        layout.place(*hash, chunk_bytes);
-                    } else {
-                        layout.on_duplicate(hash, chunk_bytes, config.defrag);
                     }
                 }
             }
-            (
-                index.len() as u64,
-                cloud_restore_stats(workload, n, &layout),
-            )
+            index.len() as u64
         }
         Strategy::CloudOnly => {
             // No edge lookups; dedup happens at the cloud.
             let mut index: BTreeSet<[u8; 32]> = BTreeSet::new();
-            let mut layout = ContainerLayout::new(config.container_bytes);
             for (node, node_unique) in unique.iter_mut().enumerate() {
                 for hash in workload.stream(node) {
                     if index.insert(*hash.as_bytes()) {
                         *node_unique += 1;
-                        layout.place(*hash, chunk_bytes);
-                    } else {
-                        layout.on_duplicate(hash, chunk_bytes, config.defrag);
                     }
                 }
             }
-            (
-                index.len() as u64,
-                cloud_restore_stats(workload, n, &layout),
-            )
+            index.len() as u64
         }
     };
 
@@ -349,30 +249,8 @@ pub fn run_system(
         makespan_secs: makespan,
         aggregate_throughput_mbps: total_bytes as f64 / makespan.max(1e-12) / 1e6,
         mean_node_throughput_mbps: mean_node_throughput,
-        // The measurement pass runs over instant clusters with no fault
-        // injection; chaos experiments snapshot real counters via
-        // `RobustnessMetrics::from_sim`.
-        robustness: RobustnessMetrics::default(),
-        cache: cache_stats,
-        restore,
         nodes,
     }
-}
-
-/// Restore accounting for the cloud baselines: one logical restore per
-/// node stream against the single cloud-side layout, everything served
-/// by the one cloud endpoint.
-fn cloud_restore_stats(workload: &Workload, n: usize, layout: &ContainerLayout) -> RestoreStats {
-    let mut accountant = RestoreAccountant::new();
-    for node in 0..n {
-        let stream = workload.stream(node);
-        if stream.is_empty() {
-            continue;
-        }
-        accountant.record(&restore_profile(layout, stream), 1);
-    }
-    accountant.absorb_layout(layout);
-    accountant.finish()
 }
 
 fn nearest_cloud(network: &Network, from: NodeId, cloud: &[NodeId]) -> NodeId {
@@ -571,115 +449,6 @@ mod tests {
             assert!(m.aggregate_throughput_mbps > 0.0);
             assert!((m.dedup_ratio - m.total_chunks as f64 / m.unique_chunks as f64).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn cache_preserves_dedup_and_cuts_network_cost() {
-        // The one-sided cache may change *when* a duplicate is detected
-        // (locally vs via the ring) but never *whether*: every dedup
-        // quantity must be bit-identical with the cache on or off, while
-        // measured lookup network cost can only shrink.
-        let net = testbed();
-        let ds = datasets::accelerometer(8, 42);
-        let w = Workload::from_dataset(&ds, 8, 600, 0);
-        let partition = smart_partition(8, 2);
-        let off = run_system(
-            &net,
-            &w,
-            &Strategy::Smart(partition.clone()),
-            &SystemConfig::paper_testbed(),
-        );
-        let on = run_system(
-            &net,
-            &w,
-            &Strategy::Smart(partition),
-            &SystemConfig::with_cache(1 << 16),
-        );
-        assert_eq!(off.unique_chunks, on.unique_chunks);
-        assert_eq!(off.dedup_ratio, on.dedup_ratio);
-        assert_eq!(off.storage_bytes, on.storage_bytes);
-        for (a, b) in off.nodes.iter().zip(&on.nodes) {
-            assert_eq!(a.unique_chunks, b.unique_chunks);
-        }
-        assert!(
-            on.network_cost_ms <= off.network_cost_ms,
-            "cache increased network cost: {} -> {}",
-            off.network_cost_ms,
-            on.network_cost_ms
-        );
-        assert_eq!(off.cache, CacheStats::default());
-        assert!(on.cache.hits > 0, "cache never hit: {:?}", on.cache);
-        assert_eq!(
-            on.cache.hits + on.cache.misses,
-            on.total_chunks,
-            "every chunk is exactly one lookup"
-        );
-    }
-
-    #[test]
-    fn restore_stats_populate_for_every_strategy() {
-        let (smart, ca, co) = run_all(8, 300);
-        for m in [&smart, &ca, &co] {
-            assert_eq!(m.restore.restores, 8, "{}", m.strategy);
-            // Every manifest chunk was placed by its scope's layout, so
-            // a restore reads all of them.
-            assert_eq!(m.restore.chunks_read, m.total_chunks, "{}", m.strategy);
-            assert!(
-                m.restore.fragmentation_mean >= 1.0,
-                "{}: fragmentation {}",
-                m.strategy,
-                m.restore.fragmentation_mean
-            );
-            assert!(
-                (0.0..=1.0).contains(&m.restore.locality),
-                "{}: locality {}",
-                m.strategy,
-                m.restore.locality
-            );
-            // Default policy is Off: no rewrites anywhere.
-            assert_eq!(m.restore.rewrites, 0, "{}", m.strategy);
-            assert_eq!(m.restore.rewrite_bytes, 0, "{}", m.strategy);
-        }
-        // Ring restores fan out over replica holders; the cloud baselines
-        // are served by the single cloud endpoint.
-        assert!(smart.restore.node_fragmentation_mean >= 1.0);
-        assert_eq!(ca.restore.node_fragmentation_mean, 1.0);
-        assert_eq!(co.restore.node_fragmentation_mean, 1.0);
-    }
-
-    #[test]
-    fn defrag_rewrites_without_touching_dedup_verdicts() {
-        let net = testbed();
-        let ds = datasets::accelerometer(8, 42);
-        let w = Workload::from_dataset(&ds, 8, 600, 0);
-        let partition = smart_partition(8, 2);
-        let off = run_system(
-            &net,
-            &w,
-            &Strategy::Smart(partition.clone()),
-            &SystemConfig::paper_testbed(),
-        );
-        let cfg_on = SystemConfig {
-            // Small containers so the write frontier moves often enough
-            // for duplicates to fall out of the window at test scale.
-            container_bytes: 16 * 4096,
-            ..SystemConfig::with_defrag(1)
-        };
-        let on = run_system(&net, &w, &Strategy::Smart(partition), &cfg_on);
-        // The layout model observes the ingest stream; it never feeds
-        // back into dedup verdicts.
-        assert_eq!(off.unique_chunks, on.unique_chunks);
-        assert_eq!(off.dedup_ratio, on.dedup_ratio);
-        assert_eq!(off.storage_bytes, on.storage_bytes);
-        assert_eq!(off.restore.rewrites, 0);
-        assert!(
-            on.restore.rewrites > 0,
-            "capped rewrite never fired on a duplicate-rich stream"
-        );
-        assert_eq!(
-            on.restore.rewrite_bytes,
-            on.restore.rewrites * w.chunk_size() as u64
-        );
     }
 
     #[test]

@@ -13,22 +13,13 @@
 
 use ef_netsim::NodeId;
 use ef_simcore::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The liveness verdict for a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Liveness {
     /// Heard from within the timeout.
     Alive,
-    /// Responsive but degraded (a *gray* failure): heartbeats arrive on
-    /// time, yet an external signal — typically the RTT-driven
-    /// estimator — marked the peer slow via
-    /// [`HeartbeatDetector::mark_slow`]. A slow peer keeps its ring
-    /// slot and its data; callers only steer latency-sensitive work
-    /// (hedges, replica selection) away from it. Escalation to
-    /// [`Liveness::Suspect`]/[`Liveness::Dead`] still requires genuine
-    /// silence.
-    Slow,
     /// Silent past the (suspect) timeout.
     Suspect,
     /// Silent past the dead timeout: presumed permanently departed.
@@ -90,10 +81,6 @@ pub struct HeartbeatDetector {
     state: BTreeMap<NodeId, PeerState>,
     /// When each dead peer was declared dead (stale-heartbeat guard).
     dead_since: BTreeMap<NodeId, SimTime>,
-    /// Peers externally marked slow (gray): responsive but degraded.
-    /// Orthogonal to the silence-driven escalation — a slow mark never
-    /// feeds [`HeartbeatDetector::sweep`] transitions.
-    slow: BTreeSet<NodeId>,
 }
 
 impl HeartbeatDetector {
@@ -111,7 +98,6 @@ impl HeartbeatDetector {
             last_heard: BTreeMap::new(),
             state: BTreeMap::new(),
             dead_since: BTreeMap::new(),
-            slow: BTreeSet::new(),
         }
     }
 
@@ -142,30 +128,6 @@ impl HeartbeatDetector {
         self.last_heard.remove(&peer);
         self.state.remove(&peer);
         self.dead_since.remove(&peer);
-        self.slow.remove(&peer);
-    }
-
-    /// Marks a watched peer slow (gray): responsive but degraded.
-    /// Driven externally — typically by the simulated cluster's adaptive
-    /// RTT estimator crossing its slow threshold. Idempotent; a mark on
-    /// an unwatched peer is ignored. Returns true when the mark is new.
-    pub fn mark_slow(&mut self, peer: NodeId) -> bool {
-        self.state.contains_key(&peer) && self.slow.insert(peer)
-    }
-
-    /// Clears a slow mark. Returns true when the peer was marked.
-    pub fn clear_slow(&mut self, peer: NodeId) -> bool {
-        self.slow.remove(&peer)
-    }
-
-    /// True when the peer currently carries a slow mark.
-    pub fn is_slow(&self, peer: NodeId) -> bool {
-        self.slow.contains(&peer)
-    }
-
-    /// All peers currently marked slow, in id order.
-    pub fn slow_peers(&self) -> Vec<NodeId> {
-        self.slow.iter().copied().collect()
     }
 
     /// Records a heartbeat from `peer` at `now`.
@@ -212,10 +174,6 @@ impl HeartbeatDetector {
         Some(match self.dead_timeout {
             Some(dead) if silence > dead => Liveness::Dead,
             _ if silence > self.timeout => Liveness::Suspect,
-            // The gray overlay: heartbeats on time, yet the external
-            // signal says the peer is degraded. Silence-driven verdicts
-            // above take precedence — slow never masks suspect/dead.
-            _ if self.slow.contains(&peer) => Liveness::Slow,
             _ => Liveness::Alive,
         })
     }
@@ -283,16 +241,6 @@ impl HeartbeatDetector {
             .iter()
             .filter_map(|(&p, &s)| (s == PeerState::Dead).then_some(p))
             .collect()
-    }
-
-    /// The configured suspect timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
-
-    /// The configured dead timeout, if escalation is enabled.
-    pub fn dead_timeout(&self) -> Option<SimDuration> {
-        self.dead_timeout
     }
 }
 
@@ -455,36 +403,6 @@ mod tests {
         assert_eq!(s.revived, vec![NodeId(1)]);
         assert!(fd.dead_peers().is_empty());
         assert_eq!(fd.liveness(NodeId(1), ms(650)), Some(Liveness::Alive));
-    }
-
-    #[test]
-    fn slow_marks_overlay_but_never_mask_silence() {
-        let mut fd = HeartbeatDetector::new(SimDuration::from_millis(100));
-        fd.watch(NodeId(1), ms(0));
-        assert!(fd.mark_slow(NodeId(1)), "first mark is new");
-        assert!(!fd.mark_slow(NodeId(1)), "idempotent");
-        assert!(fd.is_slow(NodeId(1)));
-        assert_eq!(fd.slow_peers(), vec![NodeId(1)]);
-        // Responsive but degraded: the overlay verdict.
-        assert_eq!(fd.liveness(NodeId(1), ms(50)), Some(Liveness::Slow));
-        // Genuine silence still escalates past the overlay.
-        assert_eq!(fd.liveness(NodeId(1), ms(200)), Some(Liveness::Suspect));
-        // Slow marks never feed sweep transitions by themselves.
-        assert!(fd.sweep(ms(50)).is_empty());
-        assert!(fd.clear_slow(NodeId(1)));
-        assert!(!fd.clear_slow(NodeId(1)));
-        assert_eq!(fd.liveness(NodeId(1), ms(50)), Some(Liveness::Alive));
-    }
-
-    #[test]
-    fn slow_marks_ignore_unwatched_peers_and_die_with_unwatch() {
-        let mut fd = HeartbeatDetector::new(SimDuration::from_millis(100));
-        assert!(!fd.mark_slow(NodeId(9)), "unwatched peer: mark ignored");
-        assert!(!fd.is_slow(NodeId(9)));
-        fd.watch(NodeId(2), ms(0));
-        fd.mark_slow(NodeId(2));
-        fd.unwatch(NodeId(2));
-        assert!(!fd.is_slow(NodeId(2)), "unwatch drops the slow mark");
     }
 
     #[test]

@@ -209,15 +209,6 @@ impl SimCluster {
             .unwrap_or_default()
     }
 
-    /// Peers the given node has declared dead (after `run`).
-    pub fn dead_of(&self, node: NodeId) -> Vec<NodeId> {
-        self.membership
-            .detectors
-            .get(&node)
-            .map(|d| d.dead_peers())
-            .unwrap_or_default()
-    }
-
     /// Recovery-pipeline counters accumulated so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         let mut total = self.membership.recovery;

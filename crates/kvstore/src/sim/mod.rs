@@ -535,8 +535,7 @@ impl SimCluster {
             }
             self.uplink.note_replay_landed(to, now);
         }
-        let detectors = &mut self.membership.detectors;
-        self.timers.on_ack(now, to, from, &msg, detectors);
+        self.timers.on_ack(now, to, from, &msg);
         let stalled_write = matches!(
             msg,
             Message::ReplicaWrite { .. } | Message::HintReplay { .. }

@@ -11,14 +11,13 @@
 
 use super::{Event, SimCluster, Windows};
 use crate::counters::GrayFailureStats;
-use crate::failure::HeartbeatDetector;
 use crate::gray::AdaptiveTimeouts;
 use crate::msg::{Message, OpId, Outbound};
 use crate::node::NodeState;
 use crate::retry::RetryPolicy;
 use ef_netsim::NodeId;
 use ef_simcore::{DetRng, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Nominal healthy fsync cost (nanoseconds) used to convert a fail-slow
 /// stall factor into an absolute ack delay: a factor-`f` stall stretches
@@ -106,17 +105,10 @@ impl Timers {
     /// Adaptive RTT sampling, ack side: an ack from `peer` closes the
     /// timing loop `stamp_request` opened, feeds the (observer, peer)
     /// estimator, and re-evaluates the slow-peer verdict — an estimator
-    /// whose smoothed RTT sits above the threshold marks the peer gray in
-    /// the observer's detector (steering hedges away and overlaying
-    /// [`crate::Liveness::Slow`]); a recovered estimator clears the mark.
-    pub(super) fn on_ack(
-        &mut self,
-        now: SimTime,
-        observer: NodeId,
-        peer: NodeId,
-        msg: &Message,
-        detectors: &mut BTreeMap<NodeId, HeartbeatDetector>,
-    ) {
+    /// whose smoothed RTT sits above the threshold marks the
+    /// (observer, peer) edge slow (steering hedges and replica selection
+    /// away); a recovered estimator clears the mark.
+    pub(super) fn on_ack(&mut self, now: SimTime, observer: NodeId, peer: NodeId, msg: &Message) {
         let Some(adaptive) = self.adaptive.as_mut() else {
             return;
         };
@@ -138,14 +130,9 @@ impl Timers {
         {
             if self.slow.insert(edge) {
                 self.gray.slow_marks += 1;
-                if let Some(fd) = detectors.get_mut(&observer) {
-                    fd.mark_slow(peer);
-                }
             }
-        } else if self.slow.remove(&edge) {
-            if let Some(fd) = detectors.get_mut(&observer) {
-                fd.clear_slow(peer);
-            }
+        } else {
+            self.slow.remove(&edge);
         }
     }
 
@@ -237,11 +224,6 @@ impl SimCluster {
         self.timers.set_retry(policy);
     }
 
-    /// The active timeout/retry policy, if any.
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.timers.retry.as_ref().map(|r| &r.policy)
-    }
-
     /// Registers a fail-slow storage stall at `node` over `[from, until)`:
     /// the node's fsyncs crawl by `stall_factor`, so its acks to replica
     /// writes and hint replays leave late and its scrub rounds cover
@@ -329,8 +311,8 @@ impl SimCluster {
 
     /// Enables gray-peer ("slow") detection on top of the adaptive RTT
     /// estimators: a peer whose smoothed RTT exceeds `threshold` is
-    /// marked [`crate::Liveness::Slow`] at its observer and avoided by
-    /// hedges until its RTT recovers. Requires
+    /// marked slow at its observer and avoided by hedges until its RTT
+    /// recovers. Requires
     /// [`SimCluster::enable_adaptive_rto`] first.
     ///
     /// # Panics

@@ -89,11 +89,6 @@ impl Network {
         self.fault_plan = Some(plan);
     }
 
-    /// Removes and returns the attached fault plan, if any.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault_plan.take()
-    }
-
     /// The attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()

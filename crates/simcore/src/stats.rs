@@ -73,11 +73,6 @@ impl Summary {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -208,11 +203,6 @@ impl Histogram {
             let idx = idx.min(self.buckets.len() - 1);
             self.buckets[idx] += 1;
         }
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Observations below the range.

@@ -3,10 +3,10 @@
 //!
 //! Each run regenerates the full pipeline from scratch (topology, chaos
 //! schedule, workload, index cluster) so nothing can leak between runs,
-//! then the resulting [`SystemMetrics`] are compared both field by field
-//! (`PartialEq`) and as their `Debug` rendering. Any hidden HashMap iteration,
-//! wall-clock read, or unseeded RNG anywhere in the stack shows up here
-//! as a diff.
+//! then the resulting ([`SystemMetrics`], [`RobustnessMetrics`]) pairs are
+//! compared both field by field (`PartialEq`) and as their `Debug`
+//! rendering. Any hidden HashMap iteration, wall-clock read, or unseeded
+//! RNG anywhere in the stack shows up here as a diff.
 
 use bytes::Bytes;
 use efdedup_repro::core::system::{RobustnessMetrics, SystemMetrics};
@@ -18,7 +18,7 @@ use efdedup_repro::prelude::*;
 /// One complete chaos experiment: an analytic `run_system` pass for the
 /// dedup/timing half, plus a chaos-rigged [`SimCluster`] driving the
 /// index under crashes, partitions, and loss for the robustness half.
-fn chaos_metrics(seed: u64) -> SystemMetrics {
+fn chaos_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
     // Analytic half: fault-free network, seeded workload.
     let net = Network::new(
         TopologyBuilder::new()
@@ -29,7 +29,7 @@ fn chaos_metrics(seed: u64) -> SystemMetrics {
     );
     let ds = datasets::accelerometer(4, seed);
     let workload = Workload::from_dataset(&ds, 4, 400, seed as u32);
-    let mut metrics = run_system(
+    let metrics = run_system(
         &net,
         &workload,
         &Strategy::CloudAssisted,
@@ -65,8 +65,7 @@ fn chaos_metrics(seed: u64) -> SystemMetrics {
         t += SimDuration::from_millis(40);
     }
     cluster.run();
-    metrics.robustness = RobustnessMetrics::from_sim(&cluster);
-    metrics
+    (metrics, RobustnessMetrics::from_sim(&cluster))
 }
 
 #[test]
@@ -91,17 +90,16 @@ fn same_seed_reproduces_metrics_byte_for_byte() {
 fn chaos_run_actually_exercised_faults() {
     // Guard against the determinism test passing vacuously on a quiet
     // cluster: 20% background loss must trip the fault machinery.
-    let m = chaos_metrics(42);
+    let (_, robustness) = chaos_metrics(42);
     assert!(
-        !m.robustness.is_quiet(),
-        "chaos scenario produced no fault activity: {:?}",
-        m.robustness
+        !robustness.is_quiet(),
+        "chaos scenario produced no fault activity: {robustness:?}"
     );
 }
 
 /// One bit-rot chaos experiment: wire rot on every link, seeded at-rest
 /// storage rot, and the background scrub all enabled at once.
-fn bitrot_metrics(seed: u64) -> SystemMetrics {
+fn bitrot_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
     let net = Network::new(
         TopologyBuilder::new()
             .edge_sites(4, 2)
@@ -111,7 +109,7 @@ fn bitrot_metrics(seed: u64) -> SystemMetrics {
     );
     let ds = datasets::accelerometer(4, seed);
     let workload = Workload::from_dataset(&ds, 4, 400, seed as u32);
-    let mut metrics = run_system(
+    let metrics = run_system(
         &net,
         &workload,
         &Strategy::CloudAssisted,
@@ -148,8 +146,7 @@ fn bitrot_metrics(seed: u64) -> SystemMetrics {
         t += SimDuration::from_millis(40);
     }
     cluster.run_until(SimTime::ZERO + SimDuration::from_secs_f64(30.0));
-    metrics.robustness = RobustnessMetrics::from_sim(&cluster);
-    metrics
+    (metrics, RobustnessMetrics::from_sim(&cluster))
 }
 
 /// The determinism contract extends to the integrity machinery: a run
@@ -170,41 +167,23 @@ fn bitrot_scrub_run_replays_byte_for_byte() {
 
     // Vacuity guards: the run must reject corrupted frames and scrub
     // real entries, or the replay proves nothing about those paths.
+    let integrity = a.1.integrity;
     assert!(
-        a.robustness.integrity.frames_rejected > 0,
-        "wire rot never rejected a frame: {:?}",
-        a.robustness.integrity
+        integrity.frames_rejected > 0,
+        "wire rot never rejected a frame: {integrity:?}"
     );
     assert!(
-        a.robustness.integrity.entries_scrubbed > 0,
-        "the scrub never ran: {:?}",
-        a.robustness.integrity
+        integrity.entries_scrubbed > 0,
+        "the scrub never ran: {integrity:?}"
     );
 }
 
 /// A cached gear-CDC ingest: dataset bytes are chunked by gear-CDC
-/// (boundary scan + batched fingerprints), every chunk hash is
+/// (boundary scan + batched fingerprints) and every chunk hash is
 /// checked-and-inserted through a chaos-rigged cluster running the
-/// per-node fingerprint cache, and the analytic half runs with the cache
-/// enabled too. Exercises every piece of the hot-path overhaul at once.
-fn cached_gear_metrics(seed: u64) -> SystemMetrics {
-    let net = Network::new(
-        TopologyBuilder::new()
-            .edge_sites(4, 2)
-            .cloud_site(2)
-            .build(),
-        NetworkConfig::paper_testbed(),
-    );
+/// per-node fingerprint cache.
+fn cached_gear_metrics(seed: u64) -> RobustnessMetrics {
     let ds = datasets::accelerometer(4, seed);
-    let workload = Workload::from_dataset(&ds, 4, 400, seed as u32);
-    let partition = Partition::new(vec![(0..2).collect(), (2..4).collect()]).expect("valid");
-    let mut metrics = run_system(
-        &net,
-        &workload,
-        &Strategy::Smart(partition),
-        &SystemConfig::with_cache(1 << 12),
-    );
-
     let mut chaos_net = Network::new(
         TopologyBuilder::new().edge_site(2).edge_site(2).build(),
         NetworkConfig::paper_testbed(),
@@ -240,14 +219,13 @@ fn cached_gear_metrics(seed: u64) -> SystemMetrics {
         }
     }
     cluster.run();
-    metrics.robustness = RobustnessMetrics::from_sim(&cluster);
-    metrics
+    RobustnessMetrics::from_sim(&cluster)
 }
 
 /// The determinism contract extends to the whole hot-path overhaul: a
 /// gear-CDC ingest with batched fingerprints and the fingerprint cache
-/// enabled in both halves replays byte-identically, and the cache
-/// actually serves hits in both (else the replay proves nothing new).
+/// enabled replays byte-identically, and the cache actually serves hits
+/// (else the replay proves nothing new).
 #[test]
 fn cached_gear_cdc_run_replays_byte_for_byte() {
     let a = cached_gear_metrics(42);
@@ -260,16 +238,7 @@ fn cached_gear_cdc_run_replays_byte_for_byte() {
         "debug rendering diverged across cached gear-CDC runs"
     );
 
-    assert!(
-        a.cache.hits > 0,
-        "analytic half never hit the cache: {:?}",
-        a.cache
-    );
-    assert!(
-        a.robustness.cache.hits > 0,
-        "sim half never hit the cache: {:?}",
-        a.robustness.cache
-    );
+    assert!(a.cache.hits > 0, "never hit the cache: {:?}", a.cache);
 }
 
 #[test]

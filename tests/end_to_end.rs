@@ -94,38 +94,89 @@ fn cdc_chunking_full_pipeline() {
 }
 
 #[test]
-fn simulated_cluster_prices_what_local_cluster_decides() {
-    // The SimCluster (timing) and LocalCluster (decisions) agree on
-    // content: same ops, same final state sizes.
-    use ef_kvstore::{ClientOp, SimCluster};
+fn three_drivers_give_identical_verdicts() {
+    // One check-and-insert sequence through the instant, simulated and
+    // threaded drivers: every verdict, op by op, must be the one a plain
+    // set gives. 280 keys over 480 ops (200 duplicates, 42 %); a key's
+    // second sighting arrives through the next coordinator round the ring.
+    use ef_kvstore::{ClientOp, OpResult, SimCluster};
+    use std::collections::BTreeSet;
 
+    const OPS: usize = 480;
+    const KEYS: usize = 280;
     let topo = TopologyBuilder::new().edge_sites(2, 2).build();
     let net = Network::new(topo, NetworkConfig::paper_testbed());
     let members = net.topology().edge_nodes();
     let config = ClusterConfig::default();
+    let ops: Vec<(NodeId, [u8; 4])> = (0..OPS)
+        .map(|i| {
+            let coordinator = members[(i + i / KEYS) % members.len()];
+            (coordinator, ((i * 7 % KEYS) as u32).to_be_bytes())
+        })
+        .collect();
+
+    let mut seen = BTreeSet::new();
+    let reference: Vec<bool> = ops.iter().map(|(_, key)| seen.insert(*key)).collect();
+    let duplicates = reference.iter().filter(|unique| !**unique).count();
+    assert!(duplicates * 10 >= OPS * 3, "only {duplicates} duplicates");
 
     let mut local = LocalCluster::new(members.clone(), config);
-    let mut sim = SimCluster::new(members.clone(), net, config);
+    let instant: Vec<bool> = ops
+        .iter()
+        .map(|(coordinator, key)| {
+            local
+                .check_and_insert(*coordinator, key, Bytes::from_static(b"v"))
+                .unwrap()
+        })
+        .collect();
 
+    // Fault-free, and spaced so that no two ops overlap: completion order
+    // is then submission order.
+    let spacing = SimDuration::from_secs(1);
+    let mut sim = SimCluster::new(members.clone(), net, config);
     let mut t = SimTime::ZERO;
-    for i in 0..200u32 {
-        let coord = members[(i % 4) as usize];
-        let key = i.to_be_bytes();
-        local.put(coord, &key, Bytes::from_static(b"v")).unwrap();
+    for (coordinator, key) in &ops {
+        let key = Bytes::copy_from_slice(key);
         sim.submit(
             t,
-            coord,
-            ClientOp::Put(Bytes::copy_from_slice(&key), Bytes::from_static(b"v")),
+            *coordinator,
+            ClientOp::CheckAndInsert(key, Bytes::from_static(b"v")),
         );
-        t += SimDuration::from_millis(10);
+        t += spacing;
     }
-    let latencies = sim.run();
-    assert_eq!(latencies.len(), 200);
-    // Every simulated op completed and paid a plausible latency.
-    for l in &latencies {
-        assert!(l.latency().as_millis_f64() < 100.0);
+    let done = sim.run();
+    assert_eq!(done.len(), OPS);
+    let simulated: Vec<bool> = done
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            assert_eq!(l.started, SimTime::ZERO + spacing * i as u64, "op {i}");
+            assert!(l.latency() < spacing, "op {i} overlaps the next");
+            match l.result {
+                OpResult::Dedup {
+                    unique,
+                    degraded: false,
+                } => unique,
+                ref other => panic!("op {i} resolved {other:?}"),
+            }
+        })
+        .collect();
+
+    let ring = ThreadedCluster::start(members.clone(), config);
+    let threaded: Vec<bool> = ops
+        .iter()
+        .map(|(coordinator, key)| {
+            ring.check_and_insert(*coordinator, key, Bytes::from_static(b"v"))
+                .unwrap()
+        })
+        .collect();
+    ring.shutdown();
+
+    for (i, want) in reference.iter().enumerate() {
+        assert_eq!(instant[i], *want, "LocalCluster, op {i}");
+        assert_eq!(simulated[i], *want, "SimCluster, op {i}");
+        assert_eq!(threaded[i], *want, "ThreadedCluster, op {i}");
     }
-    assert_eq!(local.distinct_keys(), 200);
 }
 
 #[test]

@@ -316,70 +316,3 @@ fn versioned_backup_ratios_match_the_closed_forms() {
     assert!(gear_measured > fixed_measured);
     assert!(expected_cdc > expected_fixed);
 }
-
-/// The fingerprint cache is invisible to the dedup answer: for
-/// arbitrary cache geometry (capacity and shard count) every measured
-/// dedup quantity is bit-identical to the cache-off run, and lookup
-/// network cost can only shrink.
-#[test]
-fn cache_geometry_never_changes_dedup() {
-    check(
-        "cache_geometry_never_changes_dedup",
-        256,
-        (1u32..18, 1usize..17, 2usize..5),
-        |(capacity_pow, shards, nodes)| {
-            use ef_datagen::datasets;
-            use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
-            use efdedup::partition::Partition;
-            use efdedup::system::{run_system, Strategy, SystemConfig, Workload};
-
-            let topo = TopologyBuilder::new()
-                .edge_sites(10, 2)
-                .cloud_site(4)
-                .build();
-            let net = Network::new(topo, NetworkConfig::paper_testbed());
-            let ds = datasets::accelerometer(nodes, 42);
-            let w = Workload::from_dataset(&ds, nodes, 200, 0);
-            let per = nodes.div_ceil(2);
-            let mut rings = Vec::new();
-            for r in 0..2 {
-                let lo = r * per;
-                if lo >= nodes {
-                    break;
-                }
-                rings.push((lo..(lo + per).min(nodes)).collect());
-            }
-            let partition = Partition::new(rings).unwrap();
-            let off = run_system(
-                &net,
-                &w,
-                &Strategy::Smart(partition.clone()),
-                &SystemConfig::paper_testbed(),
-            );
-            let cfg = SystemConfig {
-                cache_capacity: 1 << capacity_pow,
-                cache_shards: shards,
-                ..SystemConfig::paper_testbed()
-            };
-            let on = run_system(&net, &w, &Strategy::Smart(partition), &cfg);
-            assert_eq!(off.unique_chunks, on.unique_chunks);
-            assert_eq!(off.dedup_ratio, on.dedup_ratio);
-            assert_eq!(off.storage_bytes, on.storage_bytes);
-            assert_eq!(off.total_chunks, on.total_chunks);
-            for (a, b) in off.nodes.iter().zip(&on.nodes) {
-                assert_eq!(a.unique_chunks, b.unique_chunks);
-            }
-            assert!(
-                on.network_cost_ms <= off.network_cost_ms,
-                "cache increased network cost: {} -> {}",
-                off.network_cost_ms,
-                on.network_cost_ms
-            );
-            assert_eq!(
-                on.cache.hits + on.cache.misses,
-                on.total_chunks,
-                "every chunk is exactly one lookup"
-            );
-        },
-    );
-}
