@@ -1,67 +1,21 @@
-//! The simulation driver: owns the clock and the event queue and repeatedly
-//! dispatches the earliest event to a user-supplied handler.
+//! The simulation driver: owns the clock and the event queue and hands
+//! the earliest event to whoever steps it.
 
 use crate::queue::{EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 
-/// Handles events popped by a [`Simulator`].
-///
-/// The handler receives a mutable scheduling context so it can enqueue
-/// follow-up events; the simulated clock has already been advanced to the
-/// event's timestamp when `handle` is called.
-pub trait EventHandler<E> {
-    /// Processes one event. `ctx.now()` equals the event's timestamp.
-    fn handle(&mut self, event: E, ctx: &mut Context<'_, E>);
-}
-
-impl<E, F: FnMut(E, &mut Context<'_, E>)> EventHandler<E> for F {
-    fn handle(&mut self, event: E, ctx: &mut Context<'_, E>) {
-        self(event, ctx)
-    }
-}
-
-/// Scheduling context handed to an [`EventHandler`] during dispatch.
-#[derive(Debug)]
-pub struct Context<'a, E> {
-    now: SimTime,
-    queue: &'a mut EventQueue<E>,
-}
-
-impl<'a, E> Context<'a, E> {
-    /// Current simulated time (the timestamp of the event being handled).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire after `delay`.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
-        self.queue.schedule(self.now + delay, payload);
-    }
-
-    /// Schedules `payload` at an absolute time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `at` is in the simulated past — an event scheduled before
-    /// `now` would violate causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.schedule(at, payload);
-    }
-}
-
 /// A discrete-event simulator generic over the event payload type.
 ///
-/// The world state lives in the [`EventHandler`]; the simulator only owns
-/// time and the pending-event queue. This split keeps domain crates
-/// (network, key-value store, dedup system) independent of each other while
-/// sharing one clock.
+/// The world state lives with the caller, which pops one event at a time
+/// with [`Simulator::step`] and schedules follow-ups between steps; the
+/// simulator only owns time and the pending-event queue. This split keeps
+/// domain crates (network, key-value store, dedup system) independent of
+/// each other while sharing one clock.
 ///
 /// # Example
 ///
 /// ```
 /// use ef_simcore::{Simulator, SimDuration, SimTime};
-/// use ef_simcore::Context;
 ///
 /// #[derive(Debug)]
 /// enum Ev { Tick(u32) }
@@ -69,13 +23,13 @@ impl<'a, E> Context<'a, E> {
 /// let mut sim = Simulator::new();
 /// sim.schedule_at(SimTime::ZERO, Ev::Tick(0));
 /// let mut ticks = 0u32;
-/// sim.run(|ev: Ev, ctx: &mut Context<'_, Ev>| {
-///     let Ev::Tick(n) = ev;
+/// while let Some(ev) = sim.step() {
+///     let Ev::Tick(n) = ev.payload;
 ///     ticks += 1;
 ///     if n < 9 {
-///         ctx.schedule_after(SimDuration::from_millis(1), Ev::Tick(n + 1));
+///         sim.schedule_after(SimDuration::from_millis(1), Ev::Tick(n + 1));
 ///     }
-/// });
+/// }
 /// assert_eq!(ticks, 10);
 /// assert_eq!(sim.now(), SimTime::from_nanos(9_000_000));
 /// ```
@@ -142,42 +96,6 @@ impl<E> Simulator<E> {
         self.now = ev.time;
         Some(ev)
     }
-
-    /// Runs until the queue is empty, dispatching every event to `handler`.
-    pub fn run<H: EventHandler<E>>(&mut self, mut handler: H) {
-        while let Some(ev) = self.queue.pop() {
-            self.now = ev.time;
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            handler.handle(ev.payload, &mut ctx);
-        }
-    }
-
-    /// Runs until the queue is empty or the clock passes `deadline`.
-    ///
-    /// Events with timestamps past the deadline remain queued; the clock is
-    /// left at the last dispatched event (or moved to `deadline` if nothing
-    /// fired after it).
-    pub fn run_until<H: EventHandler<E>>(&mut self, deadline: SimTime, mut handler: H) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            // simlint::allow(D003): peek_time just returned Some and we hold &mut self
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.now = ev.time;
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-            };
-            handler.handle(ev.payload, &mut ctx);
-        }
-        self.now = self
-            .now
-            .max(deadline.min(self.queue.peek_time().unwrap_or(deadline)));
-    }
 }
 
 #[cfg(test)]
@@ -187,52 +105,6 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Ev {
         Ping(u32),
-    }
-
-    #[test]
-    fn run_drains_queue_and_advances_clock() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::from_nanos(100), Ev::Ping(1));
-        sim.schedule_at(SimTime::from_nanos(50), Ev::Ping(0));
-        let mut seen = Vec::new();
-        sim.run(|ev: Ev, _ctx: &mut Context<'_, Ev>| {
-            let Ev::Ping(n) = ev;
-            seen.push(n);
-        });
-        assert_eq!(seen, vec![0, 1]);
-        assert_eq!(sim.now(), SimTime::from_nanos(100));
-        assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn handler_can_chain_events() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::ZERO, Ev::Ping(0));
-        let mut count = 0;
-        sim.run(|ev: Ev, ctx: &mut Context<'_, Ev>| {
-            let Ev::Ping(n) = ev;
-            count += 1;
-            if n < 4 {
-                ctx.schedule_after(SimDuration::from_micros(1), Ev::Ping(n + 1));
-            }
-        });
-        assert_eq!(count, 5);
-        assert_eq!(sim.now(), SimTime::from_nanos(4_000));
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Simulator::new();
-        for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_nanos(i * 1_000), Ev::Ping(i as u32));
-        }
-        let mut seen = 0;
-        sim.run_until(
-            SimTime::from_nanos(4_500),
-            |_: Ev, _: &mut Context<'_, Ev>| seen += 1,
-        );
-        assert_eq!(seen, 5);
-        assert_eq!(sim.pending(), 5);
     }
 
     #[test]

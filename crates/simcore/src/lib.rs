@@ -11,7 +11,7 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`EventQueue`] — a total-order event queue with deterministic
 //!   tie-breaking,
-//! * [`Simulator`] — a driver that pops events and hands them to a handler,
+//! * [`Simulator`] — a clock and queue its caller steps one event at a time,
 //! * [`FifoServer`] — a FIFO resource for modelling CPU and link occupancy,
 //! * [`DetRng`] — a seedable, portable random-number generator with named
 //!   substreams,
@@ -43,7 +43,7 @@ mod rng;
 pub mod stats;
 mod time;
 
-pub use engine::{Context, EventHandler, Simulator};
+pub use engine::Simulator;
 pub use queue::{EventQueue, ScheduledEvent};
 pub use resource::FifoServer;
 pub use rng::DetRng;
