@@ -9,16 +9,9 @@
 //! expected trade: tighter intervals buy faster convergence at the cost
 //! of more tree exchanges on the wire.
 
-use bytes::Bytes;
 use ef_bench::{fmt, header, quick_mode};
-use ef_chunking::ChunkHash;
-use ef_kvstore::{
-    ChaosEvent, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, SimCluster,
-};
-use ef_netsim::{Network, NetworkConfig, NodeId, TopologyBuilder};
-use ef_simcore::{SimDuration, SimTime};
-
-const MERKLE_DEPTH: u32 = 6;
+use ef_kvstore::sweep::{self, Family};
+use ef_simcore::SimDuration;
 
 /// One measured point: a seed × anti-entropy-interval cell.
 #[derive(Debug)]
@@ -31,91 +24,25 @@ struct Point {
     wal_records_replayed: u64,
 }
 
-fn absent_at(scenario: &ChaosScenario, node: NodeId, t: SimTime) -> bool {
-    let mut stopped_at = None;
-    for ev in scenario.events() {
-        match *ev {
-            ChaosEvent::CrashStop { at, node: n } if n == node => stopped_at = Some(at),
-            ChaosEvent::Restart { at, node: n } if n == node => {
-                if let Some(start) = stopped_at {
-                    if t >= start && t <= at {
-                        return true;
-                    }
-                }
-            }
-            ChaosEvent::Depart { at, node: n } if n == node && t >= at => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Runs one crash/restart/departure scenario and returns the measured
-/// recovery latency plus the pipeline counters.
-fn run_one(seed: u64, interval: SimDuration) -> Option<Point> {
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .build();
-    let mut net = Network::new(topo, NetworkConfig::paper_testbed());
-    let chaos = ChaosScenarioConfig {
-        crash_stops: 1,
-        departures: 1,
-        ..ChaosScenarioConfig::default()
+/// Runs the recovery family's crash/restart/departure scenario at one
+/// anti-entropy interval and returns the measured recovery latency plus
+/// the pipeline counters.
+fn run_one(seed: u64, interval: SimDuration) -> Point {
+    let family = Family {
+        arm: &|cluster, _| sweep::arm_recovery(cluster, interval),
+        ..Family::recovery()
     };
-    let scenario = ChaosScenario::generate(seed, net.topology(), &chaos);
-    scenario.rig(&mut net);
-    let members = net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_heartbeats_with_dead(
-        SimDuration::from_millis(100),
-        SimDuration::from_millis(350),
-        SimDuration::from_millis(1200),
-    );
-    cluster.enable_anti_entropy(interval, MERKLE_DEPTH);
-    scenario.apply(&mut cluster);
-    let departed = scenario.events().iter().find_map(|ev| match *ev {
-        ChaosEvent::Depart { node, .. } => Some(node),
-        _ => None,
-    })?;
-
-    let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-    let mut turn = 0usize;
-    for rep in 0..3u32 {
-        for k in 0..12u32 {
-            let coordinator = (0..members.len())
-                .map(|i| members[(turn + rep as usize + i) % members.len()])
-                .find(|&c| !absent_at(&scenario, c, t))?;
-            turn += 1;
-            let payload = Bytes::from(vec![(k % 251) as u8 ^ 0x5a; 96 + (k as usize % 17)]);
-            let key = Bytes::copy_from_slice(ChunkHash::of(&payload).as_bytes());
-            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-            t += SimDuration::from_millis(211);
-        }
-    }
-    cluster.run();
-    let cap = cluster.now() + SimDuration::from_secs_f64(120.0);
-    while !(cluster.recovery_stats().restarts == 1
-        && !cluster.ring().contains(departed)
-        && cluster.replica_divergence(MERKLE_DEPTH) == 0
-        && cluster.recovery_latencies().len() == 1)
-    {
-        if cluster.now() >= cap {
-            return None;
-        }
-        cluster.run_until(cluster.now() + SimDuration::from_millis(500));
-    }
-    let (_, latency) = cluster.recovery_latencies().pop()?;
-    let stats = cluster.recovery_stats();
-    Some(Point {
+    let run = sweep::run(seed, &family);
+    let (_, latency) = run.cluster.recovery_latencies()[0];
+    let stats = run.cluster.recovery_stats();
+    Point {
         interval_ms: (interval.as_nanos() / 1_000_000),
         seed,
         recovery_ms: latency.as_nanos() as f64 / 1e6,
         antientropy_rounds: stats.antientropy_rounds,
         entries_repaired: stats.entries_repaired,
         wal_records_replayed: stats.wal_records_replayed,
-    })
+    }
 }
 
 fn main() {
@@ -124,9 +51,7 @@ fn main() {
     let mut all: Vec<Point> = Vec::new();
     for &ms in &intervals {
         for seed in 0..seeds {
-            if let Some(p) = run_one(seed, SimDuration::from_millis(ms)) {
-                all.push(p);
-            }
+            all.push(run_one(seed, SimDuration::from_millis(ms)));
         }
     }
     header("Recovery latency vs anti-entropy interval (crash-stop + departure)");

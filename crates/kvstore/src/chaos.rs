@@ -675,124 +675,30 @@ pub fn nth_op_id(coordinator: NodeId, n: u64) -> OpId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::msg::{ClientOp, OpResult};
-    use crate::sim::OpLatency;
-    use bytes::Bytes;
-    use ef_netsim::{NetworkConfig, TopologyBuilder};
-    use std::collections::HashMap;
-
-    const KEYS: u32 = 12;
-    const REPEATS: u32 = 3;
-
-    fn testbed() -> Network {
-        let topo = TopologyBuilder::new()
-            .edge_site(2)
-            .edge_site(2)
-            .edge_site(2)
-            .build();
-        Network::new(topo, NetworkConfig::paper_testbed())
-    }
-
-    /// Runs one full chaos experiment: every key is check-and-inserted
-    /// `REPEATS` times through rotating coordinators while the scenario
-    /// crashes nodes, partitions sites, and drops messages. Returns the
-    /// completions plus the op→key map needed for soundness accounting.
-    fn run_chaos(seed: u64) -> (Vec<OpLatency>, HashMap<OpId, u32>, SimCluster) {
-        let config = ChaosScenarioConfig::default();
-        let mut net = testbed();
-        let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-        scenario.rig(&mut net);
-        let members = net.topology().edge_nodes();
-        let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-        cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-        // The whole sweep runs with the fingerprint cache on: the
-        // soundness and completion properties below must hold with
-        // cached duplicate verdicts in the mix, and the tiny capacity
-        // forces evictions so that path is exercised too.
-        cluster.enable_fingerprint_cache(1, 2);
-        scenario.apply(&mut cluster);
-
-        let mut key_of: HashMap<OpId, u32> = HashMap::new();
-        let mut next_seq: HashMap<NodeId, u64> = HashMap::new();
-        let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-        for rep in 0..REPEATS {
-            for k in 0..KEYS {
-                // Coordinators rotate across keys so crashes and
-                // partitions hit some of them. Reps 0 and 1 route a key
-                // through the *same* coordinator — the second pass is the
-                // fingerprint cache's local duplicate verdict — while the
-                // final rep shifts coordinators so cross-coordinator
-                // duplicates still traverse the ring under chaos.
-                let shift = usize::from(rep + 1 == REPEATS);
-                let coordinator = members[(k as usize + shift) % members.len()];
-                let seq = next_seq.entry(coordinator).or_insert(0);
-                key_of.insert(nth_op_id(coordinator, *seq), k);
-                *seq += 1;
-                let key = Bytes::from(k.to_be_bytes().to_vec());
-                cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-                t += SimDuration::from_millis(211);
-            }
-        }
-        // Horizon: the scenario window plus the worst-case RTO chain of
-        // both CAI phases (~4 s with the auto policy), with slack.
-        let horizon = SimTime::ZERO + config.duration * 3u64;
-        let done = cluster.run_until(horizon);
-        (done, key_of, cluster)
-    }
+    use crate::sweep::{self, Family};
 
     #[test]
     fn chaos_sweep_soundness_and_completion() {
+        let family = Family::chaos();
         let mut total_timeouts = 0;
         let mut total_degraded = 0;
         let mut total_dropped = 0;
         let mut cache = crate::CacheStats::default();
-        for seed in 0..25u64 {
-            let (done, key_of, cluster) = run_chaos(seed);
-            // (b) Every submitted op resolved: completed, timed out, or
-            // degraded — nothing hangs.
-            assert_eq!(cluster.inflight(), 0, "seed {seed}: ops still in flight");
-            assert_eq!(done.len(), (KEYS * REPEATS) as usize, "seed {seed}");
-
-            // (a) Zero false duplicates: a duplicate verdict for a key
-            // requires some check-and-insert of that key to have resolved
-            // unique (that op wrote the value the duplicate saw).
-            let mut uniques: HashMap<u32, u32> = HashMap::new();
-            let mut dups: HashMap<u32, u32> = HashMap::new();
-            for l in &done {
-                let key = key_of[&l.op_id];
-                match l.result {
-                    OpResult::Dedup { unique: true, .. } => {
-                        *uniques.entry(key).or_insert(0) += 1;
-                    }
-                    OpResult::Dedup { unique: false, .. } => {
-                        *dups.entry(key).or_insert(0) += 1;
-                    }
-                    ref other => {
-                        panic!("seed {seed}: check-and-insert resolved {other:?}")
-                    }
-                }
-            }
-            for (key, d) in &dups {
-                assert!(
-                    uniques.get(key).copied().unwrap_or(0) >= 1,
-                    "seed {seed}: key {key} judged duplicate {d} times but \
-                     never inserted — false duplicate (data loss)"
-                );
-            }
-            total_timeouts += cluster.timeouts();
-            total_degraded += cluster.degraded_ops();
-            total_dropped += cluster.network().messages_dropped();
-            cache.merge(&cluster.cache_stats());
+        for seed in 0..family.seeds {
+            let mut run = sweep::run(seed, &family);
+            sweep::check(&family, &mut run);
+            total_timeouts += run.cluster.timeouts();
+            total_degraded += run.cluster.degraded_ops();
+            total_dropped += run.cluster.network().messages_dropped();
+            cache.merge(&run.cluster.cache_stats());
         }
         // The sweep must actually exercise the chaos paths, or the
-        // properties above are vacuous.
+        // oracle's clauses are vacuous.
         assert!(total_dropped > 0, "no message was ever dropped");
         assert!(total_timeouts > 0, "no op ever timed out");
         assert!(total_degraded > 0, "no op ever degraded");
-        // Likewise the cache: the soundness property above is only
-        // meaningful with cached duplicate verdicts (and evictions)
-        // actually occurring across the sweep.
+        // Likewise the cache: soundness is only meaningful with cached
+        // duplicate verdicts (and evictions) actually occurring.
         assert!(cache.hits > 0, "the fingerprint cache never hit: {cache:?}");
         assert!(
             cache.evictions > 0,
@@ -803,22 +709,20 @@ mod tests {
     #[test]
     fn same_seed_replays_bit_identically() {
         for seed in [0u64, 7, 42] {
-            let (a, _, _) = run_chaos(seed);
-            let (b, _, _) = run_chaos(seed);
-            assert_eq!(a, b, "seed {seed}: traces diverged on replay");
+            sweep::assert_replays(seed, &Family::chaos());
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let (a, _, _) = run_chaos(1);
-        let (b, _, _) = run_chaos(2);
-        assert_ne!(a, b, "distinct seeds produced identical traces");
+        let family = Family::chaos();
+        let (a, b) = (sweep::run(1, &family), sweep::run(2, &family));
+        assert_ne!(a.done, b.done, "distinct seeds produced identical traces");
     }
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig::default();
         let s1 = ChaosScenario::generate(9, net.topology(), &cfg);
         let s2 = ChaosScenario::generate(9, net.topology(), &cfg);
@@ -841,7 +745,7 @@ mod tests {
 
     #[test]
     fn storage_rot_events_are_seeded_and_wire_rot_reaches_the_plan() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig {
             crashes: 0,
             partitions: 0,
@@ -864,7 +768,7 @@ mod tests {
         assert_eq!(seeds.len(), 2, "rot seeds must be distinct");
         // The wire-rot knob reaches the fault plan: with probability 1
         // every non-loopback frame is flagged corrupt (not dropped).
-        let mut rigged = testbed();
+        let mut rigged = Family::chaos().network();
         s.rig(&mut rigged);
         let nodes = rigged.topology().edge_nodes();
         let delivery = rigged
@@ -879,7 +783,7 @@ mod tests {
         // The storage-rot draws are appended after every existing draw,
         // so turning rot on extends a scenario instead of reshuffling it:
         // the crash/partition/loss/departure schedule stays bit-identical.
-        let net = testbed();
+        let net = Family::chaos().network();
         let base = ChaosScenarioConfig::default();
         let rotted = ChaosScenarioConfig {
             storage_rots: 3,
@@ -904,7 +808,7 @@ mod tests {
         // Same append-only discipline as storage rot: the gray-failure
         // draws run after every pre-existing draw, so turning them on
         // extends a scenario without reshuffling it.
-        let net = testbed();
+        let net = Family::chaos().network();
         let base = ChaosScenarioConfig {
             storage_rots: 2,
             ..ChaosScenarioConfig::default()
@@ -929,21 +833,11 @@ mod tests {
         );
     }
 
-    fn cloud_testbed() -> Network {
-        let topo = TopologyBuilder::new()
-            .edge_site(2)
-            .edge_site(2)
-            .edge_site(2)
-            .cloud_site(1)
-            .build();
-        Network::new(topo, NetworkConfig::paper_testbed())
-    }
-
     #[test]
     fn adding_disasters_leaves_the_existing_schedule_untouched() {
         // Same append-only discipline as rot and gray failures: the
         // disaster draws run after every pre-existing draw.
-        let net = cloud_testbed();
+        let net = Family::disaster().network();
         let base = ChaosScenarioConfig {
             storage_rots: 1,
             slow_nodes: 1,
@@ -968,7 +862,7 @@ mod tests {
 
     #[test]
     fn disaster_windows_respect_their_bands_and_reach_the_plan() {
-        let net = cloud_testbed();
+        let net = Family::disaster().network();
         let cfg = ChaosScenarioConfig {
             crashes: 0,
             partitions: 0,
@@ -1046,7 +940,7 @@ mod tests {
     fn adding_byzantine_liars_leaves_the_existing_schedule_untouched() {
         // Same append-only discipline as every fault family before it:
         // the Byzantine draws run after all pre-existing draws.
-        let net = cloud_testbed();
+        let net = Family::disaster().network();
         let base = ChaosScenarioConfig {
             storage_rots: 1,
             slow_nodes: 1,
@@ -1070,7 +964,7 @@ mod tests {
 
     #[test]
     fn byzantine_liars_are_a_bounded_minority_and_reach_the_plan() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig {
             crashes: 0,
             partitions: 0,
@@ -1115,7 +1009,7 @@ mod tests {
         // On a cloud-less topology the cloud-outage and uplink knobs
         // must not consume randomness, or enabling them would reshuffle
         // the ring-outage draws that follow.
-        let net = testbed();
+        let net = Family::chaos().network();
         let base = ChaosScenarioConfig {
             ring_outages: 1,
             ..ChaosScenarioConfig::default()
@@ -1132,7 +1026,7 @@ mod tests {
 
     #[test]
     fn slow_events_reach_the_fault_plan() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig {
             crashes: 0,
             partitions: 0,
@@ -1194,7 +1088,7 @@ mod tests {
 
     #[test]
     fn crash_stops_and_departures_pick_distinct_victims() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig {
             crashes: 0,
             partitions: 0,
@@ -1227,7 +1121,7 @@ mod tests {
 
     #[test]
     fn fault_plan_reflects_partitions() {
-        let net = testbed();
+        let net = Family::chaos().network();
         let cfg = ChaosScenarioConfig {
             partitions: 1,
             crashes: 0,

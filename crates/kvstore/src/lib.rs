@@ -18,6 +18,7 @@
 //!   `ef-simcore`/`ef-netsim`, yielding per-operation latencies,
 //! * [`ThreadedCluster`] — one OS thread per node over `std::sync::mpsc`
 //!   channels,
+//! * [`sweep`] — the one fault-sweep harness and oracle over [`SimCluster`],
 //! * hinted handoff and node up/down handling,
 //! * [`StorageEngine`] — a memtable + immutable-segment storage engine
 //!   with tombstones and compaction.
@@ -57,6 +58,7 @@ mod ring;
 mod sim;
 mod spool;
 mod storage;
+pub mod sweep;
 mod threaded;
 mod trust;
 

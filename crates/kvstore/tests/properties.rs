@@ -369,10 +369,10 @@ fn partition_heal_converges_without_false_duplicates() {
         24,
         (vec((0u8..12, 0u8..6), 1..24), 0u64..400, 50u64..800),
         |(schedule, start_ms, window_ms)| {
-            use ef_kvstore::{nth_op_id, ClientOp, OpId, OpResult, SimCluster};
+            use ef_kvstore::sweep::{assert_no_false_duplicates, Ledger};
+            use ef_kvstore::{OpResult, SimCluster};
             use ef_netsim::{FaultPlan, Network, NetworkConfig, SiteId, TopologyBuilder};
             use ef_simcore::{SimDuration, SimTime};
-            use std::collections::HashMap;
 
             let topo = TopologyBuilder::new().edge_site(3).edge_site(3).build();
             let mut net = Network::new(topo, NetworkConfig::paper_testbed());
@@ -386,50 +386,33 @@ fn partition_heal_converges_without_false_duplicates() {
 
             // Writes spaced to straddle the partition window, issued from
             // both sites so each side keeps accepting what it can.
-            let mut key_of: HashMap<OpId, u8> = HashMap::new();
-            let mut next_seq: HashMap<_, u64> = HashMap::new();
+            let mut ledger = Ledger::default();
             let mut t = SimTime::ZERO + SimDuration::from_millis(3);
             for &(key, coord) in &schedule {
                 let coordinator = members[coord as usize % members.len()];
-                let seq = next_seq.entry(coordinator).or_insert(0);
-                key_of.insert(nth_op_id(coordinator, *seq), key);
-                *seq += 1;
                 let kb = Bytes::from(vec![key]);
-                cluster.submit(t, coordinator, ClientOp::CheckAndInsert(kb.clone(), kb));
+                ledger.submit(&mut cluster, t, coordinator, key.into(), (kb.clone(), kb));
                 t += SimDuration::from_millis(67);
             }
             let done = cluster.run_until(heal.max(t) + SimDuration::from_secs(10));
             assert_eq!(cluster.inflight(), 0, "ops still in flight after heal");
 
-            let mut uniques: HashMap<u8, u32> = HashMap::new();
-            let mut dups: HashMap<u8, u32> = HashMap::new();
-            for l in &done {
-                let key = key_of[&l.op_id];
-                match l.result {
-                    OpResult::Dedup { unique: true, .. } => {
-                        *uniques.entry(key).or_insert(0) += 1;
-                    }
-                    OpResult::Dedup { unique: false, .. } => {
-                        *dups.entry(key).or_insert(0) += 1;
-                    }
-                    OpResult::Unavailable { .. } => {}
+            let done = ledger.resolve(done);
+            let mut uniques = std::collections::BTreeSet::new();
+            for c in &done {
+                match c.op.result {
+                    OpResult::Dedup { unique: true, .. } => uniques.extend(c.key),
+                    OpResult::Dedup { .. } | OpResult::Unavailable { .. } => {}
                     ref other => {
                         panic!("check-and-insert resolved {other:?}");
                     }
                 }
             }
-            for (key, d) in &dups {
-                assert!(
-                    uniques.get(key).copied().unwrap_or(0) >= 1,
-                    "key {} judged duplicate {} times but never inserted",
-                    key,
-                    d
-                );
-            }
+            assert_no_false_duplicates(&done, false, "partition heal");
             // Convergence: every acked-unique key on every replica, byte
             // for byte — the healed sides agree.
-            for &key in uniques.keys() {
-                let kb = Bytes::from(vec![key]);
+            for key in uniques {
+                let kb = Bytes::from(vec![key as u8]);
                 for replica in cluster.ring().replicas(&kb, rf) {
                     let got = cluster
                         .node_mut(replica)

@@ -11,15 +11,11 @@
 //! cargo run --release --example chaos_demo -- 42      # pick a seed
 //! ```
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 use efdedup_repro::core::system::RobustnessMetrics;
-use efdedup_repro::kvstore::{
-    nth_op_id, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, OpResult, SimCluster,
-};
-use efdedup_repro::netsim::{Network, NetworkConfig, TopologyBuilder};
-use efdedup_repro::simcore::{SimDuration, SimTime};
+use efdedup_repro::kvstore::sweep::{self, Family, Route, Stop};
+use efdedup_repro::kvstore::OpResult;
+use efdedup_repro::simcore::SimDuration;
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -27,50 +23,37 @@ fn main() {
         .map(|s| s.parse().expect("seed must be a u64"))
         .unwrap_or(7);
 
-    // Three 2-node edge sites, paper-testbed latencies.
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .build();
-    let mut net = Network::new(topo, NetworkConfig::paper_testbed());
-
-    let config = ChaosScenarioConfig::default();
-    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-    println!("== chaos schedule (seed {seed}) ==\n");
-    for ev in scenario.events() {
-        println!("  {ev:?}");
-    }
-    scenario.rig(&mut net);
-
-    let members = net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    scenario.apply(&mut cluster);
-
+    // The chaos family's three 2-node edge sites and default fault mix.
     // Each chunk hash is inserted twice from different coordinators: the
     // second sighting should dedup unless faults forced degraded mode.
     let keys = 16u32;
-    let mut t = SimTime::ZERO;
-    let mut key_of = BTreeMap::new();
-    let mut seq = BTreeMap::new();
-    for round in 0..2 {
-        for k in 0..keys {
-            let coordinator = members[((k + round) as usize) % members.len()];
-            let n = seq.entry(coordinator).or_insert(0u64);
-            key_of.insert(nth_op_id(coordinator, *n), k);
-            *n += 1;
+    let family = Family {
+        keys,
+        repeats: 2,
+        first_op: SimDuration::ZERO,
+        route: Route::Rotate,
+        stop: Stop::Settled(|_, _| true),
+        arm: &|cluster, _| {
+            cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
+        },
+        chunk: &|k| {
             let key = Bytes::from(format!("chunk-{k:04}"));
-            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-            t += SimDuration::from_millis(211);
-        }
+            (key.clone(), key)
+        },
+        ..Family::chaos()
+    };
+    let mut run = sweep::run(seed, &family);
+    sweep::check(&family, &mut run);
+    println!("== chaos schedule (seed {seed}) ==\n");
+    for ev in run.scenario.events() {
+        println!("  {ev:?}");
     }
-    let done = cluster.run();
+    let (done, cluster) = (run.done, run.cluster);
 
     println!("\n== op outcomes ==\n");
     let (mut uniques, mut dups, mut degraded) = (0u32, 0u32, 0u32);
-    for op in &done {
-        let key = key_of[&op.op_id];
+    for sweep::Completed { key, op } in &done {
+        let key = key.expect("the default mix tears no coordinator down");
         if let OpResult::Dedup {
             unique,
             degraded: d,

@@ -27,156 +27,45 @@
 //! challenges away).
 
 use bytes::Bytes;
+use efdedup_repro::kvstore::sweep::{self, Family};
 use efdedup_repro::kvstore::{
-    nth_op_id, ByzantineStats, ChaosEvent, ChaosScenario, ChaosScenarioConfig, ClientOp,
-    ClusterConfig, OpId, OpLatency, OpResult, SimCluster,
+    ByzantineStats, ChaosEvent, ClientOp, ClusterConfig, OpResult, SimCluster,
 };
 use efdedup_repro::prelude::*;
 use std::collections::HashMap;
 
-const KEYS: u32 = 14;
-const REPEATS: u32 = 3;
-const SEEDS: u64 = 20;
-const POP_SEED_SALT: u64 = 0x5050_5eed;
-
-fn testbed() -> Network {
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .cloud_site(1)
-        .build();
-    Network::new(topo, NetworkConfig::paper_testbed())
-}
-
-fn chunk_key(k: u32) -> Bytes {
-    Bytes::from(format!("chunk-{k}").into_bytes())
-}
-
-fn chunk_payload(k: u32) -> Bytes {
-    Bytes::from(format!("payload-{k}").into_bytes())
-}
-
-/// One Byzantine chaos run: two composed liars (the tolerated strict
-/// minority of a six-node membership) plus a ring outage, with every
-/// defense layer armed. Returns completions, the op→key map, the liars,
-/// and the cluster for accounting.
-fn run_byzantine(seed: u64) -> (Vec<OpLatency>, HashMap<OpId, u32>, Vec<NodeId>, SimCluster) {
-    let config = ChaosScenarioConfig {
-        crashes: 0,
-        partitions: 0,
-        loss_bursts: 0,
-        base_loss: 0.0,
-        wire_rot: 0.0,
-        ring_outages: 1,
-        byzantine_liars: 2,
-        ..ChaosScenarioConfig::default()
-    };
-    let mut net = testbed();
-    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-    scenario.rig(&mut net);
-    let liars: Vec<NodeId> = scenario
-        .events()
-        .iter()
-        .filter_map(|ev| match *ev {
-            ChaosEvent::ByzantineLiar { node, .. } => Some(node),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(liars.len(), 2, "seed {seed}: expected the full liar quota");
-    let members = net.topology().edge_nodes();
-    let cloud = net.topology().nodes_in(net.topology().cloud_sites()[0])[0];
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_pop(seed ^ POP_SEED_SALT);
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
-    cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
-    cluster.enable_fingerprint_cache(4, 128);
-    cluster.enable_hedged_reads(64);
-    scenario.apply(&mut cluster);
-
-    let mut key_of: HashMap<OpId, u32> = HashMap::new();
-    let mut next_seq: HashMap<NodeId, u64> = HashMap::new();
-    let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-    for rep in 0..REPEATS {
-        for k in 0..KEYS {
-            // Later reps shift coordinators so duplicate checks consult
-            // the (lying) ring from fresh vantage points.
-            let coordinator = members[(k as usize + rep as usize) % members.len()];
-            let seq = next_seq.entry(coordinator).or_insert(0);
-            key_of.insert(nth_op_id(coordinator, *seq), k);
-            *seq += 1;
-            cluster.submit(
-                t,
-                coordinator,
-                ClientOp::CheckAndInsert(chunk_key(k), chunk_payload(k)),
-            );
-            t += SimDuration::from_millis(211);
-        }
-    }
-    let horizon = SimTime::ZERO + config.duration * 3u64;
-    let done = cluster.run_until(horizon);
-    (done, key_of, liars, cluster)
-}
-
-/// 20 seeds of the composed Byzantine mix: zero false duplicates, zero
-/// poisoned bytes in any replica or the cloud catalog, no flooded junk
-/// key anywhere, and every liar quarantined by the horizon — while the
-/// sweep provably drives each defense layer (challenges failed, false
-/// claims rejected, poisoned bytes bounced, equivocators caught, floods
-/// suppressed).
+/// 20 seeds of the composed Byzantine mix under the shared oracle (a
+/// fabricated positive sighting never survives its challenge into a
+/// duplicate verdict), plus the family's own: zero poisoned bytes in any
+/// replica or the cloud catalog, no flooded junk key anywhere, and every
+/// liar quarantined by the horizon — while the sweep provably drives
+/// each defense layer (challenges failed, false claims rejected,
+/// poisoned bytes bounced, equivocators caught, floods suppressed).
 #[test]
 fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
+    let family = Family::byzantine();
+    let seeds = family.seeds;
     let mut total = ByzantineStats::default();
-    for seed in 0..SEEDS {
-        let (done, key_of, liars, mut cluster) = run_byzantine(seed);
-        assert_eq!(cluster.inflight(), 0, "seed {seed}: ops still in flight");
-        assert_eq!(done.len(), (KEYS * REPEATS) as usize, "seed {seed}");
-
-        // Soundness: a duplicate verdict is only ever sound if the key
-        // was actually inserted by an earlier unique ack — a fabricated
-        // positive sighting must never survive its challenge.
-        let mut uniques: HashMap<u32, u32> = HashMap::new();
-        let mut dups: HashMap<u32, u32> = HashMap::new();
-        for l in &done {
-            let Some(&key) = key_of.get(&l.op_id) else {
-                // A submission that fired while its coordinator was
-                // wiped gets a synthesized op id from the top of the
-                // sequence space — always unavailable, never a verdict.
-                assert!(
-                    matches!(l.result, OpResult::Unavailable { .. }),
-                    "seed {seed}: unmapped op id {:?} resolved {:?}",
-                    l.op_id,
-                    l.result
-                );
-                continue;
-            };
-            match l.result {
-                OpResult::Dedup { unique: true, .. } => {
-                    *uniques.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Dedup { unique: false, .. } => {
-                    *dups.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Unavailable { .. } | OpResult::TimedOut { .. } => {}
-                ref other => panic!("seed {seed}: check-and-insert resolved {other:?}"),
-            }
-        }
-        for (key, d) in &dups {
-            assert!(
-                uniques.get(key).copied().unwrap_or(0) >= 1,
-                "seed {seed}: key {key} judged duplicate {d} times but never \
-                 inserted — false duplicate (data loss)"
-            );
-        }
+    for seed in 0..seeds {
+        let mut run = sweep::run(seed, &family);
+        sweep::check(&family, &mut run);
+        let liars: Vec<NodeId> = run
+            .scenario
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                ChaosEvent::ByzantineLiar { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(liars.len(), 2, "seed {seed}: expected the full liar quota");
+        let cluster = &mut run.cluster;
 
         // Zero poisoned bytes: every byte any replica holds for an
         // ingested chunk is exactly what the client wrote, and no
         // flooded junk key was ever acked into storage.
         let members = cluster.network().topology().edge_nodes();
-        let want: HashMap<Bytes, Bytes> = (0..KEYS)
-            .map(|k| (chunk_key(k), chunk_payload(k)))
-            .collect();
+        let want: HashMap<Bytes, Bytes> = (0..family.keys).map(family.chunk).collect();
         for &m in &members {
             let Some(state) = cluster.node_mut(m) else {
                 continue;
@@ -255,11 +144,11 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
     );
     assert_eq!(
         total.liars_quarantined,
-        2 * SEEDS,
+        2 * seeds,
         "both liars quarantined on every seed"
     );
     println!(
-        "byzantine sweep: {SEEDS} seeds, challenges {} issued / {} passed / \
+        "byzantine sweep: {seeds} seeds, challenges {} issued / {} passed / \
          {} failed / {} cache hits, false claims {}, poisoned bytes {}, \
          floods suppressed {}, equivocations {}, strikes {}, quarantined {}, \
          cache invalidations {}, refetches {}",
@@ -282,25 +171,9 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
 /// trust counters, same cloud catalog bytes, same quarantine set.
 #[test]
 fn byzantine_sweep_replays_bit_identically() {
-    for seed in (0..SEEDS).step_by(5) {
-        let (a, _, _, ca) = run_byzantine(seed);
-        let (b, _, _, cb) = run_byzantine(seed);
-        assert_eq!(a, b, "seed {seed}: completions diverged on replay");
-        assert_eq!(
-            ca.byzantine_stats(),
-            cb.byzantine_stats(),
-            "seed {seed}: trust counters diverged on replay"
-        );
-        assert_eq!(
-            ca.cloud_catalog(),
-            cb.cloud_catalog(),
-            "seed {seed}: cloud catalogs diverged on replay"
-        );
-        assert_eq!(
-            ca.quarantined(),
-            cb.quarantined(),
-            "seed {seed}: quarantine sets diverged on replay"
-        );
+    let family = Family::byzantine();
+    for seed in (0..family.seeds).step_by(5) {
+        sweep::assert_replays(seed, &family);
     }
 }
 
@@ -308,12 +181,13 @@ fn byzantine_sweep_replays_bit_identically() {
 /// fault plan at all, optionally with proof-of-possession armed.
 /// Returns (ingest throughput in ops per simulated second, stats).
 fn honest_throughput(pop: bool) -> (f64, ByzantineStats) {
-    let net = testbed();
+    let family = Family::byzantine();
+    let net = family.network();
     let members = net.topology().edge_nodes();
-    let cloud = net.topology().nodes_in(net.topology().cloud_sites()[0])[0];
+    let cloud = net.topology().cloud_nodes()[0];
     let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
     if pop {
-        cluster.enable_pop(POP_SEED_SALT);
+        cluster.enable_pop(0x5050_5eed);
     }
     cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
     cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
@@ -322,19 +196,16 @@ fn honest_throughput(pop: bool) -> (f64, ByzantineStats) {
     // A denser schedule than the sweep so per-op latency actually shows
     // up in the makespan rather than hiding in idle gaps.
     let mut t = SimTime::ZERO;
-    for rep in 0..REPEATS {
-        for k in 0..KEYS {
+    for rep in 0..family.repeats {
+        for k in 0..family.keys {
             let coordinator = members[(k as usize + rep as usize) % members.len()];
-            cluster.submit(
-                t,
-                coordinator,
-                ClientOp::CheckAndInsert(chunk_key(k), chunk_payload(k)),
-            );
+            let (key, payload) = (family.chunk)(k);
+            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key, payload));
             t += SimDuration::from_millis(5);
         }
     }
     let done = cluster.run();
-    assert_eq!(done.len(), (KEYS * REPEATS) as usize);
+    assert_eq!(done.len(), (family.keys * family.repeats) as usize);
     for l in &done {
         assert!(
             matches!(l.result, OpResult::Dedup { .. }),

@@ -8,111 +8,24 @@
 
 use bytes::Bytes;
 use efdedup_repro::cloudstore::{Durability, DurableStore};
-use efdedup_repro::kvstore::{
-    nth_op_id, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, Consistency,
-    IntegrityStats, OpId, OpResult, SimCluster,
-};
+use efdedup_repro::kvstore::sweep::{self, Family};
+use efdedup_repro::kvstore::{ClientOp, ClusterConfig, Consistency, IntegrityStats, SimCluster};
 use efdedup_repro::prelude::*;
-use std::collections::HashMap;
 
-const KEYS: u32 = 12;
-const REPEATS: u32 = 3;
-const SEEDS: u64 = 20;
-
-fn testbed() -> Network {
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .build();
-    Network::new(topo, NetworkConfig::paper_testbed())
-}
-
-/// One rot-laden chaos run: the default crash/partition/loss mix plus
-/// wire bit rot on every link, two at-rest rot strikes, and a scrub
-/// sweeping at a byte budget. Returns the completions, the op→key map,
-/// and the cluster for accounting.
-fn run_rotten(
-    seed: u64,
-) -> (
-    Vec<efdedup_repro::kvstore::OpLatency>,
-    HashMap<OpId, u32>,
-    SimCluster,
-) {
-    let config = ChaosScenarioConfig {
-        storage_rots: 2,
-        wire_rot: 0.02,
-        ..ChaosScenarioConfig::default()
-    };
-    let mut net = testbed();
-    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-    scenario.rig(&mut net);
-    let members = net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.enable_scrub(SimDuration::from_millis(250), 64 * 1024);
-    // Rot + cache together: a cached duplicate verdict must stay sound
-    // even while wire and storage corruption churn underneath it.
-    cluster.enable_fingerprint_cache(1, 2);
-    scenario.apply(&mut cluster);
-
-    let mut key_of: HashMap<OpId, u32> = HashMap::new();
-    let mut next_seq: HashMap<NodeId, u64> = HashMap::new();
-    let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-    for rep in 0..REPEATS {
-        for k in 0..KEYS {
-            // Reps 0 and 1 route a key through the same coordinator so
-            // the second pass exercises the fingerprint cache; the final
-            // rep shifts coordinators so cross-coordinator duplicates
-            // still traverse the (rotting) ring.
-            let shift = usize::from(rep + 1 == REPEATS);
-            let coordinator = members[(k as usize + shift) % members.len()];
-            let seq = next_seq.entry(coordinator).or_insert(0);
-            key_of.insert(nth_op_id(coordinator, *seq), k);
-            *seq += 1;
-            let key = Bytes::from(k.to_be_bytes().to_vec());
-            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-            t += SimDuration::from_millis(211);
-        }
-    }
-    let horizon = SimTime::ZERO + config.duration * 3u64;
-    let done = cluster.run_until(horizon);
-    (done, key_of, cluster)
-}
-
-/// ≥ 20 seeds of combined wire + storage rot under chaos: zero false
-/// duplicates, every op resolves, and the sweep actually exercises the
-/// detection machinery (frames rejected, mismatches found, repairs run).
+/// ≥ 20 seeds of combined wire + storage rot under chaos, cache on (a
+/// cached duplicate verdict must stay sound while corruption churns
+/// underneath it): the shared oracle holds, and the sweep actually
+/// exercises the detection machinery (frames rejected, mismatches found,
+/// repairs run).
 #[test]
 fn corruption_sweep_no_false_duplicates() {
+    let family = Family::corruption();
     let mut total = IntegrityStats::default();
     let mut cache = efdedup_repro::kvstore::CacheStats::default();
-    for seed in 0..SEEDS {
-        let (done, key_of, cluster) = run_rotten(seed);
-        assert_eq!(cluster.inflight(), 0, "seed {seed}: ops still in flight");
-        assert_eq!(done.len(), (KEYS * REPEATS) as usize, "seed {seed}");
-
-        let mut uniques: HashMap<u32, u32> = HashMap::new();
-        let mut dups: HashMap<u32, u32> = HashMap::new();
-        for l in &done {
-            let key = key_of[&l.op_id];
-            match l.result {
-                OpResult::Dedup { unique: true, .. } => {
-                    *uniques.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Dedup { unique: false, .. } => {
-                    *dups.entry(key).or_insert(0) += 1;
-                }
-                ref other => panic!("seed {seed}: check-and-insert resolved {other:?}"),
-            }
-        }
-        for (key, d) in &dups {
-            assert!(
-                uniques.get(key).copied().unwrap_or(0) >= 1,
-                "seed {seed}: key {key} judged duplicate {d} times but never \
-                 inserted — false duplicate (data loss)"
-            );
-        }
+    for seed in 0..family.seeds {
+        let mut run = sweep::run(seed, &family);
+        sweep::check(&family, &mut run);
+        let cluster = &run.cluster;
 
         let integ = cluster.integrity();
         // Scrub-path accounting: a detected corruption is repaired,
@@ -142,7 +55,8 @@ fn corruption_sweep_no_false_duplicates() {
 /// then resolves by erasure-decoding around its own rotted shard.
 #[test]
 fn planted_rot_walks_the_full_repair_lattice() {
-    for seed in 0..SEEDS {
+    let Family { keys, seeds, .. } = Family::corruption();
+    for seed in 0..seeds {
         let net = Network::new(
             TopologyBuilder::new().edge_site(3).build(),
             NetworkConfig::paper_testbed(),
@@ -159,7 +73,7 @@ fn planted_rot_walks_the_full_repair_lattice() {
         );
         let mut t = SimTime::ZERO;
         let mut payloads = Vec::new();
-        for i in 0..KEYS {
+        for i in 0..keys {
             let key = Bytes::from(format!("sweep-{seed}-{i}"));
             let value = Bytes::from(vec![(seed as u8) ^ (i as u8); 48]);
             payloads.push((key.clone(), value.clone()));
@@ -243,17 +157,18 @@ fn planted_rot_walks_the_full_repair_lattice() {
 /// bit-identical to a run without it.
 #[test]
 fn scrub_overhead_leaves_clean_results_bit_identical() {
+    let family = Family::corruption();
     let run = |scrub: bool| {
-        let net = testbed();
+        let net = family.network();
         let members = net.topology().edge_nodes();
         let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
         if scrub {
             cluster.enable_scrub(SimDuration::from_millis(200), 32 * 1024);
         }
         let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-        for rep in 0..REPEATS {
-            for k in 0..KEYS {
-                let coordinator = members[((rep * KEYS + k) as usize) % members.len()];
+        for rep in 0..family.repeats {
+            for k in 0..family.keys {
+                let coordinator = members[((rep * family.keys + k) as usize) % members.len()];
                 let key = Bytes::from(k.to_be_bytes().to_vec());
                 cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
                 t += SimDuration::from_millis(97);

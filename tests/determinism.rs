@@ -10,16 +10,13 @@
 
 use bytes::Bytes;
 use efdedup_repro::core::system::{RobustnessMetrics, SystemMetrics};
-use efdedup_repro::kvstore::{
-    ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, SimCluster,
-};
+use efdedup_repro::kvstore::sweep::{self, Family, Route, Stop};
+use efdedup_repro::kvstore::ChaosScenarioConfig;
 use efdedup_repro::prelude::*;
 
-/// One complete chaos experiment: an analytic `run_system` pass for the
-/// dedup/timing half, plus a chaos-rigged [`SimCluster`] driving the
-/// index under crashes, partitions, and loss for the robustness half.
-fn chaos_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
-    // Analytic half: fault-free network, seeded workload.
+/// The analytic half of an experiment: a `run_system` pass on a
+/// fault-free network with a seeded workload.
+fn analytic_metrics(seed: u64) -> SystemMetrics {
     let net = Network::new(
         TopologyBuilder::new()
             .edge_sites(4, 2)
@@ -29,43 +26,46 @@ fn chaos_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
     );
     let ds = datasets::accelerometer(4, seed);
     let workload = Workload::from_dataset(&ds, 4, 400, seed as u32);
-    let metrics = run_system(
+    run_system(
         &net,
         &workload,
         &Strategy::CloudAssisted,
         &SystemConfig::paper_testbed(),
-    );
+    )
+}
 
-    // Chaos half: same seed derives the fault schedule and every RNG
-    // substream below it.
-    let mut chaos_net = Network::new(
-        TopologyBuilder::new().edge_site(2).edge_site(2).build(),
-        NetworkConfig::paper_testbed(),
-    );
-    let scenario = ChaosScenario::generate(
-        seed,
-        chaos_net.topology(),
-        &ChaosScenarioConfig {
-            base_loss: 0.2,
-            ..ChaosScenarioConfig::default()
-        },
-    );
-    scenario.rig(&mut chaos_net);
-    let members = chaos_net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), chaos_net, ClusterConfig::default());
-    scenario.apply(&mut cluster);
-    let mut t = SimTime::ZERO;
-    for i in 0..60u32 {
-        let key = Bytes::from(i.to_be_bytes().to_vec());
-        cluster.submit(
-            t,
-            members[(i as usize) % members.len()],
-            ClientOp::CheckAndInsert(key.clone(), key),
-        );
-        t += SimDuration::from_millis(40);
+/// The chaos half's family: the sweep harness on a 2 × 2 edge ring —
+/// one seed derives the fault schedule and every RNG substream below it
+/// — 60 chunks once each, run until every op has resolved, nothing armed.
+fn ring_of_four(scenario: ChaosScenarioConfig) -> Family<'static> {
+    Family {
+        edge_sites: &[2, 2],
+        scenario,
+        keys: 60,
+        repeats: 1,
+        route: Route::Rotate,
+        stop: Stop::Settled(|_, _| true),
+        arm: &|_, _| {},
+        ..Family::chaos()
     }
-    cluster.run();
-    (metrics, RobustnessMetrics::from_sim(&cluster))
+}
+
+fn robustness(seed: u64, family: &Family) -> RobustnessMetrics {
+    RobustnessMetrics::from_sim(&sweep::run(seed, family).cluster)
+}
+
+/// One complete chaos experiment: an analytic `run_system` pass for the
+/// dedup/timing half, plus a chaos-rigged [`SimCluster`] driving the
+/// index under crashes, partitions, and loss for the robustness half.
+fn chaos_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
+    let scenario = ChaosScenarioConfig {
+        base_loss: 0.2,
+        ..ChaosScenarioConfig::default()
+    };
+    (
+        analytic_metrics(seed),
+        robustness(seed, &ring_of_four(scenario)),
+    )
 }
 
 #[test]
@@ -100,53 +100,17 @@ fn chaos_run_actually_exercised_faults() {
 /// One bit-rot chaos experiment: wire rot on every link, seeded at-rest
 /// storage rot, and the background scrub all enabled at once.
 fn bitrot_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
-    let net = Network::new(
-        TopologyBuilder::new()
-            .edge_sites(4, 2)
-            .cloud_site(2)
-            .build(),
-        NetworkConfig::paper_testbed(),
-    );
-    let ds = datasets::accelerometer(4, seed);
-    let workload = Workload::from_dataset(&ds, 4, 400, seed as u32);
-    let metrics = run_system(
-        &net,
-        &workload,
-        &Strategy::CloudAssisted,
-        &SystemConfig::paper_testbed(),
-    );
-
-    let mut chaos_net = Network::new(
-        TopologyBuilder::new().edge_site(2).edge_site(2).build(),
-        NetworkConfig::paper_testbed(),
-    );
-    let scenario = ChaosScenario::generate(
-        seed,
-        chaos_net.topology(),
-        &ChaosScenarioConfig {
-            base_loss: 0.1,
-            storage_rots: 3,
-            wire_rot: 0.05,
-            ..ChaosScenarioConfig::default()
-        },
-    );
-    scenario.rig(&mut chaos_net);
-    let members = chaos_net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), chaos_net, ClusterConfig::default());
-    cluster.enable_scrub(SimDuration::from_millis(150), 32 * 1024);
-    scenario.apply(&mut cluster);
-    let mut t = SimTime::ZERO;
-    for i in 0..60u32 {
-        let key = Bytes::from(i.to_be_bytes().to_vec());
-        cluster.submit(
-            t,
-            members[(i as usize) % members.len()],
-            ClientOp::CheckAndInsert(key.clone(), key),
-        );
-        t += SimDuration::from_millis(40);
-    }
-    cluster.run_until(SimTime::ZERO + SimDuration::from_secs_f64(30.0));
-    (metrics, RobustnessMetrics::from_sim(&cluster))
+    let scenario = ChaosScenarioConfig {
+        base_loss: 0.1,
+        storage_rots: 3,
+        wire_rot: 0.05,
+        ..ChaosScenarioConfig::default()
+    };
+    let family = Family {
+        arm: &|cluster, _| cluster.enable_scrub(SimDuration::from_millis(150), 32 * 1024),
+        ..ring_of_four(scenario)
+    };
+    (analytic_metrics(seed), robustness(seed, &family))
 }
 
 /// The determinism contract extends to the integrity machinery: a run
@@ -184,42 +148,25 @@ fn bitrot_scrub_run_replays_byte_for_byte() {
 /// per-node fingerprint cache.
 fn cached_gear_metrics(seed: u64) -> RobustnessMetrics {
     let ds = datasets::accelerometer(4, seed);
-    let mut chaos_net = Network::new(
-        TopologyBuilder::new().edge_site(2).edge_site(2).build(),
-        NetworkConfig::paper_testbed(),
-    );
-    let scenario = ChaosScenario::generate(
-        seed,
-        chaos_net.topology(),
-        &ChaosScenarioConfig {
+    let chunker = ChunkerKind::gear_sized(4096).expect("valid");
+    let chunks = chunker.chunk(&ds.file(0, 0, seed as u32, 60));
+    // Three passes over the same gear-chunked stream, the first two
+    // through a per-chunk-stable coordinator: the second rides the cache.
+    let family = Family {
+        keys: chunks.len() as u32,
+        repeats: 3,
+        route: Route::Sticky,
+        arm: &|cluster, _| cluster.enable_fingerprint_cache(2, 8),
+        chunk: &|k| {
+            let key = Bytes::copy_from_slice(chunks[k as usize].hash.as_bytes());
+            (key.clone(), key)
+        },
+        ..ring_of_four(ChaosScenarioConfig {
             base_loss: 0.1,
             ..ChaosScenarioConfig::default()
-        },
-    );
-    scenario.rig(&mut chaos_net);
-    let members = chaos_net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), chaos_net, ClusterConfig::default());
-    cluster.enable_fingerprint_cache(2, 8);
-    scenario.apply(&mut cluster);
-
-    // Two passes over the same gear-chunked stream, each chunk routed to
-    // a per-chunk-stable coordinator: the second pass rides the cache.
-    let chunker = ChunkerKind::gear_sized(4096).expect("valid");
-    let stream = ds.file(0, 0, seed as u32, 120);
-    let mut t = SimTime::ZERO;
-    for _rep in 0..2 {
-        for (i, chunk) in chunker.chunk(&stream).iter().enumerate() {
-            let key = Bytes::copy_from_slice(chunk.hash.as_bytes());
-            cluster.submit(
-                t,
-                members[i % members.len()],
-                ClientOp::CheckAndInsert(key.clone(), key),
-            );
-            t += SimDuration::from_millis(40);
-        }
-    }
-    cluster.run();
-    RobustnessMetrics::from_sim(&cluster)
+        })
+    };
+    robustness(seed, &family)
 }
 
 /// The determinism contract extends to the whole hot-path overhaul: a

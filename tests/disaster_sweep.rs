@@ -26,153 +26,31 @@
 
 use bytes::Bytes;
 use efdedup_repro::chunking::ChunkHash;
-use efdedup_repro::kvstore::{
-    nth_op_id, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, DisasterStats, OpId,
-    OpLatency, OpResult, SimCluster,
-};
+use efdedup_repro::kvstore::sweep::{self, Family};
+use efdedup_repro::kvstore::{ClientOp, ClusterConfig, DisasterStats, SimCluster};
 use efdedup_repro::prelude::*;
-use std::collections::HashMap;
 
-const KEYS: u32 = 14;
-const REPEATS: u32 = 3;
-const SEEDS: u64 = 20;
-
-fn testbed() -> Network {
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .cloud_site(1)
-        .build();
-    Network::new(topo, NetworkConfig::paper_testbed())
-}
-
-/// One disaster chaos run: a cloud outage, a ring outage and a degraded
-/// uplink window on top of the crash/partition/loss mix, with the
-/// uplink spool draining to the cloud site. Returns completions, the
-/// op→key map, and the cluster for accounting.
-fn run_disaster(seed: u64) -> (Vec<OpLatency>, HashMap<OpId, u32>, SimCluster) {
-    let config = ChaosScenarioConfig {
-        crashes: 1,
-        partitions: 1,
-        loss_bursts: 1,
-        cloud_outages: 1,
-        ring_outages: 1,
-        uplink_degrades: 1,
-        ..ChaosScenarioConfig::default()
-    };
-    let mut net = testbed();
-    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-    scenario.rig(&mut net);
-    let members = net.topology().edge_nodes();
-    let cloud = net.topology().nodes_in(net.topology().cloud_sites()[0])[0];
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
-    cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
-    scenario.apply(&mut cluster);
-
-    let mut key_of: HashMap<OpId, u32> = HashMap::new();
-    let mut next_seq: HashMap<NodeId, u64> = HashMap::new();
-    let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-    for rep in 0..REPEATS {
-        for k in 0..KEYS {
-            // Later reps shift coordinators so duplicate checks traverse
-            // the (disaster-stricken) ring from fresh vantage points.
-            let coordinator = members[(k as usize + rep as usize) % members.len()];
-            let seq = next_seq.entry(coordinator).or_insert(0);
-            key_of.insert(nth_op_id(coordinator, *seq), k);
-            *seq += 1;
-            let key = Bytes::from(k.to_be_bytes().to_vec());
-            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-            t += SimDuration::from_millis(211);
-        }
-    }
-    let horizon = SimTime::ZERO + config.duration * 3u64;
-    let done = cluster.run_until(horizon);
-    (done, key_of, cluster)
-}
-
-/// 20 seeds of composed disasters: zero false duplicates, every
-/// unique-acked chunk still durable at the horizon, spool logs bounded
-/// by segment drop, and the sweep actually drives the disaster machinery
+/// 20 seeds of composed disasters under the shared oracle (zero false
+/// duplicates, every unique-acked chunk still durable at the horizon),
+/// plus the family's own: spool logs bounded by segment drop, backlog
+/// fully drained, and the sweep actually drives the disaster machinery
 /// (outage windows suspended drains, rings were wiped and mesh-repaired,
 /// hints crossed into the durable spool).
 #[test]
 fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
+    let family = Family::disaster();
+    let seeds = family.seeds;
     let mut total = DisasterStats::default();
-    for seed in 0..SEEDS {
-        let (done, key_of, mut cluster) = run_disaster(seed);
-        assert_eq!(cluster.inflight(), 0, "seed {seed}: ops still in flight");
-        assert_eq!(done.len(), (KEYS * REPEATS) as usize, "seed {seed}");
-
-        let mut uniques: HashMap<u32, u32> = HashMap::new();
-        let mut dups: HashMap<u32, u32> = HashMap::new();
-        for l in &done {
-            let Some(&key) = key_of.get(&l.op_id) else {
-                // A submission that fired while its coordinator was
-                // wiped or crash-stopped gets a synthesized op id from
-                // the top of the sequence space — always unavailable,
-                // never a dedup verdict.
-                assert!(
-                    matches!(l.result, OpResult::Unavailable { .. }),
-                    "seed {seed}: unmapped op id {:?} resolved {:?}",
-                    l.op_id,
-                    l.result
-                );
-                continue;
-            };
-            match l.result {
-                OpResult::Dedup { unique: true, .. } => {
-                    *uniques.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Dedup { unique: false, .. } => {
-                    *dups.entry(key).or_insert(0) += 1;
-                }
-                // A coordinator crashed or wiped mid-op answers
-                // unavailable — the client retries elsewhere; never a
-                // silent dedup verdict.
-                OpResult::Unavailable { .. } => {}
-                ref other => panic!("seed {seed}: check-and-insert resolved {other:?}"),
-            }
-        }
-        for (key, d) in &dups {
-            assert!(
-                uniques.get(key).copied().unwrap_or(0) >= 1,
-                "seed {seed}: key {key} judged duplicate {d} times but never \
-                 inserted — false duplicate (data loss)"
-            );
-        }
-
-        // Zero lost chunks: every key acked unique is durable somewhere
-        // at the horizon — drained to the cloud catalog, held by a live
-        // ring replica, or still pending in a log-backed spool.
-        let members = cluster.network().topology().edge_nodes();
-        for &key in uniques.keys() {
-            let kb = Bytes::from(key.to_be_bytes().to_vec());
-            let in_cloud = cluster.cloud_catalog().contains_key(&kb);
-            let in_spool = members.iter().any(|&m| {
-                cluster
-                    .spool(m)
-                    .is_some_and(|s| s.pending().any(|e| e.key == kb))
-            });
-            let on_replica = members.iter().any(|&m| {
-                cluster
-                    .node_mut(m)
-                    .is_some_and(|n| n.storage_mut().get(&kb).is_some())
-            });
-            assert!(
-                in_cloud || in_spool || on_replica,
-                "seed {seed}: key {key} was acked unique but survives nowhere \
-                 — lost chunk"
-            );
-        }
+    for seed in 0..seeds {
+        let mut run = sweep::run(seed, &family);
+        sweep::check(&family, &mut run);
+        let cluster = &run.cluster;
 
         // Bounded spool memory: dropping drained segments (and copying
         // a pinned head forward) keeps each durable spool log small
         // even after a whole run of enqueue/retire churn (a log that
         // only grew would grow with history).
-        for &m in &members {
+        for m in cluster.network().topology().edge_nodes() {
             if let Some(spool) = cluster.spool(m) {
                 assert!(
                     spool.wal_bytes() < 64 * 1024,
@@ -192,8 +70,8 @@ fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
         total.merge(&stats);
     }
     // Nonvacuity: the sweep must drive the machinery it claims to test.
-    assert_eq!(total.outage_windows, SEEDS, "one cloud outage per seed");
-    assert_eq!(total.ring_wipes, SEEDS, "one ring wipe per seed");
+    assert_eq!(total.outage_windows, seeds, "one cloud outage per seed");
+    assert_eq!(total.ring_wipes, seeds, "one ring wipe per seed");
     assert!(total.spool_enqueued > 0, "no unique was ever spooled");
     assert!(total.spool_drained > 0, "no spool entry ever drained");
     assert!(total.mesh_repairs > 0, "no mesh repair across the sweep");
@@ -211,7 +89,7 @@ fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
         );
     }
     println!(
-        "disaster sweep: {SEEDS} seeds, spool {} enq / {} drained / {} retx, \
+        "disaster sweep: {seeds} seeds, spool {} enq / {} drained / {} retx, \
          hints spooled {}, repairs {} mesh / {} cloud, \
          repair bytes {} mesh / {} cloud, repair cost {} ms mesh / {} ms cloud, \
          worst recovery {} ns",
@@ -230,23 +108,12 @@ fn disaster_sweep_no_false_duplicates_and_no_lost_chunks() {
 }
 
 /// Every disaster run replays bit-identically: same completions, same
-/// disaster counters, same cloud catalog bytes.
+/// counters, same cloud catalog bytes.
 #[test]
 fn disaster_sweep_replays_bit_identically() {
-    for seed in (0..SEEDS).step_by(5) {
-        let (a, _, ca) = run_disaster(seed);
-        let (b, _, cb) = run_disaster(seed);
-        assert_eq!(a, b, "seed {seed}: completions diverged on replay");
-        assert_eq!(
-            ca.disaster_stats(),
-            cb.disaster_stats(),
-            "seed {seed}: disaster counters diverged on replay"
-        );
-        assert_eq!(
-            ca.cloud_catalog(),
-            cb.cloud_catalog(),
-            "seed {seed}: cloud catalogs diverged on replay"
-        );
+    let family = Family::disaster();
+    for seed in (0..family.seeds).step_by(5) {
+        sweep::assert_replays(seed, &family);
     }
 }
 
@@ -345,8 +212,8 @@ fn wiped_ring_with_no_neighbor_copy_restores_from_the_cloud() {
 /// and every chunk decodes back byte-identical.
 #[test]
 fn drained_catalog_survives_erasure_coded_cloud_storage() {
-    let (_, _, cluster) = run_disaster(0);
-    let catalog = cluster.cloud_catalog();
+    let run = sweep::run(0, &Family::disaster());
+    let catalog = run.cluster.cloud_catalog();
     assert!(!catalog.is_empty(), "seed 0 drained nothing to the cloud");
     let mut store =
         DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).expect("valid RS layout");

@@ -13,108 +13,29 @@
 //!   from its seed.
 
 use bytes::Bytes;
+use efdedup_repro::kvstore::sweep::{self, Family};
 use efdedup_repro::kvstore::{
-    nth_op_id, ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, Consistency,
-    GrayFailureStats, HashRing, OpId, OpResult, SimCluster,
+    ClientOp, ClusterConfig, Consistency, GrayFailureStats, HashRing, OpResult, SimCluster,
 };
 use efdedup_repro::netsim::FaultPlan;
 use efdedup_repro::prelude::*;
-use std::collections::HashMap;
 
-const KEYS: u32 = 12;
-const REPEATS: u32 = 3;
-const SEEDS: u64 = 24;
-
-fn testbed() -> Network {
-    let topo = TopologyBuilder::new()
-        .edge_site(2)
-        .edge_site(2)
-        .edge_site(2)
-        .build();
-    Network::new(topo, NetworkConfig::paper_testbed())
-}
-
-/// One gray chaos run: the crash/partition/loss mix plus two fail-slow
-/// nodes, a storage stall and a congested site pair, with the whole
-/// mitigation stack armed. Returns completions, the op→key map, and the
-/// cluster for accounting.
-fn run_gray(
-    seed: u64,
-) -> (
-    Vec<efdedup_repro::kvstore::OpLatency>,
-    HashMap<OpId, u32>,
-    SimCluster,
-) {
-    let config = ChaosScenarioConfig {
-        slow_nodes: 2,
-        storage_stalls: 1,
-        congestions: 1,
-        max_slow_factor: 12.0,
-        ..ChaosScenarioConfig::default()
-    };
-    let mut net = testbed();
-    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
-    scenario.rig(&mut net);
-    let members = net.topology().edge_nodes();
-    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
-    cluster.enable_adaptive_rto(SimDuration::from_micros(500), SimDuration::from_secs(1));
-    cluster.enable_slow_detection(SimDuration::from_millis(20));
-    cluster.enable_hedged_reads(256);
-    cluster.enable_admission_control(64);
-    cluster.enable_backpressure(SimDuration::from_millis(2));
-    scenario.apply(&mut cluster);
-
-    let mut key_of: HashMap<OpId, u32> = HashMap::new();
-    let mut next_seq: HashMap<NodeId, u64> = HashMap::new();
-    let mut t = SimTime::ZERO + SimDuration::from_millis(13);
-    for rep in 0..REPEATS {
-        for k in 0..KEYS {
-            // Later reps shift coordinators so duplicate checks traverse
-            // the (gray) ring from fresh vantage points.
-            let coordinator = members[(k as usize + rep as usize) % members.len()];
-            let seq = next_seq.entry(coordinator).or_insert(0);
-            key_of.insert(nth_op_id(coordinator, *seq), k);
-            *seq += 1;
-            let key = Bytes::from(k.to_be_bytes().to_vec());
-            cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
-            t += SimDuration::from_millis(211);
-        }
-    }
-    let horizon = SimTime::ZERO + config.duration * 3u64;
-    let done = cluster.run_until(horizon);
-    (done, key_of, cluster)
-}
-
-/// ≥ 20 seeds of fail-slow chaos under the full mitigation stack: zero
-/// false duplicates, every op resolves, and the sweep actually exercises
-/// the gray machinery (hedges fired, peers marked slow, timers adapted).
+/// ≥ 20 seeds of fail-slow chaos under the full mitigation stack: the
+/// shared oracle holds (a hedge may only complete an op from a replica's
+/// positive sighting), and the sweep actually exercises the gray
+/// machinery (hedges fired, peers marked slow, timers adapted).
 #[test]
 fn gray_sweep_no_false_duplicates() {
+    let family = Family::gray();
+    let seeds = family.seeds;
     let mut total = GrayFailureStats::default();
-    for seed in 0..SEEDS {
-        let (done, key_of, cluster) = run_gray(seed);
-        assert_eq!(cluster.inflight(), 0, "seed {seed}: ops still in flight");
-        assert_eq!(done.len(), (KEYS * REPEATS) as usize, "seed {seed}");
-
-        let stats = cluster.gray_stats();
-        let mut uniques: HashMap<u32, u32> = HashMap::new();
-        let mut dups: HashMap<u32, u32> = HashMap::new();
-        let mut shed = 0u64;
-        for l in &done {
-            let key = key_of[&l.op_id];
-            match l.result {
-                OpResult::Dedup { unique: true, .. } => {
-                    *uniques.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Dedup { unique: false, .. } => {
-                    *dups.entry(key).or_insert(0) += 1;
-                }
-                OpResult::Unavailable { .. } => shed += 1,
-                ref other => panic!("seed {seed}: check-and-insert resolved {other:?}"),
-            }
-        }
+    for seed in 0..seeds {
+        let mut run = sweep::run(seed, &family);
+        sweep::check(&family, &mut run);
+        let stats = run.cluster.gray_stats();
+        let unavailable =
+            |c: &&sweep::Completed| matches!(c.op.result, OpResult::Unavailable { .. });
+        let shed = run.done.iter().filter(unavailable).count() as u64;
         // Admission refusals are the only legitimate non-dedup outcome,
         // and each one must be accounted as a critical shed.
         assert!(
@@ -122,13 +43,6 @@ fn gray_sweep_no_false_duplicates() {
             "seed {seed}: {shed} unavailable completions but only {} sheds",
             stats.sheds_critical
         );
-        for (key, d) in &dups {
-            assert!(
-                uniques.get(key).copied().unwrap_or(0) >= 1,
-                "seed {seed}: key {key} judged duplicate {d} times but never \
-                 inserted — false duplicate (data loss)"
-            );
-        }
         total.merge(&stats);
     }
     // Nonvacuity: the sweep must drive the machinery it claims to test.
@@ -137,9 +51,9 @@ fn gray_sweep_no_false_duplicates() {
     assert!(total.hedges_fired > 0, "no hedge ever fired: {total:?}");
     assert!(total.slow_marks > 0, "no peer was ever marked slow");
     println!(
-        "gray sweep: {SEEDS} seeds, {} ops, rtt_samples {}, rto_adaptations {}, \
+        "gray sweep: {seeds} seeds, {} ops, rtt_samples {}, rto_adaptations {}, \
          hedges {}/{} won, slow_marks {}, sheds {}+{}",
-        SEEDS * u64::from(KEYS * REPEATS),
+        seeds * u64::from(family.keys * family.repeats),
         total.rtt_samples,
         total.rto_adaptations,
         total.hedges_won,
@@ -154,15 +68,9 @@ fn gray_sweep_no_false_duplicates() {
 /// completions, same counters.
 #[test]
 fn gray_sweep_replays_bit_identically() {
-    for seed in (0..SEEDS).step_by(4) {
-        let (a, _, ca) = run_gray(seed);
-        let (b, _, cb) = run_gray(seed);
-        assert_eq!(a, b, "seed {seed}: completions diverged on replay");
-        assert_eq!(
-            ca.gray_stats(),
-            cb.gray_stats(),
-            "seed {seed}: gray counters diverged on replay"
-        );
+    let family = Family::gray();
+    for seed in (0..family.seeds).step_by(4) {
+        sweep::assert_replays(seed, &family);
     }
 }
 
@@ -175,7 +83,8 @@ fn hedging_bounds_the_fail_slow_tail() {
     let mut mitigated: Vec<u64> = Vec::new();
     let mut unmitigated: Vec<u64> = Vec::new();
     let mut won = 0u64;
-    for seed in 0..SEEDS {
+    let Family { keys, seeds, .. } = Family::gray();
+    for seed in 0..seeds {
         let run = |mitigate: bool| {
             let topo = TopologyBuilder::new().edge_site(2).edge_site(2).build();
             let mut net = Network::new(topo, NetworkConfig::paper_testbed());
@@ -199,7 +108,7 @@ fn hedging_bounds_the_fail_slow_tail() {
             let keys: Vec<Bytes> = (0u32..)
                 .map(|i| Bytes::from(format!("gray-{seed}-{i}")))
                 .filter(|k| ring.replicas(k, 1)[0] == victim)
-                .take(KEYS as usize)
+                .take(keys as usize)
                 .collect();
             let mut cluster = SimCluster::new(members.clone(), net, config);
             if mitigate {
@@ -246,7 +155,7 @@ fn hedging_bounds_the_fail_slow_tail() {
     let fast99 = p99(&mut mitigated);
     let p50 = |lat: &[u64]| lat[lat.len() / 2];
     println!(
-        "fail-slow tail over {SEEDS} seeds x {KEYS} reads: \
+        "fail-slow tail over {seeds} seeds x {keys} reads: \
          unmitigated p50 {} p99 {} | mitigated p50 {} p99 {} | hedges won {won}",
         SimDuration::from_nanos(p50(&unmitigated)),
         SimDuration::from_nanos(slow99),
