@@ -144,6 +144,9 @@ counters! {
         spool_retransmits: sum fault,
         /// Entries still pending at observation time.
         spool_depth: sum routine,
+        /// Entries still pending when a ring wipe or departure destroyed
+        /// their spool's disk: never drained by the spool that held them.
+        spool_burned: sum fault,
         /// Highest pending-entry count any spool ever reached.
         spool_high_water: max routine,
         /// Payload bytes accepted into spools.

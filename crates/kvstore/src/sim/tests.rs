@@ -1702,27 +1702,37 @@ fn every_teardown_folds_the_same_counters() {
             held.stats().byzantine.challenges_issued > 0,
             "{name}: fixture too quiet"
         );
-        let before = (
-            cluster.coordinator_stats(),
-            cluster.recovery_stats(),
-            cluster.integrity(),
-            cluster.byzantine_stats(),
-            cluster.gray_stats().hedges_won,
-            cluster.cache_stats(),
-        );
+        // A destroyed disk moves its spool's pending entries to burned;
+        // nothing the spool had counted goes with it.
+        let spooled = |c: &SimCluster| {
+            let d = c.disaster_stats();
+            let unresolved = d.spool_depth + d.spool_burned;
+            (
+                d.spool_enqueued,
+                d.spool_drained,
+                d.spool_retransmits,
+                unresolved,
+            )
+        };
+        let counters = |c: &SimCluster| {
+            (
+                c.coordinator_stats(),
+                c.recovery_stats(),
+                c.integrity(),
+                c.byzantine_stats(),
+                c.gray_stats().hedges_won,
+                c.cache_stats(),
+                spooled(c),
+            )
+        };
+        let before = counters(&cluster);
+        assert!(before.6 .0 > 0, "{name}: fixture spooled nothing");
         cluster.run_until(at);
         assert!(
             cluster.node(victim).is_none(),
             "{name}: victim not torn down"
         );
-        let after = (
-            cluster.coordinator_stats(),
-            cluster.recovery_stats(),
-            cluster.integrity(),
-            cluster.byzantine_stats(),
-            cluster.gray_stats().hedges_won,
-            cluster.cache_stats(),
-        );
+        let after = counters(&cluster);
         assert_eq!(before, after, "{name}: teardown lost or invented counters");
         // The teardown's common effects, whatever the disk's fate.
         assert!(

@@ -63,8 +63,9 @@ pub(super) struct Uplink {
     /// → surviving holders not yet tried. A poisoned response re-fetches
     /// from the next candidate (then the cloud catalog).
     pub(super) pending_repairs: BTreeMap<(Bytes, NodeId), Vec<NodeId>>,
-    /// Driver-level disaster counters (the `spool_*` ones live in the
-    /// spools themselves and are merged in by `disaster_stats`).
+    /// Driver-level disaster counters, plus what destroyed spools had
+    /// counted (`forget_node`); the live spools keep their own `spool_*`
+    /// ones and `disaster_stats` merges them in.
     stats: DisasterStats,
 }
 
@@ -109,8 +110,14 @@ impl Uplink {
     }
 
     /// Teardown bookkeeping for a destroyed disk: the spool burns with it.
+    /// What it had counted is kept, the way `teardown` keeps a node's
+    /// counters, and what was still pending is counted burned.
     pub(super) fn forget_node(&mut self, node: NodeId) {
-        self.spools.remove(&node);
+        if let Some(spool) = self.spools.remove(&node) {
+            let mut counted = spool.stats();
+            counted.spool_burned = std::mem::take(&mut counted.spool_depth);
+            self.stats.merge(&counted);
+        }
         self.healed_at.remove(&node);
     }
 }

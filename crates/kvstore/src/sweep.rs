@@ -520,7 +520,7 @@ pub struct Clause {
 }
 
 /// The shared clauses, in the order [`check`] asserts them.
-pub const CLAUSES: [Clause; 5] = [
+pub const CLAUSES: [Clause; 6] = [
     Clause {
         name: "every submitted op resolved exactly once and none is in flight",
         binds: |_| true,
@@ -611,6 +611,30 @@ pub const CLAUSES: [Clause; 5] = [
                     "seed {seed}: key {key} was acked unique but survives nowhere — lost chunk"
                 );
             }
+        },
+    },
+    Clause {
+        name: "spool entries are conserved: enqueued = drained + pending + \
+               burned, and every (coordinator, key) unique ack was enqueued",
+        binds: |family| family.cloud,
+        holds: |_, run| {
+            let stats = run.cluster.disaster_stats();
+            let seed = run.seed;
+            assert_eq!(
+                stats.spool_enqueued,
+                stats.spool_drained + stats.spool_depth + stats.spool_burned,
+                "seed {seed}: spool entries leaked: {stats:?}"
+            );
+            let acked = run.done.iter().filter_map(|c| match c.op.result {
+                OpResult::Dedup { unique: true, .. } => Some((c.op.op_id.coordinator, c.key)),
+                _ => None,
+            });
+            let acked = acked.collect::<BTreeSet<_>>().len() as u64;
+            assert!(
+                stats.spool_enqueued >= acked,
+                "seed {seed}: {acked} unique acks but only {} spooled",
+                stats.spool_enqueued
+            );
         },
     },
 ];
