@@ -1,23 +1,15 @@
 //! Seeded chaos scenarios: crash/revive, partition/heal, and loss-burst
-//! schedules generated from a single seed, plus the property tests that
-//! prove dedup soundness under them.
+//! schedules generated from a single seed.
 //!
 //! A [`ChaosScenario`] is the bridge between the fault primitives —
 //! [`FaultPlan`](ef_netsim::FaultPlan) on the network side,
 //! [`SimCluster::crash_at`]/[`SimCluster::revive_at`] on the cluster
 //! side — and repeatable experiments: everything is derived from the
 //! scenario seed through [`DetRng`] substreams, so a run with the same
-//! seed replays bit-identically.
-//!
-//! The invariants the property tests assert (see the module tests):
-//!
-//! * **Soundness (zero false duplicates):** an op that resolves
-//!   `Dedup { unique: false }` did so because a replica returned the
-//!   recorded value, which requires some earlier check-and-insert of the
-//!   same key to have resolved unique. Degradation can only produce
-//!   false *uniques* (harmless double uploads), never false duplicates.
-//! * **Completion:** every submitted op resolves — completes, times out,
-//!   or degrades — so no client hangs regardless of the fault mix.
+//! seed replays bit-identically. [`crate::sweep`] runs scenarios against
+//! a cluster and holds the invariants (zero false duplicates, every op
+//! resolves) that this module's sweep and every other fault family
+//! answer to.
 
 use crate::msg::OpId;
 use crate::sim::SimCluster;
@@ -517,16 +509,6 @@ impl ChaosScenario {
             config: *config,
             events,
         }
-    }
-
-    /// The scenario seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The generation knobs.
-    pub fn config(&self) -> &ChaosScenarioConfig {
-        &self.config
     }
 
     /// The scheduled faults, in generation order.
