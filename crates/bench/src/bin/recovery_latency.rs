@@ -65,9 +65,6 @@ fn main() {
             .filter(|p| p.interval_ms == ms)
             .map(|p| p.recovery_ms)
             .collect();
-        if lat.is_empty() {
-            continue;
-        }
         lat.sort_by(|a, b| a.total_cmp(b));
         let median = lat[lat.len() / 2];
         let max = lat[lat.len() - 1];

@@ -1726,7 +1726,7 @@ fn every_teardown_folds_the_same_counters() {
             )
         };
         let before = counters(&cluster);
-        assert!(before.6 .0 > 0, "{name}: fixture spooled nothing");
+        assert!(spooled(&cluster).0 > 0, "{name}: fixture spooled nothing");
         cluster.run_until(at);
         assert!(
             cluster.node(victim).is_none(),

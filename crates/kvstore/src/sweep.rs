@@ -26,6 +26,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// convergence check.
 pub const RECOVERY_MERKLE_DEPTH: u32 = 6;
 
+/// What the byzantine family XORs into a run's seed to seed its
+/// proof-of-possession challenges.
+pub const POP_SEED_SALT: u64 = 0x5050_5eed;
+
 /// How a key's coordinator moves from one repeat to the next. Either way
 /// a coordinator the scenario has crash-stopped or departed at submission
 /// time is skipped for the next member in rotation.
@@ -49,6 +53,11 @@ pub enum Stop {
     /// When every op has resolved and then, in 500 ms steps, the
     /// predicate holds (a minute without it fails the run).
     Settled(fn(&mut SimCluster, &ChaosScenario) -> bool),
+}
+
+impl Stop {
+    /// When every op has resolved, and no later.
+    pub const RESOLVED: Stop = Stop::Settled(|_, _| true);
 }
 
 /// One fault family, as data.
@@ -271,7 +280,7 @@ impl Family<'static> {
             },
             timeouts_ok: true,
             arm: &|cluster, seed| {
-                cluster.enable_pop(seed ^ 0x5050_5eed);
+                cluster.enable_pop(seed ^ POP_SEED_SALT);
                 heartbeats(cluster);
                 cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
                 cloud_uplink(cluster);

@@ -187,7 +187,7 @@ fn honest_throughput(pop: bool) -> (f64, ByzantineStats) {
     let cloud = net.topology().cloud_nodes()[0];
     let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
     if pop {
-        cluster.enable_pop(0x5050_5eed);
+        cluster.enable_pop(sweep::POP_SEED_SALT);
     }
     cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
     cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));

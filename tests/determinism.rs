@@ -44,7 +44,7 @@ fn ring_of_four(scenario: ChaosScenarioConfig) -> Family<'static> {
         keys: 60,
         repeats: 1,
         route: Route::Rotate,
-        stop: Stop::Settled(|_, _| true),
+        stop: Stop::RESOLVED,
         arm: &|_, _| {},
         ..Family::chaos()
     }
