@@ -26,7 +26,9 @@ struct Point {
 
 /// Runs the recovery family's crash/restart/departure scenario at one
 /// anti-entropy interval and returns the measured recovery latency plus
-/// the pipeline counters.
+/// the pipeline counters, read at the family's fixpoint: that includes
+/// hint drain, so `rounds/run` counts rounds up to the last parked hint,
+/// and a run that has not settled a minute on panics (no point is dropped).
 fn run_one(seed: u64, interval: SimDuration) -> Point {
     let family = Family {
         arm: &|cluster, _| sweep::arm_recovery(cluster, interval),

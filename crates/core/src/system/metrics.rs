@@ -240,16 +240,36 @@ mod tests {
 
     #[test]
     fn robustness_counters_track_a_faulty_cluster() {
-        use ef_kvstore::sweep::{self, Family};
+        use ef_kvstore::{ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, SimCluster};
+        use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
+        use ef_simcore::{SimDuration, SimTime};
 
-        let family = Family {
-            scenario: ef_kvstore::ChaosScenarioConfig {
+        let topo = TopologyBuilder::new().edge_site(2).edge_site(2).build();
+        let mut net = Network::new(topo, NetworkConfig::paper_testbed());
+        let scenario = ChaosScenario::generate(
+            5,
+            net.topology(),
+            &ChaosScenarioConfig {
                 base_loss: 0.3,
-                ..Default::default()
+                ..ChaosScenarioConfig::default()
             },
-            ..Family::chaos()
-        };
-        let r = RobustnessMetrics::from_sim(&sweep::run(5, &family).cluster);
+        );
+        scenario.rig(&mut net);
+        let members = net.topology().edge_nodes();
+        let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
+        scenario.apply(&mut cluster);
+        let mut t = SimTime::ZERO;
+        for i in 0..40u32 {
+            let key = bytes::Bytes::from(i.to_be_bytes().to_vec());
+            cluster.submit(
+                t,
+                members[(i as usize) % members.len()],
+                ClientOp::CheckAndInsert(key.clone(), key),
+            );
+            t += SimDuration::from_millis(50);
+        }
+        cluster.run();
+        let r = RobustnessMetrics::from_sim(&cluster);
         // 30% background loss over remote replica traffic must trip the
         // retry machinery and drop messages.
         assert!(r.messages_dropped > 0, "no drops under 30% loss");

@@ -32,7 +32,7 @@ fn main() {
         repeats: 2,
         first_op: SimDuration::ZERO,
         route: Route::Rotate,
-        stop: Stop::RESOLVED,
+        stop: Stop::Settled(|_, _| true), // when every op has resolved
         arm: &|cluster, _| {
             cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
         },

@@ -10,8 +10,9 @@
 
 use bytes::Bytes;
 use efdedup_repro::core::system::{RobustnessMetrics, SystemMetrics};
-use efdedup_repro::kvstore::sweep::{self, Family, Route, Stop};
-use efdedup_repro::kvstore::ChaosScenarioConfig;
+use efdedup_repro::kvstore::{
+    ChaosScenario, ChaosScenarioConfig, ClientOp, ClusterConfig, SimCluster,
+};
 use efdedup_repro::prelude::*;
 
 /// The analytic half of an experiment: a `run_system` pass on a
@@ -34,38 +35,52 @@ fn analytic_metrics(seed: u64) -> SystemMetrics {
     )
 }
 
-/// The chaos half's family: the sweep harness on a 2 × 2 edge ring —
-/// one seed derives the fault schedule and every RNG substream below it
-/// — 60 chunks once each, run until every op has resolved, nothing armed.
-fn ring_of_four(scenario: ChaosScenarioConfig) -> Family<'static> {
-    Family {
-        edge_sites: &[2, 2],
-        scenario,
-        keys: 60,
-        repeats: 1,
-        route: Route::Rotate,
-        stop: Stop::RESOLVED,
-        arm: &|_, _| {},
-        ..Family::chaos()
+/// The chaos half's cluster, not yet run: a 2 × 2 edge ring rigged with
+/// the schedule `seed` draws from `config` (the same seed derives every
+/// RNG substream below it), armed by `arm`, with `ops` — (coordinator
+/// index, key) — check-and-inserted 40 ms apart from time zero.
+fn chaos_ring(
+    seed: u64,
+    config: ChaosScenarioConfig,
+    arm: impl FnOnce(&mut SimCluster),
+    ops: impl Iterator<Item = (usize, Bytes)>,
+) -> SimCluster {
+    let mut net = Network::new(
+        TopologyBuilder::new().edge_site(2).edge_site(2).build(),
+        NetworkConfig::paper_testbed(),
+    );
+    let scenario = ChaosScenario::generate(seed, net.topology(), &config);
+    scenario.rig(&mut net);
+    let members = net.topology().edge_nodes();
+    let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
+    arm(&mut cluster);
+    scenario.apply(&mut cluster);
+    let mut t = SimTime::ZERO;
+    for (i, key) in ops {
+        let coordinator = members[i % members.len()];
+        cluster.submit(t, coordinator, ClientOp::CheckAndInsert(key.clone(), key));
+        t += SimDuration::from_millis(40);
     }
+    cluster
 }
 
-fn robustness(seed: u64, family: &Family) -> RobustnessMetrics {
-    RobustnessMetrics::from_sim(&sweep::run(seed, family).cluster)
+/// Sixty distinct keys, key `i` through member `i`.
+fn sixty_keys() -> impl Iterator<Item = (usize, Bytes)> {
+    (0..60u32).map(|i| (i as usize, Bytes::from(i.to_be_bytes().to_vec())))
 }
 
 /// One complete chaos experiment: an analytic `run_system` pass for the
 /// dedup/timing half, plus a chaos-rigged [`SimCluster`] driving the
 /// index under crashes, partitions, and loss for the robustness half.
 fn chaos_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
-    let scenario = ChaosScenarioConfig {
+    let config = ChaosScenarioConfig {
         base_loss: 0.2,
         ..ChaosScenarioConfig::default()
     };
-    (
-        analytic_metrics(seed),
-        robustness(seed, &ring_of_four(scenario)),
-    )
+    let mut cluster = chaos_ring(seed, config, |_| {}, sixty_keys());
+    cluster.run();
+    let robustness = RobustnessMetrics::from_sim(&cluster);
+    (analytic_metrics(seed), robustness)
 }
 
 #[test]
@@ -100,17 +115,17 @@ fn chaos_run_actually_exercised_faults() {
 /// One bit-rot chaos experiment: wire rot on every link, seeded at-rest
 /// storage rot, and the background scrub all enabled at once.
 fn bitrot_metrics(seed: u64) -> (SystemMetrics, RobustnessMetrics) {
-    let scenario = ChaosScenarioConfig {
+    let config = ChaosScenarioConfig {
         base_loss: 0.1,
         storage_rots: 3,
         wire_rot: 0.05,
         ..ChaosScenarioConfig::default()
     };
-    let family = Family {
-        arm: &|cluster, _| cluster.enable_scrub(SimDuration::from_millis(150), 32 * 1024),
-        ..ring_of_four(scenario)
-    };
-    (analytic_metrics(seed), robustness(seed, &family))
+    let scrub = |c: &mut SimCluster| c.enable_scrub(SimDuration::from_millis(150), 32 * 1024);
+    let mut cluster = chaos_ring(seed, config, scrub, sixty_keys());
+    cluster.run_until(SimTime::ZERO + SimDuration::from_secs_f64(30.0));
+    let robustness = RobustnessMetrics::from_sim(&cluster);
+    (analytic_metrics(seed), robustness)
 }
 
 /// The determinism contract extends to the integrity machinery: a run
@@ -148,25 +163,22 @@ fn bitrot_scrub_run_replays_byte_for_byte() {
 /// per-node fingerprint cache.
 fn cached_gear_metrics(seed: u64) -> RobustnessMetrics {
     let ds = datasets::accelerometer(4, seed);
-    let chunker = ChunkerKind::gear_sized(4096).expect("valid");
-    let chunks = chunker.chunk(&ds.file(0, 0, seed as u32, 60));
-    // Three passes over the same gear-chunked stream, the first two
-    // through a per-chunk-stable coordinator: the second rides the cache.
-    let family = Family {
-        keys: chunks.len() as u32,
-        repeats: 3,
-        route: Route::Sticky,
-        arm: &|cluster, _| cluster.enable_fingerprint_cache(2, 8),
-        chunk: &|k| {
-            let key = Bytes::copy_from_slice(chunks[k as usize].hash.as_bytes());
-            (key.clone(), key)
-        },
-        ..ring_of_four(ChaosScenarioConfig {
-            base_loss: 0.1,
-            ..ChaosScenarioConfig::default()
-        })
+    let config = ChaosScenarioConfig {
+        base_loss: 0.1,
+        ..ChaosScenarioConfig::default()
     };
-    robustness(seed, &family)
+    // Two passes over the same gear-chunked stream, each chunk routed to
+    // a per-chunk-stable coordinator: the second pass rides the cache.
+    let chunker = ChunkerKind::gear_sized(4096).expect("valid");
+    let chunks = chunker.chunk(&ds.file(0, 0, seed as u32, 120));
+    let keys = chunks
+        .iter()
+        .map(|chunk| Bytes::copy_from_slice(chunk.hash.as_bytes()));
+    let ops = (0..2).flat_map(|_| keys.clone().enumerate());
+    let cache = |c: &mut SimCluster| c.enable_fingerprint_cache(2, 8);
+    let mut cluster = chaos_ring(seed, config, cache, ops);
+    cluster.run();
+    RobustnessMetrics::from_sim(&cluster)
 }
 
 /// The determinism contract extends to the whole hot-path overhaul: a
