@@ -1,95 +1,12 @@
-//! The dedup index abstraction.
+//! Ground-truth dedup ratios.
 //!
-//! A chunk index answers "has this chunk hash been seen before?" and
-//! records new hashes. In EF-dedup the index of a D2-ring lives in a
-//! distributed key-value store spread over the ring's edge nodes
-//! (`ef-kvstore`); for local measurement (ground truth in Algorithm 1, unit
-//! tests) an in-memory implementation suffices.
+//! In EF-dedup the index of a D2-ring lives in a distributed key-value
+//! store spread over the ring's edge nodes (`ef-kvstore`); for local
+//! measurement (ground truth in Algorithm 1, unit tests) an ordered set
+//! of the hashes seen so far suffices.
 
 use crate::chunk::ChunkHash;
 use std::collections::BTreeSet;
-
-/// A deduplication index over chunk hashes.
-///
-/// The contract mirrors the Dedup Agent's lookup-then-insert step: the
-/// combined [`ChunkIndex::insert`] returns whether the hash was *newly*
-/// inserted, so `true` means "unique chunk — upload it".
-pub trait ChunkIndex {
-    /// Returns `true` when `hash` is already present.
-    fn contains(&self, hash: &ChunkHash) -> bool;
-
-    /// Inserts `hash`; returns `true` when it was not present before
-    /// (i.e. this chunk is unique and must be uploaded).
-    fn insert(&mut self, hash: ChunkHash) -> bool;
-
-    /// Number of distinct hashes stored.
-    fn len(&self) -> usize;
-
-    /// True when no hashes are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A process-local chunk index backed by an ordered set, so every
-/// traversal is deterministic.
-///
-/// # Example
-///
-/// ```
-/// use ef_chunking::{ChunkIndex, InMemoryChunkIndex, ChunkHash};
-///
-/// let mut idx = InMemoryChunkIndex::new();
-/// let h = ChunkHash::of(b"chunk");
-/// assert!(idx.insert(h));   // first sight: unique
-/// assert!(!idx.insert(h));  // duplicate
-/// assert!(idx.contains(&h));
-/// assert_eq!(idx.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct InMemoryChunkIndex {
-    set: BTreeSet<ChunkHash>,
-}
-
-impl InMemoryChunkIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Iterates over the stored hashes in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = &ChunkHash> {
-        self.set.iter()
-    }
-}
-
-impl ChunkIndex for InMemoryChunkIndex {
-    fn contains(&self, hash: &ChunkHash) -> bool {
-        self.set.contains(hash)
-    }
-
-    fn insert(&mut self, hash: ChunkHash) -> bool {
-        self.set.insert(hash)
-    }
-
-    fn len(&self) -> usize {
-        self.set.len()
-    }
-}
-
-impl Extend<ChunkHash> for InMemoryChunkIndex {
-    fn extend<T: IntoIterator<Item = ChunkHash>>(&mut self, iter: T) {
-        self.set.extend(iter);
-    }
-}
-
-impl FromIterator<ChunkHash> for InMemoryChunkIndex {
-    fn from_iter<T: IntoIterator<Item = ChunkHash>>(iter: T) -> Self {
-        InMemoryChunkIndex {
-            set: iter.into_iter().collect(),
-        }
-    }
-}
 
 /// Measures the deduplication ratio of `data` under `chunker`: original
 /// size divided by the total size of unique chunks.
@@ -110,17 +27,7 @@ impl FromIterator<ChunkHash> for InMemoryChunkIndex {
 /// assert!((ratio - 1.5).abs() < 1e-9);
 /// ```
 pub fn dedup_ratio<C: crate::chunk::Chunker>(chunker: &C, data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    let mut idx = InMemoryChunkIndex::new();
-    let mut unique_bytes = 0usize;
-    for chunk in chunker.chunk(data) {
-        if idx.insert(chunk.hash) {
-            unique_bytes += chunk.len();
-        }
-    }
-    data.len() as f64 / unique_bytes as f64
+    joint_dedup_ratio(chunker, &[data])
 }
 
 /// Measures the joint dedup ratio of several byte streams chunked
@@ -133,11 +40,11 @@ pub fn joint_dedup_ratio<C: crate::chunk::Chunker>(chunker: &C, sources: &[&[u8]
     if total == 0 {
         return 1.0;
     }
-    let mut idx = InMemoryChunkIndex::new();
+    let mut seen: BTreeSet<ChunkHash> = BTreeSet::new();
     let mut unique_bytes = 0usize;
     for src in sources {
         for chunk in chunker.chunk(src) {
-            if idx.insert(chunk.hash) {
+            if seen.insert(chunk.hash) {
                 unique_bytes += chunk.len();
             }
         }
@@ -149,26 +56,6 @@ pub fn joint_dedup_ratio<C: crate::chunk::Chunker>(chunker: &C, sources: &[&[u8]
 mod tests {
     use super::*;
     use crate::fixed::FixedChunker;
-
-    #[test]
-    fn insert_reports_novelty() {
-        let mut idx = InMemoryChunkIndex::new();
-        let a = ChunkHash::of(b"a");
-        assert!(idx.insert(a));
-        assert!(!idx.insert(a));
-        assert_eq!(idx.len(), 1);
-        assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn collect_and_extend() {
-        let hashes: Vec<ChunkHash> = (0..10u8).map(|i| ChunkHash::of(&[i])).collect();
-        let mut idx: InMemoryChunkIndex = hashes.iter().copied().collect();
-        assert_eq!(idx.len(), 10);
-        idx.extend(hashes.iter().copied());
-        assert_eq!(idx.len(), 10);
-        assert_eq!(idx.iter().count(), 10);
-    }
 
     #[test]
     fn dedup_ratio_all_unique_is_one() {

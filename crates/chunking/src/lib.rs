@@ -14,8 +14,8 @@
 //!   workspace takes no third-party crate),
 //! * [`ChunkHash`] — a 32-byte content fingerprint with a cheap 64-bit
 //!   prefix for sharding,
-//! * [`ChunkIndex`] / [`InMemoryChunkIndex`] — the dedup index abstraction
-//!   that the distributed key-value store implements remotely.
+//! * [`dedup_ratio`] / [`joint_dedup_ratio`] — the ground-truth dedup
+//!   measurement Algorithm 1 compares the analytical model against.
 //!
 //! # Example
 //!
@@ -45,6 +45,6 @@ pub mod sha256;
 pub use cdc::{GearChunker, GearChunkerBuilder, InvalidCdcConfigError};
 pub use chunk::{fingerprint_batch, Chunk, ChunkHash, Chunker, ParseChunkHashError};
 pub use fixed::{FixedChunker, InvalidChunkSizeError};
-pub use index::{dedup_ratio, joint_dedup_ratio, ChunkIndex, InMemoryChunkIndex};
+pub use index::{dedup_ratio, joint_dedup_ratio};
 pub use kind::ChunkerKind;
 pub use sha256::{Sha256, BATCH_LANES};

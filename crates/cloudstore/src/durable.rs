@@ -1,8 +1,9 @@
 //! Durable chunk placement across cloud storage nodes: γ-way replication
 //! or Reed–Solomon erasure coding (the paper's future-work extension).
 
+use crate::catalog::Manifest;
 use bytes::Bytes;
-use ef_chunking::ChunkHash;
+use ef_chunking::{Chunk, ChunkHash};
 use ef_erasure::ReedSolomon;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -274,6 +275,44 @@ impl DurableStore {
         }
     }
 
+    /// Stores a file's chunks in order — a repeat, or a chunk an earlier
+    /// file brought, is kept once — and returns the file's recipe.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::Corrupt`] naming the first chunk whose payload
+    /// does not hash to its address. No recipe is returned; the chunks
+    /// before it stay stored, as single [`DurableStore::put`]s would
+    /// leave them.
+    pub fn store_file(&mut self, chunks: &[Chunk]) -> Result<Manifest, DurableError> {
+        let mut manifest = Manifest {
+            chunks: Vec::with_capacity(chunks.len()),
+            total_len: 0,
+        };
+        for chunk in chunks {
+            self.put(chunk.hash, chunk.data.clone())?;
+            manifest.chunks.push((chunk.hash, chunk.len() as u32));
+            manifest.total_len += chunk.len() as u64;
+        }
+        Ok(manifest)
+    }
+
+    /// Reassembles a file from its recipe, every chunk read through
+    /// [`DurableStore::get`]: verified, and rebuilt around failed nodes
+    /// and rotted fragments within the scheme's tolerance.
+    ///
+    /// # Errors
+    ///
+    /// The first chunk's error that [`DurableStore::get`] returns; rot is
+    /// reported, never reassembled into a file.
+    pub fn restore(&self, manifest: &Manifest) -> Result<Vec<u8>, DurableError> {
+        let mut file = Vec::new();
+        for (hash, _) in &manifest.chunks {
+            file.extend_from_slice(&self.get(hash)?);
+        }
+        Ok(file)
+    }
+
     /// Flips one bit of the stored copy of fragment `fragment` — fault
     /// injection for integrity tests. Returns `false` when the chunk is
     /// unknown or that fragment holds no bytes.
@@ -354,6 +393,22 @@ mod tests {
         (ChunkHash::of(&b), b)
     }
 
+    /// A file made of `chunk(i)` for each `i` in `ids`: its chunks and
+    /// its bytes.
+    fn file(ids: impl IntoIterator<Item = u32>) -> (Vec<Chunk>, Vec<u8>) {
+        let mut bytes = Vec::new();
+        let chunks = ids
+            .into_iter()
+            .map(|i| {
+                let (h, b) = chunk(i);
+                let offset = bytes.len() as u64;
+                bytes.extend_from_slice(&b);
+                Chunk::with_hash(offset, b, h)
+            })
+            .collect();
+        (chunks, bytes)
+    }
+
     #[test]
     fn config_validation() {
         assert!(DurableStore::new(2, Durability::ErasureCoded { k: 4, m: 2 }).is_err());
@@ -367,23 +422,27 @@ mod tests {
         let mut s = DurableStore::new(4, Durability::Replicated { copies: 3 }).unwrap();
         let (h, b) = chunk(1);
         s.put(h, b.clone()).unwrap();
+        let (chunks, bytes) = file(0..10);
+        let manifest = s.store_file(&chunks).unwrap();
         s.fail_node(0);
         s.fail_node(1);
         assert_eq!(s.get(&h).unwrap(), b);
+        assert_eq!(s.restore(&manifest).unwrap(), bytes);
     }
 
     #[test]
     fn erasure_tolerates_m_failures_everywhere() {
         let mut s = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
-        let payloads: Vec<(ChunkHash, Bytes)> = (0..40).map(chunk).collect();
-        for (h, b) in &payloads {
-            s.put(*h, b.clone()).unwrap();
-        }
+        let (chunks, bytes) = file(0..40);
+        let manifest = s.store_file(&chunks).unwrap();
+        assert_eq!(manifest.chunk_count(), 40);
+        assert_eq!(manifest.total_len, bytes.len() as u64);
         s.fail_node(1);
         s.fail_node(4);
-        for (h, b) in &payloads {
-            assert_eq!(&s.get(h).unwrap(), b);
+        for c in &chunks {
+            assert_eq!(s.get(&c.hash).unwrap(), c.data);
         }
+        assert_eq!(s.restore(&manifest).unwrap(), bytes);
     }
 
     #[test]
@@ -442,6 +501,17 @@ mod tests {
         s.put(h, b).unwrap();
         assert_eq!(s.physical_bytes(), before);
         assert_eq!(s.chunk_count(), 1);
+        // A file that is that chunk a hundred times over adds nothing
+        // and restores whole; the empty file is the empty recipe.
+        let (chunks, bytes) = file([9; 100]);
+        let manifest = s.store_file(&chunks).unwrap();
+        assert_eq!(manifest.chunk_count(), 100);
+        assert_eq!(s.physical_bytes(), before);
+        assert_eq!(s.chunk_count(), 1);
+        assert_eq!(s.restore(&manifest).unwrap(), bytes);
+        let empty = s.store_file(&[]).unwrap();
+        assert_eq!((empty.chunk_count(), empty.total_len), (0, 0));
+        assert_eq!(s.restore(&empty).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -449,10 +519,21 @@ mod tests {
         let mut s = DurableStore::new(3, Durability::Replicated { copies: 2 }).unwrap();
         let (h, _) = chunk(1);
         let tampered = Bytes::from_static(b"not what was hashed");
-        assert!(matches!(
-            s.put(h, tampered).unwrap_err(),
-            DurableError::Corrupt(_)
-        ));
+        assert_eq!(
+            s.put(h, tampered.clone()).unwrap_err(),
+            DurableError::Corrupt(h)
+        );
+        // The same payload arriving as a file's chunk: refused by name,
+        // and the file leaves no recipe behind.
+        assert_eq!(
+            s.store_file(&[Chunk {
+                offset: 0,
+                data: tampered,
+                hash: h
+            }])
+            .unwrap_err(),
+            DurableError::Corrupt(h)
+        );
         assert_eq!(s.chunk_count(), 0);
         assert_eq!(s.physical_bytes(), 0);
     }
@@ -474,15 +555,20 @@ mod tests {
     fn erasure_decode_repairs_a_rotted_shard() {
         let mut s = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
         let (h, b) = chunk(3);
-        s.put(h, b.clone()).unwrap();
+        let (chunks, bytes) = file(1..6);
+        let manifest = s.store_file(&chunks).unwrap();
         assert!(s.corrupt_fragment(&h, 2, 11));
         assert_eq!(s.get(&h).unwrap(), b, "parity absorbs one rotted shard");
-        // One node down *and* one rotted shard still decodes (m = 2).
+        // One node down *and* one rotted shard still decodes (m = 2):
+        // the recipe is valid and the file comes back whole.
         s.fail_node(5);
         assert_eq!(s.get(&h).unwrap(), b);
-        // A second rotted shard exhausts the parity budget.
+        assert_eq!(s.restore(&manifest).unwrap(), bytes);
+        // A second rotted shard exhausts the parity budget, and the
+        // restore names the chunk.
         s.corrupt_fragment(&h, 0, 4);
-        assert!(matches!(s.get(&h).unwrap_err(), DurableError::Corrupt(_)));
+        assert_eq!(s.get(&h).unwrap_err(), DurableError::Corrupt(h));
+        assert_eq!(s.restore(&manifest).unwrap_err(), DurableError::Corrupt(h));
     }
 
     /// What happens to one fragment position in the lattice below.

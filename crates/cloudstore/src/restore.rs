@@ -18,8 +18,8 @@
 //!   distinct containers (fragmentation) and container switches
 //!   (locality),
 //! * [`RestoreAccountant`] / [`RestoreStats`] — aggregation across many
-//!   restores, surfaced as `SystemMetrics::restore` and tabulated by
-//!   `ablation_chunking`.
+//!   restores, printed by `bench_e2e` as its `cloudstore.restore.*`
+//!   lines and tabulated by `ablation_chunking`.
 //!
 //! All state lives in ordered maps and integer counters; the float
 //! summaries are computed once at [`RestoreAccountant::finish`] from
@@ -176,8 +176,8 @@ pub fn restore_profile(layout: &ContainerLayout, chunks: &[ChunkHash]) -> Restor
     profile
 }
 
-/// Aggregated restore-path metrics across a run, carried in
-/// `SystemMetrics`.
+/// Aggregated restore-path metrics across a run: what `bench_e2e`'s
+/// `cloudstore.restore.*` lines and `ablation_chunking`'s table read.
 ///
 /// `fragmentation_mean` is the mean distinct-container count per
 /// restore; `locality` is the fraction of consecutive chunk reads that
@@ -205,14 +205,6 @@ pub struct RestoreStats {
     pub rewrites: u64,
     /// Extra bytes stored by defrag rewrites.
     pub rewrite_bytes: u64,
-}
-
-impl RestoreStats {
-    /// True when no restore was profiled and no rewrite happened — the
-    /// state every run starts from.
-    pub fn is_quiet(&self) -> bool {
-        self.restores == 0 && self.rewrites == 0
-    }
 }
 
 /// Accumulates [`RestoreProfile`]s (integer totals only) and finalizes
@@ -380,14 +372,12 @@ mod tests {
         // One adjacent pair total, one switch: locality 0.
         assert!((stats.locality - 0.0).abs() < 1e-12);
         assert!((stats.node_fragmentation_mean - 1.5).abs() < 1e-12);
-        assert!(!stats.is_quiet());
-        assert!(RestoreStats::default().is_quiet());
     }
 
     #[test]
     fn empty_accountant_finishes_quiet() {
         let stats = RestoreAccountant::new().finish();
-        assert!(stats.is_quiet());
+        assert_eq!((stats.restores, stats.rewrites), (0, 0));
         assert_eq!(stats.fragmentation_mean, 0.0);
         assert_eq!(stats.locality, 1.0);
     }

@@ -314,15 +314,10 @@ mod tests {
             bytes.extend_from_slice(&m.materialize(*r));
         }
         let chunker = ef_chunking::FixedChunker::new(256).unwrap();
-        let mut idx = ef_chunking::InMemoryChunkIndex::new();
-        use ef_chunking::{ChunkIndex, Chunker};
-        let mut unique = 0;
-        for c in chunker.chunk(&bytes) {
-            if idx.insert(c.hash) {
-                unique += 1;
-            }
-        }
-        assert_eq!(unique, distinct);
+        use ef_chunking::Chunker;
+        let unique: std::collections::BTreeSet<_> =
+            chunker.chunk(&bytes).iter().map(|c| c.hash).collect();
+        assert_eq!(unique.len(), distinct);
     }
 
     #[test]

@@ -208,8 +208,10 @@ impl SimCluster {
         total
     }
 
-    /// The cloud catalog contents drained so far (key → payload) —
-    /// the system layer mirrors this into its erasure-coded store.
+    /// The simulator's key → payload mirror of what the uplink delivered
+    /// so far: what the sweeps' held-somewhere clause reads. The durable
+    /// cloud tier itself is `ef-cloudstore`'s `DurableStore`; a test that
+    /// wants one loads it from this map.
     pub fn cloud_catalog(&self) -> &BTreeMap<Bytes, Bytes> {
         &self.uplink.cloud_store
     }

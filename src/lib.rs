@@ -26,7 +26,7 @@ pub use efdedup as core;
 /// Commonly used items for examples and integration tests.
 pub mod prelude {
     pub use ef_chunking::{ChunkHash, Chunker, ChunkerKind, FixedChunker, GearChunker};
-    pub use ef_cloudstore::{Durability, DurableStore, FileCatalog};
+    pub use ef_cloudstore::{Durability, DurableStore, Manifest};
     pub use ef_datagen::datasets;
     pub use ef_datagen::{CharacteristicVector, GenerativeModel, SourceSpec};
     pub use ef_erasure::ReedSolomon;

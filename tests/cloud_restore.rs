@@ -1,34 +1,32 @@
 //! Full storage-system integration: edge ring dedup decides what crosses
-//! the WAN; the cloud catalog stores unique chunks + per-file manifests;
-//! every file restores byte-exact — including after cloud storage-node
-//! failures under erasure coding.
+//! the WAN; the cloud stores unique chunks once and hands back a
+//! manifest per file; every file restores byte-exact — including after
+//! cloud storage-node failures under erasure coding.
 
 use bytes::Bytes;
 use efdedup_repro::prelude::*;
 
 /// The complete upload path: chunk at the edge, dedup in the ring,
-/// upload unique chunks, record manifests in the cloud, restore.
+/// store in the erasure-coded cloud, lose two storage nodes, restore.
 #[test]
 fn edge_dedup_to_cloud_restore_roundtrip() {
     let dataset = datasets::traffic_video(4, 8);
     let chunker = FixedChunker::new(dataset.model().chunk_size()).unwrap();
     let members: Vec<NodeId> = (0..4).map(NodeId).collect();
     let mut ring = LocalCluster::new(members.clone(), ClusterConfig::default());
-    let mut catalog = FileCatalog::new();
+    let mut cloud = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
 
     let mut wan_chunks = 0usize;
     let mut total_chunks = 0usize;
-    let mut originals = Vec::new();
-    let mut file_ids = Vec::new();
+    let mut files: Vec<(Manifest, Vec<u8>)> = Vec::new();
 
-    for (node, &member) in members.iter().enumerate().take(4) {
+    for (node, &member) in members.iter().enumerate() {
         let file = dataset.file(node, 0, 0, 200);
         let chunks = chunker.chunk(&file);
         total_chunks += chunks.len();
         // The Dedup Agent's loop: lookup/insert in the ring index;
         // unique chunks cross the WAN. The *manifest* references every
-        // chunk — the cloud store deduplicates references internally.
-        let mut manifest_chunks = Vec::new();
+        // chunk — the cloud keeps each address once.
         for c in &chunks {
             if ring
                 .check_and_insert(member, c.hash.as_bytes(), Bytes::from_static(&[1]))
@@ -36,14 +34,11 @@ fn edge_dedup_to_cloud_restore_roundtrip() {
             {
                 wan_chunks += 1;
             }
-            manifest_chunks.push((c.hash, c.data.clone()));
         }
-        file_ids.push(
-            catalog
-                .store_manifest(manifest_chunks)
-                .expect("edge-shipped chunks hash to their addresses"),
-        );
-        originals.push(file);
+        let manifest = cloud
+            .store_file(&chunks)
+            .expect("edge-shipped chunks hash to their addresses");
+        files.push((manifest, file));
     }
 
     // Dedup actually suppressed WAN traffic.
@@ -53,21 +48,14 @@ fn edge_dedup_to_cloud_restore_roundtrip() {
     );
     // The cloud's physical copy count equals the ring's unique count:
     // the edge decision and the cloud's content addressing agree.
-    assert_eq!(catalog.store().stats().unique_chunks, wan_chunks);
+    assert_eq!(cloud.chunk_count(), wan_chunks);
 
-    // Every file restores byte-exact.
-    for (id, original) in file_ids.iter().zip(&originals) {
-        assert_eq!(&catalog.restore_file(*id).unwrap(), original);
+    // Every file restores byte-exact from the degraded store.
+    cloud.fail_node(1);
+    cloud.fail_node(4);
+    for (manifest, original) in &files {
+        assert_eq!(&cloud.restore(manifest).unwrap(), original);
     }
-
-    // Deleting one file keeps the others restorable.
-    let victim = file_ids[1];
-    assert!({
-        let mut c2 = catalog.clone();
-        c2.delete_file(victim);
-        c2.restore_file(file_ids[0]).unwrap() == originals[0]
-            && c2.restore_file(file_ids[2]).unwrap() == originals[2]
-    });
 }
 
 /// The future-work extension end-to-end: chunks stored erasure-coded
@@ -81,9 +69,7 @@ fn erasure_coded_cloud_survives_node_failures() {
 
     // 6 storage nodes, RS(4,2): 1.5x overhead, 2-failure tolerance.
     let mut durable = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
-    for c in &chunks {
-        durable.put(c.hash, c.data.clone()).unwrap();
-    }
+    let manifest = durable.store_file(&chunks).unwrap();
     let overhead = durable.physical_bytes() as f64 / durable.logical_bytes() as f64;
     assert!(
         overhead < 1.6,
@@ -94,21 +80,11 @@ fn erasure_coded_cloud_survives_node_failures() {
     durable.fail_node(5);
 
     // Reassemble the file purely from the degraded durable store.
-    let mut restored = Vec::new();
-    for c in &chunks {
-        restored.extend_from_slice(&durable.get(&c.hash).unwrap());
-    }
-    assert_eq!(restored, file);
+    assert_eq!(durable.restore(&manifest).unwrap(), file);
 
     // Compare against replication at the same fault tolerance.
     let mut replicated = DurableStore::new(6, Durability::Replicated { copies: 3 }).unwrap();
-    for c in &chunks {
-        replicated.put(c.hash, c.data.clone()).unwrap();
-    }
-    assert!(
-        durable.physical_bytes() * 2 < replicated.physical_bytes() * 2,
-        "sanity"
-    );
+    replicated.store_file(&chunks).unwrap();
     assert!(
         (replicated.physical_bytes() as f64 / durable.physical_bytes() as f64) > 1.9,
         "erasure should roughly halve the 3x replication footprint"
