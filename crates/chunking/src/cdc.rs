@@ -212,7 +212,9 @@ impl GearChunker {
     ///
     /// One byte per step on purpose: with hashing excluded this loop
     /// out-scans a four-bytes-per-step unrolling of the same recurrence
-    /// (DESIGN.md §11), so it is the only scan.
+    /// (DESIGN.md §11), so it is the only scan — every thread
+    /// [`GearChunker::boundaries`] runs calls it on a full tail of the
+    /// input.
     fn next_boundary(&self, data: &[u8]) -> usize {
         let len = data.len();
         if len <= self.min_size {
@@ -250,10 +252,53 @@ impl GearChunker {
     /// chunk, in order (the last is always `data.len()`; empty input yields
     /// no cut points). This is the boundary half of the hot path — no
     /// copying, no hashing.
+    ///
+    /// Input of 512 KiB or more is scanned on several cores: one equal
+    /// segment per core (at most one per 256 KiB), each later segment
+    /// speculatively from its own start, then stitched onto the serial
+    /// chain where the two first share a cut. The list is the one a
+    /// single serial scan gives, on any number of cores (DESIGN.md §11).
     pub fn boundaries(&self, data: &[u8]) -> Vec<usize> {
-        let mut cuts = Vec::with_capacity(data.len() / self.target_size + 1);
-        let mut offset = 0usize;
-        while offset < data.len() {
+        self.cuts_in_parts(data, crate::chunk::parts_for(data.len()))
+    }
+
+    /// [`GearChunker::boundaries`] with the part count given. The
+    /// caller's thread scans segment 0, a scoped thread each later
+    /// segment; a cut depends only on the bytes from its chunk's start,
+    /// so once the serial chain lands on a cut of a speculative chain the
+    /// rest of that chain is serial too.
+    fn cuts_in_parts(&self, data: &[u8], parts: usize) -> Vec<usize> {
+        let len = data.len();
+        if parts < 2 || len < parts {
+            return self.chain(data, 0, len);
+        }
+        let seg = len / parts;
+        // Segment k starts at k·seg; the last one runs to the end.
+        let starts: Vec<usize> = (1..parts).map(|k| seg.saturating_mul(k)).collect();
+        let ends = starts.iter().skip(1).copied().chain([len]);
+        std::thread::scope(|scope| {
+            let speculative: Vec<_> = starts
+                .iter()
+                .zip(ends)
+                .map(|(&from, until)| scope.spawn(move || self.chain(data, from, until)))
+                .collect();
+            let mut cuts = self.chain(data, 0, seg);
+            for handle in speculative {
+                let spec = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                self.stitch(data, &mut cuts, &spec);
+            }
+            cuts
+        })
+    }
+
+    /// The cut chain from `from` (taken as a chunk start) up to and
+    /// including its first cut at or past `until`.
+    fn chain(&self, data: &[u8], from: usize, until: usize) -> Vec<usize> {
+        let mut cuts = Vec::with_capacity(until.saturating_sub(from) / self.target_size + 1);
+        let mut offset = from;
+        while offset < until {
             let len = self.next_boundary(&data[offset..]);
             debug_assert!(len > 0);
             offset = offset.saturating_add(len);
@@ -261,12 +306,32 @@ impl GearChunker {
         }
         cuts
     }
+
+    /// Extends the serial chain `cuts` through one speculative chain:
+    /// step serially until the last cut is one of `spec`'s, then adopt
+    /// `spec`'s tail after it. A serial chain that steps past `spec`'s
+    /// last cut without landing on one has rescanned the segment itself.
+    fn stitch(&self, data: &[u8], cuts: &mut Vec<usize>, spec: &[usize]) {
+        while let Some(&last) = cuts.last() {
+            match spec.binary_search(&last) {
+                Ok(at) => return cuts.extend_from_slice(&spec[at + 1..]),
+                // `spec[at] > last`, so `data[last..]` is not empty.
+                Err(at) if at < spec.len() => {
+                    let len = self.next_boundary(&data[last..]);
+                    cuts.push(last.saturating_add(len));
+                }
+                Err(_) => return,
+            }
+        }
+    }
 }
 
 impl Chunker for GearChunker {
-    /// Hot-path chunking: cut all boundaries first, then fingerprint every
-    /// payload in one [`fingerprint_batch`] call so independent chunks
-    /// share the block-parallel SHA-256 compressor.
+    /// Hot-path chunking: cut all boundaries first
+    /// ([`GearChunker::boundaries`]), then fingerprint every payload in
+    /// one [`crate::fingerprint_batch`] call. Both halves split large inputs
+    /// across the host's cores; chunks and hashes are the ones a single
+    /// core gives.
     fn chunk(&self, data: &[u8]) -> Vec<Chunk> {
         let src = Bytes::copy_from_slice(data);
         let cuts = self.boundaries(data);
@@ -438,5 +503,49 @@ mod tests {
             start = *cut;
         }
         assert!(chunker.boundaries(b"").is_empty());
+    }
+
+    /// `boundaries`' own split, forced to 2, 3, 4 and 8 parts, gives the
+    /// one-part list on the `cut_points.rs` input families and ladders:
+    /// where a segment is shorter than `max_size`, where constant input's
+    /// forced cuts miss every segment start (no sync, so a serial
+    /// rescan), and where segment 1 starts exactly on a serial cut.
+    #[test]
+    fn any_part_count_gives_the_serial_cuts() {
+        let odd = GearChunkerBuilder::new()
+            .min_size(61)
+            .target_size(128)
+            .max_size(1023)
+            .build()
+            .unwrap();
+        for chunker in [GearChunker::default(), odd] {
+            let max = chunker.max_size();
+            let n = 24 * max;
+            let inputs = [
+                ("Rand(42)", pseudo_random(n, 42)),
+                ("Const(0xA5)", vec![0xA5; n]),
+                ("Mod7", (0..n).map(|i| (i % 7) as u8).collect()),
+            ];
+            for (name, long) in inputs {
+                let serial = chunker.cuts_in_parts(&long, 1);
+                let mut lengths = vec![1, max / 2, 3 * max, 3 * max + 7, 17 * max + 3];
+                for parts in [2, 3, 4, 8] {
+                    // len / parts is then the serial cut itself.
+                    let on_cut = serial[1] * parts;
+                    lengths.extend([on_cut, on_cut + parts - 1]);
+                }
+                for len in lengths {
+                    let data = &long[..len];
+                    let one = chunker.cuts_in_parts(data, 1);
+                    for parts in [2, 3, 4, 8] {
+                        assert_eq!(
+                            chunker.cuts_in_parts(data, parts),
+                            one,
+                            "max {max}, {name}, len {len}, {parts} parts"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

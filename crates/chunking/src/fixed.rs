@@ -72,7 +72,8 @@ impl Default for FixedChunker {
 
 impl Chunker for FixedChunker {
     /// Cuts equal-size chunks, then fingerprints all payloads in one
-    /// [`crate::fingerprint_batch`] call on the block-parallel SHA-256 path.
+    /// [`crate::fingerprint_batch`] call, which spreads a large batch
+    /// across the host's cores with the same digests.
     fn chunk(&self, data: &[u8]) -> Vec<Chunk> {
         let src = Bytes::copy_from_slice(data);
         let n = data.len().div_ceil(self.chunk_size);

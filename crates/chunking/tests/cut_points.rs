@@ -72,8 +72,11 @@ fn cut_digest(cuts: &[usize]) -> u64 {
     u64::from_be_bytes(digest[..8].try_into().unwrap())
 }
 
-/// `(sizes, input, length, cuts, digest of the cut list)`.
-const PINS: [(Sizes, Input, usize, usize, u64); 36] = [
+/// `(sizes, input, length, cuts, digest of the cut list)`. The last four
+/// rows are past 512 KiB, so on a host with two or more cores
+/// `boundaries` scans them in parts and stitches the lists (their pins
+/// were recorded from the serial scan).
+const PINS: [(Sizes, Input, usize, usize, u64); 40] = [
     (Stock, Rand(1), 0, 0, 0xe3b0c44298fc1c14),
     (Stock, Rand(1), 1, 1, 0x7c9fa136d4413fa6),
     (Stock, Rand(1), 100, 1, 0x26ab39150b633015),
@@ -110,6 +113,10 @@ const PINS: [(Sizes, Input, usize, usize, u64); 36] = [
     (Stock, Mod7, 400_000, 7, 0x1b6df01cef52933d),
     (Odd, Rand(5), 50_000, 303, 0x0ddd57957421d8ab),
     (Odd, Rand(77), 50_000, 291, 0x72650fe194299029),
+    (Stock, Rand(42), 4_194_304, 423, 0x9200ecd20bae1d4d),
+    (Stock, Const(0xA5), 1_048_576, 16, 0xdf8f047e25674b0c),
+    (Stock, Mod7, 1_000_000, 16, 0x57f217e1c8700830),
+    (Odd, Rand(5), 1_048_576, 6230, 0xa7a4706664e4b6b4),
 ];
 
 #[test]
