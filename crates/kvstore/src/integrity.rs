@@ -14,11 +14,25 @@
 /// the XXH64 style with a splitmix64 avalanche finisher.
 ///
 /// One [`Checksum64::update`] call digests its slice as 32-byte stripes
-/// over four independent `u64` lanes (so the four multiplies of a stripe
-/// overlap in the pipeline instead of waiting on each other), folds the
-/// lanes back into the single state word, then takes the remaining
-/// 8-byte words and finally single bytes. Words are read with
-/// `from_le_bytes` only, so values are the same on every host.
+/// over four independent `u64` lanes, folds the lanes back into the
+/// single state word, then takes the remaining 8-byte words and finally
+/// single bytes. Words are read with `from_le_bytes` only, so values are
+/// the same on every host (`checksum_values_are_pinned` runs on the
+/// native and the portable build).
+///
+/// The four lanes are four scalar add → rotate → multiply chains that
+/// the core runs side by side, one word each per stripe. They stay
+/// scalar because the stripe loop is a rotating file of four registers
+/// that takes one word per iteration: no iteration holds two lanes, so
+/// LLVM's SLP vectorizer has no pair to pack. Written as an array of
+/// lanes updated a stripe at a time, it packed lanes 0–1 into one
+/// AVX-512DQ `vpmullq` (15-cycle latency), and every stripe waited on
+/// that chain: 5–6 GB/s under `target-cpu=native` against 11 GB/s
+/// under `x86-64-v2`. To check a toolchain upgrade, run
+/// `cargo rustc --release -p ef-kvstore --lib -- --emit asm` and look
+/// for `vpmullq` in `Checksum64::update`: there must be none. A
+/// compiler that re-rolls the rotation into lanes would halve the
+/// kernel again without moving one digest.
 ///
 /// **The digest depends on `update` boundaries**: the lanes are folded at
 /// the end of every call, so `update(b"ab"); update(b"c")` and
@@ -93,29 +107,31 @@ impl Checksum64 {
     /// then 8-byte words, then single bytes.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut state = self.state;
-        let mut stripes = bytes.chunks_exact(32);
-        if stripes.len() > 0 {
-            let mut lanes = [
+        let (stripes, tail) = bytes.split_at(bytes.len() - bytes.len() % 32);
+        if !stripes.is_empty() {
+            let (mut a, mut b, mut c, mut d) = (
                 state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
                 state.wrapping_add(PRIME_2),
                 state,
                 state.wrapping_sub(PRIME_1),
-            ];
-            for stripe in &mut stripes {
-                for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                    *lane = lane_round(*lane, le_word(word));
-                }
+            );
+            // One lane per iteration keeps the chains scalar (see the
+            // type's doc comment). Word i of every stripe lands in lane
+            // i, and the stripe count is whole, so the file ends in lane
+            // order.
+            for word in stripes.chunks_exact(8) {
+                (a, b, c, d) = (b, c, d, lane_round(a, le_word(word)));
             }
-            state = lanes[0]
+            state = a
                 .rotate_left(1)
-                .wrapping_add(lanes[1].rotate_left(7))
-                .wrapping_add(lanes[2].rotate_left(12))
-                .wrapping_add(lanes[3].rotate_left(18));
-            for lane in lanes {
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for lane in [a, b, c, d] {
                 state = mix_word(state, lane);
             }
         }
-        let mut words = stripes.remainder().chunks_exact(8);
+        let mut words = tail.chunks_exact(8);
         for word in &mut words {
             state = mix_word(state, le_word(word));
         }
@@ -186,6 +202,7 @@ impl std::error::Error for IntegrityError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ef_simcore::prop::{any, check, vec};
 
     #[test]
     fn checksum_is_deterministic_and_input_sensitive() {
@@ -202,6 +219,103 @@ mod tests {
                 .to_le_bytes()
         });
         words.take(len).collect()
+    }
+
+    /// `checksum64(filler(len))`, recorded under the four-lane stripe loop
+    /// that `stripe_loop_update` keeps: every path through the kernel,
+    /// one and two stripes with each kind of tail, and payload sizes.
+    /// The values are the same under every build; CI runs this test on
+    /// the portable (`x86-64-v2`) build as well as the native one.
+    const PINNED: [(usize, u64); 16] = [
+        (0, 0xefc7_70cc_c886_92bd),
+        (1, 0xe01f_6b47_58ea_ff5b),
+        (7, 0x6dd8_f11d_1c95_5454),
+        (8, 0xd5aa_5d40_1767_7381),
+        (31, 0xdd7d_590e_7bd5_156f),
+        (32, 0x2ce8_fcf7_3fd5_2526),
+        (33, 0x3e6d_4119_d755_4b93),
+        (63, 0x89ac_b2a4_834d_41a7),
+        (64, 0x5c69_7a14_689b_fb4a),
+        (65, 0xcb91_dd52_d13a_fa95),
+        (95, 0xfd88_f529_80bd_4cda),
+        (96, 0x2e00_a7ff_0da3_bf03),
+        (4_095, 0x7007_b305_5b2f_d075),
+        (4_096, 0x546c_4e0f_f02f_a620),
+        (4_097, 0x4403_5648_2c05_5112),
+        (16_384, 0x6fa6_2b25_d21e_ec8b),
+    ];
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        for (len, want) in PINNED {
+            assert_eq!(checksum64(&filler(len)), want, "len {len}");
+        }
+    }
+
+    /// `Checksum64::update` as it was before the rotating register file:
+    /// an array of four lanes, one stripe per iteration. The reference
+    /// the kernel is held to, bit for bit.
+    fn stripe_loop_update(c: &mut Checksum64, bytes: &[u8]) {
+        let mut state = c.state;
+        let mut stripes = bytes.chunks_exact(32);
+        if stripes.len() > 0 {
+            let mut lanes = [
+                state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
+                state.wrapping_add(PRIME_2),
+                state,
+                state.wrapping_sub(PRIME_1),
+            ];
+            for stripe in &mut stripes {
+                for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                    *lane = lane_round(*lane, le_word(word));
+                }
+            }
+            state = lanes[0]
+                .rotate_left(1)
+                .wrapping_add(lanes[1].rotate_left(7))
+                .wrapping_add(lanes[2].rotate_left(12))
+                .wrapping_add(lanes[3].rotate_left(18));
+            for lane in lanes {
+                state = mix_word(state, lane);
+            }
+        }
+        let mut words = stripes.remainder().chunks_exact(8);
+        for word in &mut words {
+            state = mix_word(state, le_word(word));
+        }
+        for &byte in words.remainder() {
+            state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME_3);
+        }
+        c.state = state;
+    }
+
+    #[test]
+    fn kernel_matches_the_stripe_loop_reference() {
+        // A call is `update_u64(x)` or `update` of the span `x`, `y`
+        // pick out of the payload.
+        let call = (any::<bool>(), any::<u64>(), any::<u64>());
+        let strategy = (vec(any::<u8>(), 0..20 * 1024 + 1), vec(call, 0..8));
+        let property = |(data, calls): (Vec<u8>, Vec<(bool, u64, u64)>)| {
+            let mut reference = Checksum64::new();
+            stripe_loop_update(&mut reference, &data);
+            assert_eq!(checksum64(&data), reference.finish(), "one-shot");
+            let (mut kernel, mut reference) = (Checksum64::new(), Checksum64::new());
+            for (word, x, y) in calls {
+                if word {
+                    kernel.update_u64(x);
+                    reference.update_u64(x);
+                } else {
+                    let lo = (x % (data.len() as u64 + 1)) as usize;
+                    let hi = lo + (y % ((data.len() - lo) as u64 + 1)) as usize;
+                    kernel.update(&data[lo..hi]);
+                    stripe_loop_update(&mut reference, &data[lo..hi]);
+                }
+                assert_eq!(kernel.finish(), reference.finish(), "streaming");
+            }
+        };
+        check("checksum_kernel_reference", 48, strategy, property);
     }
 
     #[test]
