@@ -28,10 +28,10 @@
 /// lanes updated a stripe at a time, it packed lanes 0–1 into one
 /// AVX-512DQ `vpmullq` (15-cycle latency), and every stripe waited on
 /// that chain: 5–6 GB/s under `target-cpu=native` against 11 GB/s
-/// under `x86-64-v2`. To check a toolchain upgrade, run
-/// `cargo rustc --release -p ef-kvstore --lib -- --emit asm` and look
-/// for `vpmullq` in `Checksum64::update`: there must be none. A
-/// compiler that re-rolls the rotation into lanes would halve the
+/// under `x86-64-v2`. CI emits the crate's assembly under
+/// `target-cpu=icelake-server` and fails on any `vpmullq` in a symbol
+/// named after the kernel (`Checksum64::update`, `checksum64_parts`):
+/// a compiler that re-rolls the rotation into lanes would halve the
 /// kernel again without moving one digest.
 ///
 /// **The digest depends on `update` boundaries**: the lanes are folded at
@@ -40,7 +40,10 @@
 /// split-invariant — every caller either hashes one slice
 /// ([`checksum64`]) or length-prefixes each field with
 /// [`Checksum64::update_u64`] before hashing it whole
-/// (`Message::frame_checksum`) — and `update(&[])` is a no-op.
+/// (`Message::frame_checksum`) — and `update(&[])` is a no-op. The one
+/// split-invariant entry is `checksum64_parts`: the one-shot digest of
+/// a concatenation, taken part by part, which is how the write-ahead log
+/// sums a frame whose header it owns and whose payload it shares.
 ///
 /// Not cryptographic — it detects the random bit flips the fault model
 /// injects, like the CRCs real storage engines use. It shares nothing
@@ -95,6 +98,61 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(le_array(bytes))
 }
 
+/// The four lane chains of a stripe run.
+type Lanes = (u64, u64, u64, u64);
+
+/// The lanes a stripe run starts from, seeded from the state word.
+#[inline(always)]
+fn seed_lanes(state: u64) -> Lanes {
+    (
+        state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
+        state.wrapping_add(PRIME_2),
+        state,
+        state.wrapping_sub(PRIME_1),
+    )
+}
+
+/// The stripe loop over whole 32-byte stripes. One lane per iteration
+/// keeps the chains scalar (see [`Checksum64`]). Word i of every stripe
+/// lands in lane i, and the stripe count is whole, so the file ends in
+/// lane order — and a run may continue where another stopped.
+#[inline(always)]
+fn run_stripes((mut a, mut b, mut c, mut d): Lanes, stripes: &[u8]) -> Lanes {
+    for word in stripes.chunks_exact(8) {
+        (a, b, c, d) = (b, c, d, lane_round(a, le_word(word)));
+    }
+    (a, b, c, d)
+}
+
+/// Folds the lanes back into the single state word.
+#[inline(always)]
+fn fold_lanes((a, b, c, d): Lanes) -> u64 {
+    let mut state = a
+        .rotate_left(1)
+        .wrapping_add(b.rotate_left(7))
+        .wrapping_add(c.rotate_left(12))
+        .wrapping_add(d.rotate_left(18));
+    for lane in [a, b, c, d] {
+        state = mix_word(state, lane);
+    }
+    state
+}
+
+/// Mixes what follows the stripes: 8-byte words, then single bytes.
+#[inline(always)]
+fn mix_tail(mut state: u64, tail: &[u8]) -> u64 {
+    let mut words = tail.chunks_exact(8);
+    for word in &mut words {
+        state = mix_word(state, le_word(word));
+    }
+    for &byte in words.remainder() {
+        state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME_3);
+    }
+    state
+}
+
 impl Checksum64 {
     /// A fresh checksum state.
     pub fn new() -> Self {
@@ -109,38 +167,9 @@ impl Checksum64 {
         let mut state = self.state;
         let (stripes, tail) = bytes.split_at(bytes.len() - bytes.len() % 32);
         if !stripes.is_empty() {
-            let (mut a, mut b, mut c, mut d) = (
-                state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
-                state.wrapping_add(PRIME_2),
-                state,
-                state.wrapping_sub(PRIME_1),
-            );
-            // One lane per iteration keeps the chains scalar (see the
-            // type's doc comment). Word i of every stripe lands in lane
-            // i, and the stripe count is whole, so the file ends in lane
-            // order.
-            for word in stripes.chunks_exact(8) {
-                (a, b, c, d) = (b, c, d, lane_round(a, le_word(word)));
-            }
-            state = a
-                .rotate_left(1)
-                .wrapping_add(b.rotate_left(7))
-                .wrapping_add(c.rotate_left(12))
-                .wrapping_add(d.rotate_left(18));
-            for lane in [a, b, c, d] {
-                state = mix_word(state, lane);
-            }
+            state = fold_lanes(run_stripes(seed_lanes(state), stripes));
         }
-        let mut words = tail.chunks_exact(8);
-        for word in &mut words {
-            state = mix_word(state, le_word(word));
-        }
-        for &byte in words.remainder() {
-            state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
-                .rotate_left(11)
-                .wrapping_mul(PRIME_3);
-        }
-        self.state = state;
+        self.state = mix_tail(state, tail);
     }
 
     /// Mixes a length-prefixed field boundary into the state, so
@@ -164,6 +193,47 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut c = Checksum64::new();
     c.update(bytes);
     c.finish()
+}
+
+/// [`checksum64`] of the parts' concatenation, without joining them.
+///
+/// The one-shot digest runs every whole 32-byte stripe of its input
+/// through the lanes and mixes the last `len % 32` bytes in after the
+/// fold; here whole stripes inside a part run straight from it, a stripe
+/// that straddles a part boundary is gathered in a 32-byte carry first,
+/// and what the carry holds at the end is that last remainder. Any split
+/// — empty parts included — gives the one-shot value.
+pub(crate) fn checksum64_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let start = Checksum64::new().state;
+    let mut lanes = seed_lanes(start);
+    let mut striped = false;
+    let mut carry = [0u8; 32];
+    let mut held = 0;
+    for mut part in parts {
+        if held > 0 {
+            let take = part.len().min(32 - held);
+            carry[held..held + take].copy_from_slice(&part[..take]);
+            held += take;
+            part = &part[take..];
+            if held < 32 {
+                continue;
+            }
+            lanes = run_stripes(lanes, &carry);
+            striped = true;
+        }
+        let (stripes, rest) = part.split_at(part.len() - part.len() % 32);
+        if !stripes.is_empty() {
+            lanes = run_stripes(lanes, stripes);
+            striped = true;
+        }
+        carry[..rest.len()].copy_from_slice(rest);
+        held = rest.len();
+    }
+    let state = if striped { fold_lanes(lanes) } else { start };
+    Checksum64 {
+        state: mix_tail(state, &carry[..held]),
+    }
+    .finish()
 }
 
 /// A detected integrity violation: stored or received bytes no longer
@@ -316,6 +386,50 @@ mod tests {
             }
         };
         check("checksum_kernel_reference", 48, strategy, property);
+    }
+
+    /// `checksum64_parts` is the one-shot digest of the concatenation,
+    /// however the input is split: at random cut points (a repeated cut
+    /// is an empty part, and empty parts lead and trail), into runs of
+    /// one width — 1 to 40 bytes, so cuts land inside 8-byte words and
+    /// 32-byte stripes — or as a log frame: a 41-byte header, then a
+    /// payload of up to 4 KiB, then the rest.
+    #[test]
+    fn parts_digest_is_the_one_shot_digest() {
+        let strategy = (
+            0u8..3,
+            vec(any::<u8>(), 0..20 * 1024 + 1),
+            vec(any::<u64>(), 0..12),
+        );
+        let property = |(shape, data, cuts): (u8, Vec<u8>, Vec<u64>)| {
+            let len = data.len();
+            let mut at: Vec<usize> = match shape {
+                0 => cuts
+                    .iter()
+                    .map(|&c| (c % (len as u64 + 1)) as usize)
+                    .collect(),
+                1 => {
+                    let width = 1 + cuts.first().map_or(0, |&w| w % 40) as usize;
+                    (width..len).step_by(width).collect()
+                }
+                _ => vec![41.min(len), (41 + 4096).min(len)],
+            };
+            at.sort_unstable();
+            let mut parts: Vec<&[u8]> = vec![&[]];
+            let mut start = 0;
+            for cut in at {
+                parts.push(&data[start..cut]);
+                start = cut;
+            }
+            parts.extend([&data[start..], &[]]);
+            assert_eq!(
+                checksum64_parts(parts.iter().copied()),
+                checksum64(&data),
+                "{} parts",
+                parts.len()
+            );
+        };
+        check("checksum64_parts_split_invariance", 96, strategy, property);
     }
 
     #[test]

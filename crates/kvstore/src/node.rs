@@ -358,7 +358,8 @@ impl NodeState {
     }
 
     /// Logs a put (or, for `None`, a tombstone) to the WAL, then applies
-    /// it to the storage engine.
+    /// it to the storage engine. Both keep the one `Bytes` the message
+    /// carried: the payload is never copied on its way to disk.
     fn apply(&mut self, key: Bytes, value: Option<Bytes>) {
         match value {
             Some(value) => {
@@ -524,6 +525,88 @@ mod tests {
         };
         replica.on_message(NodeId(0), hint);
         assert_eq!(replica.wal().appended(), 2);
+    }
+
+    /// A replica holds a written payload once: the sender's `Bytes`, the
+    /// WAL frame's payload and the engine's value are one allocation,
+    /// through a compaction too. Rot in the logged payload is the log's
+    /// alone, and recovery routes it as the contiguous byte log does.
+    #[test]
+    fn a_replica_write_holds_its_payload_once() {
+        use crate::storage::reference::ByteLog;
+        let config = ClusterConfig {
+            wal_snapshot_every: 2,
+            ..ClusterConfig::default()
+        };
+        let mut replica = NodeState::new(NodeId(1), ring(), &config);
+        let mut reference = ByteLog::new(config.wal_snapshot_every);
+        let mut sent = Vec::new();
+        for i in 0..3u8 {
+            let key = Bytes::from(vec![b'k', i]);
+            let payload = Bytes::from(
+                (0..4096u32)
+                    .map(|j| (j % 251) as u8 ^ i)
+                    .collect::<Vec<_>>(),
+            );
+            let op_id = OpId {
+                coordinator: NodeId(0),
+                seq: u64::from(i),
+            };
+            let write = Message::ReplicaWrite {
+                op_id,
+                key: key.clone(),
+                value: Some(payload.clone()),
+            };
+            replica.on_message(NodeId(0), write);
+            reference.append(&key, Some(&payload));
+            sent.push((key, payload));
+        }
+        // Two frames compacted into the snapshot, one in the tail.
+        assert_eq!(replica.wal().snapshots_taken(), 1);
+        let logged = replica.wal().payloads();
+        for ((key, payload), logged) in sent.iter().zip(&logged) {
+            let stored = replica.storage_mut().get(key).unwrap();
+            assert_eq!(
+                logged.as_ptr(),
+                payload.as_ptr(),
+                "the WAL copied the payload"
+            );
+            assert_eq!(
+                stored.as_ptr(),
+                payload.as_ptr(),
+                "the engine copied the payload"
+            );
+        }
+        assert_eq!(replica.wal().image(), reference);
+
+        // Rot lands in the first snapshot frame's payload: past its
+        // 12-byte header (tag, key_len, 2-byte key, val_len).
+        let clean = sent[0].1.to_vec();
+        assert!(replica.wal_mut().flip_bit(12 + 1000, 5));
+        assert!(reference.flip_bit(12 + 1000, 5));
+        assert_eq!(replica.wal().image(), reference);
+        assert_ne!(replica.wal().payloads()[0], sent[0].1, "the flip missed");
+        assert_eq!(
+            &sent[0].1[..],
+            &clean[..],
+            "the sender's bytes saw the flip"
+        );
+        let verified = replica.storage_mut().get_verified(&sent[0].0);
+        assert_eq!(
+            verified,
+            Ok(Some(sent[0].1.clone())),
+            "the engine saw the flip"
+        );
+
+        // The snapshot's block checksum catches it and recovery falls
+        // back to the stashed log, whose frames still share the clean
+        // payload — exactly as the byte log recovers.
+        let mut disk = replica.wal().clone();
+        let recovered = disk.recover_replay();
+        assert_eq!(recovered, reference.recover_replay());
+        assert!(recovered.unwrap().1.snapshot_fallback);
+        assert_eq!(disk.image(), reference);
+        assert_eq!(disk.payloads()[0].as_ptr(), sent[0].1.as_ptr());
     }
 
     #[test]

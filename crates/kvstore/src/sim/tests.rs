@@ -369,7 +369,7 @@ fn restart_runs_the_recovery_lattice() {
     cluster.crash_stop_at(SimTime::from_secs_f64(2.0), members[2]);
     cluster.run_until(SimTime::from_secs_f64(2.1));
     let mut bad = WriteAheadLog::new(0);
-    bad.append_put(b"a", b"value");
+    bad.append_put(b"a", &Bytes::from_static(b"value"));
     assert!(bad.flip_bit(10, 7)); // first value byte: body, not framing
     cluster.membership.disks.insert(members[2], bad);
     cluster.restart_at(SimTime::from_secs_f64(2.2), members[2]);
