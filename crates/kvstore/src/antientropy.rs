@@ -14,8 +14,10 @@
 use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
+use crate::storage::StorageEngine;
 use bytes::Bytes;
 use ef_netsim::NodeId;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A Merkle tree over the token space `0..=u64::MAX`, with `2^depth`
@@ -36,10 +38,10 @@ pub struct MerkleTree {
 /// entries: XOR of per-entry avalanche hashes). The key half is the
 /// key's ring token, which every caller already has; the value half is
 /// `sum`, the store's remembered checksum of the value's bytes as they
-/// stand ([`StorageEngine::iter_summed`](crate::StorageEngine)) — values
-/// are whole payloads, and anti-entropy never touches their bytes: a
-/// rotted value digests as what it rotted to, and finding the rot is
-/// left to verify-on-read and scrub.
+/// stand (journalled by [`StorageEngine`], or handed out by its
+/// `iter_summed` walk) — values are whole payloads, and anti-entropy
+/// never touches their bytes: a rotted value digests as what it rotted
+/// to, and finding the rot is left to verify-on-read and scrub.
 fn entry_digest(token: u64, sum: u64) -> u64 {
     let mut h = token ^ 0x9e37_79b9_7f4a_7c15;
     h = h.wrapping_add(sum.rotate_left(32));
@@ -58,20 +60,17 @@ fn combine(a: u64, b: u64) -> u64 {
 }
 
 impl MerkleTree {
-    /// Builds the tree of `2^depth` buckets from already-hashed
-    /// `(bucket, entry digest)` pairs.
+    /// Builds the tree of `2^depth` buckets over a row of leaf digests
+    /// (`None`: every leaf zero).
     ///
     /// # Panics
     ///
-    /// Panics when `depth` exceeds 20 (a million buckets is already far
-    /// beyond any test or ring size here).
-    fn from_digests(entries: impl Iterator<Item = (usize, u64)>, depth: u32) -> Self {
-        assert!(depth <= 20, "tree depth too large");
+    /// Panics when the row is not `2^depth` long.
+    fn from_leaves(row: Option<&[u64]>, depth: u32) -> Self {
         let leaves = 1usize << depth;
         let mut nodes = vec![0u64; 2 * leaves];
-        for (bucket, digest) in entries {
-            // XOR keeps the leaf digest order-independent.
-            nodes[leaves + bucket] ^= digest;
+        if let Some(row) = row {
+            nodes[leaves..].copy_from_slice(row);
         }
         for i in (1..leaves).rev() {
             nodes[i] = combine(nodes[2 * i], nodes[2 * i + 1]);
@@ -138,13 +137,15 @@ impl crate::cluster::LocalCluster {
         let mut copied = 0usize;
         for (x, &a) in members.iter().enumerate() {
             for &b in &members[x + 1..] {
-                // Asked for per pair: a summary is rebuilt once its store
-                // has changed, so this pair sees what earlier ones wrote.
+                // Asked for per pair: a summary folds what its store
+                // journalled since, so this pair sees what earlier ones
+                // wrote.
                 let mut of = |n| Some(NodeSummary::of(self.nodes.get_mut(&n)?, ring, rf, depth));
                 let (Some(of_a), Some(of_b)) = (of(a), of(b)) else {
                     continue;
                 };
-                let pair = pair_diff(&of_a, &of_b);
+                let store = |n| self.nodes.get(&n).map(NodeState::storage);
+                let pair = pair_diff(ring, [(&of_a, store(a)), (&of_b, store(b))]);
                 for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
                     let Some(state) = self.nodes.get_mut(&dst) else {
                         continue;
@@ -182,39 +183,28 @@ pub(crate) struct PairDiff {
     pub(crate) to_a: Vec<(Bytes, Bytes)>,
 }
 
-/// One entry of a [`NodeSummary`]: everything a pairwise comparison
-/// needs, hashed once.
-#[derive(Debug, PartialEq, Eq)]
-struct SummaryEntry {
-    key: Bytes,
-    value: Bytes,
-    /// The key's whole replica set under the summary's ring.
-    replicas: Vec<NodeId>,
-    /// Leaf bucket of the key's token.
-    bucket: usize,
-    digest: u64,
-}
-
-/// What a summary was computed from. A kept summary stands for its node
+/// What a summary was computed from. A kept summary is folded forward
 /// until one of these moves.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Basis {
-    /// [`StorageEngine::generation`](crate::StorageEngine) of the store.
-    generation: u64,
     /// Ring membership and tokens per member: every token, and so every
     /// replica set, follows from the two.
     members: Vec<NodeId>,
     vnodes: usize,
     rf: usize,
-    /// Depth of the trees the buckets were computed for.
+    /// Depth of the trees the leaves are kept for.
     depth: u32,
 }
 
 impl Basis {
-    fn new(generation: u64, ring: &HashRing, rf: usize, depth: u32) -> Self {
+    /// # Panics
+    ///
+    /// Panics when `depth` exceeds 20 (a million buckets is already far
+    /// beyond any test or ring size here).
+    fn new(ring: &HashRing, rf: usize, depth: u32) -> Self {
+        assert!(depth <= 20, "tree depth too large");
         let (members, vnodes) = (ring.members().collect(), ring.vnodes());
         Basis {
-            generation,
             members,
             vnodes,
             rf,
@@ -223,105 +213,164 @@ impl Basis {
     }
 }
 
-/// Everything anti-entropy needs to know about one node, built in a
-/// single pass over its store: per live entry the replica set, Merkle
-/// leaf bucket and entry digest. Each of the node's pairwise comparisons
-/// ([`pair_diff`]) is derived from it without touching the store, the
-/// ring or a payload byte again. Values are refcounted handles, never
-/// copies.
-#[derive(Debug)]
+/// Everything anti-entropy needs to know about one node to find where
+/// it diverges from each peer: per peer, the `2^depth` Merkle leaves —
+/// the XOR of the entry digests per bucket — of the entries the node
+/// holds of keys both replicate. A peer with no row has all-zero
+/// leaves. Each pairwise bucket diff ([`bucket_diff`]) is read off two
+/// rows without touching a store, the ring or a payload byte; only the
+/// repair listing of a divergent pair walks the pair's stores. At depth
+/// ≤ 8 a row is at most 2 KiB.
+#[derive(Debug, Clone)]
 pub(crate) struct NodeSummary {
     /// The node summarized.
     pub(crate) node: NodeId,
     basis: Basis,
-    /// Live entries `node` holds *and* replicates under the ring, in key
-    /// order.
-    entries: Vec<SummaryEntry>,
+    /// Leaf rows by peer.
+    leaves: BTreeMap<NodeId, Vec<u64>>,
 }
 
 impl NodeSummary {
     /// Summarizes what `state` holds under `ring` at replication factor
     /// `rf`, for depth-`depth` trees. The summary is remembered on the
     /// node — it dies with the `NodeState`: crash, departure, ring wipe,
-    /// WAL recovery — and handed out again until its [`Basis`] moves, so
-    /// a quiescent store is never re-walked, and no store's payload
-    /// bytes are ever read.
+    /// WAL recovery — and the next one is folded forward from it by the
+    /// changes the store journalled since, in `O(changes)`: a quiescent
+    /// store hands out the same summary again. The store is walked only
+    /// to build the first, when the [`Basis`] moves, or when the journal
+    /// outgrew its bound; no payload byte is ever read.
     pub(crate) fn of(state: &mut NodeState, ring: &HashRing, rf: usize, depth: u32) -> Arc<Self> {
-        let basis = Basis::new(state.storage().generation(), ring, rf, depth);
-        match state.summary_memo() {
-            Some(kept) if kept.basis == basis => return Arc::clone(kept),
-            // Freed before its successor is built: never two at once.
-            stale => *stale = None,
-        }
+        let basis = Basis::new(ring, rf, depth);
         let node = state.id();
-        let live = state.storage().iter_summed();
-        let entries = live
-            .filter_map(|(key, value, sum)| {
-                let token = key_token(key);
-                let replicas = ring.replicas_for_token(token, rf);
-                replicas.contains(&node).then(|| SummaryEntry {
-                    bucket: MerkleTree::bucket_of(token, depth),
-                    digest: entry_digest(token, sum),
-                    key: key.clone(),
-                    value: value.clone(),
-                    replicas,
-                })
-            })
-            .collect();
-        let summary = Arc::new(NodeSummary {
+        let (memo, storage) = state.summary_and_storage();
+        match (memo.as_mut(), storage.drain_journal()) {
+            (Some(kept), Some(changes)) if kept.basis == basis => {
+                let mut changes = changes.peekable();
+                if changes.peek().is_some() {
+                    let summary = Arc::make_mut(kept);
+                    for change in changes {
+                        summary.fold(ring, &change.key, change.before, change.after);
+                    }
+                }
+                return Arc::clone(kept);
+            }
+            // A journal that cannot be folded is dropped unread.
+            _ => {}
+        }
+        // Freed before its successor is built: never two at once.
+        *memo = None;
+        let mut summary = NodeSummary {
             node,
             basis,
-            entries,
-        });
-        *state.summary_memo() = Some(Arc::clone(&summary));
+            leaves: BTreeMap::new(),
+        };
+        let mut live = 0;
+        for (key, _, sum) in storage.iter_summed() {
+            live += 1;
+            summary.fold(ring, key, None, Some(sum));
+        }
+        storage.arm_journal(live);
+        let summary = Arc::new(summary);
+        *memo = Some(Arc::clone(&summary));
         summary
     }
 
-    /// The entries this node co-replicates with `peer`, in key order.
-    fn shared_with(&self, peer: NodeId) -> impl Iterator<Item = &SummaryEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.replicas.contains(&peer))
-    }
-
-    fn holds(&self, key: &Bytes) -> bool {
-        self.entries.binary_search_by(|e| e.key.cmp(key)).is_ok()
+    /// Folds one change of `key`'s live value — remembered sum `before`
+    /// → `after` — into the row of every peer that co-replicates it:
+    /// XOR is its own inverse, so the old digest comes out as the new
+    /// one goes in.
+    fn fold(&mut self, ring: &HashRing, key: &[u8], before: Option<u64>, after: Option<u64>) {
+        let token = key_token(key);
+        let sums = before.into_iter().chain(after);
+        let delta = sums.fold(0, |d, sum| d ^ entry_digest(token, sum));
+        if delta == 0 {
+            return;
+        }
+        let replicas = ring.replicas_for_token(token, self.basis.rf);
+        if !replicas.contains(&self.node) {
+            return;
+        }
+        let bucket = MerkleTree::bucket_of(token, self.basis.depth);
+        let width = 1usize << self.basis.depth;
+        for peer in replicas.into_iter().filter(|&peer| peer != self.node) {
+            let row = self.leaves.entry(peer).or_insert_with(|| vec![0; width]);
+            row[bucket] ^= delta;
+        }
     }
 }
 
-/// Builds Merkle trees over the entries `a` and `b` each hold of the
-/// keys they *both* replicate, and diffs them — the comparison every
-/// driver's anti-entropy and the read-only divergence oracle share.
+/// The leaf buckets in which the entries `a` and `b` each hold of the
+/// keys they *both* replicate differ: two leaf rows compared, and only
+/// when they differ built into trees and diffed (a missing row builds
+/// the all-zero leaves, so it diffs equal to a row folded back to zero).
+/// No store is touched — the read-only divergence oracle calls only
+/// this.
 ///
 /// # Panics
 ///
 /// Panics when the summaries were built at different depths.
-pub(crate) fn pair_diff(a: &NodeSummary, b: &NodeSummary) -> PairDiff {
-    assert_eq!(a.basis.depth, b.basis.depth, "summary depth mismatch");
-    let tree = |me: &NodeSummary, peer: &NodeSummary| {
-        let shared = me.shared_with(peer.node);
-        MerkleTree::from_digests(shared.map(|e| (e.bucket, e.digest)), me.basis.depth)
-    };
-    let diff = tree(a, b).diff(&tree(b, a));
-    let missing = |src: &NodeSummary, dst: &NodeSummary| -> Vec<(Bytes, Bytes)> {
-        if diff.is_empty() {
-            return Vec::new();
-        }
-        let mut out: Vec<&SummaryEntry> = src
-            .shared_with(dst.node)
-            .filter(|e| diff.binary_search(&e.bucket).is_ok() && !dst.holds(&e.key))
-            .collect();
-        // Stable: key order survives within each bucket.
-        out.sort_by_key(|e| e.bucket);
-        out.into_iter()
-            .map(|e| (e.key.clone(), e.value.clone()))
-            .collect()
+pub(crate) fn bucket_diff(a: &NodeSummary, b: &NodeSummary) -> Vec<usize> {
+    let depth = a.basis.depth;
+    assert_eq!(depth, b.basis.depth, "summary depth mismatch");
+    let (row_a, row_b) = (a.leaves.get(&b.node), b.leaves.get(&a.node));
+    if row_a == row_b {
+        return Vec::new();
+    }
+    let tree = |row: Option<&Vec<u64>>| MerkleTree::from_leaves(row.map(Vec::as_slice), depth);
+    tree(row_a).diff(&tree(row_b))
+}
+
+/// The whole comparison of one replica pair, each side given as its
+/// summary and its store (`None`: the node holds nothing): the
+/// [`bucket_diff`], then — only when a bucket differs — the repair
+/// listing, one walk of each store.
+pub(crate) fn pair_diff(
+    ring: &HashRing,
+    [a, b]: [(&NodeSummary, Option<&StorageEngine>); 2],
+) -> PairDiff {
+    let buckets = bucket_diff(a.0, b.0);
+    let (to_b, to_a) = if buckets.is_empty() {
+        (Vec::new(), Vec::new())
+    } else {
+        (missing(ring, a, b, &buckets), missing(ring, b, a, &buckets))
     };
     PairDiff {
-        buckets: diff.len(),
-        to_b: missing(a, b),
-        to_a: missing(b, a),
+        buckets: buckets.len(),
+        to_b,
+        to_a,
     }
+}
+
+/// The entries `src`'s store holds of keys `src` and `dst` both
+/// replicate, in the divergent `buckets`, that `dst`'s store lacks:
+/// bucket-major, then key order.
+fn missing(
+    ring: &HashRing,
+    (src, src_store): (&NodeSummary, Option<&StorageEngine>),
+    (dst, dst_store): (&NodeSummary, Option<&StorageEngine>),
+    buckets: &[usize],
+) -> Vec<(Bytes, Bytes)> {
+    let Some(src_store) = src_store else {
+        return Vec::new();
+    };
+    let (depth, rf) = (src.basis.depth, src.basis.rf);
+    let live = src_store.iter_summed();
+    let mut out: Vec<(usize, &Bytes, &Bytes)> = live
+        .filter_map(|(key, value, _)| {
+            let token = key_token(key);
+            let bucket = MerkleTree::bucket_of(token, depth);
+            buckets.binary_search(&bucket).ok()?;
+            let replicas = ring.replicas_for_token(token, rf);
+            let shared = replicas.contains(&src.node) && replicas.contains(&dst.node);
+            let lacked = !dst_store.is_some_and(|store| store.holds(key));
+            (shared && lacked).then_some((bucket, key, value))
+        })
+        .collect();
+    // Stable: key order survives within each bucket.
+    out.sort_by_key(|&(bucket, ..)| bucket);
+    let out = out.into_iter();
+    out.map(|(_, key, value)| (key.clone(), value.clone()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -339,12 +388,12 @@ mod tests {
         where
             I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
         {
-            let hashed = entries.into_iter().map(|(key, value)| {
+            let mut row = vec![0u64; 1 << depth];
+            for (key, value) in entries {
                 let token = key_token(key);
-                let digest = entry_digest(token, checksum64(value));
-                (Self::bucket_of(token, depth), digest)
-            });
-            Self::from_digests(hashed, depth)
+                row[Self::bucket_of(token, depth)] ^= entry_digest(token, checksum64(value));
+            }
+            Self::from_leaves(Some(&row), depth)
         }
     }
 
@@ -359,23 +408,33 @@ mod tests {
             node: NodeId,
             depth: u32,
         ) -> Self {
+            let mut leaves: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
             let held = nodes.get(&node).into_iter();
-            let entries = held
-                .flat_map(|state| state.storage().iter_live())
-                .filter(|(key, _)| ring.replicas(key, rf).contains(&node))
-                .map(|(key, value)| SummaryEntry {
-                    replicas: ring.replicas(&key, rf),
-                    bucket: MerkleTree::bucket_of(key_token(&key), depth),
-                    digest: entry_digest(key_token(&key), checksum64(&value)),
-                    key,
-                    value,
-                })
-                .collect();
+            for (key, value) in held.flat_map(|state| state.storage().iter_live()) {
+                let replicas = ring.replicas(&key, rf);
+                if !replicas.contains(&node) {
+                    continue;
+                }
+                let token = key_token(&key);
+                let bucket = MerkleTree::bucket_of(token, depth);
+                for &peer in replicas.iter().filter(|&&peer| peer != node) {
+                    let row = leaves.entry(peer).or_insert_with(|| vec![0; 1 << depth]);
+                    row[bucket] ^= entry_digest(token, checksum64(&value));
+                }
+            }
             NodeSummary {
                 node,
-                basis: Basis::new(0, ring, rf, depth),
-                entries,
+                basis: Basis::new(ring, rf, depth),
+                leaves,
             }
+        }
+
+        /// The leaf rows that are not all zero: equal summaries have
+        /// equal lists, however each came by its rows.
+        fn rows(&self) -> Vec<(NodeId, &[u64])> {
+            let rows = self.leaves.iter();
+            let rows = rows.filter(|(_, row)| row.iter().any(|&leaf| leaf != 0));
+            rows.map(|(&peer, row)| (peer, row.as_slice())).collect()
         }
     }
 
@@ -650,7 +709,9 @@ mod tests {
                     .collect();
                 for (x, &a) in ids.iter().enumerate() {
                     for (y, &b) in ids.iter().enumerate().skip(x + 1) {
-                        let got = pair_diff(&summaries[x], &summaries[y]);
+                        let store = |n| nodes.get(&n).map(NodeState::storage);
+                        let sides = [(&summaries[x], store(a)), (&summaries[y], store(b))];
+                        let got = pair_diff(&ring, sides);
                         let want = pair_diff_reference(&nodes, &ring, rf, a, b, depth);
                         assert_eq!(got, want, "pair ({}, {})", a, b);
                     }
@@ -659,14 +720,18 @@ mod tests {
         );
     }
 
-    /// Remembered equals recomputed: after every step of a random
-    /// put / overwrite / delete / flush / compact / rot / crash + WAL
-    /// recovery / ring-member removal sequence, the summary the product
-    /// path hands out for each node — kept where nothing moved, rebuilt
-    /// from remembered sums where something did — has the entries of a
-    /// rebuild that re-reads every byte, and every pair diffs alike.
-    /// Rot is found, not masked: the flipped key is digested as its
-    /// flipped bytes, reported by `scrub` and refused by `get_verified`.
+    /// Folded equals recomputed: after every step of a random put /
+    /// overwrite / same-value put / delete / absent-key delete / flush /
+    /// compact / rot / crash + WAL recovery / ring-member removal /
+    /// journal overflow / `LocalCluster::anti_entropy` repair / ask at a
+    /// second depth sequence, the summary the product path hands out for
+    /// each node — kept where nothing moved, folded from the journal
+    /// where something did, rebuilt where the basis moved or the journal
+    /// overflowed — has the leaf rows of a rebuild that re-reads every
+    /// byte, and every pair diffs as the byte-reading rebuild and the
+    /// per-pair reference do. Rot is found, not masked: the flipped key
+    /// is digested as its flipped bytes, reported by `scrub` and refused
+    /// by `get_verified`.
     #[test]
     fn remembered_summaries_equal_a_byte_reading_rebuild() {
         check(
@@ -676,26 +741,30 @@ mod tests {
                 3u32..6,
                 1usize..4,
                 0usize..3,
-                vec((0u8..10, 0u32..5, 0u8..16, 0usize..64), 1..48),
+                vec((0u8..15, 0u32..5, 0u8..16, 0usize..64), 1..48),
             ),
             |(members, rf, depth_pick, ops)| {
-                let depth = [0, 4, 8][depth_pick];
+                let (depth, other_depth) = [(0, 4), (4, 8), (8, 0)][depth_pick];
                 let config = ClusterConfig {
                     replication_factor: rf,
                     memtable_flush_bytes: 256,
                     ..ClusterConfig::default()
                 };
-                let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
-                let mut ring = crate::cluster::member_ring(&ids, config.vnodes);
-                let mut nodes: BTreeMap<NodeId, NodeState> = ids
-                    .iter()
-                    .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))
-                    .collect();
+                let mut cluster = LocalCluster::new((0..members).map(NodeId).collect(), config);
                 for (step, (op, pick, key, arg)) in ops.into_iter().enumerate() {
-                    let live: Vec<NodeId> = nodes.keys().copied().collect();
+                    let live = cluster.members();
                     let id = live[pick as usize % live.len()];
+                    let (ring, nodes) = (&mut cluster.ring, &mut cluster.nodes);
                     let state = nodes.get_mut(&id).unwrap();
                     let key = Bytes::copy_from_slice(&[b'k', key]);
+                    // Summarizes `state` and asserts the store was not
+                    // walked for it: nothing (or nothing live) changed.
+                    let unwalked = |state: &mut NodeState, ring: &HashRing| {
+                        let walks = state.storage().walks();
+                        let summary = NodeSummary::of(state, ring, rf, depth);
+                        assert_eq!(state.storage().walks(), walks, "step {step}: walked");
+                        summary
+                    };
                     match op {
                         0..=3 => {
                             let value = Bytes::from(vec![key[1] ^ step as u8; 1 + arg]);
@@ -707,13 +776,13 @@ mod tests {
                             state.storage_mut().delete(key);
                         }
                         5 | 6 => {
-                            let kept = NodeSummary::of(state, &ring, rf, depth);
+                            let kept = NodeSummary::of(state, ring, rf, depth);
                             if op == 5 {
                                 state.storage_mut().flush();
                             } else {
                                 state.storage_mut().compact();
                             }
-                            let again = NodeSummary::of(state, &ring, rf, depth);
+                            let again = unwalked(state, ring);
                             assert!(
                                 Arc::ptr_eq(&kept, &again),
                                 "a quiescent store was re-walked"
@@ -733,25 +802,84 @@ mod tests {
                             let recovered = NodeState::recover(id, ring.clone(), &config, wal);
                             nodes.insert(id, recovered.expect("an unrotted log replays"));
                         }
-                        _ if live.len() > 2 => {
+                        9 if live.len() > 2 => {
                             ring.remove_node(id);
                             nodes.remove(&id);
                         }
+                        10 | 11 => {
+                            // A put of the live value and a delete of an
+                            // absent key change nothing: no fold, no copy.
+                            let kept = NodeSummary::of(state, ring, rf, depth);
+                            if op == 10 {
+                                if let Some(value) = state.storage_mut().get(&key) {
+                                    state.storage_mut().put(key, value);
+                                }
+                            } else {
+                                let absent = Bytes::copy_from_slice(&[b'x', key[1]]);
+                                state.storage_mut().delete(absent);
+                            }
+                            let again = unwalked(state, ring);
+                            assert!(Arc::ptr_eq(&kept, &again), "step {step}: an empty change");
+                        }
+                        12 => {
+                            // As many changes as the store held entries at
+                            // its last summary are folded; one more drops
+                            // the journal, and the next summary walks the
+                            // store once.
+                            for overflow in [false, true] {
+                                NodeSummary::of(state, ring, rf, depth);
+                                let storage = state.storage();
+                                let (held, walks) = (storage.stats().live_keys, storage.walks());
+                                let extra = usize::from(overflow);
+                                for i in 0..held + extra {
+                                    // Longer than any other value: every put
+                                    // changes the sum.
+                                    let value = vec![i as u8; 65 + arg + 64 * extra];
+                                    state.storage_mut().put(key.clone(), Bytes::from(value));
+                                }
+                                NodeSummary::of(state, ring, rf, depth);
+                                let walked = state.storage().walks() - walks;
+                                assert_eq!(walked, extra as u64, "step {step}");
+                            }
+                        }
+                        13 => {
+                            cluster.anti_entropy(depth);
+                        }
+                        14 => {
+                            // Asked at a second depth between rounds:
+                            // answered from a rebuild at that depth.
+                            let got: Vec<Arc<NodeSummary>> = nodes
+                                .values_mut()
+                                .map(|state| NodeSummary::of(state, ring, rf, other_depth))
+                                .collect();
+                            for summary in got {
+                                let want =
+                                    NodeSummary::build(nodes, ring, rf, summary.node, other_depth);
+                                assert_eq!(summary.rows(), want.rows(), "step {step}");
+                            }
+                        }
                         _ => {}
                     }
+                    let (ring, nodes) = (&cluster.ring, &mut cluster.nodes);
                     let got: Vec<Arc<NodeSummary>> = nodes
                         .values_mut()
-                        .map(|state| NodeSummary::of(state, &ring, rf, depth))
+                        .map(|state| NodeSummary::of(state, ring, rf, depth))
                         .collect();
                     let want: Vec<NodeSummary> = nodes
                         .keys()
-                        .map(|&id| NodeSummary::build(&nodes, &ring, rf, id, depth))
+                        .map(|&id| NodeSummary::build(nodes, ring, rf, id, depth))
                         .collect();
+                    let store = |n| nodes.get(&n).map(NodeState::storage);
                     for x in 0..got.len() {
-                        assert_eq!(got[x].entries, want[x].entries, "step {}", step);
+                        let (a, side_a) = (got[x].node, &want[x]);
+                        assert_eq!(got[x].rows(), side_a.rows(), "step {step}");
                         for y in x + 1..got.len() {
-                            let pair = pair_diff(&got[x], &got[y]);
-                            assert_eq!(pair, pair_diff(&want[x], &want[y]), "step {}", step);
+                            let b = got[y].node;
+                            let pair = pair_diff(ring, [(&got[x], store(a)), (&got[y], store(b))]);
+                            let rebuilt = [(side_a, store(a)), (&want[y], store(b))];
+                            assert_eq!(pair, pair_diff(ring, rebuilt), "step {step}");
+                            let reference = pair_diff_reference(nodes, ring, rf, a, b, depth);
+                            assert_eq!(pair, reference, "step {step}");
                         }
                     }
                 }

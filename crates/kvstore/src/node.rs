@@ -50,7 +50,9 @@ pub struct NodeState {
     ring: HashRing,
     storage: StorageEngine,
     /// Anti-entropy's last summary of `storage`, kept here so that it
-    /// cannot outlive the store it describes ([`NodeSummary::of`]).
+    /// cannot outlive the store it describes: the next one is folded
+    /// forward from it by the changes `storage` journalled since
+    /// ([`NodeSummary::of`]).
     summary: Option<Arc<NodeSummary>>,
     replication_factor: usize,
     consistency: Consistency,
@@ -243,9 +245,12 @@ impl NodeState {
         &mut self.storage
     }
 
-    /// Where [`NodeSummary::of`] keeps its last answer for this node.
-    pub(crate) fn summary_memo(&mut self) -> &mut Option<Arc<NodeSummary>> {
-        &mut self.summary
+    /// Where [`NodeSummary::of`] keeps its last answer for this node,
+    /// and the store whose journal folds it forward.
+    pub(crate) fn summary_and_storage(
+        &mut self,
+    ) -> (&mut Option<Arc<NodeSummary>>, &mut StorageEngine) {
+        (&mut self.summary, &mut self.storage)
     }
 
     /// The ring view this node uses for placement.

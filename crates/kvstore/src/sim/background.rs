@@ -8,9 +8,10 @@
 //! read-repair answers as `HintReplay`s through the normal delivery path.
 
 use super::{Event, Round, SimCluster};
-use crate::antientropy::{pair_diff, tree_wire_size, NodeSummary};
+use crate::antientropy::{bucket_diff, pair_diff, tree_wire_size, NodeSummary};
 use crate::counters::IntegrityStats;
 use crate::msg::Outbound;
+use crate::node::NodeState;
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use ef_simcore::{DetRng, SimDuration, SimTime};
@@ -145,23 +146,25 @@ impl SimCluster {
     }
 
     /// Convergence oracle: the number of divergent Merkle buckets summed
-    /// over all live replica pairs, with no network charges or repairs
-    /// (`&mut` only for the summaries each node remembers). `0` means
-    /// every pair of live replicas agrees on their co-replicated entries.
+    /// over all live replica pairs, with no network charges, repairs or
+    /// repair listing (`&mut` only for the summaries each node
+    /// remembers). `0` means every pair of live replicas agrees on their
+    /// co-replicated entries.
     pub fn replica_divergence(&mut self, depth: u32) -> u64 {
         let summaries = self.summarize_live(depth);
         let mut buckets = 0;
         for (x, a) in summaries.iter().enumerate() {
             for b in &summaries[x + 1..] {
-                buckets += pair_diff(a, b).buckets as u64;
+                buckets += bucket_diff(a, b).len() as u64;
             }
         }
         buckets
     }
 
-    /// One anti-entropy summary per live node, in id order: a store is
-    /// walked at most once, however many replica pairs the node is part
-    /// of, and not at all while the node's last summary still stands.
+    /// One anti-entropy summary per live node, in id order, each folded
+    /// forward from what its store journalled since the last one: a
+    /// store is walked at most once, however many replica pairs the node
+    /// is part of, and only when its summary must be rebuilt.
     fn summarize_live(&mut self, depth: u32) -> Vec<Arc<NodeSummary>> {
         let (ring, rf) = (&self.ring, self.config.replication_factor);
         let live = self.live_nodes();
@@ -226,7 +229,8 @@ impl SimCluster {
                         .unwrap_or_default();
                     self.dispatch(now, me, replays);
                 }
-                let pair = pair_diff(summary_a, summary_b);
+                let store = |n| self.nodes.get(&n).map(NodeState::storage);
+                let pair = pair_diff(&self.ring, [(summary_a, store(a)), (summary_b, store(b))]);
                 if pair.buckets == 0 {
                     continue;
                 }

@@ -9,7 +9,7 @@
 #[cfg(test)]
 use super::*;
 use crate::node::Consistency;
-use crate::storage::WriteAheadLog;
+use crate::storage::{StorageEngine, WriteAheadLog};
 use bytes::Bytes;
 use ef_netsim::{NetworkConfig, TopologyBuilder};
 
@@ -1607,6 +1607,91 @@ fn rot_diverges_under_anti_entropy_until_scrub_repairs_it() {
         assert_eq!(nonzero(cluster.recovery_stats().fields()), recovery_on);
         assert_eq!(nonzero(integrity.fields()), integrity_on, "seed {seed}");
     }
+}
+
+/// Anti-entropy walks a store only to list repairs. Once the first
+/// round has summarized every store, rounds over a fault-free ring fold
+/// each summary from the store's journal — writes keep landing — and
+/// walk nothing; after one replica loses one key, the next round walks
+/// exactly the stores of the pairs whose buckets differ, once per pair,
+/// and the key comes back.
+#[test]
+fn a_round_walks_no_store_unless_a_bucket_diverges() {
+    let net = edge_network(1, 4);
+    let members = net.topology().edge_nodes();
+    let config = ClusterConfig {
+        replication_factor: 3,
+        consistency: Consistency::All,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = SimCluster::new(members.clone(), net, config);
+    cluster.enable_anti_entropy(SimDuration::from_millis(100), 4);
+    let key = |i: u32| Bytes::from(i.to_be_bytes().to_vec());
+    // Forty writes before the first round, then one halfway between
+    // each two rounds.
+    let times = (0..40).map(SimDuration::from_millis);
+    let times = times.chain((0..14).map(|i| SimDuration::from_millis(150 + 100 * i)));
+    for (i, at) in times.enumerate() {
+        let value = Bytes::from(vec![i as u8; 32]);
+        let coordinator = members[i % members.len()];
+        cluster.submit(
+            SimTime::ZERO + at,
+            coordinator,
+            ClientOp::Put(key(i as u32), value),
+        );
+    }
+    let walks = |c: &SimCluster| -> Vec<u64> {
+        let stores = members.iter().map(|&n| c.node(n).unwrap().storage());
+        stores.map(StorageEngine::walks).collect()
+    };
+    cluster.run_until(SimTime::from_secs_f64(0.15));
+    assert_eq!(
+        walks(&cluster),
+        vec![1; 4],
+        "the first round walks each store once"
+    );
+    cluster.run_until(SimTime::from_secs_f64(1.65));
+    let recovery = cluster.recovery_stats();
+    assert_eq!(recovery.antientropy_rounds, 16);
+    assert_eq!(recovery.buckets_repaired, 0);
+    assert_eq!(
+        walks(&cluster),
+        vec![1; 4],
+        "a fault-free round walked a store"
+    );
+
+    // One replica silently loses one key: it diverges from each of the
+    // key's two other replicas, and from nobody else.
+    let lost = key(0);
+    let replicas = cluster.ring().replicas(&lost, 3);
+    let victim = replicas[0];
+    let state = cluster.node_mut(victim).unwrap();
+    state.storage_mut().delete(lost.clone());
+    let before = walks(&cluster);
+    cluster.run_until(SimTime::from_secs_f64(1.75));
+    let walked: Vec<u64> = walks(&cluster)
+        .iter()
+        .zip(&before)
+        .map(|(w, b)| w - b)
+        .collect();
+    let divergent_pairs = |n: &NodeId| u64::from(replicas.contains(n)) + u64::from(*n == victim);
+    assert_eq!(
+        walked,
+        members.iter().map(divergent_pairs).collect::<Vec<_>>()
+    );
+    let recovery = cluster.recovery_stats();
+    assert_eq!(
+        (recovery.buckets_repaired, recovery.entries_repaired),
+        (2, 2)
+    );
+
+    // Both peers streamed the key; it lands, and the rounds after fold
+    // the repair without walking.
+    let after = walks(&cluster);
+    cluster.run_until(SimTime::from_secs_f64(2.05));
+    assert!(cluster.node(victim).unwrap().storage().holds(&lost));
+    assert_eq!(walks(&cluster), after);
+    assert_eq!(cluster.recovery_stats().buckets_repaired, 2);
 }
 
 // ---- ISSUE 12: input validation and the unified node lifecycle ----

@@ -48,7 +48,35 @@ pub struct StorageStats {
     pub physical_entries: usize,
 }
 
+/// One change to a store's live set: the remembered sum of `key`'s live
+/// value before and after it (`None`: no live value).
+#[derive(Debug, Clone)]
+pub(crate) struct Change {
+    pub(crate) key: Bytes,
+    pub(crate) before: Option<u64>,
+    pub(crate) after: Option<u64>,
+}
+
+/// The changes to the live set since anti-entropy last summarized the
+/// store ([`StorageEngine::drain_journal`]).
+#[derive(Debug, Clone)]
+struct Journal {
+    changes: Vec<Change>,
+    /// Live entries at the last summary, and the bound on `changes`.
+    /// Folding a change costs what summarizing one entry on a walk
+    /// costs (a token, a replica set, at most two digests), and a walk
+    /// visits at most `live + changes.len()` entries; so once `changes`
+    /// outgrows `live`, one walk is no dearer than the fold, and the
+    /// journal never holds more records than the store held entries.
+    live: usize,
+}
+
 /// An in-memory log-structured key-value engine.
+///
+/// Once anti-entropy has summarized the store it also keeps a change
+/// journal — `(key, sum before, sum after)` per `put`, `delete` and rot
+/// flip — which the next summary folds forward instead of walking the
+/// store. A store never summarized keeps none.
 ///
 /// # Example
 ///
@@ -71,9 +99,11 @@ pub struct StorageEngine {
     flush_threshold_bytes: usize,
     writes: u64,
     reads: u64,
-    /// Bumped by everything that changes a live entry: `put`, `delete`
-    /// and the rot hook.
-    generation: u64,
+    /// Armed by the first summary; dropped past its bound.
+    journal: Option<Journal>,
+    /// Live-set walks handed to anti-entropy ([`StorageEngine::iter_summed`]).
+    #[cfg(test)]
+    walks: std::cell::Cell<u64>,
 }
 
 impl StorageEngine {
@@ -95,7 +125,9 @@ impl StorageEngine {
             flush_threshold_bytes,
             writes: 0,
             reads: 0,
-            generation: 0,
+            journal: None,
+            #[cfg(test)]
+            walks: std::cell::Cell::new(0),
         }
     }
 
@@ -103,10 +135,10 @@ impl StorageEngine {
     /// before (useful for dedup's unique-chunk decision).
     pub fn put(&mut self, key: Bytes, value: Bytes) -> bool {
         self.writes += 1;
-        self.generation += 1;
-        let existed = self.get_slot(&key).is_some();
+        let before = self.live_sum(&key);
         self.memtable_bytes += key.len() + value.len();
         let crc = checksum64(&value);
+        self.note(&key, before, Some(crc));
         let stored = Stored {
             data: value,
             crc,
@@ -114,7 +146,56 @@ impl StorageEngine {
         };
         self.memtable.insert(key, Slot::Value(stored));
         self.maybe_flush();
-        !existed
+        before.is_none()
+    }
+
+    /// The remembered sum of `key`'s live value, if it has one.
+    fn live_sum(&self, key: &[u8]) -> Option<u64> {
+        match self.newest_slot(key) {
+            Some(Slot::Value(v)) => Some(v.sum),
+            Some(Slot::Tombstone) | None => None,
+        }
+    }
+
+    /// True when `key` has a live value; counts no read.
+    pub(crate) fn holds(&self, key: &[u8]) -> bool {
+        self.live_sum(key).is_some()
+    }
+
+    /// Journals one change to the live set while the journal is armed:
+    /// a change that changes nothing is left out, and a journal past its
+    /// bound is dropped.
+    fn note(&mut self, key: &Bytes, before: Option<u64>, after: Option<u64>) {
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
+        if before == after {
+            return;
+        }
+        let key = key.clone();
+        journal.changes.push(Change { key, before, after });
+        if journal.changes.len() > journal.live {
+            self.journal = None;
+        }
+    }
+
+    /// Arms the journal (again) after a summary walked the store and
+    /// found `live` entries: from here on every change is recorded.
+    pub(crate) fn arm_journal(&mut self, live: usize) {
+        let changes = Vec::new();
+        self.journal = Some(Journal { changes, live });
+    }
+
+    /// The changes since the journal was armed or last drained, in
+    /// order, keeping it armed; `None` when it was never armed or was
+    /// dropped past its bound — the caller walks the store and re-arms.
+    pub(crate) fn drain_journal(&mut self) -> Option<std::vec::Drain<'_, Change>> {
+        let journal = self.journal.as_mut()?;
+        for change in &journal.changes {
+            journal.live += usize::from(change.after.is_some());
+            journal.live -= usize::from(change.before.is_some());
+        }
+        Some(journal.changes.drain(..))
     }
 
     /// Reads the live value of `key` without verification (fast path for
@@ -203,9 +284,11 @@ impl StorageEngine {
         let mut bytes = v.data.to_vec();
         let i = (bit / 8) % bytes.len();
         bytes[i] ^= 1 << (bit % 8);
+        let before = v.sum;
         v.sum = checksum64(&bytes);
+        let after = v.sum;
         v.data = Bytes::from(bytes);
-        self.generation += 1;
+        self.note(&key, Some(before), Some(after));
         Some(key)
     }
 
@@ -217,7 +300,9 @@ impl StorageEngine {
     /// Deletes `key` by writing a tombstone.
     pub fn delete(&mut self, key: Bytes) {
         self.writes += 1;
-        self.generation += 1;
+        if self.journal.is_some() {
+            self.note(&key, self.live_sum(&key), None);
+        }
         self.memtable_bytes += key.len();
         self.memtable.insert(key, Slot::Tombstone);
         self.maybe_flush();
@@ -286,15 +371,18 @@ impl StorageEngine {
 
     /// Live `(key, value, sum)` triples in key order, `sum` being the
     /// remembered checksum of the value's bytes as they stand: what
-    /// anti-entropy summarizes a store from without reading a payload.
+    /// anti-entropy rebuilds a summary and lists repairs from without
+    /// reading a payload.
     pub(crate) fn iter_summed(&self) -> impl Iterator<Item = (&Bytes, &Bytes, u64)> + '_ {
+        #[cfg(test)]
+        self.walks.set(self.walks.get() + 1);
         self.live(None).map(|(k, v)| (k, &v.data, v.sum))
     }
 
-    /// Changes whenever a live entry does (`put`, `delete`, rot); equal
-    /// generations of one engine mean equal [`StorageEngine::iter_summed`].
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
+    /// How many times anti-entropy has walked the live set.
+    #[cfg(test)]
+    pub(crate) fn walks(&self) -> u64 {
+        self.walks.get()
     }
 
     /// Verifies live entries in key order starting after `cursor`,
