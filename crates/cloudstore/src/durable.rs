@@ -306,7 +306,8 @@ impl DurableStore {
     /// The first chunk's error that [`DurableStore::get`] returns; rot is
     /// reported, never reassembled into a file.
     pub fn restore(&self, manifest: &Manifest) -> Result<Vec<u8>, DurableError> {
-        let mut file = Vec::new();
+        // The recipe states the length: one allocation, no grow-and-copy.
+        let mut file = Vec::with_capacity(usize::try_from(manifest.total_len).unwrap_or(0));
         for (hash, _) in &manifest.chunks {
             file.extend_from_slice(&self.get(hash)?);
         }

@@ -11,6 +11,7 @@
 //! Values here are immutable (chunk-hash index entries), so
 //! reconciliation is set union per differing range.
 
+use crate::integrity::Summed;
 use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
@@ -152,7 +153,7 @@ impl crate::cluster::LocalCluster {
                     };
                     copied += entries.len();
                     for (k, v) in entries {
-                        state.storage_mut().put(k, v);
+                        state.storage_mut().put_summed(k, v);
                     }
                 }
             }
@@ -177,10 +178,11 @@ pub(crate) fn tree_wire_size(depth: u32) -> u64 {
 pub(crate) struct PairDiff {
     /// Divergent leaf buckets.
     pub(crate) buckets: usize,
-    /// Entries `a` holds that `b` lacks.
-    pub(crate) to_b: Vec<(Bytes, Bytes)>,
-    /// Entries `b` holds that `a` lacks.
-    pub(crate) to_a: Vec<(Bytes, Bytes)>,
+    /// Entries `a` holds that `b` lacks, each value with the sum its
+    /// store remembers of it.
+    pub(crate) to_b: Vec<(Bytes, Summed)>,
+    /// Entries `b` holds that `a` lacks, likewise.
+    pub(crate) to_a: Vec<(Bytes, Summed)>,
 }
 
 /// What a summary was computed from. A kept summary is folded forward
@@ -349,28 +351,27 @@ fn missing(
     (src, src_store): (&NodeSummary, Option<&StorageEngine>),
     (dst, dst_store): (&NodeSummary, Option<&StorageEngine>),
     buckets: &[usize],
-) -> Vec<(Bytes, Bytes)> {
+) -> Vec<(Bytes, Summed)> {
     let Some(src_store) = src_store else {
         return Vec::new();
     };
     let (depth, rf) = (src.basis.depth, src.basis.rf);
     let live = src_store.iter_summed();
-    let mut out: Vec<(usize, &Bytes, &Bytes)> = live
-        .filter_map(|(key, value, _)| {
+    let mut out: Vec<(usize, &Bytes, Summed)> = live
+        .filter_map(|(key, value, sum)| {
             let token = key_token(key);
             let bucket = MerkleTree::bucket_of(token, depth);
             buckets.binary_search(&bucket).ok()?;
             let replicas = ring.replicas_for_token(token, rf);
             let shared = replicas.contains(&src.node) && replicas.contains(&dst.node);
             let lacked = !dst_store.is_some_and(|store| store.holds(key));
-            (shared && lacked).then_some((bucket, key, value))
+            (shared && lacked).then(|| (bucket, key, Summed::with_sum(value.clone(), sum)))
         })
         .collect();
     // Stable: key order survives within each bucket.
     out.sort_by_key(|&(bucket, ..)| bucket);
     let out = out.into_iter();
-    out.map(|(_, key, value)| (key.clone(), value.clone()))
-        .collect()
+    out.map(|(_, key, value)| (key.clone(), value)).collect()
 }
 
 #[cfg(test)]
@@ -567,7 +568,7 @@ mod tests {
                 for (k, v) in src {
                     if MerkleTree::bucket_of(key_token(k), depth) == bucket && !dst.contains_key(k)
                     {
-                        out.push((k.clone(), v.clone()));
+                        out.push((k.clone(), Summed::digest(v.clone())));
                     }
                 }
             }
@@ -593,7 +594,7 @@ mod tests {
                     let dst = cluster.node_mut(dst).unwrap();
                     copied += entries.len();
                     for (k, v) in entries {
-                        dst.storage_mut().put(k, v);
+                        dst.storage_mut().put(k, v.into_bytes());
                     }
                 }
             }

@@ -10,6 +10,8 @@
 //! [`IntegrityStats`](crate::IntegrityStats) — detected corruption is a
 //! typed event, never a panic and never silently-accepted data.
 
+use bytes::Bytes;
+
 /// Streaming 64-bit checksum: a word-parallel multiply-rotate kernel in
 /// the XXH64 style with a splitmix64 avalanche finisher.
 ///
@@ -30,7 +32,7 @@
 /// that chain: 5–6 GB/s under `target-cpu=native` against 11 GB/s
 /// under `x86-64-v2`. CI emits the crate's assembly under
 /// `target-cpu=icelake-server` and fails on any `vpmullq` in a symbol
-/// named after the kernel (`Checksum64::update`, `checksum64_parts`):
+/// named after the kernel (`Checksum64::update`, `checksum64`):
 /// a compiler that re-rolls the rotation into lanes would halve the
 /// kernel again without moving one digest.
 ///
@@ -40,10 +42,9 @@
 /// split-invariant — every caller either hashes one slice
 /// ([`checksum64`]) or length-prefixes each field with
 /// [`Checksum64::update_u64`] before hashing it whole
-/// (`Message::frame_checksum`) — and `update(&[])` is a no-op. The one
-/// split-invariant entry is `checksum64_parts`: the one-shot digest of
-/// a concatenation, taken part by part, which is how the write-ahead log
-/// sums a frame whose header it owns and whose payload it shares.
+/// (`Message::frame_checksum`), or hashes one slice and then a
+/// fixed-width word (a log frame's head, then its payload's sum) — and
+/// `update(&[])` is a no-op.
 ///
 /// Not cryptographic — it detects the random bit flips the fault model
 /// injects, like the CRCs real storage engines use. It shares nothing
@@ -115,7 +116,7 @@ fn seed_lanes(state: u64) -> Lanes {
 /// The stripe loop over whole 32-byte stripes. One lane per iteration
 /// keeps the chains scalar (see [`Checksum64`]). Word i of every stripe
 /// lands in lane i, and the stripe count is whole, so the file ends in
-/// lane order — and a run may continue where another stopped.
+/// lane order.
 #[inline(always)]
 fn run_stripes((mut a, mut b, mut c, mut d): Lanes, stripes: &[u8]) -> Lanes {
     for word in stripes.chunks_exact(8) {
@@ -164,6 +165,8 @@ impl Checksum64 {
     /// Mixes `bytes` into the state: 32-byte stripes over four lanes,
     /// then 8-byte words, then single bytes.
     pub fn update(&mut self, bytes: &[u8]) {
+        #[cfg(test)]
+        note_digested(bytes.len());
         let mut state = self.state;
         let (stripes, tail) = bytes.split_at(bytes.len() - bytes.len() % 32);
         if !stripes.is_empty() {
@@ -195,45 +198,75 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     c.finish()
 }
 
-/// [`checksum64`] of the parts' concatenation, without joining them.
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread has put through the kernel.
+    static DIGESTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_digested(bytes: usize) {
+    DIGESTED.with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// Bytes the calling thread has put through the kernel so far
+/// ([`Checksum64::update`]; an `update_u64` word is not a payload
+/// byte).
+#[cfg(test)]
+pub(crate) fn digested() -> u64 {
+    DIGESTED.with(std::cell::Cell::get)
+}
+
+/// A payload and its [`checksum64`], taken where the bytes entered the
+/// node: at client submission, off the wire, or read back from rest.
 ///
-/// The one-shot digest runs every whole 32-byte stripe of its input
-/// through the lanes and mixes the last `len % 32` bytes in after the
-/// fold; here whole stripes inside a part run straight from it, a stripe
-/// that straddles a part boundary is gathered in a 32-byte carry first,
-/// and what the carry holds at the end is that last remainder. Any split
-/// — empty parts included — gives the one-shot value.
-pub(crate) fn checksum64_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
-    let start = Checksum64::new().state;
-    let mut lanes = seed_lanes(start);
-    let mut striped = false;
-    let mut carry = [0u8; 32];
-    let mut held = 0;
-    for mut part in parts {
-        if held > 0 {
-            let take = part.len().min(32 - held);
-            carry[held..held + take].copy_from_slice(&part[..take]);
-            held += take;
-            part = &part[take..];
-            if held < 32 {
-                continue;
-            }
-            lanes = run_stripes(lanes, &carry);
-            striped = true;
-        }
-        let (stripes, rest) = part.split_at(part.len() - part.len() % 32);
-        if !stripes.is_empty() {
-            lanes = run_stripes(lanes, stripes);
-            striped = true;
-        }
-        carry[..rest.len()].copy_from_slice(rest);
-        held = rest.len();
+/// The sum is an in-memory memo, not a wire field. It travels with the
+/// `Bytes` to every stamp and log write inside the node — the outbound
+/// frame checksum, the storage engine's write-time sum, the write-ahead
+/// log's and the upload spool's record checksums — so none of them reads
+/// the payload again. It is never trusted across a boundary where the
+/// bytes could have changed: a receiver re-sums what arrived, and a read
+/// from rest recomputes from the stored bytes (DESIGN.md §10).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Summed {
+    bytes: Bytes,
+    sum: u64,
+}
+
+impl Summed {
+    /// Digests `bytes`: the way in for a payload this node has not summed.
+    pub fn digest(bytes: Bytes) -> Self {
+        let sum = checksum64(&bytes);
+        Summed { bytes, sum }
     }
-    let state = if striped { fold_lanes(lanes) } else { start };
-    Checksum64 {
-        state: mix_tail(state, &carry[..held]),
+
+    /// `bytes` with the sum this node already took of these very bytes.
+    pub(crate) fn with_sum(bytes: Bytes, sum: u64) -> Self {
+        Summed { bytes, sum }
     }
-    .finish()
+
+    /// The payload.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// `checksum64` of the payload.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// The payload, its sum dropped.
+    pub fn into_bytes(self) -> Bytes {
+        self.bytes
+    }
+}
+
+impl std::ops::Deref for Summed {
+    type Target = Bytes;
+
+    fn deref(&self) -> &Bytes {
+        &self.bytes
+    }
 }
 
 /// A detected integrity violation: stored or received bytes no longer
@@ -243,7 +276,7 @@ pub enum IntegrityError {
     /// A stored value failed verification on read.
     CorruptValue {
         /// The key whose value failed verification.
-        key: bytes::Bytes,
+        key: Bytes,
         /// The checksum recorded at write time.
         expected: u64,
         /// The checksum of the bytes actually read.
@@ -388,50 +421,6 @@ mod tests {
         check("checksum_kernel_reference", 48, strategy, property);
     }
 
-    /// `checksum64_parts` is the one-shot digest of the concatenation,
-    /// however the input is split: at random cut points (a repeated cut
-    /// is an empty part, and empty parts lead and trail), into runs of
-    /// one width — 1 to 40 bytes, so cuts land inside 8-byte words and
-    /// 32-byte stripes — or as a log frame: a 41-byte header, then a
-    /// payload of up to 4 KiB, then the rest.
-    #[test]
-    fn parts_digest_is_the_one_shot_digest() {
-        let strategy = (
-            0u8..3,
-            vec(any::<u8>(), 0..20 * 1024 + 1),
-            vec(any::<u64>(), 0..12),
-        );
-        let property = |(shape, data, cuts): (u8, Vec<u8>, Vec<u64>)| {
-            let len = data.len();
-            let mut at: Vec<usize> = match shape {
-                0 => cuts
-                    .iter()
-                    .map(|&c| (c % (len as u64 + 1)) as usize)
-                    .collect(),
-                1 => {
-                    let width = 1 + cuts.first().map_or(0, |&w| w % 40) as usize;
-                    (width..len).step_by(width).collect()
-                }
-                _ => vec![41.min(len), (41 + 4096).min(len)],
-            };
-            at.sort_unstable();
-            let mut parts: Vec<&[u8]> = vec![&[]];
-            let mut start = 0;
-            for cut in at {
-                parts.push(&data[start..cut]);
-                start = cut;
-            }
-            parts.extend([&data[start..], &[]]);
-            assert_eq!(
-                checksum64_parts(parts.iter().copied()),
-                checksum64(&data),
-                "{} parts",
-                parts.len()
-            );
-        };
-        check("checksum64_parts_split_invariance", 96, strategy, property);
-    }
-
     #[test]
     fn single_bit_flips_change_the_checksum() {
         // Every path through the kernel: empty, byte tail only, word
@@ -540,7 +529,7 @@ mod tests {
     #[test]
     fn error_display_names_the_checksums() {
         let e = IntegrityError::CorruptValue {
-            key: bytes::Bytes::from_static(b"k"),
+            key: Bytes::from_static(b"k"),
             expected: 0xab,
             actual: 0xcd,
         };

@@ -72,7 +72,7 @@ pub use counters::{
 };
 pub use failure::{HeartbeatDetector, Liveness, Sweep};
 pub use gray::{AdaptiveTimeouts, RttEstimator};
-pub use integrity::{checksum64, Checksum64, IntegrityError};
+pub use integrity::{checksum64, Checksum64, IntegrityError, Summed};
 pub use msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 pub use node::{Consistency, NodeState};
 pub use retry::RetryPolicy;

@@ -6,6 +6,7 @@
 //! outbounds. Message sizes are modelled explicitly so the simulated
 //! driver can charge bandwidth.
 
+use crate::integrity::Summed;
 use bytes::Bytes;
 use ef_netsim::NodeId;
 
@@ -47,6 +48,14 @@ impl ClientOp {
     /// True for operations that mutate state.
     pub fn is_write(&self) -> bool {
         !matches!(self, ClientOp::Get(_))
+    }
+
+    /// The payload a put or check-and-insert submits.
+    pub(crate) fn payload(&self) -> Option<&Bytes> {
+        match self {
+            ClientOp::Put(_, value) | ClientOp::CheckAndInsert(_, value) => Some(value),
+            ClientOp::Get(_) | ClientOp::Delete(_) => None,
+        }
     }
 }
 
@@ -108,7 +117,7 @@ pub enum Message {
         /// Key to write.
         key: Bytes,
         /// Value, or `None` for a delete (tombstone).
-        value: Option<Bytes>,
+        value: Option<Summed>,
     },
     /// Replica → coordinator: write applied.
     WriteAck {
@@ -131,14 +140,14 @@ pub enum Message {
         /// The responding replica.
         from: NodeId,
         /// The replica's value for the key.
-        value: Option<Bytes>,
+        value: Option<Summed>,
     },
     /// Hinted handoff replay: a write the recipient missed while down.
     HintReplay {
         /// Key to write.
         key: Bytes,
         /// Value, or `None` for a delete.
-        value: Option<Bytes>,
+        value: Option<Summed>,
     },
     /// Edge → cloud: drain one spooled unique to the cloud catalog.
     /// Resent on the next drain tick until the matching
@@ -148,7 +157,7 @@ pub enum Message {
         /// The unique chunk's fingerprint key.
         key: Bytes,
         /// The chunk payload.
-        value: Bytes,
+        value: Summed,
     },
     /// Cloud → edge: the upload for `key` is durably in the catalog;
     /// the sender may retire the spool entry.
@@ -204,11 +213,11 @@ impl Message {
         const HEADER: u64 = 48;
         let payload = match self {
             Message::ReplicaWrite { key, value, .. } | Message::HintReplay { key, value } => {
-                key.len() + value.as_ref().map_or(0, Bytes::len)
+                key.len() + value.as_ref().map_or(0, |v| v.len())
             }
             Message::WriteAck { .. } => 0,
             Message::ReplicaRead { key, .. } => key.len(),
-            Message::ReadResp { value, .. } => value.as_ref().map_or(0, Bytes::len),
+            Message::ReadResp { value, .. } => value.as_ref().map_or(0, |v| v.len()),
             Message::CloudUpload { key, value } => key.len() + value.len(),
             Message::CloudUploadAck { key } | Message::RepairRequest { key } => key.len(),
             // key + nonce (8) + offset (4) + len (4).
@@ -221,21 +230,28 @@ impl Message {
 
     /// The frame checksum stamped on every wire message: a digest of the
     /// message kind and its full content, length-delimited field by
-    /// field. The simulated driver carries it with the frame and verifies
-    /// it on delivery; wire bit rot (which damages the payload, the
-    /// checksum, or both) makes the two disagree and the frame is
-    /// rejected instead of silently accepted.
+    /// field, a payload entering as its length and its sum
+    /// ([`Summed::sum`]). The sender stamps it from the sums the payloads
+    /// carry, reading no payload byte; the simulated driver carries it
+    /// with the frame, and the receiver re-sums what arrived
+    /// ([`Message::received`]) before comparing. Wire bit rot (which
+    /// damages the payload, the checksum, or both) makes the two disagree
+    /// and the frame is rejected instead of silently accepted.
     pub fn frame_checksum(&self) -> u64 {
         use crate::integrity::Checksum64;
         fn field(c: &mut Checksum64, bytes: &[u8]) {
             c.update_u64(bytes.len() as u64);
             c.update(bytes);
         }
-        fn opt(c: &mut Checksum64, value: &Option<Bytes>) {
+        fn payload(c: &mut Checksum64, value: &Summed) {
+            c.update_u64(value.len() as u64);
+            c.update_u64(value.sum());
+        }
+        fn opt(c: &mut Checksum64, value: &Option<Summed>) {
             match value {
                 Some(v) => {
                     c.update_u64(1);
-                    field(c, v);
+                    payload(c, v);
                 }
                 None => c.update_u64(0),
             }
@@ -276,7 +292,7 @@ impl Message {
             Message::CloudUpload { key, value } => {
                 c.update_u64(6);
                 field(&mut c, key);
-                field(&mut c, value);
+                payload(&mut c, value);
             }
             Message::CloudUploadAck { key } => {
                 c.update_u64(7);
@@ -317,6 +333,35 @@ impl Message {
         }
         c.finish()
     }
+
+    /// The message as its receiver holds it: every payload's sum taken
+    /// afresh from the bytes that arrived — the one digest a frame's
+    /// payload costs its receiver, and the sum the node then logs,
+    /// stores and stamps with. Frames without a payload pass unchanged.
+    pub(crate) fn received(self) -> Message {
+        let resum = |value: Summed| Summed::digest(value.into_bytes());
+        match self {
+            Message::ReplicaWrite { op_id, key, value } => Message::ReplicaWrite {
+                op_id,
+                key,
+                value: value.map(resum),
+            },
+            Message::ReadResp { op_id, from, value } => Message::ReadResp {
+                op_id,
+                from,
+                value: value.map(resum),
+            },
+            Message::HintReplay { key, value } => Message::HintReplay {
+                key,
+                value: value.map(resum),
+            },
+            Message::CloudUpload { key, value } => Message::CloudUpload {
+                key,
+                value: resum(value),
+            },
+            frame => frame,
+        }
+    }
 }
 
 /// A message addressed to a destination node, emitted by a state machine.
@@ -332,7 +377,7 @@ impl Outbound {
     /// A [`Message::HintReplay`] of `key` addressed to `to` — the one
     /// frame every repair path (hint drain, re-replication, anti-entropy,
     /// read-repair, mesh and cloud repair) speaks.
-    pub(crate) fn hint_replay(to: NodeId, key: Bytes, value: Option<Bytes>) -> Self {
+    pub(crate) fn hint_replay(to: NodeId, key: Bytes, value: Option<Summed>) -> Self {
         let msg = Message::HintReplay { key, value };
         Outbound { to, msg }
     }
@@ -362,7 +407,7 @@ mod tests {
         let w = Message::ReplicaWrite {
             op_id,
             key: Bytes::from_static(b"0123456789"),
-            value: Some(Bytes::from_static(b"0123456789")),
+            value: Some(Summed::digest(Bytes::from_static(b"0123456789"))),
         };
         assert_eq!(w.wire_size(), 48 + 20);
         let ack = Message::WriteAck {
@@ -372,7 +417,7 @@ mod tests {
         assert_eq!(ack.wire_size(), 48);
         let up = Message::CloudUpload {
             key: Bytes::from_static(b"0123"),
-            value: Bytes::from_static(b"0123456789"),
+            value: Summed::digest(Bytes::from_static(b"0123456789")),
         };
         assert_eq!(up.wire_size(), 48 + 14);
         let up_ack = Message::CloudUploadAck {
@@ -462,20 +507,20 @@ mod tests {
         let write = Message::ReplicaWrite {
             op_id,
             key: Bytes::from_static(b"k"),
-            value: Some(Bytes::from_static(b"v")),
+            value: Some(Summed::digest(Bytes::from_static(b"v"))),
         };
         assert_eq!(write.frame_checksum(), write.frame_checksum());
         // Same fields, different kind.
         let hint = Message::HintReplay {
             key: Bytes::from_static(b"k"),
-            value: Some(Bytes::from_static(b"v")),
+            value: Some(Summed::digest(Bytes::from_static(b"v"))),
         };
         assert_ne!(write.frame_checksum(), hint.frame_checksum());
         // A one-byte payload change moves the checksum.
         let write2 = Message::ReplicaWrite {
             op_id,
             key: Bytes::from_static(b"k"),
-            value: Some(Bytes::from_static(b"w")),
+            value: Some(Summed::digest(Bytes::from_static(b"w"))),
         };
         assert_ne!(write.frame_checksum(), write2.frame_checksum());
         // Delete (None) vs empty value digest differently.
@@ -487,19 +532,136 @@ mod tests {
         let empty = Message::ReplicaWrite {
             op_id,
             key: Bytes::from_static(b"k"),
-            value: Some(Bytes::new()),
+            value: Some(Summed::digest(Bytes::new())),
         };
         assert_ne!(del.frame_checksum(), empty.frame_checksum());
         // Key/value boundary is length-delimited.
         let ab = Message::HintReplay {
             key: Bytes::from_static(b"ab"),
-            value: Some(Bytes::from_static(b"c")),
+            value: Some(Summed::digest(Bytes::from_static(b"c"))),
         };
         let a_bc = Message::HintReplay {
             key: Bytes::from_static(b"a"),
-            value: Some(Bytes::from_static(b"bc")),
+            value: Some(Summed::digest(Bytes::from_static(b"bc"))),
         };
         assert_ne!(ab.frame_checksum(), a_bc.frame_checksum());
+    }
+
+    /// Every message that carries a payload, as a sender stamps it, with
+    /// every single-bit flip a wire could make to it: in its head (key,
+    /// op id, sender id) or in its payload, the payload keeping the sum
+    /// the sender stamped from — a receiver gets bytes, never a sum.
+    fn single_flips(msg: &Message) -> Vec<Message> {
+        fn bits(bytes: &[u8]) -> impl Iterator<Item = Bytes> + '_ {
+            (0..bytes.len() * 8).map(move |bit| {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                Bytes::from(flipped)
+            })
+        }
+        fn stale(payload: &Summed) -> impl Iterator<Item = Summed> + '_ {
+            let sum = payload.sum();
+            bits(payload).map(move |bytes| Summed::with_sum(bytes, sum))
+        }
+        let words = |word: u64, width: u32| (0..width).map(move |bit| word ^ (1 << bit));
+        let mut out = Vec::new();
+        match msg.clone() {
+            Message::ReplicaWrite { op_id, key, value } => {
+                let write = |op_id, key, value| Message::ReplicaWrite { op_id, key, value };
+                out.extend(bits(&key).map(|k| write(op_id, k, value.clone())));
+                for seq in words(op_id.seq, 64) {
+                    let op_id = OpId { seq, ..op_id };
+                    out.push(write(op_id, key.clone(), value.clone()));
+                }
+                for id in words(u64::from(op_id.coordinator.0), 32) {
+                    let op_id = OpId {
+                        coordinator: NodeId(id as u32),
+                        ..op_id
+                    };
+                    out.push(write(op_id, key.clone(), value.clone()));
+                }
+                for v in value.iter().flat_map(stale) {
+                    out.push(write(op_id, key.clone(), Some(v)));
+                }
+            }
+            Message::ReadResp { op_id, from, value } => {
+                let resp = |op_id, from, value| Message::ReadResp { op_id, from, value };
+                for seq in words(op_id.seq, 64) {
+                    out.push(resp(OpId { seq, ..op_id }, from, value.clone()));
+                }
+                for id in words(u64::from(from.0), 32) {
+                    out.push(resp(op_id, NodeId(id as u32), value.clone()));
+                }
+                for v in value.iter().flat_map(stale) {
+                    out.push(resp(op_id, from, Some(v)));
+                }
+            }
+            Message::HintReplay { key, value } => {
+                let hint = |key, value| Message::HintReplay { key, value };
+                out.extend(bits(&key).map(|k| hint(k, value.clone())));
+                for v in value.iter().flat_map(stale) {
+                    out.push(hint(key.clone(), Some(v)));
+                }
+            }
+            Message::CloudUpload { key, value } => {
+                let upload = |key, value| Message::CloudUpload { key, value };
+                out.extend(bits(&key).map(|k| upload(k, value.clone())));
+                out.extend(stale(&value).map(|v| upload(key.clone(), v)));
+            }
+            other => panic!("{other:?} carries no payload"),
+        }
+        out
+    }
+
+    /// The recomputing receiver rejects every single-bit flip of every
+    /// payload-bearing frame: in its head, in its payload (its stamp
+    /// folds the payload's sum, which the receiver takes afresh of the
+    /// bytes that arrived), or in the stamped checksum word itself.
+    #[test]
+    fn every_single_flip_of_a_payload_frame_is_rejected() {
+        use ef_simcore::prop::{any, check, vec};
+        let strategy = (
+            0u8..4,
+            (vec(any::<u8>(), 0..24), vec(any::<u8>(), 0..96)),
+            (any::<u64>(), any::<u32>(), any::<bool>()),
+        );
+        check(
+            "every_single_flip_of_a_payload_frame_is_rejected",
+            32,
+            strategy,
+            |(kind, (key, payload), (seq, node, some))| {
+                let (key, payload) = (Bytes::from(key), Summed::digest(Bytes::from(payload)));
+                let op_id = OpId {
+                    coordinator: NodeId(node),
+                    seq,
+                };
+                let value = some.then(|| payload.clone());
+                let msg = match kind {
+                    0 => Message::ReplicaWrite { op_id, key, value },
+                    1 => Message::ReadResp {
+                        op_id,
+                        from: NodeId(node.rotate_left(7)),
+                        value,
+                    },
+                    2 => Message::HintReplay { key, value },
+                    _ => Message::CloudUpload {
+                        key,
+                        value: payload,
+                    },
+                };
+                let stamp = msg.frame_checksum();
+                let intact = msg.clone().received();
+                assert_eq!(intact.frame_checksum(), stamp, "an intact frame is refused");
+                for bit in 0..64 {
+                    let rotted = stamp ^ (1 << bit);
+                    assert_ne!(intact.frame_checksum(), rotted, "checksum bit {bit}");
+                }
+                for flipped in single_flips(&msg) {
+                    let arrived = flipped.received();
+                    assert_ne!(arrived.frame_checksum(), stamp, "{arrived:?} accepted");
+                }
+            },
+        );
     }
 
     #[test]

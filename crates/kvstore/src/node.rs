@@ -22,6 +22,7 @@ mod handoff;
 use crate::antientropy::NodeSummary;
 use crate::cluster::ClusterConfig;
 use crate::counters::{IntegrityStats, NodeStats};
+use crate::integrity::Summed;
 use crate::msg::{Completion, Message, OpId, OpResult, Outbound};
 use crate::ring::HashRing;
 use crate::storage::{StorageEngine, WalError, WalRecord, WriteAheadLog};
@@ -65,7 +66,7 @@ pub struct NodeState {
     /// Peers currently believed down.
     down: BTreeSet<NodeId>,
     /// Handoff: writes parked for down peers, per peer in arrival order.
-    hints: BTreeMap<NodeId, Vec<(Bytes, Option<Bytes>)>>,
+    hints: BTreeMap<NodeId, Vec<(Bytes, Option<Summed>)>>,
     /// Everything this node counts, in one place: whoever tears the node
     /// down takes the lot.
     stats: NodeStats,
@@ -275,7 +276,7 @@ impl NodeState {
         let mut new_ring = self.ring.clone();
         new_ring.remove_node(dead);
         let mut out = Vec::new();
-        for (key, value) in self.storage.iter_live() {
+        for (key, value) in self.storage.iter_live_summed() {
             let old_reps = self.ring.replicas(&key, self.replication_factor);
             if !old_reps.contains(&dead) {
                 continue;
@@ -351,8 +352,8 @@ impl NodeState {
     /// the clean bytes), and reported as absent — so read repair, hint
     /// replay, and anti-entropy back-fill it from a healthy copy instead
     /// of a rotted value ever being served or compared.
-    pub(crate) fn verified_get(&mut self, key: &Bytes) -> Option<Bytes> {
-        match self.storage.get_verified(key) {
+    pub(crate) fn verified_get(&mut self, key: &Bytes) -> Option<Summed> {
+        match self.storage.get_summed(key) {
             Ok(v) => v,
             Err(_) => {
                 self.stats.integrity.mismatches_found += 1;
@@ -364,12 +365,15 @@ impl NodeState {
 
     /// Logs a put (or, for `None`, a tombstone) to the WAL, then applies
     /// it to the storage engine. Both keep the one `Bytes` the message
-    /// carried: the payload is never copied on its way to disk.
-    fn apply(&mut self, key: Bytes, value: Option<Bytes>) {
+    /// carried — the payload is never copied on its way to disk — and
+    /// both take the sum it carries: taken at submission or on arrival,
+    /// it is the log record's stamp and the engine's write-time checksum,
+    /// and the payload is not read again.
+    fn apply(&mut self, key: Bytes, value: Option<Summed>) {
         match value {
             Some(value) => {
-                self.wal.append_put(&key, &value);
-                self.storage.put(key, value);
+                self.wal.append_summed(&key, Some(&value));
+                self.storage.put_summed(key, value);
             }
             None => {
                 self.wal.append_delete(&key);
@@ -515,7 +519,7 @@ mod tests {
             Message::ReplicaWrite {
                 op_id,
                 key: Bytes::from_static(b"k"),
-                value: Some(Bytes::from_static(b"v")),
+                value: Some(Summed::digest(Bytes::from_static(b"v"))),
             },
         );
         assert!(comps.is_empty());
@@ -526,7 +530,7 @@ mod tests {
         // Every local mutation, replayed hints included, hits the WAL.
         let hint = Message::HintReplay {
             key: Bytes::from_static(b"h"),
-            value: Some(Bytes::from_static(b"w")),
+            value: Some(Summed::digest(Bytes::from_static(b"w"))),
         };
         replica.on_message(NodeId(0), hint);
         assert_eq!(replica.wal().appended(), 2);
@@ -560,7 +564,7 @@ mod tests {
             let write = Message::ReplicaWrite {
                 op_id,
                 key: key.clone(),
-                value: Some(payload.clone()),
+                value: Some(Summed::digest(payload.clone())),
             };
             replica.on_message(NodeId(0), write);
             reference.append(&key, Some(&payload));

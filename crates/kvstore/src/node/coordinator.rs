@@ -8,6 +8,7 @@
 //! ("Node anatomy") tabulates phase × event.
 
 use super::{Consistency, NodeState};
+use crate::integrity::Summed;
 use crate::msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 use crate::trust::{derive_challenge, pop_digest, PopChallenge};
 use bytes::Bytes;
@@ -64,15 +65,15 @@ enum Phase {
     Read(Seen),
     /// A plain write of this payload (`None` is a tombstone), kept for
     /// retransmits and hint-on-timeout.
-    Write(Option<Bytes>),
+    Write(Option<Summed>),
     /// The read phase of a check-and-insert.
-    CaiRead { payload: Bytes, seen: Seen },
+    CaiRead { payload: Summed, seen: Seen },
     /// A check-and-insert whose remote positive sighting awaits a proof
     /// of possession: `prover` must answer `challenge` before the
     /// duplicate verdict can complete. Entered only when proofs are
     /// armed ([`NodeState::arm_pop`]).
     PopWait {
-        payload: Bytes,
+        payload: Summed,
         seen: Seen,
         prover: NodeId,
         challenge: PopChallenge,
@@ -80,7 +81,7 @@ enum Phase {
     /// The write phase of a check-and-insert, under the same op id.
     /// `degraded`: the read phase was lost to unavailability or timeout
     /// and the op fell back to "assume unique".
-    CaiWrite { payload: Bytes, degraded: bool },
+    CaiWrite { payload: Summed, degraded: bool },
 }
 
 /// What a read phase has learned so far.
@@ -88,7 +89,7 @@ enum Phase {
 pub(super) struct Seen {
     /// The first positive sighting and the replica that supplied it. A
     /// sighting by this node itself is possession, never challenged.
-    sighting: Option<(Bytes, NodeId)>,
+    sighting: Option<(Summed, NodeId)>,
     /// Replicas that answered "not found" (read-repair targets).
     answered_none: Vec<NodeId>,
     /// The backup a speculative hedge read went to, if one fired. It
@@ -102,7 +103,7 @@ pub(super) enum Answer {
     /// A write was applied (`WriteAck`).
     Applied,
     /// What a read found (`ReadResp`).
-    Read(Option<Bytes>),
+    Read(Option<Summed>),
 }
 
 /// Everything that can happen to a pending op.
@@ -127,7 +128,7 @@ pub(super) enum Event {
 /// The request a phase has out to its replicas.
 enum Request {
     Read,
-    Write(Option<Bytes>),
+    Write(Option<Summed>),
 }
 
 impl Request {
@@ -191,7 +192,7 @@ impl Phase {
     /// Back to the read phase with the unproven sighting forgotten: the
     /// key counts as absent, so a quorum that rested on it inserts — at
     /// worst redundantly.
-    fn reject_sighting(payload: Bytes, mut seen: Seen) -> Phase {
+    fn reject_sighting(payload: Summed, mut seen: Seen) -> Phase {
         seen.sighting = None;
         Phase::CaiRead { payload, seen }
     }
@@ -309,15 +310,35 @@ impl NodeState {
 
     /// Starts coordinating a client operation. Returns the assigned op id,
     /// messages to send, and — when the operation completes locally (e.g.
-    /// rf=1 and this node is the replica) — its completion.
+    /// rf=1 and this node is the replica) — its completion. A submitted
+    /// payload is digested here, once: every frame, log record and
+    /// stored copy the op makes of it reuses that sum.
     pub fn begin(&mut self, op: ClientOp) -> (OpId, Vec<Outbound>, Option<Completion>) {
+        self.begin_summed(op, None)
+    }
+
+    /// [`NodeState::begin`] with the submit digest the caller already
+    /// took of the op's payload (`checksum64` of those very bytes);
+    /// `None` digests it here.
+    pub(crate) fn begin_summed(
+        &mut self,
+        op: ClientOp,
+        sum: Option<u64>,
+    ) -> (OpId, Vec<Outbound>, Option<Completion>) {
         let op_id = self.next_op_id();
         let seen = Seen::default();
+        let summed = |value: Bytes| match sum {
+            Some(sum) => Summed::with_sum(value, sum),
+            None => Summed::digest(value),
+        };
         let (key, phase) = match op {
             ClientOp::Get(key) => (key, Phase::Read(seen)),
-            ClientOp::Put(key, value) => (key, Phase::Write(Some(value))),
+            ClientOp::Put(key, value) => (key, Phase::Write(Some(summed(value)))),
             ClientOp::Delete(key) => (key, Phase::Write(None)),
-            ClientOp::CheckAndInsert(key, payload) => (key, Phase::CaiRead { payload, seen }),
+            ClientOp::CheckAndInsert(key, payload) => {
+                let payload = summed(payload);
+                (key, Phase::CaiRead { payload, seen })
+            }
         };
         let (outbound, completion) = self.launch(op_id, key, phase);
         (op_id, outbound, completion)
@@ -411,7 +432,8 @@ impl NodeState {
                     return match phase {
                         Phase::Read(seen) => {
                             self.stats.gray.hedges_won += 1;
-                            self.finish_read(op_id, quorum, seen, OpResult::Value(Some(value)))
+                            let value = OpResult::Value(Some(value.into_bytes()));
+                            self.finish_read(op_id, quorum, seen, value)
                         }
                         Phase::CaiRead { payload, mut seen } => {
                             self.stats.gray.hedges_won += 1;
@@ -533,7 +555,10 @@ impl NodeState {
         let (acks, required) = (quorum.acks, quorum.required);
         match phase {
             Phase::Read(seen) if met => {
-                let value = seen.sighting.as_ref().map(|(value, _)| value.clone());
+                let value = seen
+                    .sighting
+                    .as_ref()
+                    .map(|(value, _)| value.bytes().clone());
                 self.finish_read(op_id, quorum, seen, OpResult::Value(value))
             }
             Phase::Write(_) if met => done(op_id, OpResult::Written),
@@ -564,7 +589,7 @@ impl NodeState {
     /// Admitted at once when proofs are unarmed, the copy is this node's
     /// own, or the same peer already proved the same chunk; otherwise the
     /// op parks in [`Phase::PopWait`] and the peer is challenged.
-    fn judge_sighting(&mut self, op_id: OpId, quorum: Quorum, payload: Bytes, seen: Seen) -> Step {
+    fn judge_sighting(&mut self, op_id: OpId, quorum: Quorum, payload: Summed, seen: Seen) -> Step {
         let source = seen.sighting.as_ref().map(|(_, from)| *from);
         let gate = source.filter(|from| *from != self.id).zip(self.pop_seed);
         let Some((prover, seed)) = gate else {

@@ -2,6 +2,7 @@
 //! replayed in arrival order once it proves reachable.
 
 use super::NodeState;
+use crate::integrity::Summed;
 use crate::msg::Outbound;
 use bytes::Bytes;
 use ef_netsim::NodeId;
@@ -31,7 +32,7 @@ impl NodeState {
         self.drain_hints_for(peer)
     }
 
-    pub(super) fn park_hint(&mut self, peer: NodeId, key: Bytes, value: Option<Bytes>) {
+    pub(super) fn park_hint(&mut self, peer: NodeId, key: Bytes, value: Option<Summed>) {
         self.hints.entry(peer).or_default().push((key, value));
     }
 
@@ -45,7 +46,7 @@ impl NodeState {
     /// or counting them dropped: the sim driver moves them into a
     /// durable spool when `peer`'s whole ring is inside a disaster
     /// window, so a later crash of *this* node cannot lose them.
-    pub(crate) fn take_hints_for(&mut self, peer: NodeId) -> Vec<(Bytes, Option<Bytes>)> {
+    pub(crate) fn take_hints_for(&mut self, peer: NodeId) -> Vec<(Bytes, Option<Summed>)> {
         self.hints.remove(&peer).unwrap_or_default()
     }
 

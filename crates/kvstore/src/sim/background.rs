@@ -10,6 +10,7 @@
 use super::{Event, Round, SimCluster};
 use crate::antientropy::{bucket_diff, pair_diff, tree_wire_size, NodeSummary};
 use crate::counters::IntegrityStats;
+use crate::integrity::Summed;
 use crate::msg::Outbound;
 use crate::node::NodeState;
 use bytes::Bytes;
@@ -238,7 +239,7 @@ impl SimCluster {
                 let recovery = &mut self.membership.recovery;
                 recovery.buckets_repaired += pair.buckets as u64;
                 recovery.entries_repaired += (pair.to_b.len() + pair.to_a.len()) as u64;
-                let replay = |to, entries: Vec<(Bytes, Bytes)>| -> Vec<Outbound> {
+                let replay = |to, entries: Vec<(Bytes, Summed)>| -> Vec<Outbound> {
                     let hints = entries.into_iter();
                     hints
                         .map(|(key, value)| Outbound::hint_replay(to, key, Some(value)))
@@ -323,7 +324,7 @@ impl SimCluster {
             let Some(state) = self.nodes.get_mut(&replica) else {
                 continue;
             };
-            match state.storage_mut().get_verified(&key) {
+            match state.storage_mut().get_summed(&key) {
                 Ok(Some(value)) => {
                     let out = vec![Outbound::hint_replay(node, key, Some(value))];
                     self.dispatch(now, replica, out);

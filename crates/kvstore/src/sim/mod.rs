@@ -46,6 +46,7 @@ pub use uplink::CloudUplink;
 
 use crate::cluster::{member_ring, ClusterConfig};
 use crate::counters::{CoordinatorStats, NodeStats};
+use crate::integrity::Summed;
 use crate::msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
 use crate::node::NodeState;
 use crate::retry::RetryPolicy;
@@ -177,10 +178,10 @@ impl<T> Windows<T> {
 #[derive(Debug)]
 struct OpRecord {
     started: SimTime,
-    /// A check-and-insert's fingerprint and payload: what a verdict
-    /// teaches the coordinator's cache and what a unique one spools for
-    /// the cloud.
-    dedup: Option<(Bytes, Bytes)>,
+    /// A check-and-insert's fingerprint and payload, with its submit
+    /// digest: what a verdict teaches the coordinator's cache and what a
+    /// unique one spools for the cloud.
+    dedup: Option<(Bytes, Summed)>,
     /// Whether the verdict may teach the cache: false for a coordinator
     /// that was transiently crashed at `Start` (it cannot answer clients,
     /// so it gets no fast path either).
@@ -423,7 +424,12 @@ impl SimCluster {
     /// exactly one sequence number at a live coordinator, so op ids are
     /// identical whichever features are armed.
     fn start_op(&mut self, now: SimTime, coordinator: NodeId, op: ClientOp) {
-        self.trust.note_submitted(&op);
+        // The submit digest: the one `checksum64` a payload costs the node
+        // it is submitted to. The content-digest oracle, the coordinator's
+        // frames and log records and the upload spool all take it from
+        // here.
+        let payload = op.payload().map(|value| Summed::digest(value.clone()));
+        self.trust.note_submitted(op.key(), payload.as_ref());
         let Some(node) = self.nodes.get_mut(&coordinator) else {
             // The coordinator crash-stopped or departed before this
             // submission fired: the client sees an immediate
@@ -454,9 +460,11 @@ impl SimCluster {
                 .required(self.config.replication_factor);
             return self.resolve_at_door(op_id, OpResult::Unavailable { acks: 0, required }, now);
         }
-        let dedup = match &op {
-            ClientOp::CheckAndInsert(key, value) => Some((key.clone(), value.clone())),
-            ClientOp::Get(_) | ClientOp::Put(..) | ClientOp::Delete(_) => None,
+        let dedup = match (&op, &payload) {
+            (ClientOp::CheckAndInsert(key, _), Some(payload)) => {
+                Some((key.clone(), payload.clone()))
+            }
+            _ => None,
         };
         let cacheable = self.trust.caching() && !self.crashed.contains(&coordinator);
         if let Some((key, _)) = dedup.as_ref().filter(|_| cacheable) {
@@ -469,7 +477,7 @@ impl SimCluster {
                 return self.resolve_at_door(op_id, result, now);
             }
         }
-        let (op_id, outbound, completion) = node.begin(op);
+        let (op_id, outbound, completion) = node.begin_summed(op, payload.map(|p| p.sum()));
         let begun = OpRecord {
             started: now,
             dedup,
@@ -506,11 +514,14 @@ impl SimCluster {
 
     /// Handles a frame arriving at `to`: liveness and frame checksum
     /// first, then each machine that terminates or vets the frame, then
-    /// the destination node's state machine.
+    /// the destination node's state machine. The frame is checked against
+    /// sums the receiver takes afresh of the payload bytes that arrived
+    /// ([`Message::received`]); the node logs and stores with those.
     fn deliver(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: Message, crc: u64) {
         if self.crashed.contains(&to) {
             return; // dropped on the floor
         }
+        let msg = msg.received();
         if msg.frame_checksum() != crc {
             // Wire rot damaged the frame in flight: the receiver's
             // checksum verification rejects it — never a silent

@@ -1940,3 +1940,85 @@ fn every_bring_up_rearms_watches_and_keeps_the_watermark() {
         );
     }
 }
+
+/// What a payload costs the checksum kernel, boundary by boundary. On a
+/// fault-free γ=2 ring, a unique check-and-insert's payload is digested
+/// once where it is submitted, once per replica it arrives at and once
+/// at the cloud: its frames, log records, stored copies and spool record
+/// all reuse those sums (the content-digest oracle, armed here with PoP,
+/// shares the submit digest). And a WAL compaction digests each logged
+/// byte once: its one frame walk verifies every frame, and the old and
+/// new block checksums fold from it.
+#[test]
+fn a_payload_is_digested_once_per_boundary_it_crosses() {
+    const GAMMA: usize = 2;
+    const OPS: usize = 8;
+    const LEN: usize = 4096;
+    let net = edge_cloud_network(1, 4);
+    let members = net.topology().edge_nodes();
+    let cloud = net.topology().nodes_in(SiteId(1))[0];
+    let config = ClusterConfig {
+        replication_factor: GAMMA,
+        consistency: Consistency::All,
+        wal_snapshot_every: 0,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = SimCluster::new(members.clone(), net, config);
+    // One drain round, long enough for every upload's ack to come back:
+    // no retransmit arrives at the cloud twice.
+    cluster.enable_cloud_uplink(cloud, 1 << 16, SimDuration::from_millis(400));
+    cluster.enable_pop(7);
+    // The boundaries each payload crosses: its submission, each replica
+    // other than its coordinator, the cloud.
+    let mut crossings = 0;
+    for i in 0..OPS {
+        let (key, coordinator) = (Bytes::from(vec![b'k', i as u8]), members[i % members.len()]);
+        let replicas = cluster.ring().replicas(&key, GAMMA);
+        crossings += 2 + replicas.iter().filter(|&&r| r != coordinator).count();
+        let payload: Vec<u8> = (0..LEN).map(|j| (j * 31 + i * 7) as u8).collect();
+        let op = ClientOp::CheckAndInsert(key, Bytes::from(payload));
+        let at = SimTime::ZERO + SimDuration::from_millis(2 * i as u64);
+        cluster.submit(at, coordinator, op);
+    }
+    assert!(crossings <= (1 + GAMMA + 1) * OPS);
+    let before = crate::integrity::digested();
+    let done = cluster.run_until(SimTime::from_secs_f64(1.0));
+    let digested = crate::integrity::digested() - before;
+    let unique = OpResult::Dedup {
+        unique: true,
+        degraded: false,
+    };
+    assert!(done.len() == OPS && done.iter().all(|op| op.result == unique));
+    assert_eq!(
+        cluster.cloud_catalog().len(),
+        OPS,
+        "not every unique drained"
+    );
+    assert_eq!(cluster.disaster_stats().spool_retransmits, 0);
+    // Each crossing digests the payload once — a receiver re-sums what
+    // arrived — and nothing else does. Keys, frame heads and log record
+    // heads add a few dozen bytes a frame: far less than one more
+    // payload per op.
+    let (payloads, heads) = (crossings * LEN, OPS * LEN / 4);
+    assert!(
+        (payloads..=payloads + heads).contains(&(digested as usize)),
+        "{digested} bytes digested for {crossings} crossings of {LEN}-byte payloads"
+    );
+
+    // Compacting a replica's log, twice: into a first snapshot, then with
+    // that snapshot's block checked and more records behind it.
+    let mut wal = cluster.node(members[0]).unwrap().wal().clone();
+    for round in 0..2 {
+        if round == 1 {
+            let payload = crate::integrity::Summed::digest(Bytes::from(vec![9; LEN]));
+            wal.append_summed(b"late", Some(&payload));
+        }
+        // Every logged byte but each frame's stored checksum word, once.
+        let logged = wal.len_bytes() as u64 - 8 * wal.record_count();
+        let before = crate::integrity::digested();
+        wal.compact_now();
+        let digested = crate::integrity::digested() - before;
+        assert_eq!(wal.snapshots_taken(), round + 1);
+        assert_eq!(digested, logged, "compaction {round} read a byte twice");
+    }
+}

@@ -14,8 +14,8 @@
 use super::SimCluster;
 use crate::cache::FingerprintCache;
 use crate::counters::{ByzantineStats, CacheStats};
-use crate::integrity::checksum64;
-use crate::msg::{ClientOp, Message, OpResult, Outbound};
+use crate::integrity::Summed;
+use crate::msg::{Message, OpResult, Outbound};
 use crate::node::NodeState;
 use crate::trust::{splitmix, TrustLedger};
 use bytes::Bytes;
@@ -54,17 +54,18 @@ pub(super) struct Trust {
 
 impl Trust {
     /// Content-address ground truth: while PoP is armed, remember the
-    /// digest of every payload a client submits. Peer-served repair bytes
-    /// are later checked against it — the client-side anchor no Byzantine
-    /// replica can forge.
-    pub(super) fn note_submitted(&mut self, op: &ClientOp) {
+    /// digest of every payload a client submits — its submit digest,
+    /// taken once in `start_op`. Peer-served repair bytes are later
+    /// checked against it — the client-side anchor no Byzantine replica
+    /// can forge.
+    pub(super) fn note_submitted(&mut self, key: &Bytes, payload: Option<&Summed>) {
         if self.pop_seed.is_none() {
             return;
         }
-        if let ClientOp::Put(key, value) | ClientOp::CheckAndInsert(key, value) = op {
+        if let Some(payload) = payload {
             self.content_digests
                 .entry(key.clone())
-                .or_insert_with(|| checksum64(value));
+                .or_insert(payload.sum());
         }
     }
 
@@ -127,6 +128,11 @@ fn fabricated_bytes(seed: u64, len: usize) -> Bytes {
     Bytes::from(out)
 }
 
+/// [`fabricated_bytes`] as a payload the liar sends, summed by the liar.
+fn fabricated_payload(seed: u64, len: usize) -> Summed {
+    Summed::digest(fabricated_bytes(seed, len))
+}
+
 /// Rewrites what a Byzantine sender *would have sent* into the lie its
 /// active fault windows dictate. The network itself stays truthful —
 /// rules are zero-draw oracles — so honest runs and liar runs share a
@@ -149,7 +155,7 @@ pub(super) fn byzantine_rewrite(
             if value.is_none() && plan.lies_on_lookup_at(sender, now) =>
         {
             let tag = op_id.seq ^ ((op_id.coordinator.0 as u64) << 32) ^ liar;
-            *value = Some(fabricated_bytes(tag, 32));
+            *value = Some(fabricated_payload(tag, 32));
         }
         // The liar cannot compute the true possession digest for a
         // chunk it lacks, so it upgrades its honest "not held" into a
@@ -171,7 +177,7 @@ pub(super) fn byzantine_rewrite(
             key,
             value: Some(v),
         } if plan.serves_garbage_at(sender, now) => {
-            *v = fabricated_bytes(crate::key_token(key) ^ liar, v.len());
+            *v = fabricated_payload(crate::key_token(key) ^ liar, v.len());
         }
         _ => {}
     }
@@ -271,19 +277,21 @@ impl SimCluster {
     /// CAI read responses are deliberately *not* driver-verified —
     /// defeating lookup lies is the PoP protocol's job. Verified bytes
     /// retire any pending re-fetch bookkeeping for this (key, target).
+    /// `value`'s sum is the receiver's own, taken of the bytes that
+    /// arrived ([`Message::received`]).
     pub(super) fn rejects_served_bytes(
         &mut self,
         now: SimTime,
         from: NodeId,
         to: NodeId,
         key: &Bytes,
-        value: &Bytes,
+        value: &Summed,
     ) -> bool {
         if self.trust.pop_seed.is_none() {
             return false;
         }
         let expected = self.trust.content_digests.get(key).copied();
-        if expected == Some(checksum64(value)) {
+        if expected == Some(value.sum()) {
             self.uplink.pending_repairs.remove(&(key.clone(), to));
             return false;
         }
@@ -314,7 +322,7 @@ impl SimCluster {
             let seq = self.trust.flood_seq;
             let who = (node.0 as u64).to_le_bytes();
             let key = [b"byz-flood-".as_slice(), &who, &seq.to_le_bytes()].concat();
-            let value = fabricated_bytes(seq ^ (node.0 as u64), 64);
+            let value = fabricated_payload(seq ^ (node.0 as u64), 64);
             bogus.push(Outbound::hint_replay(target, Bytes::from(key), Some(value)));
         }
         self.dispatch(now, node, bogus);

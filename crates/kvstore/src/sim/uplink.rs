@@ -12,6 +12,7 @@
 
 use super::{Disk, Event, Round, SimCluster, Windows};
 use crate::counters::DisasterStats;
+use crate::integrity::Summed;
 use crate::msg::{Message, OpResult, Outbound};
 use crate::node::NodeState;
 use crate::spool::{SpoolClass, SpoolDest, UploadSpool};
@@ -82,12 +83,13 @@ impl Uplink {
         &mut self,
         coordinator: NodeId,
         key: Bytes,
-        value: Bytes,
+        value: Summed,
         result: &OpResult,
     ) {
         if matches!(result, OpResult::Dedup { unique: true, .. }) {
             if let Some(spool) = self.spools.get_mut(&coordinator) {
-                spool.enqueue(SpoolClass::Critical, SpoolDest::Cloud, key, Some(value));
+                let (class, dest) = (SpoolClass::Critical, SpoolDest::Cloud);
+                spool.enqueue_summed(class, dest, key, Some(value));
             }
         }
     }
@@ -226,11 +228,13 @@ impl SimCluster {
     /// the sender. The ack rides the same faulty network back — loss or
     /// rot leaves the spool entry pending, and a later drain round
     /// retransmits it (resumable transfers).
-    pub(super) fn cloud_ingest(&mut self, now: SimTime, from: NodeId, key: Bytes, value: Bytes) {
+    pub(super) fn cloud_ingest(&mut self, now: SimTime, from: NodeId, key: Bytes, value: Summed) {
         let Some(uplink) = self.uplink.config else {
             return; // stray frame with no uplink configured
         };
-        self.uplink.cloud_store.insert(key.clone(), value);
+        self.uplink
+            .cloud_store
+            .insert(key.clone(), value.into_bytes());
         let ack = Outbound {
             to: from,
             msg: Message::CloudUploadAck { key },
@@ -272,7 +276,8 @@ impl SimCluster {
             };
             for &target in &wiped {
                 for (key, value) in state.take_hints_for(target) {
-                    if spool.enqueue(SpoolClass::Background, SpoolDest::Node(target), key, value) {
+                    let (class, dest) = (SpoolClass::Background, SpoolDest::Node(target));
+                    if spool.enqueue_summed(class, dest, key, value) {
                         self.uplink.stats.hints_spooled += 1;
                     }
                 }
@@ -288,7 +293,7 @@ impl SimCluster {
                 let outbound = spool
                     .take_for_node(target)
                     .into_iter()
-                    .map(|e| Outbound::hint_replay(target, e.key, e.value))
+                    .map(|e| Outbound::hint_replay(target, e.key.clone(), e.summed()))
                     .collect();
                 self.dispatch(now, node, outbound);
             }
@@ -301,7 +306,7 @@ impl SimCluster {
                 continue;
             };
             let outbound = spool
-                .plan_cloud_batch(uplink.byte_cap)
+                .plan_uploads(uplink.byte_cap)
                 .into_iter()
                 .map(|(key, value)| Outbound {
                     to: uplink.cloud,
@@ -456,7 +461,8 @@ impl SimCluster {
         self.uplink.stats.repair_bytes_cloud += value.len() as u64;
         self.uplink.stats.repair_cost_cloud_ms +=
             self.network.repair_cost_ms(uplink.cloud, target).round() as u64;
-        let replay = Outbound::hint_replay(target, key, Some(value));
+        // A read from the catalog's rest: the bytes are summed afresh.
+        let replay = Outbound::hint_replay(target, key, Some(Summed::digest(value)));
         self.dispatch(now, uplink.cloud, vec![replay]);
         true
     }

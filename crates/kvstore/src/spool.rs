@@ -29,7 +29,8 @@
 //! structures; identical enqueue/ack sequences yield identical batches.
 
 use crate::counters::DisasterStats;
-use crate::storage::{encode_record, frame_at, Frame};
+use crate::integrity::Summed;
+use crate::storage::{encode_delete, encode_put, frame_at, Frame};
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -69,12 +70,22 @@ pub struct SpoolEntry {
     pub value: Option<Bytes>,
     /// Transmissions attempted so far (0 = never sent).
     attempts: u32,
+    /// `checksum64` of the put frame's payload field: the value's bytes,
+    /// or none for a parked delete. The sum the value carried in, else
+    /// the one its put frame took of the copy it wrote, or the replay's.
+    sum: u64,
 }
 
 impl SpoolEntry {
     /// Payload bytes this entry charges against a drain tick's cap.
     pub fn payload_len(&self) -> u64 {
         (self.key.len() + self.value.as_ref().map_or(0, Bytes::len)) as u64
+    }
+
+    /// The value with the sum the spool holds of it.
+    pub(crate) fn summed(&self) -> Option<Summed> {
+        let value = self.value.clone()?;
+        Some(Summed::with_sum(value, self.sum))
     }
 }
 
@@ -89,13 +100,15 @@ struct Segment {
 }
 
 /// The spool's durable log: checksummed frames (the write-ahead log's
-/// framing, one `checksum64` per record) in an append-only run of
+/// framing and frame checksum) in an append-only run of
 /// segments, oldest first. The last segment is open and takes every
 /// append; once it holds `seal_every` records it is sealed and a new one
 /// opens.
 ///
-/// A put frame carries its entry's sequence number, class, destination,
-/// key and payload; a tombstone carries the sequence number it retires.
+/// A put frame carries its entry's sequence number, class, whether it
+/// has a value, destination and key in its key field and the value alone
+/// as its payload, so the frame is stamped from the sum the value
+/// carries; a tombstone carries the sequence number it retires.
 /// Space comes back a segment at a time: the head segment is dropped
 /// whole as soon as none of its puts is pending. Tombstones need no
 /// accounting of their own — a put never outlives the segment its
@@ -120,62 +133,59 @@ pub struct SpoolLog {
 }
 
 /// The variable-width head of a put frame's key field: sequence number,
-/// class, destination tag and (for a node) its id; the fingerprint key
-/// follows. Returns the buffer and how much of it is used.
-fn put_header(seq: u64, class: SpoolClass, dest: SpoolDest) -> ([u8; 14], usize) {
-    let mut header = [0u8; 14];
+/// class, presence of a value, destination tag and (for a node) its id;
+/// the fingerprint key follows. Returns the buffer and how much of it is
+/// used.
+fn put_header(seq: u64, entry: &SpoolEntry) -> ([u8; 15], usize) {
+    let mut header = [0u8; 15];
     header[..8].copy_from_slice(&seq.to_le_bytes());
-    header[8] = match class {
+    header[8] = match entry.class {
         SpoolClass::Critical => 0,
         SpoolClass::Background => 1,
     };
-    match dest {
-        SpoolDest::Cloud => (header, 10),
+    header[9] = u8::from(entry.value.is_some());
+    match entry.dest {
+        SpoolDest::Cloud => (header, 11),
         SpoolDest::Node(node) => {
-            header[9] = 1;
-            header[10..].copy_from_slice(&node.0.to_be_bytes());
-            (header, 14)
+            header[10] = 1;
+            header[11..].copy_from_slice(&node.0.to_be_bytes());
+            (header, 15)
         }
     }
 }
 
-/// The inverse of [`put_header`] plus the key behind it.
-fn decode_put_key(field: &[u8]) -> Option<(SpoolClass, SpoolDest, Bytes)> {
+/// The inverse of [`put_header`] plus the key behind it: class,
+/// destination, key, and whether the payload is a value.
+fn decode_put_key(field: &[u8]) -> Option<(SpoolClass, SpoolDest, Bytes, bool)> {
     let class = match field.get(8)? {
         0 => SpoolClass::Critical,
         1 => SpoolClass::Background,
         _ => return None,
     };
-    match field.get(9)? {
-        0 => Some((
-            class,
-            SpoolDest::Cloud,
-            Bytes::copy_from_slice(&field[10..]),
-        )),
+    let present = match field.get(9)? {
+        0 => false,
+        1 => true,
+        _ => return None,
+    };
+    let (dest, key) = match field.get(10)? {
+        0 => (SpoolDest::Cloud, &field[11..]),
         1 => {
-            let id: [u8; 4] = field.get(10..14)?.try_into().ok()?;
-            let node = NodeId(u32::from_be_bytes(id));
-            let key = Bytes::copy_from_slice(&field[14..]);
-            Some((class, SpoolDest::Node(node), key))
+            let id: [u8; 4] = field.get(11..15)?.try_into().ok()?;
+            (
+                SpoolDest::Node(NodeId(u32::from_be_bytes(id))),
+                &field[15..],
+            )
         }
-        _ => None,
-    }
-}
-
-/// A put frame's value field: a presence byte, then the payload.
-fn decode_put_value(field: &[u8]) -> Option<Option<Bytes>> {
-    match field.split_first()? {
-        (0, _) => Some(None),
-        (1, payload) => Some(Some(Bytes::copy_from_slice(payload))),
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some((class, dest, Bytes::copy_from_slice(key), present))
 }
 
 impl SpoolLog {
-    /// Appends one frame to the open segment, sealing it and opening a
-    /// new one first if it is full. Returns that segment's id and the
-    /// frame's length.
-    fn append(&mut self, key: &[&[u8]], value: Option<&[&[u8]]>) -> (u64, usize) {
+    /// Appends the frame `encode` writes to the open segment, sealing it
+    /// and opening a new one first if it is full. Returns that segment's
+    /// id, the frame's length and what `encode` returned.
+    fn append<R>(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> R) -> (u64, usize, R) {
         if self.seal_every != 0 && self.open.records >= self.seal_every {
             // Segments of one spool come out alike: sizing the buffer like
             // its predecessor spares it the grow-and-copy steps.
@@ -187,22 +197,23 @@ impl SpoolLog {
                 .push_back(std::mem::replace(&mut self.open, next));
         }
         let start = self.open.frames.len();
-        encode_record(&mut self.open.frames, key, value);
+        let encoded = encode(&mut self.open.frames);
         self.open.records += 1;
         let len = self.open.frames.len() - start;
         self.bytes += len;
         self.written += len as u64;
-        (self.head_id + self.sealed.len() as u64, len)
+        (self.head_id + self.sealed.len() as u64, len, encoded)
     }
 
-    /// Appends `entry`'s put frame and counts it live in its segment.
-    fn append_put(&mut self, seq: u64, entry: &SpoolEntry) -> (u64, usize) {
-        let (header, used) = put_header(seq, entry.class, entry.dest);
-        let value: [&[u8]; 2] = match &entry.value {
-            Some(payload) => [&[1], payload],
-            None => [&[0], &[]],
-        };
-        let at = self.append(&[&header[..used], &entry.key], Some(&value));
+    /// Appends `entry`'s put frame and counts it live in its segment. The
+    /// frame is stamped from `sum` when the value carries one, else from
+    /// the sum of the copy it writes; returns the segment id, the frame's
+    /// length and the sum.
+    fn append_put(&mut self, seq: u64, entry: &SpoolEntry, sum: Option<u64>) -> (u64, usize, u64) {
+        let (header, used) = put_header(seq, entry);
+        let key: [&[u8]; 2] = [&header[..used], &entry.key];
+        let payload = entry.value.as_deref().unwrap_or_default();
+        let at = self.append(|frames| encode_put(frames, &key, payload, sum));
         self.open.live += 1;
         at
     }
@@ -255,16 +266,19 @@ impl SpoolLog {
                 // Settled by a newer frame: a tombstone, or (had a crash
                 // cut a copy-forward short of dropping the head) a copy.
                 let settled = !settled.insert(seq);
-                let Some(value) = value.filter(|_| !settled) else {
+                let Some((value, sum)) = value.filter(|_| !settled) else {
                     continue;
                 };
-                let (class, dest, key) = decode_put_key(&bytes[key])?;
+                let (class, dest, key, present) = decode_put_key(&bytes[key])?;
+                // The replay's own digest of the payload is its sum.
+                let value = present.then(|| Bytes::copy_from_slice(&bytes[value]));
                 let entry = SpoolEntry {
                     class,
                     dest,
                     key,
-                    value: decode_put_value(&bytes[value])?,
+                    value,
                     attempts: 0,
+                    sum,
                 };
                 let slot = Slot {
                     entry,
@@ -341,18 +355,47 @@ impl UploadSpool {
         key: Bytes,
         value: Option<Bytes>,
     ) -> bool {
+        self.enqueue_with(class, dest, key, value, None)
+    }
+
+    /// [`UploadSpool::enqueue`] of a value this node has summed: its put
+    /// frame is stamped from that sum, and so are the frames that later
+    /// carry it.
+    pub(crate) fn enqueue_summed(
+        &mut self,
+        class: SpoolClass,
+        dest: SpoolDest,
+        key: Bytes,
+        value: Option<Summed>,
+    ) -> bool {
+        let sum = value.as_ref().map(Summed::sum);
+        self.enqueue_with(class, dest, key, value.map(Summed::into_bytes), sum)
+    }
+
+    /// The one enqueue: `sum` is the value's when the caller carries it;
+    /// without, the put frame sums the copy it writes.
+    fn enqueue_with(
+        &mut self,
+        class: SpoolClass,
+        dest: SpoolDest,
+        key: Bytes,
+        value: Option<Bytes>,
+        sum: Option<u64>,
+    ) -> bool {
         if self.seq_of(class, dest, &key).is_some() {
             return false;
         }
-        let entry = SpoolEntry {
+        let mut entry = SpoolEntry {
             class,
             dest,
             key,
             value,
             attempts: 0,
+            sum: 0,
         };
         let seq = self.next_seq;
-        let (segment, frame_len) = self.log.append_put(seq, &entry);
+        let (segment, frame_len, sum) = self.log.append_put(seq, &entry, sum);
+        entry.sum = sum;
         self.log.live_bytes += frame_len;
         self.stats.spool_enqueued += 1;
         self.stats.spool_bytes_enqueued += entry.payload_len();
@@ -395,7 +438,8 @@ impl UploadSpool {
         if let Some(keys) = self.index.get_mut(&(entry.class, entry.dest)) {
             keys.remove(&entry.key[..]);
         }
-        self.log.append(&[&seq.to_le_bytes()], None);
+        self.log
+            .append(|frames| encode_delete(frames, &[&seq.to_le_bytes()]));
         self.log.segment_mut(segment).live -= 1;
         self.log.live_bytes -= frame_len;
         self.reclaim();
@@ -424,7 +468,8 @@ impl UploadSpool {
             let head_id = self.log.head_id;
             for (&seq, slot) in &mut self.entries {
                 if slot.segment == head_id {
-                    slot.segment = self.log.append_put(seq, &slot.entry).0;
+                    let sum = Some(slot.entry.sum);
+                    slot.segment = self.log.append_put(seq, &slot.entry, sum).0;
                 }
             }
             self.log.drop_head();
@@ -472,6 +517,15 @@ impl UploadSpool {
     /// transmission attempt; re-planning an entry whose earlier send
     /// was never acked counts a retransmit.
     pub fn plan_cloud_batch(&mut self, byte_cap: u64) -> Vec<(Bytes, Bytes)> {
+        let batch = self.plan_uploads(byte_cap).into_iter();
+        batch
+            .map(|(key, value)| (key, value.into_bytes()))
+            .collect()
+    }
+
+    /// [`UploadSpool::plan_cloud_batch`], each payload with the sum the
+    /// spool holds of it: what a `CloudUpload` frame is stamped from.
+    pub(crate) fn plan_uploads(&mut self, byte_cap: u64) -> Vec<(Bytes, Summed)> {
         let mut batch = Vec::new();
         let mut budget = 0u64;
         let mut retransmits = 0u64;
@@ -485,7 +539,7 @@ impl UploadSpool {
             entry.attempts += 1;
             budget += len;
             let value = entry.value.clone().unwrap_or_default();
-            batch.push((entry.key.clone(), value));
+            batch.push((entry.key.clone(), Summed::with_sum(value, entry.sum)));
             budget < byte_cap
         };
         // One walk of the queue: criticals are admitted as they are met,
@@ -885,11 +939,11 @@ mod tests {
     /// Bytes of the put frame `entry` occupies in the log.
     fn frame_bytes(entry: &SpoolEntry) -> usize {
         let header = match entry.dest {
-            SpoolDest::Cloud => 10,
-            SpoolDest::Node(_) => 14,
+            SpoolDest::Cloud => 11,
+            SpoolDest::Node(_) => 15,
         };
         let payload = entry.value.as_ref().map_or(0, Bytes::len);
-        1 + 4 + header + entry.key.len() + 4 + 1 + payload + 8
+        1 + 4 + header + entry.key.len() + 4 + payload + 8
     }
 
     #[test]
@@ -972,7 +1026,7 @@ mod tests {
         // The head's pending entry has been appended again at the tail,
         // and the crash came before the head was dropped.
         let mut log = spool.clone().into_wal();
-        log.append_put(0, &before[0]);
+        log.append_put(0, &before[0], None);
         let recovered = UploadSpool::recover(log);
         assert_eq!(recovered.pending().cloned().collect::<Vec<_>>(), before);
         // The newer copy is the one the entry now answers to.
@@ -1012,9 +1066,9 @@ mod tests {
         use ef_simcore::prop::{any, check, vec};
 
         const MAX_PAYLOAD: usize = 90;
-        /// Tag, two length fields, node header, one-byte key, presence
-        /// byte, payload, checksum.
-        const MAX_FRAME: usize = 1 + 4 + 14 + 1 + 4 + 1 + MAX_PAYLOAD + 8;
+        /// Tag, two length fields, node header with its presence byte,
+        /// one-byte key, payload, checksum.
+        const MAX_FRAME: usize = 1 + 4 + 15 + 1 + 4 + MAX_PAYLOAD + 8;
 
         fn pending(spool: &UploadSpool) -> Vec<SpoolEntry> {
             spool.pending().cloned().collect()

@@ -8,7 +8,7 @@
 //! newest to oldest. Deletes write tombstones. Compaction merges all
 //! segments, dropping shadowed values and tombstones.
 
-use crate::integrity::{checksum64, checksum64_parts, le_array, IntegrityError};
+use crate::integrity::{checksum64, le_array, Checksum64, IntegrityError, Summed};
 use bytes::Bytes;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -134,13 +134,20 @@ impl StorageEngine {
     /// Writes a key-value pair. Returns `true` when the key was not live
     /// before (useful for dedup's unique-chunk decision).
     pub fn put(&mut self, key: Bytes, value: Bytes) -> bool {
+        self.put_summed(key, Summed::digest(value))
+    }
+
+    /// [`StorageEngine::put`] of a payload this node has summed: the sum
+    /// it carries is the write-time checksum that verify-on-read and
+    /// scrub hold the bytes to.
+    pub(crate) fn put_summed(&mut self, key: Bytes, value: Summed) -> bool {
         self.writes += 1;
         let before = self.live_sum(&key);
         self.memtable_bytes += key.len() + value.len();
-        let crc = checksum64(&value);
+        let crc = value.sum();
         self.note(&key, before, Some(crc));
         let stored = Stored {
-            data: value,
+            data: value.into_bytes(),
             crc,
             sum: crc,
         };
@@ -215,12 +222,18 @@ impl StorageEngine {
     /// match their checksum (at-rest bit rot). The corrupt entry is left
     /// in place; the caller decides whether to delete and repair it.
     pub fn get_verified(&mut self, key: &[u8]) -> Result<Option<Bytes>, IntegrityError> {
+        Ok(self.get_summed(key)?.map(Summed::into_bytes))
+    }
+
+    /// [`StorageEngine::get_verified`], the value with the sum its
+    /// verification took of the stored bytes.
+    pub(crate) fn get_summed(&mut self, key: &[u8]) -> Result<Option<Summed>, IntegrityError> {
         self.reads += 1;
         match self.newest_slot(key) {
             Some(Slot::Value(v)) => {
                 let actual = checksum64(&v.data);
                 if actual == v.crc {
-                    Ok(Some(v.data.clone()))
+                    Ok(Some(Summed::with_sum(v.data.clone(), actual)))
                 } else {
                     Err(IntegrityError::CorruptValue {
                         key: Bytes::copy_from_slice(key),
@@ -369,6 +382,13 @@ impl StorageEngine {
         self.live(None).map(|(k, v)| (k.clone(), v.data.clone()))
     }
 
+    /// [`StorageEngine::iter_live`], each value with the remembered sum
+    /// of its bytes as they stand: what a node streams to a new owner.
+    pub(crate) fn iter_live_summed(&self) -> impl Iterator<Item = (Bytes, Summed)> + '_ {
+        let summed = |v: &Stored| Summed::with_sum(v.data.clone(), v.sum);
+        self.live(None).map(move |(k, v)| (k.clone(), summed(v)))
+    }
+
     /// Live `(key, value, sum)` triples in key order, `sum` being the
     /// remembered checksum of the value's bytes as they stand: what
     /// anti-entropy rebuilds a summary and lists repairs from without
@@ -502,21 +522,37 @@ impl std::error::Error for WalError {}
 const WAL_TAG_PUT: u8 = 1;
 const WAL_TAG_DELETE: u8 = 2;
 
-/// Encodes one record into `buf`:
-/// `tag(u8) · key_len(u32 LE) · key [· val_len(u32 LE) · val] · crc(u64 LE)`,
-/// where the trailing checksum covers every preceding byte of the record.
-/// Key and value arrive as parts that are written back to back, so a
-/// caller that prefixes a header to a payload (the upload spool's own
-/// log, which shares this framing) never has to join them in a buffer
-/// of its own first.
-pub(crate) fn encode_record(buf: &mut Vec<u8>, key: &[&[u8]], value: Option<&[&[u8]]>) {
+/// Encodes a put record into `buf`:
+/// `tag(u8) · key_len(u32 LE) · key · val_len(u32 LE) · val · crc(u64 LE)`,
+/// the trailing checksum being [`frame_digest`] of the head and the
+/// payload's sum, which is returned. The key arrives as parts written back
+/// to back, so a caller that prefixes a header to a key (the upload
+/// spool's own log, which shares this framing) never joins them in a
+/// buffer of its own first. A payload that carries its sum is copied in
+/// and not read again; one that does not is summed from the copy just
+/// written, hot in cache where the caller's bytes may be cold.
+pub(crate) fn encode_put(
+    buf: &mut Vec<u8>,
+    key: &[&[u8]],
+    payload: &[u8],
+    sum: Option<u64>,
+) -> u64 {
     let start = buf.len();
-    let value_len = value.map(|parts| parts.iter().map(|part| part.len()).sum());
-    encode_head(buf, key, value_len);
-    for part in value.into_iter().flatten() {
-        buf.extend_from_slice(part);
-    }
-    let crc = checksum64(&buf[start..]);
+    encode_head(buf, key, Some(payload.len()));
+    let head_end = buf.len();
+    buf.extend_from_slice(payload);
+    let sum = sum.unwrap_or_else(|| checksum64(&buf[head_end..]));
+    let crc = frame_digest(&buf[start..head_end], Some(sum));
+    buf.extend_from_slice(&crc.to_le_bytes());
+    sum
+}
+
+/// Encodes a delete record (a tombstone) into `buf`:
+/// `tag(u8) · key_len(u32 LE) · key · crc(u64 LE)`.
+pub(crate) fn encode_delete(buf: &mut Vec<u8>, key: &[&[u8]]) {
+    let start = buf.len();
+    encode_head(buf, key, None);
+    let crc = frame_digest(&buf[start..], None);
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
@@ -538,22 +574,64 @@ fn encode_head(buf: &mut Vec<u8>, key: &[&[u8]], value_len: Option<usize>) {
     }
 }
 
+/// A frame's checksum: the digest of its head bytes (every byte before
+/// the payload) followed, for a put, by `checksum64(payload)` as one
+/// little-endian word. A payload already summed is stamped without
+/// reading it again, and a flipped payload bit still moves its sum and
+/// so the checksum. A delete (`None`) has no payload.
+fn frame_digest(head: &[u8], payload: Option<u64>) -> u64 {
+    let mut digest = Checksum64::new();
+    digest.update(head);
+    if let Some(sum) = payload {
+        digest.update_u64(sum);
+    }
+    digest.finish()
+}
+
+/// A snapshot's block checksum, folded frame by frame from what the
+/// frame walk already knows — each frame's length, the digest recomputed
+/// from its bytes and the checksum word it stores — so it reads no byte
+/// of its own. Any flipped byte moves a digest or a word; a swapped or
+/// dropped frame, each frame intact, moves the sequence.
+struct BlockFold(Checksum64);
+
+impl BlockFold {
+    fn new() -> Self {
+        BlockFold(Checksum64::new())
+    }
+
+    fn frame(&mut self, len: usize, digest: u64, stored: u64) {
+        for word in [len as u64, digest, stored] {
+            self.0.update_u64(word);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
 /// One record located in place: byte ranges into the section it was
 /// read from. `end` is the offset of the next frame; the bytes
-/// `start..end` are exactly what [`encode_record`] emitted.
+/// `start..end` are exactly what [`encode_put`] or [`encode_delete`]
+/// emitted.
 pub(crate) struct Frame {
     pub(crate) key: std::ops::Range<usize>,
-    /// `None` for a delete.
-    pub(crate) value: Option<std::ops::Range<usize>>,
+    /// The payload and its sum; `None` for a delete.
+    pub(crate) value: Option<(std::ops::Range<usize>, u64)>,
     pub(crate) end: usize,
 }
 
-/// Locates the frame starting at `offset` and verifies its trailing
-/// checksum, without copying anything out; `Ok(None)` at end of input.
-/// The one framing parser: the upload spool walks its segments with it,
-/// and the write-ahead log hands it the byte form of any section one of
-/// whose frames fails its check in place (`Section::verified`).
-pub(crate) fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
+/// A frame as the parser shapes it, its digest recomputed from its bytes
+/// and its stored checksum word beside it, checked against nothing.
+struct Located {
+    frame: Frame,
+    digest: u64,
+    stored: u64,
+}
+
+/// Shapes the frame starting at `offset`; `Ok(None)` at end of input.
+fn locate(bytes: &[u8], offset: usize) -> Result<Option<Located>, WalError> {
     if offset == bytes.len() {
         return Ok(None);
     }
@@ -570,27 +648,76 @@ pub(crate) fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, Wal
     };
     let tag = bytes[offset];
     let key = take(offset + 5, len_at(offset + 1)?)?;
-    let (value, body_end) = match tag {
+    let (value, head_end, body_end) = match tag {
         WAL_TAG_PUT => {
             let value = take(key.end + 4, len_at(key.end)?)?;
-            let body_end = value.end;
-            (Some(value), body_end)
+            (Some(value.clone()), value.start, value.end)
         }
-        WAL_TAG_DELETE => (None, key.end),
+        WAL_TAG_DELETE => (None, key.end, key.end),
         tag => return Err(WalError::BadTag { offset, tag }),
     };
     let crc = take(body_end, 8)?;
-    if checksum64(&bytes[offset..body_end]) != u64::from_le_bytes(le_array(&bytes[crc.clone()])) {
+    let value = value.map(|value| {
+        let sum = checksum64(&bytes[value.clone()]);
+        (value, sum)
+    });
+    let digest = frame_digest(
+        &bytes[offset..head_end],
+        value.as_ref().map(|(_, sum)| *sum),
+    );
+    let stored = u64::from_le_bytes(le_array(&bytes[crc.clone()]));
+    let end = crc.end;
+    let frame = Frame { key, value, end };
+    Ok(Some(Located {
+        frame,
+        digest,
+        stored,
+    }))
+}
+
+/// Locates the frame starting at `offset` and verifies its trailing
+/// checksum, without copying anything out; `Ok(None)` at end of input.
+/// The one framing parser: the upload spool walks its segments with it,
+/// and the write-ahead log hands it the byte form of any section one of
+/// whose frames fails its check in place (`Section::verified`).
+pub(crate) fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
+    let Some(located) = locate(bytes, offset)? else {
+        return Ok(None);
+    };
+    if located.digest != located.stored {
         return Err(WalError::BadChecksum { offset });
     }
-    let end = crc.end;
-    Ok(Some(Frame { key, value, end }))
+    Ok(Some(located.frame))
+}
+
+/// The block checksum of a section's byte form: its frames folded in
+/// order ([`BlockFold`]). `None` when the bytes do not frame (torn or
+/// mistagged), which no stamped block equals.
+fn block_checksum(bytes: &[u8]) -> Option<u64> {
+    let mut block = BlockFold::new();
+    let mut offset = 0;
+    while let Some(located) = locate(bytes, offset).ok()? {
+        let len = located.frame.end - offset;
+        block.frame(len, located.digest, located.stored);
+        offset = located.frame.end;
+    }
+    Some(block.finish())
 }
 
 /// A payload this long or shorter is copied into the log: holding it by
 /// reference costs a `(usize, Bytes)` entry, more than the copy (the
 /// index's one-byte "present" values).
 const INLINE_PAYLOAD_MAX: usize = std::mem::size_of::<(usize, Bytes)>();
+
+/// What one verify walk of a section found ([`Section::check`]).
+#[derive(Debug, Clone, Copy)]
+struct Check {
+    /// The block checksum of the section as it stands; `None` when its
+    /// byte form does not frame.
+    block: Option<u64>,
+    /// Every record framed in place and matched its stored word.
+    clean: bool,
+}
 
 /// One log section (snapshot or tail). Its byte form — what rot addresses
 /// and what the parser reads — is `owned` with each `shared` payload
@@ -611,6 +738,15 @@ struct Section {
 enum Payload<'a> {
     Inline(&'a [u8]),
     Shared(&'a Bytes),
+}
+
+impl Payload<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Payload::Inline(bytes) => bytes,
+            Payload::Shared(bytes) => bytes,
+        }
+    }
 }
 
 /// One record of a section, located the way the parser would frame the
@@ -637,19 +773,23 @@ impl Section {
         self.len() == 0
     }
 
-    /// Appends a record, its checksum stamped over all its bytes. A long
+    /// Appends a record, its checksum stamped from its head and its
+    /// payload's sum — the one the payload carries, if any. A long
     /// payload is held by reference, a short one copied in.
-    fn push_record(&mut self, key: &[u8], value: Option<&Bytes>) {
+    fn push_record(&mut self, key: &[u8], value: Option<(&Bytes, Option<u64>)>) {
         match value {
-            Some(value) if value.len() > INLINE_PAYLOAD_MAX => {
+            Some((value, sum)) if value.len() > INLINE_PAYLOAD_MAX => {
                 let start = self.owned.len();
                 encode_head(&mut self.owned, &[key], Some(value.len()));
-                let crc = checksum64_parts([&self.owned[start..], &value[..]]);
+                let sum = sum.unwrap_or_else(|| checksum64(value));
+                let crc = frame_digest(&self.owned[start..], Some(sum));
                 self.push_shared(value.clone());
                 self.owned.extend_from_slice(&crc.to_le_bytes());
             }
-            Some(value) => encode_record(&mut self.owned, &[key], Some(&[value])),
-            None => encode_record(&mut self.owned, &[key], None),
+            Some((value, sum)) => {
+                encode_put(&mut self.owned, &[key], value, sum);
+            }
+            None => encode_delete(&mut self.owned, &[key]),
         }
     }
 
@@ -703,11 +843,6 @@ impl Section {
         });
         let last = self.shared.last().map_or(0, |(at, _)| *at);
         spliced.chain(std::iter::once(&self.owned[last..]))
-    }
-
-    /// The block checksum: `checksum64` of the byte form.
-    fn checksum(&self) -> u64 {
-        checksum64_parts(self.parts())
     }
 
     /// The byte form, joined: what the cold paths hand the parser.
@@ -790,15 +925,67 @@ impl Section {
         })
     }
 
-    /// True when the parser would accept `record` as it stands: its
-    /// checksum matches every byte before it.
-    fn verifies(&self, record: &Record<'_>) -> bool {
-        let head = &self.owned[record.start..record.head_end];
-        let sum = match record.value {
-            Some(Payload::Shared(value)) => checksum64_parts([head, &value[..]]),
-            _ => checksum64(&self.owned[record.start..record.crc_at]),
+    /// `record`'s checksum recomputed from its bytes ([`frame_digest`]):
+    /// the head, and a payload's sum taken from the payload as it stands.
+    fn digest(&self, record: &Record<'_>) -> u64 {
+        let payload = record.value.map(|value| checksum64(value.bytes()));
+        frame_digest(&self.owned[record.start..record.head_end], payload)
+    }
+
+    /// The checksum word `record` stores.
+    fn stored(&self, record: &Record<'_>) -> u64 {
+        u64::from_le_bytes(le_array(&self.owned[record.crc_at..record.end]))
+    }
+
+    /// `record`'s length in the byte form.
+    fn frame_len(&self, record: &Record<'_>) -> usize {
+        let shared = match record.value {
+            Some(Payload::Shared(value)) => value.len(),
+            _ => 0,
         };
-        sum == u64::from_le_bytes(le_array(&self.owned[record.crc_at..record.end]))
+        record.end - record.start + shared
+    }
+
+    /// True when the parser would accept `record` as it stands: its
+    /// checksum matches the digest of its bytes.
+    #[cfg(test)]
+    fn verifies(&self, record: &Record<'_>) -> bool {
+        self.digest(record) == self.stored(record)
+    }
+
+    /// The one verify walk: each record's digest recomputed from its
+    /// bytes once, held to its stored word, and folded into the block
+    /// checksum. Parts that stop framing records in place are left to
+    /// their byte form: its block checksum here, the parser after.
+    fn check(&self) -> Check {
+        let mut block = BlockFold::new();
+        let mut clean = true;
+        for record in self.walk() {
+            let Some(record) = record else {
+                let block = block_checksum(&self.to_bytes());
+                return Check {
+                    block,
+                    clean: false,
+                };
+            };
+            let (digest, stored) = (self.digest(&record), self.stored(&record));
+            clean &= digest == stored;
+            block.frame(self.frame_len(&record), digest, stored);
+        }
+        let block = Some(block.finish());
+        Check { block, clean }
+    }
+
+    /// The block checksum of a section whose every record verifies, so
+    /// that each digest is its stored word: folded from those words
+    /// alone, reading no payload.
+    fn stamp(&self) -> u64 {
+        let mut block = BlockFold::new();
+        for record in self.records() {
+            let stored = self.stored(&record);
+            block.frame(self.frame_len(&record), stored, stored);
+        }
+        block.finish()
     }
 
     /// The section with every record verified: itself when each frame
@@ -806,10 +993,12 @@ impl Section {
     /// parser ([`frame_at`]) and held as owned bytes — so damage comes out
     /// as the parser reports it, variant and offset alike.
     fn verified(&self) -> Result<Cow<'_, Section>, WalError> {
-        if self
-            .walk()
-            .all(|record| record.is_some_and(|record| self.verifies(&record)))
-        {
+        self.verified_by(self.check())
+    }
+
+    /// [`Section::verified`] on the verdict of a walk already taken.
+    fn verified_by(&self, check: Check) -> Result<Cow<'_, Section>, WalError> {
+        if check.clean {
             return Ok(Cow::Borrowed(self));
         }
         let bytes = self.to_bytes();
@@ -897,28 +1086,32 @@ impl Section {
 /// ones.
 ///
 /// The disk image is a byte string — length, every byte and every
-/// checksum exactly what `encode_record` would write — but it is not
+/// checksum exactly what `encode_put` and `encode_delete` would write — but it is not
 /// stored contiguously. The log owns each frame's small header (tag,
 /// length fields, key) and 8-byte checksum, and shares its payload with
 /// whoever appended it: the `Bytes` that [`WriteAheadLog::append_put`]
 /// takes is the one the storage engine keeps, so a layer holds a payload
 /// byte once. (A payload of at most 48 bytes — the size of the reference
-/// — is copied in instead.) Checksums are taken over the parts as if
-/// joined (`checksum64_parts`); rot ([`WriteAheadLog::flip_bit`])
-/// addresses the same byte space and copies on write only a shared
-/// payload it lands in.
+/// — is copied in instead.) A put frame's checksum digests its header
+/// and the sum its payload carries ([`frame_digest`]), so appending reads
+/// no payload byte; rot ([`WriteAheadLog::flip_bit`]) addresses the same
+/// byte space and copies on write only a shared payload it lands in.
 ///
 /// Snapshotting is self-compacting: once the tail accumulates
 /// `snapshot_every` records — or as many records as the snapshot itself
 /// holds, whichever is larger — the full log is compacted into its live
-/// key set as the new snapshot. Compaction verifies the old snapshot's
-/// block checksum and every frame's own, then copies the owned bytes of
-/// the newest put frame of every live key into the new snapshot and
-/// takes its shared payload by reference — no record is decoded or
-/// re-encoded, no shared payload byte copied — and stamps the new block
-/// checksum. A section with a frame that fails its
-/// check in place is handed to the parser as bytes instead, so damage is
-/// reported exactly as a contiguous log would report it. The ratio
+/// key set as the new snapshot. Compaction verifies every frame's own
+/// checksum in one walk and holds the old snapshot's block checksum,
+/// folded from that walk's digests, to the one recorded; then it copies
+/// the owned bytes of the newest put frame of every live key into the
+/// new snapshot and takes its shared payload by reference — no record
+/// is decoded or re-encoded, no shared payload byte copied — and stamps
+/// the new block checksum from the frames' stored words: each logged
+/// byte is read once. The block checksum owns what no frame's own check
+/// can see, a whole frame moved or lost (DESIGN.md §10). A section with
+/// a frame that fails its check in place is handed to the parser as
+/// bytes instead, so damage is reported exactly as a contiguous log
+/// would report it. The ratio
 /// trigger spaces compactions geometrically on growing states, so
 /// append cost stays amortized O(1) while disk growth stays within ~2x
 /// the live set for workloads that overwrite or delete.
@@ -997,7 +1190,13 @@ impl WriteAheadLog {
     /// payload byte is copied — unless it is 48 bytes or shorter, which
     /// is cheaper to copy in than to reference.
     pub fn append_put(&mut self, key: &[u8], value: &Bytes) {
-        self.append(key, Some(value));
+        self.append(key, Some((value, None)));
+    }
+
+    /// Appends a put (`Some`) or a delete (`None`) of a payload this node
+    /// has summed: the record is stamped from the sum it carries.
+    pub(crate) fn append_summed(&mut self, key: &[u8], value: Option<&Summed>) {
+        self.append(key, value.map(|value| (value.bytes(), Some(value.sum()))));
     }
 
     /// Appends a delete (tombstone) record.
@@ -1006,7 +1205,7 @@ impl WriteAheadLog {
     }
 
     /// Writes one record to the tail; compacts if due.
-    fn append(&mut self, key: &[u8], value: Option<&Bytes>) {
+    fn append(&mut self, key: &[u8], value: Option<(&Bytes, Option<u64>)>) {
         self.tail.push_record(key, value);
         self.tail_records += 1;
         self.appended += 1;
@@ -1065,11 +1264,11 @@ impl WriteAheadLog {
     /// fallback: never silently-accepted data.
     pub fn recover_replay(&mut self) -> Result<(Vec<WalRecord>, ReplayNotes), WalError> {
         let mut notes = ReplayNotes::default();
-        let snapshot_clean =
-            self.snapshot.is_empty() || self.snapshot.checksum() == self.snapshot_crc;
+        let check = self.snapshot.check();
+        let snapshot_clean = self.snapshot.is_empty() || check.block == Some(self.snapshot_crc);
         let decoded = if snapshot_clean {
             self.snapshot
-                .verified()
+                .verified_by(check)
                 .map(|snapshot| snapshot.wal_records().collect())
         } else {
             Err(WalError::BadChecksum { offset: 0 })
@@ -1083,15 +1282,16 @@ impl WriteAheadLog {
                     return Err(e);
                 }
                 if !self.prev_snapshot.is_empty()
-                    && self.prev_snapshot.checksum() != self.prev_snapshot_crc
+                    && self.prev_snapshot.check().block != Some(self.prev_snapshot_crc)
                 {
                     return Err(e);
                 }
                 let mut rebuilt = self.prev_snapshot.clone();
                 rebuilt.extend(&self.prev_tail);
-                let records: Vec<WalRecord> =
-                    rebuilt.verified().map_err(|_| e)?.wal_records().collect();
-                self.snapshot_crc = rebuilt.checksum();
+                let verified = rebuilt.verified().map_err(|_| e)?;
+                let records: Vec<WalRecord> = verified.wal_records().collect();
+                self.snapshot_crc = verified.stamp();
+                drop(verified);
                 self.snapshot = rebuilt;
                 self.snapshot_entries = records.len() as u64;
                 self.snapshot_fallbacks += 1;
@@ -1137,25 +1337,32 @@ impl WriteAheadLog {
             && self.integrity_error.is_none()
     }
 
+    /// Compacts the log once [`WriteAheadLog::snapshot_due`] says so.
+    fn maybe_snapshot(&mut self) {
+        if self.snapshot_due() {
+            self.compact();
+        }
+    }
+
     /// Compacts the full log into a snapshot of its live key set,
     /// emptying the tail. The pre-compaction log is stashed so a later
     /// rotted snapshot can fall back to it.
     ///
     /// Frames are walked where they are ([`WriteAheadLog::live_frames`]):
-    /// each is verified once and the newest put per key goes into the new
-    /// snapshot as its owned bytes plus its shared payload by reference —
-    /// a frame already is its own encoding, trailing checksum included,
-    /// so no record is decoded, re-encoded or checksummed again. A log that
+    /// each is verified once — the one read of each logged byte a
+    /// compaction makes, which also folds the old snapshot's block
+    /// checksum — and the newest put per key goes into the new snapshot as
+    /// its owned bytes plus its shared payload by reference. A frame
+    /// already is its own encoding, trailing checksum included, so no
+    /// record is decoded, re-encoded or checksummed again, and the new
+    /// block checksum folds from the frames' stored words. A log that
     /// fails verification first takes the restart path's recovery
     /// lattice ([`WriteAheadLog::recover_replay`]: snapshot fallback,
     /// torn-tail truncation) and is compacted only if that heals it;
     /// when the body is corrupt, compaction stops (it would bake the
     /// damage in) and the error is held for
     /// [`WriteAheadLog::integrity_error`] — never swallowed.
-    fn maybe_snapshot(&mut self) {
-        if !self.snapshot_due() {
-            return;
-        }
+    fn compact(&mut self) {
         let compacted = self.live_frames().or_else(|_| {
             self.recover_replay()?;
             self.live_frames()
@@ -1170,29 +1377,32 @@ impl WriteAheadLog {
         self.prev_snapshot = std::mem::take(&mut self.snapshot);
         self.prev_snapshot_crc = self.snapshot_crc;
         self.prev_tail = std::mem::take(&mut self.tail);
-        self.snapshot_crc = snapshot.checksum();
+        self.snapshot_crc = snapshot.stamp();
         self.snapshot = snapshot;
         self.snapshot_entries = entries;
         self.tail_records = 0;
         self.snapshots_taken += 1;
     }
 
-    /// The log's live state as a snapshot section: the snapshot block is
-    /// checked against its checksum, every frame of snapshot and tail is
-    /// verified, and the newest put frame of each key that no later
-    /// delete shadows is taken in key order (owned bytes copied, a shared
-    /// payload by reference), with the entry count. A snapshot is the complete state — absent keys are absent —
-    /// so tombstones are not carried forward.
+    /// The log's live state as a snapshot section: one walk verifies
+    /// every frame of snapshot and tail and holds the snapshot's block
+    /// checksum, folded from the same digests, to the one recorded; then
+    /// the newest put frame of each key that no later delete shadows is
+    /// taken in key order (owned bytes copied, a shared payload by
+    /// reference), with the entry count. A snapshot is the complete
+    /// state — absent keys are absent — so tombstones are not carried
+    /// forward.
     ///
     /// # Errors
     ///
     /// [`WalError`] on any damage (rotted snapshot block, torn, mistagged
     /// or rotted frame); nothing is modified.
     fn live_frames(&self) -> Result<(Section, u64), WalError> {
-        if !self.snapshot.is_empty() && self.snapshot.checksum() != self.snapshot_crc {
+        let check = self.snapshot.check();
+        if !self.snapshot.is_empty() && check.block != Some(self.snapshot_crc) {
             return Err(WalError::BadChecksum { offset: 0 });
         }
-        let sections = [self.snapshot.verified()?, self.tail.verified()?];
+        let sections = [self.snapshot.verified_by(check)?, self.tail.verified()?];
         // Newest frame per key: a put's frame and its section, `None` for
         // a delete.
         let mut newest = BTreeMap::new();
@@ -1275,7 +1485,8 @@ impl WriteAheadLog {
 /// The write-ahead log as it was stored before frames were held by
 /// reference — each section one contiguous `Vec<u8>`, compacted by
 /// decoding every record into fresh buffers, folding them into a map,
-/// re-encoding and re-checksumming — kept as the reference
+/// re-encoding and re-checksumming, every checksum and block checksum
+/// taken from the contiguous bytes — kept as the reference
 /// [`WriteAheadLog`] is held to, byte for byte.
 #[cfg(test)]
 pub(crate) mod reference {
@@ -1309,7 +1520,7 @@ pub(crate) mod reference {
         };
         let key = Bytes::copy_from_slice(&bytes[frame.key]);
         let record = match frame.value {
-            Some(value) => WalRecord::Put(key, Bytes::copy_from_slice(&bytes[value])),
+            Some((value, _)) => WalRecord::Put(key, Bytes::copy_from_slice(&bytes[value])),
             None => WalRecord::Delete(key),
         };
         Ok(Some((record, frame.end)))
@@ -1336,11 +1547,12 @@ pub(crate) mod reference {
 
         /// `append_put` (`Some`) or `append_delete` (`None`).
         pub(crate) fn append(&mut self, key: &[u8], value: Option<&[u8]>) {
-            encode_record(
-                &mut self.tail,
-                &[key],
-                value.as_ref().map(std::slice::from_ref),
-            );
+            match value {
+                Some(value) => {
+                    encode_put(&mut self.tail, &[key], value, None);
+                }
+                None => encode_delete(&mut self.tail, &[key]),
+            }
             self.tail_records += 1;
             self.appended += 1;
             self.maybe_snapshot();
@@ -1354,8 +1566,8 @@ pub(crate) mod reference {
 
         pub(crate) fn recover_replay(&mut self) -> Result<(Vec<WalRecord>, ReplayNotes), WalError> {
             let mut notes = ReplayNotes::default();
-            let snapshot_clean =
-                self.snapshot.is_empty() || checksum64(&self.snapshot) == self.snapshot_crc;
+            let snapshot_clean = self.snapshot.is_empty()
+                || block_checksum(&self.snapshot) == Some(self.snapshot_crc);
             let decoded = if snapshot_clean {
                 decode_section(&self.snapshot)
             } else {
@@ -1368,7 +1580,7 @@ pub(crate) mod reference {
                         return Err(e);
                     }
                     if !self.prev_snapshot.is_empty()
-                        && checksum64(&self.prev_snapshot) != self.prev_snapshot_crc
+                        && block_checksum(&self.prev_snapshot) != Some(self.prev_snapshot_crc)
                     {
                         return Err(e);
                     }
@@ -1376,7 +1588,7 @@ pub(crate) mod reference {
                     rebuilt.extend_from_slice(&self.prev_tail);
                     let records = decode_section(&rebuilt).map_err(|_| e)?;
                     self.snapshot = rebuilt;
-                    self.snapshot_crc = checksum64(&self.snapshot);
+                    self.snapshot_crc = block_checksum(&self.snapshot).expect("decoded");
                     self.snapshot_entries = records.len() as u64;
                     self.snapshot_fallbacks += 1;
                     notes.snapshot_fallback = true;
@@ -1431,7 +1643,7 @@ pub(crate) mod reference {
             let mut entries = 0u64;
             for (k, v) in &live {
                 if let Some(v) = v {
-                    encode_record(&mut snapshot, &[k], Some(&[v]));
+                    encode_put(&mut snapshot, &[k], v, None);
                     entries += 1;
                 }
             }
@@ -1440,7 +1652,7 @@ pub(crate) mod reference {
             self.prev_tail = std::mem::take(&mut self.tail);
             self.snapshot = snapshot;
             self.snapshot_entries = entries;
-            self.snapshot_crc = checksum64(&self.snapshot);
+            self.snapshot_crc = block_checksum(&self.snapshot).expect("encoded");
             self.tail_records = 0;
             self.snapshots_taken += 1;
         }
@@ -1489,6 +1701,24 @@ pub(crate) mod reference {
             shared.map(|(_, value)| value.clone()).collect()
         }
 
+        /// Compacts now, due or not.
+        pub(crate) fn compact_now(&mut self) {
+            self.compact();
+        }
+
+        /// Rewrites the snapshot as `order` picks its frames (indices in
+        /// frame order; one left out is dropped, one named twice is
+        /// copied): every frame stays whole and passes its own check, so
+        /// only the block checksum can see the change.
+        pub(crate) fn reorder_snapshot(&mut self, order: &[usize]) {
+            let snapshot = std::mem::take(&mut self.snapshot);
+            let frames: Vec<_> = snapshot.records().collect();
+            for &at in order {
+                let copy = snapshot.copy_of(&frames[at]);
+                self.snapshot.push_copy(copy);
+            }
+        }
+
         /// Cuts the tail's last `bytes` bytes, as a crash mid-write would.
         pub(crate) fn tear_tail(&mut self, bytes: usize) {
             let keep = self.tail.len().saturating_sub(bytes);
@@ -1513,7 +1743,8 @@ pub(crate) mod reference {
                         ]);
                         break;
                     };
-                    let payload = frame.value.unwrap_or(frame.key.end..frame.key.end);
+                    let empty = frame.key.end..frame.key.end;
+                    let payload = frame.value.map_or(empty, |(payload, _)| payload);
                     bounds.push([at, payload.start, payload.end, frame.end].map(|x| base + x));
                     at = frame.end;
                 }
@@ -1528,6 +1759,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::ByteLog;
     use super::*;
+    use ef_simcore::prop::{any, check, vec};
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -1941,6 +2173,154 @@ mod tests {
         }
     }
 
+    /// What each check owns. A fault in the snapshot is either rot in one
+    /// frame — a header, length, payload or stored-checksum bit — which
+    /// that frame's own check already fails, or a whole frame moved or
+    /// lost, every frame still passing its own check, which only the
+    /// block checksum sees. Either way the block check turns recovery and
+    /// compaction alike to the stashed pre-compaction log: a fallback
+    /// that restores the clean state when the stash is sound, a
+    /// `WalError` when it is damaged too.
+    #[test]
+    fn the_block_checksum_owns_moved_and_lost_frames() {
+        // Payloads held by reference (a, c) and copied in (b).
+        let fixture = || {
+            let mut wal = WriteAheadLog::new(4);
+            wal.append_put(b"a", &Bytes::from(vec![1; 100]));
+            wal.append_put(b"b", &b("bee"));
+            wal.append_put(b"c", &Bytes::from(vec![3; 200]));
+            wal.append_put(b"a", &Bytes::from(vec![4; 64]));
+            assert_eq!(wal.snapshots_taken(), 1);
+            wal.append_put(b"d", &b("tail"));
+            let clean = fold_live(&wal.replay().unwrap());
+            (wal, clean)
+        };
+        // Rot lands in snapshot frame 1 (b): at `[start, payload start,
+        // payload end, end]` of its bounds.
+        type Fault = fn(&mut WriteAheadLog);
+        fn flip(wal: &mut WriteAheadLog, pick: fn([usize; 4]) -> usize) {
+            let at = pick(wal.frame_bounds()[1]);
+            assert!(wal.flip_bit(at, 2));
+        }
+        // The checks that see each fault: the frame's own and the block
+        // checksum, or the block checksum alone.
+        const FRAME_AND_BLOCK: &str = "frame check and block checksum";
+        const BLOCK_ALONE: &str = "block checksum alone";
+        let table: [(&str, Fault, &str); 6] = [
+            (
+                "header",
+                |w| flip(w, |[start, ..]| start + 5),
+                FRAME_AND_BLOCK,
+            ),
+            (
+                "length",
+                |w| flip(w, |[_, body, ..]| body - 4),
+                FRAME_AND_BLOCK,
+            ),
+            (
+                "payload",
+                |w| flip(w, |[_, body, ..]| body + 1),
+                FRAME_AND_BLOCK,
+            ),
+            (
+                "stored checksum",
+                |w| flip(w, |[.., end]| end - 3),
+                FRAME_AND_BLOCK,
+            ),
+            (
+                "frame swap",
+                |w| w.reorder_snapshot(&[1, 0, 2]),
+                BLOCK_ALONE,
+            ),
+            ("frame drop", |w| w.reorder_snapshot(&[0, 2]), BLOCK_ALONE),
+        ];
+        for (fault, strike, caught_by) in table {
+            let (mut wal, clean) = fixture();
+            strike(&mut wal);
+            let block_catches = wal.snapshot.check().block != Some(wal.snapshot_crc);
+            let seen = match (wal.snapshot.verified().is_err(), block_catches) {
+                (true, true) => FRAME_AND_BLOCK,
+                (false, true) => BLOCK_ALONE,
+                (_, false) => "no check",
+            };
+            assert_eq!(seen, caught_by, "{fault}");
+            // Stash sound: both paths fall back to it and recover the
+            // clean state.
+            let mut restarted = wal.clone();
+            let (records, notes) = restarted.recover_replay().expect(fault);
+            assert!(notes.snapshot_fallback, "{fault}: restart");
+            assert_eq!(fold_live(&records), clean, "{fault}: restart");
+            let mut compacted = wal.clone();
+            compacted.compact_now();
+            assert_eq!(compacted.snapshot_fallbacks(), 1, "{fault}: compaction");
+            assert_eq!(compacted.integrity_error(), None, "{fault}: compaction");
+            assert_eq!(compacted.snapshots_taken(), 2, "{fault}: compaction");
+            assert_eq!(fold_live(&compacted.replay().unwrap()), clean, "{fault}");
+            // Stash damaged as well: both paths refuse with a `WalError`.
+            wal.prev_tail.flip(1, 0x10);
+            assert!(wal.prev_tail.verified().is_err());
+            let mut restarted = wal.clone();
+            let refused = Err(WalError::BadChecksum { offset: 0 });
+            assert_eq!(restarted.recover_replay(), refused, "{fault}: restart");
+            assert_eq!(restarted.snapshot_fallbacks(), 0, "{fault}: restart");
+            wal.compact_now();
+            assert_eq!(wal.integrity_error(), refused.err(), "{fault}");
+            assert_eq!(wal.snapshots_taken(), 1, "{fault}: compaction");
+        }
+    }
+
+    /// Every single-bit flip of a frame — head, payload or stored
+    /// checksum — is rejected, and the in-place check
+    /// ([`Section::verifies`]) and the parser over the byte form
+    /// ([`frame_at`]) reject the same flips: index puts (payloads copied
+    /// in and held by reference), deletes, and the spool's put frames (a
+    /// header-prefixed key, a payload with or without bytes).
+    #[test]
+    fn every_single_flip_of_a_frame_is_rejected_in_place_and_by_the_parser() {
+        fn in_place(section: &Section) -> bool {
+            section
+                .walk()
+                .all(|record| record.is_some_and(|record| section.verifies(&record)))
+        }
+        fn parsed(bytes: &[u8]) -> bool {
+            let mut at = 0;
+            loop {
+                match frame_at(bytes, at) {
+                    Ok(None) => return true,
+                    Ok(Some(frame)) => at = frame.end,
+                    Err(_) => return false,
+                }
+            }
+        }
+        let strategy = (0u8..3, vec(any::<u8>(), 0..160), vec(any::<u8>(), 0..40));
+        check(
+            "every_single_flip_of_a_frame_is_rejected",
+            48,
+            strategy,
+            |(shape, payload, key)| {
+                let payload = Summed::digest(Bytes::from(payload));
+                let mut section = Section::default();
+                match shape {
+                    0 => section.push_record(&key, Some((payload.bytes(), Some(payload.sum())))),
+                    1 => section.push_record(&key, None),
+                    _ => {
+                        let header = [7u8, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0];
+                        let sum = Some(payload.sum());
+                        encode_put(&mut section.owned, &[&header, &key], &payload, sum);
+                    }
+                }
+                assert!(in_place(&section) && parsed(&section.to_bytes()));
+                for bit in 0..section.len() * 8 {
+                    let mut rotted = section.clone();
+                    rotted.flip(bit / 8, 1 << (bit % 8));
+                    let (here, there) = (in_place(&rotted), parsed(&rotted.to_bytes()));
+                    assert_eq!(here, there, "shape {shape}: flip {bit} judged apart");
+                    assert!(!here, "shape {shape}: flip {bit} accepted");
+                }
+            },
+        );
+    }
+
     #[test]
     fn flip_bit_addresses_snapshot_then_tail() {
         let mut wal = WriteAheadLog::new(0);
@@ -1963,12 +2343,12 @@ mod tests {
         // checksum stamped over exactly these parts.
         let mut misstated = WriteAheadLog::new(0);
         encode_head(&mut misstated.tail.owned, &[b"k"], Some(99));
-        let crc = checksum64_parts([&misstated.tail.owned[..], &payload[..]]);
+        let crc = frame_digest(&misstated.tail.owned, Some(checksum64(&payload)));
         misstated.tail.push_shared(payload.clone());
         misstated.tail.owned.extend_from_slice(&crc.to_le_bytes());
         // A whole inline record, with a payload spliced into its header.
         let mut misplaced = WriteAheadLog::new(0);
-        encode_record(&mut misplaced.tail.owned, &[b"k"], Some(&[b"vvvv"]));
+        encode_put(&mut misplaced.tail.owned, &[b"k"], b"vvvv", None);
         misplaced.tail.shared.push((2, payload));
         misplaced.tail.spliced = 100;
         for mut wal in [misstated, misplaced] {
@@ -1980,8 +2360,6 @@ mod tests {
             assert_eq!(wal.image(), reference);
         }
     }
-
-    use ef_simcore::prop::{any, check, vec};
 
     /// A byte of `log` for rot to land in: of the frame `pick` selects,
     /// anywhere in its header, one of its length fields, its payload or
