@@ -8,6 +8,10 @@
 //! aligning boundaries to content so that insertions do not shift every
 //! subsequent chunk.
 
+// A module on the dedup hot path (DESIGN.md §13): besides unwrap, expect
+// and panic!, every index and every integer operation must be checked.
+#![warn(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
+
 use crate::chunk::{Chunk, Chunker};
 use bytes::Bytes;
 use std::fmt;
@@ -105,6 +109,10 @@ impl GearChunkerBuilder {
     ///
     /// Returns an error when `min >= target`, `target >= max`, `min == 0`,
     /// or `target` is not a power of two.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "target_size is a power of two below usize::MAX, so bits + 1 <= 64"
+    )]
     pub fn build(self) -> Result<GearChunker, InvalidCdcConfigError> {
         if self.min_size == 0 {
             return Err(InvalidCdcConfigError {
@@ -144,6 +152,10 @@ impl GearChunkerBuilder {
 
 /// Spread `bits` ones over the upper half of a 64-bit mask (FastCDC uses
 /// spread masks rather than low-order masks to involve more gear bits).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "every operand is reduced modulo 64 and i < bits <= 64"
+)]
 fn mask_with_bits(bits: u32) -> u64 {
     assert!(bits <= 64, "mask cannot have more than 64 bits");
     let mut mask = 0u64;
@@ -181,11 +193,13 @@ pub struct GearChunker {
 
 impl Default for GearChunker {
     /// The 2 KiB / 8 KiB / 64 KiB configuration.
+    #[expect(
+        clippy::expect_used,
+        reason = "the default 2K/8K/64K config satisfies every builder invariant"
+    )]
     fn default() -> Self {
         GearChunkerBuilder::new()
             .build()
-            // simlint::allow(P003): the default 2K/8K/64K config satisfies
-            // every builder invariant; failure here is unreachable
             .expect("default config is valid")
     }
 }
@@ -215,6 +229,11 @@ impl GearChunker {
     /// (DESIGN.md §11), so it is the only scan — every thread
     /// [`GearChunker::boundaries`] runs calls it on a full tail of the
     /// input.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "min_size < len on entry and i < cap <= len in both loops; a gear index is a byte"
+    )]
     fn next_boundary(&self, data: &[u8]) -> usize {
         let len = data.len();
         if len <= self.min_size {
@@ -267,6 +286,7 @@ impl GearChunker {
     /// segment; a cut depends only on the bytes from its chunk's start,
     /// so once the serial chain lands on a cut of a speculative chain the
     /// rest of that chain is serial too.
+    #[expect(clippy::arithmetic_side_effects, reason = "parts >= 2 here")]
     fn cuts_in_parts(&self, data: &[u8], parts: usize) -> Vec<usize> {
         let len = data.len();
         if parts < 2 || len < parts {
@@ -295,6 +315,11 @@ impl GearChunker {
 
     /// The cut chain from `from` (taken as a chunk start) up to and
     /// including its first cut at or past `until`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "offset < until <= data.len(), and target_size is non-zero"
+    )]
     fn chain(&self, data: &[u8], from: usize, until: usize) -> Vec<usize> {
         let mut cuts = Vec::with_capacity(until.saturating_sub(from) / self.target_size + 1);
         let mut offset = from;
@@ -311,6 +336,11 @@ impl GearChunker {
     /// step serially until the last cut is one of `spec`'s, then adopt
     /// `spec`'s tail after it. A serial chain that steps past `spec`'s
     /// last cut without landing on one has rescanned the segment itself.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "at < spec.len() on a hit, and last < spec[at] <= data.len() on a miss"
+    )]
     fn stitch(&self, data: &[u8], cuts: &mut Vec<usize>, spec: &[usize]) {
         while let Some(&last) = cuts.last() {
             match spec.binary_search(&last) {
@@ -332,6 +362,7 @@ impl Chunker for GearChunker {
     /// one [`crate::fingerprint_batch`] call. Both halves split large inputs
     /// across the host's cores; chunks and hashes are the ones a single
     /// core gives.
+    #[expect(clippy::indexing_slicing, reason = "cuts rise strictly to data.len()")]
     fn chunk(&self, data: &[u8]) -> Vec<Chunk> {
         let src = Bytes::copy_from_slice(data);
         let cuts = self.boundaries(data);

@@ -24,10 +24,12 @@ use crate::fixed::{FixedChunker, InvalidChunkSizeError};
 /// }
 /// ```
 #[derive(Debug, Clone)]
-// The gear variant carries its 2 kB gear table inline; a handful of
-// short-lived instances exist per run, and boxing would cost a deref on
-// every chunk() dispatch.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the gear variant carries its 2 kB gear table inline; a handful of \
+              short-lived instances exist per run, and boxing would cost a deref \
+              on every chunk() dispatch"
+)]
 pub enum ChunkerKind {
     /// Equal-size chunking (the paper's system model).
     Fixed(FixedChunker),
@@ -72,6 +74,10 @@ impl ChunkerKind {
     /// Both engines at a comparable chunk size, for parameterized tests:
     /// the fixed chunker at exactly `chunk_size` and the gear chunker
     /// targeting it via [`ChunkerKind::gear_sized`].
+    #[expect(
+        clippy::expect_used,
+        reason = "a zero target size fails the CDC ladder by definition"
+    )]
     pub fn both(chunk_size: usize) -> Result<Vec<Self>, InvalidCdcConfigError> {
         let fixed = Self::fixed(chunk_size).map_err(|_| {
             // A zero size fails the CDC ladder too; surface one error type.

@@ -30,6 +30,10 @@
 //! feature, so the `cfg` that compiles the call in is also its safety
 //! precondition.
 
+// A module on the dedup hot path (DESIGN.md §13): besides unwrap, expect
+// and panic!, every index and every integer operation must be checked.
+#![warn(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Example
@@ -119,13 +123,17 @@ impl Sha256 {
 
     /// [`Sha256::update`] over an explicit kernel (the tests run every
     /// compiled kernel through the same buffering).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::expect_used,
+        reason = "buffer_len < 64 between calls; a 2^61-byte message cannot occur, and checked_add makes the overflow policy loud"
+    )]
     #[inline]
     fn absorb(&mut self, data: &[u8], kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) {
         self.total_len = self
             .total_len
             .checked_add(data.len() as u64)
-            // simlint::allow(P003): a 2^61-byte message cannot occur; the
-            // checked_add makes the overflow policy explicit and loud
             .expect("message too long");
         let mut input = data;
         // Fill a partially filled buffer first.
@@ -150,10 +158,14 @@ impl Sha256 {
     }
 
     /// [`Sha256::finalize`] over an explicit kernel.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::expect_used,
+        reason = "buffer_len < 64 and blocks is 1 or 2; a 2^61-byte message cannot occur, and checked_mul makes the overflow policy loud"
+    )]
     #[inline]
     fn finish(mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> [u8; 32] {
-        // simlint::allow(P003): a 2^61-byte message cannot occur; the
-        // checked_mul makes the overflow policy explicit and loud
         let bit_len = self.total_len.checked_mul(8).expect("message too long");
         // Append 0x80, pad with zeros, append the 64-bit big-endian
         // length: one block, or two when the length does not fit behind
@@ -199,6 +211,11 @@ impl Sha256 {
 /// autovectorize). Lanes refill from the batch as short messages finish;
 /// once the batch can no longer keep every lane busy, the stragglers finish
 /// on the single-message kernel from their current mid-stream state.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "lane indexes run below BATCH_LANES and message indexes below messages.len(); the lane index loops keep the shape LLVM vectorizes"
+)]
 fn digest_batch_wide(messages: &[&[u8]]) -> Vec<[u8; 32]> {
     if messages.len() < BATCH_LANES {
         return messages.iter().map(|msg| Sha256::digest(msg)).collect();
@@ -266,6 +283,10 @@ fn digest_batch_wide(messages: &[&[u8]]) -> Vec<[u8; 32]> {
 }
 
 /// Lane `l` of the transposed states, as one message's chaining value.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "l < BATCH_LANES, the length of every lane array"
+)]
 fn lane_state(states: &[Lanes; 8], l: usize) -> [u32; 8] {
     states.map(|word: [u32; BATCH_LANES]| word[l])
 }
@@ -294,61 +315,79 @@ fn splat(x: u32) -> Lanes {
     [x; BATCH_LANES]
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn add(a: Lanes, b: Lanes) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = a[i].wrapping_add(b[i]);
     }
     r
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn xor(a: Lanes, b: Lanes) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = a[i] ^ b[i];
     }
     r
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn and(a: Lanes, b: Lanes) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = a[i] & b[i];
     }
     r
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn andnot(a: Lanes, b: Lanes) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = !a[i] & b[i];
     }
     r
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn rotr(a: Lanes, n: u32) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = a[i].rotate_right(n);
     }
     r
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < BATCH_LANES, the length of every lane array"
+)]
 #[inline(always)]
 fn shr(a: Lanes, n: u32) -> Lanes {
     let mut r = [0u32; BATCH_LANES];
     for i in 0..BATCH_LANES {
-        // simlint::allow(P001): i < BATCH_LANES, the length of every lane array
         r[i] = a[i] >> n;
     }
     r
@@ -360,6 +399,11 @@ fn shr(a: Lanes, n: u32) -> Lanes {
 /// `inline(never)` is load-bearing: as a standalone function LLVM
 /// vectorizes every lanewise loop below, but inlined into the caller's
 /// large body the SLP vectorizer gives up and scalarizes 8× the work.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "t < 64 indexes the 64-word schedule and t * 4 + 3 < 64 a block; the indexed loops are the shape LLVM vectorizes"
+)]
 #[inline(never)]
 fn compress_wide(states: &mut [Lanes; 8], blocks: &[[u8; 64]; BATCH_LANES]) {
     let mut w = [[0u32; BATCH_LANES]; 64];
@@ -449,9 +493,23 @@ macro_rules! round {
 /// `inline(never)` keeps it a standalone unit: inlined into a caller's
 /// loop the vectorizer mangles the schedule into half-vector shuffles
 /// that run slower than clean scalar code.
-// Only the tests call it by name in a build that selects the hardware
-// kernel.
-#[allow(dead_code)]
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "ring slots are reduced modulo 16 and base + 8 <= 16; i < 8, one step per 8 of K's 64 words"
+)]
+#[cfg_attr(
+    all(
+        not(test),
+        target_feature = "sha",
+        target_feature = "sse4.1",
+        target_feature = "ssse3"
+    ),
+    expect(
+        dead_code,
+        reason = "only the tests call it in a build that selects the hardware kernel"
+    )
+)]
 #[inline(never)]
 fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
@@ -529,7 +587,10 @@ mod selected {
     };
 
     /// The safe face of the kernel.
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "the one call into the target-feature kernel; see SAFETY below"
+    )]
     #[inline]
     pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         // SAFETY: `compress` is a safe function whose only requirement is
@@ -630,6 +691,10 @@ mod selected {
 
 /// Number of 64-byte blocks a `len`-byte message occupies once SHA-256
 /// padding (0x80, zeros, 64-bit length) is appended.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "a slice length divided by 64, plus at most 2"
+)]
 fn padded_blocks(len: usize) -> usize {
     len / 64 + if len % 64 >= 56 { 2 } else { 1 }
 }
@@ -638,6 +703,11 @@ fn padded_blocks(len: usize) -> usize {
 /// padded message: data blocks are copied straight out of `msg`, the 0x80
 /// terminator lands right after the last data byte, and the final block
 /// carries the big-endian bit length.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "index < padded_blocks(msg.len()), so start <= msg.len() + 8 and every slice is guarded by the test above it"
+)]
 fn padded_block(msg: &[u8], index: usize) -> [u8; 64] {
     let mut block = [0u8; 64];
     let start = index * 64;

@@ -5,6 +5,11 @@
 //! shipped next to the byte loop and the two agreed on every input below;
 //! they are what is left of that agreement now that there is one scan.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test target: its helpers fail the test on bad input"
+)]
+
 use ef_chunking::{GearChunker, GearChunkerBuilder, Sha256};
 use std::collections::BTreeSet;
 

@@ -178,12 +178,15 @@ impl Params {
             .collect()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "descend() projects weights onto the strictly positive simplex"
+    )]
     fn probs(&self) -> Vec<CharacteristicVector> {
         self.weights
             .iter()
             .map(|w| {
                 CharacteristicVector::from_weights(w.clone())
-                    // simlint::allow(D003): descend() projects weights onto the strictly positive simplex
                     .expect("weights kept strictly positive")
             })
             .collect()
@@ -203,6 +206,10 @@ impl Estimator {
 
     /// Fits the model to ground truth from a cold start (multi-start
     /// coordinate descent).
+    #[expect(
+        clippy::expect_used,
+        reason = "the match before each expect always sets `best`, and EstimatorConfig validation guarantees restarts >= 1"
+    )]
     pub fn fit(&self, truth: &GroundTruth) -> FittedModel {
         let n = truth.sample_chunks.len();
         let k = self.config.pools;
@@ -231,13 +238,11 @@ impl Estimator {
                 Some((_, b, _)) if *b <= err => {}
                 _ => best = Some((params, err, iters)),
             }
-            // simlint::allow(D003): the match directly above always sets `best`
             if best.as_ref().expect("just set").1 < self.config.mse_threshold {
                 break;
             }
         }
 
-        // simlint::allow(D003): EstimatorConfig validation guarantees restarts >= 1
         let (params, final_mse, iterations) = best.expect("at least one restart ran");
         self.finish(truth, params, final_mse, iterations)
     }
@@ -260,6 +265,10 @@ impl Estimator {
     /// # Panics
     ///
     /// Panics when `k_range` is empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the match before each expect always sets `best`, and the caller passes a non-empty K range"
+    )]
     pub fn fit_search_k(
         &self,
         truth: &GroundTruth,
@@ -297,13 +306,11 @@ impl Estimator {
                 Some(prev) if fitted.mse < prev.mse * 0.95 => fitted,
                 Some(prev) => prev,
             });
-            // simlint::allow(D003): the match directly above always sets `best`
             let incumbent = best.as_ref().expect("just set");
             if tried >= 2 && incumbent.mse < accept {
                 break;
             }
         }
-        // simlint::allow(D003): the caller passes a non-empty K range
         best.expect("at least one K tried")
     }
 

@@ -62,6 +62,10 @@ pub fn testbed(nodes: usize, config: NetworkConfig) -> Network {
 /// # Panics
 ///
 /// Panics when the network has fewer edge nodes than the dataset sources.
+#[expect(
+    clippy::expect_used,
+    reason = "inputs derive from a validated dataset model"
+)]
 pub fn instance_for(
     dataset: &Dataset,
     network: &Network,
@@ -74,7 +78,6 @@ pub fn instance_for(
     assert!(edge.len() >= n, "not enough edge nodes");
     let costs = network.cost_matrix(&edge[..n]);
     Snod2Instance::from_parts(dataset.model(), costs, alpha, gamma, horizon)
-        // simlint::allow(D003): inputs derive from a validated dataset model
         .expect("dataset-derived instance is valid")
 }
 
@@ -111,6 +114,10 @@ pub struct EstimationSlot {
 /// Runs the Fig. 2/3 validation: sample two sources from the dataset at
 /// successive time slots, fit Algorithm 1 (cold at slot 0, warm after),
 /// and report real vs estimated ratios.
+#[expect(
+    clippy::expect_used,
+    reason = "the dataset model's chunk size is validated at model construction"
+)]
 pub fn estimation_experiment(
     kind: DatasetKind,
     slots: u32,
@@ -118,7 +125,6 @@ pub fn estimation_experiment(
     seed: u64,
 ) -> Vec<EstimationSlot> {
     let dataset = kind.build(2, seed);
-    // simlint::allow(D003): the dataset model's chunk size is validated at model construction
     let chunker = ChunkerKind::fixed(dataset.model().chunk_size()).expect("valid chunk size");
     estimation_slots(&dataset, &chunker, slots, chunks_per_sample)
 }
@@ -449,6 +455,10 @@ pub fn cost_comparison(kind: DatasetKind, alpha: f64, rings: usize, seed: u64) -
 /// latencies are drawn uniformly from `0..max_latency_ms` (the paper's
 /// Fig. 7 setup), with a compact pool structure so 500-node instances
 /// stay tractable.
+#[expect(
+    clippy::expect_used,
+    reason = "probabilities are built to sum to one, and the constant experiment parameters satisfy the model and instance invariants"
+)]
 pub fn scale_instance(
     kind: DatasetKind,
     n: usize,
@@ -477,19 +487,19 @@ pub fn scale_instance(
             p[k - 1] = p_noise;
             SourceSpec::new(
                 512.0,
-                // simlint::allow(D003): probabilities are built to sum to one a few lines up
                 CharacteristicVector::new(p).expect("probs sum to one"),
             )
         })
         .collect();
-    // simlint::allow(D003): constant experiment parameters satisfy the model invariants
     let model = GenerativeModel::new(pool_sizes, 4096, sources).expect("scale model is valid");
 
     let mut rng = DetRng::new(seed).substream("scale-latency");
     let mut costs = vec![vec![0.0; n]; n];
-    // Symmetric fill: both (i, j) and (j, i) are written per draw, which
-    // iterator forms cannot express without a second pass.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "symmetric fill: both (i, j) and (j, i) are written per draw, which \
+                  iterator forms cannot express without a second pass"
+    )]
     for i in 0..n {
         for j in (i + 1)..n {
             let rtt = rng.range_f64(0.0, max_latency_ms) * 2.0;
@@ -497,7 +507,6 @@ pub fn scale_instance(
             costs[j][i] = rtt;
         }
     }
-    // simlint::allow(D003): constant experiment parameters satisfy the instance invariants
     Snod2Instance::from_parts(&model, costs, alpha, 2, 10.0).expect("scale instance is valid")
 }
 

@@ -93,7 +93,6 @@ impl Snod2Instance {
     /// # Errors
     ///
     /// Returns an [`InstanceError`] when any component is inconsistent.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         pool_sizes: Vec<u64>,
         rates: Vec<f64>,
@@ -334,10 +333,13 @@ impl Snod2Instance {
     ///
     /// Panics when `partition` is not a valid disjoint cover of the
     /// instance's nodes.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; costing an invalid partition would be meaningless"
+    )]
     pub fn total_cost(&self, partition: &Partition) -> PartitionCost {
         partition
             .validate(self.node_count())
-            // simlint::allow(D003): documented panic contract; costing an invalid partition would be meaningless
             .expect("valid partition");
         let mut storage = 0.0;
         let mut network = 0.0;

@@ -302,6 +302,10 @@ fn greedy(inst: &Snod2Instance, m: usize, obj: Objective, cap: Option<usize>) ->
     greedy_with(inst, &pre, m, obj, obj, cap)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the loop range keeps fewer seeds than nodes, every remaining node can join a ring below the cap, and greedy places every node into exactly one ring"
+)]
 fn greedy_with(
     inst: &Snod2Instance,
     pre: &Precomputed,
@@ -333,7 +337,6 @@ fn greedy_with(
                 _ => best = Some((min_pen, v)),
             }
         }
-        // simlint::allow(D003): the loop range guarantees fewer seeds than nodes
         seeds.push(best.expect("unpicked node exists").1);
     }
     let mut rings: Vec<RingState> = seeds
@@ -361,7 +364,6 @@ fn greedy_with(
                 }
             }
         }
-        // simlint::allow(D003): every remaining node can join some ring below the cap
         let (_, pos, s, new_cost) = best.expect("a feasible placement always exists");
         let v = remaining.swap_remove(pos);
         rings[s].add(inst, pre, v);
@@ -370,13 +372,16 @@ fn greedy_with(
 
     let rings = refine(inst, pre, rings, obj, max_ring);
     Partition::new(rings.into_iter().map(|r| r.members).collect())
-        // simlint::allow(D003): greedy places every node into exactly one ring
         .expect("greedy builds a valid partition")
 }
 
 /// Improvement phase shared by the greedy and the portfolio polish:
 /// bounded local-search passes of single-node moves. Moves never empty a
 /// ring, so the ring count is preserved.
+#[expect(
+    clippy::expect_used,
+    reason = "refine only moves nodes between rings, never drops one"
+)]
 fn refine(
     inst: &Snod2Instance,
     pre: &Precomputed,
@@ -394,7 +399,6 @@ fn refine(
             let from = rings
                 .iter()
                 .position(|r| r.members.contains(&v))
-                // simlint::allow(D003): refine only moves nodes between rings, never drops one
                 .expect("every node placed");
             if rings[from].members.len() == 1 {
                 continue; // moving would empty the ring
@@ -471,6 +475,10 @@ fn refine(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SmartGreedy;
 
+#[expect(
+    clippy::expect_used,
+    reason = "refine never drops a node, instance costs are finite by model validation, and the candidate list always holds the unpolished baseline"
+)]
 impl Partitioner for SmartGreedy {
     fn partition(&self, inst: &Snod2Instance, m: usize) -> Partition {
         let pre = Precomputed::new(inst);
@@ -511,17 +519,14 @@ impl Partitioner for SmartGreedy {
                     .collect();
                 let polished = refine(inst, &pre, rings, Objective::Both, None);
                 Partition::new(polished.into_iter().map(|r| r.members).collect())
-                    // simlint::allow(D003): refine only moves nodes between rings, never drops one
                     .expect("refine preserves validity")
             })
             .min_by(|a, b| {
                 inst.total_cost(a)
                     .aggregate
                     .partial_cmp(&inst.total_cost(b).aggregate)
-                    // simlint::allow(D003): instance costs are finite by model validation
                     .expect("finite costs")
             })
-            // simlint::allow(D003): the candidate list always holds the unpolished baseline
             .expect("non-empty candidate set")
     }
 
@@ -593,6 +598,10 @@ impl Default for MatchingPartitioner {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "instance costs are finite by model validation, and the matching pass assigns every node exactly once"
+)]
 impl Partitioner for MatchingPartitioner {
     fn partition(&self, inst: &Snod2Instance, m: usize) -> Partition {
         assert!(
@@ -616,7 +625,6 @@ impl Partitioner for MatchingPartitioner {
                     merges.push((delta, a, b));
                 }
             }
-            // simlint::allow(D003): instance costs are finite by model validation
             merges.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite costs"));
             // Keep the cheapest non-overlapping θ-fraction, but at least
             // one merge so the loop always progresses.
@@ -652,7 +660,6 @@ impl Partitioner for MatchingPartitioner {
             parts = merged_parts;
         }
 
-        // simlint::allow(D003): the matching pass assigns every node exactly once
         Partition::new(parts).expect("matching builds a valid partition")
     }
 
@@ -668,6 +675,10 @@ pub struct RandomPartitioner {
     pub seed: u64,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "round-robin assigns every node exactly once"
+)]
 impl Partitioner for RandomPartitioner {
     fn partition(&self, inst: &Snod2Instance, m: usize) -> Partition {
         let n = inst.node_count();
@@ -680,7 +691,6 @@ impl Partitioner for RandomPartitioner {
         for (i, v) in order.into_iter().enumerate() {
             rings[i % m].push(v);
         }
-        // simlint::allow(D003): round-robin assigns every node exactly once
         Partition::new(rings).expect("random builds a valid partition")
     }
 
@@ -694,9 +704,12 @@ impl Partitioner for RandomPartitioner {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleRing;
 
+#[expect(
+    clippy::expect_used,
+    reason = "one ring holding 0..n is a valid partition by definition"
+)]
 impl Partitioner for SingleRing {
     fn partition(&self, inst: &Snod2Instance, _m: usize) -> Partition {
-        // simlint::allow(D003): one ring holding 0..n is a valid partition by definition
         Partition::new(vec![(0..inst.node_count()).collect()]).expect("single ring is valid")
     }
 
@@ -713,6 +726,10 @@ pub struct PerSite {
     pub site_of: Vec<usize>,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "grouping nodes by site assigns every node exactly once"
+)]
 impl Partitioner for PerSite {
     fn partition(&self, inst: &Snod2Instance, _m: usize) -> Partition {
         assert_eq!(
@@ -724,7 +741,6 @@ impl Partitioner for PerSite {
         for (node, &site) in self.site_of.iter().enumerate() {
             by_site.entry(site).or_default().push(node);
         }
-        // simlint::allow(D003): grouping nodes by site assigns every node exactly once
         Partition::new(by_site.into_values().collect()).expect("per-site partition is valid")
     }
 
@@ -756,6 +772,10 @@ pub fn exhaustive_optimal_exact(inst: &Snod2Instance, m: usize) -> (Partition, f
     exhaustive_impl(inst, m, true)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the exhaustive enumeration emits complete assignments only"
+)]
 fn exhaustive_impl(inst: &Snod2Instance, m: usize, exact: bool) -> (Partition, f64) {
     let n = inst.node_count();
     assert!(n <= 12, "exhaustive search limited to n <= 12");
@@ -820,7 +840,6 @@ fn exhaustive_impl(inst: &Snod2Instance, m: usize, exact: bool) -> (Partition, f
         rings[label].push(node);
     }
     (
-        // simlint::allow(D003): the exhaustive enumeration emits complete assignments only
         Partition::new(rings).expect("exhaustive builds a valid partition"),
         cost,
     )

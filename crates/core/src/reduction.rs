@@ -64,8 +64,11 @@ impl WeightedGraph {
     /// # Panics
     ///
     /// Panics when the partition does not cover the vertices.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; cutting an invalid partition would be meaningless"
+    )]
     pub fn cut_weight(&self, partition: &Partition) -> f64 {
-        // simlint::allow(D003): documented panic contract; cutting an invalid partition would be meaningless
         partition.validate(self.n).expect("valid partition");
         self.edges
             .iter()
@@ -108,6 +111,10 @@ pub struct Reduction {
 /// # Panics
 ///
 /// Panics when `c ∉ (0,1)` or `weight_unit` is not positive.
+#[expect(
+    clippy::expect_used,
+    reason = "weights are clamped strictly positive, and the reduction constructs parameters that satisfy the instance invariants"
+)]
 pub fn reduce_k_cut(graph: &WeightedGraph, c: f64, weight_unit: f64) -> Reduction {
     assert!((0.0..1.0).contains(&c) && c > 0.0, "c must be in (0,1)");
     assert!(
@@ -159,7 +166,6 @@ pub fn reduce_k_cut(graph: &WeightedGraph, c: f64, weight_unit: f64) -> Reductio
             p[0] = 1e-12;
             rates.push(1e-9);
         }
-        // simlint::allow(D003): weights are clamped strictly positive two lines up
         probs.push(CharacteristicVector::from_weights(p).expect("valid weights"));
     }
 
@@ -174,7 +180,6 @@ pub fn reduce_k_cut(graph: &WeightedGraph, c: f64, weight_unit: f64) -> Reductio
         1,
         horizon,
     )
-    // simlint::allow(D003): the reduction constructs model parameters that satisfy the instance invariants
     .expect("reduction instance is valid");
 
     // Unit pools have size s' = w_unit/(1-c)^2 in the paper; we use size s
@@ -202,6 +207,10 @@ pub fn objective_as_cut_weight(red: &Reduction, partition: &Partition, weight_un
 /// # Panics
 ///
 /// Panics when `n > 10`.
+#[expect(
+    clippy::expect_used,
+    reason = "the enumerated assignment places every vertex exactly once, and recursion over k >= 1 labels yields at least one"
+)]
 pub fn min_k_cut_brute(graph: &WeightedGraph, k: usize) -> (Partition, f64) {
     let n = graph.vertex_count();
     assert!(n <= 10, "brute force limited to n <= 10");
@@ -226,7 +235,6 @@ pub fn min_k_cut_brute(graph: &WeightedGraph, k: usize) -> (Partition, f64) {
             for (v, &l) in assignment.iter().enumerate() {
                 rings[l].push(v);
             }
-            // simlint::allow(D003): the enumerated assignment places every vertex exactly once
             let partition = Partition::new(rings).expect("valid partition");
             let w = graph.cut_weight(&partition);
             match best {
@@ -242,7 +250,6 @@ pub fn min_k_cut_brute(graph: &WeightedGraph, k: usize) -> (Partition, f64) {
     }
 
     recurse(graph, &mut assignment, 1, 0, k, &mut best);
-    // simlint::allow(D003): recursion over k >= 1 labels always yields at least one assignment
     best.expect("some k-partition exists")
 }
 

@@ -48,6 +48,10 @@ impl Strategy {
 /// Panics when the topology has fewer edge nodes than the workload, has
 /// no cloud site, or (for [`Strategy::Smart`]) the partition does not
 /// cover the workload's nodes.
+#[expect(
+    clippy::expect_used,
+    reason = "documented entry preconditions, validated before use; the instant-delivery cluster has no fault plan, so ops cannot fail"
+)]
 pub fn run_system(
     network: &Network,
     workload: &Workload,
@@ -78,7 +82,6 @@ pub fn run_system(
         Strategy::Smart(partition) => {
             partition
                 .validate(n)
-                // simlint::allow(D003): documented entry precondition of the experiment runner
                 .expect("partition must cover the workload nodes");
             // One distributed KV store per D2-ring.
             let mut clusters: Vec<LocalCluster> = partition
@@ -96,7 +99,6 @@ pub fn run_system(
                 })
                 .collect();
             let ring_of: Vec<usize> = (0..n)
-                // simlint::allow(D003): validate(n) above proved every node is covered
                 .map(|i| partition.ring_of(i).expect("covered"))
                 .collect();
 
@@ -121,7 +123,6 @@ pub fn run_system(
                             .iter()
                             .copied()
                             .min_by(|a, b| network.rtt(me, *a).cmp(&network.rtt(me, *b)))
-                            // simlint::allow(D003): replicas() returns at least the key's home node
                             .expect("replica set non-empty");
                         lookup_ms_total[node] += network.rtt(me, server).as_millis_f64();
                         if let Some(srv_idx) = edge_ids.iter().position(|&id| id == server) {
@@ -130,7 +131,6 @@ pub fn run_system(
                     }
                     let is_new = cluster
                         .check_and_insert(me, key, Bytes::from_static(&[1]))
-                        // simlint::allow(D003): the instant-delivery cluster has no fault plan, so ops cannot fail
                         .expect("local cluster always available");
                     if is_new {
                         unique[node] += 1;
@@ -253,12 +253,15 @@ pub fn run_system(
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "topologies are built with at least one cloud node"
+)]
 fn nearest_cloud(network: &Network, from: NodeId, cloud: &[NodeId]) -> NodeId {
     cloud
         .iter()
         .copied()
         .min_by(|a, b| network.rtt(from, *a).cmp(&network.rtt(from, *b)))
-        // simlint::allow(D003): topologies are built with at least one cloud node
         .expect("cloud site non-empty")
 }
 

@@ -42,7 +42,10 @@ impl Matrix {
         m
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the tests read the row count")
+    )]
     pub(crate) fn rows(&self) -> usize {
         self.rows
     }

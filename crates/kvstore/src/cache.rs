@@ -23,6 +23,10 @@
 //! shard selection (via [`key_token`]) are all independent of allocation
 //! or hash-seed nondeterminism, so cached runs replay bit-identically.
 
+// A module on the dedup hot path (DESIGN.md §13): besides unwrap, expect
+// and panic!, every index and every integer operation must be checked.
+#![warn(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
+
 use crate::counters::CacheStats;
 use crate::key_token;
 use bytes::Bytes;
@@ -56,6 +60,10 @@ struct SecondSight {
 }
 
 impl SecondSight {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "bits is a power of two of at least 1024, so bits - 1 cannot wrap"
+    )]
     fn new(capacity: usize) -> Self {
         // 8 bits per cache slot keeps both filters sparse at full load.
         let bits = (capacity.saturating_mul(8)).next_power_of_two().max(1024);
@@ -73,23 +81,33 @@ impl SecondSight {
         ((bit / 64) as usize, 1u64.wrapping_shl((bit % 64) as u32))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "word = (token & mask) / 64 < bits / 64 = len"
+    )]
     fn maybe_present(&self, token: u64) -> bool {
         let (word, bit) = self.slot(token);
-        // simlint::allow(P001): word = (token & mask) / 64 < bits / 64 = len
         self.present[word] & bit != 0
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "word = (token & mask) / 64 < bits / 64 = len"
+    )]
     fn mark_present(&mut self, token: u64) {
         let (word, bit) = self.slot(token);
-        // simlint::allow(P001): word = (token & mask) / 64 < bits / 64 = len
         self.present[word] |= bit;
     }
 
     /// Records a sighting; true when the token was already seen (the
     /// fingerprint has earned admission).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "word = (token & mask) / 64 < bits / 64 = len; the deferral count resets at a quarter of bits"
+    )]
     fn sight(&mut self, token: u64) -> bool {
         let (word, bit) = self.slot(token);
-        // simlint::allow(P001): word = (token & mask) / 64 < bits / 64 = len
         if self.seen[word] & bit != 0 {
             return true;
         }
@@ -99,7 +117,6 @@ impl SecondSight {
             self.seen.fill(0);
             self.deferred_since_reset = 0;
         }
-        // simlint::allow(P001): word = (token & mask) / 64 < bits / 64 = len
         self.seen[word] |= bit;
         self.deferred_since_reset += 1;
         false
@@ -199,6 +216,10 @@ impl FingerprintCache {
         self.stats
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "new() keeps at least one shard, so the modulus is non-zero"
+    )]
     fn shard_index(&self, key: &[u8]) -> usize {
         (key_token(key) % self.shards.len() as u64) as usize
     }
@@ -206,6 +227,12 @@ impl FingerprintCache {
     /// Looks `key` up, recording a hit or miss and refreshing recency on
     /// a hit. A `true` answer means the fingerprint was durably indexed
     /// when it was inserted — i.e. the chunk is a duplicate.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::expect_used,
+        reason = "shard_index reduces modulo shards.len(); order mirrors entries one-to-one by construction; u64 counters do not wrap in a run"
+    )]
     pub fn contains(&mut self, key: &[u8]) -> bool {
         if let Some(filter) = &self.second_sight {
             // A clear `present` bit proves the key was never admitted:
@@ -217,13 +244,11 @@ impl FingerprintCache {
         }
         let seq = self.bump_seq();
         let shard = self.shard_index(key);
-        // simlint::allow(P001): shard_index reduces modulo shards.len()
         let shard = &mut self.shards[shard];
         match shard.entries.get_mut(key) {
             Some(slot) => {
                 let old = *slot;
                 *slot = seq;
-                // simlint::allow(P003): order mirrors entries one-to-one by construction
                 let entry = shard.order.remove(&old).expect("order tracks entries");
                 shard.order.insert(seq, entry);
                 self.stats.hits += 1;
@@ -239,6 +264,12 @@ impl FingerprintCache {
     /// Inserts `key` as a durably-indexed fingerprint, evicting the least
     /// recently used entry of its shard when the shard is full. Re-inserting
     /// an existing key only refreshes its recency.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::expect_used,
+        reason = "shard_index reduces modulo shards.len(); order mirrors entries one-to-one, and a full shard holds at least one entry; u64 counters do not wrap in a run"
+    )]
     pub fn insert(&mut self, key: Bytes) {
         if let Some(filter) = &mut self.second_sight {
             let token = key_token(&key);
@@ -256,18 +287,15 @@ impl FingerprintCache {
         let seq = self.bump_seq();
         let capacity = self.per_shard_capacity;
         let shard = self.shard_index(&key);
-        // simlint::allow(P001): shard_index reduces modulo shards.len()
         let shard = &mut self.shards[shard];
         if let Some(slot) = shard.entries.get_mut(&key) {
             let old = *slot;
             *slot = seq;
-            // simlint::allow(P003): order mirrors entries one-to-one by construction
             let entry = shard.order.remove(&old).expect("order tracks entries");
             shard.order.insert(seq, entry);
             return;
         }
         if shard.entries.len() == capacity {
-            // simlint::allow(P003): a full shard holds at least one recency entry
             let (_, victim) = shard.order.pop_first().expect("full shard is non-empty");
             shard.entries.remove(&victim);
             self.stats.evictions += 1;
@@ -283,9 +311,13 @@ impl FingerprintCache {
     /// quarantined for lying. A stale second-sight `present` bit after a
     /// removal only costs a map probe; the entry map stays the sole
     /// authority on hits, so one-sided soundness is untouched.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "shard_index reduces modulo shards.len(); u64 counters do not wrap in a run"
+    )]
     pub fn remove(&mut self, key: &[u8]) -> bool {
         let shard = self.shard_index(key);
-        // simlint::allow(P001): shard_index reduces modulo shards.len()
         let shard = &mut self.shards[shard];
         match shard.entries.remove(key) {
             Some(seq) => {
@@ -309,6 +341,10 @@ impl FingerprintCache {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "one step per lookup: a u64 sequence does not wrap in a run"
+    )]
     fn bump_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -1068,6 +1068,10 @@ mod tests {
         );
     }
 
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "any event besides a crash-stop, departure or restart fails the test"
+    )]
     #[test]
     fn crash_stops_and_departures_pick_distinct_victims() {
         let net = Family::chaos().network();

@@ -183,13 +183,16 @@ impl HeartbeatDetector {
     /// sweep appears in `newly_suspect` *and* `newly_dead`. Dead peers
     /// only revive once a genuinely-later heartbeat moved their
     /// `last_heard` past the death declaration.
+    #[expect(
+        clippy::expect_used,
+        reason = "watch() and heartbeat() insert into last_heard and state together, so the key sets match"
+    )]
     pub fn sweep(&mut self, now: SimTime) -> Sweep {
         let mut sweep = Sweep::default();
         for (&peer, &last) in &self.last_heard {
             let silence = now.saturating_since(last);
             let suspect_now = silence > self.timeout;
             let dead_now = matches!(self.dead_timeout, Some(dead) if silence > dead);
-            // simlint::allow(D003): watch()/heartbeat() insert into last_heard and state together, so the key sets match
             let state = self.state.get_mut(&peer).expect("watched peer");
             match *state {
                 PeerState::Alive => {

@@ -20,7 +20,12 @@
 //!
 //! None of this consumes seeded randomness: estimation is deterministic
 //! arithmetic over observed delivery times, so enabling the mitigations
-//! never perturbs the RNG trace of an existing scenario (simlint D002).
+//! never perturbs the RNG trace of an existing scenario (DESIGN.md §13,
+//! rule D002).
+
+// A module on the dedup hot path (DESIGN.md §13): besides unwrap, expect
+// and panic!, every index and every integer operation must be checked.
+#![warn(clippy::indexing_slicing, clippy::arithmetic_side_effects)]
 
 use ef_netsim::NodeId;
 use ef_simcore::SimDuration;
@@ -63,6 +68,10 @@ impl RttEstimator {
     }
 
     /// Folds one round-trip `sample` into the estimate.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "rttvar / 4 <= rttvar and err / 8 <= srtt - s <= srtt when s < srtt; u64 sample counts do not wrap"
+    )]
     pub fn observe(&mut self, sample: SimDuration) {
         let s = sample.as_nanos();
         match self.srtt {
@@ -91,6 +100,10 @@ impl RttEstimator {
 
     /// The unclamped adaptive RTO (`srtt + 4 * rttvar`), `None` before
     /// the first sample.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "rttvar is at most the largest sample, a nanosecond duration far below u64::MAX / 4"
+    )]
     pub fn rto(&self) -> Option<SimDuration> {
         self.srtt
             .map(|srtt| SimDuration::from_nanos(srtt.saturating_add(4 * self.rttvar)))

@@ -338,6 +338,10 @@ impl Message {
     /// afresh from the bytes that arrived — the one digest a frame's
     /// payload costs its receiver, and the sum the node then logs,
     /// stores and stamps with. Frames without a payload pass unchanged.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "frames without a payload pass unchanged"
+    )]
     pub(crate) fn received(self) -> Message {
         let resum = |value: Summed| Summed::digest(value.into_bytes());
         match self {
@@ -551,6 +555,10 @@ mod tests {
     /// every single-bit flip a wire could make to it: in its head (key,
     /// op id, sender id) or in its payload, the payload keeping the sum
     /// the sender stamped from — a receiver gets bytes, never a sum.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the tests hand it payload frames only"
+    )]
     fn single_flips(msg: &Message) -> Vec<Message> {
         fn bits(bytes: &[u8]) -> impl Iterator<Item = Bytes> + '_ {
             (0..bytes.len() * 8).map(move |bit| {

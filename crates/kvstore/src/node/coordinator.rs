@@ -258,7 +258,11 @@ impl NodeState {
         let Op { quorum, phase } = self.pending.get_mut(&op_id)?;
         let seen = match phase {
             Phase::Read(seen) | Phase::CaiRead { seen, .. } if seen.hedge.is_none() => seen,
-            _ => return None,
+            Phase::Read(_)
+            | Phase::Write(_)
+            | Phase::CaiRead { .. }
+            | Phase::PopWait { .. }
+            | Phase::CaiWrite { .. } => return None,
         };
         let rf = self.replication_factor;
         let primaries = self.ring.replicas(&quorum.key, rf);
@@ -440,7 +444,9 @@ impl NodeState {
                             seen.sighting = Some((value, from));
                             self.judge_sighting(op_id, quorum, payload, seen)
                         }
-                        phase => self.park(op_id, quorum, phase),
+                        phase @ (Phase::Write(_)
+                        | Phase::PopWait { .. }
+                        | Phase::CaiWrite { .. }) => self.park(op_id, quorum, phase),
                     };
                 }
                 if !quorum.outstanding.remove(&from) {
@@ -491,7 +497,10 @@ impl NodeState {
                         .then(|| challenge_frame(op_id, key, *prover, *challenge))
                         .into_iter()
                         .collect(),
-                    phase => {
+                    phase @ (Phase::Read(_)
+                    | Phase::Write(_)
+                    | Phase::CaiRead { .. }
+                    | Phase::CaiWrite { .. }) => {
                         let request = phase.request();
                         let live = quorum.outstanding.iter().filter(|p| !down.contains(p));
                         live.map(|&peer| request.frame(op_id, key, peer)).collect()
@@ -536,7 +545,11 @@ impl NodeState {
                         prover,
                         ..
                     } if prover == peer => Phase::reject_sighting(payload, seen),
-                    phase => phase,
+                    phase @ (Phase::Read(_)
+                    | Phase::Write(_)
+                    | Phase::CaiRead { .. }
+                    | Phase::PopWait { .. }
+                    | Phase::CaiWrite { .. }) => phase,
                 }
             }
         };

@@ -61,8 +61,8 @@ impl RetryPolicy {
     ///
     /// Exactly one draw is consumed per call when `jitter_frac > 0`, and
     /// none otherwise, so callers replay bit-identically for a fixed
-    /// seed (simlint D002: jitter comes from the seeded sim RNG, never
-    /// from wall-clock entropy).
+    /// seed (DESIGN.md §13, rule D002: jitter comes from the seeded sim
+    /// RNG, never from wall-clock entropy).
     pub fn jittered_delay(&self, attempt: u32, rng: &mut DetRng) -> SimDuration {
         let base = self.delay(attempt);
         if self.jitter_frac > 0.0 {

@@ -1239,6 +1239,10 @@ fn pop_defeats_lookup_liar_and_quarantines() {
     assert_eq!(stats.liars_quarantined, 1, "{stats:?}");
 }
 
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "only dedup verdicts are compared"
+)]
 #[test]
 fn honest_pop_verdicts_match_pop_off() {
     // Satellite guarantee: on an honest cluster, arming PoP changes

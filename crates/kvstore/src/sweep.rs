@@ -415,6 +415,10 @@ fn absent_at(scenario: &ChaosScenario, node: NodeId, t: SimTime) -> bool {
 /// `family.repeats` times through rotating coordinators while the
 /// scenario plays out. Transiently crashed coordinators are fair game —
 /// their ops resolve through the retry machinery.
+#[expect(
+    clippy::expect_used,
+    reason = "`generate` keeps at least two members clear of crash-stops and departures"
+)]
 pub fn run(seed: u64, family: &Family) -> Run {
     let mut net = family.network();
     let scenario = ChaosScenario::generate(seed, net.topology(), &family.scenario);
@@ -435,7 +439,6 @@ pub fn run(seed: u64, family: &Family) -> Run {
             let coordinator = (0..members.len())
                 .map(|i| members[((k + shift) as usize + i) % members.len()])
                 .find(|&c| !absent_at(&scenario, c, t))
-                // simlint::allow(D003): `generate` keeps at least two members clear of crash-stops and departures
                 .expect("some coordinator is schedulable");
             ledger.submit(&mut cluster, t, coordinator, k, (family.chunk)(k));
             t += SimDuration::from_millis(211);
@@ -467,6 +470,10 @@ pub fn run(seed: u64, family: &Family) -> Run {
 /// begun no later, put there — an op that acked unique or, where
 /// `timeout_uploads`, one a teardown caught mid-write and timed out.
 /// Degradation can only produce false *uniques* (harmless double uploads).
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "an upload is a unique verdict or a tolerated timeout; no other outcome inserts"
+)]
 pub fn assert_no_false_duplicates(done: &[Completed], timeout_uploads: bool, run: &str) {
     let is_dup = |c: &&Completed| matches!(c.op.result, OpResult::Dedup { unique: false, .. });
     for dup in done.iter().filter(is_dup) {
@@ -499,6 +506,10 @@ pub struct Clause {
 }
 
 /// The shared clauses, in the order [`check`] asserts them.
+#[expect(
+    clippy::wildcard_enum_match_arm,
+    reason = "each clause names the outcomes it accepts and rejects or skips the rest"
+)]
 pub const CLAUSES: [Clause; 6] = [
     Clause {
         name: "every submitted op resolved and none is in flight",

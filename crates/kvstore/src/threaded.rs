@@ -62,6 +62,10 @@ impl ThreadedCluster {
     /// # Panics
     ///
     /// Panics when `members` is empty or contains duplicates.
+    #[expect(
+        clippy::expect_used,
+        reason = "OS thread-spawn failure at construction leaves no cluster to run"
+    )]
     pub fn start(members: Vec<NodeId>, config: ClusterConfig) -> Self {
         let ring = member_ring(&members, config.vnodes);
 
@@ -116,7 +120,6 @@ impl ThreadedCluster {
                         }
                     }
                 })
-                // simlint::allow(D003): OS thread-spawn failure at construction leaves no cluster to run
                 .expect("spawn node thread");
             handles.push(handle);
         }

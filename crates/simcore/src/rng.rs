@@ -253,6 +253,10 @@ impl DetRng {
     ///
     /// Panics when `weights` is empty, contains a negative/non-finite value,
     /// or sums to zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "the entry loop only exits early when a positive weight exists"
+    )]
     pub fn categorical(&mut self, weights: &[f64]) -> usize {
         assert!(!weights.is_empty(), "no categories");
         let mut total = 0.0;
@@ -272,7 +276,6 @@ impl DetRng {
         weights
             .iter()
             .rposition(|&w| w > 0.0)
-            // simlint::allow(D003): the entry loop above only exits early when a positive weight exists
             .expect("positive weight exists")
     }
 

@@ -150,8 +150,11 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "Add must return SimTime; checked_add makes overflow loud instead of wrapping"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
-        // simlint::allow(D003): Add must return SimTime; checked_add makes overflow loud instead of wrapping
         SimTime(self.0.checked_add(rhs.0).expect("simulated time overflow"))
     }
 }
@@ -168,11 +171,14 @@ impl Sub<SimTime> for SimTime {
     ///
     /// Panics when `rhs` is later than `self`; use
     /// [`SimTime::saturating_since`] when that can happen.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; saturating_since is the non-panicking path"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint::allow(D003): documented panic contract; saturating_since is the non-panicking path
                 .expect("negative simulated duration"),
         )
     }
@@ -183,16 +189,22 @@ impl Sub<SimDuration> for SimTime {
     /// # Panics
     ///
     /// Panics when the subtraction would go before time zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract on the operator; overflow must be loud"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
-        // simlint::allow(D003): documented panic contract on the operator; overflow must be loud
         SimTime(self.0.checked_sub(rhs.0).expect("time before zero"))
     }
 }
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "Add must return SimDuration; checked_add makes overflow loud instead of wrapping"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        // simlint::allow(D003): Add must return SimDuration; checked_add makes overflow loud instead of wrapping
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
@@ -208,8 +220,11 @@ impl Sub for SimDuration {
     /// # Panics
     ///
     /// Panics on underflow; use [`SimDuration::saturating_sub`] otherwise.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; saturating_sub is the non-panicking path"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        // simlint::allow(D003): documented panic contract; saturating_sub is the non-panicking path
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
@@ -222,8 +237,11 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "Mul must return SimDuration; checked_mul makes overflow loud instead of wrapping"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
-        // simlint::allow(D003): Mul must return SimDuration; checked_mul makes overflow loud instead of wrapping
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
 }

@@ -39,8 +39,10 @@ fn instance((n, k, mut sizes, seed, alpha): InstanceParts) -> Snod2Instance {
         })
         .collect();
     let mut costs = vec![vec![0.0; n]; n];
-    // Symmetric fill: each draw writes (i, j) and (j, i).
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "symmetric fill: each draw writes (i, j) and (j, i)"
+    )]
     for i in 0..n {
         for j in (i + 1)..n {
             let c = rng.range_f64(0.1, 50.0);
