@@ -174,8 +174,16 @@ const PART_BYTES: usize = 256 * 1024;
 pub(crate) fn parts_for(bytes: usize) -> usize {
     match bytes / PART_BYTES {
         0 | 1 => 1,
-        most => std::thread::available_parallelism().map_or(1, |cores| cores.get().min(most)),
+        most => cores().min(most),
     }
+}
+
+/// The cores the process may use, read once: each read of the affinity
+/// mask and cgroup quota costs tens of microseconds, and a process pinned
+/// before it starts (`taskset`) reads its one core here all the same.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |cores| cores.get()))
 }
 
 /// Fingerprints a batch of chunk payloads with [`Sha256::digest_batch`].

@@ -238,17 +238,20 @@ impl DurableStore {
             }
             Some(rs) => {
                 let k = rs.data_shards();
-                let mut shards: Vec<Option<&[u8]>> = (0..fragments)
-                    .map(|f| readable(f).map(|stretch| &chunk.fragments[stretch]))
-                    .collect();
+                let shards = || -> Vec<Option<&[u8]>> {
+                    (0..fragments)
+                        .map(|f| readable(f).map(|stretch| &chunk.fragments[stretch]))
+                        .collect()
+                };
                 // The code is systematic and the data shards lead the
                 // buffer: with all of them readable the payload is the
-                // buffer's head, and a healthy read copies and decodes
-                // nothing. Otherwise the decoder's output is the one copy.
-                let data = if shards[..k].iter().all(Option::is_some) {
+                // buffer's head, and a healthy read copies, decodes and
+                // collects nothing. Otherwise the decoder's output is the
+                // one copy.
+                let data = if (0..k).all(|f| readable(f).is_some()) {
                     chunk.fragments.slice(..chunk.len)
                 } else {
-                    rs.reconstruct(&shards, chunk.len)
+                    rs.reconstruct(&shards(), chunk.len)
                         .map(Bytes::from)
                         .map_err(|_| DurableError::Unrecoverable(*hash))?
                 };
@@ -258,6 +261,7 @@ impl DurableStore {
                 // A present shard rotted in place. Parity absorbs that
                 // too: drop each readable shard in turn and let the
                 // decoder rebuild it from the survivors.
+                let mut shards = shards();
                 for f in 0..fragments {
                     let Some(suspect) = shards[f].take() else {
                         continue;

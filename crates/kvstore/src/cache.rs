@@ -220,8 +220,8 @@ impl FingerprintCache {
         clippy::arithmetic_side_effects,
         reason = "new() keeps at least one shard, so the modulus is non-zero"
     )]
-    fn shard_index(&self, key: &[u8]) -> usize {
-        (key_token(key) % self.shards.len() as u64) as usize
+    fn shard_index(&self, token: u64) -> usize {
+        (token % self.shards.len() as u64) as usize
     }
 
     /// Looks `key` up, recording a hit or miss and refreshing recency on
@@ -234,16 +234,17 @@ impl FingerprintCache {
         reason = "shard_index reduces modulo shards.len(); order mirrors entries one-to-one by construction; u64 counters do not wrap in a run"
     )]
     pub fn contains(&mut self, key: &[u8]) -> bool {
+        let token = key_token(key);
         if let Some(filter) = &self.second_sight {
             // A clear `present` bit proves the key was never admitted:
             // reject the common miss with one hash and one bit probe.
-            if !filter.maybe_present(key_token(key)) {
+            if !filter.maybe_present(token) {
                 self.stats.misses += 1;
                 return false;
             }
         }
         let seq = self.bump_seq();
-        let shard = self.shard_index(key);
+        let shard = self.shard_index(token);
         let shard = &mut self.shards[shard];
         match shard.entries.get_mut(key) {
             Some(slot) => {
@@ -271,8 +272,8 @@ impl FingerprintCache {
         reason = "shard_index reduces modulo shards.len(); order mirrors entries one-to-one, and a full shard holds at least one entry; u64 counters do not wrap in a run"
     )]
     pub fn insert(&mut self, key: Bytes) {
+        let token = key_token(&key);
         if let Some(filter) = &mut self.second_sight {
-            let token = key_token(&key);
             // Tokens of already-admitted keys fall through to the
             // refresh path below; fresh tokens must earn a second
             // sighting before paying LRU bookkeeping.
@@ -286,7 +287,7 @@ impl FingerprintCache {
         }
         let seq = self.bump_seq();
         let capacity = self.per_shard_capacity;
-        let shard = self.shard_index(&key);
+        let shard = self.shard_index(token);
         let shard = &mut self.shards[shard];
         if let Some(slot) = shard.entries.get_mut(&key) {
             let old = *slot;
@@ -317,7 +318,7 @@ impl FingerprintCache {
         reason = "shard_index reduces modulo shards.len(); u64 counters do not wrap in a run"
     )]
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let shard = self.shard_index(key);
+        let shard = self.shard_index(key_token(key));
         let shard = &mut self.shards[shard];
         match shard.entries.remove(key) {
             Some(seq) => {

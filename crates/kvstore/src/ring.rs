@@ -25,7 +25,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    tokens: BTreeMap<u64, NodeId>,
+    /// `(token, owner)`, sorted by token; tokens are distinct.
+    tokens: Vec<(u64, NodeId)>,
     members: BTreeSet<NodeId>,
     vnodes: usize,
 }
@@ -39,7 +40,7 @@ impl HashRing {
     pub fn new(vnodes: usize) -> Self {
         assert!(vnodes > 0, "need at least one virtual node per node");
         HashRing {
-            tokens: BTreeMap::new(),
+            tokens: Vec::new(),
             members: BTreeSet::new(),
             vnodes,
         }
@@ -89,14 +90,20 @@ impl HashRing {
             return;
         }
         for v in 0..self.vnodes {
-            let tok = vnode_token(node, v);
-            // Ties between different nodes' vnode tokens are broken by
-            // nudging; astronomically rare with 64-bit tokens.
-            let mut t = tok;
-            while self.tokens.contains_key(&t) {
-                t = t.wrapping_add(1);
+            self.claim(vnode_token(node, v), node);
+        }
+    }
+
+    /// Gives `node` the first free token at or after `token`, in place in
+    /// the sorted array. Ties between different nodes' vnode tokens are
+    /// broken by nudging; astronomically rare with 64-bit tokens.
+    fn claim(&mut self, token: u64, node: NodeId) {
+        let mut t = token;
+        loop {
+            match self.tokens.binary_search_by_key(&t, |&(at, _)| at) {
+                Ok(_) => t = t.wrapping_add(1),
+                Err(at) => return self.tokens.insert(at, (t, node)),
             }
-            self.tokens.insert(t, node);
         }
     }
 
@@ -105,7 +112,7 @@ impl HashRing {
         if !self.members.remove(&node) {
             return;
         }
-        self.tokens.retain(|_, n| *n != node);
+        self.tokens.retain(|&(_, n)| n != node);
     }
 
     /// The first `rf` distinct physical nodes clockwise from the key's
@@ -130,7 +137,11 @@ impl HashRing {
         assert!(rf > 0, "replication factor must be positive");
         let want = rf.min(self.members.len());
         let mut out = Vec::with_capacity(want);
-        for (_, node) in self.tokens.range(token..).chain(self.tokens.range(..token)) {
+        // Clockwise from the first token at or after `token`, wrapping.
+        let (before, from) = self
+            .tokens
+            .split_at(self.tokens.partition_point(|&(t, _)| t < token));
+        for (_, node) in from.iter().chain(before) {
             if !out.contains(node) {
                 out.push(*node);
                 if out.len() == want {
@@ -157,16 +168,16 @@ impl HashRing {
             return Vec::new();
         }
         let mut owned: BTreeMap<NodeId, u128> = BTreeMap::new();
-        let toks: Vec<(&u64, &NodeId)> = self.tokens.iter().collect();
+        let toks = &self.tokens;
         for (i, (tok, node)) in toks.iter().enumerate() {
             // Each token owns the arc from the previous token to itself.
             let prev = if i == 0 {
-                *toks[toks.len() - 1].0
+                toks[toks.len() - 1].0
             } else {
-                *toks[i - 1].0
+                toks[i - 1].0
             };
             let arc = tok.wrapping_sub(prev) as u128;
-            *owned.entry(**node).or_insert(0) += arc;
+            *owned.entry(*node).or_insert(0) += arc;
         }
         let total: u128 = owned.values().sum();
         owned
@@ -188,6 +199,7 @@ fn vnode_token(node: NodeId, vnode: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ef_simcore::prop::{any, check, vec};
 
     fn ring3() -> HashRing {
         HashRing::with_nodes([NodeId(0), NodeId(1), NodeId(2)], 64)
@@ -312,5 +324,94 @@ mod tests {
             let frac = *c as f64 / total as f64;
             assert!((0.4..=0.95).contains(&frac), "node {n} serves {frac}");
         }
+    }
+
+    /// The sorted token array answers every replica query exactly as the
+    /// `BTreeMap` it replaced: the same claims (vnode tokens, then ties
+    /// forced onto taken tokens, `u64::MAX` among them so a nudge wraps
+    /// to 0) nudge to the same tokens, and a removal drops the same ones.
+    /// Replica lists agree for random tokens, every token exactly and
+    /// either side of it, both ends of the ring, and every `rf` from 1 to
+    /// two past the member count.
+    #[test]
+    fn token_array_walk_matches_the_tree_walk() {
+        fn claim(tree: &mut BTreeMap<u64, NodeId>, token: u64, node: NodeId) {
+            let mut t = token;
+            while tree.contains_key(&t) {
+                t = t.wrapping_add(1);
+            }
+            tree.insert(t, node);
+        }
+        fn walk(
+            tree: &BTreeMap<u64, NodeId>,
+            token: u64,
+            rf: usize,
+            members: usize,
+        ) -> Vec<NodeId> {
+            let want = rf.min(members);
+            let mut out = Vec::new();
+            for (_, node) in tree.range(token..).chain(tree.range(..token)) {
+                if !out.contains(node) {
+                    out.push(*node);
+                    if out.len() == want {
+                        break;
+                    }
+                }
+            }
+            out
+        }
+        let ties = vec((any::<u8>(), 0u8..4, any::<u64>()), 0..12);
+        let strategy = (
+            1usize..6,
+            1usize..9,
+            ties,
+            vec(any::<u64>(), 0..16),
+            0u32..7,
+        );
+        check(
+            "token_array_walk_matches_the_tree_walk",
+            128,
+            strategy,
+            |(members, vnodes, ties, probes, removed)| {
+                let mut ring = HashRing::new(vnodes);
+                let mut tree = BTreeMap::new();
+                for node in (0..members as u32).map(NodeId) {
+                    ring.add_node(node);
+                    for v in 0..vnodes {
+                        claim(&mut tree, vnode_token(node, v), node);
+                    }
+                }
+                for (node, kind, pick) in ties {
+                    let node = NodeId(u32::from(node) % members as u32);
+                    let token = match kind {
+                        0 => u64::MAX,
+                        1 => pick,
+                        _ => ring.tokens[pick as usize % ring.tokens.len()].0,
+                    };
+                    ring.claim(token, node);
+                    claim(&mut tree, token, node);
+                }
+                if members > 1 && (removed as usize) < members {
+                    ring.remove_node(NodeId(removed));
+                    tree.retain(|_, n| *n != NodeId(removed));
+                }
+                let flat: Vec<_> = tree.iter().map(|(t, n)| (*t, *n)).collect();
+                assert_eq!(ring.tokens, flat);
+                let at_tokens = tree
+                    .keys()
+                    .flat_map(|t| [t.wrapping_sub(1), *t, t.wrapping_add(1)]);
+                let ends = [0, 1, u64::MAX - 1, u64::MAX];
+                for token in probes.into_iter().chain(at_tokens).chain(ends) {
+                    for rf in 1..=ring.len() + 2 {
+                        let want = walk(&tree, token, rf, ring.len());
+                        assert_eq!(
+                            ring.replicas_for_token(token, rf),
+                            want,
+                            "token {token}, rf {rf}"
+                        );
+                    }
+                }
+            },
+        );
     }
 }

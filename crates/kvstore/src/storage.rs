@@ -10,9 +10,113 @@
 
 use crate::integrity::{checksum64, le_array, Checksum64, IntegrityError, Summed};
 use bytes::Bytes;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+
+/// A key's first eight bytes as a big-endian word, zero-padded: two keys
+/// whose heads differ are ordered as their heads are, so comparing the
+/// head and then the bytes is byte order, and most compares are decided
+/// by one integer. (A short key's padding sorts it before any extension
+/// of itself; `b"ab"` and `b"ab\0"` share a head and their bytes decide.)
+fn head(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = bytes.len().min(8);
+    word[..n].copy_from_slice(&bytes[..n]);
+    u64::from_be_bytes(word)
+}
+
+/// What the engine's maps order by: a key's [`head`], then its bytes,
+/// which are looked at only when the heads tie. A stored [`Key`] and a
+/// borrowed [`Probe`] are both ordered this way, so a lookup by `&[u8]`
+/// descends a map without building a key.
+trait Ordered {
+    fn head(&self) -> u64;
+    fn bytes(&self) -> &[u8];
+}
+
+fn order(a: &dyn Ordered, b: &dyn Ordered) -> Ordering {
+    let heads = a.head().cmp(&b.head());
+    heads.then_with(|| a.bytes().cmp(b.bytes()))
+}
+
+impl PartialEq for dyn Ordered + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        order(self, other).is_eq()
+    }
+}
+
+impl Eq for dyn Ordered + '_ {}
+
+impl PartialOrd for dyn Ordered + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Ordered + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        order(self, other)
+    }
+}
+
+/// A stored key and its [`head`]. The derived order compares the head,
+/// then the bytes: [`Ordered`]'s order, as `Borrow` requires.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    head: u64,
+    bytes: Bytes,
+}
+
+impl Key {
+    fn new(bytes: Bytes) -> Self {
+        let head = head(&bytes);
+        Key { head, bytes }
+    }
+}
+
+impl Ordered for Key {
+    fn head(&self) -> u64 {
+        self.head
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl<'a> Borrow<dyn Ordered + 'a> for Key {
+    fn borrow(&self) -> &(dyn Ordered + 'a) {
+        self
+    }
+}
+
+/// A lookup key: borrowed bytes and their [`head`].
+struct Probe<'a> {
+    head: u64,
+    bytes: &'a [u8],
+}
+
+impl<'a> Probe<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Probe {
+            head: head(bytes),
+            bytes,
+        }
+    }
+}
+
+impl Ordered for Probe<'_> {
+    fn head(&self) -> u64 {
+        self.head
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.bytes
+    }
+}
 
 /// A stored value and the two sums kept beside it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +136,14 @@ struct Stored {
 enum Slot {
     Value(Stored),
     Tombstone,
+}
+
+/// The remembered sum of the live value `slot` holds, if any.
+fn sum_of(slot: Option<&Slot>) -> Option<u64> {
+    match slot {
+        Some(Slot::Value(v)) => Some(v.sum),
+        Some(Slot::Tombstone) | None => None,
+    }
 }
 
 /// Counters describing engine state, used by resource accounting.
@@ -92,10 +204,10 @@ struct Journal {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StorageEngine {
-    memtable: BTreeMap<Bytes, Slot>,
+    memtable: BTreeMap<Key, Slot>,
     memtable_bytes: usize,
     /// Frozen segments, oldest first.
-    segments: Vec<BTreeMap<Bytes, Slot>>,
+    segments: Vec<BTreeMap<Key, Slot>>,
     flush_threshold_bytes: usize,
     writes: u64,
     reads: u64,
@@ -141,32 +253,47 @@ impl StorageEngine {
     /// it carries is the write-time checksum that verify-on-read and
     /// scrub hold the bytes to.
     pub(crate) fn put_summed(&mut self, key: Bytes, value: Summed) -> bool {
-        self.writes += 1;
-        let before = self.live_sum(&key);
-        self.memtable_bytes += key.len() + value.len();
         let crc = value.sum();
-        self.note(&key, before, Some(crc));
         let stored = Stored {
             data: value.into_bytes(),
             crc,
             sum: crc,
         };
-        self.memtable.insert(key, Slot::Value(stored));
-        self.maybe_flush();
-        before.is_none()
+        self.write(key, Slot::Value(stored)).is_none()
     }
 
-    /// The remembered sum of `key`'s live value, if it has one.
-    fn live_sum(&self, key: &[u8]) -> Option<u64> {
-        match self.newest_slot(key) {
-            Some(Slot::Value(v)) => Some(v.sum),
-            Some(Slot::Tombstone) | None => None,
+    /// Writes `slot` for `key` with one descent of the memtable, journals
+    /// the change, and returns the remembered sum of the live value it
+    /// shadows — looked for in the segments only when the memtable has
+    /// no slot for the key.
+    fn write(&mut self, key: Bytes, slot: Slot) -> Option<u64> {
+        self.writes += 1;
+        let after = sum_of(Some(&slot));
+        let value_len = match &slot {
+            Slot::Value(stored) => stored.data.len(),
+            Slot::Tombstone => 0,
+        };
+        self.memtable_bytes += key.len() + value_len;
+        let noted = self.journal.is_some().then(|| key.clone());
+        let before = match self.memtable.entry(Key::new(key)) {
+            Entry::Occupied(mut held) => sum_of(Some(&held.insert(slot))),
+            Entry::Vacant(free) => {
+                let mut older = self.segments.iter().rev();
+                let before = sum_of(older.find_map(|seg| seg.get(free.key())));
+                free.insert(slot);
+                before
+            }
+        };
+        if let Some(key) = noted {
+            self.note(&key, before, after);
         }
+        self.maybe_flush();
+        before
     }
 
     /// True when `key` has a live value; counts no read.
     pub(crate) fn holds(&self, key: &[u8]) -> bool {
-        self.live_sum(key).is_some()
+        sum_of(self.newest_slot(key)).is_some()
     }
 
     /// Journals one change to the live set while the journal is armed:
@@ -257,27 +384,17 @@ impl StorageEngine {
     /// The newest slot shadowing `key`: memtable first, then segments
     /// newest to oldest.
     fn newest_slot(&self, key: &[u8]) -> Option<&Slot> {
-        if let Some(slot) = self.memtable.get(key) {
-            return Some(slot);
-        }
-        for seg in self.segments.iter().rev() {
-            if let Some(slot) = seg.get(key) {
-                return Some(slot);
-            }
-        }
-        None
+        let probe = Probe::new(key);
+        let probe: &dyn Ordered = &probe;
+        let mut trees = std::iter::once(&self.memtable).chain(self.segments.iter().rev());
+        trees.find_map(|tree| tree.get(probe))
     }
 
     fn newest_slot_mut(&mut self, key: &[u8]) -> Option<&mut Slot> {
-        if self.memtable.contains_key(key) {
-            return self.memtable.get_mut(key);
-        }
-        for seg in self.segments.iter_mut().rev() {
-            if seg.contains_key(key) {
-                return seg.get_mut(key);
-            }
-        }
-        None
+        let probe = Probe::new(key);
+        let probe: &dyn Ordered = &probe;
+        let mut trees = std::iter::once(&mut self.memtable).chain(self.segments.iter_mut().rev());
+        trees.find_map(|tree| tree.get_mut(probe))
     }
 
     /// Chaos hook: flips one bit in the `nth` live value (values counted
@@ -312,13 +429,7 @@ impl StorageEngine {
 
     /// Deletes `key` by writing a tombstone.
     pub fn delete(&mut self, key: Bytes) {
-        self.writes += 1;
-        if self.journal.is_some() {
-            self.note(&key, self.live_sum(&key), None);
-        }
-        self.memtable_bytes += key.len();
-        self.memtable.insert(key, Slot::Tombstone);
-        self.maybe_flush();
+        self.write(key, Slot::Tombstone);
     }
 
     fn maybe_flush(&mut self) {
@@ -341,7 +452,7 @@ impl StorageEngine {
     /// dropping shadowed entries and tombstones.
     pub fn compact(&mut self) {
         self.flush();
-        let mut merged: BTreeMap<Bytes, Slot> = BTreeMap::new();
+        let mut merged = BTreeMap::new();
         for seg in self.segments.drain(..) {
             // Later segments shadow earlier ones.
             for (k, v) in seg {
@@ -358,11 +469,17 @@ impl StorageEngine {
     /// just past `after` (the start when `None`), memtable and segments
     /// merged, each key answered by its newest slot, tombstones hidden.
     fn live(&self, after: Option<&Bytes>) -> impl Iterator<Item = (&Bytes, &Stored)> + '_ {
-        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let probe = after.map(|after| Probe::new(after));
+        let from = probe.as_ref().map_or(Bound::Unbounded, |probe| {
+            Bound::Excluded(probe as &dyn Ordered)
+        });
         // Newest first: of the heads at one key, the first is its slot.
         let trees = std::iter::once(&self.memtable).chain(self.segments.iter().rev());
         let mut heads: Vec<_> = trees
-            .map(|tree| tree.range::<Bytes, _>((from, Bound::Unbounded)).peekable())
+            .map(|tree| {
+                tree.range::<dyn Ordered, _>((from, Bound::Unbounded))
+                    .peekable()
+            })
             .collect();
         std::iter::from_fn(move || loop {
             let key = heads.iter_mut().filter_map(|h| Some(h.peek()?.0)).min()?;
@@ -372,7 +489,7 @@ impl StorageEngine {
             let newest = at_key.next();
             at_key.for_each(drop);
             if let Some((key, Slot::Value(stored))) = newest {
-                return Some((key, stored));
+                return Some((&key.bytes, stored));
             }
         })
     }
@@ -1403,20 +1520,28 @@ impl WriteAheadLog {
             return Err(WalError::BadChecksum { offset: 0 });
         }
         let sections = [self.snapshot.verified_by(check)?, self.tail.verified()?];
-        // Newest frame per key: a put's frame and its section, `None` for
-        // a delete.
-        let mut newest = BTreeMap::new();
-        for section in &sections {
-            for record in section.records() {
-                let put = record.value.map(|_| section.copy_of(&record));
-                newest.insert(record.key, put);
-            }
-        }
+        // Every frame in log order, keyed by its head and key bytes, with
+        // its put's copy (`None` for a delete). A stable sort by key keeps
+        // each key's frames in log order, so the last of each run is its
+        // newest. A compacted snapshot is one sorted run that the sort
+        // takes whole; one rebuilt by a fallback is sorted like the tail.
+        let mut frames: Vec<_> = sections
+            .iter()
+            .flat_map(|section| {
+                section.records().map(move |record| {
+                    let put = record.value.map(|_| section.copy_of(&record));
+                    ((head(record.key), record.key), put)
+                })
+            })
+            .collect();
+        frames.sort_by_key(|&(key, _)| key);
         let mut snapshot = Section::default();
         let mut entries = 0;
-        for put in newest.into_values().flatten() {
-            snapshot.push_copy(put);
-            entries += 1;
+        for run in frames.chunk_by(|(a, _), (b, _)| a == b) {
+            if let Some((_, Some(put))) = run.last() {
+                snapshot.push_copy(*put);
+                entries += 1;
+            }
         }
         Ok((snapshot, entries))
     }
@@ -1873,6 +1998,79 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.live_keys, 1);
         assert_eq!(st.live_bytes, 8);
+    }
+
+    /// Keys that compare on their head word first are in byte order:
+    /// stored keys against each other, a probe against a stored key, and
+    /// an engine's walk and lookups over them, across lengths 0..=40, keys
+    /// sharing an 8-byte head and keys with embedded zero bytes.
+    #[test]
+    fn head_first_key_order_is_byte_order() {
+        fn agree(a: &[u8], b: &[u8]) {
+            let (ka, kb) = (
+                Key::new(Bytes::copy_from_slice(a)),
+                Key::new(Bytes::copy_from_slice(b)),
+            );
+            assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} against {b:?}");
+            let probe = Probe::new(a);
+            let (probe, kb): (&dyn Ordered, &dyn Ordered) = (&probe, &kb);
+            assert_eq!(probe.cmp(kb), a.cmp(b), "probe {a:?} against {b:?}");
+        }
+        let pinned: [&[u8]; 8] = [
+            b"",
+            b"\0",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0\0\0\0\0",
+            b"ab\0\0\0\0\0\0\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+        ];
+        for a in pinned {
+            for b in pinned {
+                agree(a, b);
+            }
+        }
+        assert!(Key::new(b("ab")) < Key::new(Bytes::from_static(b"ab\0")));
+        // Keys from a three-letter alphabet (a third of bytes zero) cut
+        // from one shared prefix, so most pairs share their head.
+        let keys = (
+            vec(0u8..3, 0..41),
+            vec((0usize..41, vec(0u8..3, 0..41)), 1..24),
+        );
+        check(
+            "head_first_key_order_is_byte_order",
+            256,
+            keys,
+            |(prefix, cuts)| {
+                let keys: Vec<Vec<u8>> = cuts
+                    .into_iter()
+                    .map(|(cut, suffix)| {
+                        let mut key = prefix[..cut.min(prefix.len())].to_vec();
+                        key.extend(suffix);
+                        key.truncate(40);
+                        key
+                    })
+                    .collect();
+                for a in &keys {
+                    for b in &keys {
+                        agree(a, b);
+                    }
+                }
+                let mut engine = StorageEngine::new(64);
+                for key in &keys {
+                    engine.put(Bytes::copy_from_slice(key), b("v"));
+                }
+                let mut sorted = keys.clone();
+                sorted.sort();
+                sorted.dedup();
+                let walked: Vec<_> = engine.iter_live().map(|(k, _)| k.to_vec()).collect();
+                assert_eq!(walked, sorted);
+                for key in &keys {
+                    assert!(engine.contains(key), "{key:?} lost");
+                }
+            },
+        );
     }
 
     #[test]
@@ -2443,6 +2641,52 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// A snapshot rebuilt by the fallback path is the stashed log as it
+    /// was appended — out of key order, one key written twice — so the
+    /// compaction after it cannot take the snapshot as one sorted run: it
+    /// sorts it with the tail, the last frame of each key winning, and
+    /// matches the contiguous byte log that folds every record through a
+    /// map.
+    #[test]
+    fn compaction_after_a_snapshot_fallback_sorts_the_rebuilt_snapshot() {
+        fn append(
+            log: &mut WriteAheadLog,
+            reference: &mut ByteLog,
+            key: &str,
+            value: Option<&str>,
+        ) {
+            match value {
+                Some(value) => log.append_put(key.as_bytes(), &b(value)),
+                None => log.append_delete(key.as_bytes()),
+            }
+            reference.append(key.as_bytes(), value.map(str::as_bytes));
+            assert_eq!(log.image(), *reference, "after {key}");
+        }
+        let mut log = WriteAheadLog::new(4);
+        let mut reference = ByteLog::new(4);
+        for (key, value) in [("c", "c1"), ("a", "a1"), ("b", "b1"), ("c", "c2")] {
+            append(&mut log, &mut reference, key, Some(value));
+        }
+        assert_eq!(log.snapshots_taken(), 1);
+        assert!(log.flip_bit(3, 1) && reference.flip_bit(3, 1));
+        assert_eq!(log.recover_replay(), reference.recover_replay());
+        assert_eq!(log.snapshot_fallbacks(), 1);
+        let rebuilt: Vec<_> = log.snapshot.records().map(|r| r.key).collect();
+        assert_eq!(rebuilt, [b"c", b"a", b"b", b"c"]);
+        for (key, value) in [
+            ("b", None),
+            ("e", Some("e1")),
+            ("a", Some("a2")),
+            ("d", Some("d1")),
+        ] {
+            append(&mut log, &mut reference, key, value);
+        }
+        assert_eq!(log.snapshots_taken(), 2);
+        let live = [("a", "a2"), ("c", "c2"), ("d", "d1"), ("e", "e1")];
+        let live = live.map(|(k, v)| WalRecord::Put(b(k), b(v)));
+        assert_eq!(log.replay().unwrap(), live);
     }
 
     /// A snapshot with flipped bits is rejected by its block checksum
