@@ -59,7 +59,7 @@ pub struct RobustnessMetrics {
     /// windows and time-to-recovery (all zero when no cloud uplink was
     /// enabled and no disaster was injected).
     pub disaster: ef_kvstore::DisasterStats,
-    /// Byzantine-tolerance counters: proof-of-possession challenges,
+    /// Byzantine-tolerance counters: proof-of-possession checks,
     /// rejected false claims and poisoned bytes, trust-ledger strikes
     /// and liar quarantines (all zero when PoP was not armed and no
     /// peer misbehaved).
@@ -113,7 +113,7 @@ impl RobustnessMetrics {
     /// True when the run saw no fault-handling activity at all: no
     /// message dropped and no fault-class counter of any family
     /// non-zero. What is routine — cache traffic, passive RTT
-    /// observation, spool enqueue/drain, passed possession challenges —
+    /// observation, spool enqueue/drain, passed possession checks —
     /// is each counter's declared class, not a list kept here.
     pub fn is_quiet(&self) -> bool {
         self.messages_dropped == 0 && self.fields().all(|c| c.is_quiet())

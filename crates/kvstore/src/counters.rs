@@ -181,21 +181,18 @@ counters! {
     }
 
     /// Byzantine-defense counters. All-zero unless proof-of-possession was
-    /// enabled. Challenges issued, passed or answered from the
-    /// proven-possession cache are the routine price of armed PoP; failed
-    /// challenges, rejected claims, strikes and quarantines mean a peer
-    /// actually lied.
+    /// enabled. Possession checks issued and passed are the routine price
+    /// of armed PoP; failed checks, rejected claims, strikes and
+    /// quarantines mean a peer actually lied.
     pub struct ByzantineStats {
-        /// Possession challenges sent to claiming replicas.
+        /// Possession checks: remote positive sightings judged against
+        /// the coordinator's payload, one per sighting.
         challenges_issued: sum routine,
-        /// Challenges answered with a verifying digest.
+        /// Possession checks whose returned bytes were the payload.
         challenges_passed: sum routine,
-        /// Challenges answered with a wrong digest or a held=false
-        /// retraction — the sighting was reverted, never trusted.
+        /// Possession checks whose returned bytes were not the payload —
+        /// the sighting was reverted, never trusted.
         challenges_failed: sum fault,
-        /// Positive sightings completed from the proven-possession cache
-        /// without a fresh challenge round-trip.
-        pop_cache_hits: sum routine,
         /// Duplicate verdicts that would have been false: a positive
         /// sighting rejected by proof of possession with no honest replica
         /// confirming the claim.
@@ -249,7 +246,7 @@ pub struct NodeStats {
     pub integrity: IntegrityStats,
     /// Hedges this coordinator's backup replica won.
     pub gray: GrayFailureStats,
-    /// Proof-of-possession traffic and verdicts at this coordinator.
+    /// Proof-of-possession verdicts at this coordinator.
     pub byzantine: ByzantineStats,
 }
 

@@ -83,7 +83,7 @@ pub use storage::{
     ReplayNotes, ScrubChunk, StorageEngine, StorageStats, WalError, WalRecord, WriteAheadLog,
 };
 pub use threaded::ThreadedCluster;
-pub use trust::{derive_challenge, pop_digest, PopChallenge, TrustLedger};
+pub use trust::TrustLedger;
 
 /// Hashes a key to its position ("token") on the ring.
 ///

@@ -172,36 +172,6 @@ pub enum Message {
         /// The fingerprint key to rebuild.
         key: Bytes,
     },
-    /// Coordinator → claiming replica: prove you actually hold the
-    /// chunk behind your positive dedup sighting. The prover must
-    /// answer with a salted digest over a challenge-chosen slice of
-    /// its *stored* bytes ([`Message::PopResponse`]); an index-only
-    /// liar cannot compute it.
-    PopChallenge {
-        /// The coordinated dedup operation being gated.
-        op_id: OpId,
-        /// The claimed fingerprint key.
-        key: Bytes,
-        /// Challenge salt mixed into the digest.
-        nonce: u64,
-        /// Slice offset seed (wrapped modulo the chunk length).
-        offset: u32,
-        /// Slice length cap.
-        len: u32,
-    },
-    /// Claiming replica → coordinator: the proof-of-possession answer.
-    PopResponse {
-        /// The coordinated dedup operation being gated.
-        op_id: OpId,
-        /// The prover.
-        from: NodeId,
-        /// False when the prover no longer holds (or never held) the
-        /// chunk — an honest miss that reverts the sighting.
-        held: bool,
-        /// Salted SHA-256 over the challenged slice of the stored
-        /// chunk; all zeros when `held` is false.
-        digest: [u8; 32],
-    },
 }
 
 impl Message {
@@ -220,10 +190,6 @@ impl Message {
             Message::ReadResp { value, .. } => value.as_ref().map_or(0, |v| v.len()),
             Message::CloudUpload { key, value } => key.len() + value.len(),
             Message::CloudUploadAck { key } | Message::RepairRequest { key } => key.len(),
-            // key + nonce (8) + offset (4) + len (4).
-            Message::PopChallenge { key, .. } => key.len() + 16,
-            // held flag (1) + digest (32).
-            Message::PopResponse { .. } => 33,
         };
         HEADER + payload as u64
     }
@@ -301,34 +267,6 @@ impl Message {
             Message::RepairRequest { key } => {
                 c.update_u64(8);
                 field(&mut c, key);
-            }
-            Message::PopChallenge {
-                op_id,
-                key,
-                nonce,
-                offset,
-                len,
-            } => {
-                c.update_u64(9);
-                c.update_u64(op_id.coordinator.0 as u64);
-                c.update_u64(op_id.seq);
-                field(&mut c, key);
-                c.update_u64(*nonce);
-                c.update_u64(*offset as u64);
-                c.update_u64(*len as u64);
-            }
-            Message::PopResponse {
-                op_id,
-                from,
-                held,
-                digest,
-            } => {
-                c.update_u64(10);
-                c.update_u64(op_id.coordinator.0 as u64);
-                c.update_u64(op_id.seq);
-                c.update_u64(from.0 as u64);
-                c.update_u64(u64::from(*held));
-                field(&mut c, &digest[..]);
             }
         }
         c.finish()
@@ -435,71 +373,6 @@ mod tests {
         // Same key, different kind tag: the checksums must differ or a
         // rotted kind byte could alias an ack into a repair request.
         assert_ne!(up_ack.frame_checksum(), repair.frame_checksum());
-        // Proof-of-possession frames: a challenge carries the key plus
-        // nonce/offset/len, a response carries the flag and digest.
-        let challenge = Message::PopChallenge {
-            op_id,
-            key: Bytes::from_static(b"0123"),
-            nonce: 7,
-            offset: 11,
-            len: 64,
-        };
-        assert_eq!(challenge.wire_size(), 48 + 4 + 16);
-        let resp = Message::PopResponse {
-            op_id,
-            from: NodeId(1),
-            held: true,
-            digest: [0xAB; 32],
-        };
-        assert_eq!(resp.wire_size(), 48 + 33);
-    }
-
-    #[test]
-    fn pop_frame_checksums_bind_every_field() {
-        let op_id = OpId {
-            coordinator: NodeId(0),
-            seq: 1,
-        };
-        let base = Message::PopChallenge {
-            op_id,
-            key: Bytes::from_static(b"k"),
-            nonce: 1,
-            offset: 2,
-            len: 3,
-        };
-        assert_eq!(base.frame_checksum(), base.frame_checksum());
-        let other_nonce = Message::PopChallenge {
-            op_id,
-            key: Bytes::from_static(b"k"),
-            nonce: 9,
-            offset: 2,
-            len: 3,
-        };
-        assert_ne!(base.frame_checksum(), other_nonce.frame_checksum());
-        // A flipped held flag or a one-byte digest change moves the
-        // response checksum — a liar cannot rot a refusal into a proof.
-        let yes = Message::PopResponse {
-            op_id,
-            from: NodeId(1),
-            held: true,
-            digest: [0; 32],
-        };
-        let no = Message::PopResponse {
-            op_id,
-            from: NodeId(1),
-            held: false,
-            digest: [0; 32],
-        };
-        assert_ne!(yes.frame_checksum(), no.frame_checksum());
-        let mut tweaked = [0u8; 32];
-        tweaked[31] = 1;
-        let other_digest = Message::PopResponse {
-            op_id,
-            from: NodeId(1),
-            held: true,
-            digest: tweaked,
-        };
-        assert_ne!(yes.frame_checksum(), other_digest.frame_checksum());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each store node plays three roles, as in Cassandra:
 //!
 //! * **Replica** (this file) — applies `ReplicaWrite`/`ReplicaRead`
-//!   messages against its local [`StorageEngine`], proves possession
-//!   when challenged, and answers the coordinator.
+//!   messages against its local [`StorageEngine`] and answers the
+//!   coordinator.
 //! * **Coordinator** (`coordinator.rs`) — any node can accept a client
 //!   operation for any key (the paper's Dedup Agent always talks to *its
 //!   own* local store node); it fans the operation out to the key's
@@ -26,9 +26,8 @@ use crate::integrity::Summed;
 use crate::msg::{Completion, Message, OpId, OpResult, Outbound};
 use crate::ring::HashRing;
 use crate::storage::{StorageEngine, WalError, WalRecord, WriteAheadLog};
-use crate::trust::{pop_digest, PopChallenge};
 use bytes::Bytes;
-use coordinator::{Answer, Event, Op, Quorum, Seen};
+use coordinator::{Answer, Op, Quorum, Seen};
 use ef_netsim::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -72,14 +71,11 @@ pub struct NodeState {
     stats: NodeStats,
     /// The node's durable write-ahead log (survives crash-stops).
     wal: WriteAheadLog,
-    /// Proof-of-possession seed; `None` keeps every legacy code path
-    /// bit-identical (no challenges, no gating).
-    pop_seed: Option<u64>,
-    /// Proven-possession cache: (prover, key) pairs whose possession
-    /// proof verified, amortizing repeat challenges for hot chunks.
-    pop_proven: BTreeSet<(NodeId, Bytes)>,
-    /// Peers that answered a challenge with a provably wrong digest or
-    /// retracted a claim, awaiting driver-side trust-ledger strikes.
+    /// Proof of possession armed; unarmed, a remote positive sighting is
+    /// taken at its word.
+    pop_armed: bool,
+    /// Peers whose positive sighting returned bytes other than the
+    /// payload, awaiting driver-side trust-ledger strikes.
     pop_strikes: Vec<NodeId>,
     /// (op, prover) pairs behind completed proven duplicate verdicts,
     /// drained by the driver to attribute fingerprint-cache entries to
@@ -114,8 +110,7 @@ impl NodeState {
             hints: BTreeMap::new(),
             stats: NodeStats::default(),
             wal: WriteAheadLog::new(config.wal_snapshot_every),
-            pop_seed: None,
-            pop_proven: BTreeSet::new(),
+            pop_armed: false,
             pop_strikes: Vec::new(),
             dedup_sources: Vec::new(),
         }
@@ -186,21 +181,21 @@ impl NodeState {
     }
 
     /// Arms proof-of-possession: from now on a remote positive dedup
-    /// sighting only completes after the claiming replica proves it
-    /// holds the chunk. Challenge parameters derive purely from
-    /// `seed`, the op id, the key token, and the prover — the service
-    /// path draws no RNG, so replays stay bit-identical.
-    pub fn arm_pop(&mut self, seed: u64) {
-        self.pop_seed = Some(seed);
+    /// sighting only completes a duplicate verdict when the value the
+    /// replica returned is, byte for byte, the payload being
+    /// deduplicated. The check reads what the lookup already carried: no
+    /// extra frame, no RNG draw.
+    pub fn arm_pop(&mut self) {
+        self.pop_armed = true;
     }
 
     /// True when proof-of-possession gating is armed.
     pub fn pop_armed(&self) -> bool {
-        self.pop_seed.is_some()
+        self.pop_armed
     }
 
-    /// Drains the peers that provably lied on a possession challenge
-    /// since the last call; the driver charges them trust strikes.
+    /// Drains the peers whose positive sighting failed the possession
+    /// check since the last call; the driver charges them trust strikes.
     pub(crate) fn take_pop_strikes(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.pop_strikes)
     }
@@ -210,13 +205,6 @@ impl NodeState {
     /// fingerprint-cache admissions to their source peer.
     pub(crate) fn take_dedup_sources(&mut self) -> Vec<(OpId, NodeId)> {
         std::mem::take(&mut self.dedup_sources)
-    }
-
-    /// Forgets every proven-possession cache entry attributed to
-    /// `peer` (it was quarantined for lying: its past proofs no longer
-    /// vouch for anything).
-    pub(crate) fn forget_proven(&mut self, peer: NodeId) {
-        self.pop_proven.retain(|(p, _)| *p != peer);
     }
 
     /// Mutable access to the node's integrity counters, for the driver
@@ -419,36 +407,10 @@ impl NodeState {
                 let copy = found.map(|v| Outbound::hint_replay(from, key, Some(v)));
                 (copy.into_iter().collect(), None)
             }
-            Message::PopChallenge {
-                op_id,
-                key,
-                nonce,
-                offset,
-                len,
-            } => {
-                // Prover: digest the challenged slice of the *stored*
-                // bytes. A missing or rot-quarantined copy is answered
-                // honestly with a retraction.
-                let challenge = PopChallenge { nonce, offset, len };
-                let proof = self.verified_get(&key).map(|v| pop_digest(challenge, &v));
-                let response = Message::PopResponse {
-                    op_id,
-                    from: id,
-                    held: proof.is_some(),
-                    digest: proof.unwrap_or_default(),
-                };
-                (reply(response), None)
-            }
             Message::WriteAck { op_id, from } => self.on_ack(op_id, from, Answer::Applied),
             Message::ReadResp { op_id, from, value } => {
                 self.on_ack(op_id, from, Answer::Read(value))
             }
-            Message::PopResponse {
-                op_id,
-                from,
-                held,
-                digest,
-            } => self.step(op_id, Event::Proof { from, held, digest }),
             // Cloud uploads and their acks terminate at the cluster
             // driver (the cloud catalog is not a ring member); one
             // reaching a node state machine is a misrouted frame and is

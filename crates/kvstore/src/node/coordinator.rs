@@ -2,15 +2,14 @@
 //!
 //! An [`Op`] is the quorum bookkeeping every phase shares plus a
 //! [`Phase`] that owns what only that phase uses, so a read with a
-//! payload, a write with a sighting or a proof wait without a prover
-//! cannot be built. Every event an op can meet is an [`Event`], and
-//! every transition goes through [`NodeState::step`]; DESIGN.md §17
-//! ("Node anatomy") tabulates phase × event.
+//! payload or a write with a sighting cannot be built. Every event an
+//! op can meet is an [`Event`], and every transition goes through
+//! [`NodeState::step`]; DESIGN.md §17 ("Node anatomy") tabulates
+//! phase × event.
 
 use super::{Consistency, NodeState};
 use crate::integrity::Summed;
 use crate::msg::{ClientOp, Completion, Message, OpId, OpResult, Outbound};
-use crate::trust::{derive_challenge, pop_digest, PopChallenge};
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use std::collections::BTreeSet;
@@ -68,16 +67,6 @@ enum Phase {
     Write(Option<Summed>),
     /// The read phase of a check-and-insert.
     CaiRead { payload: Summed, seen: Seen },
-    /// A check-and-insert whose remote positive sighting awaits a proof
-    /// of possession: `prover` must answer `challenge` before the
-    /// duplicate verdict can complete. Entered only when proofs are
-    /// armed ([`NodeState::arm_pop`]).
-    PopWait {
-        payload: Summed,
-        seen: Seen,
-        prover: NodeId,
-        challenge: PopChallenge,
-    },
     /// The write phase of a check-and-insert, under the same op id.
     /// `degraded`: the read phase was lost to unavailability or timeout
     /// and the op fell back to "assume unique".
@@ -88,7 +77,7 @@ enum Phase {
 #[derive(Debug, Default)]
 pub(super) struct Seen {
     /// The first positive sighting and the replica that supplied it. A
-    /// sighting by this node itself is possession, never challenged.
+    /// sighting by this node itself is possession, never checked.
     sighting: Option<(Summed, NodeId)>,
     /// Replicas that answered "not found" (read-repair targets).
     answered_none: Vec<NodeId>,
@@ -111,12 +100,6 @@ pub(super) enum Answer {
 pub(super) enum Event {
     /// A replica answered.
     Ack(NodeId, Answer),
-    /// A prover answered a possession challenge.
-    Proof {
-        from: NodeId,
-        held: bool,
-        digest: [u8; 32],
-    },
     /// The retransmission timer fired.
     Rto,
     /// The retry budget is exhausted.
@@ -147,22 +130,10 @@ impl Request {
     }
 }
 
-/// The one place possession challenges are framed.
-fn challenge_frame(op_id: OpId, key: &Bytes, to: NodeId, challenge: PopChallenge) -> Outbound {
-    let msg = Message::PopChallenge {
-        op_id,
-        key: key.clone(),
-        nonce: challenge.nonce,
-        offset: challenge.offset,
-        len: challenge.len,
-    };
-    Outbound { to, msg }
-}
-
 impl Phase {
     fn request(&self) -> Request {
         match self {
-            Phase::Read(_) | Phase::CaiRead { .. } | Phase::PopWait { .. } => Request::Read,
+            Phase::Read(_) | Phase::CaiRead { .. } => Request::Read,
             Phase::Write(payload) => Request::Write(payload.clone()),
             Phase::CaiWrite { payload, .. } => Request::Write(Some(payload.clone())),
         }
@@ -170,9 +141,7 @@ impl Phase {
 
     fn seen(&mut self) -> Option<&mut Seen> {
         match self {
-            Phase::Read(seen) | Phase::CaiRead { seen, .. } | Phase::PopWait { seen, .. } => {
-                Some(seen)
-            }
+            Phase::Read(seen) | Phase::CaiRead { seen, .. } => Some(seen),
             Phase::Write(_) | Phase::CaiWrite { .. } => None,
         }
     }
@@ -188,17 +157,9 @@ impl Phase {
             _ => {}
         }
     }
-
-    /// Back to the read phase with the unproven sighting forgotten: the
-    /// key counts as absent, so a quorum that rested on it inserts — at
-    /// worst redundantly.
-    fn reject_sighting(payload: Summed, mut seen: Seen) -> Phase {
-        seen.sighting = None;
-        Phase::CaiRead { payload, seen }
-    }
 }
 
-/// The verdict "already stored": a replica (or a proven backup) truly
+/// The verdict "already stored": a replica (or a hedged backup) truly
 /// holds the key, so it is sound.
 const DUPLICATE: OpResult = OpResult::Dedup {
     unique: false,
@@ -236,9 +197,8 @@ impl NodeState {
         op.flat_map(|op| &op.quorum.outstanding).copied().collect()
     }
 
-    /// Re-sends the pending op's outstanding requests — or, for an op
-    /// awaiting a proof, the challenge it sent — after an RTO. Returns
-    /// an empty vec for unknown/completed ops.
+    /// Re-sends the pending op's outstanding requests after an RTO.
+    /// Returns an empty vec for unknown/completed ops.
     pub fn retry_outstanding(&mut self, op_id: OpId) -> Vec<Outbound> {
         self.step(op_id, Event::Rto).0
     }
@@ -258,11 +218,9 @@ impl NodeState {
         let Op { quorum, phase } = self.pending.get_mut(&op_id)?;
         let seen = match phase {
             Phase::Read(seen) | Phase::CaiRead { seen, .. } if seen.hedge.is_none() => seen,
-            Phase::Read(_)
-            | Phase::Write(_)
-            | Phase::CaiRead { .. }
-            | Phase::PopWait { .. }
-            | Phase::CaiWrite { .. } => return None,
+            Phase::Read(_) | Phase::Write(_) | Phase::CaiRead { .. } | Phase::CaiWrite { .. } => {
+                return None
+            }
         };
         let rf = self.replication_factor;
         let primaries = self.ring.replicas(&quorum.key, rf);
@@ -292,9 +250,9 @@ impl NodeState {
 
     /// Fails a peer mid-operation: drops it from every pending op's
     /// outstanding set (as a timeout would). Returns the frames this
-    /// makes due — a check-and-insert that lost its read quorum or its
-    /// prover starts writing to the replicas still alive — and the
-    /// completions (possibly `Unavailable`) it resolves.
+    /// makes due — a check-and-insert that lost its read quorum starts
+    /// writing to the replicas still alive — and the completions
+    /// (possibly `Unavailable`) it resolves.
     pub fn on_peer_failure(&mut self, peer: NodeId) -> (Vec<Outbound>, Vec<Completion>) {
         self.mark_down(peer);
         let op_ids: Vec<OpId> = self.pending.keys().copied().collect();
@@ -429,7 +387,7 @@ impl NodeState {
                     // The hedge backup's answer. Only a positive sighting
                     // in a read phase completes the op (the backup holding
                     // the key is sound evidence; anything else teaches
-                    // nothing) — and not past the possession gate.
+                    // nothing) — and not past the possession check.
                     let Answer::Read(Some(value)) = answer else {
                         return self.park(op_id, quorum, phase);
                     };
@@ -444,9 +402,9 @@ impl NodeState {
                             seen.sighting = Some((value, from));
                             self.judge_sighting(op_id, quorum, payload, seen)
                         }
-                        phase @ (Phase::Write(_)
-                        | Phase::PopWait { .. }
-                        | Phase::CaiWrite { .. }) => self.park(op_id, quorum, phase),
+                        phase @ (Phase::Write(_) | Phase::CaiWrite { .. }) => {
+                            self.park(op_id, quorum, phase)
+                        }
                     };
                 }
                 if !quorum.outstanding.remove(&from) {
@@ -456,56 +414,14 @@ impl NodeState {
                 phase.note(from, answer);
                 phase
             }
-            (
-                Event::Proof { from, held, digest },
-                Phase::PopWait {
-                    payload,
-                    seen,
-                    prover,
-                    challenge,
-                },
-            ) if prover == from => {
-                // Checked against the digest of the coordinator's *own*
-                // payload bytes: the store is content-addressed, so the
-                // same key means the same bytes.
-                if held && digest == pop_digest(challenge, &payload) {
-                    self.stats.byzantine.challenges_passed += 1;
-                    self.pop_proven.insert((from, quorum.key.clone()));
-                    self.dedup_sources.push((op_id, from));
-                    return self.finish_read(op_id, quorum, seen, DUPLICATE);
-                }
-                // The claim was positive moments ago: a wrong digest is
-                // fabrication, a retraction self-contradiction. Both
-                // strike — silence never reaches this arm, so a lossy
-                // link cannot frame an honest peer.
-                self.stats.byzantine.challenges_failed += 1;
-                self.stats.byzantine.false_claims_rejected += u64::from(held);
-                self.pop_strikes.push(from);
-                Phase::reject_sighting(payload, seen)
-            }
-            // A stray or duplicate proof.
-            (Event::Proof { .. }, phase) => return self.park(op_id, quorum, phase),
             (Event::Rto, phase) => {
                 // Retransmitted writes apply idempotently and duplicate
                 // acks are ignored, so a spurious retry is safe. The
                 // dead are `PeerFailed`'s to resolve, not to shout at.
-                let (key, down) = (&quorum.key, &self.down);
-                let out: Vec<Outbound> = match &phase {
-                    Phase::PopWait {
-                        prover, challenge, ..
-                    } => (!down.contains(prover))
-                        .then(|| challenge_frame(op_id, key, *prover, *challenge))
-                        .into_iter()
-                        .collect(),
-                    phase @ (Phase::Read(_)
-                    | Phase::Write(_)
-                    | Phase::CaiRead { .. }
-                    | Phase::CaiWrite { .. }) => {
-                        let request = phase.request();
-                        let live = quorum.outstanding.iter().filter(|p| !down.contains(p));
-                        live.map(|&peer| request.frame(op_id, key, peer)).collect()
-                    }
-                };
+                let (key, down, request) = (&quorum.key, &self.down, phase.request());
+                let live = quorum.outstanding.iter().filter(|p| !down.contains(p));
+                let out: Vec<Outbound> =
+                    live.map(|&peer| request.frame(op_id, key, peer)).collect();
                 self.stats.coordinator.retries += u64::from(!out.is_empty());
                 self.pending.insert(op_id, Op { quorum, phase });
                 return (out, None);
@@ -524,10 +440,7 @@ impl NodeState {
                     Phase::Read(_) | Phase::Write(_) => {
                         done(op_id, OpResult::TimedOut { acks, required })
                     }
-                    // An unanswered challenge degrades exactly like an
-                    // unreachable read quorum. Silence is never a strike
-                    // — only a provably wrong proof is.
-                    Phase::CaiRead { payload, .. } | Phase::PopWait { payload, .. } => {
+                    Phase::CaiRead { payload, .. } => {
                         let degraded = true;
                         self.launch(op_id, quorum.key, Phase::CaiWrite { payload, degraded })
                     }
@@ -536,29 +449,15 @@ impl NodeState {
             }
             (Event::PeerFailed(peer), phase) => {
                 quorum.outstanding.remove(&peer);
-                match phase {
-                    // A prover that died mid-challenge proved nothing
-                    // (no strike — death is not a lie).
-                    Phase::PopWait {
-                        payload,
-                        seen,
-                        prover,
-                        ..
-                    } if prover == peer => Phase::reject_sighting(payload, seen),
-                    phase @ (Phase::Read(_)
-                    | Phase::Write(_)
-                    | Phase::CaiRead { .. }
-                    | Phase::PopWait { .. }
-                    | Phase::CaiWrite { .. }) => phase,
-                }
+                phase
             }
         };
         self.settle(op_id, quorum, phase)
     }
 
     /// Evaluates an op against its quorum: completes it (a read enters
-    /// read-repair mode, a check-and-insert read flips into its write
-    /// phase or waits for a proof), fails it, or parks it.
+    /// read-repair mode, a check-and-insert read is judged or flips into
+    /// its write phase), fails it, or parks it.
     fn settle(&mut self, op_id: OpId, quorum: Quorum, phase: Phase) -> Step {
         let met = quorum.met();
         if !met && !quorum.outstanding.is_empty() {
@@ -579,9 +478,6 @@ impl NodeState {
                 done(op_id, OpResult::Unavailable { acks, required })
             }
             Phase::CaiWrite { degraded, .. } => self.unique(op_id, degraded || !met),
-            // Nothing but the proof (or its timeout) resolves a gated op
-            // while its quorum stands.
-            Phase::PopWait { .. } if met => self.park(op_id, quorum, phase),
             Phase::CaiRead { payload, seen } if met && seen.sighting.is_some() => {
                 self.judge_sighting(op_id, quorum, payload, seen)
             }
@@ -589,42 +485,48 @@ impl NodeState {
             // is unreachable: *assume* unique and insert — at worst a
             // redundant upload, never a false duplicate, which would
             // lose data.
-            Phase::CaiRead { payload, .. } | Phase::PopWait { payload, .. } => {
+            Phase::CaiRead { payload, .. } => {
                 let degraded = !met;
                 self.launch(op_id, quorum.key, Phase::CaiWrite { payload, degraded })
             }
         }
     }
 
-    /// The proof-of-possession gate, decided in one place: when proofs
-    /// are armed, a duplicate verdict built on a *remote* sighting must
-    /// not complete until the claimant has proven it holds the chunk.
-    /// Admitted at once when proofs are unarmed, the copy is this node's
-    /// own, or the same peer already proved the same chunk; otherwise the
-    /// op parks in [`Phase::PopWait`] and the peer is challenged.
-    fn judge_sighting(&mut self, op_id: OpId, quorum: Quorum, payload: Summed, seen: Seen) -> Step {
-        let source = seen.sighting.as_ref().map(|(_, from)| *from);
-        let gate = source.filter(|from| *from != self.id).zip(self.pop_seed);
-        let Some((prover, seed)) = gate else {
+    /// The proof-of-possession gate, decided in one place: when armed, a
+    /// duplicate verdict built on a *remote* sighting completes only if
+    /// the value the replica returned is the coordinator's own payload —
+    /// the carried sums first, then every byte. The store is
+    /// content-addressed, so a holder returns exactly those bytes, and a
+    /// claimant that knows only the fingerprint cannot. Admitted at once
+    /// when unarmed or when the copy is this node's own. A mismatch is a
+    /// provable lie: a strike, the sighting forgotten, and a settle that
+    /// inserts once the quorum is in.
+    fn judge_sighting(
+        &mut self,
+        op_id: OpId,
+        quorum: Quorum,
+        payload: Summed,
+        mut seen: Seen,
+    ) -> Step {
+        let remote = seen.sighting.as_ref().filter(|(_, from)| *from != self.id);
+        let Some((value, prover)) = remote.filter(|_| self.pop_armed) else {
             return self.finish_read(op_id, quorum, seen, DUPLICATE);
         };
-        if self.pop_proven.contains(&(prover, quorum.key.clone())) {
-            self.stats.byzantine.pop_cache_hits += 1;
+        let prover = *prover;
+        let byz = &mut self.stats.byzantine;
+        byz.challenges_issued += 1;
+        if value.sum() == payload.sum() && value.bytes() == payload.bytes() {
+            byz.challenges_passed += 1;
             self.dedup_sources.push((op_id, prover));
             return self.finish_read(op_id, quorum, seen, DUPLICATE);
         }
-        self.stats.byzantine.challenges_issued += 1;
-        let token = crate::key_token(&quorum.key);
-        let challenge = derive_challenge(seed, op_id, token, prover);
-        let frame = challenge_frame(op_id, &quorum.key, prover, challenge);
-        let phase = Phase::PopWait {
-            payload,
-            seen,
-            prover,
-            challenge,
-        };
-        self.pending.insert(op_id, Op { quorum, phase });
-        (vec![frame], None)
+        byz.challenges_failed += 1;
+        byz.false_claims_rejected += 1;
+        self.pop_strikes.push(prover);
+        // Forgotten, the sighting leaves the key absent: a quorum that
+        // rested on it inserts — at worst redundantly.
+        seen.sighting = None;
+        self.settle(op_id, quorum, Phase::CaiRead { payload, seen })
     }
 
     /// Completes a read phase with `result`. With the quorum in, it enters

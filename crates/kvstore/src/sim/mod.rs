@@ -30,7 +30,7 @@
 //! | `timers` | retry policy + jitter RNG, adaptive RTT, hedge budget, admission and backpressure bounds, slow marks, storage stalls, gray counters | `Rto`, `Hedge`, `Flush` |
 //! | `background` | anti-entropy and scrub schedules, scrub cursors, verify-failure strikes, quarantine set, integrity counters | `Round(AntiEntropy)`, `Round(Scrub)`, `StorageRot` |
 //! | `uplink` | spools, cloud catalog, outage windows, heal times, pending mesh repairs, disaster counters | `Round(SpoolDrain)`, `RingWipe`, `RingHeal` |
-//! | `trust` | fingerprint caches + provenance, PoP seed, ledger, content digests, Byzantine counters | (none of its own: it vets what `Start`, `Deliver` and `dispatch` carry) |
+//! | `trust` | fingerprint caches + provenance, whether PoP is armed, ledger, content digests, Byzantine counters | (none of its own: it vets what `Start`, `Deliver` and `dispatch` carry) |
 //!
 //! The core knows *that* a machine must be consulted at a given step and
 //! in which order (the order is part of the replay contract); it never
@@ -705,7 +705,7 @@ impl SimCluster {
 
     /// The one node bring-up, shared by WAL restart and ring heal: each
     /// rejoining state is PoP-armed (cluster policy, not durable node
-    /// state — the proven set is volatile by design), un-crashed,
+    /// state), un-crashed,
     /// stamped for recovery-latency accounting and watched by a fresh
     /// detector over the then-live membership; its heartbeat chain
     /// survived the outage (rounds merely skip crashed nodes), so

@@ -1202,7 +1202,7 @@ fn lookup_liar_pollutes_dedup_without_pop() {
         false_dups > 0,
         "lookup liar never polluted a verdict — attack not wired"
     );
-    // No defense armed: nothing was challenged, nobody struck.
+    // No defense armed: nothing was checked, nobody struck.
     let stats = cluster.byzantine_stats();
     assert_eq!(stats.challenges_issued, 0, "{stats:?}");
     assert_eq!(cluster.trust_strikes_of(liar), 0);
@@ -1216,7 +1216,8 @@ fn pop_defeats_lookup_liar_and_quarantines() {
     let done = cluster.run();
     assert_eq!(done.len(), 40);
     // Every chunk is genuinely fresh; with PoP armed the liar's
-    // claims fail their challenges, so no verdict is polluted.
+    // fabricated values fail the possession check, so no verdict is
+    // polluted.
     for l in &done {
         assert!(
             matches!(
@@ -1246,7 +1247,7 @@ fn pop_defeats_lookup_liar_and_quarantines() {
 #[test]
 fn honest_pop_verdicts_match_pop_off() {
     // Satellite guarantee: on an honest cluster, arming PoP changes
-    // costs (challenge round-trips) but never verdicts.
+    // nothing but the possession checks it counts.
     let verdicts = |pop: bool| {
         let net = edge_network(2, 2);
         let members = net.topology().edge_nodes();
@@ -1265,7 +1266,7 @@ fn honest_pop_verdicts_match_pop_off() {
         let mut t = SimTime::ZERO;
         // First pass: 20 fresh chunks; second pass: the same chunks
         // from the *other* side of the ring — genuine duplicates
-        // whose positive sightings must survive the challenge.
+        // whose positive sightings must pass the possession check.
         for pass in 0..2u32 {
             for i in 0..20u32 {
                 let coord = members[((i + pass) % 4) as usize];
@@ -1417,13 +1418,11 @@ fn poisoned_repair_bytes_rejected_and_refetched() {
 }
 
 #[test]
-fn proven_possession_cache_amortizes_repeat_challenges() {
-    // One coordinator, one remote holder: the first duplicate
-    // verdict for a chunk pays a challenge round trip, a repeat of
-    // the *same* chunk rides the proven-possession cache. The grant
-    // is deliberately per (peer, chunk) — proving possession of one
-    // chunk must never vouch for any other, or a liar could prove
-    // one honest chunk and then fabricate the rest.
+fn a_sighting_one_byte_off_the_payload_is_struck_and_the_op_inserts() {
+    // One coordinator, one remote holder whose copy is the payload with
+    // one byte flipped: the same key, the same length, a sum of its own.
+    // The possession check reads every byte, so the sighting is a
+    // provable lie — struck and forgotten — and the op inserts.
     let net = edge_network(1, 2);
     let members = net.topology().edge_nodes();
     let mut cluster = SimCluster::new(
@@ -1440,34 +1439,29 @@ fn proven_possession_cache_amortizes_repeat_challenges() {
         .map(|i| Bytes::from(format!("chunk-{i}").into_bytes()))
         .find(|k| cluster.ring().replicas(k, 1)[0] == members[1])
         .expect("placement starved the test");
+    let payload = Bytes::from_static(b"payload");
+    let mut forged = payload.to_vec();
+    forged[3] ^= 1;
+    let holder = cluster.node_mut(members[1]).expect("holder is up");
+    holder.storage_mut().put(key.clone(), Bytes::from(forged));
     cluster.submit(
         SimTime::ZERO,
-        members[1],
-        ClientOp::Put(key.clone(), Bytes::from_static(b"payload")),
+        members[0],
+        ClientOp::CheckAndInsert(key.clone(), payload.clone()),
     );
-    cluster.run();
-    let mut t = SimTime::from_secs_f64(1.0);
-    for _ in 0..2 {
-        cluster.submit(
-            t,
-            members[0],
-            ClientOp::CheckAndInsert(key.clone(), Bytes::from_static(b"payload")),
-        );
-        t += SimDuration::from_millis(100);
-    }
     let done = cluster.run();
-    assert_eq!(done.len(), 2);
-    for l in &done {
-        assert!(
-            matches!(l.result, OpResult::Dedup { unique: false, .. }),
-            "planted key not judged duplicate: {:?}",
-            l.result
-        );
-    }
+    let [op] = &done[..] else {
+        panic!("expected one completion, got {done:?}");
+    };
+    let (unique, degraded) = (true, false);
+    assert_eq!(op.result, OpResult::Dedup { unique, degraded });
     let stats = cluster.byzantine_stats();
     assert_eq!(stats.challenges_issued, 1, "{stats:?}");
-    assert_eq!(stats.challenges_passed, 1, "{stats:?}");
-    assert_eq!(stats.pop_cache_hits, 1, "{stats:?}");
+    assert_eq!(stats.challenges_failed, 1, "{stats:?}");
+    assert_eq!(stats.false_claims_rejected, 1, "{stats:?}");
+    assert_eq!(cluster.trust_strikes_of(members[1]), 1);
+    let holder = cluster.node_mut(members[1]).expect("holder is up");
+    assert_eq!(holder.storage_mut().get(&key), Some(payload));
 }
 
 #[test]

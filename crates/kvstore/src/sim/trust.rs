@@ -3,7 +3,7 @@
 //!
 //! **State:** per-coordinator fingerprint caches, keys of in-flight
 //! check-and-inserts awaiting cache population, cache provenance (which
-//! prover's claim admitted which entry), the PoP seed, the
+//! prover's claim admitted which entry), whether PoP is armed, the
 //! [`TrustLedger`], ground-truth content digests, the hint-flood
 //! sequence, [`ByzantineStats`]. **Events:** none of its own — it vets
 //! what `Start`, `Deliver` and `dispatch` carry, and speaks for a
@@ -33,12 +33,12 @@ pub(super) struct Trust {
     /// prover → (coordinator, key) admissions. A later quarantine of the
     /// prover invalidates exactly these entries.
     cache_sources: BTreeMap<NodeId, Vec<(NodeId, Bytes)>>,
-    /// Proof-of-possession challenge seed (None until
-    /// [`SimCluster::enable_pop`]); rejoining nodes are re-armed from it.
-    pub(super) pop_seed: Option<u64>,
-    /// Per-peer Byzantine strike ledger: provably-wrong possession
-    /// proofs, poisoned repair bytes and summary equivocations accrue
-    /// here until the liar crosses the quarantine threshold.
+    /// Proof of possession armed ([`SimCluster::enable_pop`]); rejoining
+    /// nodes are re-armed from it.
+    pub(super) pop_armed: bool,
+    /// Per-peer Byzantine strike ledger: sightings that failed the
+    /// possession check, poisoned repair bytes and summary equivocations
+    /// accrue here until the liar crosses the quarantine threshold.
     pub(super) ledger: TrustLedger,
     /// Ground-truth content digests of every payload a client submitted
     /// while PoP is armed: the content-address check applied to every
@@ -47,8 +47,8 @@ pub(super) struct Trust {
     /// Sequence number for fabricated hint-flood keys (deterministic,
     /// never collides with client fingerprints).
     flood_seq: u64,
-    /// Driver-level Byzantine counters (challenge traffic and verdicts
-    /// are counted by the coordinators themselves).
+    /// Driver-level Byzantine counters (possession checks are counted by
+    /// the coordinators themselves).
     pub(super) byz: ByzantineStats,
 }
 
@@ -59,7 +59,7 @@ impl Trust {
     /// checked against it — the client-side anchor no Byzantine replica
     /// can forge.
     pub(super) fn note_submitted(&mut self, key: &Bytes, payload: Option<&Summed>) {
-        if self.pop_seed.is_none() {
+        if !self.pop_armed {
             return;
         }
         if let Some(payload) = payload {
@@ -71,8 +71,8 @@ impl Trust {
 
     /// Arms proof-of-possession on a node joining the cluster, if armed.
     pub(super) fn arm(&self, state: &mut NodeState) {
-        if let Some(seed) = self.pop_seed {
-            state.arm_pop(seed);
+        if self.pop_armed {
+            state.arm_pop();
         }
     }
 
@@ -114,9 +114,9 @@ impl Trust {
     }
 }
 
-/// Deterministic fabricated bytes for Byzantine rewrites: a splitmix
-/// stream over `seed`, truncated to `len` (min 8).
-fn fabricated_bytes(seed: u64, len: usize) -> Bytes {
+/// A deterministic fabricated payload for Byzantine rewrites, summed by
+/// the liar: a splitmix stream over `seed`, truncated to `len` (min 8).
+fn fabricated_payload(seed: u64, len: usize) -> Summed {
     let len = len.max(8);
     let mut out = Vec::with_capacity(len + 8);
     let mut s = seed;
@@ -125,12 +125,7 @@ fn fabricated_bytes(seed: u64, len: usize) -> Bytes {
         out.extend_from_slice(&s.to_le_bytes());
     }
     out.truncate(len);
-    Bytes::from(out)
-}
-
-/// [`fabricated_bytes`] as a payload the liar sends, summed by the liar.
-fn fabricated_payload(seed: u64, len: usize) -> Summed {
-    Summed::digest(fabricated_bytes(seed, len))
+    Summed::digest(Bytes::from(out))
 }
 
 /// Rewrites what a Byzantine sender *would have sent* into the lie its
@@ -139,7 +134,7 @@ fn fabricated_payload(seed: u64, len: usize) -> Summed {
 /// bit-identical fault-verdict trace.
 #[expect(
     clippy::wildcard_enum_match_arm,
-    reason = "a liar rewrites the three frames its fault windows name; every other frame passes through truthful"
+    reason = "a liar rewrites the two frames its fault windows name; every other frame passes through truthful"
 )]
 pub(super) fn byzantine_rewrite(
     plan: Option<&FaultPlan>,
@@ -160,19 +155,6 @@ pub(super) fn byzantine_rewrite(
         {
             let tag = op_id.seq ^ ((op_id.coordinator.0 as u64) << 32) ^ liar;
             *value = Some(fabricated_payload(tag, 32));
-        }
-        // The liar cannot compute the true possession digest for a
-        // chunk it lacks, so it upgrades its honest "not held" into a
-        // held claim with a fabricated digest — the provable lie the
-        // coordinator's verification catches and strikes.
-        Message::PopResponse {
-            op_id,
-            held,
-            digest,
-            ..
-        } if !*held && plan.lies_on_lookup_at(sender, now) => {
-            *held = true;
-            digest.copy_from_slice(&fabricated_bytes(op_id.seq ^ liar, 32));
         }
         // Poisoned repair bytes: the right key, fabricated content —
         // same length, so wire-cost accounting cannot tell them apart;
@@ -221,13 +203,14 @@ impl SimCluster {
         total
     }
 
-    /// Arms proof-of-possession dedup gating and the Byzantine defenses,
-    /// with challenge derivation seeded by `seed`:
+    /// Arms proof-of-possession dedup gating and the Byzantine defenses.
+    /// `seed` is not read: possession is shown by the bytes the lookup
+    /// carried, so nothing is derived from it.
     ///
     /// * every remote positive dedup sighting (quorum reads and hedged
-    ///   probes alike) must answer a salted-digest challenge over the
-    ///   claimed chunk before it can complete a duplicate verdict — an
-    ///   index-only liar cannot compute it;
+    ///   probes alike) completes a duplicate verdict only if the value the
+    ///   replica returned is, every byte, the payload being deduplicated
+    ///   — an index-only liar cannot produce it;
     /// * every peer-served repair/restore byte (hint replays, mesh-repair
     ///   responses) is verified against the content digest the client's
     ///   original payload established; poisoned bytes are rejected and
@@ -235,26 +218,25 @@ impl SimCluster {
     /// * provable lies accrue per-peer strikes in the [`TrustLedger`];
     ///   at [`TrustLedger::STRIKE_THRESHOLD`] the liar is quarantined
     ///   (heartbeats silenced, so the ordinary suspect → dead machinery
-    ///   takes it out of service), its proven-possession grants are
-    ///   revoked, and every fingerprint-cache entry its claims admitted
-    ///   is invalidated.
+    ///   takes it out of service) and every fingerprint-cache entry its
+    ///   claims admitted is invalidated.
     ///
     /// Silence is never a strike: timeouts, crashes and lost frames keep
     /// resolving exactly as without PoP, so a lossy link cannot condemn
     /// an honest peer. Call before submitting ops.
-    pub fn enable_pop(&mut self, seed: u64) {
-        self.trust.pop_seed = Some(seed);
+    pub fn enable_pop(&mut self, _seed: u64) {
+        self.trust.pop_armed = true;
         for state in self.nodes.values_mut() {
-            state.arm_pop(seed);
+            state.arm_pop();
         }
     }
 
     /// True when proof-of-possession gating is armed.
     pub fn pop_armed(&self) -> bool {
-        self.trust.pop_seed.is_some()
+        self.trust.pop_armed
     }
 
-    /// Byzantine-tolerance counters: challenges issued and their
+    /// Byzantine-tolerance counters: possession checks and their
     /// outcomes, poisoned bytes rejected, floods suppressed,
     /// equivocations detected, strikes, quarantines, cache
     /// invalidations and re-fetches. All zeros unless
@@ -279,8 +261,9 @@ impl SimCluster {
     /// mesh repair re-fetches from the next holder. A key no client ever
     /// wrote is a fabricated flood hint and is suppressed the same way.
     /// CAI read responses are deliberately *not* driver-verified —
-    /// defeating lookup lies is the PoP protocol's job. Verified bytes
-    /// retire any pending re-fetch bookkeeping for this (key, target).
+    /// defeating lookup lies is the coordinator's possession check.
+    /// Verified bytes retire any pending re-fetch bookkeeping for this
+    /// (key, target).
     /// `value`'s sum is the receiver's own, taken of the bytes that
     /// arrived ([`Message::received`]).
     pub(super) fn rejects_served_bytes(
@@ -291,7 +274,7 @@ impl SimCluster {
         key: &Bytes,
         value: &Summed,
     ) -> bool {
-        if self.trust.pop_seed.is_none() {
+        if !self.trust.pop_armed {
             return false;
         }
         let expected = self.trust.content_digests.get(key).copied();
@@ -355,9 +338,10 @@ impl SimCluster {
     /// Drains `node`'s PoP verdicts into driver state: duplicate-verdict
     /// source attribution (so a later quarantine can invalidate exactly
     /// the cache entries the prover's claims admitted) and strikes for
-    /// provably-wrong possession proofs. A no-op until PoP is armed.
+    /// sightings that failed the possession check. A no-op until PoP is
+    /// armed.
     pub(super) fn harvest_node_trust(&mut self, node: NodeId) {
-        if self.trust.pop_seed.is_none() {
+        if !self.trust.pop_armed {
             return;
         }
         let Some(state) = self.nodes.get_mut(&node) else {
@@ -378,10 +362,9 @@ impl SimCluster {
 
     /// Charges one provable lie to `peer`; at the ledger threshold the
     /// liar is quarantined: its heartbeats are silenced (the existing
-    /// suspect → dead lattice evicts it), every proven-possession grant
-    /// it earned is revoked, and every fingerprint-cache entry its claims
-    /// admitted is invalidated — the poisoned claims must not outlive
-    /// the liar.
+    /// suspect → dead lattice evicts it) and every fingerprint-cache
+    /// entry its claims admitted is invalidated — the poisoned claims
+    /// must not outlive the liar.
     pub(super) fn strike_peer(&mut self, peer: NodeId) {
         self.trust.byz.liar_strikes += 1;
         if !self.trust.ledger.strike(peer) {
@@ -395,9 +378,6 @@ impl SimCluster {
             if cache.is_some_and(|cache| cache.remove(&key)) {
                 self.trust.byz.cache_invalidations += 1;
             }
-        }
-        for state in self.nodes.values_mut() {
-            state.forget_proven(peer);
         }
     }
 }

@@ -435,7 +435,7 @@ impl SimCluster {
             self.uplink.stats.mesh_repairs += 1;
             self.uplink.stats.repair_cost_mesh_ms +=
                 self.network.repair_cost_ms(source, target).round() as u64;
-            if self.trust.pop_seed.is_some() {
+            if self.trust.pop_armed {
                 self.uplink
                     .pending_repairs
                     .insert((key.clone(), target), candidates);

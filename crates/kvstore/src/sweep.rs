@@ -26,10 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// convergence check.
 pub const RECOVERY_MERKLE_DEPTH: u32 = 6;
 
-/// What the byzantine family XORs into a run's seed to seed its
-/// proof-of-possession challenges.
-pub const POP_SEED_SALT: u64 = 0x5050_5eed;
-
 /// How a key's coordinator moves from one repeat to the next. Either way
 /// a coordinator the scenario has crash-stopped or departed at submission
 /// time is skipped for the next member in rotation.
@@ -261,7 +257,7 @@ impl Family<'static> {
             },
             timeouts_ok: true,
             arm: &|cluster, seed| {
-                cluster.enable_pop(seed ^ POP_SEED_SALT);
+                cluster.enable_pop(seed);
                 heartbeats(cluster);
                 cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
                 cloud_uplink(cluster);

@@ -7,7 +7,7 @@
 //!   (`degraded` exists only on check-and-insert verdicts);
 //! * `Dedup { unique: false }` only for a key in the oracle set — keys
 //!   some op has started inserting (a write frame left a coordinator, or
-//!   a verdict said unique) — and never as the answer to a forged proof;
+//!   a verdict said unique) — and never on a forged sighting;
 //! * nothing is thrown away: whatever an op would retransmit, it has
 //!   transmitted (every frame a transition produced reached the caller);
 //! * once the wire is drained and every pending op timed out, no node
@@ -24,11 +24,11 @@
 use bytes::Bytes;
 use ef_kvstore::{
     ClientOp, ClusterConfig, Completion, Consistency, HashRing, Message, NodeState, OpId, OpResult,
-    Outbound,
+    Outbound, Summed,
 };
 use ef_netsim::NodeId;
 use ef_simcore::prop::{any, check, vec};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const KEYS: usize = 6;
 const GET: usize = 0;
@@ -50,7 +50,9 @@ enum Kind {
     Drop,
     /// Re-deliver an answer with its `from` rewritten to the next node.
     WrongPeer,
-    /// Deliver a `PopResponse` with its digest replaced.
+    /// In an armed world, deliver a `ReadResp` to a check-and-insert
+    /// that has no other sighting, its value forged as the payload with
+    /// byte `b` flipped: the right length, the wrong bytes.
     Forge,
     Retry,
     Hedge,
@@ -79,7 +81,7 @@ fn key(i: usize) -> Bytes {
     Bytes::from(format!("chunk-{}", i % KEYS).into_bytes())
 }
 
-/// Content-addressed: one payload per key, so honest proofs verify.
+/// Content-addressed: one payload per key, so honest sightings verify.
 fn payload(key: &Bytes) -> Bytes {
     Bytes::from([&b"payload-of-"[..], &key[..]].concat().repeat(8))
 }
@@ -93,6 +95,8 @@ struct World {
     ops: Vec<(OpId, usize, Bytes)>,
     /// The oracle: keys some op has started inserting.
     inserting: BTreeSet<Bytes>,
+    /// Ops whose coordinator has been handed a positive `ReadResp`.
+    sighted: BTreeSet<OpId>,
     /// (step index, completion) in emission order.
     log: Vec<(usize, Completion)>,
     step: usize,
@@ -109,7 +113,7 @@ impl World {
             .map(|i| NodeState::new(NodeId(i), ring.clone(), &config))
             .collect();
         if pop {
-            nodes.iter_mut().for_each(|node| node.arm_pop(0x5eed));
+            nodes.iter_mut().for_each(NodeState::arm_pop);
         }
         World {
             nodes,
@@ -117,6 +121,7 @@ impl World {
             handed: BTreeSet::new(),
             ops: Vec::new(),
             inserting: BTreeSet::new(),
+            sighted: BTreeSet::new(),
             log: Vec::new(),
             step: 0,
         }
@@ -156,7 +161,7 @@ impl World {
                     self.inserting.insert(key.clone());
                 }
                 (OpResult::Dedup { unique: false, .. }, CAI) => {
-                    assert!(!forged, "{id:?}: duplicate verdict on a forged proof");
+                    assert!(!forged, "{id:?}: duplicate verdict on a forged sighting");
                     assert!(self.inserting.contains(key), "{id:?}: false duplicate");
                 }
                 _ => panic!("{c:?} for an op of kind {kind}"),
@@ -168,6 +173,14 @@ impl World {
     }
 
     fn deliver(&mut self, from: NodeId, ob: Outbound, forged: bool) {
+        if let Message::ReadResp {
+            op_id,
+            value: Some(_),
+            ..
+        } = &ob.msg
+        {
+            self.sighted.insert(*op_id);
+        }
         let (out, completions) = self.nodes[ob.to.0 as usize].on_message(from, ob.msg);
         self.send(ob.to, out);
         self.settle(completions, forged);
@@ -222,12 +235,34 @@ impl World {
                 self.deliver(from, ob, false);
             }
             Forge => {
-                let Some(j) = self.pick(a, |m| matches!(m, Message::PopResponse { .. })) else {
+                // Only where the forgery would be the op's first sighting
+                // (none delivered, no local copy at the coordinator): a
+                // duplicate verdict on this delivery can rest on nothing
+                // else.
+                if !self.nodes[0].pop_armed() {
+                    return;
+                }
+                let mut fresh = BTreeMap::new();
+                for (id, kind, key) in &self.ops {
+                    let coordinator = &mut self.nodes[id.coordinator.0 as usize];
+                    let held = coordinator.storage_mut().contains(key);
+                    if *kind == CAI && !held && !self.sighted.contains(id) {
+                        fresh.insert(*id, key.clone());
+                    }
+                }
+                let forgeable = |m: &Message| match m {
+                    Message::ReadResp { op_id, .. } => fresh.contains_key(op_id),
+                    _ => false,
+                };
+                let Some(j) = self.pick(a, forgeable) else {
                     return;
                 };
                 let (from, mut ob) = self.wire.remove(j);
-                if let Message::PopResponse { held, digest, .. } = &mut ob.msg {
-                    (*held, digest[0]) = (true, !digest[0]);
+                if let Message::ReadResp { op_id, value, .. } = &mut ob.msg {
+                    let mut bytes = payload(&fresh[op_id]).to_vec();
+                    let at = b % bytes.len();
+                    bytes[at] ^= 1;
+                    *value = Some(Summed::digest(Bytes::from(bytes)));
                 }
                 self.deliver(from, ob, true);
             }
@@ -317,9 +352,7 @@ impl World {
 /// The `from` an answer frame claims.
 fn claimed_sender(msg: &mut Message) -> Option<&mut NodeId> {
     match msg {
-        Message::WriteAck { from, .. }
-        | Message::ReadResp { from, .. }
-        | Message::PopResponse { from, .. } => Some(from),
+        Message::WriteAck { from, .. } | Message::ReadResp { from, .. } => Some(from),
         _ => None,
     }
 }
@@ -425,4 +458,27 @@ fn peer_failure_hands_back_the_write_fan_out() {
     let (unique, degraded) = (true, true);
     assert_eq!(w.results(), [(5, &OpResult::Dedup { unique, degraded })]);
     w.drain();
+}
+
+/// A forgery of the right length under ONE: the payload with one byte
+/// flipped meets the read quorum, fails the possession check, and the op
+/// inserts instead of skipping the upload.
+#[test]
+fn a_sighting_one_byte_off_is_struck_and_the_op_inserts() {
+    let mut w = World::new(3, Consistency::One, true);
+    let (k, _) = w.key_avoiding(0);
+    w.play(&[
+        begin(CAI, k),       // R→a, R→b
+        Step(Deliver, 0, 0), // R→b, resp(a: None)
+        Step(Forge, 1, 5),   // resp(a) arrives as the payload, byte 5 flipped
+    ]);
+    assert!(w.log.is_empty(), "{:?}", w.log);
+    let byz = w.nodes[0].stats().byzantine;
+    assert_eq!((byz.challenges_issued, byz.challenges_failed), (1, 1));
+    let is_write = |ob: &Outbound| matches!(ob.msg, Message::ReplicaWrite { .. });
+    let writes = w.wire.iter().filter(|(_, ob)| is_write(ob)).count();
+    assert_eq!(writes, 2, "expected the write fan-out, found {:?}", w.wire);
+    w.drain();
+    let unique = matches!(w.results()[..], [(_, OpResult::Dedup { unique: true, .. })]);
+    assert!(unique, "{:?}", w.results());
 }

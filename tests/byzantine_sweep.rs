@@ -2,10 +2,11 @@
 //! (each liar composes all four behaviors — `LieOnLookup` false
 //! sightings, `ServeGarbage` on repair fetches, `EquivocateSummary`
 //! during anti-entropy, `HintFlood`) layered on a ring-outage disaster,
-//! with the full defense armed: proof-of-possession challenges before
-//! any remote positive sighting completes a dedup verdict, content-
-//! address verification on every peer-served repair byte, and the
-//! per-peer trust ledger escalating liars into quarantine. Four
+//! with the full defense armed: proof of possession (a remote positive
+//! sighting completes a dedup verdict only if the bytes it returned are
+//! the payload, every one), content-address verification on every
+//! peer-served repair byte, and the per-peer trust ledger escalating
+//! liars into quarantine. Four
 //! promises are swept over 20 seeds:
 //!
 //! * **soundness** — lying peers never manufacture a *false duplicate*
@@ -20,26 +21,25 @@
 //! * **determinism** — every Byzantine run replays bit-identically
 //!   from its seed, trust counters included.
 //!
-//! A companion test bounds the price of the defense: arming
-//! proof-of-possession on an *honest* run must cost at most a 15%
-//! ingest-throughput delta (the challenge round-trips overlap the
-//! ingest pipeline, and the proven-possession cache amortizes repeat
-//! challenges away).
+//! A companion test pins the price of the defense on an *honest* run at
+//! nothing: the check reads the bytes the lookup already carried, so
+//! arming it leaves every completion — op id, result, latency — as it
+//! was.
 
 use bytes::Bytes;
 use efdedup_repro::kvstore::sweep::{self, Family};
 use efdedup_repro::kvstore::{
-    ByzantineStats, ChaosEvent, ClientOp, ClusterConfig, OpResult, SimCluster,
+    ByzantineStats, ChaosEvent, ClientOp, ClusterConfig, OpLatency, OpResult, SimCluster,
 };
 use efdedup_repro::prelude::*;
 use std::collections::HashMap;
 
 /// 20 seeds of the composed Byzantine mix under the shared oracle (a
-/// fabricated positive sighting never survives its challenge into a
-/// duplicate verdict), plus the family's own: zero poisoned bytes in any
+/// fabricated positive sighting never survives the possession check into
+/// a duplicate verdict), plus the family's own: zero poisoned bytes in any
 /// replica or the cloud catalog, no flooded junk key anywhere, and every
 /// liar quarantined by the horizon — while the sweep provably drives
-/// each defense layer (challenges failed, false claims rejected,
+/// each defense layer (possession checks failed, false claims rejected,
 /// poisoned bytes bounced, equivocators caught, floods suppressed).
 #[test]
 fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
@@ -121,7 +121,7 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
     }
     // Nonvacuity: the sweep must drive every defense layer it claims
     // to test.
-    assert!(total.challenges_issued > 0, "no challenge ever issued");
+    assert!(total.challenges_issued > 0, "no possession check ever made");
     assert!(
         total.challenges_failed > 0,
         "no fabricated claim was tested"
@@ -148,14 +148,13 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
         "both liars quarantined on every seed"
     );
     println!(
-        "byzantine sweep: {seeds} seeds, challenges {} issued / {} passed / \
-         {} failed / {} cache hits, false claims {}, poisoned bytes {}, \
+        "byzantine sweep: {seeds} seeds, possession checks {} issued / {} passed / \
+         {} failed, false claims {}, poisoned bytes {}, \
          floods suppressed {}, equivocations {}, strikes {}, quarantined {}, \
          cache invalidations {}, refetches {}",
         total.challenges_issued,
         total.challenges_passed,
         total.challenges_failed,
-        total.pop_cache_hits,
         total.false_claims_rejected,
         total.poisoned_bytes_rejected,
         total.hint_floods_suppressed,
@@ -178,16 +177,16 @@ fn byzantine_sweep_replays_bit_identically() {
 }
 
 /// One honest ingest pass: the same workload shape as the sweep with no
-/// fault plan at all, optionally with proof-of-possession armed.
-/// Returns (ingest throughput in ops per simulated second, stats).
-fn honest_throughput(pop: bool) -> (f64, ByzantineStats) {
+/// fault plan at all, optionally with proof-of-possession armed. Returns
+/// the completions in the order they resolved, and the stats.
+fn honest_run(pop: bool) -> (Vec<OpLatency>, ByzantineStats) {
     let family = Family::byzantine();
     let net = family.network();
     let members = net.topology().edge_nodes();
     let cloud = net.topology().cloud_nodes()[0];
     let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
     if pop {
-        cluster.enable_pop(sweep::POP_SEED_SALT);
+        cluster.enable_pop(0);
     }
     cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
     cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
@@ -213,37 +212,35 @@ fn honest_throughput(pop: bool) -> (f64, ByzantineStats) {
             l.result
         );
     }
-    let start = done.iter().map(|l| l.started).min().expect("nonempty");
-    let finish = done.iter().map(|l| l.finished).max().expect("nonempty");
-    let secs = (finish - start).as_secs_f64();
-    (done.len() as f64 / secs, cluster.byzantine_stats())
+    (done, cluster.byzantine_stats())
 }
 
-/// The defense is affordable: arming proof-of-possession on an honest
-/// run costs at most a 15% ingest-throughput delta, while the armed run
-/// provably challenged peers (and amortized repeats through the
-/// proven-possession cache) without a single false strike.
+/// The defense is free on an honest run: arming proof-of-possession
+/// leaves the completions exactly as they were — the same op ids,
+/// results and latencies, in the same order — while the armed run
+/// provably checked remote sightings, every one of which passed.
 #[test]
 fn honest_pop_overhead_is_bounded() {
-    let (base, base_stats) = honest_throughput(false);
-    let (armed, armed_stats) = honest_throughput(true);
+    let (base, base_stats) = honest_run(false);
+    let (armed, armed_stats) = honest_run(true);
     assert_eq!(base_stats.challenges_issued, 0);
     assert!(armed_stats.challenges_issued > 0, "{armed_stats:?}");
-    assert!(armed_stats.challenges_passed > 0, "{armed_stats:?}");
+    assert_eq!(
+        armed_stats.challenges_passed, armed_stats.challenges_issued,
+        "{armed_stats:?}"
+    );
     assert_eq!(armed_stats.challenges_failed, 0, "{armed_stats:?}");
     assert_eq!(armed_stats.liar_strikes, 0, "{armed_stats:?}");
-    let delta = (base - armed) / base;
     assert!(
-        delta <= 0.15,
-        "proof-of-possession cost {:.1}% ingest throughput \
-         ({base:.1} → {armed:.1} ops/s)",
-        delta * 100.0
+        armed == base,
+        "arming proof of possession moved an honest completion"
     );
+    let start = base.iter().map(|l| l.started).min().expect("nonempty");
+    let finish = base.iter().map(|l| l.finished).max().expect("nonempty");
+    let ops_per_s = base.len() as f64 / (finish - start).as_secs_f64();
     println!(
-        "honest PoP overhead: {base:.1} ops/s honest, {armed:.1} ops/s armed \
-         ({:+.2}% delta), {} challenges / {} cache hits",
-        (armed - base) / base * 100.0,
+        "honest PoP overhead: {ops_per_s:.1} ops/s honest and armed \
+         (identical completions), {} possession checks",
         armed_stats.challenges_issued,
-        armed_stats.pop_cache_hits,
     );
 }
