@@ -12,32 +12,48 @@
 
 use bytes::Bytes;
 
-/// Streaming 64-bit checksum: a word-parallel multiply-rotate kernel in
-/// the XXH64 style with a splitmix64 avalanche finisher.
+/// Streaming 64-bit checksum: a multiply-xorshift stripe kernel over 32
+/// `u32` lanes in the xxh32 style, a word tail in the XXH64 style, and a
+/// splitmix64 avalanche finisher.
 ///
-/// One [`Checksum64::update`] call digests its slice as 32-byte stripes
-/// over four independent `u64` lanes, folds the lanes back into the
-/// single state word, then takes the remaining 8-byte words and finally
-/// single bytes. Words are read with `from_le_bytes` only, so values are
-/// the same on every host (`checksum_values_are_pinned` runs on the
-/// native and the portable build).
+/// One [`Checksum64::update`] call runs its slice's whole 128-byte
+/// stripes through 32 lanes, 4-byte word `i` of every stripe into lane
+/// `i`, with the round `x = lane + word·P2; lane = (x ^ x >> 15)·P1`
+/// (xxh32's round with its rotate replaced by an xorshift, below). Each
+/// lane is a chain across the stripes, so stripe order matters. The
+/// lanes fold into one 64-bit word, two weighted sums `Σ lane_i·K_i`
+/// with odd per-lane weights (one sum per half), and that word is mixed
+/// into the state. What follows the stripes is mixed in as 8-byte words,
+/// then single bytes, and last the call adds its length to the state.
+/// Words are read with `from_le_bytes` only, so values are the same on
+/// every host (`checksum_values_are_pinned` runs on the native and the
+/// portable build).
 ///
-/// The four lanes are four scalar add → rotate → multiply chains that
-/// the core runs side by side, one word each per stripe. They stay
-/// scalar because the stripe loop is a rotating file of four registers
-/// that takes one word per iteration: no iteration holds two lanes, so
-/// LLVM's SLP vectorizer has no pair to pack. Written as an array of
-/// lanes updated a stripe at a time, it packed lanes 0–1 into one
-/// AVX-512DQ `vpmullq` (15-cycle latency), and every stripe waited on
-/// that chain: 5–6 GB/s under `target-cpu=native` against 11 GB/s
-/// under `x86-64-v2`. CI emits the crate's assembly under
-/// `target-cpu=icelake-server` and fails on any `vpmullq` in a symbol
-/// named after the kernel (`Checksum64::update`, `checksum64`):
-/// a compiler that re-rolls the rotation into lanes would halve the
-/// kernel again without moving one digest.
+/// **A change confined to one lane always moves the digest.** The round
+/// is a bijection in the word for a fixed lane and in the lane for a
+/// fixed word (`P1`, `P2` are odd and an xorshift is invertible), so a
+/// changed word changes its lane's value after every later stripe. An
+/// odd weight is invertible modulo 2³², so that lane's term, and with it
+/// the low sum, changes. The word mix, the length add, the tail and the
+/// finisher are bijections in the state. Changes in two lanes, or in two
+/// words of one lane, are caught with probability about 1 − 2⁻³², as
+/// with a 32-bit CRC.
 ///
-/// **The digest depends on `update` boundaries**: the lanes are folded at
-/// the end of every call, so `update(b"ab"); update(b"c")` and
+/// The stripe loop is plain array code with no `std::arch`, `unsafe` or
+/// run-time selection: the 32 lanes are one 1024-bit state, and LLVM
+/// widens each stripe into `vpmulld` under `target-cpu=native` (on four
+/// 256-bit or two 512-bit registers, as it prefers for the CPU) and into
+/// SSE4.1 `pmulld` on eight 128-bit registers under `x86-64-v2`. The
+/// xorshift is what makes the second hold: x86 has no vector rotate
+/// before AVX-512, and with xxh32's `rotl(13)` LLVM keeps the whole loop
+/// scalar there, at half the old kernel's speed. CI disassembles release
+/// builds for `target-cpu=icelake-server` and `x86-64-v2` and fails
+/// unless `Checksum64::update` holds `vpmulld`, respectively `pmulld`,
+/// and no 64-bit `vpmullq`. Inputs shorter than a stripe take the word
+/// tail only. DESIGN.md §10 has the rates per input size.
+///
+/// **The digest depends on `update` boundaries**: each call adds its own
+/// length and folds its own lanes, so `update(b"ab"); update(b"c")` and
 /// `update(b"abc")` differ. Nothing relies on the streaming form being
 /// split-invariant — every caller either hashes one slice
 /// ([`checksum64`]) or length-prefixes each field with
@@ -68,19 +84,60 @@ const PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
 const PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
 const PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// One lane step: a bijection in `lane` for a fixed `word` and in `word`
-/// for a fixed `lane`, so a changed word always changes its lane.
-#[inline(always)]
-fn lane_round(lane: u64, word: u64) -> u64 {
-    lane.wrapping_add(word.wrapping_mul(PRIME_2))
-        .rotate_left(31)
-        .wrapping_mul(PRIME_1)
+const LANE_PRIME_1: u32 = 0x9e37_79b1;
+const LANE_PRIME_2: u32 = 0x85eb_ca77;
+
+/// Lanes of the stripe loop, one 4-byte word each per stripe.
+const LANES: usize = 32;
+/// Bytes in a stripe.
+const STRIPE: usize = 4 * LANES;
+
+/// The splitmix64 avalanche: a bijection on `u64`.
+const fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// Mixes one 8-byte word into the folded state (a bijection either way).
+/// One odd constant per lane: the low halves of the splitmix64 sequence
+/// from draw `first` on, low bit set.
+const fn lane_constants(first: u64) -> [u32; LANES] {
+    let mut out = [0; LANES];
+    let mut i = 0;
+    while i < LANES {
+        out[i] = avalanche((first + i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)) as u32 | 1;
+        i += 1;
+    }
+    out
+}
+
+/// The lanes' starting values: distinct, so equal words in two lanes
+/// leave them unequal.
+const LANE_SEEDS: [u32; LANES] = lane_constants(0);
+/// The fold's odd weights, for its low and its high half.
+const FOLD_WEIGHTS: [[u32; LANES]; 2] = [
+    lane_constants(LANES as u64),
+    lane_constants(2 * LANES as u64),
+];
+
+/// One lane step: xxh32's round with an xorshift for its rotate
+/// ([`Checksum64`] says why). A bijection in `lane` for a fixed `word`
+/// and in `word` for a fixed `lane`, so a changed word always changes
+/// its lane.
+#[inline(always)]
+fn lane_round(lane: u32, word: u32) -> u32 {
+    let lane = lane.wrapping_add(word.wrapping_mul(LANE_PRIME_2));
+    (lane ^ lane >> 15).wrapping_mul(LANE_PRIME_1)
+}
+
+/// Mixes one 8-byte word into the state (a bijection either way).
 #[inline(always)]
 fn mix_word(state: u64, word: u64) -> u64 {
-    (state ^ lane_round(0, word))
+    let word = word
+        .wrapping_mul(PRIME_2)
+        .rotate_left(31)
+        .wrapping_mul(PRIME_1);
+    (state ^ word)
         .rotate_left(27)
         .wrapping_mul(PRIME_1)
         .wrapping_add(PRIME_4)
@@ -94,59 +151,41 @@ pub(crate) fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
     out
 }
 
+/// The stripe loop: word `i` of every stripe into lane `i`, a stripe at
+/// a time, so each stripe is one vector step over all 32 lanes.
 #[inline(always)]
-fn le_word(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(le_array(bytes))
-}
-
-/// The four lane chains of a stripe run.
-type Lanes = (u64, u64, u64, u64);
-
-/// The lanes a stripe run starts from, seeded from the state word.
-#[inline(always)]
-fn seed_lanes(state: u64) -> Lanes {
-    (
-        state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
-        state.wrapping_add(PRIME_2),
-        state,
-        state.wrapping_sub(PRIME_1),
-    )
-}
-
-/// The stripe loop over whole 32-byte stripes. One lane per iteration
-/// keeps the chains scalar (see [`Checksum64`]). Word i of every stripe
-/// lands in lane i, and the stripe count is whole, so the file ends in
-/// lane order.
-#[inline(always)]
-fn run_stripes((mut a, mut b, mut c, mut d): Lanes, stripes: &[u8]) -> Lanes {
-    for word in stripes.chunks_exact(8) {
-        (a, b, c, d) = (b, c, d, lane_round(a, le_word(word)));
+fn run_stripes(stripes: &[[u8; STRIPE]]) -> [u32; LANES] {
+    let mut lanes = LANE_SEEDS;
+    for stripe in stripes {
+        let (words, _) = stripe.as_chunks::<4>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = lane_round(*lane, u32::from_le_bytes(*word));
+        }
     }
-    (a, b, c, d)
+    lanes
 }
 
-/// Folds the lanes back into the single state word.
+/// Folds the lanes into one word: `Σ lane_i·K_i` over odd weights, one
+/// sum per half, so a change in any one lane moves the low half.
 #[inline(always)]
-fn fold_lanes((a, b, c, d): Lanes) -> u64 {
-    let mut state = a
-        .rotate_left(1)
-        .wrapping_add(b.rotate_left(7))
-        .wrapping_add(c.rotate_left(12))
-        .wrapping_add(d.rotate_left(18));
-    for lane in [a, b, c, d] {
-        state = mix_word(state, lane);
+fn fold_lanes(lanes: [u32; LANES]) -> u64 {
+    let (mut low, mut high) = (0u32, 0u32);
+    for ((lane, low_weight), high_weight) in lanes.iter().zip(FOLD_WEIGHTS[0]).zip(FOLD_WEIGHTS[1])
+    {
+        low = low.wrapping_add(lane.wrapping_mul(low_weight));
+        high = high.wrapping_add(lane.wrapping_mul(high_weight));
     }
-    state
+    u64::from(low) | u64::from(high) << 32
 }
 
 /// Mixes what follows the stripes: 8-byte words, then single bytes.
 #[inline(always)]
 fn mix_tail(mut state: u64, tail: &[u8]) -> u64 {
-    let mut words = tail.chunks_exact(8);
-    for word in &mut words {
-        state = mix_word(state, le_word(word));
+    let (words, bytes) = tail.as_chunks::<8>();
+    for word in words {
+        state = mix_word(state, u64::from_le_bytes(*word));
     }
-    for &byte in words.remainder() {
+    for &byte in bytes {
         state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
             .rotate_left(11)
             .wrapping_mul(PRIME_3);
@@ -162,32 +201,32 @@ impl Checksum64 {
         }
     }
 
-    /// Mixes `bytes` into the state: 32-byte stripes over four lanes,
-    /// then 8-byte words, then single bytes.
+    /// Mixes `bytes` into the state: 128-byte stripes over 32 lanes, then
+    /// 8-byte words, then single bytes, then their length.
     pub fn update(&mut self, bytes: &[u8]) {
         #[cfg(test)]
         note_digested(bytes.len());
-        let mut state = self.state;
-        let (stripes, tail) = bytes.split_at(bytes.len() - bytes.len() % 32);
-        if !stripes.is_empty() {
-            state = fold_lanes(run_stripes(seed_lanes(state), stripes));
+        if bytes.is_empty() {
+            return;
         }
-        self.state = mix_tail(state, tail);
+        let mut state = self.state;
+        let (stripes, tail) = bytes.as_chunks::<STRIPE>();
+        if !stripes.is_empty() {
+            state = mix_word(state, fold_lanes(run_stripes(stripes)));
+        }
+        self.state = mix_tail(state, tail).wrapping_add(bytes.len() as u64);
     }
 
     /// Mixes a length-prefixed field boundary into the state, so
     /// `("ab", "c")` and `("a", "bc")` digest differently. Equal to
     /// `update(&v.to_le_bytes())`.
     pub fn update_u64(&mut self, v: u64) {
-        self.state = mix_word(self.state, v);
+        self.state = mix_word(self.state, v).wrapping_add(8);
     }
 
     /// Finalizes with a splitmix64 avalanche.
     pub fn finish(&self) -> u64 {
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        avalanche(self.state)
     }
 }
 
@@ -324,85 +363,78 @@ mod tests {
         words.take(len).collect()
     }
 
-    /// `checksum64(filler(len))`, recorded under the four-lane stripe loop
-    /// that `stripe_loop_update` keeps: every path through the kernel,
-    /// one and two stripes with each kind of tail, and payload sizes.
-    /// The values are the same under every build; CI runs this test on
-    /// the portable (`x86-64-v2`) build as well as the native one.
+    /// `checksum64(filler(len))`, recorded from `lane_at_a_time_update`:
+    /// the word and byte tails alone, one stripe with no tail and with
+    /// each kind of tail, two stripes either side of a boundary, and
+    /// payload sizes. The values are the same under every build; CI runs
+    /// this test on the portable (`x86-64-v2`) build as well as the
+    /// native one.
     const PINNED: [(usize, u64); 16] = [
         (0, 0xefc7_70cc_c886_92bd),
-        (1, 0xe01f_6b47_58ea_ff5b),
-        (7, 0x6dd8_f11d_1c95_5454),
-        (8, 0xd5aa_5d40_1767_7381),
-        (31, 0xdd7d_590e_7bd5_156f),
-        (32, 0x2ce8_fcf7_3fd5_2526),
-        (33, 0x3e6d_4119_d755_4b93),
-        (63, 0x89ac_b2a4_834d_41a7),
-        (64, 0x5c69_7a14_689b_fb4a),
-        (65, 0xcb91_dd52_d13a_fa95),
-        (95, 0xfd88_f529_80bd_4cda),
-        (96, 0x2e00_a7ff_0da3_bf03),
-        (4_095, 0x7007_b305_5b2f_d075),
-        (4_096, 0x546c_4e0f_f02f_a620),
-        (4_097, 0x4403_5648_2c05_5112),
-        (16_384, 0x6fa6_2b25_d21e_ec8b),
+        (1, 0xba35_6ece_c5e2_488b),
+        (7, 0x8be5_ecea_e33a_8b31),
+        (8, 0xbd44_d90b_e2da_f066),
+        (63, 0xd8cc_2bb4_aab4_9d50),
+        (64, 0x1356_a782_ef59_d139),
+        (127, 0xda92_85ae_adc8_abe4),
+        (128, 0x47b8_a66c_8a50_81dc),
+        (129, 0x67af_33f9_418b_45ae),
+        (136, 0xb719_bb57_e73b_5fd8),
+        (255, 0xc6e9_ba5d_aa4e_30fa),
+        (256, 0x5035_1383_7195_f7ab),
+        (4_095, 0xd2fa_beed_e629_fc41),
+        (4_096, 0xd5d3_08a4_f228_8e7a),
+        (4_097, 0xa7cf_4c5e_f10e_6b4a),
+        (16_384, 0x5c7b_c755_3dc2_4f01),
     ];
 
     #[test]
     fn checksum_values_are_pinned() {
         for (len, want) in PINNED {
+            let mut reference = Checksum64::new();
+            lane_at_a_time_update(&mut reference, &filler(len));
+            assert_eq!(reference.finish(), want, "reference, len {len}");
             assert_eq!(checksum64(&filler(len)), want, "len {len}");
         }
     }
 
-    /// `Checksum64::update` as it was before the rotating register file:
-    /// an array of four lanes, one stripe per iteration. The reference
-    /// the kernel is held to, bit for bit.
-    fn stripe_loop_update(c: &mut Checksum64, bytes: &[u8]) {
+    /// `Checksum64::update` with its stripe loop turned inside out: each
+    /// lane runs its own words through every stripe before the next lane
+    /// starts, with the round written out from its definition, and adds
+    /// its weighted terms to the fold as it finishes. The reference the
+    /// vector kernel is held to, bit for bit.
+    fn lane_at_a_time_update(c: &mut Checksum64, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
         let mut state = c.state;
-        let mut stripes = bytes.chunks_exact(32);
-        if stripes.len() > 0 {
-            let mut lanes = [
-                state.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
-                state.wrapping_add(PRIME_2),
-                state,
-                state.wrapping_sub(PRIME_1),
-            ];
-            for stripe in &mut stripes {
-                for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                    *lane = lane_round(*lane, le_word(word));
+        let whole = bytes.len() - bytes.len() % STRIPE;
+        if whole > 0 {
+            let (mut low, mut high) = (0u32, 0u32);
+            for lane in 0..LANES {
+                let mut value = LANE_SEEDS[lane];
+                for stripe in bytes[..whole].chunks_exact(STRIPE) {
+                    let word = u32::from_le_bytes(le_array(&stripe[4 * lane..4 * lane + 4]));
+                    let x = value.wrapping_add(word.wrapping_mul(LANE_PRIME_2));
+                    value = (x ^ (x >> 15)).wrapping_mul(LANE_PRIME_1);
                 }
+                low = low.wrapping_add(value.wrapping_mul(FOLD_WEIGHTS[0][lane]));
+                high = high.wrapping_add(value.wrapping_mul(FOLD_WEIGHTS[1][lane]));
             }
-            state = lanes[0]
-                .rotate_left(1)
-                .wrapping_add(lanes[1].rotate_left(7))
-                .wrapping_add(lanes[2].rotate_left(12))
-                .wrapping_add(lanes[3].rotate_left(18));
-            for lane in lanes {
-                state = mix_word(state, lane);
-            }
+            state = mix_word(state, u64::from(low) | u64::from(high) << 32);
         }
-        let mut words = stripes.remainder().chunks_exact(8);
-        for word in &mut words {
-            state = mix_word(state, le_word(word));
-        }
-        for &byte in words.remainder() {
-            state = (state ^ u64::from(byte).wrapping_mul(PRIME_5))
-                .rotate_left(11)
-                .wrapping_mul(PRIME_3);
-        }
-        c.state = state;
+        c.state = mix_tail(state, &bytes[whole..]).wrapping_add(bytes.len() as u64);
     }
 
     #[test]
-    fn kernel_matches_the_stripe_loop_reference() {
+    fn kernel_matches_the_lane_at_a_time_reference() {
         // A call is `update_u64(x)` or `update` of the span `x`, `y`
         // pick out of the payload.
         let call = (any::<bool>(), any::<u64>(), any::<u64>());
         let strategy = (vec(any::<u8>(), 0..20 * 1024 + 1), vec(call, 0..8));
         let property = |(data, calls): (Vec<u8>, Vec<(bool, u64, u64)>)| {
             let mut reference = Checksum64::new();
-            stripe_loop_update(&mut reference, &data);
+            lane_at_a_time_update(&mut reference, &data);
             assert_eq!(checksum64(&data), reference.finish(), "one-shot");
             let (mut kernel, mut reference) = (Checksum64::new(), Checksum64::new());
             for (word, x, y) in calls {
@@ -413,7 +445,7 @@ mod tests {
                     let lo = (x % (data.len() as u64 + 1)) as usize;
                     let hi = lo + (y % ((data.len() - lo) as u64 + 1)) as usize;
                     kernel.update(&data[lo..hi]);
-                    stripe_loop_update(&mut reference, &data[lo..hi]);
+                    lane_at_a_time_update(&mut reference, &data[lo..hi]);
                 }
                 assert_eq!(kernel.finish(), reference.finish(), "streaming");
             }
@@ -421,12 +453,46 @@ mod tests {
         check("checksum_kernel_reference", 48, strategy, property);
     }
 
+    /// XORs `mask` (little-endian) into `buf[word]`; twice undoes it.
+    fn xor_word(buf: &mut [u8], word: std::ops::Range<usize>, mask: u32) {
+        for (byte, m) in buf[word].iter_mut().zip(mask.to_le_bytes()) {
+            *byte ^= m;
+        }
+    }
+
+    #[test]
+    fn a_change_in_one_lane_always_moves_the_digest() {
+        // Every length that crosses no stripe, one, and up to eight, with
+        // every kind of tail. A change confined to one aligned 4-byte word
+        // (one lane of one stripe, or a piece of the tail) must move the
+        // digest: every single-bit flip of every word, and a random
+        // nonzero XOR of each.
+        let mut rng = ef_simcore::DetRng::new(0x1a9e);
+        for len in 0..=1_100 {
+            let mut buf = filler(len);
+            let clean = checksum64(&buf);
+            for start in (0..len).step_by(4) {
+                let word = start..len.min(start + 4);
+                let bits = 8 * word.len() as u32;
+                let random = (rng.next_u64() as u32 >> (32 - bits)).max(1);
+                for mask in (0..bits).map(|bit| 1 << bit).chain([random]) {
+                    xor_word(&mut buf, word.clone(), mask);
+                    assert_ne!(
+                        checksum64(&buf),
+                        clean,
+                        "len {len}: word at {start}, xor {mask:#x}"
+                    );
+                    xor_word(&mut buf, word.clone(), mask);
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_bit_flips_change_the_checksum() {
-        // Every path through the kernel: empty, byte tail only, word
-        // tail, one short of a stripe, exact stripes, stripes plus each
-        // kind of tail, and whole payload-sized buffers.
-        for len in [0, 1, 7, 8, 31, 32, 33, 63, 64, 65, 4_096, 16_384] {
+        // Payload-sized buffers, 32 and 128 stripes; every length up to
+        // 1,100 B is covered by `a_change_in_one_lane_always_moves_the_digest`.
+        for len in [4_096, 16_384] {
             let mut buf = filler(len);
             let clean = checksum64(&buf);
             for byte in 0..len {
@@ -445,24 +511,43 @@ mod tests {
     }
 
     #[test]
-    fn reordered_words_and_stripes_change_the_checksum() {
-        let base = filler(4 * 32 + 8 + 3);
+    fn reordered_words_change_the_checksum() {
+        let base = filler(2 * STRIPE + 8 + 3);
         let clean = checksum64(&base);
-        // Words 1 and 5 feed the same lane in consecutive stripes.
+        // Words 1 and 33 feed lane 1 in consecutive stripes.
         let mut same_lane = base.clone();
-        same_lane.copy_within(40..48, 8);
-        same_lane[40..48].copy_from_slice(&base[8..16]);
+        same_lane.copy_within(132..136, 4);
+        same_lane[132..136].copy_from_slice(&base[4..8]);
         assert_ne!(checksum64(&same_lane), clean);
         // Neighbouring words of one stripe feed different lanes.
         let mut cross_lane = base.clone();
-        cross_lane.copy_within(8..16, 0);
-        cross_lane[8..16].copy_from_slice(&base[0..8]);
+        cross_lane.copy_within(4..8, 0);
+        cross_lane[4..8].copy_from_slice(&base[0..4]);
         assert_ne!(checksum64(&cross_lane), clean);
-        // Whole stripes 0 and 2 swapped.
-        let mut stripes = base.clone();
-        stripes.copy_within(64..96, 0);
-        stripes[64..96].copy_from_slice(&base[0..32]);
-        assert_ne!(checksum64(&stripes), clean);
+    }
+
+    #[test]
+    fn swapped_stripes_move_the_digest() {
+        // The lanes chain across stripes, so the fold sees stripe order:
+        // every pair of whole stripes swapped, with and without a tail.
+        for len in [2 * STRIPE, 3 * STRIPE + 41, 8 * STRIPE + 5] {
+            let base = filler(len);
+            let clean = checksum64(&base);
+            let stripes = len / STRIPE;
+            for i in 0..stripes {
+                for j in i + 1..stripes {
+                    let mut swapped = base.clone();
+                    let (a, b) = (i * STRIPE..(i + 1) * STRIPE, j * STRIPE..(j + 1) * STRIPE);
+                    swapped[a.clone()].copy_from_slice(&base[b.clone()]);
+                    swapped[b].copy_from_slice(&base[a]);
+                    assert_ne!(
+                        checksum64(&swapped),
+                        clean,
+                        "len {len}: stripes {i} and {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
