@@ -2000,6 +2000,139 @@ mod tests {
         assert_eq!(st.live_bytes, 8);
     }
 
+    /// The engine is a `BTreeMap` from key to the value's bytes as they
+    /// stand and their write-time sum, over random sequences of puts
+    /// (fresh keys and overwrites), deletes, plain and verified reads,
+    /// rot flips, scrub passes and journal arms and drains: `put`'s
+    /// was-absent answer, every read, the rotted keys a verified read
+    /// refuses and a scrub lists, the walk, the live counts and the
+    /// journal's `(key, before, after)` stream all follow the map. Keys
+    /// run to 11 bytes and several share a head word.
+    #[test]
+    fn engine_is_an_ordered_map() {
+        type Model = BTreeMap<Bytes, (Bytes, u64)>;
+        /// The journal's changes and its bound, while armed.
+        type Noted = Option<(Vec<(Bytes, Option<u64>, Option<u64>)>, usize)>;
+        fn note(journal: &mut Noted, key: &Bytes, before: Option<u64>, after: Option<u64>) {
+            if let Some((changes, live)) = journal.as_mut().filter(|_| before != after) {
+                changes.push((key.clone(), before, after));
+                if changes.len() > *live {
+                    *journal = None;
+                }
+            }
+        }
+        let key = |i: u8| Bytes::from(vec![i % 3; usize::from(i)]);
+        let sum_in = |model: &Model, key: &Bytes| Some(checksum64(&model.get(key)?.0));
+        let ops = vec((0u8..9, 0u8..12, 0usize..64), 1..96);
+        check("engine_is_an_ordered_map", 256, ops, |ops| {
+            let mut engine = StorageEngine::new(48);
+            let mut model = Model::new();
+            let mut journal: Noted = None;
+            for (step, (op, k, arg)) in ops.into_iter().enumerate() {
+                let key = key(k);
+                match op {
+                    0..=2 => {
+                        let value = Bytes::from(vec![k ^ step as u8; 1 + arg]);
+                        let before = sum_in(&model, &key);
+                        let crc = checksum64(&value);
+                        let fresh = engine.put(key.clone(), value.clone());
+                        assert_eq!(fresh, before.is_none(), "step {step}: put");
+                        model.insert(key.clone(), (value, crc));
+                        note(&mut journal, &key, before, Some(crc));
+                    }
+                    3 => {
+                        let before = sum_in(&model, &key);
+                        engine.delete(key.clone());
+                        model.remove(&key);
+                        note(&mut journal, &key, before, None);
+                    }
+                    4 => {
+                        let held = model.get(&key).map(|(value, _)| value.clone());
+                        assert_eq!(engine.get(&key), held, "step {step}: get");
+                        assert_eq!(engine.contains(&key), held.is_some(), "step {step}");
+                    }
+                    5 => {
+                        let got = engine.get_verified(&key).map(|v| v.map(|v| v.to_vec()));
+                        let want = match model.get(&key) {
+                            None => Ok(None),
+                            Some((value, crc)) if checksum64(value) == *crc => {
+                                Ok(Some(value.to_vec()))
+                            }
+                            Some((value, crc)) => Err(IntegrityError::CorruptValue {
+                                key: key.clone(),
+                                expected: *crc,
+                                actual: checksum64(value),
+                            }),
+                        };
+                        assert_eq!(got, want, "step {step}: verified read");
+                    }
+                    6 => {
+                        let bit = arg * 7 + step;
+                        let nth = arg.checked_rem(model.len());
+                        let hit = nth.and_then(|nth| model.keys().nth(nth)).cloned();
+                        assert_eq!(engine.corrupt_nth_value(arg, bit), hit, "step {step}: rot");
+                        if let Some(hit) = hit {
+                            let (value, _) = model.get_mut(&hit).unwrap();
+                            let before = checksum64(value);
+                            let mut bytes = value.to_vec();
+                            let i = (bit / 8) % bytes.len();
+                            bytes[i] ^= 1 << (bit % 8);
+                            *value = Bytes::from(bytes);
+                            note(&mut journal, &hit, Some(before), Some(checksum64(value)));
+                        }
+                    }
+                    7 => {
+                        let (mut cursor, mut entries, mut bytes) = (None, 0, 0);
+                        let mut corrupt = Vec::new();
+                        loop {
+                            let slice = engine.scrub(cursor.as_ref(), 1 + arg as u64);
+                            (entries, bytes) = (entries + slice.entries, bytes + slice.bytes);
+                            corrupt.extend(slice.corrupt);
+                            cursor = slice.next_cursor;
+                            if cursor.is_none() {
+                                break;
+                            }
+                        }
+                        let rotted = model.iter().filter(|(_, (v, crc))| checksum64(v) != *crc);
+                        let rotted: Vec<Bytes> = rotted.map(|(key, _)| key.clone()).collect();
+                        assert_eq!(corrupt, rotted, "step {step}: scrub");
+                        assert_eq!(entries, model.len() as u64, "step {step}");
+                        let held = model.iter().map(|(k, (v, _))| (k.len() + v.len()) as u64);
+                        assert_eq!(bytes, held.sum::<u64>(), "step {step}");
+                    }
+                    _ if arg % 2 == 0 => {
+                        engine.arm_journal(model.len());
+                        journal = Some((Vec::new(), model.len()));
+                    }
+                    _ => {
+                        let got = engine.drain_journal().map(|changes| {
+                            let changes = changes.map(|c| (c.key, c.before, c.after));
+                            changes.collect::<Vec<_>>()
+                        });
+                        let want = journal.as_mut().map(|(changes, live)| {
+                            for (_, before, after) in changes.iter() {
+                                *live += usize::from(after.is_some());
+                                *live -= usize::from(before.is_some());
+                            }
+                            std::mem::take(changes)
+                        });
+                        assert_eq!(got, want, "step {step}: journal");
+                    }
+                }
+                let walked: Vec<_> = engine.iter_live().collect();
+                let held = model.iter().map(|(k, (v, _))| (k.clone(), v.clone()));
+                assert_eq!(walked, held.collect::<Vec<_>>(), "step {step}: walk");
+                let summed = engine.iter_summed().map(|(k, _, sum)| (k.clone(), sum));
+                let sums = model.iter().map(|(k, (v, _))| (k.clone(), checksum64(v)));
+                assert_eq!(summed.collect::<Vec<_>>(), sums.collect::<Vec<_>>());
+                let stats = engine.stats();
+                assert_eq!(stats.live_keys, model.len(), "step {step}");
+                let held = model.iter().map(|(k, (v, _))| k.len() + v.len());
+                assert_eq!(stats.live_bytes, held.sum::<usize>(), "step {step}");
+            }
+        });
+    }
+
     /// Keys that compare on their head word first are in byte order:
     /// stored keys against each other, a probe against a stored key, and
     /// an engine's walk and lookups over them, across lengths 0..=40, keys
