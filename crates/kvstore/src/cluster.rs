@@ -412,7 +412,7 @@ impl LocalCluster {
             let replicas = self.ring.replicas(&k, rf);
             for (id, state) in self.nodes.iter_mut() {
                 let should_have = replicas.contains(id);
-                let has = state.storage_mut().contains(&k);
+                let has = state.storage().contains(&k);
                 if should_have && !has {
                     state.storage_mut().put(k.clone(), v.clone());
                 } else if !should_have && has {

@@ -99,7 +99,7 @@ impl NodeState {
         NodeState {
             id,
             ring,
-            storage: StorageEngine::new(config.memtable_flush_bytes),
+            storage: StorageEngine::default(),
             summary: None,
             replication_factor: config.replication_factor,
             consistency: config.consistency,
@@ -264,8 +264,8 @@ impl NodeState {
         let mut new_ring = self.ring.clone();
         new_ring.remove_node(dead);
         let mut out = Vec::new();
-        for (key, value) in self.storage.iter_live_summed() {
-            let old_reps = self.ring.replicas(&key, self.replication_factor);
+        for (key, value, sum) in self.storage.iter_summed() {
+            let old_reps = self.ring.replicas(key, self.replication_factor);
             if !old_reps.contains(&dead) {
                 continue;
             }
@@ -273,15 +273,12 @@ impl NodeState {
             if sender != Some(self.id) {
                 continue;
             }
-            for target in new_ring.replicas(&key, self.replication_factor) {
+            for target in new_ring.replicas(key, self.replication_factor) {
                 if old_reps.contains(&target) {
                     continue;
                 }
-                out.push(Outbound::hint_replay(
-                    target,
-                    key.clone(),
-                    Some(value.clone()),
-                ));
+                let value = Summed::with_sum(value.clone(), sum);
+                out.push(Outbound::hint_replay(target, key.clone(), Some(value)));
             }
         }
         self.stats.recovery.rereplicated_entries += out.len() as u64;
@@ -341,7 +338,7 @@ impl NodeState {
     /// replay, and anti-entropy back-fill it from a healthy copy instead
     /// of a rotted value ever being served or compared.
     pub(crate) fn verified_get(&mut self, key: &Bytes) -> Option<Summed> {
-        match self.storage.get_summed(key) {
+        match self.storage.get_verified(key) {
             Ok(v) => v,
             Err(_) => {
                 self.stats.integrity.mismatches_found += 1;
@@ -436,7 +433,6 @@ mod tests {
     fn node(id: u32, consistency: Consistency) -> NodeState {
         let config = ClusterConfig {
             consistency,
-            memtable_flush_bytes: 1 << 20,
             ..ClusterConfig::default()
         };
         NodeState::new(NodeId(id), ring(), &config)
@@ -488,7 +484,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, NodeId(0));
         assert!(matches!(out[0].msg, Message::WriteAck { .. }));
-        assert!(replica.storage_mut().contains(b"k"));
+        assert!(replica.storage().contains(b"k"));
         // Every local mutation, replayed hints included, hits the WAL.
         let hint = Message::HintReplay {
             key: Bytes::from_static(b"h"),
@@ -536,7 +532,7 @@ mod tests {
         assert_eq!(replica.wal().snapshots_taken(), 1);
         let logged = replica.wal().payloads();
         for ((key, payload), logged) in sent.iter().zip(&logged) {
-            let stored = replica.storage_mut().get(key).unwrap();
+            let stored = replica.storage().get(key).unwrap();
             assert_eq!(
                 logged.as_ptr(),
                 payload.as_ptr(),
@@ -562,9 +558,9 @@ mod tests {
             &clean[..],
             "the sender's bytes saw the flip"
         );
-        let verified = replica.storage_mut().get_verified(&sent[0].0);
+        let verified = replica.storage().get_verified(&sent[0].0);
         assert_eq!(
-            verified,
+            verified.map(|v| v.map(Summed::into_bytes)),
             Ok(Some(sent[0].1.clone())),
             "the engine saw the flip"
         );

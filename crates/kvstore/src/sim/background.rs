@@ -324,7 +324,7 @@ impl SimCluster {
             let Some(state) = self.nodes.get_mut(&replica) else {
                 continue;
             };
-            match state.storage_mut().get_summed(&key) {
+            match state.storage().get_verified(&key) {
                 Ok(Some(value)) => {
                     let out = vec![Outbound::hint_replay(node, key, Some(value))];
                     self.dispatch(now, replica, out);

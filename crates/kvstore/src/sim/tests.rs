@@ -319,7 +319,7 @@ fn scrub_detects_and_read_repairs_planted_rot() {
         .storage_mut()
         .get_verified(&rotted)
         .expect("repaired entry verifies");
-    assert_eq!(repaired, Some(Bytes::from(vec![b'v'; 32])));
+    assert_eq!(repaired.as_deref(), Some(&Bytes::from(vec![b'v'; 32])));
 }
 
 #[test]
@@ -1687,7 +1687,7 @@ fn a_round_walks_no_store_unless_a_bucket_diverges() {
     // the repair without walking.
     let after = walks(&cluster);
     cluster.run_until(SimTime::from_secs_f64(2.05));
-    assert!(cluster.node(victim).unwrap().storage().holds(&lost));
+    assert!(cluster.node(victim).unwrap().storage().contains(&lost));
     assert_eq!(walks(&cluster), after);
     assert_eq!(cluster.recovery_stats().buckets_repaired, 2);
 }

@@ -1,18 +1,16 @@
-//! Per-node storage engine: memtable + immutable segments + tombstones.
+//! Per-node storage: the index engine and its write-ahead log.
 //!
-//! A miniature log-structured engine in the spirit of Cassandra's
-//! memtable/SSTable design, kept entirely in memory (the paper's index
-//! entries are small chunk hashes; edge nodes hold them in RAM). Writes go
-//! to a mutable memtable; when it exceeds a threshold it is frozen into an
-//! immutable segment. Reads consult the memtable first, then segments from
-//! newest to oldest. Deletes write tombstones. Compaction merges all
-//! segments, dropping shadowed values and tombstones.
+//! The paper spreads the chunk-hash index over the ring in a
+//! Cassandra-like key-value store. Its entries are small chunk hashes and
+//! edge nodes hold them in RAM, so the engine is one ordered map from key
+//! to value: a put inserts, a delete removes, and a walk is one range
+//! scan. Durability is the write-ahead log's job ([`WriteAheadLog`]),
+//! which a restarted node replays into a fresh engine.
 
 use crate::integrity::{checksum64, le_array, Checksum64, IntegrityError, Summed};
 use bytes::Bytes;
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -131,33 +129,16 @@ struct Stored {
     sum: u64,
 }
 
-/// A write-side entry: a value or a tombstone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Slot {
-    Value(Stored),
-    Tombstone,
-}
-
-/// The remembered sum of the live value `slot` holds, if any.
-fn sum_of(slot: Option<&Slot>) -> Option<u64> {
-    match slot {
-        Some(Slot::Value(v)) => Some(v.sum),
-        Some(Slot::Tombstone) | None => None,
-    }
-}
-
 /// Counters describing engine state, used by resource accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// Live key count (excluding tombstones, after shadowing).
+    /// Live key count.
     pub live_keys: usize,
     /// Bytes of live key+value payload.
     pub live_bytes: usize,
-    /// Number of frozen segments.
+    /// Always 0: the engine keeps no segments. Kept for readers that
+    /// still report it.
     pub segments: usize,
-    /// Total entries across memtable and segments (including shadowed and
-    /// tombstones) — the engine's physical footprint.
-    pub physical_entries: usize,
 }
 
 /// One change to a store's live set: the remembered sum of `key`'s live
@@ -183,7 +164,7 @@ struct Journal {
     live: usize,
 }
 
-/// An in-memory log-structured key-value engine.
+/// An in-memory key-value engine: one ordered map from key to value.
 ///
 /// Once anti-entropy has summarized the store it also keeps a change
 /// journal — `(key, sum before, sum after)` per `put`, `delete` and rot
@@ -202,45 +183,22 @@ struct Journal {
 /// s.delete(Bytes::from_static(b"k"));
 /// assert_eq!(s.get(b"k"), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StorageEngine {
-    memtable: BTreeMap<Key, Slot>,
-    memtable_bytes: usize,
-    /// Frozen segments, oldest first.
-    segments: Vec<BTreeMap<Key, Slot>>,
-    flush_threshold_bytes: usize,
-    writes: u64,
-    reads: u64,
+    entries: BTreeMap<Key, Stored>,
     /// Armed by the first summary; dropped past its bound.
     journal: Option<Journal>,
-    /// Live-set walks handed to anti-entropy ([`StorageEngine::iter_summed`]).
+    /// Live-set walks anti-entropy made of this store, counted where it
+    /// walks ([`StorageEngine::walks`]).
     #[cfg(test)]
-    walks: std::cell::Cell<u64>,
+    pub(crate) walks: std::cell::Cell<u64>,
 }
 
 impl StorageEngine {
-    /// Creates an engine that freezes its memtable after roughly
-    /// `flush_threshold_bytes` of payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the threshold is zero.
-    pub fn new(flush_threshold_bytes: usize) -> Self {
-        assert!(
-            flush_threshold_bytes > 0,
-            "flush threshold must be positive"
-        );
-        StorageEngine {
-            memtable: BTreeMap::new(),
-            memtable_bytes: 0,
-            segments: Vec::new(),
-            flush_threshold_bytes,
-            writes: 0,
-            reads: 0,
-            journal: None,
-            #[cfg(test)]
-            walks: std::cell::Cell::new(0),
-        }
+    /// Creates an empty engine. The argument, once the size at which the
+    /// engine froze its memtable into a segment, is no longer read.
+    pub fn new(_flush_threshold_bytes: usize) -> Self {
+        StorageEngine::default()
     }
 
     /// Writes a key-value pair. Returns `true` when the key was not live
@@ -259,41 +217,13 @@ impl StorageEngine {
             crc,
             sum: crc,
         };
-        self.write(key, Slot::Value(stored)).is_none()
-    }
-
-    /// Writes `slot` for `key` with one descent of the memtable, journals
-    /// the change, and returns the remembered sum of the live value it
-    /// shadows — looked for in the segments only when the memtable has
-    /// no slot for the key.
-    fn write(&mut self, key: Bytes, slot: Slot) -> Option<u64> {
-        self.writes += 1;
-        let after = sum_of(Some(&slot));
-        let value_len = match &slot {
-            Slot::Value(stored) => stored.data.len(),
-            Slot::Tombstone => 0,
-        };
-        self.memtable_bytes += key.len() + value_len;
         let noted = self.journal.is_some().then(|| key.clone());
-        let before = match self.memtable.entry(Key::new(key)) {
-            Entry::Occupied(mut held) => sum_of(Some(&held.insert(slot))),
-            Entry::Vacant(free) => {
-                let mut older = self.segments.iter().rev();
-                let before = sum_of(older.find_map(|seg| seg.get(free.key())));
-                free.insert(slot);
-                before
-            }
-        };
+        let before = self.entries.insert(Key::new(key), stored);
+        let before = before.map(|shadowed| shadowed.sum);
         if let Some(key) = noted {
-            self.note(&key, before, after);
+            self.note(&key, before, Some(crc));
         }
-        self.maybe_flush();
-        before
-    }
-
-    /// True when `key` has a live value; counts no read.
-    pub(crate) fn holds(&self, key: &[u8]) -> bool {
-        sum_of(self.newest_slot(key)).is_some()
+        before.is_none()
     }
 
     /// Journals one change to the live set while the journal is armed:
@@ -332,82 +262,51 @@ impl StorageEngine {
         Some(journal.changes.drain(..))
     }
 
+    /// The stored entry of `key`, if it is live.
+    fn entry(&self, key: &[u8]) -> Option<&Stored> {
+        self.entries.get(&Probe::new(key) as &dyn Ordered)
+    }
+
     /// Reads the live value of `key` without verification (fast path for
     /// callers that tolerate rot, e.g. test oracles). Replica-serving
     /// reads go through [`StorageEngine::get_verified`].
-    pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        self.reads += 1;
-        self.get_slot(key)
+    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
+        Some(self.entry(key)?.data.clone())
     }
 
     /// Reads the live value of `key`, verifying the checksum recorded
-    /// when it was written.
+    /// when it was written; the value comes with the sum the
+    /// verification took of the stored bytes.
     ///
     /// # Errors
     ///
     /// [`IntegrityError::CorruptValue`] when the stored bytes no longer
     /// match their checksum (at-rest bit rot). The corrupt entry is left
     /// in place; the caller decides whether to delete and repair it.
-    pub fn get_verified(&mut self, key: &[u8]) -> Result<Option<Bytes>, IntegrityError> {
-        Ok(self.get_summed(key)?.map(Summed::into_bytes))
-    }
-
-    /// [`StorageEngine::get_verified`], the value with the sum its
-    /// verification took of the stored bytes.
-    pub(crate) fn get_summed(&mut self, key: &[u8]) -> Result<Option<Summed>, IntegrityError> {
-        self.reads += 1;
-        match self.newest_slot(key) {
-            Some(Slot::Value(v)) => {
-                let actual = checksum64(&v.data);
-                if actual == v.crc {
-                    Ok(Some(Summed::with_sum(v.data.clone(), actual)))
-                } else {
-                    Err(IntegrityError::CorruptValue {
-                        key: Bytes::copy_from_slice(key),
-                        expected: v.crc,
-                        actual,
-                    })
-                }
-            }
-            Some(Slot::Tombstone) | None => Ok(None),
+    pub fn get_verified(&self, key: &[u8]) -> Result<Option<Summed>, IntegrityError> {
+        let Some(v) = self.entry(key) else {
+            return Ok(None);
+        };
+        let actual = checksum64(&v.data);
+        if actual == v.crc {
+            Ok(Some(Summed::with_sum(v.data.clone(), actual)))
+        } else {
+            Err(IntegrityError::CorruptValue {
+                key: Bytes::copy_from_slice(key),
+                expected: v.crc,
+                actual,
+            })
         }
-    }
-
-    /// Read without bumping counters (internal + put's existence check).
-    fn get_slot(&self, key: &[u8]) -> Option<Bytes> {
-        match self.newest_slot(key) {
-            Some(Slot::Value(v)) => Some(v.data.clone()),
-            Some(Slot::Tombstone) | None => None,
-        }
-    }
-
-    /// The newest slot shadowing `key`: memtable first, then segments
-    /// newest to oldest.
-    fn newest_slot(&self, key: &[u8]) -> Option<&Slot> {
-        let probe = Probe::new(key);
-        let probe: &dyn Ordered = &probe;
-        let mut trees = std::iter::once(&self.memtable).chain(self.segments.iter().rev());
-        trees.find_map(|tree| tree.get(probe))
-    }
-
-    fn newest_slot_mut(&mut self, key: &[u8]) -> Option<&mut Slot> {
-        let probe = Probe::new(key);
-        let probe: &dyn Ordered = &probe;
-        let mut trees = std::iter::once(&mut self.memtable).chain(self.segments.iter_mut().rev());
-        trees.find_map(|tree| tree.get_mut(probe))
     }
 
     /// Chaos hook: flips one bit in the `nth` live value (values counted
-    /// in key order, newest version per key) *without* updating its
-    /// write-time checksum — simulated at-rest bit rot. The sum of the
-    /// bytes as they stand follows the flip. Returns the corrupted key,
-    /// or `None` when no such value exists or it is empty.
+    /// in key order) *without* updating its write-time checksum —
+    /// simulated at-rest bit rot. The sum of the bytes as they stand
+    /// follows the flip. Returns the corrupted key, or `None` when no
+    /// such value exists or it is empty.
     pub fn corrupt_nth_value(&mut self, nth: usize, bit: usize) -> Option<Bytes> {
-        let live = self.live(None).count();
-        let key = self.live(None).nth(nth.checked_rem(live)?)?.0.clone();
-        let Some(Slot::Value(v)) = self.newest_slot_mut(&key) else {
-            return None;
-        };
+        let nth = nth.checked_rem(self.entries.len())?;
+        let (key, v) = self.entries.iter_mut().nth(nth)?;
         if v.data.is_empty() {
             return None;
         }
@@ -418,101 +317,45 @@ impl StorageEngine {
         v.sum = checksum64(&bytes);
         let after = v.sum;
         v.data = Bytes::from(bytes);
+        let key = key.bytes.clone();
         self.note(&key, Some(before), Some(after));
         Some(key)
     }
 
     /// True when `key` has a live value.
-    pub fn contains(&mut self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+    pub fn contains(&self, key: &[u8]) -> bool {
+        self.entry(key).is_some()
     }
 
-    /// Deletes `key` by writing a tombstone.
+    /// Deletes `key`.
     pub fn delete(&mut self, key: Bytes) {
-        self.write(key, Slot::Tombstone);
+        let removed = self.entries.remove(&Probe::new(&key) as &dyn Ordered);
+        self.note(&key, removed.map(|v| v.sum), None);
     }
 
-    fn maybe_flush(&mut self) {
-        if self.memtable_bytes >= self.flush_threshold_bytes {
-            self.flush();
-        }
-    }
-
-    /// Freezes the current memtable into an immutable segment.
-    pub fn flush(&mut self) {
-        if self.memtable.is_empty() {
-            return;
-        }
-        let frozen = std::mem::take(&mut self.memtable);
-        self.memtable_bytes = 0;
-        self.segments.push(frozen);
-    }
-
-    /// Merges all segments and the memtable into a single segment,
-    /// dropping shadowed entries and tombstones.
-    pub fn compact(&mut self) {
-        self.flush();
-        let mut merged = BTreeMap::new();
-        for seg in self.segments.drain(..) {
-            // Later segments shadow earlier ones.
-            for (k, v) in seg {
-                merged.insert(k, v);
-            }
-        }
-        merged.retain(|_, v| matches!(v, Slot::Value(..)));
-        if !merged.is_empty() {
-            self.segments.push(merged);
-        }
-    }
-
-    /// The one "newest slot wins" walk: live entries in key order from
-    /// just past `after` (the start when `None`), memtable and segments
-    /// merged, each key answered by its newest slot, tombstones hidden.
+    /// Live entries in key order from just past `after` (the start when
+    /// `None`).
     fn live(&self, after: Option<&Bytes>) -> impl Iterator<Item = (&Bytes, &Stored)> + '_ {
         let probe = after.map(|after| Probe::new(after));
         let from = probe.as_ref().map_or(Bound::Unbounded, |probe| {
             Bound::Excluded(probe as &dyn Ordered)
         });
-        // Newest first: of the heads at one key, the first is its slot.
-        let trees = std::iter::once(&self.memtable).chain(self.segments.iter().rev());
-        let mut heads: Vec<_> = trees
-            .map(|tree| {
-                tree.range::<dyn Ordered, _>((from, Bound::Unbounded))
-                    .peekable()
-            })
-            .collect();
-        std::iter::from_fn(move || loop {
-            let key = heads.iter_mut().filter_map(|h| Some(h.peek()?.0)).min()?;
-            let mut at_key = heads
-                .iter_mut()
-                .filter_map(|h| h.next_if(|(k, _)| *k == key));
-            let newest = at_key.next();
-            at_key.for_each(drop);
-            if let Some((key, Slot::Value(stored))) = newest {
-                return Some((&key.bytes, stored));
-            }
-        })
+        let range = self
+            .entries
+            .range::<dyn Ordered, _>((from, Bound::Unbounded));
+        range.map(|(key, stored)| (&key.bytes, stored))
     }
 
-    /// Iterates over all live key-value pairs (newest version wins).
+    /// Iterates over all live key-value pairs in key order.
     pub fn iter_live(&self) -> impl Iterator<Item = (Bytes, Bytes)> + '_ {
         self.live(None).map(|(k, v)| (k.clone(), v.data.clone()))
     }
 
-    /// [`StorageEngine::iter_live`], each value with the remembered sum
-    /// of its bytes as they stand: what a node streams to a new owner.
-    pub(crate) fn iter_live_summed(&self) -> impl Iterator<Item = (Bytes, Summed)> + '_ {
-        let summed = |v: &Stored| Summed::with_sum(v.data.clone(), v.sum);
-        self.live(None).map(move |(k, v)| (k.clone(), summed(v)))
-    }
-
     /// Live `(key, value, sum)` triples in key order, `sum` being the
     /// remembered checksum of the value's bytes as they stand: what
-    /// anti-entropy rebuilds a summary and lists repairs from without
-    /// reading a payload.
+    /// anti-entropy rebuilds a summary and lists repairs from, and what
+    /// a node streams to new owners, without reading a payload.
     pub(crate) fn iter_summed(&self) -> impl Iterator<Item = (&Bytes, &Bytes, u64)> + '_ {
-        #[cfg(test)]
-        self.walks.set(self.walks.get() + 1);
         self.live(None).map(|(k, v)| (k, &v.data, v.sum))
     }
 
@@ -546,29 +389,12 @@ impl StorageEngine {
 
     /// Current engine statistics.
     pub fn stats(&self) -> StorageStats {
-        let mut live_keys = 0;
-        let mut live_bytes = 0;
-        for (k, v) in self.live(None) {
-            live_keys += 1;
-            live_bytes += k.len() + v.data.len();
-        }
+        let live_bytes = self.live(None).map(|(k, v)| k.len() + v.data.len()).sum();
         StorageStats {
-            live_keys,
+            live_keys: self.entries.len(),
             live_bytes,
-            segments: self.segments.len(),
-            physical_entries: self.memtable.len()
-                + self.segments.iter().map(|s| s.len()).sum::<usize>(),
+            segments: 0,
         }
-    }
-
-    /// Total writes accepted.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total reads served.
-    pub fn read_count(&self) -> u64 {
-        self.reads
     }
 }
 
@@ -1912,83 +1738,15 @@ mod tests {
     }
 
     #[test]
-    fn reads_cross_segment_boundaries() {
-        let mut s = StorageEngine::new(8); // tiny threshold: flush often
-        for i in 0..100u32 {
-            s.put(Bytes::from(i.to_be_bytes().to_vec()), b("v"));
-        }
-        assert!(s.stats().segments > 1, "expected multiple segments");
-        for i in 0..100u32 {
-            assert!(s.contains(&i.to_be_bytes()), "lost key {i}");
-        }
-    }
-
-    #[test]
-    fn newest_segment_shadows_oldest() {
-        let mut s = StorageEngine::new(4);
-        s.put(b("k"), b("old"));
-        s.flush();
-        s.put(b("k"), b("new"));
-        s.flush();
-        assert_eq!(s.get(b"k"), Some(b("new")));
-    }
-
-    #[test]
-    fn tombstone_survives_flush() {
-        let mut s = StorageEngine::new(1 << 20);
-        s.put(b("k"), b("v"));
-        s.flush();
-        s.delete(b("k"));
-        s.flush();
-        assert_eq!(s.get(b"k"), None);
-    }
-
-    #[test]
-    fn compaction_drops_garbage() {
-        let mut s = StorageEngine::new(4);
-        for _ in 0..10 {
-            s.put(b("k"), b("v"));
-        }
-        s.delete(b("k"));
-        s.put(b("live"), b("x"));
-        s.compact();
-        let st = s.stats();
-        assert_eq!(st.live_keys, 1);
-        assert_eq!(st.segments, 1);
-        assert_eq!(st.physical_entries, 1, "garbage not dropped");
-        assert_eq!(s.get(b"live"), Some(b("x")));
-        assert_eq!(s.get(b"k"), None);
-    }
-
-    #[test]
-    fn compact_empty_engine() {
-        let mut s = StorageEngine::new(16);
-        s.compact();
-        assert_eq!(s.stats(), StorageStats::default());
-    }
-
-    #[test]
     fn iter_live_sees_each_key_once() {
         let mut s = StorageEngine::new(4);
         s.put(b("a"), b("1"));
-        s.flush();
         s.put(b("a"), b("2"));
         s.put(b("b"), b("3"));
         let live: Vec<_> = s.iter_live().collect();
         assert_eq!(live.len(), 2);
         assert!(live.contains(&(b("a"), b("2"))));
         assert!(live.contains(&(b("b"), b("3"))));
-    }
-
-    #[test]
-    fn counters_track_operations() {
-        let mut s = StorageEngine::new(1 << 20);
-        s.put(b("a"), b("1"));
-        s.get(b"a");
-        s.get(b"b");
-        s.delete(b("a"));
-        assert_eq!(s.write_count(), 2); // one put + one delete
-        assert_eq!(s.read_count(), 2);
     }
 
     #[test]
@@ -2331,7 +2089,8 @@ mod tests {
     fn get_verified_rejects_rotted_value() {
         let mut s = StorageEngine::new(1 << 20);
         s.put(b("k"), b("payload"));
-        assert_eq!(s.get_verified(b"k"), Ok(Some(b("payload"))));
+        let payload = Summed::digest(b("payload"));
+        assert_eq!(s.get_verified(b"k"), Ok(Some(payload)));
         assert_eq!(s.get_verified(b"missing"), Ok(None));
         let key = s.corrupt_nth_value(0, 9).unwrap();
         assert_eq!(key, b("k"));

@@ -586,9 +586,7 @@ pub const CLAUSES: [Clause; 6] = [
                     || members.iter().any(|&m| {
                         let spooled = |s: &crate::UploadSpool| s.pending().any(|e| e.key == kb);
                         cluster.spool(m).is_some_and(spooled)
-                            || cluster
-                                .node_mut(m)
-                                .is_some_and(|n| n.storage_mut().get(&kb).is_some())
+                            || cluster.node(m).is_some_and(|n| n.storage().contains(&kb))
                     });
                 let seed = run.seed;
                 assert!(

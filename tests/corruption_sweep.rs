@@ -109,7 +109,7 @@ fn planted_rot_walks_the_full_repair_lattice() {
             .storage_mut()
             .get_verified(&rotted)
             .expect("repaired entry verifies");
-        assert_eq!(repaired, Some(expected.clone()), "seed {seed}");
+        assert_eq!(repaired.as_deref(), Some(&expected), "seed {seed}");
 
         // Leg 2: rot the key on *every* node that holds it — no edge
         // replica can serve, so the scrub declares the record lost...
