@@ -676,7 +676,7 @@ mod tests {
                     ..ClusterConfig::default()
                 };
                 let ids: Vec<NodeId> = (0..members).map(NodeId).collect();
-                let ring = crate::cluster::member_ring(&ids, config.vnodes);
+                let ring = crate::cluster::member_ring(&ids);
                 let mut nodes: BTreeMap<NodeId, NodeState> = ids
                     .iter()
                     .map(|&id| (id, NodeState::new(id, ring.clone(), &config)))

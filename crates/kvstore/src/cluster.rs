@@ -14,6 +14,9 @@ use ef_netsim::NodeId;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 
+/// Virtual nodes per physical node on every driver's ring.
+pub const VNODES: usize = 64;
+
 /// Configuration shared by every cluster driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -21,9 +24,8 @@ pub struct ClusterConfig {
     pub replication_factor: usize,
     /// Coordinator consistency level (Cassandra's default is ONE).
     pub consistency: Consistency,
-    /// Virtual nodes per physical node.
-    pub vnodes: usize,
-    /// Memtable flush threshold per node, in bytes.
+    /// Not read: the storage engine keeps no memtable to flush. Kept
+    /// for readers that still name it.
     pub memtable_flush_bytes: usize,
     /// Write-ahead-log tail records between snapshot compactions
     /// (`0` disables snapshotting; see
@@ -32,12 +34,11 @@ pub struct ClusterConfig {
 }
 
 impl Default for ClusterConfig {
-    /// The paper's deployment: γ=2, consistency ONE, 64 vnodes.
+    /// The paper's deployment: γ=2, consistency ONE.
     fn default() -> Self {
         ClusterConfig {
             replication_factor: 2,
             consistency: Consistency::One,
-            vnodes: 64,
             memtable_flush_bytes: 4 << 20,
             wal_snapshot_every: 128,
         }
@@ -128,15 +129,15 @@ impl OpResult {
     }
 }
 
-/// Validates a driver's member list and builds its ring — the one
-/// constructor prologue all three drivers share.
+/// Validates a driver's member list and builds its ring of [`VNODES`]
+/// tokens a node — the one constructor prologue all three drivers share.
 ///
 /// # Panics
 ///
 /// Panics when `members` is empty or contains duplicates.
-pub(crate) fn member_ring(members: &[NodeId], vnodes: usize) -> HashRing {
+pub(crate) fn member_ring(members: &[NodeId]) -> HashRing {
     assert!(!members.is_empty(), "cluster needs at least one node");
-    let ring = HashRing::with_nodes(members.iter().copied(), vnodes);
+    let ring = HashRing::with_nodes(members.iter().copied(), VNODES);
     assert_eq!(ring.len(), members.len(), "duplicate member node");
     ring
 }
@@ -161,7 +162,7 @@ impl LocalCluster {
     ///
     /// Panics when `members` is empty or contains duplicates.
     pub fn new(members: Vec<NodeId>, config: ClusterConfig) -> Self {
-        let ring = member_ring(&members, config.vnodes);
+        let ring = member_ring(&members);
         let nodes = members
             .into_iter()
             .map(|id| (id, NodeState::new(id, ring.clone(), &config)))

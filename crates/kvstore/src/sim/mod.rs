@@ -261,7 +261,7 @@ impl SimCluster {
     /// Panics when `members` is empty, contains duplicates, or a member
     /// is not in the network's topology.
     pub fn new(members: Vec<NodeId>, network: Network, config: ClusterConfig) -> Self {
-        let ring = member_ring(&members, config.vnodes);
+        let ring = member_ring(&members);
         for m in &members {
             assert!(
                 m.index() < network.topology().node_count(),

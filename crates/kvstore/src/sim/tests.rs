@@ -700,10 +700,7 @@ fn hedged_read_wins_against_a_slow_primary() {
             .build(),
         ef_netsim::NetworkConfig::paper_testbed(),
     );
-    let ring = HashRing::with_nodes(
-        probe_net.topology().edge_nodes(),
-        ClusterConfig::default().vnodes,
-    );
+    let ring = HashRing::with_nodes(probe_net.topology().edge_nodes(), crate::cluster::VNODES);
     let key = (0u32..)
         .map(|i| Bytes::from(i.to_be_bytes().to_vec()))
         .find(|k| ring.replicas(k, 1)[0] != coordinator)

@@ -67,7 +67,7 @@ impl ThreadedCluster {
         reason = "OS thread-spawn failure at construction leaves no cluster to run"
     )]
     pub fn start(members: Vec<NodeId>, config: ClusterConfig) -> Self {
-        let ring = member_ring(&members, config.vnodes);
+        let ring = member_ring(&members);
 
         let (inputs, receivers): (BTreeMap<NodeId, Sender<Input>>, Vec<_>) = members
             .iter()

@@ -375,7 +375,7 @@ fn replica_suspected_mid_check_and_insert_still_resolves() {
     };
     // Both replicas remote, so the write phase has a live peer to reach.
     let coordinator = members[0];
-    let ring = HashRing::with_nodes(members.iter().copied(), config.vnodes);
+    let ring = HashRing::with_nodes(members.iter().copied(), ef_kvstore::VNODES);
     let mut keys = (0..).map(|i| Bytes::from(format!("chunk-{i}")));
     let key = keys
         .find(|k| !ring.replicas(k, 2).contains(&coordinator))

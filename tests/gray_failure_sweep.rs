@@ -102,7 +102,7 @@ fn hedging_bounds_the_fail_slow_tail() {
                 consistency: Consistency::One,
                 ..ClusterConfig::default()
             };
-            let ring = HashRing::with_nodes(members.iter().copied(), config.vnodes);
+            let ring = HashRing::with_nodes(members.iter().copied(), ef_kvstore::VNODES);
             // Keys whose sole primary is the fail-slow victim, probed
             // off-cluster so both runs see the identical workload.
             let keys: Vec<Bytes> = (0u32..)

@@ -48,7 +48,7 @@ fn analytic_lookup_latency_matches_simulated_reads() {
     // Read every key from node 0, spaced out (no queueing), recording
     // the analytic prediction per key alongside.
     let coordinator = members[0];
-    let ring = ef_kvstore::HashRing::with_nodes(members.iter().copied(), config.vnodes);
+    let ring = ef_kvstore::HashRing::with_nodes(members.iter().copied(), ef_kvstore::VNODES);
     let mut predictions = Vec::new();
     let mut read_start = t;
     for i in 0..150u32 {
