@@ -11,11 +11,11 @@
 //! Values here are immutable (chunk-hash index entries), so
 //! reconciliation is set union per differing range.
 
+use crate::engine::StorageEngine;
 use crate::integrity::Summed;
 use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
-use crate::storage::StorageEngine;
 use bytes::Bytes;
 use ef_netsim::NodeId;
 use std::collections::BTreeMap;

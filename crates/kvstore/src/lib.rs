@@ -48,6 +48,7 @@ mod cache;
 mod chaos;
 mod cluster;
 mod counters;
+mod engine;
 mod failure;
 mod gray;
 mod integrity;
@@ -70,6 +71,7 @@ pub use counters::{
     ByzantineStats, CacheStats, CoordinatorStats, DisasterStats, GrayFailureStats, IntegrityStats,
     NodeStats, RecoveryStats,
 };
+pub use engine::{ScrubChunk, StorageEngine, StorageStats};
 pub use failure::{HeartbeatDetector, Liveness, Sweep};
 pub use gray::{AdaptiveTimeouts, RttEstimator};
 pub use integrity::{checksum64, Checksum64, IntegrityError, Summed};
@@ -79,9 +81,7 @@ pub use retry::RetryPolicy;
 pub use ring::HashRing;
 pub use sim::{CloudUplink, OpLatency, SimCluster};
 pub use spool::{SpoolClass, SpoolDest, SpoolEntry, SpoolLog, UploadSpool};
-pub use storage::{
-    ReplayNotes, ScrubChunk, StorageEngine, StorageStats, WalError, WalRecord, WriteAheadLog,
-};
+pub use storage::{ReplayNotes, WalError, WalRecord, WriteAheadLog};
 pub use threaded::ThreadedCluster;
 pub use trust::TrustLedger;
 

@@ -22,10 +22,11 @@ mod handoff;
 use crate::antientropy::NodeSummary;
 use crate::cluster::ClusterConfig;
 use crate::counters::{IntegrityStats, NodeStats};
+use crate::engine::StorageEngine;
 use crate::integrity::Summed;
 use crate::msg::{Completion, Message, OpId, OpResult, Outbound};
 use crate::ring::HashRing;
-use crate::storage::{StorageEngine, WalError, WalRecord, WriteAheadLog};
+use crate::storage::{WalError, WalRecord, WriteAheadLog};
 use bytes::Bytes;
 use coordinator::{Answer, Op, Quorum, Seen};
 use ef_netsim::NodeId;

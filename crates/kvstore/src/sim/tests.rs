@@ -8,8 +8,9 @@
 // code-line count in ISSUE 12) sees the file as test code.
 #[cfg(test)]
 use super::*;
+use crate::engine::StorageEngine;
 use crate::node::Consistency;
-use crate::storage::{StorageEngine, WriteAheadLog};
+use crate::storage::WriteAheadLog;
 use bytes::Bytes;
 use ef_netsim::{NetworkConfig, TopologyBuilder};
 
