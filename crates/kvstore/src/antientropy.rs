@@ -267,8 +267,7 @@ impl NodeSummary {
             leaves: BTreeMap::new(),
         };
         let mut live = 0;
-        #[cfg(test)]
-        storage.walks.set(storage.walks.get() + 1);
+        storage.count_walk();
         for (key, _, sum) in storage.iter_summed() {
             live += 1;
             summary.fold(ring, key, None, Some(sum));
@@ -358,8 +357,7 @@ fn missing(
         return Vec::new();
     };
     let (depth, rf) = (src.basis.depth, src.basis.rf);
-    #[cfg(test)]
-    src_store.walks.set(src_store.walks.get() + 1);
+    src_store.count_walk();
     let live = src_store.iter_summed();
     let mut out: Vec<(usize, &Bytes, Summed)> = live
         .filter_map(|(key, value, sum)| {
