@@ -153,7 +153,7 @@ pub enum ChaosEvent {
         /// Per-message drop probability during the burst.
         probability: f64,
     },
-    /// Crash-stop `node` at `at`: all volatile state (memtable, hints,
+    /// Crash-stop `node` at `at`: all volatile state (storage engine, hints,
     /// in-flight ops) is lost; only the WAL survives for the restart.
     CrashStop {
         /// When the crash-stop happens.

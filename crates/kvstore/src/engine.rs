@@ -701,7 +701,7 @@ mod tests {
 
     #[test]
     fn scrub_finds_rot_under_byte_budget() {
-        let mut s = StorageEngine::new(32); // tiny threshold: spans segments
+        let mut s = StorageEngine::new(32);
         for i in 0..20u32 {
             s.put(Bytes::from(format!("key{i:02}").into_bytes()), b("value"));
         }

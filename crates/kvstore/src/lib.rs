@@ -20,8 +20,8 @@
 //!   channels,
 //! * [`sweep`] — the one fault-sweep harness and oracle over [`SimCluster`],
 //! * hinted handoff and node up/down handling,
-//! * [`StorageEngine`] — a memtable + immutable-segment storage engine
-//!   with tombstones and compaction.
+//! * [`StorageEngine`] — a node's in-memory index entries, one ordered
+//!   map, made durable by its [`WriteAheadLog`].
 //!
 //! # Example
 //!

@@ -763,7 +763,8 @@ impl WriteAheadLog {
 
     /// Replays the whole log — snapshot prefix, then tail — in append
     /// order. Applying the records to an empty
-    /// [`StorageEngine`] reproduces the live state at crash time.
+    /// [`StorageEngine`](crate::StorageEngine) reproduces the live state
+    /// at crash time.
     ///
     /// This is the strict decoder: any damage is an error. Restart paths
     /// that want the torn-tail/rotted-snapshot recovery semantics use
