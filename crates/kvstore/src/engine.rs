@@ -195,8 +195,8 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// Creates an empty engine. The argument, once the size at which the
-    /// engine froze its memtable into a segment, is no longer read.
+    /// Creates an empty engine. The argument is not read: it is kept for
+    /// callers that still pass the flush threshold the engine once had.
     pub fn new(_flush_threshold_bytes: usize) -> Self {
         StorageEngine::default()
     }
