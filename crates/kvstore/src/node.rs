@@ -733,11 +733,7 @@ mod tests {
         for key in &keys {
             for rep in new_ring.replicas(key, 2) {
                 assert!(
-                    nodes
-                        .get_mut(&rep)
-                        .expect("member")
-                        .storage_mut()
-                        .contains(key),
+                    nodes.get(&rep).expect("member").storage().contains(key),
                     "replica {rep} missing a re-replicated key"
                 );
             }

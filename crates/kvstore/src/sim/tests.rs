@@ -315,9 +315,9 @@ fn scrub_detects_and_read_repairs_planted_rot() {
     // The rotted entry is back with verified bytes.
     let repaired = cluster
         .nodes
-        .get_mut(&members[0])
+        .get(&members[0])
         .unwrap()
-        .storage_mut()
+        .storage()
         .get_verified(&rotted)
         .expect("repaired entry verifies");
     assert_eq!(repaired.as_deref(), Some(&Bytes::from(vec![b'v'; 32])));
@@ -1076,9 +1076,9 @@ fn ring_wipe_heals_by_mesh_repair_with_cloud_fallback() {
                 continue;
             }
             let got = cluster
-                .node_mut(target)
+                .node(target)
                 .expect("healed node is back")
-                .storage_mut()
+                .storage()
                 .get(&key);
             assert_eq!(got, Some(want.clone()), "chunk-{i} missing on {target}");
             rehydrated += 1;
@@ -1402,9 +1402,9 @@ fn poisoned_repair_bytes_rejected_and_refetched() {
                 continue;
             }
             let got = cluster
-                .node_mut(target)
+                .node(target)
                 .expect("healed node is back")
-                .storage_mut()
+                .storage()
                 .get(&key);
             if got.is_some() {
                 assert_eq!(got, Some(want.clone()), "chunk-{i} poisoned on {target}");
@@ -1458,8 +1458,8 @@ fn a_sighting_one_byte_off_the_payload_is_struck_and_the_op_inserts() {
     assert_eq!(stats.challenges_failed, 1, "{stats:?}");
     assert_eq!(stats.false_claims_rejected, 1, "{stats:?}");
     assert_eq!(cluster.trust_strikes_of(members[1]), 1);
-    let holder = cluster.node_mut(members[1]).expect("holder is up");
-    assert_eq!(holder.storage_mut().get(&key), Some(payload));
+    let holder = cluster.node(members[1]).expect("holder is up");
+    assert_eq!(holder.storage().get(&key), Some(payload));
 }
 
 #[test]

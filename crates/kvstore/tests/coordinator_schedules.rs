@@ -244,8 +244,8 @@ impl World {
                 }
                 let mut fresh = BTreeMap::new();
                 for (id, kind, key) in &self.ops {
-                    let coordinator = &mut self.nodes[id.coordinator.0 as usize];
-                    let held = coordinator.storage_mut().contains(key);
+                    let coordinator = &self.nodes[id.coordinator.0 as usize];
+                    let held = coordinator.storage().contains(key);
                     if *kind == CAI && !held && !self.sighted.contains(id) {
                         fresh.insert(*id, key.clone());
                     }

@@ -423,9 +423,9 @@ fn partition_heal_converges_without_false_duplicates() {
                 let kb = Bytes::from(vec![key as u8]);
                 for replica in cluster.ring().replicas(&kb, rf) {
                     let got = cluster
-                        .node_mut(replica)
+                        .node(replica)
                         .expect("no churn in this property")
-                        .storage_mut()
+                        .storage()
                         .get(&kb);
                     assert_eq!(
                         got.as_ref(),
