@@ -13,7 +13,9 @@
 
 use crate::msg::OpId;
 use crate::sim::SimCluster;
-use ef_netsim::{ByzantineFault, FaultPlan, FaultScope, Network, NodeId, SiteId, Topology};
+use ef_netsim::{
+    ByzantineFault, Fault, FaultPlan, FaultScope, FaultWindow, Network, NodeId, SiteId, Topology,
+};
 use ef_simcore::{DetRng, SimDuration, SimTime};
 
 /// Knobs for [`ChaosScenario::generate`].
@@ -133,26 +135,6 @@ pub enum ChaosEvent {
         /// The revived node.
         node: NodeId,
     },
-    /// Partition sites `a` and `b` from `from` until `heal`.
-    Partition {
-        /// One side of the partition.
-        a: SiteId,
-        /// The other side.
-        b: SiteId,
-        /// Partition start.
-        from: SimTime,
-        /// Heal time.
-        heal: SimTime,
-    },
-    /// All links lose messages with `probability` in `[from, until)`.
-    LossBurst {
-        /// Burst start.
-        from: SimTime,
-        /// Burst end.
-        until: SimTime,
-        /// Per-message drop probability during the burst.
-        probability: f64,
-    },
     /// Crash-stop `node` at `at`: all volatile state (storage engine, hints,
     /// in-flight ops) is lost; only the WAL survives for the restart.
     CrashStop {
@@ -187,19 +169,6 @@ pub enum ChaosEvent {
         /// Seed for the flip positions.
         rot_seed: u64,
     },
-    /// `node` fails slow in `[from, until)`: its outbound service rate
-    /// is divided by `service_factor` while it keeps answering — the
-    /// gray failure that liveness detectors built on silence never see.
-    SlowNode {
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        until: SimTime,
-        /// The gray node.
-        node: NodeId,
-        /// Service-time multiplier (≥ 1).
-        service_factor: f64,
-    },
     /// `node`'s storage stalls in `[from, until)`: WAL fsyncs and
     /// snapshot writes take `stall_factor` times longer, delaying its
     /// replies without losing durability.
@@ -212,20 +181,6 @@ pub enum ChaosEvent {
         node: NodeId,
         /// Storage-latency multiplier (≥ 1).
         stall_factor: f64,
-    },
-    /// The `a`↔`b` links are congested in `[from, until)`: effective
-    /// bandwidth is divided by `bandwidth_factor` in both directions.
-    Congestion {
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        until: SimTime,
-        /// One congested site.
-        a: SiteId,
-        /// The other site.
-        b: SiteId,
-        /// Bandwidth divisor (≥ 1).
-        bandwidth_factor: f64,
     },
     /// Every link touching cloud site `site` is blacked out in
     /// `[from, until)`: the uplink is cut, frames to or from the cloud
@@ -250,32 +205,39 @@ pub enum ChaosEvent {
         /// The wiped edge site.
         site: SiteId,
     },
-    /// Every link touching cloud site `site` is bandwidth-capped in
-    /// `[from, until)`: uploads still flow, `bandwidth_factor` times
-    /// slower.
-    UplinkDegraded {
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        until: SimTime,
-        /// The degraded cloud site.
-        site: SiteId,
-        /// Bandwidth divisor (≥ 1).
-        bandwidth_factor: f64,
-    },
-    /// `node` turns Byzantine in `[from, until)`: it lies on lookups,
-    /// serves garbage on repair fetches, equivocates during
-    /// anti-entropy, and floods bogus hints — all four behaviors of
-    /// [`ef_netsim::ByzantineFault`] at once, the strongest adversary
-    /// the proof-of-possession and trust-ledger defenses must defeat.
-    ByzantineLiar {
-        /// Window start.
-        from: SimTime,
-        /// Window end.
-        until: SimTime,
-        /// The lying node.
-        node: NodeId,
-    },
+    /// A fault that lives entirely in the network's [`FaultPlan`],
+    /// installed there as is: a site-pair partition, a loss burst on
+    /// every link, a fail-slow node, a congested edge-site pair, a
+    /// bandwidth-capped cloud uplink, or a Byzantine liar
+    /// ([`ByzantineFault::All`] for the window: it lies on lookups, serves
+    /// garbage on repair fetches, equivocates during anti-entropy and
+    /// floods bogus hints). The cluster consults the plan's oracles at
+    /// dispatch and delivery time rather than scheduling anything.
+    Net(FaultWindow),
+}
+
+impl ChaosEvent {
+    /// The window this event adds to the scenario's [`FaultPlan`]: its
+    /// own for a network fault, the uplink blackout for a cloud outage.
+    fn window(&self) -> Option<FaultWindow> {
+        match *self {
+            ChaosEvent::Net(window) => Some(window),
+            ChaosEvent::CloudOutage { from, until, site } => Some(FaultWindow {
+                from,
+                until,
+                scope: FaultScope::Site(site),
+                fault: Fault::Blackout,
+            }),
+            ChaosEvent::Crash { .. }
+            | ChaosEvent::Revive { .. }
+            | ChaosEvent::CrashStop { .. }
+            | ChaosEvent::Restart { .. }
+            | ChaosEvent::Depart { .. }
+            | ChaosEvent::StorageRot { .. }
+            | ChaosEvent::StorageStall { .. }
+            | ChaosEvent::RingOutage { .. } => None,
+        }
+    }
 }
 
 /// A seeded schedule of crashes, partitions, and loss bursts.
@@ -306,6 +268,14 @@ impl ChaosScenario {
         let dur = config.duration;
         let mut events = Vec::new();
         let pick = |rng: &mut DetRng, n: usize| ((rng.unit() * n as f64) as usize).min(n - 1);
+        let net = |from, until, scope, fault| {
+            ChaosEvent::Net(FaultWindow {
+                from,
+                until,
+                scope,
+                fault,
+            })
+        };
 
         for _ in 0..config.crashes {
             let node = edge[pick(&mut rng, edge.len())];
@@ -329,12 +299,8 @@ impl ChaosScenario {
                 }
                 let from = SimTime::ZERO + dur * (rng.unit() * 0.6);
                 let heal = from + dur * (0.05 + rng.unit() * 0.25);
-                events.push(ChaosEvent::Partition {
-                    a: sites[i],
-                    b: sites[j],
-                    from,
-                    heal,
-                });
+                let pair = FaultScope::SitePair(sites[i], sites[j]);
+                events.push(net(from, heal, pair, Fault::Partition));
             }
         }
 
@@ -342,11 +308,7 @@ impl ChaosScenario {
             let from = SimTime::ZERO + dur * (rng.unit() * 0.7);
             let until = from + dur * (0.05 + rng.unit() * 0.2);
             let probability = config.max_burst_loss * rng.unit();
-            events.push(ChaosEvent::LossBurst {
-                from,
-                until,
-                probability,
-            });
+            events.push(net(from, until, FaultScope::All, Fault::Loss(probability)));
         }
 
         // Crash-stop and departure victims are drawn from a shrinking
@@ -409,12 +371,8 @@ impl ChaosScenario {
             let from = SimTime::ZERO + dur * (rng.unit() * 0.5);
             let until = from + dur * (0.2 + rng.unit() * 0.4);
             let service_factor = 1.0 + rng.unit() * factor_span;
-            events.push(ChaosEvent::SlowNode {
-                from,
-                until,
-                node,
-                service_factor,
-            });
+            let scope = FaultScope::FromNode(node);
+            events.push(net(from, until, scope, Fault::Slow(service_factor)));
         }
         for _ in 0..config.storage_stalls {
             let node = edge[pick(&mut rng, edge.len())];
@@ -438,13 +396,8 @@ impl ChaosScenario {
                 let from = SimTime::ZERO + dur * (rng.unit() * 0.6);
                 let until = from + dur * (0.1 + rng.unit() * 0.3);
                 let bandwidth_factor = 1.0 + rng.unit() * factor_span;
-                events.push(ChaosEvent::Congestion {
-                    from,
-                    until,
-                    a: sites[i],
-                    b: sites[j],
-                    bandwidth_factor,
-                });
+                let pair = FaultScope::SitePair(sites[i], sites[j]);
+                events.push(net(from, until, pair, Fault::Throttle(bandwidth_factor)));
             }
         }
 
@@ -477,12 +430,8 @@ impl ChaosScenario {
                 let from = SimTime::ZERO + dur * (rng.unit() * 0.6);
                 let until = from + dur * (0.1 + rng.unit() * 0.3);
                 let bandwidth_factor = 1.0 + rng.unit() * factor_span;
-                events.push(ChaosEvent::UplinkDegraded {
-                    from,
-                    until,
-                    site,
-                    bandwidth_factor,
-                });
+                let scope = FaultScope::Site(site);
+                events.push(net(from, until, scope, Fault::Throttle(bandwidth_factor)));
             }
         }
 
@@ -501,7 +450,8 @@ impl ChaosScenario {
             let node = liar_pool.remove(pick(&mut rng, liar_pool.len()));
             let from = SimTime::ZERO + dur * (rng.unit() * 0.15);
             let until = SimTime::ZERO + dur * (0.85 + rng.unit() * 0.10);
-            events.push(ChaosEvent::ByzantineLiar { from, until, node });
+            let liar = Fault::Byzantine(ByzantineFault::All);
+            events.push(net(from, until, FaultScope::FromNode(node), liar));
         }
 
         ChaosScenario {
@@ -516,9 +466,9 @@ impl ChaosScenario {
         &self.events
     }
 
-    /// Builds the network half of the scenario: background loss and wire
-    /// bit rot plus every partition and loss burst, seeded with the
-    /// scenario seed.
+    /// Builds the network half of the scenario, seeded with the scenario
+    /// seed: background loss and wire bit rot, then every event's window
+    /// in schedule order.
     pub fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new(self.seed);
         if self.config.base_loss > 0.0 {
@@ -527,69 +477,10 @@ impl ChaosScenario {
         if self.config.wire_rot > 0.0 {
             plan = plan.bitrot(FaultScope::All, self.config.wire_rot);
         }
-        for ev in &self.events {
-            match *ev {
-                ChaosEvent::Partition { a, b, from, heal } => {
-                    plan = plan.partition(a, b, from, heal);
-                }
-                ChaosEvent::LossBurst {
-                    from,
-                    until,
-                    probability,
-                } => {
-                    plan = plan.loss_window(FaultScope::All, probability, from, until);
-                }
-                ChaosEvent::SlowNode {
-                    from,
-                    until,
-                    node,
-                    service_factor,
-                } => {
-                    plan = plan.slow_node(node, service_factor, from, until);
-                }
-                ChaosEvent::Congestion {
-                    from,
-                    until,
-                    a,
-                    b,
-                    bandwidth_factor,
-                } => {
-                    plan = plan.throttle(FaultScope::SitePair(a, b), bandwidth_factor, from, until);
-                }
-                ChaosEvent::CloudOutage { from, until, site } => {
-                    plan = plan.blackout(FaultScope::Site(site), from, until);
-                }
-                ChaosEvent::UplinkDegraded {
-                    from,
-                    until,
-                    site,
-                    bandwidth_factor,
-                } => {
-                    plan = plan.throttle(FaultScope::Site(site), bandwidth_factor, from, until);
-                }
-                ChaosEvent::ByzantineLiar { from, until, node } => {
-                    // A liar exhibits all four behaviors for its whole
-                    // window — the composed worst case.
-                    for fault in [
-                        ByzantineFault::LieOnLookup,
-                        ByzantineFault::ServeGarbage,
-                        ByzantineFault::EquivocateSummary,
-                        ByzantineFault::HintFlood,
-                    ] {
-                        plan = plan.byzantine(node, fault, from, until);
-                    }
-                }
-                ChaosEvent::Crash { .. }
-                | ChaosEvent::Revive { .. }
-                | ChaosEvent::CrashStop { .. }
-                | ChaosEvent::Restart { .. }
-                | ChaosEvent::Depart { .. }
-                | ChaosEvent::StorageRot { .. }
-                | ChaosEvent::StorageStall { .. }
-                | ChaosEvent::RingOutage { .. } => {}
-            }
-        }
-        plan
+        self.events
+            .iter()
+            .filter_map(ChaosEvent::window)
+            .fold(plan, FaultPlan::window)
     }
 
     /// Attaches [`ChaosScenario::fault_plan`] to `network`. Call before
@@ -625,17 +516,7 @@ impl ChaosScenario {
                 ChaosEvent::RingOutage { from, until, site } => {
                     cluster.ring_outage_at(from, until, site);
                 }
-                // Slow nodes, congested links, degraded uplinks, and
-                // Byzantine liars live entirely in the network's fault
-                // plan; the cluster consults the plan's oracles at
-                // dispatch and delivery time rather than scheduling
-                // anything per node.
-                ChaosEvent::Partition { .. }
-                | ChaosEvent::LossBurst { .. }
-                | ChaosEvent::SlowNode { .. }
-                | ChaosEvent::Congestion { .. }
-                | ChaosEvent::UplinkDegraded { .. }
-                | ChaosEvent::ByzantineLiar { .. } => {}
+                ChaosEvent::Net(_) => {}
             }
         }
     }
@@ -658,6 +539,11 @@ pub fn nth_op_id(coordinator: NodeId, n: u64) -> OpId {
 mod tests {
     use super::*;
     use crate::sweep::{self, Family};
+
+    /// The scenario's network windows, in schedule order.
+    fn windows(s: &ChaosScenario) -> Vec<FaultWindow> {
+        s.events().iter().filter_map(|e| e.window()).collect()
+    }
 
     #[test]
     fn chaos_sweep_soundness_and_completion() {
@@ -761,85 +647,91 @@ mod tests {
     }
 
     #[test]
-    fn adding_rot_leaves_the_existing_schedule_untouched() {
-        // The storage-rot draws are appended after every existing draw,
-        // so turning rot on extends a scenario instead of reshuffling it:
-        // the crash/partition/loss/departure schedule stays bit-identical.
-        let net = Family::chaos().network();
-        let base = ChaosScenarioConfig::default();
+    fn adding_a_fault_family_leaves_the_existing_schedule_untouched() {
+        // Each family's draws are appended after every pre-existing draw,
+        // so turning its knobs on extends a scenario instead of
+        // reshuffling it: the schedule drawn before stays bit-identical.
+        let default = ChaosScenarioConfig::default();
         let rotted = ChaosScenarioConfig {
-            storage_rots: 3,
-            wire_rot: 0.02,
-            ..base
-        };
-        let plain = ChaosScenario::generate(11, net.topology(), &base);
-        let extended = ChaosScenario::generate(11, net.topology(), &rotted);
-        assert_eq!(
-            &extended.events()[..plain.events().len()],
-            plain.events(),
-            "rot knobs reshuffled the pre-existing schedule"
-        );
-        assert_eq!(
-            extended.events().len(),
-            plain.events().len() + rotted.storage_rots
-        );
-    }
-
-    #[test]
-    fn adding_slow_faults_leaves_the_existing_schedule_untouched() {
-        // Same append-only discipline as storage rot: the gray-failure
-        // draws run after every pre-existing draw, so turning them on
-        // extends a scenario without reshuffling it.
-        let net = Family::chaos().network();
-        let base = ChaosScenarioConfig {
             storage_rots: 2,
-            ..ChaosScenarioConfig::default()
+            ..default
         };
         let grayed = ChaosScenarioConfig {
-            slow_nodes: 2,
-            storage_stalls: 1,
-            congestions: 1,
-            max_slow_factor: 6.0,
-            ..base
-        };
-        let plain = ChaosScenario::generate(17, net.topology(), &base);
-        let extended = ChaosScenario::generate(17, net.topology(), &grayed);
-        assert_eq!(
-            &extended.events()[..plain.events().len()],
-            plain.events(),
-            "gray-failure knobs reshuffled the pre-existing schedule"
-        );
-        assert_eq!(
-            extended.events().len(),
-            plain.events().len() + grayed.slow_nodes + grayed.storage_stalls + grayed.congestions
-        );
-    }
-
-    #[test]
-    fn adding_disasters_leaves_the_existing_schedule_untouched() {
-        // Same append-only discipline as rot and gray failures: the
-        // disaster draws run after every pre-existing draw.
-        let net = Family::disaster().network();
-        let base = ChaosScenarioConfig {
             storage_rots: 1,
             slow_nodes: 1,
             congestions: 1,
-            ..ChaosScenarioConfig::default()
+            ..default
         };
         let disastered = ChaosScenarioConfig {
+            storage_rots: 1,
+            slow_nodes: 1,
             cloud_outages: 1,
             ring_outages: 1,
-            uplink_degrades: 1,
-            ..base
+            ..default
         };
-        let plain = ChaosScenario::generate(23, net.topology(), &base);
-        let extended = ChaosScenario::generate(23, net.topology(), &disastered);
-        assert_eq!(
-            &extended.events()[..plain.events().len()],
-            plain.events(),
-            "disaster knobs reshuffled the pre-existing schedule"
-        );
-        assert_eq!(extended.events().len(), plain.events().len() + 3);
+        // (knobs, seed, network, base, extended, events added)
+        let cases = [
+            (
+                "rot",
+                11,
+                Family::chaos().network(),
+                default,
+                ChaosScenarioConfig {
+                    storage_rots: 3,
+                    wire_rot: 0.02,
+                    ..default
+                },
+                3,
+            ),
+            (
+                "gray-failure",
+                17,
+                Family::chaos().network(),
+                rotted,
+                ChaosScenarioConfig {
+                    slow_nodes: 2,
+                    storage_stalls: 1,
+                    congestions: 1,
+                    max_slow_factor: 6.0,
+                    ..rotted
+                },
+                2 + 1 + 1,
+            ),
+            (
+                "disaster",
+                23,
+                Family::disaster().network(),
+                grayed,
+                ChaosScenarioConfig {
+                    cloud_outages: 1,
+                    ring_outages: 1,
+                    uplink_degrades: 1,
+                    ..grayed
+                },
+                3,
+            ),
+            (
+                "byzantine",
+                29,
+                Family::disaster().network(),
+                disastered,
+                ChaosScenarioConfig {
+                    byzantine_liars: 2,
+                    ..disastered
+                },
+                2,
+            ),
+        ];
+        for (knobs, seed, net, base, extended, added) in cases {
+            let plain = ChaosScenario::generate(seed, net.topology(), &base);
+            let more = ChaosScenario::generate(seed, net.topology(), &extended);
+            assert_eq!(
+                &more.events()[..plain.events().len()],
+                plain.events(),
+                "{knobs} knobs reshuffled the pre-existing schedule"
+            );
+            assert_eq!(more.events().len(), plain.events().len() + added, "{knobs}");
+        }
     }
 
     #[test]
@@ -871,7 +763,7 @@ mod tests {
             assert_eq!(net.topology().site_kind(site), ef_netsim::SiteKind::Cloud);
             // The outage reaches the plan as an unconditional blackout
             // on every link touching the cloud site.
-            let mut plan = s.fault_plan();
+            let plan = s.fault_plan();
             let cloud = net.topology().cloud_nodes()[0];
             let edge = net.topology().edge_nodes()[0];
             let mid = from + (until - from) * 0.5;
@@ -894,15 +786,14 @@ mod tests {
             assert!(r_from >= half, "seed {seed}: ring outage too early");
             assert!(r_from < r_until && r_until < SimTime::ZERO + dur);
             assert_eq!(net.topology().site_kind(r_site), ef_netsim::SiteKind::Edge);
-            let Some(&ChaosEvent::UplinkDegraded {
+            let Some(FaultWindow {
                 from: u_from,
                 until: u_until,
-                site: u_site,
-                bandwidth_factor,
-            }) = s
-                .events()
-                .iter()
-                .find(|e| matches!(e, ChaosEvent::UplinkDegraded { .. }))
+                scope: FaultScope::Site(u_site),
+                fault: Fault::Throttle(bandwidth_factor),
+            }) = windows(&s)
+                .into_iter()
+                .find(|w| matches!(w.fault, Fault::Throttle(_)))
             else {
                 panic!("seed {seed}: expected a degraded uplink");
             };
@@ -910,38 +801,14 @@ mod tests {
             assert!((1.0..=cfg.max_slow_factor).contains(&bandwidth_factor));
             // The cap reaches the plan as a throttle on the cloud site.
             let u_mid = u_from + (u_until - u_from) * 0.5;
-            let got = plan.service_factor(u_mid, edge, cloud, net.topology().site_of(edge), u_site);
+            let (slow, bandwidth) =
+                plan.service_factors(u_mid, edge, cloud, net.topology().site_of(edge), u_site);
+            let got = slow * bandwidth;
             assert!(
                 got >= bandwidth_factor - 1e-12,
                 "seed {seed}: throttle factor {bandwidth_factor} not applied: {got}"
             );
         }
-    }
-
-    #[test]
-    fn adding_byzantine_liars_leaves_the_existing_schedule_untouched() {
-        // Same append-only discipline as every fault family before it:
-        // the Byzantine draws run after all pre-existing draws.
-        let net = Family::disaster().network();
-        let base = ChaosScenarioConfig {
-            storage_rots: 1,
-            slow_nodes: 1,
-            cloud_outages: 1,
-            ring_outages: 1,
-            ..ChaosScenarioConfig::default()
-        };
-        let lying = ChaosScenarioConfig {
-            byzantine_liars: 2,
-            ..base
-        };
-        let plain = ChaosScenario::generate(29, net.topology(), &base);
-        let extended = ChaosScenario::generate(29, net.topology(), &lying);
-        assert_eq!(
-            &extended.events()[..plain.events().len()],
-            plain.events(),
-            "byzantine knob reshuffled the pre-existing schedule"
-        );
-        assert_eq!(extended.events().len(), plain.events().len() + 2);
     }
 
     #[test]
@@ -964,7 +831,13 @@ mod tests {
             let mut liars = std::collections::BTreeSet::new();
             let dur = cfg.duration;
             for ev in s.events() {
-                let ChaosEvent::ByzantineLiar { from, until, node } = *ev else {
+                let ChaosEvent::Net(FaultWindow {
+                    from,
+                    until,
+                    scope: FaultScope::FromNode(node),
+                    fault: Fault::Byzantine(ByzantineFault::All),
+                }) = *ev
+                else {
                     panic!("seed {seed}: expected a liar, got {ev:?}");
                 };
                 assert!(liars.insert(node), "seed {seed}: liar {node} reused");
@@ -1022,15 +895,14 @@ mod tests {
         };
         let s = ChaosScenario::generate(8, net.topology(), &cfg);
         assert_eq!(s.events().len(), 3);
-        let Some(&ChaosEvent::SlowNode {
+        let Some(FaultWindow {
             from,
             until,
-            node,
-            service_factor,
-        }) = s
-            .events()
-            .iter()
-            .find(|e| matches!(e, ChaosEvent::SlowNode { .. }))
+            scope: FaultScope::FromNode(node),
+            fault: Fault::Slow(service_factor),
+        }) = windows(&s)
+            .into_iter()
+            .find(|w| matches!(w.fault, Fault::Slow(_)))
         else {
             panic!("expected a slow-node event");
         };
@@ -1042,16 +914,14 @@ mod tests {
         let mid = from + (until - from) * 0.5;
         assert!(plan.is_slow_at(node, mid));
         assert!(!plan.is_slow_at(node, until));
-        let Some(&ChaosEvent::Congestion {
+        let Some(FaultWindow {
             from: c_from,
-            a,
-            b,
-            bandwidth_factor,
+            scope: FaultScope::SitePair(a, b),
+            fault: Fault::Throttle(bandwidth_factor),
             ..
-        }) = s
-            .events()
-            .iter()
-            .find(|e| matches!(e, ChaosEvent::Congestion { .. }))
+        }) = windows(&s)
+            .into_iter()
+            .find(|w| matches!(w.fault, Fault::Throttle(_)))
         else {
             panic!("expected a congestion event");
         };
@@ -1059,9 +929,9 @@ mod tests {
         assert!((1.0..=cfg.max_slow_factor).contains(&bandwidth_factor));
         // The throttle reaches the plan: a message between the congested
         // sites during the window sees a stretched service factor.
-        let mut plan = plan;
         let nodes = net.topology().edge_nodes();
-        let got = plan.service_factor(c_from, nodes[0], nodes[1], a, b);
+        let (slow, bandwidth) = plan.service_factors(c_from, nodes[0], nodes[1], a, b);
+        let got = slow * bandwidth;
         assert!(
             (got - bandwidth_factor).abs() < 1e-12 || got > bandwidth_factor,
             "throttle factor {bandwidth_factor} not applied: {got}"
@@ -1115,7 +985,13 @@ mod tests {
             ..ChaosScenarioConfig::default()
         };
         let s = ChaosScenario::generate(3, net.topology(), &cfg);
-        let Some(ChaosEvent::Partition { a, b, from, .. }) = s.events().first().copied() else {
+        let Some(ChaosEvent::Net(FaultWindow {
+            from,
+            scope: FaultScope::SitePair(a, b),
+            fault: Fault::Partition,
+            ..
+        })) = s.events().first().copied()
+        else {
             panic!("expected a partition event");
         };
         let plan = s.fault_plan();

@@ -1,35 +1,38 @@
-//! Network fault injection: seeded message loss, latency jitter, scheduled
-//! link degradations, and site-pair partitions with heal times.
+//! Network fault injection: seeded message loss and wire bit rot,
+//! partitions and blackouts with heal times, fail-slow nodes, congested
+//! links and Byzantine liars — every one a window of the same list.
 //!
 //! A [`FaultPlan`] is attached to a [`Network`](crate::Network) and consulted
 //! on every [`Network::send`](crate::Network::send). All randomness comes from
 //! a dedicated [`DetRng`] substream derived from the plan's seed, so a run
 //! with the same seed, plan, and message order replays bit-identically.
 //!
-//! Faults compose in a fixed order per message:
+//! A plan is one list of [`FaultWindow`]s: a [`Fault`] acting on the
+//! messages its [`FaultScope`] selects during `[from, until)`. Faults
+//! compose in a fixed order per message:
 //!
-//! 1. **Partition / blackout** — if the source and destination sites are
-//!    separated by an active [`FaultPlan::partition`] window, or the message
-//!    matches an active [`FaultPlan::blackout`] window (e.g. a cloud-uplink
-//!    cut), the message is dropped (probability 1, no RNG draw).
-//! 2. **Loss** — each matching [`FaultPlan::loss`] rule draws once; the
-//!    message is dropped if any draw fires.
-//! 3. **Degradation** — active [`FaultPlan::degrade`] windows scale the
-//!    link's propagation latency (factors multiply when windows overlap).
-//! 4. **Jitter** — each matching [`FaultPlan::jitter`] rule adds a uniform
-//!    `[0, max_extra]` delay.
-//! 5. **Bit rot** — each matching [`FaultPlan::bitrot`] rule draws once; if
-//!    any draw fires the message is delivered *corrupted*
-//!    ([`FaultOutcome::DeliverCorrupt`]) for the receiver's frame checksum
-//!    to reject.
+//! 1. **Partition / blackout** — if an active [`Fault::Partition`] window
+//!    (see [`FaultPlan::partition`]) or [`Fault::Blackout`] window (e.g. a
+//!    cloud-uplink cut, see [`FaultPlan::blackout`]) matches the message,
+//!    it is dropped (probability 1, no RNG draw).
+//! 2. **Loss** — each matching [`Fault::Loss`] window draws once, in
+//!    registration order; the message is dropped if any draw fires.
+//! 3. **Bit rot** — each matching [`Fault::BitRot`] window draws once, in
+//!    registration order, after every loss draw; if any draw fires the
+//!    message is delivered *corrupted* ([`FaultOutcome::DeliverCorrupt`])
+//!    for the receiver's frame checksum to reject.
+//!
+//! Fail-slow and throttle windows stretch the service time the network
+//! charges ([`FaultPlan::service_factors`]), and Byzantine windows are
+//! oracles for the cluster driver; neither draws.
 //!
 //! Loopback traffic (`src == dst`) never traverses a link and is exempt from
 //! all faults.
 
 use crate::id::{NodeId, SiteId};
-use ef_simcore::{DetRng, SimDuration, SimTime};
+use ef_simcore::{DetRng, SimTime};
 
-/// Which messages a fault rule applies to.
+/// Which messages a fault window applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultScope {
     /// Every non-loopback message.
@@ -61,83 +64,14 @@ impl FaultScope {
     }
 }
 
-/// A half-open activity window `[from, until)`. `until = SimTime::MAX`
-/// means "never ends".
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    from: SimTime,
-    until: SimTime,
-}
-
-impl Window {
-    fn contains(&self, t: SimTime) -> bool {
-        self.from <= t && t < self.until
-    }
-}
-
-#[derive(Debug, Clone)]
-struct LossRule {
-    scope: FaultScope,
-    window: Window,
-    probability: f64,
-}
-
-#[derive(Debug, Clone)]
-struct JitterRule {
-    scope: FaultScope,
-    window: Window,
-    max_extra: SimDuration,
-}
-
-#[derive(Debug, Clone)]
-struct DegradeRule {
-    scope: FaultScope,
-    window: Window,
-    latency_factor: f64,
-}
-
-#[derive(Debug, Clone)]
-struct BitRotRule {
-    scope: FaultScope,
-    window: Window,
-    probability: f64,
-}
-
-#[derive(Debug, Clone)]
-struct SlowRule {
-    scope: FaultScope,
-    window: Window,
-    service_factor: f64,
-}
-
-#[derive(Debug, Clone)]
-struct ThrottleRule {
-    scope: FaultScope,
-    window: Window,
-    bandwidth_factor: f64,
-}
-
-#[derive(Debug, Clone)]
-struct PartitionRule {
-    a: SiteId,
-    b: SiteId,
-    window: Window,
-}
-
-#[derive(Debug, Clone)]
-struct BlackoutRule {
-    scope: FaultScope,
-    window: Window,
-}
-
 /// A Byzantine behavior a compromised node exhibits inside a window.
 ///
-/// Unlike every other fault family — which models *non-malicious*
-/// degradation (loss, rot, slowness) — a Byzantine rule marks a node
-/// that actively lies. The network itself never alters traffic for
-/// these rules: they are pure oracles the cluster driver consults to
-/// rewrite what the compromised node *would have sent*, so the rules
-/// are zero-draw and leave every verdict trace bit-identical.
+/// Unlike every other fault — which models *non-malicious* degradation
+/// (loss, rot, slowness) — a Byzantine window marks a node that actively
+/// lies. The network itself never alters traffic for it: the window is a
+/// pure oracle the cluster driver consults to rewrite what the
+/// compromised node *would have sent*, so it is zero-draw and leaves
+/// every verdict trace bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzantineFault {
     /// The node answers dedup lookups for keys it does not hold with a
@@ -155,72 +89,93 @@ pub enum ByzantineFault {
     /// ever wrote, trying to pollute their indexes and waste repair
     /// bandwidth.
     HintFlood,
+    /// Every behavior above at once: the composed worst case.
+    All,
 }
 
-#[derive(Debug, Clone)]
-struct ByzantineRule {
-    node: NodeId,
-    fault: ByzantineFault,
-    window: Window,
+/// What a [`FaultWindow`] does to the messages it matches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fault {
+    /// Drops each message with this probability: one RNG draw a message.
+    Loss(f64),
+    /// Delivers each message with corrupted payload bits (wire bit rot)
+    /// with this probability: one RNG draw a message, after every loss
+    /// draw.
+    BitRot(f64),
+    /// Drops every message, with no RNG draw: a severed link, a cut
+    /// cloud uplink.
+    Blackout,
+    /// Drops every message, with no RNG draw, like [`Fault::Blackout`]:
+    /// a partition between the sites of a [`FaultScope::SitePair`].
+    Partition,
+    /// Multiplies the whole service leg — per-message processing and
+    /// serialization alike — by this factor (≥ 1): a fail-slow node,
+    /// alive and answering heartbeats, but slow at everything it sends.
+    Slow(f64),
+    /// Divides the link's effective bandwidth by this factor (≥ 1), which
+    /// stretches the serialization time only: a congested link.
+    Throttle(f64),
+    /// The window's sender exhibits this behavior; its frames are still
+    /// delivered verbatim.
+    Byzantine(ByzantineFault),
 }
 
-/// Counters of what the plan did to traffic. Obtained via
-/// [`FaultPlan::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages dropped by probabilistic loss rules.
-    pub lost: u64,
-    /// Messages dropped by an active partition.
-    pub partitioned: u64,
-    /// Messages whose latency was stretched by a degradation window.
-    pub degraded: u64,
-    /// Messages that received jitter.
-    pub jittered: u64,
-    /// Messages delivered with corrupted payload bits (wire bit rot).
-    pub corrupted: u64,
-    /// Messages whose service (serialization) time was stretched by a
-    /// fail-slow node rule.
-    pub slowed: u64,
-    /// Messages whose serialization time was stretched by a congested-link
-    /// bandwidth reduction.
-    pub throttled: u64,
-    /// Messages dropped by an active blackout window (e.g. a cloud-uplink
-    /// cut during a disaster).
-    pub blacked_out: u64,
+/// One [`Fault`] on the messages `scope` selects during the half-open
+/// window `[from, until)`. `until = SimTime::MAX` means "never ends".
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultWindow {
+    /// Window start.
+    pub from: SimTime,
+    /// Window end (heal time), exclusive.
+    pub until: SimTime,
+    /// The messages it acts on.
+    pub scope: FaultScope,
+    /// What it does to them.
+    pub fault: Fault,
 }
 
-impl FaultStats {
-    /// Total messages dropped for any reason.
-    pub fn dropped(&self) -> u64 {
-        self.lost + self.partitioned + self.blacked_out
+impl FaultWindow {
+    fn open_at(&self, t: SimTime) -> bool {
+        self.from <= t && t < self.until
+    }
+
+    fn hits(
+        &self,
+        t: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        src_site: SiteId,
+        dst_site: SiteId,
+    ) -> bool {
+        self.open_at(t) && self.scope.matches(src, dst, src_site, dst_site)
     }
 }
 
 /// Per-message verdict returned by [`FaultPlan::judge`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOutcome {
-    /// Deliver, with this much extra propagation delay (possibly zero).
-    Deliver(SimDuration),
-    /// Deliver with this much extra delay, but with payload bits flipped
-    /// in flight (wire bit rot): the receiver's frame checksum is
-    /// expected to reject it.
-    DeliverCorrupt(SimDuration),
+    /// Deliver intact.
+    Deliver,
+    /// Deliver with payload bits flipped in flight (wire bit rot): the
+    /// receiver's frame checksum is expected to reject it.
+    DeliverCorrupt,
     /// The message is lost.
     Drop,
 }
 
-/// A deterministic, seeded schedule of network faults.
+/// A deterministic, seeded schedule of network faults: one list of
+/// [`FaultWindow`]s.
 ///
 /// Built fluently, then attached with
 /// [`Network::set_fault_plan`](crate::Network::set_fault_plan):
 ///
 /// ```
-/// use ef_netsim::{FaultPlan, FaultScope, SiteId};
-/// use ef_simcore::{SimDuration, SimTime};
+/// use ef_netsim::{FaultPlan, FaultScope, NodeId, SiteId};
+/// use ef_simcore::SimTime;
 ///
 /// let plan = FaultPlan::new(42)
 ///     .loss(FaultScope::All, 0.01)
-///     .jitter(FaultScope::All, SimDuration::from_millis(2))
+///     .slow_node(NodeId(3), 2.0, SimTime::ZERO, SimTime::MAX)
 ///     .partition(
 ///         SiteId(0),
 ///         SiteId(1),
@@ -228,21 +183,13 @@ pub enum FaultOutcome {
 ///         SimTime::from_secs_f64(3.0),
 ///     );
 /// assert_eq!(plan.seed(), 42);
+/// assert!(plan.partitioned(SiteId(1), SiteId(0), SimTime::from_secs_f64(2.0)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     seed: u64,
     rng: DetRng,
-    loss: Vec<LossRule>,
-    jitter: Vec<JitterRule>,
-    degrade: Vec<DegradeRule>,
-    bitrot: Vec<BitRotRule>,
-    partitions: Vec<PartitionRule>,
-    blackouts: Vec<BlackoutRule>,
-    slow: Vec<SlowRule>,
-    throttle: Vec<ThrottleRule>,
-    byzantine: Vec<ByzantineRule>,
-    stats: FaultStats,
+    windows: Vec<FaultWindow>,
 }
 
 impl FaultPlan {
@@ -251,16 +198,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rng: DetRng::new(seed).substream("fault-plan"),
-            loss: Vec::new(),
-            jitter: Vec::new(),
-            degrade: Vec::new(),
-            bitrot: Vec::new(),
-            partitions: Vec::new(),
-            blackouts: Vec::new(),
-            slow: Vec::new(),
-            throttle: Vec::new(),
-            byzantine: Vec::new(),
-            stats: FaultStats::default(),
+            windows: Vec::new(),
         }
     }
 
@@ -269,7 +207,46 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Adds a permanent loss rule: matching messages are dropped with
+    /// Adds a window. Only the relative order of loss windows, and of
+    /// bit-rot windows, matters to the verdict trace; every other fault
+    /// is zero-draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a loss or bit-rot probability is not within `[0, 1]`,
+    /// or a slow or throttle factor is below 1.
+    pub fn window(mut self, window: FaultWindow) -> Self {
+        match window.fault {
+            Fault::Loss(p) => {
+                assert!(
+                    (0.0..=1.0).contains(&p),
+                    "loss probability {p} outside [0, 1]"
+                );
+            }
+            Fault::BitRot(p) => {
+                assert!(
+                    (0.0..=1.0).contains(&p),
+                    "bit-rot probability {p} outside [0, 1]"
+                );
+            }
+            Fault::Slow(f) => assert!(f >= 1.0, "fail-slow service factor {f} < 1"),
+            Fault::Throttle(f) => assert!(f >= 1.0, "throttle bandwidth factor {f} < 1"),
+            Fault::Blackout | Fault::Partition | Fault::Byzantine(_) => {}
+        }
+        self.windows.push(window);
+        self
+    }
+
+    fn with(self, from: SimTime, until: SimTime, scope: FaultScope, fault: Fault) -> Self {
+        self.window(FaultWindow {
+            from,
+            until,
+            scope,
+            fault,
+        })
+    }
+
+    /// Adds a permanent loss window: matching messages are dropped with
     /// `probability`.
     ///
     /// # Panics
@@ -279,145 +256,40 @@ impl FaultPlan {
         self.loss_window(scope, probability, SimTime::ZERO, SimTime::MAX)
     }
 
-    /// Adds a loss rule active during `[from, until)`.
+    /// Adds a loss window active during `[from, until)`.
     ///
     /// # Panics
     ///
     /// Panics when `probability` is not within `[0, 1]`.
     pub fn loss_window(
-        mut self,
+        self,
         scope: FaultScope,
         probability: f64,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "loss probability {probability} outside [0, 1]"
-        );
-        self.loss.push(LossRule {
-            scope,
-            window: Window { from, until },
-            probability,
-        });
-        self
+        self.with(from, until, scope, Fault::Loss(probability))
     }
 
-    /// Adds a permanent jitter rule: matching messages gain a uniform
-    /// `[0, max_extra]` propagation delay.
-    pub fn jitter(self, scope: FaultScope, max_extra: SimDuration) -> Self {
-        self.jitter_window(scope, max_extra, SimTime::ZERO, SimTime::MAX)
-    }
-
-    /// Adds a jitter rule active during `[from, until)`.
-    pub fn jitter_window(
-        mut self,
-        scope: FaultScope,
-        max_extra: SimDuration,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.jitter.push(JitterRule {
-            scope,
-            window: Window { from, until },
-            max_extra,
-        });
-        self
-    }
-
-    /// Schedules a link degradation: during `[from, until)` matching
-    /// messages have their propagation latency multiplied by
-    /// `latency_factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `latency_factor < 1`.
-    pub fn degrade(
-        mut self,
-        scope: FaultScope,
-        latency_factor: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        assert!(
-            latency_factor >= 1.0,
-            "degradation factor {latency_factor} < 1"
-        );
-        self.degrade.push(DegradeRule {
-            scope,
-            window: Window { from, until },
-            latency_factor,
-        });
-        self
-    }
-
-    /// Adds a permanent bit-rot rule: matching messages are delivered
+    /// Adds a permanent bit-rot window: matching messages are delivered
     /// with corrupted payload bits with `probability`.
     ///
     /// # Panics
     ///
     /// Panics when `probability` is not within `[0, 1]`.
     pub fn bitrot(self, scope: FaultScope, probability: f64) -> Self {
-        self.bitrot_window(scope, probability, SimTime::ZERO, SimTime::MAX)
-    }
-
-    /// Adds a bit-rot rule active during `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `probability` is not within `[0, 1]`.
-    pub fn bitrot_window(
-        mut self,
-        scope: FaultScope,
-        probability: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "bit-rot probability {probability} outside [0, 1]"
-        );
-        self.bitrot.push(BitRotRule {
+        self.with(
+            SimTime::ZERO,
+            SimTime::MAX,
             scope,
-            window: Window { from, until },
-            probability,
-        });
-        self
+            Fault::BitRot(probability),
+        )
     }
 
-    /// Schedules a fail-slow window: during `[from, until)` matching
-    /// messages have their service (serialization) time multiplied by
-    /// `service_factor`. This models a gray node whose CPU or disk serves
-    /// its uplink slower than its link speed suggests — the node is alive,
-    /// answers heartbeats, but everything it transmits takes longer.
-    ///
-    /// The rule never draws from the plan's RNG, so adding one leaves the
-    /// verdict trace of every other rule bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `service_factor < 1`.
-    pub fn slow(
-        mut self,
-        scope: FaultScope,
-        service_factor: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        assert!(
-            service_factor >= 1.0,
-            "fail-slow service factor {service_factor} < 1"
-        );
-        self.slow.push(SlowRule {
-            scope,
-            window: Window { from, until },
-            service_factor,
-        });
-        self
-    }
-
-    /// Schedules a fail-slow window on everything `node` transmits — the
-    /// common per-node service-rate multiplier form of [`FaultPlan::slow`].
+    /// Schedules a fail-slow window on everything `node` transmits: during
+    /// `[from, until)` its service time is multiplied by `service_factor`
+    /// ([`Fault::Slow`]). Zero-draw, so adding one leaves the verdict
+    /// trace of every other window bit-identical.
     ///
     /// # Panics
     ///
@@ -429,137 +301,128 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.slow(FaultScope::FromNode(node), service_factor, from, until)
+        self.with(
+            from,
+            until,
+            FaultScope::FromNode(node),
+            Fault::Slow(service_factor),
+        )
     }
 
     /// Schedules a congested-link window: during `[from, until)` matching
     /// messages see their link's effective bandwidth divided by
-    /// `bandwidth_factor` (serialization time multiplied by it).
-    ///
-    /// Like [`FaultPlan::slow`], the rule is zero-draw and replay-safe.
+    /// `bandwidth_factor` ([`Fault::Throttle`]). Zero-draw, like
+    /// [`FaultPlan::slow_node`].
     ///
     /// # Panics
     ///
     /// Panics when `bandwidth_factor < 1`.
     pub fn throttle(
-        mut self,
+        self,
         scope: FaultScope,
         bandwidth_factor: f64,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        assert!(
-            bandwidth_factor >= 1.0,
-            "throttle bandwidth factor {bandwidth_factor} < 1"
-        );
-        self.throttle.push(ThrottleRule {
-            scope,
-            window: Window { from, until },
-            bandwidth_factor,
-        });
-        self
+        self.with(from, until, scope, Fault::Throttle(bandwidth_factor))
     }
 
-    /// The combined service-time stretch factor for one message: the
-    /// product of every matching fail-slow and throttle window at `now`
-    /// (1.0 when none match). Consulted by the network *before* queuing
-    /// the message on the sender's uplink, so a slow node's backlog grows
-    /// exactly as a fail-slow disk or congested NIC would make it grow.
-    ///
-    /// Zero RNG draws: the query never perturbs the plan's verdict trace.
-    pub fn service_factor(
-        &mut self,
-        now: SimTime,
+    /// Schedules a symmetric partition between sites `a` and `b` from
+    /// `from` until it heals at `heal_at`. All messages between the two
+    /// sites are dropped during the window.
+    pub fn partition(self, a: SiteId, b: SiteId, from: SimTime, heal_at: SimTime) -> Self {
+        self.with(from, heal_at, FaultScope::SitePair(a, b), Fault::Partition)
+    }
+
+    /// Schedules a blackout: during `[from, until)` every message matching
+    /// `scope` is dropped unconditionally. This is the disaster form of
+    /// loss — a cloud-uplink cut (`FaultScope::Site(cloud)`) or a severed
+    /// link — and, unlike a probability-1.0 loss window, it consumes **no**
+    /// RNG draws, so adding one leaves every other window's verdict trace
+    /// bit-identical.
+    pub fn blackout(self, scope: FaultScope, from: SimTime, until: SimTime) -> Self {
+        self.with(from, until, scope, Fault::Blackout)
+    }
+
+    /// Schedules a Byzantine window: during `[from, until)` the given
+    /// node exhibits `fault` (see [`ByzantineFault`]). The network keeps
+    /// delivering the liar's frames verbatim and never draws for it; the
+    /// cluster driver consults the oracles below to decide what the
+    /// compromised node fabricates.
+    pub fn byzantine(
+        self,
+        node: NodeId,
+        fault: ByzantineFault,
+        from: SimTime,
+        until: SimTime,
+    ) -> Self {
+        self.with(
+            from,
+            until,
+            FaultScope::FromNode(node),
+            Fault::Byzantine(fault),
+        )
+    }
+
+    /// The windows open at `t` that match a message from `src` to `dst`,
+    /// in registration order.
+    fn hitting(
+        &self,
+        t: SimTime,
         src: NodeId,
         dst: NodeId,
         src_site: SiteId,
         dst_site: SiteId,
-    ) -> f64 {
-        let (slow, bandwidth) = self.service_factors(now, src, dst, src_site, dst_site);
-        slow * bandwidth
+    ) -> impl Iterator<Item = &FaultWindow> {
+        self.windows
+            .iter()
+            .filter(move |w| w.hits(t, src, dst, src_site, dst_site))
     }
 
-    /// Like [`FaultPlan::service_factor`], but keeps the two fault
-    /// families apart: `(slow, bandwidth)`. A fail-slow node degrades
-    /// everything it does — the network stretches its *whole* service
-    /// leg (per-message processing and serialization alike), which is
-    /// what makes a gray node visible even to small control RPCs. A
-    /// congested link only divides bandwidth, so it stretches nothing
-    /// but the bandwidth-proportional serialization time.
+    /// The service-time stretch factors for one message, `(slow,
+    /// bandwidth)`: the products of every matching [`Fault::Slow`] and
+    /// [`Fault::Throttle`] window at `now` (1.0 when none match). The
+    /// network charges them on the sender's uplink before judging the
+    /// message, so a slow node's backlog grows as a fail-slow disk or
+    /// congested NIC would make it grow: a fail-slow node stretches its
+    /// whole service leg, a congested link only its serialization.
     ///
-    /// Zero RNG draws, like `service_factor`.
+    /// Zero RNG draws: the query never perturbs the plan's verdict trace.
     pub fn service_factors(
-        &mut self,
+        &self,
         now: SimTime,
         src: NodeId,
         dst: NodeId,
         src_site: SiteId,
         dst_site: SiteId,
     ) -> (f64, f64) {
-        let mut slow_factor = 1.0f64;
-        let mut slowed = false;
-        for rule in &self.slow {
-            if rule.window.contains(now) && rule.scope.matches(src, dst, src_site, dst_site) {
-                slow_factor *= rule.service_factor;
-                slowed = true;
+        let mut factors = (1.0f64, 1.0f64);
+        for w in self.hitting(now, src, dst, src_site, dst_site) {
+            match w.fault {
+                Fault::Slow(f) => factors.0 *= f,
+                Fault::Throttle(f) => factors.1 *= f,
+                Fault::Loss(_)
+                | Fault::BitRot(_)
+                | Fault::Blackout
+                | Fault::Partition
+                | Fault::Byzantine(_) => {}
             }
         }
-        let mut bandwidth_factor = 1.0f64;
-        let mut throttled = false;
-        for rule in &self.throttle {
-            if rule.window.contains(now) && rule.scope.matches(src, dst, src_site, dst_site) {
-                bandwidth_factor *= rule.bandwidth_factor;
-                throttled = true;
-            }
-        }
-        if slowed {
-            self.stats.slowed += 1;
-        }
-        if throttled {
-            self.stats.throttled += 1;
-        }
-        (slow_factor, bandwidth_factor)
+        factors
     }
 
-    /// True when any fail-slow or throttle window covering traffic *from*
-    /// `node` is active at `t` — the oracle tests and replica-steering
-    /// heuristics use to ask "is this node gray right now?".
+    /// True when a fail-slow window on everything `node` sends is open at
+    /// `t` — the oracle tests and replica-steering heuristics use to ask
+    /// "is this node gray right now?".
     pub fn is_slow_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.slow.iter().any(|r| {
-            r.window.contains(t) && matches!(r.scope, FaultScope::FromNode(n) if n == node)
+        self.windows.iter().any(|w| {
+            w.open_at(t)
+                && w.scope == FaultScope::FromNode(node)
+                && matches!(w.fault, Fault::Slow(_))
         })
     }
 
-    /// Schedules a symmetric partition between sites `a` and `b` from
-    /// `from` until it heals at `heal_at`. All messages between the two
-    /// sites are dropped during the window.
-    pub fn partition(mut self, a: SiteId, b: SiteId, from: SimTime, heal_at: SimTime) -> Self {
-        self.partitions.push(PartitionRule {
-            a,
-            b,
-            window: Window {
-                from,
-                until: heal_at,
-            },
-        });
-        self
-    }
-
-    /// Schedules a blackout: during `[from, until)` every message matching
-    /// `scope` is dropped unconditionally. This is the disaster form of
-    /// loss — a cloud-uplink cut (`FaultScope::Site(cloud)`) or a severed
-    /// link — and, unlike a probability-1.0 loss rule, it consumes **no**
-    /// RNG draws, so adding one leaves every other rule's verdict trace
-    /// bit-identical (same replay-safety contract as [`FaultPlan::slow`]).
-    pub fn blackout(mut self, scope: FaultScope, from: SimTime, until: SimTime) -> Self {
-        self.blackouts.push(BlackoutRule {
-            scope,
-            window: Window { from, until },
-        });
-        self
-    }
-
-    /// True when an active blackout window covers a message from `src` to
+    /// True when an open blackout window covers a message from `src` to
     /// `dst` at `t` — the oracle mitigations use to ask "is the uplink to
     /// this destination cut right now?".
     pub fn blacked_out(
@@ -570,92 +433,75 @@ impl FaultPlan {
         dst_site: SiteId,
         t: SimTime,
     ) -> bool {
-        self.blackouts
-            .iter()
-            .any(|r| r.window.contains(t) && r.scope.matches(src, dst, src_site, dst_site))
+        self.hitting(t, src, dst, src_site, dst_site)
+            .any(|w| matches!(w.fault, Fault::Blackout))
     }
 
-    /// Schedules a Byzantine window: during `[from, until)` the given
-    /// node exhibits `fault` (see [`ByzantineFault`]). The rule never
-    /// touches traffic here — the network keeps delivering the liar's
-    /// frames verbatim — and never draws from the plan's RNG, so adding
-    /// one leaves every other rule's verdict trace bit-identical. The
-    /// cluster driver consults the oracles below to decide what the
-    /// compromised node fabricates.
-    pub fn byzantine(
-        mut self,
-        node: NodeId,
-        fault: ByzantineFault,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.byzantine.push(ByzantineRule {
-            node,
-            fault,
-            window: Window { from, until },
-        });
-        self
+    /// True when an open partition separates the two sites at `t`.
+    pub fn partitioned(&self, a: SiteId, b: SiteId, t: SimTime) -> bool {
+        self.windows.iter().any(|w| {
+            w.open_at(t)
+                && w.fault == Fault::Partition
+                && matches!(w.scope, FaultScope::SitePair(x, y) if (x, y) == (a, b) || (x, y) == (b, a))
+        })
     }
 
-    /// True when `node` exhibits `fault` at `t`. Zero RNG draws.
-    pub fn byzantine_at(&self, node: NodeId, fault: ByzantineFault, t: SimTime) -> bool {
-        self.byzantine
-            .iter()
-            .any(|r| r.node == node && r.fault == fault && r.window.contains(t))
+    fn acts(&self, node: NodeId, fault: ByzantineFault, t: SimTime) -> bool {
+        self.windows.iter().any(|w| {
+            w.open_at(t)
+                && w.scope == FaultScope::FromNode(node)
+                && matches!(w.fault, Fault::Byzantine(f) if f == fault || f == ByzantineFault::All)
+        })
     }
 
     /// True when `node` fabricates positive dedup sightings at `t`.
     pub fn lies_on_lookup_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.byzantine_at(node, ByzantineFault::LieOnLookup, t)
+        self.acts(node, ByzantineFault::LieOnLookup, t)
     }
 
     /// True when `node` serves garbage on repair/restore fetches at `t`.
     pub fn serves_garbage_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.byzantine_at(node, ByzantineFault::ServeGarbage, t)
+        self.acts(node, ByzantineFault::ServeGarbage, t)
     }
 
     /// True when `node` equivocates anti-entropy summaries at `t`.
     pub fn equivocates_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.byzantine_at(node, ByzantineFault::EquivocateSummary, t)
+        self.acts(node, ByzantineFault::EquivocateSummary, t)
     }
 
     /// True when `node` floods peers with bogus hints at `t`.
     pub fn hint_floods_at(&self, node: NodeId, t: SimTime) -> bool {
-        self.byzantine_at(node, ByzantineFault::HintFlood, t)
+        self.acts(node, ByzantineFault::HintFlood, t)
     }
 
-    /// Every node with at least one Byzantine rule, in any window —
+    /// Every node with at least one Byzantine window, in any window —
     /// sorted and deduplicated. Sweep tests use this to assert that
     /// every injected liar was eventually quarantined.
     pub fn byzantine_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.byzantine.iter().map(|r| r.node).collect();
+        let mut nodes: Vec<NodeId> = self
+            .windows
+            .iter()
+            .filter(|w| matches!(w.fault, Fault::Byzantine(_)))
+            .filter_map(|w| match w.scope {
+                FaultScope::FromNode(n) => Some(n),
+                FaultScope::All
+                | FaultScope::SitePair(..)
+                | FaultScope::Site(_)
+                | FaultScope::Link(..)
+                | FaultScope::ToNode(_) => None,
+            })
+            .collect();
         nodes.sort();
         nodes.dedup();
         nodes
     }
 
-    /// True when an active partition separates the two sites at `t`.
-    pub fn partitioned(&self, a: SiteId, b: SiteId, t: SimTime) -> bool {
-        self.partitions
-            .iter()
-            .any(|p| p.window.contains(t) && ((p.a == a && p.b == b) || (p.a == b && p.b == a)))
-    }
-
-    /// Counters of everything the plan has done so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// Resets counters (the RNG position is left alone).
-    pub fn reset_stats(&mut self) {
-        self.stats = FaultStats::default();
-    }
-
     /// Judges one message: called by
     /// [`Network::send`](crate::Network::send) for every non-loopback
     /// message, in simulation order. Draws from the plan's RNG only for
-    /// matching probabilistic rules, so the verdict sequence is a pure
-    /// function of (seed, plan, message sequence).
+    /// matching loss and bit-rot windows — every loss draw before any rot
+    /// draw — so the verdict sequence is a pure function of (seed, plan,
+    /// message sequence).
     pub fn judge(
         &mut self,
         now: SimTime,
@@ -663,58 +509,33 @@ impl FaultPlan {
         dst: NodeId,
         src_site: SiteId,
         dst_site: SiteId,
-        base_latency: SimDuration,
     ) -> FaultOutcome {
-        if self.partitioned(src_site, dst_site, now) {
-            self.stats.partitioned += 1;
+        let hit = |w: &&FaultWindow| w.hits(now, src, dst, src_site, dst_site);
+        if self
+            .windows
+            .iter()
+            .filter(hit)
+            .any(|w| matches!(w.fault, Fault::Blackout | Fault::Partition))
+        {
             return FaultOutcome::Drop;
         }
-        // Blackouts are judged like partitions: unconditional, zero-draw.
-        if self.blacked_out(src, dst, src_site, dst_site, now) {
-            self.stats.blacked_out += 1;
-            return FaultOutcome::Drop;
-        }
-        for rule in &self.loss {
-            if rule.window.contains(now)
-                && rule.scope.matches(src, dst, src_site, dst_site)
-                && self.rng.unit() < rule.probability
-            {
-                self.stats.lost += 1;
-                return FaultOutcome::Drop;
+        for w in self.windows.iter().filter(hit) {
+            if let Fault::Loss(p) = w.fault {
+                if self.rng.unit() < p {
+                    return FaultOutcome::Drop;
+                }
             }
         }
-        let mut extra = SimDuration::ZERO;
-        let mut factor = 1.0f64;
-        for rule in &self.degrade {
-            if rule.window.contains(now) && rule.scope.matches(src, dst, src_site, dst_site) {
-                factor *= rule.latency_factor;
+        // Rot draws come after every loss draw, whatever the registration
+        // order, so plans without rot windows keep their loss trace.
+        for w in self.windows.iter().filter(hit) {
+            if let Fault::BitRot(p) = w.fault {
+                if self.rng.unit() < p {
+                    return FaultOutcome::DeliverCorrupt;
+                }
             }
         }
-        if factor > 1.0 {
-            self.stats.degraded += 1;
-            extra += base_latency * (factor - 1.0);
-        }
-        for rule in &self.jitter {
-            if rule.window.contains(now)
-                && rule.scope.matches(src, dst, src_site, dst_site)
-                && !rule.max_extra.is_zero()
-            {
-                self.stats.jittered += 1;
-                extra += rule.max_extra * self.rng.unit();
-            }
-        }
-        // Bit rot draws come last so plans without rot rules keep their
-        // RNG trace (and thus all verdicts) bit-identical.
-        for rule in &self.bitrot {
-            if rule.window.contains(now)
-                && rule.scope.matches(src, dst, src_site, dst_site)
-                && self.rng.unit() < rule.probability
-            {
-                self.stats.corrupted += 1;
-                return FaultOutcome::DeliverCorrupt(extra);
-            }
-        }
-        FaultOutcome::Deliver(extra)
+        FaultOutcome::Deliver
     }
 }
 
@@ -724,16 +545,7 @@ mod tests {
 
     fn judge_all(plan: &mut FaultPlan, n: usize, t: SimTime) -> Vec<FaultOutcome> {
         (0..n)
-            .map(|_| {
-                plan.judge(
-                    t,
-                    NodeId(0),
-                    NodeId(2),
-                    SiteId(0),
-                    SiteId(1),
-                    SimDuration::from_millis(5),
-                )
-            })
+            .map(|_| plan.judge(t, NodeId(0), NodeId(2), SiteId(0), SiteId(1)))
             .collect()
     }
 
@@ -741,9 +553,8 @@ mod tests {
     fn no_rules_always_delivers_clean() {
         let mut plan = FaultPlan::new(1);
         for o in judge_all(&mut plan, 100, SimTime::ZERO) {
-            assert_eq!(o, FaultOutcome::Deliver(SimDuration::ZERO));
+            assert_eq!(o, FaultOutcome::Deliver);
         }
-        assert_eq!(plan.stats(), FaultStats::default());
     }
 
     #[test]
@@ -760,7 +571,6 @@ mod tests {
             .filter(|o| **o == FaultOutcome::Drop)
             .count();
         assert!((120..=280).contains(&n_drop), "drop count {n_drop}");
-        assert_eq!(plan.stats().lost, n_drop as u64);
     }
 
     #[test]
@@ -774,64 +584,13 @@ mod tests {
         let before = SimTime::ZERO;
         let during = SimTime::from_secs_f64(1.5);
         let healed = SimTime::from_secs_f64(2.0);
-        assert_eq!(
-            judge_all(&mut plan, 1, before)[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
-        );
+        assert_eq!(judge_all(&mut plan, 1, before)[0], FaultOutcome::Deliver);
         assert_eq!(judge_all(&mut plan, 1, during)[0], FaultOutcome::Drop);
         // Symmetric: reverse direction also dropped.
         assert!(plan.partitioned(SiteId(1), SiteId(0), during));
+        assert!(!plan.partitioned(SiteId(0), SiteId(2), during));
         // Heal time is exclusive: at exactly `heal_at` traffic flows again.
-        assert_eq!(
-            judge_all(&mut plan, 1, healed)[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
-        );
-        assert_eq!(plan.stats().partitioned, 1);
-    }
-
-    #[test]
-    fn degradation_scales_latency_in_window() {
-        let mut plan = FaultPlan::new(5).degrade(
-            FaultScope::SitePair(SiteId(0), SiteId(1)),
-            3.0,
-            SimTime::ZERO,
-            SimTime::from_secs_f64(10.0),
-        );
-        let base = SimDuration::from_millis(5);
-        match judge_all(&mut plan, 1, SimTime::ZERO)[0] {
-            FaultOutcome::Deliver(extra) => {
-                // factor 3 → extra = 2 * base
-                assert!((extra.as_millis_f64() - 2.0 * base.as_millis_f64()).abs() < 1e-6);
-            }
-            FaultOutcome::Drop | FaultOutcome::DeliverCorrupt(_) => {
-                panic!("degradation must not drop or corrupt")
-            }
-        }
-        // Outside the window: clean.
-        assert_eq!(
-            judge_all(&mut plan, 1, SimTime::from_secs_f64(10.0))[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
-        );
-    }
-
-    #[test]
-    fn jitter_bounded_and_seeded() {
-        let max = SimDuration::from_millis(4);
-        let mut plan = FaultPlan::new(11).jitter(FaultScope::All, max);
-        let mut seen_nonzero = false;
-        for o in judge_all(&mut plan, 50, SimTime::ZERO) {
-            match o {
-                FaultOutcome::Deliver(extra) => {
-                    assert!(extra <= max, "jitter {extra} exceeds bound");
-                    seen_nonzero |= !extra.is_zero();
-                }
-                FaultOutcome::Drop | FaultOutcome::DeliverCorrupt(_) => {
-                    panic!("jitter must not drop or corrupt")
-                }
-            }
-        }
-        assert!(seen_nonzero, "jitter never fired");
-        assert_eq!(plan.stats().jittered, 50);
+        assert_eq!(judge_all(&mut plan, 1, healed)[0], FaultOutcome::Deliver);
     }
 
     #[test]
@@ -865,51 +624,46 @@ mod tests {
         let out = judge_all(&mut plan, 400, SimTime::ZERO);
         let n_rotted = out
             .iter()
-            .filter(|o| matches!(o, FaultOutcome::DeliverCorrupt(_)))
+            .filter(|o| **o == FaultOutcome::DeliverCorrupt)
             .count();
         assert!(out.iter().all(|o| *o != FaultOutcome::Drop));
         assert!((50..=160).contains(&n_rotted), "rot count {n_rotted}");
-        assert_eq!(plan.stats().corrupted, n_rotted as u64);
-        assert_eq!(plan.stats().dropped(), 0, "rot must not count as loss");
     }
 
     #[test]
     fn bitrot_window_scopes_in_time() {
-        let mut plan = FaultPlan::new(9).bitrot_window(
-            FaultScope::All,
-            1.0,
-            SimTime::from_secs_f64(1.0),
-            SimTime::from_secs_f64(2.0),
-        );
+        let mut plan = FaultPlan::new(9).window(FaultWindow {
+            from: SimTime::from_secs_f64(1.0),
+            until: SimTime::from_secs_f64(2.0),
+            scope: FaultScope::All,
+            fault: Fault::BitRot(1.0),
+        });
         assert_eq!(
             judge_all(&mut plan, 1, SimTime::ZERO)[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
+            FaultOutcome::Deliver
         );
         assert_eq!(
             judge_all(&mut plan, 1, SimTime::from_secs_f64(1.5))[0],
-            FaultOutcome::DeliverCorrupt(SimDuration::ZERO)
+            FaultOutcome::DeliverCorrupt
         );
         assert_eq!(
             judge_all(&mut plan, 1, SimTime::from_secs_f64(2.0))[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
+            FaultOutcome::Deliver
         );
     }
 
     #[test]
     fn bitrot_rules_leave_clean_plan_traces_untouched() {
-        // A plan with loss+jitter must produce the same verdicts whether
-        // or not a (never-matching) bit-rot rule exists: rot draws come
-        // after all legacy draws and only for matching rules.
+        // A loss plan must produce the same verdicts whether or not a
+        // (never-matching) bit-rot window exists: rot draws come after
+        // every loss draw and only for matching windows.
         let base = |seed| {
-            let mut plan = FaultPlan::new(seed)
-                .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2));
+            let mut plan = FaultPlan::new(seed).loss(FaultScope::All, 0.3);
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
         let with_rot = |seed| {
             let mut plan = FaultPlan::new(seed)
                 .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2))
                 .bitrot(FaultScope::ToNode(NodeId(99)), 1.0);
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
@@ -917,34 +671,43 @@ mod tests {
     }
 
     #[test]
+    fn rot_draws_follow_every_loss_draw_whatever_the_registration_order() {
+        let loss_first = FaultPlan::new(5)
+            .loss(FaultScope::All, 0.3)
+            .bitrot(FaultScope::All, 0.3)
+            .loss(FaultScope::Site(SiteId(1)), 0.2);
+        let rot_first = FaultPlan::new(5)
+            .bitrot(FaultScope::All, 0.3)
+            .loss(FaultScope::All, 0.3)
+            .loss(FaultScope::Site(SiteId(1)), 0.2);
+        let a = judge_all(&mut loss_first.clone(), 300, SimTime::ZERO);
+        assert_eq!(a, judge_all(&mut rot_first.clone(), 300, SimTime::ZERO));
+        assert!(a.contains(&FaultOutcome::Drop) && a.contains(&FaultOutcome::DeliverCorrupt));
+    }
+
+    #[test]
     fn slow_and_throttle_factors_compose_in_window() {
-        let mut plan = FaultPlan::new(13)
+        let plan = FaultPlan::new(13)
             .slow_node(NodeId(0), 3.0, SimTime::ZERO, SimTime::from_secs_f64(10.0))
             .throttle(
                 FaultScope::SitePair(SiteId(0), SiteId(1)),
                 2.0,
                 SimTime::ZERO,
                 SimTime::from_secs_f64(10.0),
-            );
-        let f = plan.service_factor(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1));
-        assert!((f - 6.0).abs() < 1e-9, "factors must multiply, got {f}");
-        assert_eq!(plan.stats().slowed, 1);
-        assert_eq!(plan.stats().throttled, 1);
-        // Outside the window: clean, no stats movement.
-        let f = plan.service_factor(
-            SimTime::from_secs_f64(10.0),
-            NodeId(0),
-            NodeId(2),
-            SiteId(0),
-            SiteId(1),
+            )
+            .slow_node(NodeId(0), 1.5, SimTime::ZERO, SimTime::from_secs_f64(5.0));
+        let factors = |t, src, dst, ss, ds| plan.service_factors(t, src, dst, ss, ds);
+        let f = factors(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1));
+        assert_eq!(f, (4.5, 2.0), "factors of one kind multiply");
+        // Outside the windows: clean.
+        let t = SimTime::from_secs_f64(10.0);
+        assert_eq!(
+            factors(t, NodeId(0), NodeId(2), SiteId(0), SiteId(1)),
+            (1.0, 1.0)
         );
-        assert!((f - 1.0).abs() < 1e-9);
-        assert_eq!(plan.stats().slowed, 1);
-        // Wrong direction for the FromNode slow rule: only the throttle fires.
-        let f = plan.service_factor(SimTime::ZERO, NodeId(2), NodeId(0), SiteId(1), SiteId(0));
-        assert!((f - 2.0).abs() < 1e-9);
-        assert_eq!(plan.stats().slowed, 1);
-        assert_eq!(plan.stats().throttled, 2);
+        // Wrong direction for the FromNode slow window: only the throttle.
+        let f = factors(SimTime::ZERO, NodeId(2), NodeId(0), SiteId(1), SiteId(0));
+        assert_eq!(f, (1.0, 2.0));
         assert!(plan.is_slow_at(NodeId(0), SimTime::ZERO));
         assert!(!plan.is_slow_at(NodeId(2), SimTime::ZERO));
         assert!(!plan.is_slow_at(NodeId(0), SimTime::from_secs_f64(10.0)));
@@ -952,33 +715,23 @@ mod tests {
 
     #[test]
     fn slow_rules_leave_clean_plan_traces_untouched() {
-        // Fail-slow and throttle rules are zero-draw: interleaving
+        // Fail-slow and throttle windows are zero-draw: interleaving
         // service-factor queries with judged traffic must not perturb the
         // verdict trace of a probabilistic plan.
         let base = |seed| {
-            let mut plan = FaultPlan::new(seed)
-                .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2));
+            let mut plan = FaultPlan::new(seed).loss(FaultScope::All, 0.3);
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
         let with_slow = |seed| {
             let mut plan = FaultPlan::new(seed)
                 .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2))
                 .slow_node(NodeId(0), 4.0, SimTime::ZERO, SimTime::MAX)
                 .throttle(FaultScope::All, 2.0, SimTime::ZERO, SimTime::MAX);
             (0..100)
                 .map(|_| {
                     // A matching query between every judged message.
-                    plan.service_factor(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1));
-                    plan.judge(
-                        SimTime::ZERO,
-                        NodeId(0),
-                        NodeId(2),
-                        SiteId(0),
-                        SiteId(1),
-                        SimDuration::from_millis(5),
-                    )
+                    plan.service_factors(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1));
+                    plan.judge(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1))
                 })
                 .collect::<Vec<_>>()
         };
@@ -995,7 +748,7 @@ mod tests {
         let during = SimTime::from_secs_f64(1.5);
         assert_eq!(
             judge_all(&mut plan, 1, SimTime::ZERO)[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
+            FaultOutcome::Deliver
         );
         for o in judge_all(&mut plan, 20, during) {
             assert_eq!(o, FaultOutcome::Drop);
@@ -1004,31 +757,28 @@ mod tests {
         // Heal time is exclusive, like partitions.
         assert_eq!(
             judge_all(&mut plan, 1, SimTime::from_secs_f64(2.0))[0],
-            FaultOutcome::Deliver(SimDuration::ZERO)
+            FaultOutcome::Deliver
         );
-        assert_eq!(plan.stats().blacked_out, 20);
-        assert_eq!(plan.stats().dropped(), 20);
         // Traffic not touching the blacked-out site is unaffected.
         assert!(!plan.blacked_out(NodeId(0), NodeId(1), SiteId(0), SiteId(0), during));
     }
 
     #[test]
     fn blackout_rules_leave_clean_plan_traces_untouched() {
-        // Blackouts are zero-draw: a plan with probabilistic rules must
+        // Blackouts are zero-draw: a plan with probabilistic windows must
         // produce the same verdicts whether or not a (never-matching)
-        // blackout exists — unlike a probability-1.0 loss rule, which
+        // blackout exists — unlike a probability-1.0 loss window, which
         // would consume one draw per message.
         let base = |seed| {
-            let mut plan = FaultPlan::new(seed)
-                .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2));
+            let mut plan = FaultPlan::new(seed).loss(FaultScope::All, 0.3);
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
         let with_blackout = |seed| {
-            let mut plan = FaultPlan::new(seed)
-                .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2))
-                .blackout(FaultScope::Site(SiteId(9)), SimTime::ZERO, SimTime::MAX);
+            let mut plan = FaultPlan::new(seed).loss(FaultScope::All, 0.3).blackout(
+                FaultScope::Site(SiteId(9)),
+                SimTime::ZERO,
+                SimTime::MAX,
+            );
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
         assert_eq!(base(21), with_blackout(21));
@@ -1055,7 +805,7 @@ mod tests {
         assert!(!plan.lies_on_lookup_at(liar, until));
         assert!(!plan.lies_on_lookup_at(liar, SimTime::ZERO));
         // An honest node never matches, and behaviors don't bleed: a
-        // lookup liar without a garbage rule serves honest bytes.
+        // lookup liar without a garbage window serves honest bytes.
         assert!(!plan.lies_on_lookup_at(honest, mid));
         let lookup_only =
             FaultPlan::new(20).byzantine(liar, ByzantineFault::LieOnLookup, from, until);
@@ -1063,49 +813,43 @@ mod tests {
         assert!(!lookup_only.serves_garbage_at(liar, mid));
         assert_eq!(plan.byzantine_nodes(), vec![liar]);
         assert!(lookup_only.byzantine_nodes().contains(&liar));
+        // One `All` window is the four behaviors at once.
+        let composed = FaultPlan::new(21).byzantine(liar, ByzantineFault::All, from, until);
+        assert!(composed.lies_on_lookup_at(liar, mid));
+        assert!(composed.serves_garbage_at(liar, mid));
+        assert!(composed.equivocates_at(liar, mid));
+        assert!(composed.hint_floods_at(liar, mid));
+        assert!(!composed.hint_floods_at(liar, until));
+        assert_eq!(composed.byzantine_nodes(), vec![liar]);
     }
 
     #[test]
     fn byzantine_rules_leave_clean_plan_traces_untouched() {
-        // Byzantine rules are pure oracles: the network neither drops nor
-        // rewrites the liar's frames, so a plan with probabilistic rules
-        // must produce the same verdicts whether or not Byzantine windows
-        // exist — even with oracle queries interleaved between messages.
+        // Byzantine windows are pure oracles: the network neither drops
+        // nor rewrites the liar's frames, so a plan with probabilistic
+        // windows must produce the same verdicts whether or not Byzantine
+        // windows exist — even with oracle queries interleaved between
+        // messages.
         let base = |seed| {
-            let mut plan = FaultPlan::new(seed)
-                .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2));
+            let mut plan = FaultPlan::new(seed).loss(FaultScope::All, 0.3);
             judge_all(&mut plan, 100, SimTime::ZERO)
         };
         let with_byzantine = |seed| {
             let mut plan = FaultPlan::new(seed)
                 .loss(FaultScope::All, 0.3)
-                .jitter(FaultScope::All, SimDuration::from_millis(2))
                 .byzantine(
                     NodeId(0),
                     ByzantineFault::LieOnLookup,
                     SimTime::ZERO,
                     SimTime::MAX,
                 )
-                .byzantine(
-                    NodeId(0),
-                    ByzantineFault::HintFlood,
-                    SimTime::ZERO,
-                    SimTime::MAX,
-                );
+                .byzantine(NodeId(0), ByzantineFault::All, SimTime::ZERO, SimTime::MAX);
             (0..100)
                 .map(|_| {
                     // Oracle queries between every judged message.
                     plan.lies_on_lookup_at(NodeId(0), SimTime::ZERO);
                     plan.equivocates_at(NodeId(0), SimTime::ZERO);
-                    plan.judge(
-                        SimTime::ZERO,
-                        NodeId(0),
-                        NodeId(2),
-                        SiteId(0),
-                        SiteId(1),
-                        SimDuration::from_millis(5),
-                    )
+                    plan.judge(SimTime::ZERO, NodeId(0), NodeId(2), SiteId(0), SiteId(1))
                 })
                 .collect::<Vec<_>>()
         };
@@ -1134,11 +878,5 @@ mod tests {
     #[should_panic(expected = "bit-rot probability")]
     fn rejects_bad_bitrot_probability() {
         FaultPlan::new(0).bitrot(FaultScope::All, -0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor")]
-    fn rejects_speedup_degradation() {
-        FaultPlan::new(0).degrade(FaultScope::All, 0.5, SimTime::ZERO, SimTime::MAX);
     }
 }

@@ -19,8 +19,9 @@
 //!   effect that throttles the Cloud-only baseline in Fig. 5.
 //!
 //! On top of both sits a **chaos layer**: a seeded [`FaultPlan`] attached to
-//! the network injects message loss, latency jitter, scheduled link
-//! degradations, site-pair partitions with heal times, and wire bit rot.
+//! the network is one list of [`FaultWindow`]s — message loss, wire bit rot,
+//! site-pair partitions and blackouts with heal times, fail-slow nodes,
+//! congested links, and Byzantine liars the cluster driver consults.
 //! Fault-aware callers use [`Network::send`], which returns `None` for lost
 //! messages; checksum-aware callers use [`Network::send_framed`], which also
 //! flags frames corrupted in flight. Everything is driven by a deterministic
@@ -52,7 +53,7 @@ mod link;
 mod network;
 mod topology;
 
-pub use fault::{ByzantineFault, FaultOutcome, FaultPlan, FaultScope, FaultStats};
+pub use fault::{ByzantineFault, Fault, FaultOutcome, FaultPlan, FaultScope, FaultWindow};
 pub use id::{NodeId, SiteId};
 pub use link::{LinkParams, NetworkConfig};
 pub use network::{Delivery, Network, NetworkError};

@@ -49,9 +49,9 @@ pub struct Delivery {
 ///   load saturates links.
 ///
 /// A seeded [`FaultPlan`] may be attached with [`Network::set_fault_plan`];
-/// [`Network::send`] then subjects every message to it (loss, jitter,
-/// degradation, partitions) while [`Network::transfer`] stays fault-free for
-/// analytic callers.
+/// [`Network::send`] then subjects every message to it (partitions,
+/// blackouts, loss, bit rot, fail-slow and throttle stretching) while
+/// [`Network::transfer`] stays fault-free for analytic callers.
 #[derive(Debug)]
 pub struct Network {
     topology: Topology,
@@ -225,7 +225,7 @@ impl Network {
     }
 
     /// Like [`Network::send`], but reports whether the delivered frame
-    /// was corrupted in flight by a bit-rot rule. Checksum-aware callers
+    /// was corrupted in flight by a bit-rot window. Checksum-aware callers
     /// use this and reject corrupt frames at the receiver; plain
     /// [`Network::send`] callers see a corrupt frame as an ordinary
     /// arrival (the corruption still counts in
@@ -246,7 +246,6 @@ impl Network {
         dst: NodeId,
         bytes: u64,
     ) -> Result<Option<Delivery>, NetworkError> {
-        let base_latency = self.link(src, dst).latency;
         if src == dst {
             // Loopback never traverses a link: exempt from all faults,
             // including fail-slow service stretching.
@@ -264,7 +263,7 @@ impl Network {
         // zero-draw, so plans without slow rules replay bit-identically.
         let (slow_factor, bandwidth_factor) = self
             .fault_plan
-            .as_mut()
+            .as_ref()
             .map(|p| p.service_factors(now, src, dst, src_site, dst_site))
             .unwrap_or((1.0, 1.0));
         let arrival = self.transfer_scaled(now, src, dst, bytes, slow_factor, bandwidth_factor)?;
@@ -274,26 +273,24 @@ impl Network {
                 corrupt: false,
             }));
         };
-        Ok(
-            match plan.judge(now, src, dst, src_site, dst_site, base_latency) {
-                FaultOutcome::Deliver(extra) => Some(Delivery {
-                    arrival: arrival + extra,
-                    corrupt: false,
-                }),
-                FaultOutcome::DeliverCorrupt(extra) => {
-                    self.messages_corrupted += 1;
-                    Some(Delivery {
-                        arrival: arrival + extra,
-                        corrupt: true,
-                    })
-                }
-                FaultOutcome::Drop => {
-                    self.messages_dropped += 1;
-                    self.bytes_dropped += bytes;
-                    None
-                }
-            },
-        )
+        Ok(match plan.judge(now, src, dst, src_site, dst_site) {
+            FaultOutcome::Deliver => Some(Delivery {
+                arrival,
+                corrupt: false,
+            }),
+            FaultOutcome::DeliverCorrupt => {
+                self.messages_corrupted += 1;
+                Some(Delivery {
+                    arrival,
+                    corrupt: true,
+                })
+            }
+            FaultOutcome::Drop => {
+                self.messages_dropped += 1;
+                self.bytes_dropped += bytes;
+                None
+            }
+        })
     }
 
     /// The earliest time `src`'s uplink is free (its current backlog end).
@@ -330,7 +327,7 @@ impl Network {
     }
 
     /// Resets occupancy state and counters (e.g. between experiment runs).
-    /// Fault-plan counters reset too; its RNG position and schedule do not.
+    /// The fault plan's RNG position and schedule are left alone.
     pub fn reset_occupancy(&mut self) {
         for s in self.uplinks.values_mut() {
             s.reset();
@@ -340,9 +337,6 @@ impl Network {
         self.messages_dropped = 0;
         self.bytes_dropped = 0;
         self.messages_corrupted = 0;
-        if let Some(plan) = self.fault_plan.as_mut() {
-            plan.reset_stats();
-        }
     }
 
     /// The SNOD2 network-cost matrix `v_ij` over the given nodes: RTT in
@@ -597,26 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn send_jitter_delays_but_delivers() {
-        use crate::fault::{FaultPlan, FaultScope};
-        let mut net = testbed();
-        let clean = net
-            .transfer(SimTime::ZERO, NodeId(0), NodeId(2), 64)
-            .unwrap();
-        net.reset_occupancy();
-        net.set_fault_plan(FaultPlan::new(2).jitter(FaultScope::All, SimDuration::from_millis(3)));
-        let max_extra = SimDuration::from_millis(3);
-        for _ in 0..20 {
-            net.reset_occupancy();
-            let a = net
-                .send(SimTime::ZERO, NodeId(0), NodeId(2), 64)
-                .unwrap()
-                .unwrap();
-            assert!(a >= clean && a <= clean + max_extra, "arrival {a}");
-        }
-    }
-
-    #[test]
     fn send_framed_flags_rotted_frames() {
         use crate::fault::{FaultPlan, FaultScope};
         let mut net = testbed();
@@ -681,7 +655,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(other, clean);
-        assert_eq!(net.fault_plan().unwrap().stats().slowed, 0);
     }
 
     #[test]
@@ -710,7 +683,6 @@ mod tests {
             (gap - 0.1).abs() < 1e-3,
             "half bandwidth doubles 0.1s: {gap}"
         );
-        assert_eq!(net.fault_plan().unwrap().stats().throttled, 1);
         // Intra-site traffic is outside the scope.
         net.reset_occupancy();
         let intra = net

@@ -1,4 +1,4 @@
-//! The Byzantine-peer tolerance sweep: seeded `ByzantineLiar` windows
+//! The Byzantine-peer tolerance sweep: seeded liar windows
 //! (each liar composes all four behaviors — `LieOnLookup` false
 //! sightings, `ServeGarbage` on repair fetches, `EquivocateSummary`
 //! during anti-entropy, `HintFlood`) layered on a ring-outage disaster,
@@ -29,7 +29,7 @@
 use bytes::Bytes;
 use efdedup_repro::kvstore::sweep::{self, Family};
 use efdedup_repro::kvstore::{
-    ByzantineStats, ChaosEvent, ClientOp, ClusterConfig, OpLatency, OpResult, SimCluster,
+    ByzantineStats, ClientOp, ClusterConfig, OpLatency, OpResult, SimCluster,
 };
 use efdedup_repro::prelude::*;
 use std::collections::HashMap;
@@ -49,15 +49,7 @@ fn byzantine_sweep_no_false_duplicates_and_no_poisoned_bytes() {
     for seed in 0..seeds {
         let mut run = sweep::run(seed, &family);
         sweep::check(&family, &mut run);
-        let liars: Vec<NodeId> = run
-            .scenario
-            .events()
-            .iter()
-            .filter_map(|ev| match *ev {
-                ChaosEvent::ByzantineLiar { node, .. } => Some(node),
-                _ => None,
-            })
-            .collect();
+        let liars = run.scenario.fault_plan().byzantine_nodes();
         assert_eq!(liars.len(), 2, "seed {seed}: expected the full liar quota");
         let cluster = &mut run.cluster;
 
