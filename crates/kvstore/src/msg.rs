@@ -200,7 +200,7 @@ impl Message {
     /// ([`Summed::sum`]). The sender stamps it from the sums the payloads
     /// carry, reading no payload byte; the simulated driver carries it
     /// with the frame, and the receiver re-sums what arrived
-    /// ([`Message::received`]) before comparing. Wire bit rot (which
+    /// (`Message::received`) before comparing. Wire bit rot (which
     /// damages the payload, the checksum, or both) makes the two disagree
     /// and the frame is rejected instead of silently accepted.
     pub fn frame_checksum(&self) -> u64 {

@@ -630,7 +630,7 @@ impl Section {
 /// takes is the one the storage engine keeps, so a layer holds a payload
 /// byte once. (A payload of at most 48 bytes — the size of the reference
 /// — is copied in instead.) A put frame's checksum digests its header
-/// and the sum its payload carries ([`frame_digest`]), so appending reads
+/// and the sum its payload carries (`frame_digest`), so appending reads
 /// no payload byte; rot ([`WriteAheadLog::flip_bit`]) addresses the same
 /// byte space and copies on write only a shared payload it lands in.
 ///

@@ -126,7 +126,7 @@ impl Strategy for Range<f64> {
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecOf<S> {
     elem: S,
