@@ -364,21 +364,6 @@ impl FaultPlan {
         )
     }
 
-    /// The windows open at `t` that match a message from `src` to `dst`,
-    /// in registration order.
-    fn hitting(
-        &self,
-        t: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        src_site: SiteId,
-        dst_site: SiteId,
-    ) -> impl Iterator<Item = &FaultWindow> {
-        self.windows
-            .iter()
-            .filter(move |w| w.hits(t, src, dst, src_site, dst_site))
-    }
-
     /// The service-time stretch factors for one message, `(slow,
     /// bandwidth)`: the products of every matching [`Fault::Slow`] and
     /// [`Fault::Throttle`] window at `now` (1.0 when none match). The
@@ -397,7 +382,8 @@ impl FaultPlan {
         dst_site: SiteId,
     ) -> (f64, f64) {
         let mut factors = (1.0f64, 1.0f64);
-        for w in self.hitting(now, src, dst, src_site, dst_site) {
+        let hit = |w: &&FaultWindow| w.hits(now, src, dst, src_site, dst_site);
+        for w in self.windows.iter().filter(hit) {
             match w.fault {
                 Fault::Slow(f) => factors.0 *= f,
                 Fault::Throttle(f) => factors.1 *= f,
@@ -433,8 +419,9 @@ impl FaultPlan {
         dst_site: SiteId,
         t: SimTime,
     ) -> bool {
-        self.hitting(t, src, dst, src_site, dst_site)
-            .any(|w| matches!(w.fault, Fault::Blackout))
+        self.windows
+            .iter()
+            .any(|w| w.hits(t, src, dst, src_site, dst_site) && w.fault == Fault::Blackout)
     }
 
     /// True when an open partition separates the two sites at `t`.
