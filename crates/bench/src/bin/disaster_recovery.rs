@@ -11,7 +11,7 @@
 //! ring (heal to last repair delivery), and the repair source split.
 
 use bytes::Bytes;
-use ef_kvstore::{ClientOp, ClusterConfig, Consistency, DisasterStats, SimCluster};
+use ef_kvstore::{ClientOp, ClusterConfig, ClusterFault, Consistency, DisasterStats, SimCluster};
 use ef_netsim::{Network, NetworkConfig, SiteId, TopologyBuilder};
 use ef_simcore::{SimDuration, SimTime};
 
@@ -28,7 +28,8 @@ fn run(byte_cap: u64) -> (f64, DisasterStats) {
         .build();
     let net = Network::new(topo, NetworkConfig::paper_testbed());
     let members = net.topology().edge_nodes();
-    let cloud = net.topology().nodes_in(net.topology().cloud_sites()[0])[0];
+    let cloud_site = net.topology().cloud_sites()[0];
+    let cloud = net.topology().nodes_in(cloud_site)[0];
     let mut cluster = SimCluster::new(
         members.clone(),
         net,
@@ -44,12 +45,16 @@ fn run(byte_cap: u64) -> (f64, DisasterStats) {
         SimDuration::from_millis(500),
     );
     cluster.enable_cloud_uplink(cloud, byte_cap, SimDuration::from_millis(10));
-    cluster.cloud_outage_at(SimTime::ZERO, SimTime::from_secs_f64(OUTAGE_END_S));
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(1.8),
-        SimTime::from_secs_f64(2.2),
-        SiteId(0),
-    );
+    cluster.inject(ClusterFault::CloudOutage {
+        from: SimTime::ZERO,
+        until: SimTime::from_secs_f64(OUTAGE_END_S),
+        site: cloud_site,
+    });
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(1.8),
+        until: SimTime::from_secs_f64(2.2),
+        site: SiteId(0),
+    });
     let mut t = SimTime::ZERO + SimDuration::from_millis(10);
     for i in 0..CHUNKS {
         let key = Bytes::from(format!("dr-chunk-{i:03}").into_bytes());

@@ -1,12 +1,15 @@
-//! Seeded chaos scenarios: crash/revive, partition/heal, and loss-burst
-//! schedules generated from a single seed.
+//! Seeded chaos scenarios: fault schedules generated from a single seed,
+//! spelled in one vocabulary.
 //!
-//! A [`ChaosScenario`] is the bridge between the fault primitives —
-//! [`FaultPlan`](ef_netsim::FaultPlan) on the network side,
-//! [`SimCluster::crash_at`]/[`SimCluster::revive_at`] on the cluster
-//! side — and repeatable experiments: everything is derived from the
-//! scenario seed through [`DetRng`] substreams, so a run with the same
-//! seed replays bit-identically. [`crate::sweep`] runs scenarios against
+//! A [`ChaosScenario`] is a list of [`ChaosEvent`]s, each either a
+//! [`FaultWindow`] for the network's [`FaultPlan`] (partitions, loss
+//! bursts, slow nodes, congestion, capped uplinks, Byzantine liars) or a
+//! [`ClusterFault`] for [`SimCluster::inject`] (crash/revive,
+//! crash-stop/restart, departure, storage rot and stalls, cloud and ring
+//! outages). It bridges those two fault primitives and repeatable
+//! experiments: everything is derived from the scenario seed through
+//! [`DetRng`] substreams, so a run with the same seed replays
+//! bit-identically. [`crate::sweep`] runs scenarios against
 //! a cluster and holds the invariants (zero false duplicates, every op
 //! resolves) that this module's sweep and every other fault family
 //! answer to.
@@ -46,7 +49,7 @@ pub struct ChaosScenarioConfig {
     pub max_burst_loss: f64,
     /// Seeded at-rest bit-rot strikes to schedule: each flips a handful
     /// of bits in the victim's storage-engine values or durable WAL
-    /// bytes (see [`SimCluster::storage_rot_at`]).
+    /// bytes (see [`ClusterFault::StorageRot`]).
     pub storage_rots: usize,
     /// Per-message wire bit-rot probability applied to all links for the
     /// whole run (0 disables). Corrupted frames fail their checksum at
@@ -118,32 +121,43 @@ impl Default for ChaosScenarioConfig {
     }
 }
 
-/// One scheduled fault in a scenario.
+/// One fault the cluster itself acts on: a node's process or disk, or a
+/// whole site's ring or uplink. [`SimCluster::inject`] schedules it;
+/// times must not lie in the simulated past, and windows must not be
+/// empty.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChaosEvent {
-    /// Crash `node` at `at` (its messages are dropped until revival).
+pub enum ClusterFault {
+    /// Crash `node` at `at`: messages to and from it are dropped until a
+    /// [`ClusterFault::Revive`], but it keeps its volatile state — a
+    /// network-level silence, not a process death. Peers notice only
+    /// with heartbeats armed.
     Crash {
         /// When the crash happens.
         at: SimTime,
         /// The crashed node.
         node: NodeId,
     },
-    /// Revive `node` at `at`.
+    /// Revive a crashed `node` at `at` (a crash-*stopped* node needs
+    /// [`ClusterFault::Restart`]).
     Revive {
         /// When the node comes back.
         at: SimTime,
         /// The revived node.
         node: NodeId,
     },
-    /// Crash-stop `node` at `at`: all volatile state (storage engine, hints,
-    /// in-flight ops) is lost; only the WAL survives for the restart.
+    /// Crash-stop `node` at `at`: its volatile state (index shard,
+    /// pending ops, hints, suspicions) is lost, in-flight ops it
+    /// coordinates resolve as timed out, and only its WAL survives for a
+    /// later [`ClusterFault::Restart`].
     CrashStop {
         /// When the crash-stop happens.
         at: SimTime,
         /// The crash-stopped node.
         node: NodeId,
     },
-    /// Restart `node` at `at`, recovering its shard from the WAL.
+    /// Restart a crash-stopped `node` at `at`: it recovers its shard from
+    /// the WAL, rejoins with the current membership view, and catches up
+    /// through peer hint replay and anti-entropy.
     Restart {
         /// When the node restarts.
         at: SimTime,
@@ -151,7 +165,10 @@ pub enum ChaosEvent {
         node: NodeId,
     },
     /// Permanently remove `node` at `at`: a crash-stop whose disk is
-    /// destroyed and that never restarts.
+    /// destroyed and that never restarts. The driver confirms the
+    /// departure, so peers' dead declarations escalate into
+    /// re-replication and a ring rebuild (with
+    /// [`SimCluster::enable_heartbeats_with_dead`] armed).
     Depart {
         /// When the node departs.
         at: SimTime,
@@ -170,8 +187,11 @@ pub enum ChaosEvent {
         rot_seed: u64,
     },
     /// `node`'s storage stalls in `[from, until)`: WAL fsyncs and
-    /// snapshot writes take `stall_factor` times longer, delaying its
-    /// replies without losing durability.
+    /// snapshot writes take `stall_factor` times longer, so its acks to
+    /// replica writes and hint replays leave late and its scrub rounds
+    /// cover proportionally fewer bytes. The node stays up and its data
+    /// correct — the gray middle ground binary failure detectors cannot
+    /// see.
     StorageStall {
         /// Window start.
         from: SimTime,
@@ -179,12 +199,13 @@ pub enum ChaosEvent {
         until: SimTime,
         /// The stalled node.
         node: NodeId,
-        /// Storage-latency multiplier (≥ 1).
+        /// Storage-latency multiplier, at least 1 (1 = healthy).
         stall_factor: f64,
     },
-    /// Every link touching cloud site `site` is blacked out in
-    /// `[from, until)`: the uplink is cut, frames to or from the cloud
-    /// drop unconditionally, and spooled uniques accumulate locally.
+    /// Cloud site `site` is unreachable in `[from, until)`. Injected on
+    /// its own it pauses spool drains for the window (uniques keep
+    /// accumulating durably); the blackout of every link touching `site`
+    /// is its network half, which [`ChaosScenario::rig`] installs.
     CloudOutage {
         /// Outage start.
         from: SimTime,
@@ -195,8 +216,9 @@ pub enum ChaosEvent {
     },
     /// Every node in edge site `site` is wiped in `[from, until)`:
     /// volatile state, disks, and upload spools are all destroyed, and
-    /// on heal the ring rebuilds from neighbor rings (mesh repair) with
-    /// the cloud catalog as last resort.
+    /// on heal the site's nodes rejoin empty and are rebuilt from
+    /// neighbor rings (mesh repair), with the cloud catalog as last
+    /// resort.
     RingOutage {
         /// Disaster start.
         from: SimTime,
@@ -205,6 +227,13 @@ pub enum ChaosEvent {
         /// The wiped edge site.
         site: SiteId,
     },
+}
+
+/// One scheduled fault in a scenario.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChaosEvent {
+    /// A fault the cluster acts on, scheduled by [`ChaosScenario::apply`].
+    Cluster(ClusterFault),
     /// A fault that lives entirely in the network's [`FaultPlan`],
     /// installed there as is: a site-pair partition, a loss burst on
     /// every link, a fail-slow node, a congested edge-site pair, a
@@ -222,25 +251,29 @@ impl ChaosEvent {
     fn window(&self) -> Option<FaultWindow> {
         match *self {
             ChaosEvent::Net(window) => Some(window),
-            ChaosEvent::CloudOutage { from, until, site } => Some(FaultWindow {
-                from,
-                until,
-                scope: FaultScope::Site(site),
-                fault: Fault::Blackout,
-            }),
-            ChaosEvent::Crash { .. }
-            | ChaosEvent::Revive { .. }
-            | ChaosEvent::CrashStop { .. }
-            | ChaosEvent::Restart { .. }
-            | ChaosEvent::Depart { .. }
-            | ChaosEvent::StorageRot { .. }
-            | ChaosEvent::StorageStall { .. }
-            | ChaosEvent::RingOutage { .. } => None,
+            ChaosEvent::Cluster(ClusterFault::CloudOutage { from, until, site }) => {
+                Some(FaultWindow {
+                    from,
+                    until,
+                    scope: FaultScope::Site(site),
+                    fault: Fault::Blackout,
+                })
+            }
+            ChaosEvent::Cluster(_) => None,
+        }
+    }
+
+    /// The fault this event hands the cluster, if any.
+    fn cluster_fault(&self) -> Option<ClusterFault> {
+        match *self {
+            ChaosEvent::Cluster(fault) => Some(fault),
+            ChaosEvent::Net(_) => None,
         }
     }
 }
 
-/// A seeded schedule of crashes, partitions, and loss bursts.
+/// A seeded schedule of network and cluster faults: every kind
+/// [`ChaosScenarioConfig`] counts, drawn from one seed.
 ///
 /// Generate with [`ChaosScenario::generate`], attach the network half
 /// with [`ChaosScenario::rig`] (before building the [`SimCluster`], so
@@ -276,18 +309,16 @@ impl ChaosScenario {
                 fault,
             })
         };
+        let cluster = ChaosEvent::Cluster;
 
         for _ in 0..config.crashes {
             let node = edge[pick(&mut rng, edge.len())];
             // Crash in the first 60% of the window; stay down 5–30% of
             // it, so revival (and hint replay) happens on-screen.
             let at = SimTime::ZERO + dur * (rng.unit() * 0.6);
-            let down_for = dur * (0.05 + rng.unit() * 0.25);
-            events.push(ChaosEvent::Crash { at, node });
-            events.push(ChaosEvent::Revive {
-                at: at + down_for,
-                node,
-            });
+            let up = at + dur * (0.05 + rng.unit() * 0.25);
+            events.push(cluster(ClusterFault::Crash { at, node }));
+            events.push(cluster(ClusterFault::Revive { at: up, node }));
         }
 
         if sites.len() >= 2 {
@@ -323,12 +354,9 @@ impl ChaosScenario {
             // window so WAL recovery and anti-entropy catch-up happen
             // while the workload is still running.
             let at = SimTime::ZERO + dur * (rng.unit() * 0.5);
-            let down_for = dur * (0.1 + rng.unit() * 0.3);
-            events.push(ChaosEvent::CrashStop { at, node });
-            events.push(ChaosEvent::Restart {
-                at: at + down_for,
-                node,
-            });
+            let up = at + dur * (0.1 + rng.unit() * 0.3);
+            events.push(cluster(ClusterFault::CrashStop { at, node }));
+            events.push(cluster(ClusterFault::Restart { at: up, node }));
         }
         let departures = if pool.len() >= 3 {
             config.departures.min(pool.len() - 2)
@@ -340,7 +368,7 @@ impl ChaosScenario {
             // Depart in the 20–60% band: late enough to own data, early
             // enough for dead-declaration and re-replication on-screen.
             let at = SimTime::ZERO + dur * (0.2 + rng.unit() * 0.4);
-            events.push(ChaosEvent::Depart { at, node });
+            events.push(cluster(ClusterFault::Depart { at, node }));
         }
 
         // Storage-rot draws come last, so scenarios without rot keep
@@ -355,7 +383,7 @@ impl ChaosScenario {
             // on-screen.
             let at = SimTime::ZERO + dur * (0.1 + rng.unit() * 0.6);
             let rot_seed = rng.next_u64();
-            events.push(ChaosEvent::StorageRot { at, node, rot_seed });
+            events.push(cluster(ClusterFault::StorageRot { at, node, rot_seed }));
         }
 
         // Gray-failure draws come after every pre-existing draw (the
@@ -379,12 +407,12 @@ impl ChaosScenario {
             let from = SimTime::ZERO + dur * (rng.unit() * 0.5);
             let until = from + dur * (0.1 + rng.unit() * 0.3);
             let stall_factor = 1.0 + rng.unit() * factor_span;
-            events.push(ChaosEvent::StorageStall {
+            events.push(cluster(ClusterFault::StorageStall {
                 from,
                 until,
                 node,
                 stall_factor,
-            });
+            }));
         }
         if sites.len() >= 2 {
             for _ in 0..config.congestions {
@@ -413,7 +441,7 @@ impl ChaosScenario {
                 let site = clouds[pick(&mut rng, clouds.len())];
                 let from = SimTime::ZERO + dur * (rng.unit() * 0.35);
                 let until = from + dur * (0.05 + rng.unit() * 0.10);
-                events.push(ChaosEvent::CloudOutage { from, until, site });
+                events.push(cluster(ClusterFault::CloudOutage { from, until, site }));
             }
         }
         if sites.len() >= 2 {
@@ -421,7 +449,7 @@ impl ChaosScenario {
                 let site = sites[pick(&mut rng, sites.len())];
                 let from = SimTime::ZERO + dur * (0.55 + rng.unit() * 0.20);
                 let until = from + dur * (0.05 + rng.unit() * 0.10);
-                events.push(ChaosEvent::RingOutage { from, until, site });
+                events.push(cluster(ClusterFault::RingOutage { from, until, site }));
             }
         }
         if !clouds.is_empty() {
@@ -489,35 +517,11 @@ impl ChaosScenario {
         network.set_fault_plan(self.fault_plan());
     }
 
-    /// Schedules the node-fault half of the scenario on `cluster`:
-    /// crashes/revivals, crash-stops/restarts, and departures.
+    /// Schedules the cluster half of the scenario on `cluster`: each
+    /// [`ClusterFault`], in schedule order, through [`SimCluster::inject`].
     pub fn apply(&self, cluster: &mut SimCluster) {
-        for ev in &self.events {
-            match *ev {
-                ChaosEvent::Crash { at, node } => cluster.crash_at(at, node),
-                ChaosEvent::Revive { at, node } => cluster.revive_at(at, node),
-                ChaosEvent::CrashStop { at, node } => cluster.crash_stop_at(at, node),
-                ChaosEvent::Restart { at, node } => cluster.restart_at(at, node),
-                ChaosEvent::Depart { at, node } => cluster.depart_at(at, node),
-                ChaosEvent::StorageRot { at, node, rot_seed } => {
-                    cluster.storage_rot_at(at, node, rot_seed);
-                }
-                ChaosEvent::StorageStall {
-                    from,
-                    until,
-                    node,
-                    stall_factor,
-                } => {
-                    cluster.storage_stall_at(from, until, node, stall_factor);
-                }
-                ChaosEvent::CloudOutage { from, until, .. } => {
-                    cluster.cloud_outage_at(from, until);
-                }
-                ChaosEvent::RingOutage { from, until, site } => {
-                    cluster.ring_outage_at(from, until, site);
-                }
-                ChaosEvent::Net(_) => {}
-            }
+        for fault in self.events.iter().filter_map(ChaosEvent::cluster_fault) {
+            cluster.inject(fault);
         }
     }
 }
@@ -627,7 +631,7 @@ mod tests {
         assert_eq!(s.events().len(), 2);
         let mut seeds = std::collections::BTreeSet::new();
         for ev in s.events() {
-            let ChaosEvent::StorageRot { at, rot_seed, .. } = *ev else {
+            let ChaosEvent::Cluster(ClusterFault::StorageRot { at, rot_seed, .. }) = *ev else {
                 panic!("expected storage rot, got {ev:?}");
             };
             assert!(at > SimTime::ZERO);
@@ -752,10 +756,10 @@ mod tests {
             assert_eq!(s.events().len(), 3, "seed {seed}");
             let dur = cfg.duration;
             let half = SimTime::ZERO + dur * 0.5;
-            let Some(&ChaosEvent::CloudOutage { from, until, site }) = s
+            let Some(&ChaosEvent::Cluster(ClusterFault::CloudOutage { from, until, site })) = s
                 .events()
                 .iter()
-                .find(|e| matches!(e, ChaosEvent::CloudOutage { .. }))
+                .find(|e| matches!(e, ChaosEvent::Cluster(ClusterFault::CloudOutage { .. })))
             else {
                 panic!("seed {seed}: expected a cloud outage");
             };
@@ -769,14 +773,14 @@ mod tests {
             let mid = from + (until - from) * 0.5;
             assert!(plan.blacked_out(edge, cloud, net.topology().site_of(edge), site, mid));
             assert!(!plan.blacked_out(edge, cloud, net.topology().site_of(edge), site, until));
-            let Some(&ChaosEvent::RingOutage {
+            let Some(&ChaosEvent::Cluster(ClusterFault::RingOutage {
                 from: r_from,
                 until: r_until,
                 site: r_site,
-            }) = s
+            })) = s
                 .events()
                 .iter()
-                .find(|e| matches!(e, ChaosEvent::RingOutage { .. }))
+                .find(|e| matches!(e, ChaosEvent::Cluster(ClusterFault::RingOutage { .. })))
             else {
                 panic!("seed {seed}: expected a ring outage");
             };
@@ -959,10 +963,12 @@ mod tests {
             let mut victims = std::collections::BTreeSet::new();
             for ev in s.events() {
                 match *ev {
-                    ChaosEvent::CrashStop { node, .. } | ChaosEvent::Depart { node, .. } => {
+                    ChaosEvent::Cluster(
+                        ClusterFault::CrashStop { node, .. } | ClusterFault::Depart { node, .. },
+                    ) => {
                         assert!(victims.insert(node), "seed {seed}: victim {node} reused");
                     }
-                    ChaosEvent::Restart { at, node } => {
+                    ChaosEvent::Cluster(ClusterFault::Restart { at, node }) => {
                         assert!(victims.contains(&node), "seed {seed}: restart of {node}");
                         assert!(at > SimTime::ZERO);
                     }

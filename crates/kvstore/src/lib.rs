@@ -65,7 +65,7 @@ mod trust;
 
 pub use antientropy::MerkleTree;
 pub use cache::FingerprintCache;
-pub use chaos::{nth_op_id, ChaosEvent, ChaosScenario, ChaosScenarioConfig};
+pub use chaos::{nth_op_id, ChaosEvent, ChaosScenario, ChaosScenarioConfig, ClusterFault};
 pub use cluster::{ClusterConfig, ClusterError, LocalCluster, VNODES};
 pub use counters::{
     ByzantineStats, CacheStats, CoordinatorStats, DisasterStats, GrayFailureStats, IntegrityStats,

@@ -113,15 +113,6 @@ impl SimCluster {
             .schedule_after(interval, Event::Round(Round::Scrub));
     }
 
-    /// Schedules a seeded at-rest bit-rot strike at `node` at `at`: a
-    /// handful of bit flips across the node's storage-engine values and
-    /// its durable WAL bytes. If the node is crash-stopped at that time,
-    /// the rot lands on its parked disk instead.
-    pub fn storage_rot_at(&mut self, at: SimTime, node: NodeId, rot_seed: u64) {
-        self.sim
-            .schedule_at(at, Event::StorageRot { node, rot_seed });
-    }
-
     /// Integrity counters accumulated so far: the driver's own (frame
     /// rejections, scrub and repair work, recovery-lattice outcomes)
     /// merged with what every node, live or torn down, counted itself.

@@ -90,13 +90,13 @@ impl SimCluster {
 
     /// Like [`SimCluster::enable_heartbeats`], but additionally escalates
     /// peers silent past `dead_timeout` to [`crate::Liveness::Dead`].
-    /// A dead declaration only triggers ring
-    /// surgery (re-replication, ring rebuild, detector unwatch) for
-    /// nodes whose departure the driver confirmed via
-    /// [`SimCluster::depart_at`] — the in-sim stand-in for an operator
-    /// decommission decision. A merely crash-stopped node keeps its ring
-    /// slot and revives through genuinely-later heartbeats after its
-    /// restart.
+    /// A dead declaration only triggers ring surgery (re-replication,
+    /// ring rebuild, detector unwatch) for nodes whose departure the
+    /// driver confirmed — an injected
+    /// [`ClusterFault::Depart`](crate::ClusterFault::Depart), the in-sim
+    /// stand-in for an operator decommission decision. A merely
+    /// crash-stopped node keeps its ring slot and revives through
+    /// genuinely-later heartbeats after its restart.
     ///
     /// # Panics
     ///
@@ -156,48 +156,6 @@ impl SimCluster {
             fd.watch(*peer, now);
         }
         self.membership.detectors.insert(node, fd);
-    }
-
-    /// Schedules a crash of `node` at `at` (requires heartbeats enabled
-    /// for peers to *notice*; messages to a crashed node are dropped
-    /// either way). The node keeps its volatile state — this models a
-    /// network-level silence, not a process death; contrast
-    /// [`SimCluster::crash_stop_at`].
-    pub fn crash_at(&mut self, at: SimTime, node: NodeId) {
-        self.sim.schedule_at(at, Event::Crash { node });
-    }
-
-    /// Schedules a revival of `node` at `at` (pairs with
-    /// [`SimCluster::crash_at`] only — a crash-*stopped* node needs
-    /// [`SimCluster::restart_at`]).
-    pub fn revive_at(&mut self, at: SimTime, node: NodeId) {
-        self.sim.schedule_at(at, Event::Revive { node });
-    }
-
-    /// Schedules a crash-stop of `node` at `at`: its volatile state
-    /// (memtable index shard, pending ops, hints, suspicions) is
-    /// dropped, in-flight ops it coordinates resolve as timed out, and
-    /// only its write-ahead log survives for a later
-    /// [`SimCluster::restart_at`].
-    pub fn crash_stop_at(&mut self, at: SimTime, node: NodeId) {
-        self.sim.schedule_at(at, Event::CrashStop { node });
-    }
-
-    /// Schedules a restart of a crash-stopped `node` at `at`: it
-    /// recovers its shard from the WAL, rejoins with the current
-    /// membership view, and catches up via peer hint replay and
-    /// anti-entropy.
-    pub fn restart_at(&mut self, at: SimTime, node: NodeId) {
-        self.sim.schedule_at(at, Event::Restart { node });
-    }
-
-    /// Schedules the permanent departure of `node` at `at`: volatile
-    /// state *and* disk are destroyed and the driver confirms the
-    /// departure, so peers' dead declarations escalate into
-    /// re-replication and a ring rebuild (requires
-    /// [`SimCluster::enable_heartbeats_with_dead`]).
-    pub fn depart_at(&mut self, at: SimTime, node: NodeId) {
-        self.sim.schedule_at(at, Event::Depart { node });
     }
 
     /// Peers the given node currently suspects (after `run`).

@@ -27,7 +27,7 @@
 //!
 //! | Machine | Owns | Events |
 //! |---|---|---|
-//! | core (this file) | event queue, [`Network`], node map, master ring, op bookkeeping; `dispatch` / `deliver` / `record`; the one node teardown and bring-up; the one periodic re-arm path; `retired`, the [`NodeStats`] of torn-down nodes | `Start`, `Deliver`, `Round` |
+//! | core (this file) | event queue, [`Network`], node map, master ring, op bookkeeping; `dispatch` / `deliver` / `record`; the one fault entry, [`SimCluster::inject`], which turns each [`ClusterFault`] into the owning machine's events or windows; the one node teardown and bring-up; the one periodic re-arm path; `retired`, the [`NodeStats`] of torn-down nodes | `Start`, `Deliver`, `Round` |
 //! | `membership` | heartbeat config, detectors, departed set, parked disks, driver-level [`RecoveryStats`](crate::RecoveryStats) | `Round(Heartbeat)`, `HeartbeatArrive`, `Crash`, `Revive`, `CrashStop`, `Restart`, `Depart` |
 //! | `timers` | retry policy + jitter RNG, adaptive RTT, hedge budget, admission and backpressure bounds, slow marks, storage stalls, gray counters | `Rto`, `Hedge`, `Flush` |
 //! | `background` | anti-entropy and scrub schedules, scrub cursors, verify-failure strikes, quarantine set, integrity counters | `Round(AntiEntropy)`, `Round(Scrub)`, `StorageRot` |
@@ -46,6 +46,7 @@ mod uplink;
 
 pub use uplink::CloudUplink;
 
+use crate::chaos::ClusterFault;
 use crate::cluster::{member_ring, ClusterConfig};
 use crate::counters::{CoordinatorStats, NodeStats};
 use crate::integrity::Summed;
@@ -100,20 +101,17 @@ enum Event {
     Round(Round),
     /// A heartbeat from `from` arrives at `to`.
     HeartbeatArrive { from: NodeId, to: NodeId },
-    /// Crash `node` (stops heartbeats, drops its messages).
+    /// Crash `node` ([`ClusterFault::Crash`]).
     Crash { node: NodeId },
-    /// Revive `node`.
+    /// Revive `node` ([`ClusterFault::Revive`]).
     Revive { node: NodeId },
-    /// Crash-stop `node`: its volatile state and in-flight ops are lost;
-    /// only its write-ahead log (the "disk") survives.
+    /// Crash-stop `node` ([`ClusterFault::CrashStop`]).
     CrashStop { node: NodeId },
-    /// Restart a crash-stopped `node`: recover from its WAL and rejoin.
+    /// Restart `node` from its WAL ([`ClusterFault::Restart`]).
     Restart { node: NodeId },
-    /// `node` departs permanently: volatile state *and* disk are gone.
+    /// `node` departs for good ([`ClusterFault::Depart`]).
     Depart { node: NodeId },
-    /// Seeded at-rest bit rot strikes `node`: a handful of bit flips
-    /// across its storage-engine values and durable WAL bytes (a parked
-    /// disk rots too).
+    /// Seeded bit rot strikes `node` ([`ClusterFault::StorageRot`]).
     StorageRot { node: NodeId, rot_seed: u64 },
     /// Retransmission timer for a coordinated op: retry its outstanding
     /// requests, or time the op out once the budget is spent.
@@ -307,6 +305,47 @@ impl SimCluster {
     pub fn submit(&mut self, at: SimTime, coordinator: NodeId, op: ClientOp) {
         self.inflight += 1;
         self.sim.schedule_at(at, Event::Start { coordinator, op });
+    }
+
+    /// Schedules `fault`, the one way a fault reaches the cluster: node
+    /// faults become events at their time, a storage stall or cloud
+    /// outage opens its window, and a ring outage does both. Faults
+    /// injected at one instant fire in injection order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault lies in the simulated past, its window is
+    /// empty, or a stall factor is below 1.
+    pub fn inject(&mut self, fault: ClusterFault) {
+        let sim = &mut self.sim;
+        match fault {
+            ClusterFault::Crash { at, node } => sim.schedule_at(at, Event::Crash { node }),
+            ClusterFault::Revive { at, node } => sim.schedule_at(at, Event::Revive { node }),
+            ClusterFault::CrashStop { at, node } => sim.schedule_at(at, Event::CrashStop { node }),
+            ClusterFault::Restart { at, node } => sim.schedule_at(at, Event::Restart { node }),
+            ClusterFault::Depart { at, node } => sim.schedule_at(at, Event::Depart { node }),
+            ClusterFault::StorageRot { at, node, rot_seed } => {
+                sim.schedule_at(at, Event::StorageRot { node, rot_seed });
+            }
+            ClusterFault::StorageStall {
+                from,
+                until,
+                node,
+                stall_factor,
+            } => {
+                assert!(stall_factor >= 1.0, "stall factor {stall_factor} < 1");
+                self.timers.stalls.push(from, until, (node, stall_factor));
+            }
+            ClusterFault::CloudOutage { from, until, .. } => {
+                self.uplink.cloud_outages.push(from, until, ());
+                self.uplink.stats.outage_windows += 1;
+            }
+            ClusterFault::RingOutage { from, until, site } => {
+                self.uplink.ring_outages.push(from, until, site);
+                sim.schedule_at(from, Event::RingWipe { site });
+                sim.schedule_at(until, Event::RingHeal { site });
+            }
+        }
     }
 
     /// Client operations submitted but not yet completed or timed out.

@@ -8,6 +8,7 @@
 // code-line count in ISSUE 12) sees the file as test code.
 #[cfg(test)]
 use super::*;
+use crate::chaos::ClusterFault;
 use crate::engine::StorageEngine;
 use crate::node::Consistency;
 use crate::storage::WriteAheadLog;
@@ -155,8 +156,14 @@ fn gossip_detects_crash_and_revival() {
     let mut cluster = SimCluster::new(members.clone(), net, ClusterConfig::default());
     cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
     // Crash node 3 at t=1s, revive at t=3s.
-    cluster.crash_at(SimTime::from_secs_f64(1.0), members[3]);
-    cluster.revive_at(SimTime::from_secs_f64(3.0), members[3]);
+    cluster.inject(ClusterFault::Crash {
+        at: SimTime::from_secs_f64(1.0),
+        node: members[3],
+    });
+    cluster.inject(ClusterFault::Revive {
+        at: SimTime::from_secs_f64(3.0),
+        node: members[3],
+    });
 
     // Shortly after the crash + timeout, peers suspect node 3.
     cluster.run_until(SimTime::from_secs_f64(2.0));
@@ -192,8 +199,14 @@ fn writes_during_gossip_detected_outage_hint_and_replay() {
         },
     );
     cluster.enable_heartbeats(SimDuration::from_millis(50), SimDuration::from_millis(200));
-    cluster.crash_at(SimTime::from_secs_f64(0.5), members[2]);
-    cluster.revive_at(SimTime::from_secs_f64(2.0), members[2]);
+    cluster.inject(ClusterFault::Crash {
+        at: SimTime::from_secs_f64(0.5),
+        node: members[2],
+    });
+    cluster.inject(ClusterFault::Revive {
+        at: SimTime::from_secs_f64(2.0),
+        node: members[2],
+    });
     // Writes land while node 2 is down-and-detected (t in [1.0, 1.5]).
     let mut t = SimTime::from_secs_f64(1.0);
     for i in 0..50u32 {
@@ -352,12 +365,18 @@ fn restart_runs_the_recovery_lattice() {
     cluster.run();
     // Rot the parked disk's snapshot: recovery falls back to the
     // stashed pre-compaction log and the node still rejoins.
-    cluster.crash_stop_at(SimTime::from_secs_f64(1.0), members[1]);
+    cluster.inject(ClusterFault::CrashStop {
+        at: SimTime::from_secs_f64(1.0),
+        node: members[1],
+    });
     cluster.run_until(SimTime::from_secs_f64(1.1));
     let disk = cluster.membership.disks.get_mut(&members[1]).unwrap();
     assert!(disk.snapshots_taken() >= 1, "fixture never compacted");
     assert!(disk.flip_bit(2, 3));
-    cluster.restart_at(SimTime::from_secs_f64(1.2), members[1]);
+    cluster.inject(ClusterFault::Restart {
+        at: SimTime::from_secs_f64(1.2),
+        node: members[1],
+    });
     cluster.run_until(SimTime::from_secs_f64(1.3));
     assert!(
         cluster.nodes.contains_key(&members[1]),
@@ -367,13 +386,19 @@ fn restart_runs_the_recovery_lattice() {
     assert_eq!(cluster.recovery_stats().restarts, 1);
 
     // A corrupt record *body* parks the disk and keeps the node dead.
-    cluster.crash_stop_at(SimTime::from_secs_f64(2.0), members[2]);
+    cluster.inject(ClusterFault::CrashStop {
+        at: SimTime::from_secs_f64(2.0),
+        node: members[2],
+    });
     cluster.run_until(SimTime::from_secs_f64(2.1));
     let mut bad = WriteAheadLog::new(0);
     bad.append_put(b"a", &Bytes::from_static(b"value"));
     assert!(bad.flip_bit(10, 7)); // first value byte: body, not framing
     cluster.membership.disks.insert(members[2], bad);
-    cluster.restart_at(SimTime::from_secs_f64(2.2), members[2]);
+    cluster.inject(ClusterFault::Restart {
+        at: SimTime::from_secs_f64(2.2),
+        node: members[2],
+    });
     cluster.run_until(SimTime::from_secs_f64(2.3));
     assert!(
         !cluster.nodes.contains_key(&members[2]),
@@ -491,8 +516,14 @@ fn crash_stop_drops_the_cache() {
         coordinator,
         ClientOp::CheckAndInsert(key.clone(), key.clone()),
     );
-    cluster.crash_stop_at(SimTime::ZERO + SimDuration::from_millis(500), coordinator);
-    cluster.restart_at(SimTime::ZERO + SimDuration::from_millis(800), coordinator);
+    cluster.inject(ClusterFault::CrashStop {
+        at: SimTime::ZERO + SimDuration::from_millis(500),
+        node: coordinator,
+    });
+    cluster.inject(ClusterFault::Restart {
+        at: SimTime::ZERO + SimDuration::from_millis(800),
+        node: coordinator,
+    });
     cluster.submit(
         SimTime::ZERO + SimDuration::from_millis(1200),
         coordinator,
@@ -547,7 +578,12 @@ fn storage_stall_delays_replica_acks() {
         );
         if let Some(factor) = stall {
             for &m in &members {
-                cluster.storage_stall_at(SimTime::ZERO, SimTime::from_secs_f64(100.0), m, factor);
+                cluster.inject(ClusterFault::StorageStall {
+                    from: SimTime::ZERO,
+                    until: SimTime::from_secs_f64(100.0),
+                    node: m,
+                    stall_factor: factor,
+                });
             }
         }
         cluster.submit(
@@ -953,7 +989,11 @@ fn cloud_outage_defers_the_drain_without_losing_uniques() {
         },
     );
     cluster.enable_cloud_uplink(cloud, 1 << 16, SimDuration::from_millis(10));
-    cluster.cloud_outage_at(SimTime::ZERO, SimTime::from_secs_f64(1.0));
+    cluster.inject(ClusterFault::CloudOutage {
+        from: SimTime::ZERO,
+        until: SimTime::from_secs_f64(1.0),
+        site: SiteId(1),
+    });
     for i in 0..10u32 {
         cluster.submit(
             SimTime::from_nanos(u64::from(i) * 1_000_000),
@@ -1051,11 +1091,11 @@ fn ring_wipe_heals_by_mesh_repair_with_cloud_fallback() {
         t += SimDuration::from_millis(1);
     }
     // Let the writes land and the spool drain, then wipe site 0.
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(0.5),
-        SimTime::from_secs_f64(0.8),
-        SiteId(0),
-    );
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(0.5),
+        until: SimTime::from_secs_f64(0.8),
+        site: SiteId(0),
+    });
     cluster.run_until(SimTime::from_secs_f64(3.0));
     let stats = cluster.disaster_stats();
     assert_eq!(stats.ring_wipes, 1, "{stats:?}");
@@ -1110,11 +1150,11 @@ fn hints_for_a_wiped_ring_are_spooled_durably() {
     cluster.enable_cloud_uplink(cloud, 1 << 16, SimDuration::from_millis(10));
     // Wipe site 0 early, heal late; writes land mid-window so their
     // site-0 replicas get hinted at the surviving coordinators.
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(0.3),
-        SimTime::from_secs_f64(1.5),
-        SiteId(0),
-    );
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(0.3),
+        until: SimTime::from_secs_f64(1.5),
+        site: SiteId(0),
+    });
     let mut t = SimTime::from_secs_f64(0.6);
     for i in 0..30u32 {
         cluster.submit(
@@ -1377,11 +1417,11 @@ fn poisoned_repair_bytes_rejected_and_refetched() {
         );
         t += SimDuration::from_millis(1);
     }
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(0.5),
-        SimTime::from_secs_f64(0.8),
-        SiteId(0),
-    );
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(0.5),
+        until: SimTime::from_secs_f64(0.8),
+        site: SiteId(0),
+    });
     cluster.run_until(SimTime::from_secs_f64(3.0));
     let stats = cluster.byzantine_stats();
     assert!(stats.poisoned_bytes_rejected > 0, "{stats:?}");
@@ -1510,9 +1550,19 @@ fn rot_under_anti_entropy(seed: u64, scrub: bool) -> (SimCluster, NodeId) {
         t += SimDuration::from_millis(10);
     }
     let victim = members[seed as usize % members.len()];
-    cluster.crash_stop_at(SimTime::from_secs_f64(1.0), victim);
-    cluster.restart_at(SimTime::from_secs_f64(1.25), victim);
-    cluster.storage_rot_at(SimTime::from_secs_f64(1.3), victim, seed);
+    cluster.inject(ClusterFault::CrashStop {
+        at: SimTime::from_secs_f64(1.0),
+        node: victim,
+    });
+    cluster.inject(ClusterFault::Restart {
+        at: SimTime::from_secs_f64(1.25),
+        node: victim,
+    });
+    cluster.inject(ClusterFault::StorageRot {
+        at: SimTime::from_secs_f64(1.3),
+        node: victim,
+        rot_seed: seed,
+    });
     (cluster, victim)
 }
 
@@ -1759,23 +1809,27 @@ fn every_teardown_folds_the_same_counters() {
     // the two snapshots is the teardown itself.
     let at = SimTime::from_nanos(777_777_777);
     let site_of_victim = SiteId(0);
-    type Teardown = fn(&mut SimCluster, SimTime, NodeId);
-    let table: [(&str, Teardown); 3] = [
-        ("crash-stop", |c, at, n| c.crash_stop_at(at, n)),
-        ("depart", |c, at, n| c.depart_at(at, n)),
-        ("ring wipe", |c, at, _| {
-            c.ring_outage_at(at, SimTime::from_secs_f64(9.0), SiteId(0));
-        }),
+    let victim = edge_cloud_network(2, 2).topology().edge_nodes()[0];
+    let table = [
+        ("crash-stop", ClusterFault::CrashStop { at, node: victim }),
+        ("depart", ClusterFault::Depart { at, node: victim }),
+        (
+            "ring wipe",
+            ClusterFault::RingOutage {
+                from: at,
+                until: SimTime::from_secs_f64(9.0),
+                site: site_of_victim,
+            },
+        ),
     ];
-    for (name, schedule) in table {
-        let (mut cluster, members) = lifecycle_cluster();
-        let victim = members[0];
+    for (name, teardown) in table {
+        let (mut cluster, _) = lifecycle_cluster();
         assert!(cluster
             .network()
             .topology()
             .nodes_in(site_of_victim)
             .contains(&victim));
-        schedule(&mut cluster, at, victim);
+        cluster.inject(teardown);
         cluster.run_until(SimTime::from_nanos(at.as_nanos() - 1));
         // The fold is only exercised if the victim holds counters itself.
         let held = cluster.node(victim).expect("victim still live");
@@ -1840,18 +1894,38 @@ fn coordinator_counters_survive_every_teardown() {
     // restart and (0, 0) after.
     let down = SimTime::from_secs_f64(8.0);
     let up = SimTime::from_secs_f64(9.0);
-    type Lifecycle = fn(&mut SimCluster, SimTime, SimTime, NodeId);
-    let table: [(&str, Lifecycle); 3] = [
-        ("crash-stop + restart", |c, down, up, n| {
-            c.crash_stop_at(down, n);
-            c.restart_at(up, n);
-        }),
-        ("depart", |c, down, _, n| c.depart_at(down, n)),
-        ("ring wipe + heal", |c, down, up, _| {
-            c.ring_outage_at(down, up, SiteId(0))
-        }),
+    let coordinator = edge_network(2, 2).topology().edge_nodes()[0];
+    let table: [(&str, &[ClusterFault]); 3] = [
+        (
+            "crash-stop + restart",
+            &[
+                ClusterFault::CrashStop {
+                    at: down,
+                    node: coordinator,
+                },
+                ClusterFault::Restart {
+                    at: up,
+                    node: coordinator,
+                },
+            ],
+        ),
+        (
+            "depart",
+            &[ClusterFault::Depart {
+                at: down,
+                node: coordinator,
+            }],
+        ),
+        (
+            "ring wipe + heal",
+            &[ClusterFault::RingOutage {
+                from: down,
+                until: up,
+                site: SiteId(0),
+            }],
+        ),
     ];
-    for (name, schedule) in table {
+    for (name, lifecycle) in table {
         let net = edge_network(2, 2);
         let members = net.topology().edge_nodes();
         let config = ClusterConfig {
@@ -1865,18 +1939,23 @@ fn coordinator_counters_survive_every_teardown() {
         // retry budget twice — read phase, then the assume-unique write —
         // and resolves degraded.
         for &peer in &members[1..] {
-            cluster.crash_at(SimTime::ZERO, peer);
+            cluster.inject(ClusterFault::Crash {
+                at: SimTime::ZERO,
+                node: peer,
+            });
         }
-        submit_unique_chunks(&mut cluster, members[0], 5);
-        schedule(&mut cluster, down, up, members[0]);
+        submit_unique_chunks(&mut cluster, coordinator, 5);
+        for &fault in lifecycle {
+            cluster.inject(fault);
+        }
         let read = |c: &SimCluster| (c.timeouts(), c.retries(), c.degraded_ops());
         cluster.run_until(SimTime::from_nanos(down.as_nanos() - 1));
         assert_eq!(read(&cluster), (10, 30, 5), "{name}");
         cluster.run_until(down);
-        assert!(cluster.node(members[0]).is_none(), "{name}: still up");
+        assert!(cluster.node(coordinator).is_none(), "{name}: still up");
         assert_eq!(read(&cluster), (10, 30, 5), "{name}: teardown");
         cluster.run_until(SimTime::from_secs_f64(10.0));
-        let back = cluster.node(members[0]).is_some();
+        let back = cluster.node(coordinator).is_some();
         assert_eq!(back, name != "depart", "{name}");
         assert_eq!(read(&cluster), (10, 30, 5), "{name}: bring-up");
     }
@@ -1886,20 +1965,29 @@ fn coordinator_counters_survive_every_teardown() {
 fn every_bring_up_rearms_watches_and_keeps_the_watermark() {
     let down = SimTime::from_nanos(777_777_777);
     let up = SimTime::from_secs_f64(1.5);
-    type Outage = fn(&mut SimCluster, SimTime, SimTime, NodeId);
-    let table: [(&str, Outage); 2] = [
-        ("restart", |c, down, up, n| {
-            c.crash_stop_at(down, n);
-            c.restart_at(up, n);
-        }),
-        ("ring heal", |c, down, up, _| {
-            c.ring_outage_at(down, up, SiteId(0))
-        }),
+    let node = edge_cloud_network(2, 2).topology().edge_nodes()[0];
+    let table: [(&str, &[ClusterFault]); 2] = [
+        (
+            "restart",
+            &[
+                ClusterFault::CrashStop { at: down, node },
+                ClusterFault::Restart { at: up, node },
+            ],
+        ),
+        (
+            "ring heal",
+            &[ClusterFault::RingOutage {
+                from: down,
+                until: up,
+                site: SiteId(0),
+            }],
+        ),
     ];
-    for (name, schedule) in table {
-        let (mut cluster, members) = lifecycle_cluster();
-        let node = members[0];
-        schedule(&mut cluster, down, up, node);
+    for (name, outage) in table {
+        let (mut cluster, _) = lifecycle_cluster();
+        for &fault in outage {
+            cluster.inject(fault);
+        }
         cluster.run_until(SimTime::from_nanos(down.as_nanos() - 1));
         let watermark = cluster.node(node).expect("still live").seq_watermark();
         assert!(watermark > 0, "{name}: fixture issued no ops");

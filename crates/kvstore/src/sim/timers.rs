@@ -52,7 +52,7 @@ pub(super) struct Timers {
     /// Currently slow-marked (observer, peer) edges.
     slow: BTreeSet<(NodeId, NodeId)>,
     /// Registered fail-slow storage stalls: who, and by what factor.
-    stalls: Windows<(NodeId, f64)>,
+    pub(super) stalls: Windows<(NodeId, f64)>,
     /// First-transmission stamps for in-flight (op, peer) request edges.
     /// Keyed lookups only — never iterated, so the HashMap is safe.
     sent_at: HashMap<(OpId, NodeId), SimTime>,
@@ -222,30 +222,6 @@ impl SimCluster {
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         policy.validate();
         self.timers.set_retry(policy);
-    }
-
-    /// Registers a fail-slow storage stall at `node` over `[from, until)`:
-    /// the node's fsyncs crawl by `stall_factor`, so its acks to replica
-    /// writes and hint replays leave late and its scrub rounds cover
-    /// proportionally fewer bytes. The node stays up and its data stays
-    /// correct — the gray middle ground between healthy and crashed that
-    /// binary failure detectors cannot see.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stall_factor < 1.0` or the window is empty.
-    pub fn storage_stall_at(
-        &mut self,
-        from: SimTime,
-        until: SimTime,
-        node: NodeId,
-        stall_factor: f64,
-    ) {
-        assert!(
-            stall_factor >= 1.0,
-            "stall factor {stall_factor} must be >= 1 (1 = healthy)"
-        );
-        self.timers.stalls.push(from, until, (node, stall_factor));
     }
 
     /// Enables adaptive per-peer retransmission timeouts: every ack

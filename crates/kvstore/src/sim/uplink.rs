@@ -54,9 +54,9 @@ pub(super) struct Uplink {
     /// ground-truth durable copy.
     cloud_store: BTreeMap<Bytes, Bytes>,
     /// Registered cloud-outage windows (uplink unusable while open).
-    cloud_outages: Windows<()>,
+    pub(super) cloud_outages: Windows<()>,
     /// Registered ring-outage windows, by wiped site.
-    ring_outages: Windows<SiteId>,
+    pub(super) ring_outages: Windows<SiteId>,
     /// When each wiped-then-healed node rejoined, for time-to-recovery
     /// accounting (entries persist to the end of the run).
     healed_at: BTreeMap<NodeId, SimTime>,
@@ -67,7 +67,7 @@ pub(super) struct Uplink {
     /// Driver-level disaster counters, plus what destroyed spools had
     /// counted (`forget_node`); the live spools keep their own `spool_*`
     /// ones and `disaster_stats` merges them in.
-    stats: DisasterStats,
+    pub(super) stats: DisasterStats,
 }
 
 impl Uplink {
@@ -168,34 +168,6 @@ impl SimCluster {
         }
         self.sim
             .schedule_after(tick, Event::Round(Round::SpoolDrain));
-    }
-
-    /// Registers a cloud-outage window `[from, until)`: spool drains are
-    /// suspended while it is open (uniques keep accumulating durably).
-    /// The matching uplink blackout in the network fault plan is
-    /// installed by [`ChaosScenario::fault_plan`](crate::ChaosScenario)
-    /// — this call only drives the driver-side drain schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window is empty.
-    pub fn cloud_outage_at(&mut self, from: SimTime, until: SimTime) {
-        self.uplink.cloud_outages.push(from, until, ());
-        self.uplink.stats.outage_windows += 1;
-    }
-
-    /// Registers a ring disaster: at `from` every node in `site` loses
-    /// volatile state, disk *and* spool; at `until` the site's nodes
-    /// rejoin empty and are rebuilt by mesh repair from neighbor rings,
-    /// falling back to the cloud catalog for chunks no neighbor holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window is empty.
-    pub fn ring_outage_at(&mut self, from: SimTime, until: SimTime, site: SiteId) {
-        self.uplink.ring_outages.push(from, until, site);
-        self.sim.schedule_at(from, Event::RingWipe { site });
-        self.sim.schedule_at(until, Event::RingHeal { site });
     }
 
     /// Disaster-tolerance counters: spool depth and drain totals,

@@ -17,7 +17,7 @@
 //! ring disasters: hints destined for a wiped site are moved off the
 //! holder's volatile heap into [`SpoolDest::Node`] entries, so a later
 //! crash of the hint holder cannot lose them (see
-//! `SimCluster::ring_outage_at`).
+//! `ClusterFault::RingOutage`).
 //!
 //! The log ([`SpoolLog`]) is shaped by that workload — a queue, not a
 //! key-value state: payloads enter at the tail and leave, mostly in

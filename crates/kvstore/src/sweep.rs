@@ -12,7 +12,7 @@
 //! the spool-log bound, non-vacuity — stays with its sweep
 //! (DESIGN.md "Testing strategy" prints [`Family::all`] × [`CLAUSES`]).
 
-use crate::chaos::{nth_op_id, ChaosEvent, ChaosScenario, ChaosScenarioConfig};
+use crate::chaos::{nth_op_id, ChaosEvent, ChaosScenario, ChaosScenarioConfig, ClusterFault};
 use crate::cluster::ClusterConfig;
 use crate::msg::{ClientOp, OpId, OpResult};
 use crate::sim::{OpLatency, SimCluster};
@@ -126,7 +126,7 @@ fn recovered(cluster: &mut SimCluster, scenario: &ChaosScenario) -> bool {
     let evicted = scenario
         .events()
         .iter()
-        .all(|ev| !matches!(*ev, ChaosEvent::Depart { node, .. } if cluster.ring().contains(node)));
+        .all(|ev| !matches!(*ev, ChaosEvent::Cluster(ClusterFault::Depart { node, .. }) if cluster.ring().contains(node)));
     evicted
         && cluster.recovery_stats().restarts == 1
         && cluster.recovery_latencies().len() == 1
@@ -390,15 +390,15 @@ pub struct Run {
 fn absent_at(scenario: &ChaosScenario, node: NodeId, t: SimTime) -> bool {
     let mut stopped_at = None;
     for ev in scenario.events() {
-        if let ChaosEvent::CrashStop { at, node: n } = *ev {
+        if let ChaosEvent::Cluster(ClusterFault::CrashStop { at, node: n }) = *ev {
             if n == node {
                 stopped_at = Some(at);
             }
-        } else if let ChaosEvent::Restart { at, node: n } = *ev {
+        } else if let ChaosEvent::Cluster(ClusterFault::Restart { at, node: n }) = *ev {
             if n == node && stopped_at.is_some_and(|start| t >= start && t <= at) {
                 return true;
             }
-        } else if let ChaosEvent::Depart { at, node: n } = *ev {
+        } else if let ChaosEvent::Cluster(ClusterFault::Depart { at, node: n }) = *ev {
             if n == node && t >= at {
                 return true;
             }

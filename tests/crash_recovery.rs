@@ -19,7 +19,7 @@
 
 use bytes::Bytes;
 use efdedup_repro::kvstore::sweep::{self, recovery_payload, Family, RECOVERY_MERKLE_DEPTH};
-use efdedup_repro::kvstore::{ClientOp, OpResult, RecoveryStats, SimCluster};
+use efdedup_repro::kvstore::{ClientOp, ClusterFault, OpResult, RecoveryStats, SimCluster};
 use efdedup_repro::prelude::*;
 
 #[test]
@@ -119,7 +119,10 @@ fn submission_to_departed_coordinator_resolves_unavailable() {
         SimDuration::from_millis(600),
     );
     let victim = members[0];
-    cluster.depart_at(SimTime::ZERO + SimDuration::from_millis(100), victim);
+    cluster.inject(ClusterFault::Depart {
+        at: SimTime::ZERO + SimDuration::from_millis(100),
+        node: victim,
+    });
     cluster.submit(
         SimTime::ZERO + SimDuration::from_millis(500),
         victim,

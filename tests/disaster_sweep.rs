@@ -27,7 +27,7 @@
 use bytes::Bytes;
 use efdedup_repro::chunking::ChunkHash;
 use efdedup_repro::kvstore::sweep::{self, Family};
-use efdedup_repro::kvstore::{ClientOp, ClusterConfig, DisasterStats, SimCluster};
+use efdedup_repro::kvstore::{ClientOp, ClusterConfig, ClusterFault, DisasterStats, SimCluster};
 use efdedup_repro::prelude::*;
 
 /// 20 seeds of composed disasters under the shared oracle (zero false
@@ -169,11 +169,11 @@ fn wiped_ring_with_no_neighbor_copy_restores_from_the_cloud() {
         "hash placement never put both replicas in site 0 — pick more keys"
     );
     // Let the spool drain fully, then wipe site 0 and heal it.
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(2.0),
-        SimTime::from_secs_f64(2.5),
-        efdedup_repro::netsim::SiteId(0),
-    );
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(2.0),
+        until: SimTime::from_secs_f64(2.5),
+        site: efdedup_repro::netsim::SiteId(0),
+    });
     cluster.run_until(SimTime::from_secs_f64(5.0));
     let stats = cluster.disaster_stats();
     assert!(

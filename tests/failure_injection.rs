@@ -211,7 +211,7 @@ fn hints_for_departed_node_are_dropped_not_replayed() {
 /// and no live node still holds any.
 #[test]
 fn departure_drops_parked_hints_in_simulated_cluster() {
-    use efdedup_repro::kvstore::{ClientOp, RetryPolicy, SimCluster};
+    use efdedup_repro::kvstore::{ClientOp, ClusterFault, RetryPolicy, SimCluster};
 
     let topo = TopologyBuilder::new().edge_site(2).edge_site(2).build();
     let net = Network::new(topo, NetworkConfig::paper_testbed());
@@ -225,7 +225,10 @@ fn departure_drops_parked_hints_in_simulated_cluster() {
     );
     cluster.enable_anti_entropy(SimDuration::from_millis(300), 5);
     let victim = members[3];
-    cluster.depart_at(SimTime::ZERO + SimDuration::from_millis(400), victim);
+    cluster.inject(ClusterFault::Depart {
+        at: SimTime::ZERO + SimDuration::from_millis(400),
+        node: victim,
+    });
 
     // Writes straddling the departure: some park hints for the victim
     // (it is silent but not yet declared dead).
@@ -262,7 +265,7 @@ fn departure_drops_parked_hints_in_simulated_cluster() {
 /// the wiped replicas once the ring heals.
 #[test]
 fn hints_for_a_wiped_ring_survive_a_coordinator_crash() {
-    use efdedup_repro::kvstore::{ClientOp, Consistency, SimCluster};
+    use efdedup_repro::kvstore::{ClientOp, ClusterFault, Consistency, SimCluster};
     use efdedup_repro::netsim::SiteId;
 
     let topo = TopologyBuilder::new()
@@ -289,11 +292,11 @@ fn hints_for_a_wiped_ring_survive_a_coordinator_crash() {
         SimDuration::from_millis(500),
     );
     cluster.enable_cloud_uplink(cloud, 1 << 16, SimDuration::from_millis(10));
-    cluster.ring_outage_at(
-        SimTime::from_secs_f64(0.3),
-        SimTime::from_secs_f64(1.5),
-        SiteId(0),
-    );
+    cluster.inject(ClusterFault::RingOutage {
+        from: SimTime::from_secs_f64(0.3),
+        until: SimTime::from_secs_f64(1.5),
+        site: SiteId(0),
+    });
     // Mid-window writes through one surviving coordinator: replicas
     // routed to wiped site-0 nodes park hints there.
     let coordinator = members[2];
@@ -318,8 +321,14 @@ fn hints_for_a_wiped_ring_survive_a_coordinator_crash() {
         mid.hints_spooled > 0,
         "no hint ever crossed into the durable spool — scenario vacuous: {mid:?}"
     );
-    cluster.crash_stop_at(SimTime::from_secs_f64(0.95), coordinator);
-    cluster.restart_at(SimTime::from_secs_f64(1.1), coordinator);
+    cluster.inject(ClusterFault::CrashStop {
+        at: SimTime::from_secs_f64(0.95),
+        node: coordinator,
+    });
+    cluster.inject(ClusterFault::Restart {
+        at: SimTime::from_secs_f64(1.1),
+        node: coordinator,
+    });
     cluster.run_until(SimTime::from_secs_f64(4.0));
 
     let end = cluster.disaster_stats();
@@ -364,7 +373,7 @@ fn hints_for_a_wiped_ring_survive_a_coordinator_crash() {
 /// flight forever.
 #[test]
 fn replica_suspected_mid_check_and_insert_still_resolves() {
-    use efdedup_repro::kvstore::{ClientOp, HashRing, OpResult, SimCluster};
+    use efdedup_repro::kvstore::{ClientOp, ClusterFault, HashRing, OpResult, SimCluster};
 
     let topo = TopologyBuilder::new().edge_site(3).build();
     let net = Network::new(topo, NetworkConfig::paper_testbed());
@@ -384,7 +393,10 @@ fn replica_suspected_mid_check_and_insert_still_resolves() {
 
     let mut cluster = SimCluster::new(members, net, config);
     cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.crash_at(SimTime::ZERO + SimDuration::from_millis(900), victim);
+    cluster.inject(ClusterFault::Crash {
+        at: SimTime::ZERO + SimDuration::from_millis(900),
+        node: victim,
+    });
     let op = ClientOp::CheckAndInsert(key.clone(), key);
     cluster.submit(SimTime::ZERO + SimDuration::from_secs(1), coordinator, op);
     let done = cluster.run_until(SimTime::ZERO + SimDuration::from_secs(10));
