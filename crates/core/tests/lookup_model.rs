@@ -2,16 +2,17 @@
 //! stands in for on the `sim-testbed` ring: eight agents on four
 //! two-node edge sites plus a cloud site, one D2-ring of all eight,
 //! 4 KiB accelerometer chunks checked open loop on a staggered 10 ms
-//! period, the cluster armed as `bench_e2e` arms it. `run_system`
-//! prices a lookup as free when the agent's node holds a replica and one
-//! RTT to the nearest replica otherwise; the `SimCluster` runs the same
-//! check-and-inserts as message flows, fault-free, with proof of
-//! possession armed. DESIGN.md §4 states the error bar.
+//! period, the cluster armed by `sweep::arm_testbed` as `bench_e2e`
+//! arms it. `run_system` prices a lookup as free when the agent's node
+//! holds a replica and one RTT to the nearest replica otherwise; the
+//! `SimCluster` runs the same check-and-inserts as message flows,
+//! fault-free, with proof of possession armed. DESIGN.md §4 states the
+//! error bar.
 
 use bytes::Bytes;
 use ef_chunking::{Chunker, FixedChunker};
 use ef_datagen::datasets;
-use ef_kvstore::{ClientOp, ClusterConfig, OpResult, SimCluster};
+use ef_kvstore::{sweep, ClientOp, ClusterConfig, OpResult, SimCluster};
 use ef_netsim::{Network, NetworkConfig, TopologyBuilder};
 use ef_simcore::{SimDuration, SimTime};
 use efdedup::partition::Partition;
@@ -40,17 +41,7 @@ fn analytic_lookup_price_matches_the_armed_simulator() {
         .collect();
 
     let mut cluster = SimCluster::new(members.clone(), network(), ClusterConfig::default());
-    cluster.enable_heartbeats(SimDuration::from_millis(100), SimDuration::from_millis(350));
-    cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
-    cluster.enable_adaptive_rto(SimDuration::from_micros(500), SimDuration::from_secs(1));
-    cluster.enable_slow_detection(SimDuration::from_millis(20));
-    cluster.enable_hedged_reads(256);
-    cluster.enable_admission_control(64);
-    cluster.enable_backpressure(SimDuration::from_millis(2));
-    cluster.enable_second_sight_cache(8, 1024);
-    cluster.enable_pop(0);
-    let cloud = topology.cloud_nodes()[0];
-    cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
+    sweep::arm_testbed(&mut cluster);
     for (agent, chunks) in files.iter().enumerate() {
         for (k, chunk) in chunks.iter().enumerate() {
             let at_us = 13_000 + 10_000 * k as u64 + 1_250 * agent as u64;

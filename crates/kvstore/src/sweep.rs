@@ -99,6 +99,35 @@ fn cloud_uplink(cluster: &mut SimCluster) {
     cluster.enable_cloud_uplink(cloud, 64 * 1024, SimDuration::from_millis(50));
 }
 
+/// Heartbeats, anti-entropy and the gray-failure mitigation stack: the
+/// gray family's arming and the first seven calls of [`arm_testbed`].
+fn mitigations(cluster: &mut SimCluster) {
+    heartbeats(cluster);
+    cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
+    cluster.enable_adaptive_rto(SimDuration::from_micros(500), SimDuration::from_secs(1));
+    cluster.enable_slow_detection(SimDuration::from_millis(20));
+    cluster.enable_hedged_reads(256);
+    cluster.enable_admission_control(64);
+    cluster.enable_backpressure(SimDuration::from_millis(2));
+}
+
+/// Arms `cluster` as the simulated testbed ring is armed: heartbeats,
+/// anti-entropy, adaptive RTO, slow-peer detection, hedged reads,
+/// admission control, backpressure, the second-sight cache, proof of
+/// possession, and the cloud uplink to the topology's first cloud node,
+/// in that order. `enable_pop` does not read its seed, so 0 is passed.
+///
+/// # Panics
+///
+/// Panics when the topology has no cloud node, or when any of these is
+/// already enabled.
+pub fn arm_testbed(cluster: &mut SimCluster) {
+    mitigations(cluster);
+    cluster.enable_second_sight_cache(8, 1024);
+    cluster.enable_pop(0);
+    cloud_uplink(cluster);
+}
+
 /// The recovery family's arming at a given anti-entropy interval (what
 /// the `recovery_latency` figure sweeps): heartbeats that escalate
 /// suspects to dead, so a departure rebuilds the ring.
@@ -199,16 +228,7 @@ impl Family<'static> {
             seeds: 24,
             route: Route::Rotate,
             unavailable_ok: true,
-            arm: &|cluster, _| {
-                heartbeats(cluster);
-                cluster.enable_anti_entropy(SimDuration::from_millis(500), 4);
-                cluster
-                    .enable_adaptive_rto(SimDuration::from_micros(500), SimDuration::from_secs(1));
-                cluster.enable_slow_detection(SimDuration::from_millis(20));
-                cluster.enable_hedged_reads(256);
-                cluster.enable_admission_control(64);
-                cluster.enable_backpressure(SimDuration::from_millis(2));
-            },
+            arm: &|cluster, _| mitigations(cluster),
             ..Self::chaos()
         }
     }
