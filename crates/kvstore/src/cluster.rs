@@ -3,8 +3,7 @@
 //! This driver runs the node state machines with zero-latency message
 //! delivery. It is the *functional* face of the store — the D2-ring dedup
 //! index uses it to decide chunk uniqueness — while `SimCluster` prices the
-//! same operations in simulated time and `ThreadedCluster` runs them with
-//! real concurrency.
+//! same operations in simulated time.
 
 use crate::msg::{ClientOp, OpId, OpResult, Outbound};
 use crate::node::{Consistency, NodeState};
@@ -103,7 +102,7 @@ impl OpResult {
         }
     }
 
-    /// A read's outcome as the blocking drivers report it.
+    /// A read's outcome as [`LocalCluster::get`] reports it.
     pub(crate) fn into_value(self) -> Result<Option<Bytes>, ClusterError> {
         match self.ok()? {
             OpResult::Value(v) => Ok(v),
@@ -111,7 +110,8 @@ impl OpResult {
         }
     }
 
-    /// A put's or delete's outcome as the blocking drivers report it.
+    /// A put's or delete's outcome as [`LocalCluster::put`] and
+    /// [`LocalCluster::delete`] report it.
     pub(crate) fn into_written(self) -> Result<(), ClusterError> {
         match self.ok()? {
             OpResult::Written => Ok(()),
@@ -119,8 +119,8 @@ impl OpResult {
         }
     }
 
-    /// A check-and-insert's verdict (`true` = unique) as the blocking
-    /// drivers report it.
+    /// A check-and-insert's verdict (`true` = unique) as
+    /// [`LocalCluster::check_and_insert`] reports it.
     pub(crate) fn into_unique(self) -> Result<bool, ClusterError> {
         match self.ok()? {
             OpResult::Dedup { unique, .. } => Ok(unique),
@@ -130,7 +130,7 @@ impl OpResult {
 }
 
 /// Validates a driver's member list and builds its ring of [`VNODES`]
-/// tokens a node — the one constructor prologue all three drivers share.
+/// tokens a node — the one constructor prologue both drivers share.
 ///
 /// # Panics
 ///
@@ -525,6 +525,8 @@ mod tests {
         let err = c.get(NodeId(1), b"k").unwrap_err();
         assert!(matches!(err, ClusterError::NoSuchCoordinator(n) if n == NodeId(1)));
         assert!(!err.to_string().is_empty());
+        let err = c.get(NodeId(9), b"k").unwrap_err();
+        assert!(matches!(err, ClusterError::NoSuchCoordinator(n) if n == NodeId(9)));
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   delivery for functional use (the D2-ring index) and tests,
 //! * [`SimCluster`] — the same state machines driven through
 //!   `ef-simcore`/`ef-netsim`, yielding per-operation latencies,
-//! * [`ThreadedCluster`] — one OS thread per node over `std::sync::mpsc`
-//!   channels,
 //! * [`sweep`] — the one fault-sweep harness and oracle over [`SimCluster`],
 //! * hinted handoff and node up/down handling,
 //! * [`StorageEngine`] — a node's in-memory index entries, one ordered
@@ -60,7 +58,6 @@ mod sim;
 mod spool;
 mod storage;
 pub mod sweep;
-mod threaded;
 mod trust;
 
 pub use antientropy::MerkleTree;
@@ -82,7 +79,6 @@ pub use ring::HashRing;
 pub use sim::{CloudUplink, OpLatency, SimCluster};
 pub use spool::{SpoolClass, SpoolDest, SpoolEntry, SpoolLog, UploadSpool};
 pub use storage::{ReplayNotes, WalError, WalRecord, WriteAheadLog};
-pub use threaded::ThreadedCluster;
 pub use trust::TrustLedger;
 
 /// Hashes a key to its position ("token") on the ring.

@@ -1,10 +1,10 @@
 //! Wire messages exchanged between store nodes.
 //!
 //! The node state machines are transport-agnostic: they consume
-//! [`Message`]s and emit [`Outbound`]s, and the three cluster drivers
-//! (instant, simulated, threaded) only differ in how they move the
-//! outbounds. Message sizes are modelled explicitly so the simulated
-//! driver can charge bandwidth.
+//! [`Message`]s and emit [`Outbound`]s, and the two cluster drivers
+//! (instant, simulated) only differ in how they move the outbounds.
+//! Message sizes are modelled explicitly so the simulated driver can
+//! charge bandwidth.
 
 use crate::integrity::Summed;
 use bytes::Bytes;

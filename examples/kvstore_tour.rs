@@ -2,8 +2,8 @@
 //!
 //! Shows the Cassandra-like machinery the paper relies on (Sec. IV):
 //! consistent-hash placement, replication, consistency levels, node
-//! failure with hinted handoff, seamless membership changes — first on
-//! the instant in-process cluster, then on real OS threads.
+//! failure with hinted handoff, seamless membership changes — on the
+//! instant in-process cluster.
 //!
 //! ```bash
 //! cargo run --release --example kvstore_tour
@@ -94,36 +94,4 @@ fn main() {
             .live_keys,
         cluster.total_replica_entries() == 2 * cluster.distinct_keys()
     );
-
-    println!("\n== the same state machines on real threads ==\n");
-    let threaded = ThreadedCluster::start((0..4).map(NodeId).collect(), ClusterConfig::default());
-    let keysets: Vec<Vec<Vec<u8>>> = (0..4u32)
-        .map(|t| {
-            (0..50u32)
-                .map(|i| format!("t{t}-{i}").into_bytes())
-                .collect()
-        })
-        .collect();
-    // Issue writes through all four coordinators.
-    for (t, keys) in keysets.iter().enumerate() {
-        for k in keys {
-            threaded
-                .put(NodeId(t as u32), k, Bytes::from_static(b"v"))
-                .expect("threaded cluster up");
-        }
-    }
-    let mut found = 0;
-    for (t, keys) in keysets.iter().enumerate() {
-        for k in keys {
-            if threaded
-                .get(NodeId(((t as u32) + 1) % 4), k)
-                .expect("threaded cluster up")
-                .is_some()
-            {
-                found += 1;
-            }
-        }
-    }
-    println!("threaded cluster: {found}/200 keys readable from a different coordinator");
-    threaded.shutdown();
 }

@@ -30,7 +30,7 @@ pub mod prelude {
     pub use ef_datagen::datasets;
     pub use ef_datagen::{CharacteristicVector, GenerativeModel, SourceSpec};
     pub use ef_erasure::ReedSolomon;
-    pub use ef_kvstore::{ClusterConfig, Consistency, LocalCluster, ThreadedCluster};
+    pub use ef_kvstore::{ClusterConfig, Consistency, LocalCluster};
     pub use ef_netsim::{Network, NetworkConfig, NodeId, TopologyBuilder};
     pub use ef_simcore::{DetRng, SimDuration, SimTime};
     pub use efdedup::estimator::{Estimator, EstimatorConfig, GroundTruth};

@@ -1,5 +1,5 @@
 //! End-to-end integration: real bytes through the full pipeline —
-//! dataset generation → chunking → hashing → distributed index (threaded
+//! dataset generation → chunking → hashing → distributed index (store
 //! cluster) → upload decision — checked against a local reference
 //! measurement.
 
@@ -7,7 +7,7 @@ use bytes::Bytes;
 use efdedup_repro::prelude::*;
 
 #[test]
-fn threaded_ring_dedup_matches_reference_measurement() {
+fn ring_dedup_matches_reference_measurement() {
     // Both chunking engines, same contract: whatever the chunker, the
     // distributed ring must land on exactly the local reference ratio.
     let dataset = datasets::traffic_video(4, 3);
@@ -18,9 +18,9 @@ fn threaded_ring_dedup_matches_reference_measurement() {
         let views: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
         let reference = ef_chunking::joint_dedup_ratio(&chunker, &views);
 
-        // System: a 4-node threaded D2-ring deduplicating the same bytes.
+        // System: a 4-node D2-ring deduplicating the same bytes.
         let members: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let ring = ThreadedCluster::start(members.clone(), ClusterConfig::default());
+        let mut ring = LocalCluster::new(members.clone(), ClusterConfig::default());
         // Byte-weighted like the reference: gear-CDC chunks vary in size,
         // so chunk counts and byte totals are no longer interchangeable.
         let mut total = 0usize;
@@ -40,7 +40,6 @@ fn threaded_ring_dedup_matches_reference_measurement() {
                 }
             }
         }
-        ring.shutdown();
 
         let measured = total as f64 / unique as f64;
         assert!(
@@ -94,9 +93,9 @@ fn cdc_chunking_full_pipeline() {
 }
 
 #[test]
-fn three_drivers_give_identical_verdicts() {
-    // One check-and-insert sequence through the instant, simulated and
-    // threaded drivers: every verdict, op by op, must be the one a plain
+fn both_drivers_give_identical_verdicts() {
+    // One check-and-insert sequence through the instant and simulated
+    // drivers: every verdict, op by op, must be the one a plain
     // set gives. 280 keys over 480 ops (200 duplicates, 42 %); a key's
     // second sighting arrives through the next coordinator round the ring.
     use ef_kvstore::{ClientOp, OpResult, SimCluster};
@@ -162,20 +161,9 @@ fn three_drivers_give_identical_verdicts() {
         })
         .collect();
 
-    let ring = ThreadedCluster::start(members.clone(), config);
-    let threaded: Vec<bool> = ops
-        .iter()
-        .map(|(coordinator, key)| {
-            ring.check_and_insert(*coordinator, key, Bytes::from_static(b"v"))
-                .unwrap()
-        })
-        .collect();
-    ring.shutdown();
-
     for (i, want) in reference.iter().enumerate() {
         assert_eq!(instant[i], *want, "LocalCluster, op {i}");
         assert_eq!(simulated[i], *want, "SimCluster, op {i}");
-        assert_eq!(threaded[i], *want, "ThreadedCluster, op {i}");
     }
 }
 
