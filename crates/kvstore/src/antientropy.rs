@@ -125,43 +125,6 @@ impl MerkleTree {
     }
 }
 
-impl crate::cluster::LocalCluster {
-    /// Runs one anti-entropy round: for every pair of ring members,
-    /// build Merkle trees over the keys they *both* replicate, find
-    /// differing ranges, and union the entries in those ranges.
-    ///
-    /// Returns the number of entries copied. A second invocation right
-    /// after returns 0 (convergence).
-    pub fn anti_entropy(&mut self, depth: u32) -> usize {
-        let members = self.members();
-        let (ring, rf) = (&self.ring, self.config().replication_factor);
-        let mut copied = 0usize;
-        for (x, &a) in members.iter().enumerate() {
-            for &b in &members[x + 1..] {
-                // Asked for per pair: a summary folds what its store
-                // journalled since, so this pair sees what earlier ones
-                // wrote.
-                let mut of = |n| Some(NodeSummary::of(self.nodes.get_mut(&n)?, ring, rf, depth));
-                let (Some(of_a), Some(of_b)) = (of(a), of(b)) else {
-                    continue;
-                };
-                let store = |n| self.nodes.get(&n).map(NodeState::storage);
-                let pair = pair_diff(ring, [(&of_a, store(a)), (&of_b, store(b))]);
-                for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
-                    let Some(state) = self.nodes.get_mut(&dst) else {
-                        continue;
-                    };
-                    copied += entries.len();
-                    for (k, v) in entries {
-                        state.storage_mut().put_summed(k, v);
-                    }
-                }
-            }
-        }
-        copied
-    }
-}
-
 /// Simulated wire size of a serialized Merkle tree of the given depth:
 /// a fixed header plus one `u64` digest per leaf bucket. (Real
 /// implementations ship only unequal subtrees; charging the full leaf
@@ -383,6 +346,44 @@ mod tests {
     use crate::integrity::checksum64;
     use ef_netsim::NodeId;
     use std::collections::BTreeMap;
+
+    impl LocalCluster {
+        /// Runs one anti-entropy round: for every pair of ring members,
+        /// build Merkle trees over the keys they *both* replicate, find
+        /// differing ranges, and union the entries in those ranges.
+        ///
+        /// Returns the number of entries copied. A second invocation right
+        /// after returns 0 (convergence).
+        pub fn anti_entropy(&mut self, depth: u32) -> usize {
+            let members = self.members();
+            let (ring, rf) = (&self.ring, self.config().replication_factor);
+            let mut copied = 0usize;
+            for (x, &a) in members.iter().enumerate() {
+                for &b in &members[x + 1..] {
+                    // Asked for per pair: a summary folds what its store
+                    // journalled since, so this pair sees what earlier ones
+                    // wrote.
+                    let mut of =
+                        |n| Some(NodeSummary::of(self.nodes.get_mut(&n)?, ring, rf, depth));
+                    let (Some(of_a), Some(of_b)) = (of(a), of(b)) else {
+                        continue;
+                    };
+                    let store = |n| self.nodes.get(&n).map(NodeState::storage);
+                    let pair = pair_diff(ring, [(&of_a, store(a)), (&of_b, store(b))]);
+                    for (dst, entries) in [(b, pair.to_b), (a, pair.to_a)] {
+                        let Some(state) = self.nodes.get_mut(&dst) else {
+                            continue;
+                        };
+                        copied += entries.len();
+                        for (k, v) in entries {
+                            state.storage_mut().put_summed(k, v);
+                        }
+                    }
+                }
+            }
+            copied
+        }
+    }
 
     impl MerkleTree {
         /// A tree of `2^depth` buckets over `(key, value)` entries,

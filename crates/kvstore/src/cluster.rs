@@ -1,9 +1,12 @@
 //! `LocalCluster`: an in-process cluster with instant message delivery.
 //!
-//! This driver runs the node state machines with zero-latency message
-//! delivery. It is the *functional* face of the store — the D2-ring dedup
-//! index uses it to decide chunk uniqueness — while `SimCluster` prices the
-//! same operations in simulated time.
+//! This driver runs the node state machines over a fault-free, in-order,
+//! zero-latency queue. It is the *functional* face of the store — the
+//! D2-ring dedup index uses it to decide chunk uniqueness — while
+//! `SimCluster` prices the same operations in simulated time. It has no
+//! fault, membership or repair edge: crashes, revivals, hint replay,
+//! departures and anti-entropy exist only on `SimCluster`, which takes
+//! them as `ClusterFault`s and periodic rounds.
 
 use crate::msg::{ClientOp, OpId, OpResult, Outbound};
 use crate::node::{Consistency, NodeState};
@@ -54,7 +57,7 @@ pub enum ClusterError {
         /// Acks required.
         required: usize,
     },
-    /// The chosen coordinator is not a cluster member (or is down).
+    /// The chosen coordinator is not a cluster member.
     NoSuchCoordinator(NodeId),
     /// The coordinator's per-op timeout and retry budget were exhausted;
     /// the outcome at the replicas is unknown.
@@ -73,7 +76,7 @@ impl fmt::Display for ClusterError {
                 write!(f, "unavailable: {acks} of {required} required acks")
             }
             ClusterError::NoSuchCoordinator(n) => {
-                write!(f, "coordinator {n} is not an available cluster member")
+                write!(f, "coordinator {n} is not a cluster member")
             }
             ClusterError::TimedOut { acks, required } => {
                 write!(f, "timed out: {acks} of {required} required acks")
@@ -150,7 +153,6 @@ pub struct LocalCluster {
     pub(crate) nodes: BTreeMap<NodeId, NodeState>,
     config: ClusterConfig,
     pub(crate) ring: HashRing,
-    down: HashSet<NodeId>,
     /// Messages delivered (diagnostics; remote hops only).
     messages_delivered: u64,
 }
@@ -171,7 +173,6 @@ impl LocalCluster {
             nodes,
             config,
             ring,
-            down: HashSet::new(),
             messages_delivered: 0,
         }
     }
@@ -201,7 +202,7 @@ impl LocalCluster {
         self.nodes.get(&id)
     }
 
-    /// Mutable access to a member's state (tests, rebalancing).
+    /// Mutable access to a member's state (diagnostics/tests).
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeState> {
         self.nodes.get_mut(&id)
     }
@@ -210,8 +211,8 @@ impl LocalCluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoSuchCoordinator`] when the coordinator is unknown
-    /// or down; [`ClusterError::Unavailable`] when too few replicas
+    /// [`ClusterError::NoSuchCoordinator`] when the coordinator is not a
+    /// member; [`ClusterError::Unavailable`] when too few replicas
     /// answered.
     pub fn get(&mut self, coordinator: NodeId, key: &[u8]) -> Result<Option<Bytes>, ClusterError> {
         self.run_op(coordinator, ClientOp::Get(Bytes::copy_from_slice(key)))?
@@ -250,8 +251,8 @@ impl LocalCluster {
     /// (unique) and records the key when absent; returns `false`
     /// (duplicate) when a replica returned the recorded value.
     ///
-    /// Under instant delivery the degraded ("assume unique") path only
-    /// triggers when a quorum of replicas is marked down.
+    /// Every replica answers under fault-free instant delivery, so the
+    /// degraded ("assume unique") verdict never arises here.
     ///
     /// # Errors
     ///
@@ -274,9 +275,6 @@ impl LocalCluster {
         reason = "the queue is pumped to quiescence, so the coordinator's own op must have completed"
     )]
     fn run_op(&mut self, coordinator: NodeId, op: ClientOp) -> Result<OpResult, ClusterError> {
-        if self.down.contains(&coordinator) {
-            return Err(ClusterError::NoSuchCoordinator(coordinator));
-        }
         let Some(node) = self.nodes.get_mut(&coordinator) else {
             return Err(ClusterError::NoSuchCoordinator(coordinator));
         };
@@ -285,25 +283,16 @@ impl LocalCluster {
         // Pump even when the op completed at once, so replication finishes
         // after the client-visible completion (Cassandra's async replica
         // writes).
-        let pumped = self.pump(queue, Some(op_id));
+        let pumped = self.pump(queue, op_id);
         let result = completion.map(|c| c.result).or(pumped);
         Ok(result.expect("instant delivery always resolves the op"))
     }
 
     /// Delivers `queue` to quiescence — receiving a message can emit more
     /// — and returns the first completion of `watch` seen on the way.
-    /// Messages to a down node drop on the floor; the failure detector
-    /// already resolved pending ops when it was marked down.
-    fn pump(
-        &mut self,
-        mut queue: VecDeque<(NodeId, Outbound)>,
-        watch: Option<OpId>,
-    ) -> Option<OpResult> {
+    fn pump(&mut self, mut queue: VecDeque<(NodeId, Outbound)>, watch: OpId) -> Option<OpResult> {
         let mut result = None;
         while let Some((from, ob)) = queue.pop_front() {
-            if self.down.contains(&ob.to) {
-                continue;
-            }
             let Some(dest) = self.nodes.get_mut(&ob.to) else {
                 continue;
             };
@@ -313,114 +302,11 @@ impl LocalCluster {
             if result.is_none() {
                 result = comps
                     .into_iter()
-                    .find(|c| Some(c.op_id) == watch)
+                    .find(|c| c.op_id == watch)
                     .map(|c| c.result);
             }
         }
         result
-    }
-
-    /// Marks a node down cluster-wide: every peer's failure detector fires
-    /// and future messages to it are dropped.
-    pub fn set_down(&mut self, node: NodeId) {
-        if !self.down.insert(node) {
-            return;
-        }
-        for (id, state) in self.nodes.iter_mut() {
-            if *id != node {
-                state.mark_down(node);
-            }
-        }
-    }
-
-    /// Brings a node back up; peers replay their parked hints to it.
-    pub fn set_up(&mut self, node: NodeId) {
-        if !self.down.remove(&node) {
-            return;
-        }
-        let queue = self
-            .nodes
-            .iter_mut()
-            .filter(|(id, _)| **id != node)
-            .flat_map(|(&id, state)| state.mark_up(node).into_iter().map(move |ob| (id, ob)))
-            .collect();
-        self.pump(queue, None);
-    }
-
-    /// True when the node is currently marked down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
-    }
-
-    /// Adds a new member node and rebalances data onto it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the node is already a member.
-    pub fn add_node(&mut self, node: NodeId) {
-        assert!(
-            !self.nodes.contains_key(&node),
-            "node {node} already a member"
-        );
-        self.ring.add_node(node);
-        let state = NodeState::new(node, self.ring.clone(), &self.config);
-        self.nodes.insert(node, state);
-        let ring = self.ring.clone();
-        for s in self.nodes.values_mut() {
-            s.update_ring(ring.clone());
-        }
-        self.rebalance();
-    }
-
-    /// Removes a member node (graceful decommission) and rebalances its
-    /// data to the surviving replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics when removing the last member.
-    pub fn remove_node(&mut self, node: NodeId) {
-        assert!(self.nodes.len() > 1, "cannot remove the last member");
-        let Some(_) = self.nodes.remove(&node) else {
-            return;
-        };
-        self.ring.remove_node(node);
-        self.down.remove(&node);
-        let ring = self.ring.clone();
-        for s in self.nodes.values_mut() {
-            // Hints parked for a permanently departed node must be
-            // dropped, never replayed toward its tokens' new owners —
-            // rebalance below re-establishes replication from live data.
-            s.drop_hints_for(node);
-            s.update_ring(ring.clone());
-        }
-        // Note: the decommissioned node's data survives on its replicas
-        // (γ ≥ 2); rebalance re-establishes full replication.
-        self.rebalance();
-    }
-
-    /// Re-establishes the placement invariant after membership changes:
-    /// every live key is stored on exactly its current replica set.
-    pub fn rebalance(&mut self) {
-        // Gather the union of live data.
-        let mut all: BTreeMap<Bytes, Bytes> = BTreeMap::new();
-        for state in self.nodes.values() {
-            for (k, v) in state.storage().iter_live() {
-                all.entry(k).or_insert(v);
-            }
-        }
-        let rf = self.config.replication_factor;
-        for (k, v) in all {
-            let replicas = self.ring.replicas(&k, rf);
-            for (id, state) in self.nodes.iter_mut() {
-                let should_have = replicas.contains(id);
-                let has = state.storage().contains(&k);
-                if should_have && !has {
-                    state.storage_mut().put(k.clone(), v.clone());
-                } else if !should_have && has {
-                    state.storage_mut().delete(k.clone());
-                }
-            }
-        }
     }
 
     /// Total live keys across all members (counting replicas).
@@ -499,94 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn survives_single_node_failure_with_rf2() {
-        let mut c = cluster(5);
-        for i in 0..100u32 {
-            c.put(NodeId(0), &i.to_be_bytes(), Bytes::from_static(b"v"))
-                .unwrap();
-        }
-        c.set_down(NodeId(3));
-        // Every key still readable through any up coordinator (the
-        // surviving replica answers).
-        for i in 0..100u32 {
-            let coord = NodeId(if i % 5 == 3 { 0 } else { i % 5 });
-            assert_eq!(
-                c.get(coord, &i.to_be_bytes()).unwrap(),
-                Some(Bytes::from_static(b"v")),
-                "key {i} lost after failure"
-            );
-        }
-    }
-
-    #[test]
     fn down_coordinator_rejected() {
         let mut c = cluster(3);
-        c.set_down(NodeId(1));
-        let err = c.get(NodeId(1), b"k").unwrap_err();
-        assert!(matches!(err, ClusterError::NoSuchCoordinator(n) if n == NodeId(1)));
-        assert!(!err.to_string().is_empty());
         let err = c.get(NodeId(9), b"k").unwrap_err();
         assert!(matches!(err, ClusterError::NoSuchCoordinator(n) if n == NodeId(9)));
-    }
-
-    #[test]
-    fn hinted_handoff_restores_replication() {
-        let mut c = cluster(3);
-        c.set_down(NodeId(2));
-        for i in 0..100u32 {
-            c.put(NodeId(0), &i.to_be_bytes(), Bytes::from_static(b"v"))
-                .unwrap();
-        }
-        // Node 2 missed its writes.
-        let before = c.node(NodeId(2)).unwrap().storage().stats().live_keys;
-        assert_eq!(before, 0);
-        c.set_up(NodeId(2));
-        // Hints replayed: node 2 holds exactly the keys it replicates.
-        let after = c.node(NodeId(2)).unwrap().storage().stats().live_keys;
-        let expected: usize = (0..100u32)
-            .filter(|i| c.ring().replicas(&i.to_be_bytes(), 2).contains(&NodeId(2)))
-            .count();
-        assert_eq!(after, expected, "hint replay incomplete");
-    }
-
-    #[test]
-    fn add_node_rebalances() {
-        let mut c = cluster(3);
-        for i in 0..300u32 {
-            c.put(NodeId(0), &i.to_be_bytes(), Bytes::from_static(b"v"))
-                .unwrap();
-        }
-        c.add_node(NodeId(3));
-        // Placement invariant: each key lives exactly on its replicas.
-        assert_eq!(c.total_replica_entries(), 600);
-        for i in 0..300u32 {
-            assert_eq!(
-                c.get(NodeId(3), &i.to_be_bytes()).unwrap(),
-                Some(Bytes::from_static(b"v"))
-            );
-        }
-        // The new node actually took ownership of some keys.
-        let owned = c.node(NodeId(3)).unwrap().storage().stats().live_keys;
-        assert!(owned > 0, "new node owns nothing");
-    }
-
-    #[test]
-    fn remove_node_keeps_data() {
-        let mut c = cluster(4);
-        for i in 0..300u32 {
-            c.put(NodeId(0), &i.to_be_bytes(), Bytes::from_static(b"v"))
-                .unwrap();
-        }
-        c.remove_node(NodeId(2));
-        assert_eq!(c.members().len(), 3);
-        for i in 0..300u32 {
-            assert_eq!(
-                c.get(NodeId(0), &i.to_be_bytes()).unwrap(),
-                Some(Bytes::from_static(b"v")),
-                "key {i} lost on decommission"
-            );
-        }
-        assert_eq!(c.total_replica_entries(), 600);
+        assert!(!err.to_string().is_empty());
     }
 
     #[test]

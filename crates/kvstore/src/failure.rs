@@ -1,7 +1,7 @@
 //! Heartbeat-based failure detection.
 //!
-//! The cluster drivers in this crate mark nodes down through an oracle
-//! (`set_down`) for deterministic tests; a deployed ring needs to
+//! A crash reaches the simulated cluster as a scheduled
+//! `ClusterFault`, but its peers are not told: a deployed ring needs to
 //! *detect* failures. [`HeartbeatDetector`] is the standard mechanism
 //! Cassandra's gossip layer builds on: every peer is expected to be
 //! heard from within a timeout; silence marks it suspect, and hearing

@@ -12,12 +12,12 @@
 //! * replication factor γ with per-operation [`Consistency`] levels,
 //! * [`NodeState`] — a deterministic, transport-agnostic message-passing
 //!   state machine per node (coordinator + replica roles),
-//! * [`LocalCluster`] — an in-process cluster with instant message
-//!   delivery for functional use (the D2-ring index) and tests,
+//! * [`LocalCluster`] — an in-process, fault-free cluster with instant
+//!   message delivery for functional use (the D2-ring index) and tests,
 //! * [`SimCluster`] — the same state machines driven through
 //!   `ef-simcore`/`ef-netsim`, yielding per-operation latencies,
 //! * [`sweep`] — the one fault-sweep harness and oracle over [`SimCluster`],
-//! * hinted handoff and node up/down handling,
+//! * hinted handoff, node crash/revival and departure (on [`SimCluster`]),
 //! * [`StorageEngine`] — a node's in-memory index entries, one ordered
 //!   map, made durable by its [`WriteAheadLog`].
 //!

@@ -230,7 +230,7 @@ impl NodeState {
         &self.storage
     }
 
-    /// Mutable access to the local storage engine (tests, rebalancing).
+    /// Mutable access to the local storage engine (tests, fault injection).
     pub fn storage_mut(&mut self) -> &mut StorageEngine {
         &mut self.storage
     }
@@ -285,17 +285,6 @@ impl NodeState {
         self.stats.recovery.rereplicated_entries += out.len() as u64;
         self.ring = new_ring;
         out
-    }
-
-    /// Replaces this node's ring view (membership change). The caller is
-    /// responsible for streaming data that changed ownership (see
-    /// `LocalCluster::rebalance`).
-    pub fn update_ring(&mut self, ring: HashRing) {
-        assert!(
-            ring.contains(self.id),
-            "node removed from its own ring view"
-        );
-        self.ring = ring;
     }
 
     /// The next sequence number this coordinator would issue. The

@@ -13,13 +13,6 @@ impl NodeState {
         self.hints.values().map(Vec::len).sum()
     }
 
-    /// The distinct peers this node is currently holding hints for
-    /// (diagnostics): after a permanent departure none of them may be the
-    /// departed node.
-    pub fn hinted_peers(&self) -> Vec<NodeId> {
-        self.hints.keys().copied().collect()
-    }
-
     /// Marks a peer down: future operations skip it and hint instead.
     pub fn mark_down(&mut self, peer: NodeId) {
         self.down.insert(peer);
@@ -54,7 +47,7 @@ impl NodeState {
     /// replaying them would misdirect writes meant for the departed
     /// node's tokens, whose new owners are re-replicated explicitly).
     /// Returns the number dropped.
-    pub fn drop_hints_for(&mut self, peer: NodeId) -> usize {
+    pub(crate) fn drop_hints_for(&mut self, peer: NodeId) -> usize {
         let dropped = self.take_hints_for(peer).len();
         self.stats.recovery.hints_dropped += dropped as u64;
         dropped

@@ -227,7 +227,8 @@ fn writes_during_gossip_detected_outage_hint_and_replay() {
         .filter(|l| l.result == OpResult::Written)
         .count();
     assert_eq!(written, 50, "writes failed during detected outage");
-    // After revival and hint replay, node 2 holds its replica share.
+    // After revival and hint replay, node 2 holds exactly the keys it
+    // replicates.
     let keys_on_2 = cluster
         .nodes
         .get(&members[2])
@@ -235,7 +236,16 @@ fn writes_during_gossip_detected_outage_hint_and_replay() {
         .storage()
         .stats()
         .live_keys;
-    assert!(keys_on_2 > 0, "hint replay never reached the revived node");
+    let expected = (0..50u32)
+        .filter(|i| {
+            cluster
+                .ring
+                .replicas(&i.to_be_bytes(), 2)
+                .contains(&members[2])
+        })
+        .count();
+    assert!(expected > 0, "node 2 replicates none of the keys");
+    assert_eq!(keys_on_2, expected, "hint replay incomplete");
 }
 
 #[test]

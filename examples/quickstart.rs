@@ -27,6 +27,9 @@ fn main() {
         network.topology().edge_sites().len(),
         network.topology().cloud_nodes().len()
     );
+    assert_eq!(edge.len(), 8);
+    assert_eq!(network.topology().edge_sites().len(), 4);
+    assert_eq!(network.topology().cloud_nodes().len(), 4);
 
     // --- Workload: synthetic accelerometer sources ----------------------
     let dataset = datasets::accelerometer(8, 42);
@@ -44,6 +47,7 @@ fn main() {
         fitted.mse,
         fitted.mean_rel_error * 100.0
     );
+    assert!(fitted.mean_rel_error < 0.05, "Algorithm 1 fits the pair");
 
     // --- Step 2: the SNOD2 instance --------------------------------------
     // (For the partitioning we use the dataset's full ground-truth model;
@@ -55,6 +59,9 @@ fn main() {
     // --- Step 3: SMART partitioning ---------------------------------------
     let partition = SmartGreedy.partition(&inst, 3);
     println!("\nSMART D2-rings: {:?}", partition.rings());
+    // Every edge node joins exactly one D2-ring.
+    assert_eq!(partition.node_count(), edge.len());
+    assert!((0..edge.len()).all(|n| partition.ring_of(n).is_some()));
     let cost = inst.total_cost(&partition);
     println!(
         "model cost: storage={:.0} chunks, network={:.0}, aggregate={:.0}",
@@ -68,12 +75,19 @@ fn main() {
         "\n{:<16} {:>12} {:>12} {:>14} {:>12}",
         "strategy", "thr (MB/s)", "dedup", "WAN (MB)", "storage (MB)"
     );
+    let mut wan = Vec::new();
     for strategy in [
         Strategy::Smart(partition.clone()),
         Strategy::CloudAssisted,
         Strategy::CloudOnly,
     ] {
         let m = run_system(&network, &workload, &strategy, &cfg);
+        assert!(
+            m.dedup_ratio >= 1.0,
+            "{}: dedup never adds bytes",
+            m.strategy
+        );
+        wan.push(m.wan_bytes);
         println!(
             "{:<16} {:>12.1} {:>12.2} {:>14.1} {:>12.1}",
             m.strategy,
@@ -84,4 +98,9 @@ fn main() {
         );
     }
     println!("\nEF-dedup (SMART) keeps hash lookups at the edge and ships only unique chunks.");
+    // Cloud-Only ships every chunk over the WAN; SMART ships its uniques.
+    assert!(
+        wan[0] < wan[2],
+        "SMART ships less over the WAN than Cloud-Only"
+    );
 }

@@ -14,7 +14,10 @@
 //! ```
 
 use bytes::Bytes;
+use efdedup_repro::chunking::Chunk;
+use efdedup_repro::kvstore::{ClientOp, ClusterFault, OpResult, SimCluster};
 use efdedup_repro::prelude::*;
+use std::collections::HashSet;
 
 fn main() {
     let cameras = 12;
@@ -73,10 +76,12 @@ fn main() {
     let chunker = FixedChunker::new(dataset.model().chunk_size()).expect("valid chunk size");
     let mut unique = 0usize;
     let mut total = 0usize;
+    let mut distinct = HashSet::new();
     for (cam, &member) in members.iter().enumerate().take(4) {
         let frames = dataset.file(cam, 0, 0, 300);
         for chunk in chunker.chunk(&frames) {
             total += 1;
+            distinct.insert(chunk.hash);
             if ring
                 .check_and_insert(member, chunk.hash.as_bytes(), Bytes::from_static(&[1]))
                 .expect("ring available")
@@ -89,43 +94,70 @@ fn main() {
         "streamed {total} chunks, {unique} unique -> ring dedup ratio {:.2}",
         total as f64 / unique as f64
     );
+    assert_eq!(unique, distinct.len(), "the ring's verdicts match a set");
 
-    // Kill one edge node mid-operation: with replication factor 2 the
-    // index stays available, and hinted handoff repairs the node later.
-    ring.set_down(NodeId(2));
-    let mut survived = 0usize;
-    let probe = dataset.file(0, 0, 0, 300);
-    for chunk in chunker.chunk(&probe) {
-        if ring
-            .get(NodeId(0), chunk.hash.as_bytes())
-            .expect("ring available")
-            .is_some()
-        {
-            survived += 1;
+    // Kill one edge node mid-operation on the simulated ring: with
+    // replication factor 2 the index stays available, and hinted handoff
+    // repairs the node once heartbeats show it back.
+    let net = Network::new(
+        TopologyBuilder::new().edge_site(4).build(),
+        NetworkConfig::paper_testbed(),
+    );
+    let nodes = net.topology().edge_nodes();
+    let mut sim = SimCluster::new(nodes.clone(), net, ClusterConfig::default());
+    let (ms, at) = (SimDuration::from_millis, SimTime::from_secs_f64);
+    sim.enable_heartbeats(ms(100), ms(350));
+    let victim = nodes[2];
+    sim.inject(ClusterFault::Crash {
+        at: at(1.0),
+        node: victim,
+    });
+    sim.inject(ClusterFault::Revive {
+        at: at(3.0),
+        node: victim,
+    });
+    let check = |chunk: &Chunk| {
+        let hash = Bytes::copy_from_slice(chunk.hash.as_bytes());
+        ClientOp::CheckAndInsert(hash, Bytes::from_static(&[1]))
+    };
+    let submit_all = |sim: &mut SimCluster, from: f64, node: NodeId, chunks: &[Chunk]| {
+        for (i, chunk) in (0u64..).zip(chunks) {
+            sim.submit(at(from) + ms(i), node, check(chunk));
         }
-    }
-    println!("node n2 down: {survived}/300 previously seen chunks still found (no re-upload)");
+    };
+    let held = |sim: &SimCluster| {
+        let node = sim.node(victim).expect("victim is up");
+        node.storage().stats().live_keys
+    };
+    let seen = chunker.chunk(&dataset.file(0, 0, 0, 300));
+    submit_all(&mut sim, 0.0, nodes[0], &seen);
+    sim.run_until(at(0.9));
+    let before = held(&sim);
+
+    submit_all(&mut sim, 1.5, nodes[0], &seen);
+    let probes = sim.run_until(at(2.0));
+    let found = probes
+        .iter()
+        .filter(|p| matches!(p.result, OpResult::Dedup { unique: false, .. }))
+        .count();
+    println!(
+        "node {victim} down: {found}/{} previously seen chunks still found (no re-upload)",
+        seen.len()
+    );
+    assert_eq!((found, probes.len()), (seen.len(), seen.len()));
 
     // New chunks written while n2 is down are hinted...
-    let new_frames = dataset.file(1, 1, 0, 100);
-    for chunk in chunker.chunk(&new_frames) {
-        let _ = ring.check_and_insert(members[1], chunk.hash.as_bytes(), Bytes::from_static(&[1]));
-    }
-    let before = ring
-        .node(NodeId(2))
-        .expect("member")
-        .storage()
-        .stats()
-        .live_keys;
-    ring.set_up(NodeId(2));
-    let after = ring
-        .node(NodeId(2))
-        .expect("member")
-        .storage()
-        .stats()
-        .live_keys;
-    println!(
-        "n2 recovers: hinted handoff replayed {} index entries onto it",
-        after - before
+    submit_all(
+        &mut sim,
+        2.0,
+        nodes[1],
+        &chunker.chunk(&dataset.file(1, 1, 0, 100)),
     );
+    sim.run_until(at(2.9));
+    let hints = sim.total_hints();
+    sim.run_until(at(4.0));
+    let replayed = held(&sim) - before;
+    println!("{victim} recovers: hinted handoff replayed {replayed} index entries onto it");
+    assert!(hints > 0, "no write was hinted for the crashed node");
+    assert_eq!((replayed, sim.total_hints()), (hints, 0));
 }

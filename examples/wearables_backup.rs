@@ -54,6 +54,10 @@ fn main() {
                 "warm start"
             },
         );
+        assert!(
+            fitted.mean_rel_error < 0.05,
+            "slot {slot}: the fit tracks the drift"
+        );
 
         // Build this slot's instance from the *fitted* model and
         // measured network costs, then partition.
@@ -68,6 +72,9 @@ fn main() {
             .expect("fitted instance is valid");
         let partition = SmartGreedy.partition(&inst, 2);
         let changed = last_partition.as_ref() != Some(&partition);
+        // Every participant is backed up through exactly one ring.
+        assert_eq!(partition.node_count(), participants);
+        assert!((0..participants).all(|p| partition.ring_of(p).is_some()));
         println!(
             "        rings {:?}{}",
             partition.rings(),
@@ -88,6 +95,11 @@ fn main() {
             metrics.wan_bytes as f64 / 1e6,
             metrics.aggregate_throughput_mbps
         );
+        assert!(
+            metrics.dedup_ratio >= 1.0,
+            "slot {slot}: dedup never adds bytes"
+        );
+        assert!(metrics.wan_bytes <= metrics.total_input_bytes);
 
         previous = Some(fitted);
         last_partition = Some(partition);
