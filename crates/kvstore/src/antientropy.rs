@@ -13,7 +13,6 @@
 
 use crate::engine::StorageEngine;
 use crate::integrity::Summed;
-use crate::key_token;
 use crate::node::NodeState;
 use crate::ring::HashRing;
 use bytes::Bytes;
@@ -37,12 +36,13 @@ pub struct MerkleTree {
 
 /// Mixes one key/value pair into a bucket digest (commutative across
 /// entries: XOR of per-entry avalanche hashes). The key half is the
-/// key's ring token, which every caller already has; the value half is
-/// `sum`, the store's remembered checksum of the value's bytes as they
-/// stand (journalled by [`StorageEngine`], or handed out by its
-/// `iter_summed` walk) — values are whole payloads, and anti-entropy
-/// never touches their bytes: a rotted value digests as what it rotted
-/// to, and finding the rot is left to verify-on-read and scrub.
+/// key's ring token, which the store took once when the entry was put;
+/// the value half is `sum`, the store's remembered checksum of the
+/// value's bytes as they stand. The store ([`StorageEngine`]) journals
+/// both, or hands them out on its `iter_summed` walk — values are whole
+/// payloads, and anti-entropy never touches their bytes: a rotted value
+/// digests as what it rotted to, and finding the rot is left to
+/// verify-on-read and scrub.
 fn entry_digest(token: u64, sum: u64) -> u64 {
     let mut h = token ^ 0x9e37_79b9_7f4a_7c15;
     h = h.wrapping_add(sum.rotate_left(32));
@@ -214,7 +214,7 @@ impl NodeSummary {
                 if changes.peek().is_some() {
                     let summary = Arc::make_mut(kept);
                     for change in changes {
-                        summary.fold(ring, &change.key, change.before, change.after);
+                        summary.fold(ring, change.token, change.before, change.after);
                     }
                 }
                 return Arc::clone(kept);
@@ -231,9 +231,9 @@ impl NodeSummary {
         };
         let mut live = 0;
         storage.count_walk();
-        for (key, _, sum) in storage.iter_summed() {
+        for (_, stored) in storage.iter_summed() {
             live += 1;
-            summary.fold(ring, key, None, Some(sum));
+            summary.fold(ring, stored.token, None, Some(stored.sum));
         }
         storage.arm_journal(live);
         let summary = Arc::new(summary);
@@ -241,12 +241,11 @@ impl NodeSummary {
         summary
     }
 
-    /// Folds one change of `key`'s live value — remembered sum `before`
-    /// → `after` — into the row of every peer that co-replicates it:
-    /// XOR is its own inverse, so the old digest comes out as the new
-    /// one goes in.
-    fn fold(&mut self, ring: &HashRing, key: &[u8], before: Option<u64>, after: Option<u64>) {
-        let token = key_token(key);
+    /// Folds one change of the live value of the key whose ring token is
+    /// `token` — remembered sum `before` → `after` — into the row of
+    /// every peer that co-replicates it: XOR is its own inverse, so the
+    /// old digest comes out as the new one goes in.
+    fn fold(&mut self, ring: &HashRing, token: u64, before: Option<u64>, after: Option<u64>) {
         let sums = before.into_iter().chain(after);
         let delta = sums.fold(0, |d, sum| d ^ entry_digest(token, sum));
         if delta == 0 {
@@ -309,7 +308,9 @@ pub(crate) fn pair_diff(
 
 /// The entries `src`'s store holds of keys `src` and `dst` both
 /// replicate, in the divergent `buckets`, that `dst`'s store lacks:
-/// bucket-major, then key order.
+/// bucket-major, then key order. Each entry is tested by the cheapest
+/// question first: its remembered token's bucket, then whether `dst`
+/// replicates it, and only then a probe of `dst`'s store.
 fn missing(
     ring: &HashRing,
     (src, src_store): (&NodeSummary, Option<&StorageEngine>),
@@ -323,14 +324,13 @@ fn missing(
     src_store.count_walk();
     let live = src_store.iter_summed();
     let mut out: Vec<(usize, &Bytes, Summed)> = live
-        .filter_map(|(key, value, sum)| {
-            let token = key_token(key);
-            let bucket = MerkleTree::bucket_of(token, depth);
+        .filter_map(|(key, stored)| {
+            let bucket = MerkleTree::bucket_of(stored.token, depth);
             buckets.binary_search(&bucket).ok()?;
-            let replicas = ring.replicas_for_token(token, rf);
+            let replicas = ring.replicas_for_token(stored.token, rf);
             let shared = replicas.contains(&src.node) && replicas.contains(&dst.node);
-            let lacked = !dst_store.is_some_and(|store| store.contains(key));
-            (shared && lacked).then(|| (bucket, key, Summed::with_sum(value.clone(), sum)))
+            let lacked = || !dst_store.is_some_and(|store| store.contains(key));
+            (shared && lacked()).then(|| (bucket, key, stored.summed()))
         })
         .collect();
     // Stable: key order survives within each bucket.
@@ -344,6 +344,7 @@ mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, LocalCluster};
     use crate::integrity::checksum64;
+    use crate::key_token;
     use ef_netsim::NodeId;
     use std::collections::BTreeMap;
 
@@ -661,7 +662,9 @@ mod tests {
     /// order — on random drifted stores, including entries a node
     /// holds but does not replicate, a ring member with no state at
     /// all, and a value bit-rotted in place on one replica (same
-    /// key, different bytes: its bucket differs, nothing is "missing").
+    /// key, different bytes: its bucket differs, nothing is "missing");
+    /// and the listing of every pair of a drifted rf=3 cluster, read off
+    /// the summaries the product path remembers, is the reference's.
     #[test]
     fn summaries_match_the_per_pair_reference() {
         check(
@@ -720,6 +723,24 @@ mod tests {
                         assert_eq!(got, want, "pair ({}, {})", a, b);
                     }
                 }
+
+                let mut cluster = drifted_cluster(seed);
+                let (ring, nodes) = (&cluster.ring, &mut cluster.nodes);
+                let summaries: Vec<Arc<NodeSummary>> = nodes
+                    .values_mut()
+                    .map(|state| NodeSummary::of(state, ring, 3, depth))
+                    .collect();
+                let store = |n| nodes.get(&n).map(NodeState::storage);
+                let mut listed = 0;
+                for (x, a) in summaries.iter().enumerate() {
+                    for b in &summaries[x + 1..] {
+                        let got = pair_diff(ring, [(a, store(a.node)), (b, store(b.node))]);
+                        let want = pair_diff_reference(nodes, ring, 3, a.node, b.node, depth);
+                        assert_eq!(got, want, "drifted pair ({}, {})", a.node, b.node);
+                        listed += got.to_a.len() + got.to_b.len();
+                    }
+                }
+                assert!(listed > 0, "the drift lists no repair");
             },
         );
     }

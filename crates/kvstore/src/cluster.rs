@@ -202,8 +202,9 @@ impl LocalCluster {
         self.nodes.get(&id)
     }
 
-    /// Mutable access to a member's state (diagnostics/tests).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeState> {
+    /// Mutable access to a member's state (tests).
+    #[cfg(test)]
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeState> {
         self.nodes.get_mut(&id)
     }
 
@@ -310,7 +311,8 @@ impl LocalCluster {
     }
 
     /// Total live keys across all members (counting replicas).
-    pub fn total_replica_entries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_replica_entries(&self) -> usize {
         self.nodes
             .values()
             .map(|s| s.storage().stats().live_keys)

@@ -8,6 +8,7 @@
 //! replays into a fresh engine.
 
 use crate::integrity::{checksum64, IntegrityError, Summed};
+use crate::key_token;
 use bytes::Bytes;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -116,17 +117,28 @@ impl Ordered for Probe<'_> {
     }
 }
 
-/// A stored value and the two sums kept beside it.
+/// A stored value, the two sums kept beside it and its key's ring
+/// token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Stored {
-    data: Bytes,
+pub(crate) struct Stored {
+    pub(crate) data: Bytes,
     /// `checksum64(data)` recorded at write time: what verify-on-read
     /// and scrub — the only readers of `data`'s bytes — hold them to.
     crc: u64,
     /// `checksum64(data)` of the bytes as they stand: set with `crc` by
     /// `put` and re-summed by the rot hook, the only other writer of a
     /// byte. Anti-entropy digests this instead of reading `data`.
-    sum: u64,
+    pub(crate) sum: u64,
+    /// [`key_token`] of the key, taken once by `put`: anti-entropy buckets
+    /// and places the entry by it without hashing the key again.
+    pub(crate) token: u64,
+}
+
+impl Stored {
+    /// The value with the sum of its bytes as they stand.
+    pub(crate) fn summed(&self) -> Summed {
+        Summed::with_sum(self.data.clone(), self.sum)
+    }
 }
 
 /// Counters describing engine state, used by resource accounting.
@@ -141,11 +153,12 @@ pub struct StorageStats {
     pub segments: usize,
 }
 
-/// One change to a store's live set: the remembered sum of `key`'s live
-/// value before and after it (`None`: no live value).
+/// One change to a store's live set: the remembered sum of a key's live
+/// value before and after it (`None`: no live value), and the key's ring
+/// token — all a summary folds.
 #[derive(Debug, Clone)]
 pub(crate) struct Change {
-    pub(crate) key: Bytes,
+    pub(crate) token: u64,
     pub(crate) before: Option<u64>,
     pub(crate) after: Option<u64>,
 }
@@ -157,7 +170,7 @@ struct Journal {
     changes: Vec<Change>,
     /// Live entries at the last summary, and the bound on `changes`.
     /// Folding a change costs what summarizing one entry on a walk
-    /// costs (a token, a replica set, at most two digests), and a walk
+    /// costs (a replica set, at most two digests), and a walk
     /// visits at most `live + changes.len()` entries; so once `changes`
     /// outgrows `live`, one walk is no dearer than the fold, and the
     /// journal never holds more records than the store held entries.
@@ -167,9 +180,9 @@ struct Journal {
 /// An in-memory key-value engine: one ordered map from key to value.
 ///
 /// Once anti-entropy has summarized the store it also keeps a change
-/// journal — `(key, sum before, sum after)` per `put`, `delete` and rot
-/// flip — which the next summary folds forward instead of walking the
-/// store. A store never summarized keeps none.
+/// journal — `(key's token, sum before, sum after)` per `put`, `delete`
+/// and rot flip — which the next summary folds forward instead of
+/// walking the store. A store never summarized keeps none.
 ///
 /// # Example
 ///
@@ -212,32 +225,34 @@ impl StorageEngine {
     /// scrub hold the bytes to.
     pub(crate) fn put_summed(&mut self, key: Bytes, value: Summed) -> bool {
         let crc = value.sum();
+        let token = key_token(&key);
         let stored = Stored {
             data: value.into_bytes(),
             crc,
             sum: crc,
+            token,
         };
-        let noted = self.journal.is_some().then(|| key.clone());
         let before = self.entries.insert(Key::new(key), stored);
         let before = before.map(|shadowed| shadowed.sum);
-        if let Some(key) = noted {
-            self.note(&key, before, Some(crc));
-        }
+        self.note(token, before, Some(crc));
         before.is_none()
     }
 
     /// Journals one change to the live set while the journal is armed:
     /// a change that changes nothing is left out, and a journal past its
     /// bound is dropped.
-    fn note(&mut self, key: &Bytes, before: Option<u64>, after: Option<u64>) {
+    fn note(&mut self, token: u64, before: Option<u64>, after: Option<u64>) {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
         if before == after {
             return;
         }
-        let key = key.clone();
-        journal.changes.push(Change { key, before, after });
+        journal.changes.push(Change {
+            token,
+            before,
+            after,
+        });
         if journal.changes.len() > journal.live {
             self.journal = None;
         }
@@ -317,8 +332,8 @@ impl StorageEngine {
         v.sum = checksum64(&bytes);
         let after = v.sum;
         v.data = Bytes::from(bytes);
-        let key = key.bytes.clone();
-        self.note(&key, Some(before), Some(after));
+        let (key, token) = (key.bytes.clone(), v.token);
+        self.note(token, Some(before), Some(after));
         Some(key)
     }
 
@@ -330,7 +345,9 @@ impl StorageEngine {
     /// Deletes `key`.
     pub fn delete(&mut self, key: Bytes) {
         let removed = self.entries.remove(&Probe::new(&key) as &dyn Ordered);
-        self.note(&key, removed.map(|v| v.sum), None);
+        if let Some(removed) = removed {
+            self.note(removed.token, Some(removed.sum), None);
+        }
     }
 
     /// Live entries in key order from just past `after` (the start when
@@ -351,12 +368,13 @@ impl StorageEngine {
         self.live(None).map(|(k, v)| (k.clone(), v.data.clone()))
     }
 
-    /// Live `(key, value, sum)` triples in key order, `sum` being the
-    /// remembered checksum of the value's bytes as they stand: what
+    /// Live entries in key order, each value with the remembered
+    /// checksum of its bytes as they stand and its key's ring token: what
     /// anti-entropy rebuilds a summary and lists repairs from, and what
-    /// a node streams to new owners, without reading a payload.
-    pub(crate) fn iter_summed(&self) -> impl Iterator<Item = (&Bytes, &Bytes, u64)> + '_ {
-        self.live(None).map(|(k, v)| (k, &v.data, v.sum))
+    /// a node streams to new owners, without reading a payload or
+    /// hashing a key.
+    pub(crate) fn iter_summed(&self) -> impl Iterator<Item = (&Bytes, &Stored)> + '_ {
+        self.live(None)
     }
 
     /// Notes one anti-entropy walk of the live set: anti-entropy calls
@@ -425,7 +443,7 @@ pub struct ScrubChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ef_simcore::prop::{check, vec};
+    use ef_simcore::prop::{any, check, vec};
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -478,17 +496,18 @@ mod tests {
     /// (fresh keys and overwrites), deletes, plain and verified reads,
     /// rot flips, scrub passes and journal arms and drains: `put`'s
     /// was-absent answer, every read, the rotted keys a verified read
-    /// refuses and a scrub lists, the walk, the live counts and the
-    /// journal's `(key, before, after)` stream all follow the map. Keys
-    /// run to 11 bytes and several share a head word.
+    /// refuses and a scrub lists, the walk with its sums and tokens, the
+    /// live counts and the journal's `(token, before, after)` stream all
+    /// follow the map. Keys run to 11 bytes and several share a head
+    /// word.
     #[test]
     fn engine_is_an_ordered_map() {
         type Model = BTreeMap<Bytes, (Bytes, u64)>;
         /// The journal's changes and its bound, while armed.
-        type Noted = Option<(Vec<(Bytes, Option<u64>, Option<u64>)>, usize)>;
+        type Noted = Option<(Vec<(u64, Option<u64>, Option<u64>)>, usize)>;
         fn note(journal: &mut Noted, key: &Bytes, before: Option<u64>, after: Option<u64>) {
             if let Some((changes, live)) = journal.as_mut().filter(|_| before != after) {
-                changes.push((key.clone(), before, after));
+                changes.push((key_token(key), before, after));
                 if changes.len() > *live {
                     *journal = None;
                 }
@@ -579,7 +598,7 @@ mod tests {
                     }
                     _ => {
                         let got = engine.drain_journal().map(|changes| {
-                            let changes = changes.map(|c| (c.key, c.before, c.after));
+                            let changes = changes.map(|c| (c.token, c.before, c.after));
                             changes.collect::<Vec<_>>()
                         });
                         let want = journal.as_mut().map(|(changes, live)| {
@@ -595,8 +614,10 @@ mod tests {
                 let walked: Vec<_> = engine.iter_live().collect();
                 let held = model.iter().map(|(k, (v, _))| (k.clone(), v.clone()));
                 assert_eq!(walked, held.collect::<Vec<_>>(), "step {step}: walk");
-                let summed = engine.iter_summed().map(|(k, _, sum)| (k.clone(), sum));
-                let sums = model.iter().map(|(k, (v, _))| (k.clone(), checksum64(v)));
+                let summed = engine.iter_summed();
+                let summed = summed.map(|(k, stored)| (k.clone(), stored.sum, stored.token));
+                let sums = model.iter();
+                let sums = sums.map(|(k, (v, _))| (k.clone(), checksum64(v), key_token(k)));
                 assert_eq!(summed.collect::<Vec<_>>(), sums.collect::<Vec<_>>());
                 let stats = engine.stats();
                 assert_eq!(stats.live_keys, model.len(), "step {step}");
@@ -677,6 +698,48 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// The token a live entry keeps is its key's [`key_token`]: after
+    /// random puts, overwrites, deletes and rot flips, and after the node
+    /// restarts from its write-ahead log into a fresh engine.
+    #[test]
+    fn every_live_entry_keeps_its_keys_token() {
+        use crate::cluster::{member_ring, ClusterConfig};
+        use crate::node::NodeState;
+        use ef_netsim::NodeId;
+        fn tokens_hold(engine: &StorageEngine, step: &str) {
+            for (key, stored) in engine.iter_summed() {
+                assert_eq!(stored.token, key_token(key), "{step}: {key:?}");
+            }
+        }
+        let ops = vec((0u8..5, vec(any::<u8>(), 0..40), 0usize..64), 1..64);
+        check("every_live_entry_keeps_its_keys_token", 64, ops, |ops| {
+            let (id, config) = (NodeId(0), ClusterConfig::default());
+            let ring = member_ring(&[id]);
+            let mut node = NodeState::new(id, ring.clone(), &config);
+            for (step, (op, key, arg)) in ops.into_iter().enumerate() {
+                let key = Bytes::from(key);
+                match op {
+                    0..=2 => {
+                        let value = Bytes::from(vec![step as u8; 1 + arg]);
+                        node.wal_mut().append_put(&key, &value);
+                        node.storage_mut().put(key, value);
+                    }
+                    3 => {
+                        node.wal_mut().append_delete(&key);
+                        node.storage_mut().delete(key);
+                    }
+                    _ => {
+                        node.storage_mut().corrupt_nth_value(arg, arg * 3);
+                    }
+                }
+                tokens_hold(node.storage(), &format!("step {step}"));
+            }
+            let (wal, _) = node.crash();
+            let node = NodeState::recover(id, ring, &config, wal).expect("an unrotted log replays");
+            tokens_hold(node.storage(), "after a restart");
+        });
     }
 
     #[test]

@@ -265,8 +265,10 @@ impl NodeState {
         let mut new_ring = self.ring.clone();
         new_ring.remove_node(dead);
         let mut out = Vec::new();
-        for (key, value, sum) in self.storage.iter_summed() {
-            let old_reps = self.ring.replicas(key, self.replication_factor);
+        for (key, stored) in self.storage.iter_summed() {
+            let old_reps = self
+                .ring
+                .replicas_for_token(stored.token, self.replication_factor);
             if !old_reps.contains(&dead) {
                 continue;
             }
@@ -274,11 +276,11 @@ impl NodeState {
             if sender != Some(self.id) {
                 continue;
             }
-            for target in new_ring.replicas(key, self.replication_factor) {
+            for target in new_ring.replicas_for_token(stored.token, self.replication_factor) {
                 if old_reps.contains(&target) {
                     continue;
                 }
-                let value = Summed::with_sum(value.clone(), sum);
+                let value = stored.summed();
                 out.push(Outbound::hint_replay(target, key.clone(), Some(value)));
             }
         }

@@ -1,6 +1,7 @@
 //! The index's write-ahead log: a node's simulated disk, replayed into a
-//! fresh [`StorageEngine`](crate::StorageEngine) on restart, and the
-//! record framing the upload spool's log shares.
+//! fresh [`StorageEngine`](crate::StorageEngine) on restart, and the log
+//! section — frames whose long payloads are held by reference — that the
+//! upload spool's log is built from too.
 
 use crate::engine::head;
 use crate::integrity::{checksum64, le_array, Checksum64, Summed};
@@ -64,16 +65,18 @@ const WAL_TAG_DELETE: u8 = 2;
 /// the trailing checksum being [`frame_digest`] of the head and the
 /// payload's sum, which is returned. The key arrives as parts written back
 /// to back, so a caller that prefixes a header to a key (the upload
-/// spool's own log, which shares this framing) never joins them in a
-/// buffer of its own first. A payload that carries its sum is copied in
-/// and not read again; one that does not is summed from the copy just
-/// written, hot in cache where the caller's bytes may be cold.
+/// spool's log) never joins them in a buffer of its own first. A payload
+/// that carries its sum is copied in and not read again; one that does
+/// not is summed from the copy just written, hot in cache where the
+/// caller's bytes may be cold.
 pub(crate) fn encode_put(
     buf: &mut Vec<u8>,
     key: &[&[u8]],
     payload: &[u8],
     sum: Option<u64>,
 ) -> u64 {
+    #[cfg(test)]
+    reference::note_copied(payload.len());
     let start = buf.len();
     encode_head(buf, key, Some(payload.len()));
     let head_end = buf.len();
@@ -214,9 +217,9 @@ fn locate(bytes: &[u8], offset: usize) -> Result<Option<Located>, WalError> {
 
 /// Locates the frame starting at `offset` and verifies its trailing
 /// checksum, without copying anything out; `Ok(None)` at end of input.
-/// The one framing parser: the upload spool walks its segments with it,
-/// and the write-ahead log hands it the byte form of any section one of
-/// whose frames fails its check in place (`Section::verified`).
+/// The one framing parser: a [`Section`] hands it its byte form whenever
+/// one of its frames fails its check in place (`Section::verified`,
+/// `Section::replayed`).
 pub(crate) fn frame_at(bytes: &[u8], offset: usize) -> Result<Option<Frame>, WalError> {
     let Some(located) = locate(bytes, offset)? else {
         return Ok(None);
@@ -256,13 +259,14 @@ struct Check {
     clean: bool,
 }
 
-/// One log section (snapshot or tail). Its byte form — what rot addresses
-/// and what the parser reads — is `owned` with each `shared` payload
-/// spliced in at its offset: frame headers (tag, length fields, key),
-/// checksums and short payloads are owned, and each longer payload is the
-/// `Bytes` handed to [`WriteAheadLog::append_put`], held by reference.
+/// One log section (a write-ahead log's snapshot or tail, an upload
+/// spool segment). Its byte form — what rot addresses and what the parser
+/// reads — is `owned` with each `shared` payload spliced in at its
+/// offset: frame headers (tag, length fields, key), checksums and short
+/// payloads are owned, and each longer payload is the `Bytes` handed to
+/// [`WriteAheadLog::append_put`] or spooled, held by reference.
 #[derive(Debug, Clone, Default)]
-struct Section {
+pub(crate) struct Section {
     owned: Vec<u8>,
     /// `(offset into owned, payload)`, offsets nondecreasing.
     shared: Vec<(usize, Bytes)>,
@@ -284,6 +288,14 @@ impl Payload<'_> {
             Payload::Shared(bytes) => bytes,
         }
     }
+
+    /// A shared payload itself, an inline one copied out.
+    fn to_bytes(self) -> Bytes {
+        match self {
+            Payload::Inline(bytes) => Bytes::copy_from_slice(bytes),
+            Payload::Shared(bytes) => bytes.clone(),
+        }
+    }
 }
 
 /// One record of a section, located the way the parser would frame the
@@ -301,8 +313,22 @@ struct Record<'a> {
     value: Option<Payload<'a>>,
 }
 
+/// One record of a [`Section`] read back and verified
+/// ([`Section::replayed`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Replayed {
+    /// The key field.
+    pub(crate) key: Bytes,
+    /// A put's payload, with the sum of its bytes as they stand; `None`
+    /// for a delete.
+    pub(crate) value: Option<Summed>,
+    /// The frame's length in the byte form.
+    pub(crate) len: usize,
+}
+
 impl Section {
-    fn len(&self) -> usize {
+    /// Bytes in the byte form.
+    pub(crate) fn len(&self) -> usize {
         self.owned.len() + self.spliced
     }
 
@@ -310,23 +336,31 @@ impl Section {
         self.len() == 0
     }
 
-    /// Appends a record, its checksum stamped from its head and its
-    /// payload's sum — the one the payload carries, if any. A long
-    /// payload is held by reference, a short one copied in.
-    fn push_record(&mut self, key: &[u8], value: Option<(&Bytes, Option<u64>)>) {
+    /// Appends a record whose key is `key`'s parts back to back, its
+    /// checksum stamped from its head and its payload's sum — the one the
+    /// payload carries, if any, else one taken here. A long payload is
+    /// held by reference, a short one copied in. Returns a put's payload
+    /// sum.
+    pub(crate) fn push_record(
+        &mut self,
+        key: &[&[u8]],
+        value: Option<(&Bytes, Option<u64>)>,
+    ) -> Option<u64> {
         match value {
             Some((value, sum)) if value.len() > INLINE_PAYLOAD_MAX => {
                 let start = self.owned.len();
-                encode_head(&mut self.owned, &[key], Some(value.len()));
+                encode_head(&mut self.owned, key, Some(value.len()));
                 let sum = sum.unwrap_or_else(|| checksum64(value));
                 let crc = frame_digest(&self.owned[start..], Some(sum));
                 self.push_shared(value.clone());
                 self.owned.extend_from_slice(&crc.to_le_bytes());
+                Some(sum)
             }
-            Some((value, sum)) => {
-                encode_put(&mut self.owned, &[key], value, sum);
+            Some((value, sum)) => Some(encode_put(&mut self.owned, key, value, sum)),
+            None => {
+                encode_delete(&mut self.owned, key);
+                None
             }
-            None => encode_delete(&mut self.owned, &[key]),
         }
     }
 
@@ -383,7 +417,7 @@ impl Section {
     }
 
     /// The byte form, joined: what the cold paths hand the parser.
-    fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(self.len());
         for part in self.parts() {
             bytes.extend_from_slice(part);
@@ -462,10 +496,14 @@ impl Section {
         })
     }
 
+    /// The sum of `record`'s payload as it stands; `None` for a delete.
+    fn payload_sum(&self, record: &Record<'_>) -> Option<u64> {
+        record.value.map(|value| checksum64(value.bytes()))
+    }
+
     /// `record`'s checksum recomputed from its bytes ([`frame_digest`]):
-    /// the head, and a payload's sum taken from the payload as it stands.
-    fn digest(&self, record: &Record<'_>) -> u64 {
-        let payload = record.value.map(|value| checksum64(value.bytes()));
+    /// the head, and `payload`, its [`Section::payload_sum`].
+    fn digest(&self, record: &Record<'_>, payload: Option<u64>) -> u64 {
         frame_digest(&self.owned[record.start..record.head_end], payload)
     }
 
@@ -487,7 +525,7 @@ impl Section {
     /// checksum matches the digest of its bytes.
     #[cfg(test)]
     fn verifies(&self, record: &Record<'_>) -> bool {
-        self.digest(record) == self.stored(record)
+        self.digest(record, self.payload_sum(record)) == self.stored(record)
     }
 
     /// The one verify walk: each record's digest recomputed from its
@@ -505,7 +543,8 @@ impl Section {
                     clean: false,
                 };
             };
-            let (digest, stored) = (self.digest(&record), self.stored(&record));
+            let digest = self.digest(&record, self.payload_sum(&record));
+            let stored = self.stored(&record);
             clean &= digest == stored;
             block.frame(self.frame_len(&record), digest, stored);
         }
@@ -549,6 +588,43 @@ impl Section {
         }))
     }
 
+    /// Every record read back, verified: the key field copied out, a
+    /// put's payload shared (or copied out, when held inline) with the sum
+    /// its verification took of it, and the frame's length. One walk, each
+    /// payload summed once, when every frame verifies where it is; else
+    /// the byte form is read by the one framing parser ([`frame_at`]), so
+    /// damage comes out as the parser reports it.
+    pub(crate) fn replayed(&self) -> Result<Vec<Replayed>, WalError> {
+        let mut out = Vec::new();
+        for record in self.walk() {
+            let summed = record.map(|record| (self.payload_sum(&record), record));
+            let verified =
+                summed.filter(|(sum, record)| self.digest(record, *sum) == self.stored(record));
+            let Some((sum, record)) = verified else {
+                return Self::parsed(&self.to_bytes());
+            };
+            let value = record.value.zip(sum);
+            let value = value.map(|(value, sum)| Summed::with_sum(value.to_bytes(), sum));
+            let (key, len) = (Bytes::copy_from_slice(record.key), self.frame_len(&record));
+            out.push(Replayed { key, value, len });
+        }
+        Ok(out)
+    }
+
+    /// [`Section::replayed`] of a byte form, by the parser: every frame
+    /// copied out.
+    fn parsed(bytes: &[u8]) -> Result<Vec<Replayed>, WalError> {
+        let (mut out, mut offset) = (Vec::new(), 0);
+        while let Some(Frame { key, value, end }) = frame_at(bytes, offset)? {
+            let copy = |range: std::ops::Range<usize>| Bytes::copy_from_slice(&bytes[range]);
+            let value = value.map(|(value, sum)| Summed::with_sum(copy(value), sum));
+            let (key, len) = (copy(key), end - offset);
+            out.push(Replayed { key, value, len });
+            offset = end;
+        }
+        Ok(out)
+    }
+
     /// The records of a verified section.
     fn records(&self) -> impl Iterator<Item = Record<'_>> + '_ {
         self.walk().flatten()
@@ -560,8 +636,7 @@ impl Section {
         self.records().map(|record| {
             let key = Bytes::copy_from_slice(record.key);
             match record.value {
-                Some(Payload::Shared(value)) => WalRecord::Put(key, value.clone()),
-                Some(Payload::Inline(value)) => WalRecord::Put(key, Bytes::copy_from_slice(value)),
+                Some(value) => WalRecord::Put(key, value.to_bytes()),
                 None => WalRecord::Delete(key),
             }
         })
@@ -570,7 +645,7 @@ impl Section {
     /// Flips `mask` in byte `at` of the byte form. A shared payload is
     /// copied before it is written, so whoever else holds it never sees
     /// the flip.
-    fn flip(&mut self, at: usize, mask: u8) {
+    pub(crate) fn flip(&mut self, at: usize, mask: u8) {
         let mut before = 0;
         for (offset, value) in &mut self.shared {
             let begins = *offset + before;
@@ -589,7 +664,7 @@ impl Section {
     }
 
     /// Cuts the byte form to its first `cut` bytes.
-    fn truncate(&mut self, cut: usize) {
+    pub(crate) fn truncate(&mut self, cut: usize) {
         let mut before = 0;
         let mut kept = self.shared.len();
         for (i, (offset, value)) in self.shared.iter_mut().enumerate() {
@@ -656,8 +731,8 @@ impl Section {
 /// That shape fits a key-value *state* — an index shard, where a key is
 /// overwritten in place and the live set is what matters. A queue whose
 /// records are written once and retired in arrival order (the upload
-/// spool) keeps its own log, [`SpoolLog`](crate::SpoolLog), with this
-/// log's framing and none of its snapshots.
+/// spool) keeps its own log, [`SpoolLog`](crate::SpoolLog): a run of
+/// this log's sections and none of its snapshots.
 ///
 /// # Example
 ///
@@ -743,7 +818,7 @@ impl WriteAheadLog {
 
     /// Writes one record to the tail; compacts if due.
     fn append(&mut self, key: &[u8], value: Option<(&Bytes, Option<u64>)>) {
-        self.tail.push_record(key, value);
+        self.tail.push_record(&[key], value);
         self.tail_records += 1;
         self.appended += 1;
         self.maybe_snapshot();
@@ -1038,6 +1113,27 @@ impl WriteAheadLog {
 pub(crate) mod reference {
     use super::*;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Bytes of long payloads this thread has copied into a log.
+        static COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts a payload [`encode_put`] copies into a log buffer, if it is
+    /// longer than 48 bytes.
+    pub(super) fn note_copied(len: usize) {
+        if len > INLINE_PAYLOAD_MAX {
+            COPIED.with(|n| n.set(n.get() + len as u64));
+        }
+    }
+
+    /// Bytes of payloads longer than 48 bytes that [`encode_put`] has
+    /// copied into a log buffer on the calling thread so far: a
+    /// [`Section`] holds such a payload by reference, so a log built of
+    /// sections adds none.
+    pub(crate) fn copied() -> u64 {
+        COPIED.with(std::cell::Cell::get)
+    }
 
     /// Every field of a [`WriteAheadLog`], sections as bytes.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1684,14 +1780,14 @@ mod tests {
                 let payload = Summed::digest(Bytes::from(payload));
                 let mut section = Section::default();
                 match shape {
-                    0 => section.push_record(&key, Some((payload.bytes(), Some(payload.sum())))),
-                    1 => section.push_record(&key, None),
+                    0 => section.push_record(&[&key], Some((payload.bytes(), Some(payload.sum())))),
+                    1 => section.push_record(&[&key], None),
                     _ => {
                         let header = [7u8, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0];
                         let sum = Some(payload.sum());
-                        encode_put(&mut section.owned, &[&header, &key], &payload, sum);
+                        section.push_record(&[&header, &key], Some((payload.bytes(), sum)))
                     }
-                }
+                };
                 assert!(in_place(&section) && parsed(&section.to_bytes()));
                 for bit in 0..section.len() * 8 {
                     let mut rotted = section.clone();
