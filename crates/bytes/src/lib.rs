@@ -140,6 +140,9 @@ impl Borrow<[u8]> for Bytes {
     }
 }
 
+/// Copies: an `Arc<[u8]>` keeps its counts in front of the bytes, so the
+/// vector's bytes move into a fresh allocation and the vector is freed. A
+/// caller that fills a `Vec` only to wrap it writes every byte twice.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes::shared(Arc::from(v))

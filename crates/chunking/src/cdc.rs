@@ -361,10 +361,10 @@ impl Chunker for GearChunker {
     /// ([`GearChunker::boundaries`]), then fingerprint every payload in
     /// one [`crate::fingerprint_batch`] call. Both halves split large inputs
     /// across the host's cores; chunks and hashes are the ones a single
-    /// core gives.
+    /// core gives. Each chunk's payload is a buffer of its own, so a
+    /// stored chunk keeps only its own bytes alive, not the whole input.
     #[expect(clippy::indexing_slicing, reason = "cuts rise strictly to data.len()")]
     fn chunk(&self, data: &[u8]) -> Vec<Chunk> {
-        let src = Bytes::copy_from_slice(data);
         let cuts = self.boundaries(data);
         let mut payloads = Vec::with_capacity(cuts.len());
         let mut start = 0usize;
@@ -376,7 +376,8 @@ impl Chunker for GearChunker {
         let mut out = Vec::with_capacity(cuts.len());
         let mut start = 0usize;
         for (&end, hash) in cuts.iter().zip(hashes) {
-            out.push(Chunk::with_hash(start as u64, src.slice(start..end), hash));
+            let payload = Bytes::copy_from_slice(&data[start..end]);
+            out.push(Chunk::with_hash(start as u64, payload, hash));
             start = end;
         }
         out
@@ -419,6 +420,25 @@ mod tests {
             .is_err());
         assert!(GearChunkerBuilder::new().target_size(5000).build().is_err());
         assert!(GearChunkerBuilder::new().build().is_ok());
+    }
+
+    #[test]
+    fn each_chunk_is_a_buffer_of_its_own() {
+        // Slices of one copy of the input sit end to end in memory;
+        // separate allocations never do. Over the parallel cut path too.
+        for len in [100_000, 1 << 20] {
+            let chunks = GearChunker::default().chunk(&pseudo_random(len, 17));
+            assert!(chunks.len() > 5);
+            for pair in chunks.windows(2) {
+                let end = pair[0].data.as_ptr().wrapping_add(pair[0].len());
+                assert_ne!(
+                    end,
+                    pair[1].data.as_ptr(),
+                    "chunk at {} shares",
+                    pair[1].offset
+                );
+            }
+        }
     }
 
     #[test]

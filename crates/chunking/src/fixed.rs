@@ -73,24 +73,21 @@ impl Default for FixedChunker {
 impl Chunker for FixedChunker {
     /// Cuts equal-size chunks, then fingerprints all payloads in one
     /// [`crate::fingerprint_batch`] call, which spreads a large batch
-    /// across the host's cores with the same digests.
+    /// across the host's cores with the same digests. Each chunk's
+    /// payload is a buffer of its own.
     fn chunk(&self, data: &[u8]) -> Vec<Chunk> {
-        let src = Bytes::copy_from_slice(data);
-        let n = data.len().div_ceil(self.chunk_size);
         let payloads: Vec<&[u8]> = data.chunks(self.chunk_size).collect();
         let hashes = crate::chunk::fingerprint_batch(&payloads);
-        let mut out = Vec::with_capacity(n);
-        let mut offset = 0usize;
-        for hash in hashes {
-            let end = (offset + self.chunk_size).min(src.len());
-            out.push(Chunk::with_hash(
-                offset as u64,
-                src.slice(offset..end),
-                hash,
-            ));
-            offset = end;
-        }
-        out
+        let mut offset = 0u64;
+        payloads
+            .iter()
+            .zip(hashes)
+            .map(|(payload, hash)| {
+                let chunk = Chunk::with_hash(offset, Bytes::copy_from_slice(payload), hash);
+                offset += payload.len() as u64;
+                chunk
+            })
+            .collect()
     }
 
     fn target_chunk_size(&self) -> usize {
@@ -136,6 +133,25 @@ mod tests {
             rebuilt.extend_from_slice(&ch.data);
         }
         assert_eq!(rebuilt, data);
+    }
+
+    #[test]
+    fn each_chunk_is_a_buffer_of_its_own() {
+        // Slices of one copy of the input sit end to end in memory;
+        // separate allocations never do.
+        let c = FixedChunker::new(4096).unwrap();
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let chunks = c.chunk(&data);
+        assert_eq!(chunks.len(), 25);
+        for pair in chunks.windows(2) {
+            let end = pair[0].data.as_ptr().wrapping_add(pair[0].len());
+            assert_ne!(
+                end,
+                pair[1].data.as_ptr(),
+                "chunk at {} shares",
+                pair[1].offset
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::catalog::Manifest;
 use bytes::Bytes;
 use ef_chunking::{Chunk, ChunkHash};
 use ef_erasure::ReedSolomon;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,6 +85,20 @@ impl std::error::Error for DurableError {}
 /// A chunk store spread over `nodes` cloud storage nodes under a
 /// [`Durability`] scheme.
 ///
+/// # Aliasing
+///
+/// A stored payload is the `Bytes` that [`DurableStore::put`] was handed,
+/// kept as it came: under replication it is every copy, and under
+/// erasure coding it is the `k` data shards (the code is systematic, so
+/// shard `f` is the payload's `f`-th stretch, the last ones zero-padded).
+/// `put` allocates only the `m` parity shards, and a healthy
+/// [`DurableStore::get`] hands back that same buffer. The store keeps
+/// alive whatever allocation the `Bytes` views, so hand it a payload
+/// that is its own buffer — as both chunkers' chunks are — not a slice of
+/// a larger one it would pin whole. Nothing the store does reaches those
+/// bytes: [`DurableStore::corrupt_fragment`] rots a private copy of the
+/// one fragment it damages.
+///
 /// # Example
 ///
 /// ```
@@ -114,16 +129,56 @@ pub struct DurableStore {
 
 #[derive(Debug, Clone)]
 struct StoredChunk {
-    /// Original payload length.
-    len: usize,
     /// First node holding a fragment; fragment `f` lives on node
     /// `(base + f) % nodes`.
     base: usize,
-    /// The fragments back to back, equally long: fragment `f` is the
-    /// `f`-th `fragments.len() / n`-byte stretch. Under erasure coding
-    /// this is the coder's flat output (payload, padding, parity); under
-    /// replication, the payload once per copy.
-    fragments: Bytes,
+    /// The payload as `put` was handed it: every replica under
+    /// replication, the `k` data shards under erasure coding.
+    data: Bytes,
+    /// The `m` parity shards back to back (empty under replication): the
+    /// only bytes `put` allocates.
+    parity: Box<[u8]>,
+    /// Each fragment that has rotted, as a whole fragment of its own
+    /// (padding included); the bytes above stay as they were put.
+    rotted: BTreeMap<usize, Box<[u8]>>,
+}
+
+/// Bytes in each fragment of a `len`-byte payload: the payload under
+/// replication (no code), one shard under erasure coding.
+fn fragment_len(rs: Option<&ReedSolomon>, len: usize) -> usize {
+    rs.map_or(len, |rs| rs.shard_len(len))
+}
+
+impl StoredChunk {
+    /// Fragment `f`, `fragment_len` bytes: its rotted copy, the payload
+    /// (a replica), a parity shard, or a data shard — borrowed when it
+    /// lies wholly inside the payload, else copied and zero-padded.
+    fn fragment(&self, f: usize, scheme: Durability, fragment_len: usize) -> Cow<'_, [u8]> {
+        if let Some(rotted) = self.rotted.get(&f) {
+            return Cow::Borrowed(rotted);
+        }
+        match scheme {
+            Durability::Replicated { .. } => Cow::Borrowed(&self.data),
+            Durability::ErasureCoded { k, .. } if f >= k => {
+                let at = (f - k) * fragment_len;
+                Cow::Borrowed(&self.parity[at..at + fragment_len])
+            }
+            Durability::ErasureCoded { .. } => {
+                let len = self.data.len();
+                let stretch =
+                    &self.data[(f * fragment_len).min(len)..((f + 1) * fragment_len).min(len)];
+                if stretch.len() == fragment_len {
+                    return Cow::Borrowed(stretch);
+                }
+                #[cfg(test)]
+                reference::note_copied(stretch.len());
+                let mut padded = Vec::with_capacity(fragment_len);
+                padded.extend_from_slice(stretch);
+                padded.resize(fragment_len, 0);
+                Cow::Owned(padded)
+            }
+        }
+    }
 }
 
 impl DurableStore {
@@ -170,7 +225,9 @@ impl DurableStore {
     }
 
     /// Stores a chunk (idempotent: re-putting an existing hash is a
-    /// no-op).
+    /// no-op). The store keeps `data` itself, the buffer it views
+    /// included (see [Aliasing](DurableStore#aliasing)), and allocates
+    /// only parity.
     ///
     /// # Errors
     ///
@@ -185,16 +242,17 @@ impl DurableStore {
         }
         let base = self.next_spread;
         self.next_spread = (self.next_spread + 1) % self.node_count;
-        let fragments = match &self.rs {
-            None => data.repeat(self.durability.fragments()),
-            Some(rs) => rs.encode_flat(&data),
-        };
+        let parity = self
+            .rs
+            .as_ref()
+            .map_or_else(Box::default, |rs| rs.parity(&data).into_boxed_slice());
         self.chunks.insert(
             hash,
             StoredChunk {
-                len: data.len(),
                 base,
-                fragments: Bytes::from(fragments),
+                data,
+                parity,
+                rotted: BTreeMap::new(),
             },
         );
         Ok(())
@@ -216,44 +274,49 @@ impl DurableStore {
             .get(hash)
             .ok_or(DurableError::UnknownChunk(*hash))?;
         let fragments = self.durability.fragments();
-        let fragment_len = chunk.fragments.len() / fragments;
-        // Fragment `f`'s stretch of the buffer, unless its node is down.
-        let readable = |f: usize| -> Option<std::ops::Range<usize>> {
-            let up = !self.failed[(chunk.base + f) % self.node_count];
-            up.then_some(f * fragment_len..(f + 1) * fragment_len)
-        };
+        let fragment_len = fragment_len(self.rs.as_ref(), chunk.data.len());
+        let up = |f: usize| !self.failed[(chunk.base + f) % self.node_count];
+        // A fragment as put: readable, and not rotted since.
+        let intact = |f: usize| up(f) && !chunk.rotted.contains_key(&f);
         match &self.rs {
             None => {
                 // Any surviving replica serves — but only after its bytes
                 // re-hash to the chunk's address. A rotted replica is as
                 // bad as a failed node; the scan moves on past it.
-                let mut replicas = (0..fragments).filter_map(readable).peekable();
+                let mut replicas = (0..fragments).filter(|&f| up(f)).peekable();
                 if replicas.peek().is_none() {
                     return Err(DurableError::Unrecoverable(*hash));
                 }
+                // A replica that verifies holds the payload put, so the
+                // read hands out the buffer put kept.
                 replicas
-                    .find(|replica| ChunkHash::of(&chunk.fragments[replica.clone()]) == *hash)
-                    .map(|replica| chunk.fragments.slice(replica))
+                    .find(|&f| {
+                        ChunkHash::of(&chunk.fragment(f, self.durability, fragment_len)) == *hash
+                    })
+                    .map(|_| chunk.data.clone())
                     .ok_or(DurableError::Corrupt(*hash))
             }
             Some(rs) => {
                 let k = rs.data_shards();
-                let shards = || -> Vec<Option<&[u8]>> {
+                let len = chunk.data.len();
+                let shards = || -> Vec<Option<Cow<'_, [u8]>>> {
                     (0..fragments)
-                        .map(|f| readable(f).map(|stretch| &chunk.fragments[stretch]))
+                        .map(|f| up(f).then(|| chunk.fragment(f, self.durability, fragment_len)))
                         .collect()
                 };
-                // The code is systematic and the data shards lead the
-                // buffer: with all of them readable the payload is the
-                // buffer's head, and a healthy read copies, decodes and
-                // collects nothing. Otherwise the decoder's output is the
-                // one copy.
-                let data = if (0..k).all(|f| readable(f).is_some()) {
-                    chunk.fragments.slice(..chunk.len)
+                let decode = |shards: &[Option<Cow<'_, [u8]>>]| {
+                    let out = rs.reconstruct(shards, len).ok()?;
+                    #[cfg(test)]
+                    reference::note_copied(out.len());
+                    Some(Bytes::from(out))
+                };
+                // The data shards are the payload as put: with all of them
+                // intact, a read copies, decodes and collects nothing.
+                // Otherwise the decoder's output is the one copy.
+                let data = if (0..k).all(intact) {
+                    chunk.data.clone()
                 } else {
-                    rs.reconstruct(&shards(), chunk.len)
-                        .map(Bytes::from)
-                        .map_err(|_| DurableError::Unrecoverable(*hash))?
+                    decode(&shards()).ok_or(DurableError::Unrecoverable(*hash))?
                 };
                 if ChunkHash::of(&data) == *hash {
                     return Ok(data);
@@ -266,8 +329,7 @@ impl DurableStore {
                     let Some(suspect) = shards[f].take() else {
                         continue;
                     };
-                    if let Ok(rebuilt) = rs.reconstruct(&shards, chunk.len) {
-                        let rebuilt = Bytes::from(rebuilt);
+                    if let Some(rebuilt) = decode(&shards) {
                         if ChunkHash::of(&rebuilt) == *hash {
                             return Ok(rebuilt);
                         }
@@ -321,19 +383,24 @@ impl DurableStore {
     /// Flips one bit of the stored copy of fragment `fragment` — fault
     /// injection for integrity tests. Returns `false` when the chunk is
     /// unknown or that fragment holds no bytes.
+    ///
+    /// The fragment is copied on its first rot, padding included, and
+    /// only it: the payload `put` kept — the caller's buffer, and under
+    /// replication every other copy — and the parity stay as they were.
     pub fn corrupt_fragment(&mut self, hash: &ChunkHash, fragment: usize, bit: usize) -> bool {
-        let fragments = self.durability.fragments();
+        let (fragments, scheme) = (self.durability.fragments(), self.durability);
         let Some(chunk) = self.chunks.get_mut(hash) else {
             return false;
         };
-        let fragment_len = chunk.fragments.len() / fragments;
+        let fragment_len = fragment_len(self.rs.as_ref(), chunk.data.len());
         if fragment_len == 0 {
             return false;
         }
-        let mut raw = chunk.fragments.to_vec();
-        let b = (fragment % fragments) * fragment_len * 8 + bit % (fragment_len * 8);
+        let f = fragment % fragments;
+        let mut raw = chunk.fragment(f, scheme, fragment_len).into_owned();
+        let b = bit % (fragment_len * 8);
         raw[b / 8] ^= 1 << (b % 8);
-        chunk.fragments = Bytes::from(raw);
+        chunk.rotted.insert(f, raw.into_boxed_slice());
         true
     }
 
@@ -356,17 +423,20 @@ impl DurableStore {
         self.failed[node] = false;
     }
 
-    /// Total physical bytes across all storage nodes.
+    /// Total physical bytes across all storage nodes: every fragment at
+    /// its full length, padding included, as separate storage nodes
+    /// would hold them.
     pub fn physical_bytes(&self) -> u64 {
+        let fragments = self.durability.fragments() as u64;
         self.chunks
             .values()
-            .map(|chunk| chunk.fragments.len() as u64)
+            .map(|chunk| fragments * fragment_len(self.rs.as_ref(), chunk.data.len()) as u64)
             .sum()
     }
 
     /// Total logical (original chunk) bytes stored.
     pub fn logical_bytes(&self) -> u64 {
-        self.chunks.values().map(|m| m.len as u64).sum()
+        self.chunks.values().map(|c| c.data.len() as u64).sum()
     }
 
     /// Distinct chunks stored.
@@ -386,6 +456,196 @@ impl DurableStore {
     /// ring's index against.
     pub fn hashes(&self) -> impl Iterator<Item = &ChunkHash> {
         self.chunks.keys()
+    }
+}
+
+/// The store as it was kept before it held payloads by reference — each
+/// chunk's fragments back to back in one coded buffer (payload, padding
+/// and parity under erasure coding; the payload once per copy under
+/// replication), rot flipping a bit of a copy of that whole buffer —
+/// kept as the reference [`DurableStore`] is held to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    thread_local! {
+        /// Payload bytes this thread's stores have copied.
+        static COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts `len` payload bytes copied by a store.
+    pub(super) fn note_copied(len: usize) {
+        COPIED.with(|n| n.set(n.get() + len as u64));
+    }
+
+    /// Payload bytes the stores on the calling thread have copied so far:
+    /// padded data shards and decoder output on a degraded read, and
+    /// every byte of this reference's coded buffers. A `put` or a healthy
+    /// `get` of a [`DurableStore`] adds none.
+    pub(crate) fn copied() -> u64 {
+        COPIED.with(std::cell::Cell::get)
+    }
+
+    #[derive(Debug, Clone)]
+    struct FlatChunk {
+        len: usize,
+        base: usize,
+        fragments: Bytes,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct FlatStore {
+        durability: Durability,
+        rs: Option<ReedSolomon>,
+        node_count: usize,
+        failed: Vec<bool>,
+        chunks: BTreeMap<ChunkHash, FlatChunk>,
+        next_spread: usize,
+    }
+
+    impl FlatStore {
+        pub(crate) fn new(node_count: usize, durability: Durability) -> Self {
+            let rs = match durability {
+                Durability::Replicated { .. } => None,
+                Durability::ErasureCoded { k, m } => Some(ReedSolomon::new(k, m).unwrap()),
+            };
+            FlatStore {
+                durability,
+                rs,
+                node_count,
+                failed: vec![false; node_count],
+                chunks: BTreeMap::new(),
+                next_spread: 0,
+            }
+        }
+
+        pub(crate) fn put(&mut self, hash: ChunkHash, data: Bytes) -> Result<(), DurableError> {
+            if ChunkHash::of(&data) != hash {
+                return Err(DurableError::Corrupt(hash));
+            }
+            if self.chunks.contains_key(&hash) {
+                return Ok(());
+            }
+            let base = self.next_spread;
+            self.next_spread = (self.next_spread + 1) % self.node_count;
+            let fragments = match &self.rs {
+                None => data.repeat(self.durability.fragments()),
+                // What `encode_flat` built: the payload copied into a
+                // zeroed `k` shards, the parity behind them.
+                Some(rs) => {
+                    let shard_len = rs.shard_len(data.len());
+                    let mut flat = data.to_vec();
+                    flat.resize(rs.data_shards() * shard_len, 0);
+                    flat.extend_from_slice(&rs.parity(&data));
+                    flat
+                }
+            };
+            // The coded buffer, then `Bytes::from`'s copy of it.
+            note_copied(2 * fragments.len());
+            self.chunks.insert(
+                hash,
+                FlatChunk {
+                    len: data.len(),
+                    base,
+                    fragments: Bytes::from(fragments),
+                },
+            );
+            Ok(())
+        }
+
+        pub(crate) fn get(&self, hash: &ChunkHash) -> Result<Bytes, DurableError> {
+            let chunk = self
+                .chunks
+                .get(hash)
+                .ok_or(DurableError::UnknownChunk(*hash))?;
+            let fragments = self.durability.fragments();
+            let fragment_len = chunk.fragments.len() / fragments;
+            let readable = |f: usize| -> Option<std::ops::Range<usize>> {
+                let up = !self.failed[(chunk.base + f) % self.node_count];
+                up.then_some(f * fragment_len..(f + 1) * fragment_len)
+            };
+            match &self.rs {
+                None => {
+                    let mut replicas = (0..fragments).filter_map(readable).peekable();
+                    if replicas.peek().is_none() {
+                        return Err(DurableError::Unrecoverable(*hash));
+                    }
+                    replicas
+                        .find(|replica| ChunkHash::of(&chunk.fragments[replica.clone()]) == *hash)
+                        .map(|replica| chunk.fragments.slice(replica))
+                        .ok_or(DurableError::Corrupt(*hash))
+                }
+                Some(rs) => {
+                    let k = rs.data_shards();
+                    let shards = || -> Vec<Option<&[u8]>> {
+                        (0..fragments)
+                            .map(|f| readable(f).map(|stretch| &chunk.fragments[stretch]))
+                            .collect()
+                    };
+                    let data = if (0..k).all(|f| readable(f).is_some()) {
+                        chunk.fragments.slice(..chunk.len)
+                    } else {
+                        rs.reconstruct(&shards(), chunk.len)
+                            .map(Bytes::from)
+                            .map_err(|_| DurableError::Unrecoverable(*hash))?
+                    };
+                    if ChunkHash::of(&data) == *hash {
+                        return Ok(data);
+                    }
+                    let mut shards = shards();
+                    for f in 0..fragments {
+                        let Some(suspect) = shards[f].take() else {
+                            continue;
+                        };
+                        if let Ok(rebuilt) = rs.reconstruct(&shards, chunk.len) {
+                            let rebuilt = Bytes::from(rebuilt);
+                            if ChunkHash::of(&rebuilt) == *hash {
+                                return Ok(rebuilt);
+                            }
+                        }
+                        shards[f] = Some(suspect);
+                    }
+                    Err(DurableError::Corrupt(*hash))
+                }
+            }
+        }
+
+        pub(crate) fn corrupt_fragment(
+            &mut self,
+            hash: &ChunkHash,
+            fragment: usize,
+            bit: usize,
+        ) -> bool {
+            let fragments = self.durability.fragments();
+            let Some(chunk) = self.chunks.get_mut(hash) else {
+                return false;
+            };
+            let fragment_len = chunk.fragments.len() / fragments;
+            if fragment_len == 0 {
+                return false;
+            }
+            let mut raw = chunk.fragments.to_vec();
+            let b = (fragment % fragments) * fragment_len * 8 + bit % (fragment_len * 8);
+            raw[b / 8] ^= 1 << (b % 8);
+            chunk.fragments = Bytes::from(raw);
+            true
+        }
+
+        pub(crate) fn fail_node(&mut self, node: usize) {
+            self.failed[node] = true;
+        }
+
+        pub(crate) fn recover_node(&mut self, node: usize) {
+            self.failed[node] = false;
+        }
+
+        pub(crate) fn physical_bytes(&self) -> u64 {
+            self.chunks.values().map(|c| c.fragments.len() as u64).sum()
+        }
+
+        pub(crate) fn logical_bytes(&self) -> u64 {
+            self.chunks.values().map(|c| c.len as u64).sum()
+        }
     }
 }
 
@@ -744,6 +1004,264 @@ mod tests {
         for (h, b) in &corpus {
             assert_eq!(&s.get(h).unwrap(), b);
         }
+    }
+
+    /// A SplitMix64 stream: deterministic script material.
+    struct Script(u64);
+
+    impl Script {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn bytes(&mut self, len: usize) -> Bytes {
+            Bytes::from((0..len).map(|_| self.below(256) as u8).collect::<Vec<u8>>())
+        }
+    }
+
+    /// Each scheme with the node count it is tested over: one or two
+    /// nodes beyond its fragments, so `base` walks the ring.
+    const SCHEMES: [(usize, Durability); 5] = [
+        (5, Durability::Replicated { copies: 3 }),
+        (2, Durability::Replicated { copies: 1 }),
+        (7, Durability::ErasureCoded { k: 4, m: 2 }),
+        (6, Durability::ErasureCoded { k: 3, m: 3 }),
+        (3, Durability::ErasureCoded { k: 1, m: 2 }),
+    ];
+
+    /// The two stores, equal in every answer a caller can get: every
+    /// payload's read (or its error), and both byte counts.
+    fn assert_same(
+        store: &DurableStore,
+        flat: &reference::FlatStore,
+        payloads: &[(ChunkHash, Bytes)],
+        what: &str,
+    ) {
+        for (h, _) in payloads {
+            assert_eq!(store.get(h), flat.get(h), "{what}: get {h}");
+        }
+        assert_eq!(store.physical_bytes(), flat.physical_bytes(), "{what}");
+        assert_eq!(store.logical_bytes(), flat.logical_bytes(), "{what}");
+    }
+
+    /// Every set of at most `max` of `nodes` nodes.
+    fn node_sets(nodes: usize, max: usize) -> Vec<Vec<usize>> {
+        (0u32..1 << nodes)
+            .filter(|set| set.count_ones() as usize <= max)
+            .map(|set| (0..nodes).filter(|n| set & (1 << n) != 0).collect())
+            .collect()
+    }
+
+    /// Both stores answer alike under every set of failed nodes the
+    /// scheme tolerates; the nodes are all up again afterwards.
+    fn assert_same_under_every_tolerated_failure(
+        store: &mut DurableStore,
+        flat: &mut reference::FlatStore,
+        nodes: usize,
+        payloads: &[(ChunkHash, Bytes)],
+        what: &str,
+    ) {
+        for down in node_sets(nodes, store.durability().fault_tolerance()) {
+            for &n in &down {
+                store.fail_node(n);
+                flat.fail_node(n);
+            }
+            assert_same(store, flat, payloads, &format!("{what}, down {down:?}"));
+            for &n in &down {
+                store.recover_node(n);
+                flat.recover_node(n);
+            }
+        }
+    }
+
+    /// The by-reference store against the flat-buffer one, over random
+    /// scripts under both schemes: payloads whose lengths do and do not
+    /// divide by `k` (the empty one among them), repeated puts, damaged
+    /// uploads, nodes failing and recovering, and rot on any fragment at
+    /// any bit, padding bits and second rots included. After every step
+    /// the results, error variants and byte counts are equal; after the
+    /// script, so is every read under every failed-node set within the
+    /// scheme's tolerance.
+    #[test]
+    fn by_reference_store_matches_the_flat_store() {
+        for seed in 0..24u64 {
+            let (nodes, scheme) = SCHEMES[seed as usize % SCHEMES.len()];
+            let mut rng = Script(seed);
+            let payloads: Vec<(ChunkHash, Bytes)> = (0..10)
+                .map(|i| {
+                    let len = match i {
+                        0 => 0,
+                        1..=3 => i * 4,
+                        _ => rng.below(300),
+                    };
+                    let b = rng.bytes(len);
+                    (ChunkHash::of(&b), b)
+                })
+                .collect();
+            let mut store = DurableStore::new(nodes, scheme).unwrap();
+            let mut flat = reference::FlatStore::new(nodes, scheme);
+            for step in 0..80 {
+                let what = format!("seed {seed} {scheme:?}, step {step}");
+                let (h, b) = payloads[rng.below(payloads.len())].clone();
+                match rng.below(9) {
+                    0..=2 => assert_eq!(store.put(h, b.clone()), flat.put(h, b), "{what}"),
+                    3 => {
+                        let mut damaged = b.to_vec();
+                        match damaged.len() {
+                            0 => damaged.push(0),
+                            len => damaged[rng.below(len)] ^= 1 << rng.below(8),
+                        }
+                        let damaged = Bytes::from(damaged);
+                        assert_eq!(
+                            store.put(h, damaged.clone()),
+                            flat.put(h, damaged),
+                            "{what}"
+                        );
+                    }
+                    4 => {
+                        let n = rng.below(nodes);
+                        store.fail_node(n);
+                        flat.fail_node(n);
+                    }
+                    5 | 6 => {
+                        let n = rng.below(nodes);
+                        store.recover_node(n);
+                        flat.recover_node(n);
+                    }
+                    _ => {
+                        let fragment = rng.below(2 * scheme.fragments());
+                        let bit = rng.below(8 * (b.len() + 8));
+                        assert_eq!(
+                            store.corrupt_fragment(&h, fragment, bit),
+                            flat.corrupt_fragment(&h, fragment, bit),
+                            "{what}: rot {fragment}:{bit}"
+                        );
+                    }
+                }
+                assert_same(&store, &flat, &payloads, &what);
+            }
+            for n in 0..nodes {
+                store.recover_node(n);
+                flat.recover_node(n);
+            }
+            let what = format!("seed {seed} {scheme:?}");
+            assert_same_under_every_tolerated_failure(
+                &mut store, &mut flat, nodes, &payloads, &what,
+            );
+        }
+    }
+
+    /// One bit of every byte of every fragment, the padding's among them,
+    /// rotted in a store holding one payload of each short length: both
+    /// stores answer alike under every failed-node set within tolerance.
+    #[test]
+    fn every_rotted_fragment_reads_as_in_the_flat_store() {
+        for (nodes, scheme) in SCHEMES {
+            for len in [0usize, 1, 2, 3, 4, 5, 7, 9, 13, 17] {
+                let b = Bytes::from((0..len).map(|i| (i * 37 + 5) as u8).collect::<Vec<u8>>());
+                let payloads = [(ChunkHash::of(&b), b.clone())];
+                let h = payloads[0].0;
+                let fragment_len = match scheme {
+                    Durability::Replicated { .. } => len,
+                    Durability::ErasureCoded { k, .. } => len.div_ceil(k).max(1),
+                };
+                for fragment in 0..scheme.fragments() {
+                    for byte in 0..fragment_len.max(1) {
+                        let mut store = DurableStore::new(nodes, scheme).unwrap();
+                        let mut flat = reference::FlatStore::new(nodes, scheme);
+                        store.put(h, b.clone()).unwrap();
+                        flat.put(h, b.clone()).unwrap();
+                        let bit = 8 * byte + byte % 8;
+                        let rotted = store.corrupt_fragment(&h, fragment, bit);
+                        assert_eq!(rotted, flat.corrupt_fragment(&h, fragment, bit));
+                        assert_eq!(rotted, fragment_len > 0);
+                        let what = format!("{scheme:?} len {len}: rot {fragment}:{bit}");
+                        assert_same_under_every_tolerated_failure(
+                            &mut store, &mut flat, nodes, &payloads, &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `put` and a healthy `get` copy no payload byte: the store keeps
+    /// the caller's buffer and hands that very buffer back. The flat
+    /// store copied every payload byte into its coded buffer, then that
+    /// buffer into a `Bytes`; a degraded read copies in both.
+    #[test]
+    fn put_and_a_healthy_get_copy_no_payload_byte() {
+        for (nodes, scheme) in SCHEMES {
+            let start = reference::copied();
+            let mut store = DurableStore::new(nodes, scheme).unwrap();
+            let corpus = corpus();
+            for (h, b) in &corpus {
+                store.put(*h, b.clone()).unwrap();
+                let read = store.get(h).unwrap();
+                assert_eq!(&read, b);
+                assert!(
+                    std::ptr::eq(read.as_ptr(), b.as_ptr()),
+                    "{scheme:?}: read copied"
+                );
+            }
+            assert_eq!(
+                reference::copied(),
+                start,
+                "{scheme:?}: a payload was copied"
+            );
+            let mut flat = reference::FlatStore::new(nodes, scheme);
+            for (h, b) in &corpus {
+                flat.put(*h, b.clone()).unwrap();
+            }
+            assert!(reference::copied() - start >= 2 * flat.logical_bytes());
+            if let Durability::ErasureCoded { .. } = scheme {
+                let degraded = reference::copied();
+                store.fail_node(0);
+                for (h, b) in &corpus {
+                    assert_eq!(&store.get(h).unwrap(), b);
+                }
+                assert!(
+                    reference::copied() > degraded,
+                    "{scheme:?}: degraded reads decode"
+                );
+            }
+        }
+    }
+
+    /// Rot lands in the store's private copy of the one fragment it hits:
+    /// the caller's buffer, an earlier read and every other replica keep
+    /// the bytes that were put.
+    #[test]
+    fn a_rotted_fragment_never_shows_in_the_callers_bytes_or_another_replica() {
+        let mut s = DurableStore::new(3, Durability::Replicated { copies: 3 }).unwrap();
+        let (h, b) = chunk(7);
+        let pristine = b.to_vec();
+        s.put(h, b.clone()).unwrap();
+        let read = s.get(&h).unwrap();
+        // Rot replicas 0 and 1 all over; with node 2 alone up, the
+        // third replica still reads clean.
+        for bit in 0..8 * b.len() {
+            assert!(s.corrupt_fragment(&h, bit % 2, bit));
+        }
+        assert_eq!((&b[..], &read[..]), (&pristine[..], &pristine[..]));
+        s.fail_node(2);
+        assert_eq!(s.get(&h).unwrap_err(), DurableError::Corrupt(h));
+        s.recover_node(2);
+        s.fail_node(0);
+        assert_eq!(s.get(&h).unwrap()[..], pristine[..]);
+        // Under erasure coding, rot in every data shard's bytes and in
+        // parity: the payload buffer is the data shards, untouched.
+        let mut s = DurableStore::new(6, Durability::ErasureCoded { k: 4, m: 2 }).unwrap();
+        s.put(h, b.clone()).unwrap();
+        for fragment in 0..6 {
+            assert!(s.corrupt_fragment(&h, fragment, 3 * fragment));
+        }
+        assert_eq!(&b[..], &pristine[..]);
+        assert_eq!(s.get(&h).unwrap_err(), DurableError::Corrupt(h));
     }
 
     #[test]

@@ -109,8 +109,9 @@ impl ReedSolomon {
         1.0 + self.m as f64 / self.k as f64
     }
 
-    /// Length of each of the `k + m` shards of a `data_len`-byte payload.
-    fn shard_len(&self, data_len: usize) -> usize {
+    /// Length of each of the `k + m` shards of a `data_len`-byte payload:
+    /// `⌈data_len / k⌉`, and at least one byte.
+    pub fn shard_len(&self, data_len: usize) -> usize {
         data_len.div_ceil(self.k).max(1)
     }
 
@@ -137,18 +138,17 @@ impl ReedSolomon {
         Ok(shards)
     }
 
-    /// [`ReedSolomon::encode`] into one buffer: the `k + m` equal-size
-    /// shards back to back, so shard `i` is the `i`-th
-    /// `len / (k + m)`-byte stretch. The payload is copied once and the
-    /// parity is computed in place behind it.
-    pub fn encode_flat(&self, data: &[u8]) -> Vec<u8> {
+    /// The `m` parity shards of `data`, back to back in one buffer of
+    /// `m · shard_len` bytes: parity shard `j` is shard `k + j` of
+    /// [`ReedSolomon::encode`]. No payload byte is copied. The code is
+    /// systematic, so the `k` data shards are `data` itself, cut into
+    /// [`ReedSolomon::shard_len`]-byte stretches with the last ones
+    /// zero-padded, and a caller that keeps `data` keeps them.
+    pub fn parity(&self, data: &[u8]) -> Vec<u8> {
         let shard_len = self.shard_len(data.len());
-        let mut flat = Vec::with_capacity((self.k + self.m) * shard_len);
-        flat.extend_from_slice(data);
-        flat.resize((self.k + self.m) * shard_len, 0);
-        let parity = flat[self.k * shard_len..].chunks_exact_mut(shard_len);
-        self.add_parity(data, parity.collect());
-        flat
+        let mut parity = vec![0u8; self.m * shard_len];
+        self.add_parity(data, parity.chunks_exact_mut(shard_len).collect());
+        parity
     }
 
     /// Adds the parity rows of `data` into `parity` (`m` zeroed rows of
@@ -322,6 +322,20 @@ mod tests {
         assert_eq!(shards[0], &data[0..10]);
         assert_eq!(shards[1], &data[10..20]);
         assert_eq!(shards[2], &data[20..30]);
+    }
+
+    #[test]
+    fn parity_is_the_encoded_parity_shards_back_to_back() {
+        for (k, m) in [(1, 1), (3, 2), (4, 2), (6, 3), (10, 4)] {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            for len in [0usize, 1, 7, 64, 333, 4099, 5 * 1024] {
+                let data = sample_data(len);
+                let parity = rs.parity(&data);
+                assert_eq!(parity.len(), m * rs.shard_len(len), "k {k} m {m} len {len}");
+                let shards = rs.encode(&data).unwrap();
+                assert_eq!(parity, shards[k..].concat(), "k {k} m {m} len {len}");
+            }
+        }
     }
 
     #[test]

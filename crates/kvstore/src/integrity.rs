@@ -460,21 +460,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_change_in_one_lane_always_moves_the_digest() {
-        // Every length that crosses no stripe, one, and up to eight, with
-        // every kind of tail. A change confined to one aligned 4-byte word
-        // (one lane of one stripe, or a piece of the tail) must move the
-        // digest: every single-bit flip of every word, and a random
-        // nonzero XOR of each.
+    /// Every length that crosses no stripe, one, and up to eight, with
+    /// every kind of tail: a change confined to one aligned 4-byte word
+    /// (one lane of one stripe, or a piece of the tail) must move the
+    /// digest — every single-bit flip of every word, and a random nonzero
+    /// XOR of each — checked for the lengths in `lens`. The RNG is drawn
+    /// for every length up to 1,100 B, so each length gets the same
+    /// random masks whichever part checks it.
+    fn a_change_in_one_lane_moves_the_digest(lens: std::ops::RangeInclusive<usize>) {
         let mut rng = ef_simcore::DetRng::new(0x1a9e);
         for len in 0..=1_100 {
+            let words = (0..len).step_by(4).map(|start| start..len.min(start + 4));
+            let words: Vec<_> = words
+                .map(|word| {
+                    let bits = 8 * word.len() as u32;
+                    (word, bits, (rng.next_u64() as u32 >> (32 - bits)).max(1))
+                })
+                .collect();
+            if !lens.contains(&len) {
+                continue;
+            }
             let mut buf = filler(len);
             let clean = checksum64(&buf);
-            for start in (0..len).step_by(4) {
-                let word = start..len.min(start + 4);
-                let bits = 8 * word.len() as u32;
-                let random = (rng.next_u64() as u32 >> (32 - bits)).max(1);
+            for (word, bits, random) in words {
+                let start = word.start;
                 for mask in (0..bits).map(|bit| 1 << bit).chain([random]) {
                     xor_word(&mut buf, word.clone(), mask);
                     assert_ne!(
@@ -488,10 +497,33 @@ mod tests {
         }
     }
 
+    // Four parts of about equal work (a length costs its square), so the
+    // harness runs them side by side.
+    #[test]
+    fn a_change_in_one_lane_always_moves_the_digest_0_to_700_bytes() {
+        a_change_in_one_lane_moves_the_digest(0..=700);
+    }
+
+    #[test]
+    fn a_change_in_one_lane_always_moves_the_digest_701_to_880_bytes() {
+        a_change_in_one_lane_moves_the_digest(701..=880);
+    }
+
+    #[test]
+    fn a_change_in_one_lane_always_moves_the_digest_881_to_1000_bytes() {
+        a_change_in_one_lane_moves_the_digest(881..=1_000);
+    }
+
+    #[test]
+    fn a_change_in_one_lane_always_moves_the_digest_1001_to_1100_bytes() {
+        a_change_in_one_lane_moves_the_digest(1_001..=1_100);
+    }
+
     #[test]
     fn single_bit_flips_change_the_checksum() {
         // Payload-sized buffers, 32 and 128 stripes; every length up to
-        // 1,100 B is covered by `a_change_in_one_lane_always_moves_the_digest`.
+        // 1,100 B is covered by the `a_change_in_one_lane_always_moves_the_digest_*`
+        // parts.
         for len in [4_096, 16_384] {
             let mut buf = filler(len);
             let clean = checksum64(&buf);
