@@ -32,7 +32,6 @@
 //! only host-time columns in this crate are the solver runtimes of
 //! `ablation_partitioners` and `ablation_minhash`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// True when `--quick` was passed: binaries shrink their sweeps for smoke

@@ -39,7 +39,6 @@
 //! # Ok::<(), ef_cloudstore::DurableError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod catalog;

@@ -60,7 +60,6 @@
 //! assert!(cost.aggregate > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod estimator;

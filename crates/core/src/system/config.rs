@@ -87,6 +87,18 @@ mod tests {
     fn default_is_valid() {
         SystemConfig::default().validate();
         assert_eq!(SystemConfig::default(), SystemConfig::paper_testbed());
+        // The calibration is eight numbers (DESIGN.md §4): with a field
+        // more or less, this pattern does not compile.
+        let SystemConfig {
+            replication_factor: _,
+            lookup_concurrency: _,
+            edge_cpu_bw: _,
+            cloud_cpu_bw: _,
+            index_service_secs: _,
+            lookup_wire_bytes: _,
+            tcp_window_bytes: _,
+            upload_streams: _,
+        } = SystemConfig::default();
     }
 
     #[test]

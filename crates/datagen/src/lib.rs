@@ -47,7 +47,6 @@
 //! assert_eq!(stream.len(), 100 * 512);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod datasets;

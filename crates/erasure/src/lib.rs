@@ -35,7 +35,6 @@
 //! # Ok::<(), ef_erasure::CodeError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gf256;

@@ -38,7 +38,6 @@
 //! assert!(cluster.get(coord, b"hash-1").unwrap().is_some());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod antientropy;

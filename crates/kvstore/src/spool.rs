@@ -657,7 +657,8 @@ impl UploadSpool {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use crate::storage::{encode_delete, encode_put, frame_at, Frame};
+    use crate::storage::reference::encode_put;
+    use crate::storage::{encode_delete, frame_at, Frame};
 
     #[derive(Debug, Clone, Default)]
     struct ByteSegment {

@@ -69,12 +69,7 @@ const WAL_TAG_DELETE: u8 = 2;
 /// that carries its sum is copied in and not read again; one that does
 /// not is summed from the copy just written, hot in cache where the
 /// caller's bytes may be cold.
-pub(crate) fn encode_put(
-    buf: &mut Vec<u8>,
-    key: &[&[u8]],
-    payload: &[u8],
-    sum: Option<u64>,
-) -> u64 {
+fn encode_put(buf: &mut Vec<u8>, key: &[&[u8]], payload: &[u8], sum: Option<u64>) -> u64 {
     #[cfg(test)]
     reference::note_copied(payload.len());
     let start = buf.len();
@@ -1125,6 +1120,17 @@ pub(crate) mod reference {
         if len > INLINE_PAYLOAD_MAX {
             COPIED.with(|n| n.set(n.get() + len as u64));
         }
+    }
+
+    /// The copying encoder, for the spool's copying reference: outside
+    /// this file, non-test code cannot name it.
+    pub(crate) fn encode_put(
+        buf: &mut Vec<u8>,
+        key: &[&[u8]],
+        payload: &[u8],
+        sum: Option<u64>,
+    ) -> u64 {
+        super::encode_put(buf, key, payload, sum)
     }
 
     /// Bytes of payloads longer than 48 bytes that [`encode_put`] has

@@ -44,7 +44,6 @@
 //! assert!(net.rtt(nodes[0], nodes[1]) < net.rtt(nodes[0], nodes[2]));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fault;

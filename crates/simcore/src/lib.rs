@@ -32,7 +32,6 @@
 //! assert_eq!(q.pop().map(|e| e.payload), Some("second"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

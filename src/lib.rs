@@ -11,7 +11,6 @@
 //! cargo run --example quickstart
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ef_chunking as chunking;
